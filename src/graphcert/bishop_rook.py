@@ -148,28 +148,37 @@ class PathDecomposition:
         return lines
 
 
-def _group_edges(m: int, n: int, i: int, sign: int) -> list[tuple[int, int]]:
-    out = []
+def _group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b in bishop_edge_pairs(m, n):
         length = abs(b.col - a.col)
         pos_slope = (b.row - a.row) * (b.col - a.col) > 0
-        if sign > 0:
-            wanted = (length == i and not pos_slope) or (length == m - i and pos_slope)
+        if 2 * length == m:
+            key = (length, 1)
+        elif length < m - length:
+            key = (length, -1 if pos_slope else 1)
         else:
-            wanted = (length == i and pos_slope) or (length == m - i and not pos_slope)
-        if wanted:
-            out.append((coord_to_id(a, n), coord_to_id(b, n)))
-    return sorted(set(out))
+            key = (m - length, 1 if pos_slope else -1)
+        buckets.setdefault(key, []).append((coord_to_id(a, n), coord_to_id(b, n)))
+    return buckets
 
 
 def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
-    """Partition bishop edges into the path groups of the canonical coloring."""
+    """Partition bishop edges into the path groups of the canonical coloring.
+
+    One pass over the bishop edges puts each edge into the bucket of its
+    group. With L the column distance of the edge: when 2L = m it goes to
+    (L, +); when L < m - L it goes to (L, -) on a positive slope and (L, +)
+    on a negative one; otherwise it goes to (m - L, +) on a positive slope
+    and (m - L, -) on a negative one.
+    """
+    buckets = _group_buckets(m, n)
     groups = []
     for i in range(1, m // 2 + 1):
         for sign in (1, -1):
             if m % 2 == 0 and 2 * i == m and sign == -1:
                 continue  # coincides with the + group
-            edges = _group_edges(m, n, i, sign)
+            edges = sorted(set(buckets.get((i, sign), ())))
             adj: dict[int, list[int]] = {}
             for u, v in edges:
                 adj.setdefault(u, []).append(v)

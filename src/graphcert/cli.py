@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from . import io as gio
 from . import keller
 from .chess import (QueenClass, build_bishop, build_queen, build_rook,
                     classify_queen_prediction, queen_delta)
-from .core import (Graph, verify_clique_cover, verify_edge_coloring,
+from .core import (CertificateError, Graph, verify_clique_cover, verify_edge_coloring,
                    verify_hamiltonian_cycle, verify_hamiltonian_decomposition,
                    verify_hamiltonian_path)
 from .kempe import BudgetExhaustedError, SearchBudget, edge_critical_check, find_class1
@@ -73,7 +74,7 @@ def _parallel_map(fn, tasks: list, jobs: int) -> list:
     # pool.map keeps input order, so output is deterministic for any N
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+    with multiprocessing.Pool(processes=min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
         return pool.map(fn, tasks, chunksize=1)
 
 
@@ -596,7 +597,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--long-run", action="store_true",
                    help="allow paper-scale computations")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for sweeps; output order is fixed")
+                   help="parallel workers for sweeps, at most one per CPU; output order is fixed")
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
@@ -766,14 +767,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
                      "params": _params(args), "error": str(exc)})
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:
+    except (CertificateError, AssertionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
                      "params": _params(args), "error": str(exc)})
         return EXIT_FAIL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

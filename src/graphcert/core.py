@@ -16,6 +16,10 @@ class EmptyGraphError(ValueError):
     """Raised when an operation needs at least one vertex."""
 
 
+class CertificateError(ValueError):
+    """Raised when a certificate file is malformed in a way that voids it."""
+
+
 class CapExceeded(ValueError):
     """Raised when an exact solver is asked for more vertices than its cap."""
 

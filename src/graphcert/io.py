@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Sequence
 
-from .core import EdgeColoring, Graph
+from .core import CertificateError, EdgeColoring, Graph
 
 
 def _open_read(path_or_file) -> tuple[IO[str], bool]:
@@ -101,9 +101,14 @@ def read_coloring(path_or_file) -> EdgeColoring:
                 raise ValueError(f"line {lineno}: expected 'u v color', got {line!r}")
             u, v, c = (int(x) for x in parts)
             lo, hi = sorted((u - 1, v - 1))
+            if (lo, hi) in assignment:
+                raise CertificateError(f"line {lineno}: edge {u} {v} listed twice")
             assignment[(lo, hi)] = c
         if declared is None:
             raise ValueError("missing 'c k=<count>' line")
+        for (lo, hi), c in assignment.items():
+            if not 1 <= c <= declared:
+                raise CertificateError(f"edge {lo + 1} {hi + 1}: color {c} outside 1..{declared}")
         return EdgeColoring(assignment, declared)
     finally:
         if close:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .bishop_rook import (MissingColorPlan, canonical_bishop_coloring, ladder_coloring,
                           rarest_bishop_color, rook_class1_coloring)
-from .chess import build_queen, id_to_coord, overfull_threshold, queen_delta, queen_edge_count
+from .chess import (_check_board, build_queen, id_to_coord, overfull_threshold, queen_delta,
+                    queen_edge_count)
 from .core import EdgeColoring, verify_edge_coloring
 from .multicycle import chromatic_index, derive
 
@@ -37,11 +38,6 @@ class QueenColoringCertificate:
         return json.dumps({"m": self.m, "n": self.n, "class": self.claimed_class,
                            "construction": self.construction,
                            "colors": self.coloring.declared_color_count})
-
-
-def _check_board(m: int, n: int) -> None:
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= n")
 
 
 def class1_even(m: int, n: int) -> QueenColoringCertificate:

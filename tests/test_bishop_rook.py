@@ -1,11 +1,13 @@
 """Complete-graph, bishop, and rook coloring constructions."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete
+from graphcert import bishop_rook
 from graphcert.bishop_rook import (
     MissingColorPlan,
     bishop_path_decomposition,
@@ -138,6 +140,112 @@ def test_path_decomposition_partitions_bishop_edges():
         assert covered == set(g.edges)
         if m % 2 == 0:
             assert all(not (2 * grp.i == m and grp.sign < 0) for grp in pd.groups)
+
+
+# sha256 of "\n".join(bishop_path_decomposition(m, n).to_lines()), recorded
+# from the per-group enumeration that preceded the single-pass bucketing.
+DECOMPOSITION_SHA256 = {
+    (1, 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 2): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 3): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 4): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 5): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 6): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 7): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 8): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 9): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 10): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 11): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 12): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 2): "ebe40926f3628569314f78c8429f11d546f12049e9afd8731c784c26834edc5f",
+    (2, 3): "78e3887b8524eed72c6d61c8112e4b2ec3d047d92208ce7bf219acacb2a2d516",
+    (2, 4): "ff10f992a34c8f53d762a5aa311652040146c7232596d640fa9dd5cf8f284837",
+    (2, 5): "f18ef2336e6c44a7e07514c5cf125ac4b68c046729a0a300d5c4f66c06385562",
+    (2, 6): "f76cd86332f77a5ccbaa9a30b2ece0f1035d81c87c1d952bf2118a5d169085d4",
+    (2, 7): "aa83e8bd831e025ca25254304165248ed72f5248e73d903d4a1eaf2aa2a90f6a",
+    (2, 8): "fd5afbed89b84bf2d420cfe92734586e8662709d7b0af9f01d219c7856a99306",
+    (2, 9): "3cc986f2f1fa8ea23d6eea57ef0f8b9d6631168a7a3dac6e598d465c41fafa60",
+    (2, 10): "0126058e78017b776be8e0040d5d588dcc68e5621e076d8ff2bcffb0d31f89a2",
+    (2, 11): "9dbd92013065c00b6ce1906a516cc5a813b4175bd15937fcf118e14cf3d7687f",
+    (2, 12): "94a2416adc5201b47a76d9df2c6761c924293864e6a487bf81965dbf6944504d",
+    (3, 3): "6d77707f86880c0381e36d3c99e1ba99f63410e711a9367e0a49cf9751ee880f",
+    (3, 4): "c29b995ce6ea594f6a2bd63db300d7bf7826e906e18eec43ded1aafa12dc4997",
+    (3, 5): "ce9aad70b0702a730010c3fe427da2793fd7310d54409d5f5b480afce6936fc8",
+    (3, 6): "edb925b5a62d1c8dabc1b8c98349e2e588639ee5751291079be874f32ba7ca37",
+    (3, 7): "23f747eba65d280445e0b3b7a396997e6e2686288b017182d0232b46bf30e886",
+    (3, 8): "47a83d416bdf395100d730e69ae01c9642f3fc81ad94ca9dd823c9f1c071ee1c",
+    (3, 9): "16c7674c9e0a72f5f59549661f8b7d5e6f58a2d3a701519830f88bb30ecf9e21",
+    (3, 10): "770389e9dcb611ead96ecdca19cda811d075dd3a20b0eba49fa2b48fc1df934c",
+    (3, 11): "8d17c9a27b92be993d9f57e5df9e7f31635006234612e1e0a45f4ce16cfa0bad",
+    (3, 12): "4c9896be25362c3a9d46a4e55b39827750b9635e806e63edb1d7cf92a6bd7e93",
+    (4, 4): "5fefdb3814f884cc57a1b22a1576c000d7ffa88881efe847ec587f226d8461d1",
+    (4, 5): "962e7b9be253a2bbe898c98ae6a1a7c360e790e2744e507c2f8d01082c3562cc",
+    (4, 6): "25c7f6359db7a9c002d19b227ce6e661ca8cc097075725f5f0e5e4ceedb14eb8",
+    (4, 7): "980241998f15ae84fc35a10b5f3f095fbea7f1a3868f2c08f62e99e24e8f7af7",
+    (4, 8): "9d613d339e545a3dfd9f58ddd0e89fe4f4b747f3951497e9deaf69c4cf04d4ae",
+    (4, 9): "24b1d616e496baa18744dce0d7cfaa9a86a59ad8208d49b056e7318da964aa49",
+    (4, 10): "0fbf744b26f308e5006ab0ca75c58e52d019cdce4cf21cc018bac2fc16b20093",
+    (4, 11): "9c72d0de9e480b2de1678ea32ad623b24fdb41cc42ccb1019e4f148541708661",
+    (4, 12): "3e276de910514b3e851afbf8f5c6126d93951fbdb8b001541f0ec8a72e277ca8",
+    (5, 5): "bd870f01b5f7f3008d606ec6eccaf04baefca468669e4f5d74019931dc404d00",
+    (5, 6): "4450d4bd31f865e637774eae43ea3da74d157b6e648de2ff3c067ae523a26e79",
+    (5, 7): "c8de1b8e3ce43fd7d8e01c01e22be05d262199d654a10430e6c8520fdfa942b8",
+    (5, 8): "9e9dcae8f829034ef7ce20286850e743bd325eae175c1e8a3a817c0ed707ba01",
+    (5, 9): "24855e71dd10d485837401ab8dd065f82ee3fbc4ba5b70607498b55054c76cfd",
+    (5, 10): "4afa5c6cab53ae05a02b6c8d66125e93813c584b551019969f935497908b7385",
+    (5, 11): "e0ebd83c7b2faca12577808c109946fd4dc12b4396bc6a35b197d8b59e691377",
+    (5, 12): "15341d3d105375cb999f990944d553e9bfeed945e5ebb6ea75abc9ac6616c4fb",
+    (6, 6): "4588e6505c22156352ca3d55029f927c3ed8e8fbf5af6c92e2719f2924aa11a4",
+    (6, 7): "fb14b041387e39fa3947621d6a608004a00abbc5b50c4cffe021a8329202536b",
+    (6, 8): "8607e2d140e29592e8da3a6cc7883aabc5a32b41b2c870a2ad590680b9b225b7",
+    (6, 9): "efdf27af87917ad69c34e2326ef52cd53d8b9bda34640e10b47fdfb4902f12d3",
+    (6, 10): "5aeacccdc934d3f124f863dfbd8322f53f86a1627a3260531f8aedb64afca72d",
+    (6, 11): "091de0a716be7978d3c292c2a100784cc0c34db545cacb069e9560a716a95e84",
+    (6, 12): "87e9fce5dd11cf5c725fd12ca9351ccca613d7345ed10c5314949284c6108c67",
+    (7, 7): "4d952028e0715816b7c326c7d83266185362a512d84e6e0e547fb6247d7ff486",
+    (7, 8): "640b4222345dc93c775c1ed92a6098218e64dd1ad305bdfd8b49a959b7221973",
+    (7, 9): "7d56bc1f06b685570cf73d0dc1de1488b0ee451fe223d29fc13781b7b38a228e",
+    (7, 10): "300b9089b73e2ef89b9246fd15b286f2047dd67a2acf6b75aab9a6124ab7ce49",
+    (7, 11): "8801c6ead373cb6b8585aada58589bae5a2ed3f09a41ccdc151d313451811144",
+    (7, 12): "282b4d204e8d9185c55fc893160e770b20ed8a4d7ebbb6ed6bfebc0dc4df21e0",
+    (8, 8): "9b1e6d9de5644202d0956987b5e93d23fd45e99ce4049c349827744e9273a36b",
+    (8, 9): "e0ca5cda1b96492168e1e6c94ae54d6feeb0459a951e797d22f908672f77b0c7",
+    (8, 10): "5d9804caab5117b6b6a26fedbac85f5bcf0b5fe6e3f6b8531099e3ef64199ed1",
+    (8, 11): "1dfe2f19252369aee68cde068bd7480fa2ad88bb1e2d7c40dab1072d72bc59b5",
+    (8, 12): "bc57f8ea0e237522d80a7c5cf49ea825da36ac91fb2e2bb7987074f38fc6d437",
+    (9, 9): "5466579bc00a82ed28ad48c3c229cdbfef026886e2ee637a92e6e516b2efbb10",
+    (9, 10): "ac770bad6ac894188751d7dabeba4b3ed4a6dd0354b33b579f90586770254746",
+    (9, 11): "446fde71fb51e9ee1d3de33af52c9ac9762b1824bbbef5b75122c396a15babbe",
+    (9, 12): "3c53fdc54c669e09ca11c51aa4a086b94ae56e7ce5cbab046532a2bce37855d1",
+    (10, 10): "30ad280e2d8b23091eab45b88ad64ca1162b3ef519fd9d1f0c7127110ac62fae",
+    (10, 11): "aca413357f1331a8227a93f1111656f0d2a30b7afca4f338f8e1e77fbb4519e5",
+    (10, 12): "8b3ab10a3301fc0339f9f5fd880ca85791ab5dcd9c37527df08110f5922adec5",
+    (11, 11): "7cbfde41b9e39582fe5b3c721b2b0ed6b60ae0348a1cf8340f2b3c9c896ae100",
+    (11, 12): "2117ce9addb80ebbf2ee1ef94687bf23f0098ec274dc6e7c7702f99d3db6918f",
+    (12, 12): "cbb0272b8dc1f0fbbb1e85c52a161570b9133a69868c32c2b2f0a8d04b6dd846",
+    (13, 61): "d0b1bdc398ace40dfa292259fa7531ce1e24f799dcd73c50ad784927464d01ab",
+    (25, 49): "df4f334273fca5e171d0e0c63f36ee8c0acd3e05e67a83a3c23f440d6b3088a2",
+}
+
+
+def test_path_decomposition_matches_recorded_digests():
+    wrong = [board for board, digest in DECOMPOSITION_SHA256.items()
+             if hashlib.sha256("\n".join(bishop_path_decomposition(*board).to_lines())
+                               .encode()).hexdigest() != digest]
+    assert wrong == []
+
+
+def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
+    calls = []
+    enumerate_edges = bishop_rook.bishop_edge_pairs
+
+    def counted(m, n):
+        calls.append((m, n))
+        return enumerate_edges(m, n)
+
+    monkeypatch.setattr(bishop_rook, "bishop_edge_pairs", counted)
+    canonical_bishop_coloring(9, 13)
+    assert calls == [(9, 13)]
 
 
 def test_path_decomposition_lines_format():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graphcert import cli
 from graphcert import io as gio
 from graphcert.cli import main
 from graphcert.core import EdgeColoring
@@ -119,6 +120,55 @@ def test_usage_errors_exit_2(capsys):
                         "--json"])[0] == 2  # graph would be discarded
     assert run(capsys, ["color", "--m", "5", "--n", "5",
                         "--warm-start", "x.coloring"])[0] == 2  # not kempe
+
+
+# R(2,2) is the 4-cycle 1-2-4-3-1, properly colored by "1 2 1", "1 3 2",
+# "2 4 2", "3 4 1" with k=2.
+R22_BODY = ["1 2 1", "1 3 2", "2 4 2", "3 4 1"]
+
+
+@pytest.mark.parametrize("graph_name,body,code", [
+    ("absent.col", R22_BODY, 2),
+    ("r22.col", None, 2),
+    ("r22.col", ["1 2 1", "1 3 1"] + R22_BODY[1:], 1),
+    ("r22.col", ["1 2 3"] + R22_BODY[1:], 1),
+], ids=["missing-graph", "missing-certificate", "repeated-edge", "color-outside-k"])
+def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, code):
+    assert run(capsys, ["gen", "--family", "rook", "--m", "2", "--n", "2",
+                        "--out", str(tmp_path / "r22.col")])[0] == 0
+    cert = tmp_path / "r22.coloring"
+    if body is not None:
+        cert.write_text("\n".join(["c k=2"] + body) + "\n")
+    got, out, err = run(capsys, ["verify", "coloring", "--graph", str(tmp_path / graph_name),
+                                 "--certificate", str(cert), "--json"])
+    assert got == code
+    if code == 1:
+        assert json.loads(out)["ok"] is False
+    else:
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cpus,expected", [(2, 2), (None, 1)])
+def test_parallel_map_starts_at_most_one_process_per_cpu(monkeypatch, cpus, expected):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._parallel_map(abs, list(range(-20, 0)), jobs=10_000) == list(range(20, 0, -1))
+    assert started == [expected]
 
 
 def test_long_run_gates(capsys):
