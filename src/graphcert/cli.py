@@ -63,10 +63,13 @@ def _need_long_run(args, why: str) -> None:
 
 
 def _budget(args) -> SearchBudget:
+    # An explicit 0 must reach SearchBudget's check, not fall back to the default.
     default = SearchBudget.default(args.seed)
+    switches = getattr(args, "budget_switches", None)
+    restarts = getattr(args, "restarts", None)
     return SearchBudget(
-        max_switches=getattr(args, "budget_switches", None) or default.max_switches,
-        max_restarts=getattr(args, "restarts", None) or default.max_restarts,
+        max_switches=default.max_switches if switches is None else switches,
+        max_restarts=default.max_restarts if restarts is None else restarts,
         seed=args.seed)
 
 
@@ -450,7 +453,9 @@ def _cmd_keller_double_cover(args) -> int:
 
 def _cmd_keller_decompose(args) -> int:
     d = _keller_dim(args, cap=2)
-    budget = getattr(args, "budget_switches", None) or 400
+    budget = getattr(args, "budget_switches", None)
+    if budget is None:
+        budget = 400
     result = keller.ham_decomposition_search(d, budget=budget, seed=args.seed)
     if result is None:
         raise BudgetExhaustedError("decomposition search exhausted its budget")

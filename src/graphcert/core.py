@@ -17,7 +17,7 @@ class EmptyGraphError(ValueError):
 
 
 class CertificateError(ValueError):
-    """Raised when a certificate file is malformed in a way that voids it."""
+    """Raised when a certificate is malformed or fails a check that voids it."""
 
 
 class CapExceeded(ValueError):
@@ -419,6 +419,11 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_EXACT_CAP,
 
 # --- Vizing's Δ+1 construction ------------------------------------------------
 
+def lowest_bit(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask (two's complement if negative)."""
+    return (mask & -mask).bit_length() - 1
+
+
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
                           ) -> EdgeColoring:
     """Proper edge coloring with at most Δ+1 colors by fan rotation.
@@ -429,13 +434,11 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         return EdgeColoring({}, 0)
     palette = max_degree(g) + 1
     at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+    present = [1] * g.vertex_count  # bit c set when color c is at v; bit 0 always
     color_of: dict[tuple[int, int], int] = {}
 
     def free(v: int) -> int:
-        c = 1
-        while c in at[v]:
-            c += 1
-        return c
+        return lowest_bit(~present[v])
 
     def set_color(u: int, v: int, c: int) -> None:
         e = _normalize_edge(u, v)
@@ -443,15 +446,21 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         if old is not None:
             del at[u][old]
             del at[v][old]
+            present[u] ^= 1 << old
+            present[v] ^= 1 << old
         color_of[e] = c
         at[u][c] = v
         at[v][c] = u
+        present[u] |= 1 << c
+        present[v] |= 1 << c
 
     def uncolor(u: int, v: int) -> None:
         e = _normalize_edge(u, v)
         old = color_of.pop(e)
         del at[u][old]
         del at[v][old]
+        present[u] ^= 1 << old
+        present[v] ^= 1 << old
 
     def walk(start: int, first: int, second: int) -> list[tuple[int, int, int]]:
         # Maximal path from start whose edges alternate first, second, ...
@@ -515,5 +524,6 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         rotate_finish(u, prefix[:j + 1], c)
 
     used = max(color_of.values())
-    assert used <= palette
+    if used > palette:
+        raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
     return EdgeColoring(dict(color_of), used)

@@ -522,6 +522,8 @@ def ham_decomposition_search(d: int, budget: int = 400,
     the coloring when the pairing search gets stuck. None when the budget runs
     out.
     """
+    if budget < 1:
+        raise ValueError("the switch budget must be positive")
     g = build(d)
     n = 4 ** d
     dd = delta(d)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
-from .core import (EdgeColoring, Graph, is_overfull, max_degree, verify_edge_coloring,
-                   vizing_delta_plus_one)
+from .core import (CertificateError, EdgeColoring, Graph, is_overfull, lowest_bit, max_degree,
+                   verify_edge_coloring, vizing_delta_plus_one)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -42,75 +42,118 @@ class SearchOutcome:
     restarts_used: int
 
 
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Work:
-    """Mutable coloring state: edge colors plus per-vertex color -> neighbor."""
+    """Mutable coloring state kept incremental under recolor and swap.
+
+    Besides edge -> color and per-vertex color -> neighbor, it keeps each
+    color's edge set and a per-vertex bitmask of the colors present there
+    (bit c for color c), so the rarest class and the missing colors cost no
+    scan over the graph.
+    """
 
     def __init__(self, g: Graph, coloring: EdgeColoring):
         self.declared = coloring.declared_color_count
+        self.full = (1 << (self.declared + 1)) - 2  # bits 1..declared
         self.colors: dict[tuple[int, int], int] = dict(coloring.assignment)
         self.at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-        for (u, v), c in self.colors.items():
+        self.present = [0] * g.vertex_count
+        self.by_color: list[set[tuple[int, int]]] = [set() for _ in range(self.declared + 1)]
+        for e, c in self.colors.items():
+            u, v = e
             self.at[u][c] = v
             self.at[v][c] = u
+            self.present[u] |= 1 << c
+            self.present[v] |= 1 << c
+            self.by_color[c].add(e)
 
-    def missing(self, v: int) -> list[int]:
-        return [c for c in range(1, self.declared + 1) if c not in self.at[v]]
+    def missing(self, v: int) -> int:
+        """Bitmask of the declared colors absent at v."""
+        return self.full & ~self.present[v]
+
+    def missing_after_swap(self, v: int, ends: tuple[int, int] | None, a: int, b: int) -> int:
+        """missing(v) once the (a,b)-chain with these path ends is swapped.
+
+        Every inner chain vertex keeps one a-edge and one b-edge, so only a
+        path end trades a for b or b for a; a closed cycle (ends None)
+        changes no vertex.
+        """
+        present = self.present[v]
+        if ends is not None and v in ends:
+            present ^= (1 << a) | (1 << b)
+        return self.full & ~present
 
     def recolor(self, e: tuple[int, int], c: int) -> None:
         u, v = e
         old = self.colors[e]
         del self.at[u][old]
         del self.at[v][old]
+        flip = (1 << old) | (1 << c)
+        self.present[u] ^= flip
+        self.present[v] ^= flip
+        self.by_color[old].remove(e)
+        self.by_color[c].add(e)
         self.colors[e] = c
         self.at[u][c] = v
         self.at[v][c] = u
 
-    def chain_edges(self, start: int, a: int, b: int) -> list[tuple[int, int]]:
-        # Maximal (a,b)-alternating component through start: a path or a cycle.
-        out: list[tuple[int, int]] = []
+    def chain_edges(self, start: int, a: int, b: int
+                    ) -> tuple[set[tuple[int, int]], tuple[int, int] | None]:
+        """Maximal (a,b)-alternating component through start: a path or a cycle.
+
+        Returns its edge set and the two end vertices of a path, or None for
+        a closed cycle (and for an empty chain).
+        """
+        at = self.at
         seen: set[tuple[int, int]] = set()
-        closed = False
         cur, col = start, a
-        while col in self.at[cur]:
-            nxt = self.at[cur][col]
-            e = _edge(cur, nxt)
+        while col in at[cur]:
+            nxt = at[cur][col]
+            e = (cur, nxt) if cur < nxt else (nxt, cur)
             if e in seen:
                 break
             seen.add(e)
-            out.append(e)
             cur, col = nxt, (b if col == a else a)
             if cur == start:
-                closed = True
+                return seen, None
+        first_end = cur
+        cur, col = start, b
+        while col in at[cur]:
+            nxt = at[cur][col]
+            e = (cur, nxt) if cur < nxt else (nxt, cur)
+            if e in seen:
                 break
-        if not closed:
-            cur, col = start, b
-            while col in self.at[cur]:
-                nxt = self.at[cur][col]
-                e = _edge(cur, nxt)
-                if e in seen:
-                    break
-                seen.add(e)
-                out.append(e)
-                cur, col = nxt, (a if col == b else b)
-        return out
+            seen.add(e)
+            cur, col = nxt, (a if col == b else b)
+        return seen, ((first_end, cur) if seen else None)
 
-    def swap(self, chain: Sequence[tuple[int, int]], a: int, b: int) -> None:
+    def swap(self, chain: Iterable[tuple[int, int]], a: int, b: int) -> None:
         # Two passes: transient duplicates would corrupt the at-maps otherwise.
+        # Each vertex's mask flips once per chain edge at it, so inner vertices
+        # (one a-edge, one b-edge) end unchanged and path ends trade a for b.
+        flip = (1 << a) | (1 << b)
         for e in chain:
             u, v = e
             old = self.colors[e]
             del self.at[u][old]
             del self.at[v][old]
+            self.present[u] ^= flip
+            self.present[v] ^= flip
+            self.by_color[old].remove(e)
         for e in chain:
             u, v = e
             new = b if self.colors[e] == a else a
             self.colors[e] = new
             self.at[u][new] = v
             self.at[v][new] = u
+            self.by_color[new].add(e)
 
     def snapshot(self) -> EdgeColoring:
         return EdgeColoring(dict(self.colors), self.declared)
@@ -121,39 +164,59 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
     if a == b:
         raise ValueError("need two distinct colors")
     work = _Work(g, coloring)
-    chain = work.chain_edges(start, a, b)
+    chain, _ = work.chain_edges(start, a, b)
     work.swap(chain, a, b)
     result = work.snapshot()
-    assert verify_edge_coloring(g, result).ok, "switch broke properness"
+    report = verify_edge_coloring(g, result)
+    if not report.ok:
+        raise CertificateError(f"switch broke properness: {report.detail}")
     return result
 
 
 def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                     budget: SearchBudget) -> EdgeColoring | None:
-    """Drive the target color's usage to zero within the switch budget."""
+    """Drive the target color's usage to zero within the switch budget.
+
+    Each round recolors every target edge that has a color missing at both
+    ends (the lowest such color). When no edge can be recolored, it picks a
+    random target edge (u, v), scores candidate Kempe chains anchored at u
+    or v, and switches the best one.
+
+    A chain is scored without changing the state:
+
+    - Endpoint rule. Swapping an (a,b)-chain changes the colors present only
+      at the two ends of a path, where a and b trade places; a closed cycle
+      changes none. (u, v) keeps the target color exactly when it is not on
+      the chain. So whether the switch frees a color for (u, v) follows from
+      the color masks of u and v.
+    - Shared-chain rule. (u, v) has the target color, so the candidates
+      (u, target, c) and (v, target, c) lie on one component. It is walked
+      once per round and scored for both anchors.
+    """
     report = verify_edge_coloring(g, coloring)
     if not report.ok:
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
     work = _Work(g, coloring)
     rng = random.Random(budget.seed)
+    not_target = ~(1 << target)
     switches = 0
     while True:
-        targets = sorted(e for e, c in work.colors.items() if c == target)
+        targets = sorted(work.by_color[target])
         if not targets:
             return work.snapshot().normalized()
         progress = False
         for e in targets:
             u, v = e
-            common = sorted((set(work.missing(u)) & set(work.missing(v))) - {target})
+            common = work.missing(u) & work.missing(v) & not_target
             if common:
-                work.recolor(e, common[0])
+                work.recolor(e, lowest_bit(common))
                 progress = True
         if progress:
             continue
         if switches >= budget.max_switches:
             return None
-        u, v = targets[rng.randrange(len(targets))]
-        e_uv = _edge(u, v)
+        e_uv = targets[rng.randrange(len(targets))]
+        u, v = e_uv
         # Candidate switches anchored at u or v: target-colored chains can move
         # or shrink the target class; missing-pair chains can open a direct
         # recoloring of (u,v).
@@ -162,28 +225,29 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
             for c in range(1, work.declared + 1):
                 if c != target:
                     candidates.add((w, target, c))
-            for acol in work.missing(w):
-                if acol == target:
-                    continue
-                for bcol in work.missing(other):
-                    if bcol in (target, acol):
-                        continue
+            for acol in _bits(work.missing(w) & not_target):
+                for bcol in _bits(work.missing(other) & not_target & ~(1 << acol)):
                     candidates.add((other, acol, bcol))
-        best: tuple[tuple[int, float], list[tuple[int, int]], int, int] | None = None
+        # Scores of the target chains, by their second color (shared-chain rule).
+        target_scores: dict[int, tuple[int, set[tuple[int, int]]]] = {}
+        best: tuple[tuple[int, float], set[tuple[int, int]], int, int] | None = None
         for anchor, acol, bcol in sorted(candidates):
-            chain = work.chain_edges(anchor, acol, bcol)
-            if not chain:
-                continue
-            drop = 0
-            if target in (acol, bcol):
-                on_target = sum(1 for ce in chain if work.colors[ce] == target)
-                drop = 2 * on_target - len(chain)
-            work.swap(chain, acol, bcol)
-            freed = (set(work.missing(u)) & set(work.missing(v))) - {target}
-            if freed and work.colors.get(e_uv) == target:
-                drop += 1
-            work.swap(chain, acol, bcol)
-            score = drop * 1000 - len(chain)
+            if acol == target and bcol in target_scores:
+                score, chain = target_scores[bcol]
+            else:
+                chain, ends = work.chain_edges(anchor, acol, bcol)
+                if not chain:
+                    continue
+                drop = 0
+                if target in (acol, bcol):
+                    drop = 2 * len(chain & work.by_color[target]) - len(chain)
+                freed = (work.missing_after_swap(u, ends, acol, bcol)
+                         & work.missing_after_swap(v, ends, acol, bcol) & not_target)
+                if freed and e_uv not in chain:
+                    drop += 1
+                score = drop * 1000 - len(chain)
+                if acol == target:
+                    target_scores[bcol] = (score, chain)
             key = (score, rng.random())
             if best is None or key > best[0]:
                 best = (key, chain, acol, bcol)
@@ -222,7 +286,9 @@ def find_class1(g: Graph, budget: SearchBudget,
             current = nxt
         if len(current.colors_used) <= delta:
             final = current.normalized()
-            assert verify_edge_coloring(g, final).ok
+            report = verify_edge_coloring(g, final)
+            if not report.ok:
+                raise CertificateError(f"search result is not proper: {report.detail}")
             return SearchOutcome(final, "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)
 

@@ -122,6 +122,20 @@ def test_usage_errors_exit_2(capsys):
                         "--warm-start", "x.coloring"])[0] == 2  # not kempe
 
 
+@pytest.mark.parametrize("argv", [
+    ["color", "--m", "5", "--n", "29", "--budget-switches", "0"],
+    ["color", "--m", "5", "--n", "29", "--restarts", "0"],
+    ["conjecture", "2", "--m-max", "3", "--n-max", "4", "--budget-switches", "0"],
+    ["keller", "decompose", "--d", "2", "--budget-switches", "0"],
+], ids=["color-switches", "color-restarts", "conjecture2-switches", "keller-decompose"])
+def test_zero_budget_is_a_usage_error(capsys, argv):
+    # 0 used to be read as "not given" and replaced by the default budget
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "positive" in err
+
+
 # R(2,2) is the 4-cycle 1-2-4-3-1, properly colored by "1 2 1", "1 3 2",
 # "2 4 2", "3 4 1" with k=2.
 R22_BODY = ["1 2 1", "1 3 2", "2 4 2", "3 4 1"]

@@ -1,12 +1,18 @@
 """Kempe-chain local search: switches, color elimination, criticality."""
 
+import hashlib
+import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import complete, cycle, path, petersen
+from graphcert import kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
+    CertificateError,
     EdgeColoring,
     Graph,
     fournier_forest_check,
@@ -16,6 +22,7 @@ from graphcert.core import (
 )
 from graphcert.kempe import (
     SearchBudget,
+    SearchOutcome,
     edge_critical_check,
     eliminate_color,
     find_class1,
@@ -34,6 +41,17 @@ def k4_four_coloring() -> tuple[Graph, EdgeColoring]:
     g = complete(4)
     return g, EdgeColoring({(0, 1): 1, (2, 3): 2, (0, 2): 3, (1, 3): 3,
                             (0, 3): 4, (1, 2): 4}, 4)
+
+
+def _digest(coloring: EdgeColoring) -> str:
+    text = "".join(f"{u} {v} {c}\n" for (u, v), c in sorted(coloring.assignment.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _shuffled(g: Graph, seed: int) -> list[tuple[int, int]]:
+    order = sorted(g.edges)
+    random.Random(seed).shuffle(order)
+    return order
 
 
 # --- switches ---------------------------------------------------------------------
@@ -86,6 +104,63 @@ def test_switch_sequence_reaches_class1_on_k4():
                         queue.append(nxt)
     assert reached is not None
     assert verify_edge_coloring(g, reached).ok
+
+
+@st.composite
+def _colored_graph_and_move(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    g = Graph.from_edges(n, edges)
+    coloring = vizing_delta_plus_one(g, _shuffled(g, draw(st.integers(0, 2**16))))
+    colors = range(1, coloring.declared_color_count + 1)
+    a = draw(st.sampled_from(colors))
+    b = draw(st.sampled_from([c for c in colors if c != a] or [a]))
+    return g, coloring, draw(st.integers(0, n - 1)), a, b, draw(st.sampled_from(sorted(g.edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graph_and_move())
+def test_scoring_predicts_the_swap(case):
+    # The scorer reads the post-swap missing colors at u and v, and whether
+    # (u, v) keeps its color, from the masks; a real swap must agree.
+    g, coloring, anchor, a, b, e_uv = case
+    assume(a != b)
+    u, v = e_uv
+    work = kempe._Work(g, coloring)
+    chain, ends = work.chain_edges(anchor, a, b)
+    predicted = (work.missing_after_swap(u, ends, a, b), work.missing_after_swap(v, ends, a, b),
+                 e_uv not in chain)
+    swapped = kempe._Work(g, coloring)
+    swapped.swap(chain, a, b)
+    assert predicted == (swapped.missing(u), swapped.missing(v),
+                         swapped.colors[e_uv] == coloring.assignment[e_uv])
+    # the incremental structures match a rebuild from the swapped coloring
+    rebuilt = kempe._Work(g, swapped.snapshot())
+    assert swapped.present == rebuilt.present
+    assert swapped.by_color == rebuilt.by_color
+    assert verify_edge_coloring(g, swapped.snapshot()).ok
+
+
+def _switch_on_c4() -> EdgeColoring:
+    g, coloring = c4_coloring()
+    return kempe_switch(coloring, g, 0, 1, 2)
+
+
+def _search_on_star() -> SearchOutcome:
+    # Every proper coloring of a star is class 1, so only the final check runs.
+    return find_class1(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), SearchBudget.default())
+
+
+@pytest.mark.parametrize("call", [_switch_on_c4, _search_on_star],
+                         ids=["kempe_switch", "find_class1"])
+def test_failed_final_check_raises_certificate_error(monkeypatch, call):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    failed = verify_edge_coloring(path(2), EdgeColoring({}, 0))
+    assert not failed.ok
+    monkeypatch.setattr(kempe, "verify_edge_coloring", lambda g, coloring: failed)
+    with pytest.raises(CertificateError):
+        call()
 
 
 # --- eliminate_color --------------------------------------------------------------
@@ -200,6 +275,72 @@ def test_budget_validation():
         SearchBudget(0, 1, 0)
     with pytest.raises(ValueError):
         SearchBudget(1, 0, 0)
+
+
+# --- pinned search output ---------------------------------------------------------
+# sha256 of the "u v c" lines of the sorted assignment. The values were recorded
+# from the swap-and-restore chain scoring that the mask-based scoring replaced,
+# so the search must make exactly the same switches.
+
+
+FIND_CLASS1_DIGESTS = [
+    (3, 7, (3000, 20, 0), 1, "37d4487ab4d1c3c3eedf9529f941fed136bf1dedde0b241a2f00e11624be35b7"),
+    (3, 7, (3000, 20, 1), 1, "5e4d3ee9e093e92376b2913547fd7cf56331bea08b7b6e39d58c4afac5e7ee29"),
+    (3, 7, (3000, 20, 2), 1, "5d3fd703741b8b3161a6d36490cf301507807d92fa33b7db4dce6ea35cad33a3"),
+    (5, 13, (3000, 20, 1), 1, "ec0763d4f4a302ab8cb0ebbe0c59a483248f506bc1163ea5173c34950c9f6bee"),
+    (5, 29, (3000, 20, 0), 1, "84183462086934917a892e6ae54700720e8a5b219a872a4db72f443d0109ab6b"),
+    (5, 29, (3000, 20, 2), 1, "846b4e472f019f2f5e50a8ce98dfb9cbc1dfc243d92207915e5d147ba97fef0f"),
+    # small switch budgets: the first restart runs out, the second succeeds
+    (5, 13, (200, 6, 0), 2, "9cde3e31543f87d912a319b0f063823054b544b4ee09b882f93b522b04f87a34"),
+    (5, 13, (200, 6, 2), 2, "03551e34c8ee7ab25f534dc1997928b2a85f890fbcfb2c467d6bd358de0fa7f0"),
+    (4, 9, (200, 6, 2), 2, "0b67b573efd6336e091d39167eb0a150dfc17bbc241e35050f6240a335de7a12"),
+    (5, 11, (200, 6, 2), 2, "2d668ba16709e28367ffd89d66be6edd770a7b0ac3e52c5ea303aac7687a7602"),
+]
+
+
+@pytest.mark.parametrize("m,n,budget,restarts_used,digest", FIND_CLASS1_DIGESTS,
+                         ids=[f"Q{m}x{n}-{b[0]}-seed{b[2]}" for m, n, b, _, _ in FIND_CLASS1_DIGESTS])
+def test_find_class1_matches_recorded_digests(m, n, budget, restarts_used, digest):
+    outcome = find_class1(build_queen(m, n), SearchBudget(*budget))
+    assert outcome.reason == "ok"
+    assert outcome.restarts_used == restarts_used
+    assert _digest(outcome.coloring) == digest
+
+
+VIZING_DIGESTS = [
+    (5, 9, None, 21, "6a863fc3f4bc93644f0459ca4699e58283ebc1e3a9ce2e55037d21561eaeb656"),
+    (5, 9, 0, 21, "82b26813d7defbbda65ecdaa565cceb30ab9444959516197b6613a9c5fe89cf3"),
+    (5, 9, 1, 21, "f2a5a2f3f360329cf6fbc449d806c136f9a1f905acf7e835f1739f87f06e5110"),
+    (5, 9, 2, 21, "f63122594d59b282b083c2569e12e4b6db5f96e2f9210e5a4c7cc38dfb1c23da"),
+    (6, 7, None, 22, "9e6b64f92aaeab48aa095c6e20e38983d18e587973472123145112bcc6302035"),
+    (6, 7, 0, 22, "aadd3ca1cf60d75c37a2f9b51e7f8c13cd21d765ed49600ef1c83fdfdf503efa"),
+    (6, 7, 1, 22, "8eb3c072ca0663bc0462859cc203fbee0900888ce7076f01bfdfef61fb6d1532"),
+    (6, 7, 2, 22, "bbb81ca5dafa634c0b1166d20600d9a4825580a5610292566e63fca7ff6900e1"),
+]
+
+
+@pytest.mark.parametrize("m,n,shuffle_seed,used,digest", VIZING_DIGESTS,
+                         ids=[f"Q{m}x{n}-{s}" for m, n, s, _, _ in VIZING_DIGESTS])
+def test_vizing_matches_recorded_digests(m, n, shuffle_seed, used, digest):
+    g = build_queen(m, n)
+    order = None if shuffle_seed is None else _shuffled(g, shuffle_seed)
+    coloring = vizing_delta_plus_one(g, order)
+    assert coloring.declared_color_count == used
+    assert _digest(coloring) == digest
+
+
+def test_eliminate_color_switch_count_is_pinned():
+    # Q(5,13) from the Vizing start of find_class1's seed 1: eliminating the
+    # rarest color takes exactly 24 switches.
+    g = build_queen(5, 13)
+    sub_seed = 1_000_003
+    start = vizing_delta_plus_one(g, _shuffled(g, sub_seed))
+    counts = start.color_counts()
+    target = min(counts, key=lambda c: (counts[c], c))
+    assert target == 25
+    assert eliminate_color(g, start, target, SearchBudget(23, 1, sub_seed)) is None
+    result = eliminate_color(g, start, target, SearchBudget(24, 1, sub_seed))
+    assert _digest(result) == "ec0763d4f4a302ab8cb0ebbe0c59a483248f506bc1163ea5173c34950c9f6bee"
 
 
 # --- edge criticality -------------------------------------------------------------
