@@ -192,10 +192,9 @@ def _cmd_verify(args) -> int:
     if kind == "coloring":
         coloring = gio.read_coloring(args.certificate)
         report = verify_edge_coloring(g, coloring)
-        delta = max(g.degree(v) for v in range(g.vertex_count)) if g.vertex_count else 0
         extra = {"colors": coloring.declared_color_count}
-        if report.ok and coloring.declared_color_count in (delta, delta + 1):
-            extra["class"] = coloring.declared_color_count - delta + 1
+        if report.ok and coloring.declared_color_count in (report.delta, report.delta + 1):
+            extra["class"] = coloring.declared_color_count - report.delta + 1
     elif kind == "hamcycle":
         seq = gio.read_sequence(args.certificate)
         report = verify_hamiltonian_cycle(g, seq)
@@ -453,10 +452,7 @@ def _cmd_keller_double_cover(args) -> int:
 
 def _cmd_keller_decompose(args) -> int:
     d = _keller_dim(args, cap=2)
-    budget = getattr(args, "budget_switches", None)
-    if budget is None:
-        budget = 400
-    result = keller.ham_decomposition_search(d, budget=budget, seed=args.seed)
+    result = keller.ham_decomposition_search(d, budget=args.budget_switches, seed=args.seed)
     if result is None:
         raise BudgetExhaustedError("decomposition search exhausted its budget")
     g = keller.build(d)
@@ -716,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_keller_square)
     p = ksubs.add_parser("decompose")
     p.add_argument("--d", type=int, required=True)
-    _add_budget(p)
+    p.add_argument("--budget-switches", type=int, default=400)
     p.add_argument("--matching-out", default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_keller_decompose)

@@ -7,8 +7,10 @@ is deterministic and side-effect free.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -58,6 +60,11 @@ class Graph:
             adj[v].add(u)
         return adj
 
+    @cached_property
+    def max_degree(self) -> int:
+        """Largest degree (0 without edges), counted once without the adjacency sets."""
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -80,7 +87,7 @@ class Graph:
 def max_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise EmptyGraphError("max degree of empty graph")
-    return max(len(a) for a in g.adjacency)
+    return g.max_degree
 
 
 def complement(g: Graph) -> Graph:
@@ -125,8 +132,14 @@ class EdgeColoring:
         return counts
 
     def normalized(self) -> "EdgeColoring":
-        """Relabel colors to a contiguous 1..k range, preserving relative order."""
+        """Relabel colors to a contiguous 1..k range, preserving relative order.
+
+        A coloring that already uses exactly 1..declared_color_count is
+        returned as is.
+        """
         used = sorted(self.colors_used)
+        if len(used) == self.declared_color_count:
+            return self
         remap = {c: i + 1 for i, c in enumerate(used)}
         return EdgeColoring({e: remap[c] for e, c in self.assignment.items()}, len(used))
 

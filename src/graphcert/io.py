@@ -41,25 +41,33 @@ def read_dimacs(path_or_file) -> Graph:
     try:
         n = None
         declared_edges = None
+        loop = None  # first self loop, reported as Graph.from_edges would
         pairs: list[tuple[int, int]] = []
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "c":
                 continue
-            parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise ValueError(f"line {lineno}: bad problem line {line!r}")
-                n, declared_edges = int(parts[2]), int(parts[3])
-            elif parts[0] == "e":
+            if parts[0] == "e":
                 if len(parts) != 3:
-                    raise ValueError(f"line {lineno}: bad edge line {line!r}")
-                pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                    raise ValueError(f"line {lineno}: bad edge line {raw.strip()!r}")
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                if u < v:
+                    pairs.append((u, v))
+                elif v < u:
+                    pairs.append((v, u))
+                elif loop is None:
+                    loop = u
+            elif parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise ValueError(f"line {lineno}: bad problem line {raw.strip()!r}")
+                n, declared_edges = int(parts[2]), int(parts[3])
             else:
                 raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
         if n is None:
             raise ValueError("missing 'p edge' line")
-        g = Graph.from_edges(n, pairs)
+        if loop is not None:
+            raise ValueError(f"self loop at vertex {loop}")
+        g = Graph(n, frozenset(pairs))
         if declared_edges is not None and g.edge_count != declared_edges:
             raise ValueError(f"declared {declared_edges} edges, found {g.edge_count}")
         return g
@@ -88,22 +96,21 @@ def read_coloring(path_or_file) -> EdgeColoring:
         declared = None
         assignment: dict[tuple[int, int], int] = {}
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            if line.startswith("c"):
-                body = line[1:].strip()
+            if parts[0][0] == "c":
+                body = raw.strip()[1:].strip()
                 if body.startswith("k="):
                     declared = int(body[2:])
                 continue
-            parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'u v color', got {line!r}")
-            u, v, c = (int(x) for x in parts)
-            lo, hi = sorted((u - 1, v - 1))
-            if (lo, hi) in assignment:
+                raise ValueError(f"line {lineno}: expected 'u v color', got {raw.strip()!r}")
+            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if key in assignment:
                 raise CertificateError(f"line {lineno}: edge {u} {v} listed twice")
-            assignment[(lo, hi)] = c
+            assignment[key] = c
         if declared is None:
             raise ValueError("missing 'c k=<count>' line")
         for (lo, hi), c in assignment.items():

@@ -15,11 +15,12 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    CertificateError,
     EdgeColoring,
     Graph,
     VerificationReport,
@@ -110,25 +111,55 @@ def _digit_matrix(d: int) -> np.ndarray:
     return digs
 
 
+def _shift(digs: np.ndarray, s: Sequence[int]) -> np.ndarray:
+    """Code of v + s for every row v of the digit matrix (digit-wise mod 4)."""
+    place = 4 ** np.arange(digs.shape[1] - 1, -1, -1, dtype=np.int64)
+    return ((digs + np.asarray(s, dtype=np.int8)) & 3) @ place
+
+
+def _int_objects(bound: int) -> np.ndarray:
+    # indexing this and calling tolist() hands out one shared int object per
+    # value, so million-entry tuple lists hold no duplicate ints
+    return np.arange(bound).astype(object)
+
+
 def adjacent(u: int, v: int, d: int) -> bool:
+    """Scalar form of the adjacency rule; the array paths below must agree with it."""
     du = KellerVertex.decode(u, d).digits
     dv = KellerVertex.decode(v, d).digits
     diffs = [(a - b) % 4 for a, b in zip(du, dv)]
     return sum(1 for x in diffs if x) >= 2 and any(x == 2 for x in diffs)
 
 
+# cells of the (rows, columns, d) digit-difference block held at once
+_RULE_CELLS = 1 << 22
+
+
+def _rule_pairs(digs: np.ndarray, joined: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row index pairs i < j of digs whose adjacency equals joined.
+
+    Pairs come in lexicographic order, one chunk of rows at a time, so the
+    difference block stays under _RULE_CELLS cells however many rows there are.
+    """
+    k, d = digs.shape
+    step = max(1, _RULE_CELLS // max(1, k * d))
+    for lo in range(0, k, step):
+        diff = (digs[lo:lo + step, None, :] - digs[None, lo:, :]) & 3
+        rule = (np.count_nonzero(diff, axis=2) >= 2) & (diff == 2).any(axis=2)
+        i, j = np.nonzero(np.triu(rule == joined, 1))
+        yield i + lo, j + lo
+
+
 def build(d: int) -> Graph:
     if d < 2:
         raise ValueError("d >= 2 required")
-    digs = _digit_matrix(d)
     n = 4 ** d
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        diff = (digs[u + 1:] - digs[u]) % 4
-        mask = (np.count_nonzero(diff, axis=1) >= 2) & (diff == 2).any(axis=1)
-        for w in np.nonzero(mask)[0]:
-            edges.append((u, u + 1 + int(w)))
-    return Graph.from_edges(n, edges)
+    chunks = list(_rule_pairs(_digit_matrix(d), joined=True))
+    ints = _int_objects(n)
+    us = ints[np.concatenate([i for i, _ in chunks])].tolist()
+    vs = ints[np.concatenate([j for _, j in chunks])].tolist()
+    # the pairs are already normalized, so skip Graph.from_edges
+    return Graph(n, frozenset(zip(us, vs)))
 
 
 # --- Hamiltonian cycle -------------------------------------------------------------
@@ -183,49 +214,56 @@ def color_kernel(d: int) -> ColorKernel:
         else:
             odd.append(s)
     kernel = ColorKernel(d, tuple(even), tuple(odd))
-    assert kernel.size == delta(d)
+    if kernel.size != delta(d):
+        raise CertificateError(f"kernel has {kernel.size} elements, Delta = {delta(d)}")
     odd_set = set(kernel.odd)
-    assert all(-s in odd_set for s in kernel.odd)
+    if any(-s not in odd_set for s in kernel.odd):
+        raise CertificateError("odd part of the kernel is not closed under negation")
     return kernel
 
 
 def class1_coloring(d: int) -> EdgeColoring:
-    """Proper edge coloring of G_d with exactly Delta colors."""
+    """Proper edge coloring of G_d with exactly Delta colors.
+
+    Each even kernel element s is an involution v -> v+s and colors its
+    matching. Each odd pair (s, -s) splits G_d's s-edges into 4-cycles
+    v, v+s, v+2s, v+3s, one per orbit, listed from its smallest vertex v, and
+    colors (v, v+s), (v+2s, v+3s) with one color and (v, v+3s), (v+s, v+2s)
+    with the next. Entries are inserted class by class, by ascending v.
+    """
     kernel = color_kernel(d)
-    n = 4 ** d
-    vertices = [KellerVertex.decode(v, d) for v in range(n)]
-    assign: dict[tuple[int, int], int] = {}
+    digs = _digit_matrix(d)
+    v = np.arange(4 ** d)
+    firsts: list[np.ndarray] = []
+    seconds: list[np.ndarray] = []
+    colors: list[np.ndarray] = []
     color = 0
-
-    def put(u: int, w: int, c: int) -> None:
-        key = (u, w) if u < w else (w, u)
-        assert key not in assign
-        assign[key] = c
-
     for s in kernel.even:
         color += 1
-        for v in range(n):
-            w = (vertices[v] + s).encode()
-            if v < w:
-                put(v, w, color)
+        w = _shift(digs, s.digits)
+        keep = v < w
+        firsts.append(v[keep])
+        seconds.append(w[keep])
+        colors.append(np.full(len(firsts[-1]), color))
     for s, _neg in kernel.odd_pairs():
         c_pos, c_neg = color + 1, color + 2
         color += 2
-        seen = [False] * n
-        for v in range(n):
-            if seen[v]:
-                continue
-            # v ascends, so v is the lexicographically first of its class
-            w1 = (vertices[v] + s).encode()
-            w2 = (vertices[w1] + s).encode()
-            w3 = (vertices[w2] + s).encode()
-            for x in (v, w1, w2, w3):
-                seen[x] = True
-            put(v, w1, c_pos)
-            put(w2, w3, c_pos)
-            put(v, w3, c_neg)
-            put(w1, w2, c_neg)
-    assert color == delta(d)
+        w1 = _shift(digs, s.digits)
+        w2 = w1[w1]
+        w3 = w1[w2]
+        first = (v < w1) & (v < w2) & (v < w3)
+        v0, v1, v2, v3 = v[first], w1[first], w2[first], w3[first]
+        firsts.append(np.stack([v0, np.minimum(v2, v3), v0, np.minimum(v1, v2)], axis=1).ravel())
+        seconds.append(np.stack([v1, np.maximum(v2, v3), v3, np.maximum(v1, v2)], axis=1).ravel())
+        colors.append(np.tile([c_pos, c_pos, c_neg, c_neg], len(v0)))
+    if color != delta(d):
+        raise CertificateError(f"kernel coloring used {color} colors, Delta = {delta(d)}")
+    ints = _int_objects(4 ** d)  # Delta < 4^d, so colors index it too
+    keys = list(zip(ints[np.concatenate(firsts)].tolist(),
+                    ints[np.concatenate(seconds)].tolist()))
+    assign = dict(zip(keys, ints[np.concatenate(colors)].tolist()))
+    if len(assign) != len(keys):
+        raise CertificateError(f"kernel coloring assigned {len(keys) - len(assign)} edges twice")
     return EdgeColoring(assign, color)
 
 
@@ -342,26 +380,35 @@ def verify_cover_by_rule(d: int, cover: Sequence[Iterable[int]]) -> Verification
     """Clique-cover check straight from the digit adjacency rule.
 
     Equivalent to core.verify_clique_cover(build(d), cover) but does not
-    materialize the graph, which matters for d >= 5.
+    materialize the graph, which matters for d >= 5. A vertex outside
+    0..4^d-1 is reported and left out of the other checks.
     """
+    n = 4 ** d
+    digs = _digit_matrix(d)
     detail: list[str] = []
     seen: set[int] = set()
     for idx, raw in enumerate(cover):
+        raw = list(raw)
         members = sorted(set(raw))
-        if len(members) != len(list(raw)):
+        if len(members) != len(raw):
             detail.append(f"clique {idx} repeats a vertex")
+        inside = []
         for v in members:
-            if not 0 <= v < 4 ** d:
+            if not 0 <= v < n:
                 detail.append(f"clique {idx} vertex {v} out of range")
+                continue
             if v in seen:
                 detail.append(f"vertex {v} in more than one clique")
             seen.add(v)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if not adjacent(u, v, d):
-                    detail.append(f"clique {idx} misses edge ({u},{v})")
-    if len(seen) != 4 ** d:
-        detail.append(f"{4 ** d - len(seen)} vertices uncovered")
+            inside.append(v)
+        # only the first 20 details are kept, so stop listing misses there
+        for i, j in _rule_pairs(digs[inside], joined=False):
+            if len(detail) >= 20:
+                break
+            for a, b in zip(i[:20].tolist(), j[:20].tolist()):
+                detail.append(f"clique {idx} misses edge ({inside[a]},{inside[b]})")
+    if len(seen) != n:
+        detail.append(f"{n - len(seen)} vertices uncovered")
     return VerificationReport(not detail, len(cover), 0, tuple(detail[:20]))
 
 
@@ -377,12 +424,12 @@ def double_clique_cover(d: int, cover: Sequence[Iterable[int]]) -> list[list[int
     report = verify_cover_by_rule(d, cover)
     if not report.ok:
         raise ValueError(f"input cover is invalid: {report.detail}")
-    ones = KellerVertex((1,) * d)
+    plus_ones = _shift(_digit_matrix(d), (1,) * d)
     block = 4 ** d
     out: list[list[int]] = []
     for clique in cover:
-        shifted = [(KellerVertex.decode(v, d) + ones).encode() for v in clique]
-        out.append([v for v in clique] + [2 * block + w for w in shifted])
+        shifted = plus_ones[clique].tolist()
+        out.append(clique + [2 * block + w for w in shifted])
         out.append([block + v for v in clique] + [3 * block + w for w in shifted])
     return out
 
@@ -554,7 +601,9 @@ def ham_decomposition_search(d: int, budget: int = 400,
                 matching = tuple(sorted(e for e, c in coloring.assignment.items()
                                         if c == leftover))
             report = verify_hamiltonian_decomposition(g, cycles, matching)
-            assert report.ok, f"pairing produced a bad decomposition: {report.detail}"
+            if not report.ok:
+                raise CertificateError(
+                    f"pairing produced a bad decomposition: {report.detail}")
             return HamDecomposition(d, cycles, matching, switches)
         if switches >= budget:
             return None

@@ -120,6 +120,10 @@ def test_usage_errors_exit_2(capsys):
                         "--json"])[0] == 2  # graph would be discarded
     assert run(capsys, ["color", "--m", "5", "--n", "5",
                         "--warm-start", "x.coloring"])[0] == 2  # not kempe
+    # the decomposition search takes a switch budget only
+    assert run(capsys, ["keller", "decompose", "--d", "2", "--restarts", "0"])[0] == 2
+    assert run(capsys, ["keller", "decompose", "--d", "2",
+                        "--warm-start", "nonexistent.coloring"])[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Core types, verifiers, exact solvers, and the Vizing baseline."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 import graphcert.keller as keller
 from conftest import complete, cycle, edgeless, naive_alpha, naive_omega, path, petersen
@@ -58,6 +59,14 @@ def test_max_degree_examples():
     assert max_degree(build_queen(3, 3)) == 8
     assert max_degree(complete(1)) == 0
     assert max_degree(build_rook(4, 5)) == 7
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_max_degree_matches_adjacency_sets(graph):
+    n, pairs = graph
+    g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+    assert max_degree(g) == max(len(a) for a in g.adjacency)
 
 
 def test_max_degree_empty_graph():
@@ -122,6 +131,11 @@ def test_edge_coloring_invariants():
     norm = EdgeColoring({(0, 1): 5, (1, 2): 9}, 9).normalized()
     assert norm.assignment == {(0, 1): 1, (1, 2): 2}
     assert norm.declared_color_count == 2
+    # a gap in the palette relabels even when the top color is in use
+    gapped = EdgeColoring({(0, 1): 1, (1, 2): 3}, 3).normalized()
+    assert gapped.assignment == {(0, 1): 1, (1, 2): 2} and gapped.declared_color_count == 2
+    contiguous = EdgeColoring({(0, 1): 2, (1, 2): 1}, 2)
+    assert contiguous.normalized() is contiguous
     shifted = EdgeColoring({(0, 1): 1}, 1).shifted(3)
     assert shifted.assignment == {(0, 1): 4} and shifted.declared_color_count == 4
 

@@ -1,16 +1,24 @@
 """Keller graphs: structure, colorings, independence, covers, decompositions."""
 
+import functools
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+import graphcert.keller as keller
 from graphcert.core import (
+    CertificateError,
+    VerificationReport,
     exact_omega,
+    verify_clique_cover,
     verify_edge_coloring,
     verify_hamiltonian_cycle,
     verify_hamiltonian_decomposition,
 )
 from graphcert.keller import (
     KNOWN_OMEGA,
+    ColorKernel,
     KellerVertex,
     adjacent,
     alpha_exact,
@@ -37,6 +45,13 @@ from graphcert.keller import (
 G2_CYCLE = [0, 11, 1, 8, 2, 9, 3, 10, 4, 15, 5, 12, 6, 13, 7, 14]
 
 
+def _digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update((" ".join(map(str, row)) + "\n").encode())
+    return h.hexdigest()
+
+
 # --- structure --------------------------------------------------------------------
 
 
@@ -52,6 +67,28 @@ def test_build_is_regular():
         assert all(len(g.adjacency[v]) == delta(d) for v in range(g.vertex_count))
     with pytest.raises(ValueError):
         build(1)
+
+
+# sha256 of "u v" per line of sorted(build(d).edges), and of "u v color" per
+# line of class1_coloring(d).assignment in insertion order, recorded from the
+# per-vertex loop implementation that the array kernels replaced
+RECORDED_DIGESTS = {
+    2: ("3d3eb9a365b510d2a4108a9bba248ef83caf2ceb9bde99167795ae5d3e55c0c3",
+        "f982dd156dfe7d5bc4e0672ae0324bebc94c3efe311e0ec2d90f47daa2ec9241"),
+    3: ("010fb80b7a44ceae60ab31d4ba890ca57647b40f81d7db5e0a789e7ead6e6e3d",
+        "2e59e9d502304868ee6ad6eedc8822ebe4f56af8a01b26c29e7f333300ccf6cc"),
+    4: ("4220903522344f055e45de19b77a04ee0b189355764e11e8f733f65e4f070c9d",
+        "f3e246f7bffe7d5cde412683e5ad5d95367506a5d9498176e5e9d071fedc3f9a"),
+    5: ("555381836c830fcb60279d78058842c96275c179151bf295c8bf619401cb2aa7",
+        "7ecb1f00e51b30ea0cd957f8416641145358468cb17c3a8a62747ed278e23ba7"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(RECORDED_DIGESTS))
+def test_build_and_class1_match_recorded_digests(d):
+    edges, coloring = RECORDED_DIGESTS[d]
+    assert _digest(sorted(build(d).edges)) == edges
+    assert _digest((u, v, c) for (u, v), c in class1_coloring(d).assignment.items()) == coloring
 
 
 def test_adjacency_rule():
@@ -138,6 +175,33 @@ def test_odd_kernel_orbit_representatives_match_for_s_and_minus_s():
             assert reps(s) == reps(-s)
 
 
+def _short_kernel(d):
+    kernel = color_kernel(d)
+    return ColorKernel(d, kernel.even[1:], kernel.odd)
+
+
+def _kernel_with_repeated_even(d):
+    kernel = color_kernel(d)
+    return ColorKernel(d, kernel.even[:1] * 2 + kernel.even[2:], kernel.odd)
+
+
+@pytest.mark.parametrize("patch, call", [
+    (("delta", lambda d: 0), lambda: color_kernel(3)),
+    (("ColorKernel", lambda d, even, odd: ColorKernel(d, even + odd[:1], odd[1:])),
+     lambda: color_kernel(3)),
+    (("color_kernel", _short_kernel), lambda: class1_coloring(3)),
+    (("color_kernel", _kernel_with_repeated_even), lambda: class1_coloring(3)),
+    (("verify_hamiltonian_decomposition",
+      lambda g, cycles, matching: VerificationReport(False, 0, 0, ("forced",))),
+     lambda: ham_decomposition_search(2)),
+], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition"])
+def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    monkeypatch.setattr(keller, *patch)
+    with pytest.raises(CertificateError):
+        call()
+
+
 # --- independence ---------------------------------------------------------------------
 
 
@@ -217,6 +281,81 @@ def test_cover_rule_matches_graph_verifier():
     broken = [list(c) for c in cover]
     broken[0] = broken[0][1:]
     assert not verify_cover_by_rule(3, broken).ok
+
+
+@pytest.mark.parametrize("bad", [64, -1])
+def test_cover_rule_reports_out_of_range_vertices(bad):
+    # -1 must not wrap around to the last vertex
+    cover = [list(c) for c in fixture_clique_cover(3)]
+    cover[0].append(bad)
+    report = verify_cover_by_rule(3, cover)
+    assert not report.ok
+    assert report.detail == (f"clique 0 vertex {bad} out of range",)
+
+
+def _cover_reference(d, cover):
+    """verify_cover_by_rule's detail, from the scalar adjacent() rule."""
+    n = 4 ** d
+    detail, seen = [], set()
+    for idx, raw in enumerate(cover):
+        members = sorted(set(raw))
+        if len(members) != len(raw):
+            detail.append(f"clique {idx} repeats a vertex")
+        inside = []
+        for v in members:
+            if not 0 <= v < n:
+                detail.append(f"clique {idx} vertex {v} out of range")
+                continue
+            if v in seen:
+                detail.append(f"vertex {v} in more than one clique")
+            seen.add(v)
+            inside.append(v)
+        detail += [f"clique {idx} misses edge ({u},{v})"
+                   for i, u in enumerate(inside) for v in inside[i + 1:]
+                   if not adjacent(u, v, d)]
+    if len(seen) != n:
+        detail.append(f"{n - len(seen)} vertices uncovered")
+    return tuple(detail[:20])
+
+
+@functools.cache
+def _valid_cover_and_graph(d):
+    if d == 2:  # a color class of the class-1 coloring is a cover by edges
+        return [sorted(e) for e, c in class1_coloring(2).assignment.items() if c == 1], build(2)
+    return fixture_clique_cover(d), build(d)
+
+
+_MUTATION = st.tuples(st.sampled_from(["move", "drop", "repeat", "out-of-range"]),
+                      st.integers(0, 999), st.integers(0, 999), st.integers(0, 999))
+
+
+@given(st.sampled_from([2, 3, 4]), st.lists(_MUTATION, min_size=1, max_size=3))
+def test_cover_rule_agrees_with_graph_verifier_on_mutants(d, mutations):
+    valid, g = _valid_cover_and_graph(d)
+    cover = [list(c) for c in valid]
+    for kind, a, b, pick in mutations:
+        src, dst = cover[a % len(cover)], cover[b % len(cover)]
+        if kind == "out-of-range":
+            dst.append((4 ** d, -1)[pick % 2])
+        elif not src:
+            continue
+        elif kind == "move":
+            dst.append(src.pop(pick % len(src)))
+        elif kind == "drop":
+            src.pop(pick % len(src))
+        else:
+            dst.append(src[pick % len(src)])
+    report = verify_cover_by_rule(d, cover)
+    assert report.ok == verify_clique_cover(g, cover).ok
+    assert report.detail == _cover_reference(d, cover)
+
+
+def test_rule_chunking_does_not_change_results(monkeypatch):
+    whole = [list(range(64))]
+    expected = (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail)
+    assert expected[1] == _cover_reference(3, whole)
+    monkeypatch.setattr(keller, "_RULE_CELLS", 1)  # one row per chunk
+    assert (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail) == expected
 
 
 def test_double_clique_cover():
