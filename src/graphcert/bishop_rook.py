@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .chess import BoardCoord, bishop_delta, bishop_edge_pairs, coord_to_id, id_to_coord
-from .core import EdgeColoring, Graph
+from .chess import BoardCoord, bishop_delta, bishop_edge_pairs
+from .core import CertificateError, EdgeColoring
 
 
 # --- complete graphs ----------------------------------------------------------
@@ -150,16 +150,16 @@ class PathDecomposition:
 
 def _group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in bishop_edge_pairs(m, n):
-        length = abs(b.col - a.col)
-        pos_slope = (b.row - a.row) * (b.col - a.col) > 0
+    for u, v in bishop_edge_pairs(m, n):
+        length = v % n - u % n
+        pos_slope = v > u
         if 2 * length == m:
             key = (length, 1)
         elif length < m - length:
             key = (length, -1 if pos_slope else 1)
         else:
             key = (m - length, 1 if pos_slope else -1)
-        buckets.setdefault(key, []).append((coord_to_id(a, n), coord_to_id(b, n)))
+        buckets.setdefault(key, []).append((u, v))
     return buckets
 
 
@@ -183,13 +183,13 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
             for u, v in edges:
                 adj.setdefault(u, []).append(v)
                 adj.setdefault(v, []).append(u)
-            for v, nbrs in adj.items():
-                assert len(nbrs) <= 2, "path group has a vertex of degree > 2"
+            if any(len(nbrs) > 2 for nbrs in adj.values()):
+                raise CertificateError("path group has a vertex of degree > 2")
             paths = []
             seen: set[int] = set()
             ends = sorted(
                 (v for v, nbrs in adj.items() if len(nbrs) == 1),
-                key=lambda v: (id_to_coord(v, n).col, id_to_coord(v, n).row),
+                key=lambda v: (v % n, v // n),
             )
             for start in ends:
                 if start in seen:
@@ -203,8 +203,9 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
                     path.append(nxt[0])
                     seen.add(nxt[0])
                 paths.append(tuple(path))
-            assert len(seen) == len(adj), "path group contains a cycle"
-            paths.sort(key=lambda p: (id_to_coord(p[0], n).col, id_to_coord(p[0], n).row))
+            if len(seen) != len(adj):
+                raise CertificateError("path group contains a cycle")
+            paths.sort(key=lambda p: (p[0] % n, p[0] // n))
             groups.append(PathGroup(i, sign, tuple(paths)))
     return PathDecomposition(m, n, tuple(groups))
 

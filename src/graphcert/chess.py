@@ -66,18 +66,25 @@ class SquareColor(Enum):
     BLACK = "black"
 
 
-def bishop_edge_pairs(m: int, n: int) -> list[tuple[BoardCoord, BoardCoord]]:
-    """All bishop edges as coordinate pairs, lower column endpoint first."""
+def bishop_edge_pairs(m: int, n: int) -> list[tuple[int, int]]:
+    """All bishop edges as vertex-id pairs (u, v), u the lower-column endpoint.
+
+    An edge of column distance L is v = u + L(n+1) on a positive slope
+    (up-right) and v = u - L(n-1) on a negative slope (down-right), so
+    v > u exactly when the slope is positive. Edges come row by row, then
+    column by column, then by increasing L, the positive slope before the
+    negative one.
+    """
     _check_board(m, n)
     out = []
-    for row in range(1, m + 1):
-        for col in range(1, n + 1):
-            for length in range(1, m):
-                if col + length <= n:
-                    if row + length <= m:  # positive slope, up-right
-                        out.append((BoardCoord(col, row), BoardCoord(col + length, row + length)))
-                    if row - length >= 1:  # negative slope, down-right
-                        out.append((BoardCoord(col, row), BoardCoord(col + length, row - length)))
+    for row in range(m):
+        for col in range(n):
+            u = row * n + col
+            for length in range(1, min(m, n - col)):
+                if length < m - row:
+                    out.append((u, u + length * (n + 1)))
+                if length <= row:
+                    out.append((u, u - length * (n - 1)))
     return out
 
 
@@ -85,14 +92,12 @@ def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) ->
     """Bishop graph: same diagonal. A color filter keeps only edges between
     squares of that color; the vertex set (and numbering) is unchanged."""
     _check_board(m, n)
-    edges = []
-    for a, b in bishop_edge_pairs(m, n):
-        if color_filter is SquareColor.WHITE and not a.white:
-            continue
-        if color_filter is SquareColor.BLACK and a.white:
-            continue
-        edges.append((coord_to_id(a, n), coord_to_id(b, n)))
-    return Graph.from_edges(m * n, edges, _labels(m, n))
+    pairs = bishop_edge_pairs(m, n)
+    if color_filter is not SquareColor.ALL:
+        # both ends of a bishop edge share a square colour; white iff col+row is even
+        white = color_filter is SquareColor.WHITE
+        pairs = [(u, v) for u, v in pairs if ((u % n + u // n) % 2 == 0) == white]
+    return Graph.from_edges(m * n, pairs, _labels(m, n))
 
 
 def build_queen(m: int, n: int) -> Graph:

@@ -9,6 +9,7 @@ verification failed or the construction reported none, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -620,6 +621,11 @@ def _add_color_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Build a fresh, fully configured parser for the graphcert CLI.
+
+    `main` builds one with this on its first call and reuses it for the rest
+    of the process; a caller that wants to add arguments builds its own.
+    """
     parser = argparse.ArgumentParser(
         prog="graphcert",
         description="Certified colorings, paths, and covers for chess-piece, "
@@ -753,9 +759,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI command and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process. Reuse carries no state: `parse_args` returns a fresh
+    namespace, and no argument appends to a shared default. A caller that
+    wants extra arguments builds its own parser with `build_parser`.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except MethodInapplicableError as exc:

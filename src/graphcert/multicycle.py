@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .bishop_rook import canonical_bishop_coloring, rarest_bishop_color
 from .chess import id_to_coord
-from .core import CapExceeded, VerificationReport
+from .core import CapExceeded, CertificateError, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -504,9 +504,10 @@ def derive(m: int, n: int) -> DerivedMulticycle:
         p1, p2 = pos[r1], pos[r2]
         if (p1 + 1) % m == p2:
             slot_edges[p1].append(edge)
-        else:
-            assert (p2 + 1) % m == p1, "projected edge joins non-adjacent positions"
+        elif (p2 + 1) % m == p1:
             slot_edges[p2].append(edge)
+        else:
+            raise CertificateError("projected edge joins non-adjacent positions")
     mult = tuple(len(s) for s in slot_edges)
     return DerivedMulticycle(m, n, Multicycle(mult), tuple(tuple(sorted(s)) for s in slot_edges))
 

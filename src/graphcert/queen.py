@@ -18,7 +18,7 @@ from .bishop_rook import (MissingColorPlan, canonical_bishop_coloring, ladder_co
                           rarest_bishop_color, rook_class1_coloring)
 from .chess import (_check_board, build_queen, id_to_coord, overfull_threshold, queen_delta,
                     queen_edge_count)
-from .core import EdgeColoring, verify_edge_coloring
+from .core import CertificateError, EdgeColoring, verify_edge_coloring
 from .multicycle import chromatic_index, derive
 
 
@@ -65,10 +65,13 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     bishop = canonical_bishop_coloring(n, n)
     rare = rarest_bishop_color(n)
     rare_edges = [e for e, c in bishop.assignment.items() if c == rare]
-    assert len(rare_edges) == 1, "rarest bishop color must be unique on a square board"
+    if len(rare_edges) != 1:
+        raise CertificateError("rarest bishop color must be unique on a square board")
     edge = rare_edges[0]
     a, b = (id_to_coord(v, n) for v in edge)
-    assert a.col >= 2 and b.col >= 2 and a.row != b.row
+    if a.col < 2 or b.col < 2 or a.row == b.row:
+        raise CertificateError(
+            f"rarest bishop edge {edge} must avoid column 1 and join two rows")
     top = 2 * n - 1  # before the shift; lands on 4n-3
     plan = MissingColorPlan.from_assignments(n, n, {(a.col, a.row): top, (b.col, b.row): top})
     rook = ladder_coloring(n, n, plan).shifted(2 * n - 2)
@@ -77,8 +80,10 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     assignment[edge] = top + 2 * n - 2
     coloring = EdgeColoring(assignment, 4 * n - 3).normalized()
     report = verify_edge_coloring(build_queen(n, n), coloring)
-    assert report.ok and coloring.declared_color_count == queen_delta(n, n), \
-        f"square-odd arrangement failed: {report.detail}"
+    if not report.ok or coloring.declared_color_count != queen_delta(n, n):
+        raise CertificateError(
+            f"square-odd arrangement failed with {coloring.declared_color_count} colors "
+            f"(Delta = {queen_delta(n, n)}): {report.detail}")
     return QueenColoringCertificate(n, n, coloring, 1, "SquareOdd")
 
 

@@ -28,7 +28,7 @@ from graphcert.chess import (
     coord_to_id,
     id_to_coord,
 )
-from graphcert.core import EdgeColoring, verify_edge_coloring
+from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
 
 
 def missing_colors_at(coloring: EdgeColoring, vertex: int) -> set[int]:
@@ -246,6 +246,17 @@ def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
     monkeypatch.setattr(bishop_rook, "bishop_edge_pairs", counted)
     canonical_bishop_coloring(9, 13)
     assert calls == [(9, 13)]
+
+
+@pytest.mark.parametrize("bucket", [
+    [(0, 4), (4, 8), (2, 4)],  # vertex 4 has degree 3
+    [(0, 1), (1, 2), (0, 2)],  # a triangle, so no path ends
+], ids=["degree", "cycle"])
+def test_failed_path_check_raises_certificate_error(monkeypatch, bucket):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    monkeypatch.setattr(bishop_rook, "_group_buckets", lambda m, n: {(1, 1): bucket})
+    with pytest.raises(CertificateError):
+        bishop_path_decomposition(3, 3)
 
 
 def test_path_decomposition_lines_format():

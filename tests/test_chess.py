@@ -1,5 +1,7 @@
 """Board graph generators, parameter formulas, and the class prediction table."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from graphcert.chess import (
     QueenClass,
     SquareColor,
     bishop_delta,
+    bishop_edge_pairs,
     build_bishop,
     build_queen,
     build_rook,
@@ -70,6 +73,51 @@ def test_square_color_convention():
     full = build_bishop(3, 3)
     assert white.edges | black.edges == full.edges
     assert not white.edges & black.edges
+
+
+def _reference_bishop_pairs(m, n):
+    # reference on BoardCoord: row, column, length, positive slope before
+    # negative, lower-column endpoint first
+    out = []
+    for row in range(1, m + 1):
+        for col in range(1, n + 1):
+            for length in range(1, m):
+                if col + length <= n:
+                    if row + length <= m:
+                        out.append((BoardCoord(col, row), BoardCoord(col + length, row + length)))
+                    if row - length >= 1:
+                        out.append((BoardCoord(col, row), BoardCoord(col + length, row - length)))
+    return [(coord_to_id(a, n), coord_to_id(b, n)) for a, b in out]
+
+
+def test_bishop_edge_pairs_match_coordinate_enumeration():
+    wrong = [(m, n) for n in range(1, 13) for m in range(1, n + 1)
+             if bishop_edge_pairs(m, n) != _reference_bishop_pairs(m, n)]
+    assert wrong == []
+
+
+# sha256 of "u v" per line of sorted(build_bishop(m, n, f).edges), recorded
+# from the coordinate enumeration that the id arithmetic replaced
+BISHOP_EDGES_SHA256 = {
+    (5, 5, SquareColor.ALL): "1819f8876aa42645a2421871fe8d42956e1b61f609997a83d0496cc3b984c469",
+    (5, 5, SquareColor.WHITE): "c741bc9f28b6b4fd18117a8c43021155d54aab4d7a90a80d53749c841f2ad7f9",
+    (5, 5, SquareColor.BLACK): "5448860f9059ad3220a848b3edc9c813c8e336a8bd81953ebf3906cb42dd6f3b",
+    (6, 9, SquareColor.ALL): "f2c203f5718a1a622a4e3468e518970d5d97b2ca2620b5a738a9c20f64f4e439",
+    (6, 9, SquareColor.WHITE): "156978d8dc98b41f335d08db5bf068192983743abe26f2c8d3f2ff29efd9ec14",
+    (6, 9, SquareColor.BLACK): "4c9a6a6eb0754af9c131b0cbab85c5a84de5754b325898187a0e95273eb3fe6a",
+    (13, 61, SquareColor.ALL): "8e2edead2daeb4f513f81a80fbaf6294ba08ffa640ce31ee132452b074f904d9",
+    (13, 61, SquareColor.WHITE): "2a4f172f4103ae9544e587274f19dc45f1aadb71be9e9e64bbc591baaeb888a7",
+    (13, 61, SquareColor.BLACK): "94e8e82dc93e98a412d02e4da63e53a842179013f1a5908e8afb369b8293fad2",
+}
+
+
+@pytest.mark.parametrize("m, n, color_filter", list(BISHOP_EDGES_SHA256),
+                         ids=lambda x: x.value if isinstance(x, SquareColor) else str(x))
+def test_build_bishop_matches_recorded_digests(m, n, color_filter):
+    h = hashlib.sha256()
+    for u, v in sorted(build_bishop(m, n, color_filter).edges):
+        h.update(f"{u} {v}\n".encode())
+    assert h.hexdigest() == BISHOP_EDGES_SHA256[(m, n, color_filter)]
 
 
 def test_queen_formula_examples():

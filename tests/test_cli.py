@@ -250,3 +250,34 @@ def test_jobs_do_not_change_output(capsys):
     _, serial, _ = run(capsys, argv + ["--jobs", "1"])
     _, parallel, _ = run(capsys, argv + ["--jobs", "4"])
     assert serial == parallel and serial.strip()
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    sequence = [
+        ["multicycle", "chi", "--mult", "1,2,3", "--seed", "7", "--json"],
+        ["multicycle", "chi", "--mult", "1,2,3", "--json"],
+        ["color", "--m", "3"],  # argparse usage failure
+        ["color", "--m", "3", "--n", "3", "--json"],
+        ["gen", "--family", "queen", "--m", "2", "--n", "3"],
+    ]
+    cli._parser.cache_clear()
+    reused = [run(capsys, argv) for argv in sequence]
+    assert len(builds) == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert len(builds) == 1 + len(sequence)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert json.loads(reused[0][1])["seed"] == 7
+    assert json.loads(reused[1][1])["seed"] == 0
+    assert reused[4][1].startswith("c family=queen")

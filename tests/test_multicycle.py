@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphcert import multicycle
 from graphcert.bishop_rook import rarest_color_edges
+from graphcert.core import CertificateError, EdgeColoring
 from graphcert.multicycle import (
     SURVEY_COLUMNS,
     Multicycle,
@@ -201,6 +203,15 @@ def test_derive_5_11():
     rare = rarest_color_edges(5, 11)
     assert sorted(e for slot in dm.slot_edges for e in slot) == rare
     assert [len(slot) for slot in dm.slot_edges] == list(dm.mult)
+
+
+def test_derive_rejects_non_adjacent_projection(monkeypatch):
+    # On 5x5 the rows project to positions 1->0, 3->1, 5->2, 2->3, 4->4, so an
+    # edge of the rarest color 8 from row 1 to row 5 skips a position.
+    monkeypatch.setattr(multicycle, "canonical_bishop_coloring",
+                        lambda m, n: EdgeColoring({(0, 20): 8}, 8))
+    with pytest.raises(CertificateError):
+        derive(5, 5)
 
 
 def test_derive_validation():

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
-from graphcert.core import verify_edge_coloring
+from graphcert import queen
+from graphcert.core import CertificateError, EdgeColoring, VerificationReport, verify_edge_coloring
 from graphcert.queen import (
     MethodInapplicableError,
     class1_even,
@@ -59,6 +60,21 @@ def test_square_odd_rejects_bad_input():
         class1_square_odd(4)
     with pytest.raises(ValueError):
         class1_square_odd(1)
+
+
+@pytest.mark.parametrize("patch", [
+    ("rarest_bishop_color", lambda n: 1),  # color 1 sits on many edges
+    # a lone rarest edge touching column 1, and one inside a single row
+    ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(0, 6): 8}, 8)),
+    ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(1, 2): 8}, 8)),
+    ("verify_edge_coloring", lambda g, c: VerificationReport(False, 0, 0, ("forced",))),
+    ("queen_delta", lambda m, n: 0),
+], ids=["rare-unique", "rare-column", "rare-row", "report", "color-count"])
+def test_square_odd_failed_self_check_raises_certificate_error(monkeypatch, patch):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    monkeypatch.setattr(queen, *patch)
+    with pytest.raises(CertificateError):
+        class1_square_odd(5)
 
 
 @pytest.mark.parametrize("m,n,colors", [(7, 9, 26), (9, 27, 50), (5, 11, 22)])
