@@ -183,6 +183,28 @@ def test_chromatic_index_invariants(mult):
     assert result.exact
 
 
+@st.composite
+def small_multicycles(draw, sigma_cap=24):
+    """Random multicycles with odd m in 3..9 and at most sigma_cap edges."""
+    m = draw(st.sampled_from((3, 5, 7, 9)))
+    budget = sigma_cap
+    mult = []
+    for _ in range(m):
+        x = draw(st.integers(0, min(budget, 12)))
+        mult.append(x)
+        budget -= x
+    return Multicycle(tuple(draw(st.permutations(mult))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multicycles())
+def test_chromatic_index_equals_oracle_and_lower_bound(mc):
+    result = chromatic_index(mc)
+    exact, _ = exhaustive_chromatic_index(mc)
+    assert result.value == exact == mc.lower_bound
+    assert verify_multicycle_coloring(mc, result.coloring, expected_colors=exact).ok
+
+
 def test_chi_result_bracket_refuses_value():
     result = chromatic_index(derive(5, 11).multicycle)
     assert result.value == result.upper
