@@ -211,8 +211,10 @@ def _cmd_verify(args) -> int:
         matching = None
         if args.matching:
             pairs = gio.read_vertex_sets(args.matching)
-            if any(len(p) != 2 for p in pairs):
-                raise ValueError("matching file must hold one pair per line")
+            for p in pairs:
+                if len(p) != 2:
+                    line = " ".join(str(v + 1) for v in p)
+                    raise CertificateError(f"matching line {line!r} is not a pair")
             matching = [tuple(p) for p in pairs]
         report = verify_hamiltonian_decomposition(g, cycles, matching)
         extra = {"size": len(cycles)}
@@ -248,33 +250,28 @@ def _cmd_multicycle_derive(args) -> int:
 
 def _cmd_multicycle_chi(args) -> int:
     mc = Multicycle(tuple(_csv_ints(args.mult)))
-    result = chromatic_index(mc, oracle_cap=args.oracle_cap)
-    report = verify_multicycle_coloring(mc, result.coloring, result.upper)
-    ok = report.ok and result.exact
-    payload = {"ok": ok, "family": "multicycle",
-               "params": {"mult": list(mc.mult)}, "colors": result.upper,
+    result = chromatic_index(mc)
+    report = verify_multicycle_coloring(mc, result.coloring, result.value)
+    payload = {"ok": report.ok, "family": "multicycle",
+               "params": {"mult": list(mc.mult)}, "colors": result.value,
                "construction": result.method, "seed": args.seed}
     if not report.ok:
         print(f"verification failed: {report.detail}", file=sys.stderr)
         _emit(args, payload)
         return EXIT_FAIL
-    lines = [f"chi = {result.upper}" if result.exact else
-             f"chi in [{result.lower}, {result.upper}]",
-             f"construction = {result.method}"]
-    _emit(args, payload, lines)
-    return EXIT_OK if result.exact else EXIT_BUDGET
+    _emit(args, payload, [f"chi = {result.value}", f"construction = {result.method}"])
+    return EXIT_OK
 
 
 def _survey_task(task):
-    m, n, cap = task
-    return survey([m], [n], oracle_cap=cap)
+    m, n = task
+    return survey([m], [n])
 
 
 def _survey_rows(args):
     m_values = _csv_ints(args.m)
     n_values = [n for n in range(3, args.n_max + 1) if n % 2 == 1 and n >= args.n_min]
-    tasks = [(m, n, args.oracle_cap) for m in sorted(set(m_values))
-             for n in n_values if m <= n]
+    tasks = [(m, n) for m in sorted(set(m_values)) for n in n_values if m <= n]
     chunks = _parallel_map(_survey_task, tasks, args.jobs)
     return [row for chunk in chunks for row in chunk]
 
@@ -674,14 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_multicycle_derive)
     p = msubs.add_parser("chi")
     p.add_argument("--mult", required=True, help="comma-separated multiplicities")
-    p.add_argument("--oracle-cap", type=int, default=24)
     _add_common(p)
     p.set_defaults(handler=_cmd_multicycle_chi)
     p = msubs.add_parser("survey")
     p.add_argument("--m", required=True, help="comma-separated odd board heights")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--oracle-cap", type=int, default=24)
     p.add_argument("--csv", default=None, help="write rows as CSV to this file")
     _add_common(p)
     p.set_defaults(handler=_cmd_multicycle_survey)
@@ -746,7 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", default="3,5,7,9", help="comma-separated odd heights")
         p.add_argument("--n-max", type=int, default=39)
         p.add_argument("--n-min", type=int, default=3)
-        p.add_argument("--oracle-cap", type=int, default=24)
         if which == "5":
             p.add_argument("--csv", default=None)
         _add_common(p)

@@ -23,6 +23,10 @@ def _open_write(path_or_file) -> tuple[IO[str], bool]:
     return open(path_or_file, "w", encoding="ascii"), True
 
 
+def _bad_token(lineno: int, raw: str) -> CertificateError:
+    return CertificateError(f"line {lineno}: non-integer token in {raw.strip()!r}")
+
+
 def write_dimacs(g: Graph, path_or_file, comments: Iterable[str] = ()) -> None:
     fh, close = _open_write(path_or_file)
     try:
@@ -102,11 +106,17 @@ def read_coloring(path_or_file) -> EdgeColoring:
             if parts[0][0] == "c":
                 body = raw.strip()[1:].strip()
                 if body.startswith("k="):
-                    declared = int(body[2:])
+                    try:
+                        declared = int(body[2:])
+                    except ValueError:
+                        raise _bad_token(lineno, raw) from None
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'u v color', got {raw.strip()!r}")
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+            try:
+                u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise _bad_token(lineno, raw) from None
             key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             if key in assignment:
                 raise CertificateError(f"line {lineno}: edge {u} {v} listed twice")
@@ -134,8 +144,13 @@ def write_sequence(seq: Sequence[int], path_or_file) -> None:
 def read_sequence(path_or_file) -> list[int]:
     fh, close = _open_read(path_or_file)
     try:
-        tokens = fh.read().split()
-        return [int(t) - 1 for t in tokens]
+        out: list[int] = []
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                out.extend([int(t) - 1 for t in raw.split()])
+            except ValueError:
+                raise _bad_token(lineno, raw) from None
+        return out
     finally:
         if close:
             fh.close()
@@ -156,11 +171,14 @@ def read_vertex_sets(path_or_file) -> list[list[int]]:
     fh, close = _open_read(path_or_file)
     try:
         out = []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
-            out.append([int(t) - 1 for t in line.split()])
+            try:
+                out.append([int(t) - 1 for t in line.split()])
+            except ValueError:
+                raise _bad_token(lineno, raw) from None
         return out
     finally:
         if close:

@@ -6,11 +6,11 @@ i+1 (mod m). A proper coloring assigns each parallel edge a color so that the
 colors meeting at any position are pairwise distinct; equivalently every color
 class is an independent set of slots (no two cyclically consecutive).
 
-The machinery here is exact for multipaths (some slot empty) and regular
-multicycles, and combines greedy enumeration, a kernel/residual split with a
-shared-color refinement, greedy recombination, and an exhaustive
-branch-and-bound oracle into a composite solver that either certifies the
-chromatic index or returns an explicit bracket.
+The chromatic index is exactly max(Delta, tau), where tau = ceil(sigma/k) and
+k = floor(m/2): one construction, the arc coloring, attains this lower bound
+on every multicycle, multipaths (some slot empty) included. The proof is in
+the docstring of `chromatic_index`. An exhaustive branch-and-bound oracle
+stays for tests on small instances.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .bishop_rook import canonical_bishop_coloring, rarest_bishop_color
 from .chess import id_to_coord
@@ -128,198 +128,18 @@ def verify_multicycle_coloring(mc: Multicycle, coloring: MulticycleColoring,
                               detail=tuple(detail))
 
 
-# --- constructions ---------------------------------------------------------------
+# --- construction ----------------------------------------------------------------
 
-def multipath_coloring(mc: Multicycle) -> MulticycleColoring:
-    """Exact Delta-coloring when some slot is empty: enumerate the remaining
-    edges along the path and assign color i mod Delta."""
-    if mc.mu_minus != 0:
-        raise ValueError("multipath coloring needs a zero multiplicity")
-    delta = mc.delta
-    slots: list[list[int]] = [[] for _ in range(mc.m)]
-    if delta:
-        start = mc.mult.index(0)
-        i = 0
-        for off in range(mc.m):
-            p = (start + off) % mc.m
-            for _ in range(mc.mult[p]):
-                slots[p].append(i % delta + 1)
-                i += 1
-    return MulticycleColoring(tuple(tuple(s) for s in slots))
-
-
-def greedy_cyclic(mc: Multicycle, d: int, start: int = 0,
-                  reverse: bool = False) -> MulticycleColoring | None:
-    """Assign color i mod d to the i-th edge around the cycle; None on conflict."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    slots: list[list[int]] = [[] for _ in range(mc.m)]
-    i = 0
-    step = -1 if reverse else 1
-    for off in range(mc.m):
-        p = (start + step * off) % mc.m
-        for _ in range(mc.mult[p]):
-            slots[p].append(i % d + 1)
-            i += 1
-    coloring = MulticycleColoring(tuple(tuple(s) for s in slots))
-    return coloring if verify_multicycle_coloring(mc, coloring).ok else None
-
-
-def _kernel_slots(m: int, a: int, shared_color: int | None = None,
-                  shared_slots: Sequence[int] | None = None,
-                  first_color: int = 1) -> tuple[list[list[int]], int]:
-    """Color the regular multicycle C_{m,a} in groups of at most k cycles.
-
-    Each group spends two colors per cycle copy plus one extra color placed on
-    a matching of slots. The last group's extra color and its slots can be
-    overridden so it can be shared with another coloring. Returns the slots
-    and the number of colors consumed from first_color onward.
-    """
-    k = m // 2
-    groups = ceil(a / k)
-    slots: list[list[int]] = [[] for _ in range(m)]
-    nxt = first_color
-    consumed = 0
-    for g in range(groups):
-        size = k if g < groups - 1 else a - k * (groups - 1)
-        pair0 = nxt
-        nxt += 2 * size
-        consumed += 2 * size
-        last = g == groups - 1
-        if last and shared_color is not None:
-            extra = shared_color
-            extra_slots = list(shared_slots)
-        else:
-            extra = nxt
-            nxt += 1
-            consumed += 1
-            extra_slots = [2 * j for j in range(size)]
-        for j in range(size):
-            q = extra_slots[j]
-            slots[q].append(extra)
-            for t in range(m - 1):
-                slots[(q + 1 + t) % m].append(pair0 + 2 * j + t % 2)
-    return slots, consumed
-
-
-def regular_coloring(m: int, a: int) -> MulticycleColoring:
-    """Optimal coloring of C_{m,a} with 2a + ceil(2a/(m-1)) colors."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError("odd m >= 3 required")
-    if a < 1:
-        raise ValueError("a >= 1 required")
-    slots, _ = _kernel_slots(m, a)
-    return MulticycleColoring(tuple(tuple(s) for s in slots))
-
-
-def regular_color_count(m: int, a: int) -> int:
-    return 2 * a + ceil(2 * a / (m - 1))
-
-
-def _independent_extension(m: int, blocked: set[int], t: int) -> list[int] | None:
-    # t pairwise non-adjacent slots of the m-cycle avoiding blocked ones.
-    candidates = [q for q in range(m) if q not in blocked]
-
-    def pick(chosen: list[int], rest: list[int]) -> list[int] | None:
-        if len(chosen) == t:
-            return chosen
-        for idx, q in enumerate(rest):
-            if all((q - c) % m not in (1, m - 1) for c in chosen):
-                got = pick(chosen + [q], rest[idx + 1:])
-                if got is not None:
-                    return got
-        return None
-
-    return pick([], candidates)
-
-
-def _merge_slots(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> MulticycleColoring:
-    return MulticycleColoring(tuple(tuple(x) + tuple(y) for x, y in zip(a, b)))
-
-
-def kernel_residual_coloring(mc: Multicycle) -> tuple[MulticycleColoring, int]:
-    """Split into the regular kernel C_{m,mu-} and the residual multipath.
-
-    Base bound Delta + ceil(mu-/k). When the kernel's last group has fewer
-    than k cycles, try to reuse one residual color as that group's extra
-    color: its slots must extend the residual class to a larger independent
-    set. Success saves one color; the returned bound reflects it.
-    """
-    m, k, mu = mc.m, mc.k, mc.mu_minus
-    if mu == 0:
-        coloring = multipath_coloring(mc)
-        return coloring, mc.delta
-    groups = ceil(mu / k)
-    residual = Multicycle(tuple(x - mu for x in mc.mult))
-    t = mu - k * (groups - 1)
-    if residual.delta and t < k:
-        res_delta = residual.delta
-        zero_slots = [p for p in range(m) if residual.mult[p] == 0]
-        for start, rev in itertools.product(zero_slots, (False, True)):
-            res_slots: list[list[int]] = [[] for _ in range(m)]
-            i = 0
-            step = -1 if rev else 1
-            for off in range(m):
-                p = (start + step * off) % m
-                for _ in range(residual.mult[p]):
-                    res_slots[p].append(i % res_delta + 1)
-                    i += 1
-            classes: dict[int, list[int]] = {}
-            for p, colors in enumerate(res_slots):
-                for c in colors:
-                    classes.setdefault(c, []).append(p)
-            for c, members in sorted(classes.items(), key=lambda kv: len(kv[1])):
-                blocked = {(p + d) % m for p in members for d in (-1, 0, 1)}
-                ext = _independent_extension(m, blocked, t)
-                if ext is None:
-                    continue
-                # kernel consumes 2*mu pair colors plus groups-1 own extras;
-                # the shared extra is residual color c shifted past them
-                kern, consumed = _kernel_slots(m, mu, shared_color=c + 2 * mu + groups - 1,
-                                               shared_slots=ext, first_color=1)
-                shifted = [[x + consumed for x in s] for s in res_slots]
-                merged = _merge_slots(kern, shifted)
-                bound = mc.delta + groups - 1
-                if verify_multicycle_coloring(mc, merged).ok and merged.color_count <= bound:
-                    return merged.normalized(), bound
-    kern, consumed = _kernel_slots(m, mu)
-    res_col = multipath_coloring(residual)
-    shifted = [[x + consumed for x in s] for s in res_col.slots]
-    merged = _merge_slots(kern, shifted)
-    return merged, mc.delta + groups
-
-
-def recombination_coloring(mc: Multicycle) -> tuple[MulticycleColoring, int]:
-    """Color the kernel, then place residual edges greedily, reusing kernel
-    colors wherever the slot neighborhood allows."""
-    m, mu = mc.m, mc.mu_minus
-    if mu == 0:
-        coloring = multipath_coloring(mc)
-        return coloring, mc.delta
-    slots, _ = _kernel_slots(m, mu)
-    residual = tuple(x - mu for x in mc.mult)
-    start = residual.index(0) if 0 in residual else 0
-    for off in range(m):
-        p = (start + off) % m
-        for _ in range(residual[p]):
-            taken = set(slots[p - 1]) | set(slots[p]) | set(slots[(p + 1) % m])
-            c = 1
-            while c in taken:
-                c += 1
-            slots[p].append(c)
-    coloring = MulticycleColoring(tuple(tuple(s) for s in slots))
-    return coloring, coloring.color_count
-
-
-def arc_coloring(mc: Multicycle) -> MulticycleColoring | None:
-    """Color with exactly max(Delta, tau) colors by laying each slot's colors
+def arc_coloring(mc: Multicycle) -> MulticycleColoring:
+    """Color with exactly K = max(Delta, tau) colors by laying each slot's colors
     as a contiguous arc on the color circle Z_K.
 
-    Consecutive arcs are separated by gaps chosen so that every adjacent pair
-    fits inside one circumference (a[p-1] + gap[p] + a[p] <= K) and the walk
-    closes after an integer number of laps. Total slack m*K - 2*sigma always
-    absorbs the required gap t*K - sigma, so the construction succeeds; None
-    is returned only if the final verification refuses the result.
+    Walking around the cycle, slot p takes the next mult[p] colors after a gap
+    of gap[p] <= slack[p] = K - mult[p-1] - mult[p] unused ones, so adjacent
+    arcs are disjoint. The gaps add up to laps*K - sigma, which closes the walk
+    after laps = ceil(sigma/K) turns; `chromatic_index` proves they fit. The
+    result is verified before it is returned, and CertificateError is raised
+    if either step fails.
     """
     K = mc.lower_bound
     m = mc.m
@@ -334,7 +154,7 @@ def arc_coloring(mc: Multicycle) -> MulticycleColoring | None:
         gaps.append(g)
         gap_total -= g
     if gap_total:
-        return None
+        raise CertificateError(f"arc gaps for {mc.mult} exceed the slack by {gap_total}")
     slots: list[tuple[int, ...]] = []
     s = 0
     for p in range(m):
@@ -342,7 +162,10 @@ def arc_coloring(mc: Multicycle) -> MulticycleColoring | None:
         slots.append(tuple((s + j) % K + 1 for j in range(mc.mult[p])))
         s += mc.mult[p]
     coloring = MulticycleColoring(tuple(slots))
-    return coloring if verify_multicycle_coloring(mc, coloring).ok else None
+    report = verify_multicycle_coloring(mc, coloring, expected_colors=K)
+    if not report.ok:
+        raise CertificateError(f"arc coloring of {mc.mult} failed: {report.detail}")
+    return coloring
 
 
 # --- exhaustive oracle -----------------------------------------------------------
@@ -396,68 +219,37 @@ def exhaustive_chromatic_index(mc: Multicycle, cap: int = 24) -> tuple[int, Mult
     raise AssertionError("unreachable")
 
 
-# --- composite solver ------------------------------------------------------------
+# --- chromatic index -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ChiResult:
-    """Chromatic index result; exact when lower == upper, else a bracket."""
+    """Chromatic index and a verified coloring that attains it."""
 
-    lower: int
-    upper: int
+    value: int
     coloring: MulticycleColoring
-    method: str
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError(f"bracket [{self.lower}, {self.upper}] is not exact")
-        return self.upper
+    method: ClassVar[str] = "arc"
 
 
-def chromatic_index(mc: Multicycle, oracle_cap: int = 24) -> ChiResult:
-    """Composite solver: exact multipath/regular cases, greedy enumeration over
-    all anchors, kernel/residual with refinement, recombination, the arc
-    construction, then the exhaustive oracle below the cap; otherwise an
-    explicit bracket."""
-    lower = mc.lower_bound
-    if mc.mu_minus == 0:
-        return ChiResult(lower, mc.delta, multipath_coloring(mc), "multipath")
-    if mc.mu_plus == mc.mu_minus:
-        coloring = regular_coloring(mc.m, mc.mu_minus)
-        return ChiResult(lower, coloring.color_count, coloring, "regular")
-    groups = ceil(mc.mu_minus / mc.k)
-    best: tuple[int, MulticycleColoring, str] | None = None
-    for d in range(mc.delta, mc.delta + groups + 1):
-        for start, rev in itertools.product(range(mc.m), (False, True)):
-            coloring = greedy_cyclic(mc, d, start=start, reverse=rev)
-            if coloring is not None:
-                best = (coloring.color_count, coloring, "greedy")
-                break
-        if best is not None:
-            break
-    for fn, tag in ((kernel_residual_coloring, "kernel-residual"),
-                    (recombination_coloring, "recombination")):
-        coloring, bound = fn(mc)
-        count = coloring.color_count
-        if best is None or count < best[0]:
-            best = (count, coloring, tag)
-    assert best is not None
-    upper, coloring, tag = best
-    if upper == lower:
-        return ChiResult(lower, upper, coloring, tag)
-    arc = arc_coloring(mc)
-    if arc is not None and arc.color_count < upper:
-        upper, coloring, tag = arc.color_count, arc, "arc"
-    if upper == lower:
-        return ChiResult(lower, upper, coloring, tag)
-    if mc.sigma <= oracle_cap:
-        exact, coloring = exhaustive_chromatic_index(mc, cap=oracle_cap)
-        return ChiResult(exact, exact, coloring, "oracle")
-    return ChiResult(lower, upper, coloring, "bracket")
+def chromatic_index(mc: Multicycle) -> ChiResult:
+    """Exact chromatic index max(Delta, tau), attained by `arc_coloring`.
+
+    Lower bound. The edges at one position pairwise meet, so chi' >= Delta.
+    Parallel edges meet too, so a color class takes at most one edge per slot
+    and no two consecutive slots: at most k = floor(m/2) edges. Hence
+    chi' >= ceil(sigma/k) = tau.
+
+    The arc coloring reaches it. Let K = max(Delta, tau) > 0.
+    - Every slack[p] = K - mult[p-1] - mult[p] is >= 0, because K >= Delta.
+      Each arc holds mult[p] <= K distinct colors for the same reason.
+    - Slots p-1 and p get disjoint colors mod K, because their arcs and the
+      gap between them span mult[p-1] + gap[p] + mult[p] <= K colors.
+    - The walk ends at sigma + sum(gap) = laps*K = 0 mod K, so the last slot
+      and slot 0 are separated by gap[0] in the same way.
+    - The gaps fit: the needed total laps*K - sigma is below the total slack
+      m*K - 2*sigma. Indeed sigma <= k*K because K >= tau, and
+      laps*K < sigma + K, so laps*K + sigma < 2*sigma + K <= (2k+1)*K = m*K.
+    """
+    return ChiResult(mc.lower_bound, arc_coloring(mc))
 
 
 # --- derived multicycles ---------------------------------------------------------
@@ -553,8 +345,7 @@ def conjecture5_bounds(m: int, n: int) -> tuple[int, int]:
     return low4, high4
 
 
-def survey(m_values: Iterable[int], n_values: Iterable[int],
-           oracle_cap: int = 24) -> list[SurveyRow]:
+def survey(m_values: Iterable[int], n_values: Iterable[int]) -> list[SurveyRow]:
     rows = []
     for m in sorted(set(m_values)):
         for n in sorted(set(n_values)):
@@ -562,9 +353,8 @@ def survey(m_values: Iterable[int], n_values: Iterable[int],
                 continue
             dm = derive(m, n)
             mc = dm.multicycle
-            result = chromatic_index(mc, oracle_cap=oracle_cap)
-            chi = result.upper
-            c4 = result.exact and chi == ceil(2 * mc.sigma / (m - 1))
+            chi = chromatic_index(mc).value
+            c4 = chi == ceil(2 * mc.sigma / (m - 1))
             low4, high4 = conjecture5_bounds(m, n)
             c5 = low4 <= 4 * mc.sigma <= high4
             rows.append(SurveyRow(m, n, mc.sigma, mc.mu_minus, mc.delta, mc.tau,

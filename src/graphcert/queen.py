@@ -103,9 +103,9 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
     _check_board(m, n)
     dm = derive(m, n)
     result = chromatic_index(dm.multicycle)
-    if result.upper > n - 1:
+    if result.value > n - 1:
         raise MethodInapplicableError(
-            f"derived multicycle needs {result.upper} colors, only {n - 1} available")
+            f"derived multicycle needs {result.value} colors, only {n - 1} available")
     xi = result.coloring
     fixed: dict[tuple[int, int], int] = {}
     recolor: dict[tuple[int, int], int] = {}
@@ -115,7 +115,9 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
             recolor[edge] = high
             for v in edge:
                 c = id_to_coord(v, n)
-                assert (c.col, c.row) not in fixed
+                if (c.col, c.row) in fixed:
+                    raise CertificateError(
+                        f"derived multicycle edges meet at square ({c.col}, {c.row})")
                 fixed[(c.col, c.row)] = high
     plan = MissingColorPlan.from_assignments(m, n, fixed)
     rook = ladder_coloring(m, n, plan)

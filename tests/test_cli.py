@@ -150,7 +150,10 @@ R22_BODY = ["1 2 1", "1 3 2", "2 4 2", "3 4 1"]
     ("r22.col", None, 2),
     ("r22.col", ["1 2 1", "1 3 1"] + R22_BODY[1:], 1),
     ("r22.col", ["1 2 3"] + R22_BODY[1:], 1),
-], ids=["missing-graph", "missing-certificate", "repeated-edge", "color-outside-k"])
+    ("r22.col", ["1 2 x"] + R22_BODY[1:], 1),
+    ("r22.col", ["c k=two"] + R22_BODY, 1),
+], ids=["missing-graph", "missing-certificate", "repeated-edge", "color-outside-k",
+        "non-integer-color", "non-integer-k"])
 def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, code):
     assert run(capsys, ["gen", "--family", "rook", "--m", "2", "--n", "2",
                         "--out", str(tmp_path / "r22.col")])[0] == 0
@@ -164,6 +167,55 @@ def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, c
         assert json.loads(out)["ok"] is False
     else:
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind,certificate,matching,code", [
+    ("hamcycle", "1 2 4 3\n", None, 0),
+    ("hamcycle", "1 2 4 three\n", None, 1),
+    ("hampath", "1 2\n4 3.0\n", None, 1),
+    ("cover", "1 2\n3 x4\n", None, 1),
+    ("decomposition", "1 2 4 3\n", "1 2 3\n", 1),
+    ("decomposition", "1 2 4 3\n", "1 -\n", 1),
+], ids=["hamcycle-ok", "hamcycle-token", "hampath-token", "cover-token",
+        "matching-not-a-pair", "matching-token"])
+def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificate,
+                                              matching, code):
+    # R(2,2) is the 4-cycle 1-2-4-3-1
+    graph = str(tmp_path / "r22.col")
+    assert run(capsys, ["gen", "--family", "rook", "--m", "2", "--n", "2",
+                        "--out", graph])[0] == 0
+    cert = tmp_path / "r22.cert"
+    cert.write_text(certificate)
+    argv = ["verify", kind, "--graph", graph, "--certificate", str(cert), "--json"]
+    if matching is not None:
+        (tmp_path / "r22.matching").write_text(matching)
+        argv += ["--matching", str(tmp_path / "r22.matching")]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert json.loads(out)["ok"] is (code == 0)
+    if code:
+        assert err.startswith("verification failed:") and "line" in err
+
+
+def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
+    graph = tmp_path / "bad.col"
+    graph.write_text("p edge 4 1\ne 1 x\n")
+    cert = tmp_path / "r22.cert"
+    cert.write_text("1 2 4 3\n")
+    code, out, err = run(capsys, ["verify", "hamcycle", "--graph", str(graph),
+                                  "--certificate", str(cert), "--json"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["multicycle", "chi", "--mult", "3,5,3,4,4", "--oracle-cap", "24"],
+    ["multicycle", "survey", "--m", "5", "--n-max", "11", "--oracle-cap", "24"],
+    ["conjecture", "4", "--oracle-cap", "24"],
+    ["conjecture", "5", "--oracle-cap", "24"],
+], ids=["chi", "survey", "conjecture4", "conjecture5"])
+def test_oracle_cap_option_is_gone(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "--oracle-cap" in err
 
 
 @pytest.mark.parametrize("cpus,expected", [(2, 2), (None, 1)])
@@ -219,8 +271,12 @@ def test_multicycle_derive(capsys):
 
 
 def test_multicycle_chi(capsys):
-    assert "chi = 10" in run(capsys, ["multicycle", "chi", "--mult", "3,5,3,4,4"])[1]
+    code, out, _ = run(capsys, ["multicycle", "chi", "--mult", "3,5,3,4,4"])
+    assert code == 0 and out == "chi = 10\nconstruction = arc\n"
     assert "chi = 3" in run(capsys, ["multicycle", "chi", "--mult", "0,0,0,1,2"])[1]
+    code, payload, _ = run_json(capsys, ["multicycle", "chi", "--mult", "9,9,9,9,9,9,9,9,9"])
+    assert code == 0 and payload["ok"] is True
+    assert (payload["colors"], payload["construction"]) == (21, "arc")
 
 
 def test_multicycle_survey_csv(tmp_path, capsys):

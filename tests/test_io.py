@@ -9,7 +9,7 @@ import graphcert.keller as keller
 from conftest import cycle
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_queen
-from graphcert.core import EdgeColoring
+from graphcert.core import CertificateError, EdgeColoring
 
 
 def test_dimacs_roundtrip(tmp_path):
@@ -64,6 +64,17 @@ def test_coloring_accepts_comments_and_blank_lines():
 def test_coloring_rejects_malformed_line():
     with pytest.raises(ValueError):
         gio.read_coloring(io.StringIO("c k=1\n1 2\n"))
+
+
+@pytest.mark.parametrize("reader,text,line", [
+    (gio.read_coloring, "c k=2\n1 2 1\n2 3 two\n", 3),
+    (gio.read_coloring, "c k=2.5\n1 2 1\n", 1),
+    (gio.read_sequence, "1 2\n3 x\n", 2),
+    (gio.read_vertex_sets, "c cover\n1 2\n\n3 4 5e\n", 4),
+], ids=["coloring-body", "coloring-k", "sequence", "vertex-sets"])
+def test_non_integer_token_is_a_certificate_error_naming_the_line(reader, text, line):
+    with pytest.raises(CertificateError, match=f"line {line}: non-integer token"):
+        reader(io.StringIO(text))
 
 
 def test_sequence_roundtrip(tmp_path):

@@ -1,26 +1,24 @@
 """Multicycle chromatic-index machinery and the derived-multicycle survey."""
 
+import random
+from math import ceil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcert import multicycle
 from graphcert.bishop_rook import rarest_color_edges
-from graphcert.core import CertificateError, EdgeColoring
+from graphcert.core import CertificateError, EdgeColoring, VerificationReport
 from graphcert.multicycle import (
     SURVEY_COLUMNS,
     Multicycle,
     MulticycleColoring,
+    arc_coloring,
     chromatic_index,
     conjecture5_bounds,
     derive,
     derived_sigma,
     exhaustive_chromatic_index,
-    greedy_cyclic,
-    kernel_residual_coloring,
-    multipath_coloring,
-    recombination_coloring,
-    regular_color_count,
-    regular_coloring,
     sigma_period_observed,
     survey,
     survey_csv,
@@ -69,7 +67,7 @@ def test_verifier_rejects_malformed_colorings():
     assert not report.ok and "expected 4" in report.detail[0]
 
 
-# --- constructions ----------------------------------------------------------------
+# --- chromatic index ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mult,colors", [((0, 0, 0, 1, 2), 3),
@@ -77,98 +75,53 @@ def test_verifier_rejects_malformed_colorings():
                                          ((0, 4, 4, 0, 2), 8)])
 def test_multipath_uses_exactly_delta_colors(mult, colors):
     mc = Multicycle(mult)
-    coloring = multipath_coloring(mc)
-    assert verify_multicycle_coloring(mc, coloring, expected_colors=colors).ok
-    assert colors == mc.delta
+    result = chromatic_index(mc)
+    assert verify_multicycle_coloring(mc, result.coloring, expected_colors=colors).ok
+    assert result.value == colors == mc.delta
 
 
-def test_multipath_requires_an_empty_slot():
-    with pytest.raises(ValueError):
-        multipath_coloring(Multicycle((1, 1, 1, 1, 1)))
+def regular_color_count(m, a):
+    """Chromatic index of the regular multicycle C_{m,a}: 2a + ceil(2a/(m-1))."""
+    return 2 * a + ceil(2 * a / (m - 1))
 
 
-@pytest.mark.parametrize("m,a,colors", [(9, 9, 21), (5, 1, 3), (7, 3, 7)])
+@pytest.mark.parametrize("m,a,colors", [(9, 9, 21), (5, 1, 3), (7, 3, 7), (5, 3, 8)])
 def test_regular_coloring_count(m, a, colors):
-    coloring = regular_coloring(m, a)
     mc = Multicycle((a,) * m)
-    assert verify_multicycle_coloring(mc, coloring, expected_colors=colors).ok
-    assert regular_color_count(m, a) == colors
+    result = chromatic_index(mc)
+    assert verify_multicycle_coloring(mc, result.coloring, expected_colors=colors).ok
+    assert result.value == regular_color_count(m, a) == colors
 
 
 def test_regular_coloring_is_optimal():
     for m in (5, 7, 9):
         for a in range(1, 6):
-            exact, _ = exhaustive_chromatic_index(Multicycle((a,) * m), cap=60)
-            assert exact == regular_color_count(m, a)
-
-
-def test_regular_coloring_rejects_bad_input():
-    with pytest.raises(ValueError):
-        regular_coloring(4, 2)
-    with pytest.raises(ValueError):
-        regular_coloring(5, 0)
-
-
-def test_kernel_residual_regular_input_matches_regular_count():
-    mc = Multicycle((3,) * 5)
-    coloring, bound = kernel_residual_coloring(mc)
-    assert verify_multicycle_coloring(mc, coloring).ok
-    assert coloring.color_count == bound == regular_color_count(5, 3)
-
-
-def test_kernel_residual_bound_on_derived_multicycle():
-    mc = derive(5, 11).multicycle
-    coloring, bound = kernel_residual_coloring(mc)
-    assert verify_multicycle_coloring(mc, coloring).ok
-    assert coloring.color_count <= bound <= 10
-
-
-def test_kernel_residual_improvement_beats_base_bound():
-    mc = Multicycle((1, 1, 1, 1, 2))
-    coloring, bound = kernel_residual_coloring(mc)
-    assert verify_multicycle_coloring(mc, coloring).ok
-    assert bound <= 4
-    assert chromatic_index(mc).value == 3
-
-
-def test_recombination_produces_proper_coloring():
-    for mult in ((1, 1, 1, 1, 2), (2, 3, 2, 2, 4), (1, 2, 1, 2, 1, 2, 3)):
-        mc = Multicycle(mult)
-        coloring, count = recombination_coloring(mc)
-        assert verify_multicycle_coloring(mc, coloring, expected_colors=count).ok
-
-
-def test_greedy_cyclic():
-    c5 = Multicycle((1, 1, 1, 1, 1))
-    assert greedy_cyclic(c5, 3) is not None
-    assert greedy_cyclic(c5, 2) is None
-    mc = derive(5, 11).multicycle
-    coloring = greedy_cyclic(mc, 10)
-    assert coloring is not None
-    assert verify_multicycle_coloring(mc, coloring, expected_colors=10).ok
-    with pytest.raises(ValueError):
-        greedy_cyclic(c5, 0)
-
-
-# --- composite solver ---------------------------------------------------------------
+            mc = Multicycle((a,) * m)
+            exact, _ = exhaustive_chromatic_index(mc, cap=60)
+            assert exact == regular_color_count(m, a) == chromatic_index(mc).value
 
 
 def test_chromatic_index_examples():
     result = chromatic_index(derive(5, 11).multicycle)
-    assert result.exact and result.value == 10
+    assert result.method == "arc" and result.value == 10
+    assert verify_multicycle_coloring(derive(5, 11).multicycle, result.coloring,
+                                      expected_colors=10).ok
     assert chromatic_index(Multicycle((0, 0, 0, 1, 2))).value == 3
     assert chromatic_index(Multicycle((1, 1, 1, 1, 2))).value == 3
     c99 = chromatic_index(Multicycle((9,) * 9))
-    assert c99.method == "regular" and c99.value == 21
+    assert c99.method == "arc" and c99.value == 21
+    assert chromatic_index(Multicycle((0, 0, 0))).value == 0
 
 
 def test_chromatic_index_agrees_with_oracle_on_small_instances():
     for mult in ((1, 0, 2, 3, 1), (2, 2, 2, 1, 1), (0, 5, 1, 4, 2),
-                 (1, 1, 2, 2, 1, 1, 2), (3, 1, 0, 2, 0, 1, 3)):
+                 (1, 1, 2, 2, 1, 1, 2), (3, 1, 0, 2, 0, 1, 3),
+                 (1, 1, 1, 1, 2), (2, 3, 2, 2, 4), (1, 2, 1, 2, 1, 2, 3)):
         mc = Multicycle(mult)
         result = chromatic_index(mc)
         exact, _ = exhaustive_chromatic_index(mc)
-        assert result.exact and result.value == exact
+        assert result.value == exact
+        assert verify_multicycle_coloring(mc, result.coloring, expected_colors=exact).ok
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,11 +129,9 @@ def test_chromatic_index_agrees_with_oracle_on_small_instances():
 def test_chromatic_index_invariants(mult):
     mc = Multicycle(mult)
     result = chromatic_index(mc)
-    assert result.lower == mc.lower_bound <= result.upper
+    assert result.value == mc.lower_bound
     assert verify_multicycle_coloring(mc, result.coloring,
-                                      expected_colors=result.upper).ok
-    # The arc stage always lands on the lower bound in practice.
-    assert result.exact
+                                      expected_colors=result.value).ok
 
 
 @st.composite
@@ -205,13 +156,64 @@ def test_chromatic_index_equals_oracle_and_lower_bound(mc):
     assert verify_multicycle_coloring(mc, result.coloring, expected_colors=exact).ok
 
 
-def test_chi_result_bracket_refuses_value():
-    result = chromatic_index(derive(5, 11).multicycle)
-    assert result.value == result.upper
-    from dataclasses import replace
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, 7, 9, 11, 13, 25)).flatmap(
+    lambda m: st.lists(st.integers(0, 40), min_size=m, max_size=m)))
+def test_arc_coloring_hits_the_lower_bound_beyond_the_oracle(mult):
+    mc = Multicycle(tuple(mult))
+    coloring = arc_coloring(mc)
+    assert verify_multicycle_coloring(mc, coloring, expected_colors=mc.lower_bound).ok
 
-    with pytest.raises(ValueError):
-        replace(result, lower=result.upper - 1).value
+
+@pytest.mark.parametrize("patch,match", [
+    # K = Delta = 8 below tau = 10: the gaps need 5 colors, the slack holds 2
+    ((Multicycle, "lower_bound", property(lambda mc: mc.delta)), "exceed the slack"),
+    ((multicycle, "verify_multicycle_coloring",
+      lambda mc, col, expected_colors=None: VerificationReport(False, 0, 0, ("forged",))),
+     "forged"),
+], ids=["gaps-overflow", "verification"])
+def test_arc_coloring_failed_self_check_raises_certificate_error(monkeypatch, patch, match):
+    monkeypatch.setattr(*patch)
+    with pytest.raises(CertificateError, match=match):
+        chromatic_index(Multicycle((3, 5, 3, 4, 4)))
+
+
+def single_mutants(coloring):
+    """Every coloring one step from `coloring`: one edge recolored to a color
+    already at an adjacent slot, one edge's color dropped, or one color added
+    to a slot."""
+    slots = [list(s) for s in coloring.slots]
+    m = len(slots)
+    palette = coloring.colors_used()
+    fresh = (palette[-1] if palette else 0) + 1
+
+    def with_slot(p, colors):
+        return MulticycleColoring(tuple(tuple(colors) if q == p else tuple(s)
+                                        for q, s in enumerate(slots)))
+
+    for p, colors in enumerate(slots):
+        for idx in range(len(colors)):
+            for c in sorted(set(slots[p - 1]) | set(slots[(p + 1) % m])):
+                yield with_slot(p, colors[:idx] + [c] + colors[idx + 1:])
+            yield with_slot(p, colors[:idx] + colors[idx + 1:])
+        for c in palette + (fresh,):
+            yield with_slot(p, colors + [c])
+
+
+@pytest.mark.parametrize("mc", [
+    derive(5, 11).multicycle, derive(7, 15).multicycle, derive(9, 27).multicycle,
+    Multicycle((3, 5, 3, 4, 4)), Multicycle((0, 4, 4, 0, 2)), Multicycle((2,) * 7),
+] + [Multicycle(tuple(random.Random(seed).choices(range(7), k=m)))
+      for seed, m in ((1, 5), (2, 7), (3, 9), (4, 11))],
+    ids=["derived-5-11", "derived-7-15", "derived-9-27", "mixed", "multipath", "regular",
+         "random-5", "random-7", "random-9", "random-11"])
+def test_verifier_rejects_every_single_mutation_of_an_arc_coloring(mc):
+    coloring = chromatic_index(mc).coloring
+    assert verify_multicycle_coloring(mc, coloring).ok
+    mutants = list(single_mutants(coloring))
+    assert len(mutants) > mc.sigma
+    for mutant in mutants:
+        assert not verify_multicycle_coloring(mc, mutant).ok, mutant.slots
 
 
 # --- derived multicycles -------------------------------------------------------------

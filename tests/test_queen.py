@@ -1,6 +1,7 @@
 """Queen coloring constructions and the classification dispatcher."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_ladder_multicycle_beyond_the_guaranteed_range():
     cert = class1_ladder_multicycle(3, 5)
     assert cert.coloring.declared_color_count == 10 == queen_delta(3, 5)
     check_certificate(cert)
+
+
+def test_ladder_multicycle_failed_self_check_raises_certificate_error(monkeypatch):
+    # Two slots claiming the same edge fix its endpoints twice. The check must
+    # hold under python -O too, so it cannot be an assert.
+    real = queen.derive(5, 11)
+    slots = list(real.slot_edges)
+    slots[1] = (slots[0][0],) + slots[1][1:]
+    forged = replace(real, slot_edges=tuple(slots))
+    monkeypatch.setattr(queen, "derive", lambda m, n: forged)
+    with pytest.raises(CertificateError, match="meet at square"):
+        class1_ladder_multicycle(5, 11)
 
 
 def test_ladder_multicycle_rejects_bad_boards():
