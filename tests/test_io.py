@@ -1,5 +1,6 @@
 """File format round trips: DIMACS graphs, colorings, sequences, vertex sets."""
 
+import hashlib
 import io
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import cycle
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_queen
 from graphcert.core import CertificateError, EdgeColoring
+from graphcert.queen import classify_and_color
 
 
 def test_dimacs_roundtrip(tmp_path):
@@ -98,3 +100,37 @@ def test_file_like_objects_are_not_closed():
     buf.seek(0)
     assert gio.read_coloring(buf).assignment == {(0, 1): 1}
     assert not buf.closed
+
+
+# sha256 of write_dimacs and write_coloring output, with the comment "pin",
+# recorded from the one-line-per-write writers; any writer must keep the bytes.
+WRITER_PINS = {
+    "G3": ("0bf62bf0a4e7cfc5a3dffcc5116240833bdcd3fb15584a3d133405431fc902eb",
+           "5cb1302ab943075806b91377b1da564f3c72cf64fa8ef40f8a94c7824d3dbae9"),
+    "Q5,7": ("3eac56d80aaea5bd183174fab25ec86500ed0238a2566bf73afc9654741fcdaf",
+             "63d819bc24e26befdfe7b6e6a794d7bff8a1308d8410c7ba131ae00222a5313e"),
+    "Q8,8": ("7811953a621fac66e8deae4db41e820c764ee5b4f6cf6da0f3c99397667bd3ec",
+             "30eea160f7e95c0305e6717c3aaa6035765b8d42b060f8b4acbde21f105e7dab"),
+    "Q3,13": ("4890c6e215d66c154533bf625c1489534d8b9700b93643127f2ee29e76cdfb6a",
+              "9f8df0505ebd3560b34580cd7f7caf331b19b90c2938a1202c43ab617f123616"),
+}
+
+
+def _pinned_instance(name):
+    if name == "G3":
+        return keller.build(3), keller.class1_coloring(3)
+    m, n = map(int, name[1:].split(","))
+    return build_queen(m, n), classify_and_color(m, n).coloring
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PINS))
+def test_writers_keep_their_bytes(tmp_path, name):
+    g, coloring = _pinned_instance(name)
+    for writer, obj, digest in zip((gio.write_dimacs, gio.write_coloring), (g, coloring),
+                                   WRITER_PINS[name]):
+        target = tmp_path / "pinned"
+        writer(obj, target, comments=["pin"])
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+        buf = io.StringIO()
+        writer(obj, buf, comments=["pin"])
+        assert buf.getvalue().encode("ascii") == target.read_bytes()
