@@ -7,11 +7,12 @@ is deterministic and side-effect free.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class EmptyGraphError(ValueError):
@@ -63,7 +64,7 @@ class Graph:
     @cached_property
     def max_degree(self) -> int:
         """Largest degree (0 without edges), counted once without the adjacency sets."""
-        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
+        return _largest_degree(_edge_array(self))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -82,6 +83,17 @@ class Graph:
         if e not in self.edges:
             raise ValueError(f"edge {e} not in graph")
         return Graph(self.vertex_count, self.edges - {e}, self.labels)
+
+
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges of g as an (E, 2) int64 array, in the edge set's iteration order."""
+    return np.fromiter(chain.from_iterable(g.edges), np.int64,
+                       2 * g.edge_count).reshape(-1, 2)
+
+
+def _largest_degree(pairs: np.ndarray) -> int:
+    """Largest degree (0 without edges) of the graph on an _edge_array."""
+    return int(np.bincount(pairs.ravel(), minlength=1).max())
 
 
 def max_degree(g: Graph) -> int:
@@ -165,29 +177,93 @@ def _report(detail: list[str], colors_used: int, delta: int) -> VerificationRepo
     return VerificationReport(not detail, colors_used, delta, tuple(detail))
 
 
+def _colored_ends(assignment: Mapping[tuple[int, int], int], n: int
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Both ends of every colored edge as one flat int64 array, in assignment order.
+
+    An end outside 0..n-1 is relabelled to an id from n up, one id per
+    distinct value, so no arithmetic ever sees it; the mask of those ends is
+    returned too, or None when every end is a vertex.
+    """
+    try:
+        ends = np.fromiter(chain.from_iterable(assignment), np.int64, 2 * len(assignment))
+        if not ends.size or (ends.min() >= 0 and ends.max() < n):
+            return ends, None
+    except OverflowError:
+        pass
+    relabel: dict[int, int] = {}
+    ends = np.array([x if 0 <= x < n else relabel.setdefault(x, n + len(relabel))
+                     for x in chain.from_iterable(assignment)], np.int64)
+    return ends, ends >= n
+
+
 def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
                          require_total: bool = True) -> VerificationReport:
-    """Check properness of an edge coloring against its host graph."""
+    """Check properness of an edge coloring against its host graph.
+
+    The check runs on int64 arrays. Each colored edge gives one key per end,
+    vertex·K + color; a color repeated at a vertex is two equal neighbours
+    among the sorted keys. Each edge (u, v) gives the code u·n + v, and the
+    colored codes are searched in the sorted codes of g.edges: a code not
+    found is a colored non-edge, and the edges no code hits are uncolored.
+    An end outside 0..n-1 is reported as not in the graph before any int64
+    arithmetic, and takes part in the repeat check under a relabelled id.
+    Detail lines are built from the offending indices only, in this order:
+    colored non-edges in assignment order; repeats in assignment order (first
+    end before second), each naming the first edge that took the color; then
+    up to ten uncolored edges in sorted order. No check rests on assert.
+    """
     detail: list[str] = []
-    delta = max_degree(g) if g.vertex_count else 0
-    for e in coloring.assignment:
-        if e not in g.edges:
-            detail.append(f"colored edge {e} not in graph")
-    seen: dict[int, dict[int, tuple[int, int]]] = {}
-    for e, c in coloring.assignment.items():
-        for v in e:
-            at_v = seen.setdefault(v, {})
-            if c in at_v:
-                detail.append(f"color {c} repeated at vertex {v} on {at_v[c]} and {e}")
-            else:
-                at_v[c] = e
+    n = g.vertex_count
+    assignment = coloring.assignment
+    ends, outside = _colored_ends(assignment, n)
+    palette = coloring.declared_color_count + 1
+    colors: Iterable[int] = assignment.values()
+    if palette * (n + ends.size + 1) >= 2 ** 63:  # a forged huge k: compare colors by rank
+        rank = {c: i for i, c in enumerate(set(colors))}
+        colors, palette = map(rank.__getitem__, colors), len(rank)
+    color_of = np.fromiter(colors, np.int64, len(assignment))
+    edges = list(assignment)
+    pairs = _edge_array(g)
+    codes = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    colored = ends[0::2] * n + ends[1::2]
+    in_graph = np.ones(colored.size, bool)
+    hit = np.ones(codes.size, bool)
+    if outside is not None or not np.array_equal(np.sort(colored), codes):
+        # a colored non-edge or an uncolored edge: find out which
+        at = np.searchsorted(codes, colored)
+        in_graph[:] = False
+        if codes.size:
+            in_graph = codes[np.minimum(at, codes.size - 1)] == colored
+        if outside is not None:
+            in_graph &= ~(outside[0::2] | outside[1::2])
+        hit[:] = False
+        hit[at[in_graph]] = True
+    for i in np.flatnonzero(~in_graph).tolist():
+        detail.append(f"colored edge {edges[i]} not in graph")
+
+    keys = ends * palette + np.repeat(color_of, 2)
+    ordered = np.sort(keys)
+    repeated = ordered[1:] == ordered[:-1]
+    if repeated.any():
+        # a stable order puts the first occurrence of each key at the head of its run
+        order = np.argsort(keys, kind="stable")
+        first = np.concatenate(([True], ~repeated))
+        head = order[np.maximum.accumulate(np.where(first, np.arange(order.size), 0))]
+        later, head = order[~first], head[~first]
+        by_occurrence = np.argsort(later)
+        for j, h in zip(later[by_occurrence].tolist(), head[by_occurrence].tolist()):
+            e = edges[j // 2]
+            detail.append(f"color {assignment[e]} repeated at vertex {e[j % 2]} "
+                          f"on {edges[h // 2]} and {e}")
+
     if require_total:
-        missing = g.edges - set(coloring.assignment)
-        for e in sorted(missing)[:10]:
-            detail.append(f"edge {e} uncolored")
-        if len(missing) > 10:
-            detail.append(f"...{len(missing) - 10} more uncolored edges")
-    return _report(detail, len(coloring.colors_used), delta)
+        missing = np.flatnonzero(~hit)
+        for code in codes[missing[:10]].tolist():
+            detail.append(f"edge {divmod(code, n)} uncolored")
+        if missing.size > 10:
+            detail.append(f"...{missing.size - 10} more uncolored edges")
+    return _report(detail, len(coloring.colors_used), _largest_degree(pairs))
 
 
 def _check_edges_exist(g: Graph, seq: Sequence[int], closed: bool) -> list[str]:

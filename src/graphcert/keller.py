@@ -300,7 +300,9 @@ def independence_square(d: int) -> IndependenceSquare:
     for value in range(4 ** d):
         vertex = KellerVertex.decode(value, d)
         r, c = _row_col(vertex)
-        assert cells[r][c] is None, "row/column map must be a bijection"
+        if cells[r][c] is not None:
+            raise CertificateError(f"vertices {cells[r][c]} and {vertex} share square cell "
+                                   f"({r}, {c}): the row/column map is not a bijection")
         cells[r][c] = vertex
     grid = tuple(tuple(row) for row in cells)  # type: ignore[arg-type]
     square = IndependenceSquare(d, grid)
@@ -308,7 +310,8 @@ def independence_square(d: int) -> IndependenceSquare:
         ids = [v.encode() for v in line]
         for i, u in enumerate(ids):
             for w in ids[i + 1:]:
-                assert not adjacent(u, w, d), "square line is not independent"
+                if adjacent(u, w, d):
+                    raise CertificateError(f"square line joins {u} and {w}: not independent")
     return square
 
 
@@ -323,12 +326,13 @@ def bitstring_automorphism(d: int, bits: str | Sequence[int]) -> list[int]:
         image = tuple(x ^ 1 if flip else x for x, flip in zip(digits, pattern))
         perm.append(KellerVertex(image).encode())
     for v in range(4 ** d):
-        assert _row_col(KellerVertex.decode(perm[v], d))[0] == \
-            _row_col(KellerVertex.decode(v, d))[0], "rows must be fixed setwise"
+        if _row_col(KellerVertex.decode(perm[v], d))[0] != _row_col(KellerVertex.decode(v, d))[0]:
+            raise CertificateError(f"bits {bits}: vertex {v} leaves its square row")
     rng = random.Random(0)
     for _ in range(100):
         u, v = rng.randrange(4 ** d), rng.randrange(4 ** d)
-        assert adjacent(u, v, d) == adjacent(perm[u], perm[v], d)
+        if adjacent(u, v, d) != adjacent(perm[u], perm[v], d):
+            raise CertificateError(f"bits {bits}: pair ({u}, {v}) changes adjacency")
     return perm
 
 
@@ -350,7 +354,9 @@ def alpha_exact(d: int, cap: int = 4096) -> int:
         raise ValueError("2 <= d <= 7 required")
     n = 4 ** d
     members = [v for v in range(1, n) if not adjacent(0, v, d)]
-    assert len(members) == 3 ** d + d - 1
+    if len(members) != 3 ** d + d - 1:
+        raise CertificateError(f"vertex 0 has {len(members)} non-neighbours, "
+                               f"expected 3^d + d - 1 = {3 ** d + d - 1}")
     index = {v: i for i, v in enumerate(members)}
     edges = [(index[u], index[v])
              for i, u in enumerate(members) for v in members[i + 1:]

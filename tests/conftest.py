@@ -1,6 +1,7 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
-from graphcert.core import Graph
+from graphcert.core import (EdgeColoring, Graph, VerificationReport, _report,
+                            max_degree)
 
 
 def cycle(n: int) -> Graph:
@@ -80,3 +81,29 @@ def find_ham_cycle(g: Graph) -> list[int] | None:
         return False
 
     return list(order) if dfs() else None
+
+
+def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
+                                   require_total: bool = True) -> VerificationReport:
+    """Per-vertex dictionary check of an edge coloring: the oracle for
+    graphcert.core.verify_edge_coloring, which must report the same tuple."""
+    detail: list[str] = []
+    delta = max_degree(g) if g.vertex_count else 0
+    for e in coloring.assignment:
+        if e not in g.edges:
+            detail.append(f"colored edge {e} not in graph")
+    seen: dict[int, dict[int, tuple[int, int]]] = {}
+    for e, c in coloring.assignment.items():
+        for v in e:
+            at_v = seen.setdefault(v, {})
+            if c in at_v:
+                detail.append(f"color {c} repeated at vertex {v} on {at_v[c]} and {e}")
+            else:
+                at_v[c] = e
+    if require_total:
+        missing = g.edges - set(coloring.assignment)
+        for e in sorted(missing)[:10]:
+            detail.append(f"edge {e} uncolored")
+        if len(missing) > 10:
+            detail.append(f"...{len(missing) - 10} more uncolored edges")
+    return _report(detail, len(coloring.colors_used), delta)

@@ -145,16 +145,40 @@ def test_zero_budget_is_a_usage_error(capsys, argv):
 R22_BODY = ["1 2 1", "1 3 2", "2 4 2", "3 4 1"]
 
 
-@pytest.mark.parametrize("graph_name,body,code", [
-    ("absent.col", R22_BODY, 2),
-    ("r22.col", None, 2),
-    ("r22.col", ["1 2 1", "1 3 1"] + R22_BODY[1:], 1),
-    ("r22.col", ["1 2 3"] + R22_BODY[1:], 1),
-    ("r22.col", ["1 2 x"] + R22_BODY[1:], 1),
-    ("r22.col", ["c k=two"] + R22_BODY, 1),
+# A file id outside 1..n on the rows "1 X 1" and "4 X 1": both are colored
+# non-edges, and colour 1 repeats at vertex 0, at vertex 3 and at X itself.
+HUGE = 10**20 - 1
+OUTSIDE_ID_DETAIL = {
+    0: ["colored edge (-1, 0) not in graph", "colored edge (-1, 3) not in graph",
+        "color 1 repeated at vertex 0 on (0, 1) and (-1, 0)",
+        "color 1 repeated at vertex -1 on (-1, 0) and (-1, 3)",
+        "color 1 repeated at vertex 3 on (2, 3) and (-1, 3)"],
+    5: ["colored edge (0, 4) not in graph", "colored edge (3, 4) not in graph",
+        "color 1 repeated at vertex 0 on (0, 1) and (0, 4)",
+        "color 1 repeated at vertex 3 on (2, 3) and (3, 4)",
+        "color 1 repeated at vertex 4 on (0, 4) and (3, 4)"],
+    HUGE: [f"colored edge (0, {HUGE - 1}) not in graph",
+           f"colored edge (3, {HUGE - 1}) not in graph",
+           f"color 1 repeated at vertex 0 on (0, 1) and (0, {HUGE - 1})",
+           f"color 1 repeated at vertex 3 on (2, 3) and (3, {HUGE - 1})",
+           f"color 1 repeated at vertex {HUGE - 1} on (0, {HUGE - 1}) and (3, {HUGE - 1})"],
+}
+
+
+@pytest.mark.parametrize("graph_name,body,code,detail", [
+    ("absent.col", R22_BODY, 2, None),
+    ("r22.col", None, 2, None),
+    ("r22.col", ["1 2 1", "1 3 1"] + R22_BODY[1:], 1, None),
+    ("r22.col", ["1 2 3"] + R22_BODY[1:], 1, None),
+    ("r22.col", ["1 2 x"] + R22_BODY[1:], 1, None),
+    ("r22.col", ["c k=two"] + R22_BODY, 1, None),
+    ("r22.col", R22_BODY + ["1 0 1", "4 0 1"], 1, OUTSIDE_ID_DETAIL[0]),
+    ("r22.col", R22_BODY + ["1 5 1", "4 5 1"], 1, OUTSIDE_ID_DETAIL[5]),
+    ("r22.col", R22_BODY + [f"1 {HUGE} 1", f"4 {HUGE} 1"], 1, OUTSIDE_ID_DETAIL[HUGE]),
 ], ids=["missing-graph", "missing-certificate", "repeated-edge", "color-outside-k",
-        "non-integer-color", "non-integer-k"])
-def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, code):
+        "non-integer-color", "non-integer-k", "file-id-0", "file-id-n+1",
+        "file-id-past-int64"])
+def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, code, detail):
     assert run(capsys, ["gen", "--family", "rook", "--m", "2", "--n", "2",
                         "--out", str(tmp_path / "r22.col")])[0] == 0
     cert = tmp_path / "r22.coloring"
@@ -167,6 +191,15 @@ def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, c
         assert json.loads(out)["ok"] is False
     else:
         assert err.startswith("error:")
+    if detail is not None:
+        assert err.splitlines() == [f"fail: {line}" for line in detail]
+
+
+def _write(target, content):
+    if isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(content)
 
 
 @pytest.mark.parametrize("kind,certificate,matching,code", [
@@ -176,19 +209,27 @@ def test_verify_coloring_rejects_bad_input(tmp_path, capsys, graph_name, body, c
     ("cover", "1 2\n3 x4\n", None, 1),
     ("decomposition", "1 2 4 3\n", "1 2 3\n", 1),
     ("decomposition", "1 2 4 3\n", "1 -\n", 1),
+    ("coloring", "c k=2\n1 2 1\n1 2\n", None, 1),
+    ("coloring", "1 2 1\n1 3 2\n", None, 1),
+    ("hamcycle", b"1 2 4 3\xe9\n", None, 1),
+    ("coloring", b"c k=2 \xe9\n1 2 1\n", None, 1),
+    ("cover", b"1 2\n3\xe9 4\n", None, 1),
+    ("decomposition", "1 2 4 3\n", b"1 2\n3 4\xe9\n", 1),
 ], ids=["hamcycle-ok", "hamcycle-token", "hampath-token", "cover-token",
-        "matching-not-a-pair", "matching-token"])
+        "matching-not-a-pair", "matching-token", "coloring-short-line",
+        "coloring-without-k", "hamcycle-non-ascii", "coloring-comment-non-ascii",
+        "cover-non-ascii", "matching-non-ascii"])
 def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificate,
                                               matching, code):
     # R(2,2) is the 4-cycle 1-2-4-3-1
     graph = str(tmp_path / "r22.col")
     assert run(capsys, ["gen", "--family", "rook", "--m", "2", "--n", "2",
                         "--out", graph])[0] == 0
-    cert = tmp_path / "r22.cert"
-    cert.write_text(certificate)
-    argv = ["verify", kind, "--graph", graph, "--certificate", str(cert), "--json"]
+    _write(tmp_path / "r22.cert", certificate)
+    argv = ["verify", kind, "--graph", graph, "--certificate", str(tmp_path / "r22.cert"),
+            "--json"]
     if matching is not None:
-        (tmp_path / "r22.matching").write_text(matching)
+        _write(tmp_path / "r22.matching", matching)
         argv += ["--matching", str(tmp_path / "r22.matching")]
     got, out, err = run(capsys, argv)
     assert got == code
@@ -200,6 +241,16 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificat
 def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
     graph = tmp_path / "bad.col"
     graph.write_text("p edge 4 1\ne 1 x\n")
+    cert = tmp_path / "r22.cert"
+    cert.write_text("1 2 4 3\n")
+    code, out, err = run(capsys, ["verify", "hamcycle", "--graph", str(graph),
+                                  "--certificate", str(cert), "--json"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_non_ascii_graph_file_still_exits_2(tmp_path, capsys):
+    graph = tmp_path / "bad.col"
+    graph.write_bytes(b"c r\xe9\np edge 4 4\ne 1 2\ne 1 3\ne 2 4\ne 3 4\n")
     cert = tmp_path / "r22.cert"
     cert.write_text("1 2 4 3\n")
     code, out, err = run(capsys, ["verify", "hamcycle", "--graph", str(graph),

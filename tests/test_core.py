@@ -1,10 +1,13 @@
 """Core types, verifiers, exact solvers, and the Vizing baseline."""
 
+import functools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import graphcert.keller as keller
-from conftest import complete, cycle, edgeless, naive_alpha, naive_omega, path, petersen
+from conftest import (complete, cycle, edgeless, naive_alpha, naive_omega, path, petersen,
+                      reference_verify_edge_coloring)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_bishop, build_queen, build_rook
 from graphcert.core import (
@@ -121,6 +124,72 @@ def test_verify_edge_coloring_partial():
     partial = EdgeColoring({(0, 1): 1}, 1)
     assert not verify_edge_coloring(path(3), partial).ok
     assert verify_edge_coloring(path(3), partial, require_total=False).ok
+
+
+@functools.cache
+def _vizing_instance(name):
+    if name[0] == "G":
+        g = keller.build(int(name[1:]))
+    else:
+        g = build_queen(*map(int, name[1:].split(",")))
+    return g, vizing_delta_plus_one(g)
+
+
+@st.composite
+def _colored_graph(draw):
+    """A Vizing colouring of a small queen, Keller or random graph."""
+    name = draw(st.sampled_from(["Q2,3", "Q3,4", "Q4,4", "Q3,7", "G2", "G3", "random"]))
+    if name != "random":
+        return _vizing_instance(name)
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))) if n else []
+    g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+    return g, vizing_delta_plus_one(g)
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["recolor", "drop", "non-edge", "id -1", "id n", "huge id", "reinsert"]),
+    st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+def _mutate(g, coloring, mutations):
+    n, k = g.vertex_count, coloring.declared_color_count
+    assignment = dict(coloring.assignment)
+    for kind, a, b in mutations:
+        keys = list(assignment)
+        color = 1 + b % (k + 1)
+        if kind == "recolor" and keys:
+            assignment[keys[a % len(keys)]] = color
+        elif kind == "drop" and keys:
+            del assignment[keys[a % len(keys)]]
+        elif kind == "reinsert" and keys:
+            key = keys[a % len(keys)]
+            assignment[key] = assignment.pop(key)
+        elif kind == "non-edge" and n >= 2:
+            u, v = sorted((a % n, b % n))
+            if u != v and (u, v) not in g.edges:
+                assignment[(u, v)] = color
+        elif kind == "id -1" and n:
+            assignment[(-1, a % n)] = color
+        elif kind == "id n" and n:
+            assignment[(a % n, n)] = color
+        elif kind == "huge id":
+            assignment[(a % (n + 1), 10**20 + b % 3)] = color
+    return EdgeColoring(assignment, max([k, *assignment.values()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graph(), st.lists(_MUTATION, max_size=6), st.booleans(), st.booleans())
+def test_verify_edge_coloring_matches_the_reference_on_mutants(instance, mutations,
+                                                              require_total, forge_k):
+    g, coloring = instance
+    mutant = _mutate(g, coloring, mutations)
+    if forge_k:  # a declared count far past int64 must not reach the arrays
+        mutant = EdgeColoring(mutant.assignment, 10**20)
+    got = verify_edge_coloring(g, mutant, require_total)
+    want = reference_verify_edge_coloring(g, mutant, require_total)
+    assert (got.ok, got.colors_used, got.delta, got.detail) == \
+        (want.ok, want.colors_used, want.delta, want.detail)
 
 
 def test_edge_coloring_invariants():

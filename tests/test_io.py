@@ -79,6 +79,22 @@ def test_non_integer_token_is_a_certificate_error_naming_the_line(reader, text, 
         reader(io.StringIO(text))
 
 
+@pytest.mark.parametrize("reader,content,message", [
+    (gio.read_coloring, b"c k=1\n1 2\n", "line 2: expected 'u v color'"),
+    (gio.read_coloring, b"1 2 1\n2 3 2\n", "line 3: end of file without a 'c k="),
+    (gio.read_coloring, b"", "line 1: end of file without a 'c k="),
+    (gio.read_coloring, b"c k=1\nc \xe9\n1 2 1\n", "line 2: non-ASCII byte"),
+    (gio.read_sequence, b"1 2\n4 3\xe9\n", "line 2: non-ASCII byte"),
+    (gio.read_vertex_sets, b"1 2\n3 4\n\x80\n", "line 3: non-ASCII byte"),
+], ids=["coloring-short-line", "coloring-without-k", "coloring-empty",
+        "coloring-non-ascii", "sequence-non-ascii", "vertex-sets-non-ascii"])
+def test_malformed_certificate_file_names_the_line(tmp_path, reader, content, message):
+    target = tmp_path / "cert"
+    target.write_bytes(content)
+    with pytest.raises(CertificateError, match=message):
+        reader(target)
+
+
 def test_sequence_roundtrip(tmp_path):
     seq = keller.ham_cycle(2)
     target = tmp_path / "cycle.seq"

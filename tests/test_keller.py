@@ -194,7 +194,17 @@ def _kernel_with_repeated_even(d):
     (("verify_hamiltonian_decomposition",
       lambda g, cycles, matching: VerificationReport(False, 0, 0, ("forced",))),
      lambda: ham_decomposition_search(2)),
-], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition"])
+    (("_row_col", lambda vertex: (0, 0)), lambda: independence_square(2)),
+    (("adjacent", lambda u, v, d: True), lambda: independence_square(2)),
+    # the row of a vertex becomes its id, which "001" moves for every vertex
+    (("_row_col", lambda vertex: (vertex.encode(), 0)),
+     lambda: bitstring_automorphism(3, "001")),
+    # "001" flips the parity of every id, so this adjacency is never preserved
+    (("adjacent", lambda u, v, d: u % 2 == 0), lambda: bitstring_automorphism(3, "001")),
+    (("adjacent", lambda u, v, d: False), lambda: alpha_exact(3)),
+], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition",
+        "square-bijection", "square-independence", "automorphism-rows",
+        "automorphism-adjacency", "alpha-members"])
 def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
     # These checks must hold under python -O too, so they cannot be asserts.
     monkeypatch.setattr(keller, *patch)
