@@ -1,7 +1,9 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
-from graphcert.core import (EdgeColoring, Graph, VerificationReport, _report,
-                            max_degree)
+from typing import Sequence
+
+from graphcert.core import (CertificateError, EdgeColoring, Graph, VerificationReport,
+                            _normalize_edge, _report, lowest_bit, max_degree)
 
 
 def cycle(n: int) -> Graph:
@@ -107,3 +109,107 @@ def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
         if len(missing) > 10:
             detail.append(f"...{len(missing) - 10} more uncolored edges")
     return _report(detail, len(coloring.colors_used), delta)
+
+
+def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
+                                    ) -> EdgeColoring:
+    """Fan rotation with per-edge uncolour and recolour: the oracle for
+    graphcert.core.vizing_delta_plus_one, which must give the same colouring
+    for every insertion order."""
+    if g.edge_count == 0:
+        return EdgeColoring({}, 0)
+    palette = max_degree(g) + 1
+    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
+    present = [1] * g.vertex_count  # bit c set when color c is at v; bit 0 always
+    color_of: dict[tuple[int, int], int] = {}
+
+    def free(v: int) -> int:
+        return lowest_bit(~present[v])
+
+    def set_color(u: int, v: int, c: int) -> None:
+        e = _normalize_edge(u, v)
+        old = color_of.get(e)
+        if old is not None:
+            del at[u][old]
+            del at[v][old]
+            present[u] ^= 1 << old
+            present[v] ^= 1 << old
+        color_of[e] = c
+        at[u][c] = v
+        at[v][c] = u
+        present[u] |= 1 << c
+        present[v] |= 1 << c
+
+    def uncolor(u: int, v: int) -> None:
+        e = _normalize_edge(u, v)
+        old = color_of.pop(e)
+        del at[u][old]
+        del at[v][old]
+        present[u] ^= 1 << old
+        present[v] ^= 1 << old
+
+    def walk(start: int, first: int, second: int) -> list[tuple[int, int, int]]:
+        # Maximal path from start whose edges alternate first, second, ...
+        # start must miss one of the two colors, so this is a simple path.
+        chain: list[tuple[int, int, int]] = []
+        cur, col = start, first
+        while col in at[cur]:
+            nxt = at[cur][col]
+            chain.append((cur, nxt, col))
+            cur = nxt
+            col = first if col == second else second
+        return chain
+
+    def invert(chain: list[tuple[int, int, int]], c: int, d: int) -> None:
+        for x, y, _ in chain:
+            uncolor(x, y)
+        for x, y, col in chain:
+            set_color(x, y, c if col == d else d)
+
+    def rotate_finish(u: int, prefix: list[int], final_color: int) -> None:
+        # Edge (u, prefix[0]) is uncolored; shift colors down the fan.
+        cols = [color_of[_normalize_edge(u, f)] for f in prefix[1:]]
+        for f in prefix[1:]:
+            uncolor(u, f)
+        for f, col in zip(prefix[:-1], cols):
+            set_color(u, f, col)
+        set_color(u, prefix[-1], final_color)
+
+    for e in (order if order is not None else sorted(g.edges)):
+        u, v = e
+        # Maximal fan at u starting with v; fan_cols[i] = color of (u, fan[i+1]),
+        # which is a color missing at fan[i].
+        fan = [v]
+        fan_cols: list[int] = []
+        in_fan = {v}
+        while True:
+            d = free(fan[-1])
+            w = at[u].get(d)
+            if w is None or w in in_fan:
+                break
+            fan.append(w)
+            fan_cols.append(d)
+            in_fan.add(w)
+        d = free(fan[-1])
+        if d not in at[u]:
+            rotate_finish(u, fan, d)
+            continue
+        c = free(u)
+        path = walk(fan[-1], c, d)
+        end = path[-1][1] if path else fan[-1]
+        if end == u:
+            # u terminates the c,d path from the fan tip; use the earlier fan
+            # vertex that also misses d. Its c,d path cannot reach u.
+            i0 = fan_cols.index(d)
+            invert(walk(fan[i0], c, d), c, d)
+            prefix = fan[:i0 + 1]
+        else:
+            invert(path, c, d)
+            prefix = fan
+        j = next(i for i, f in enumerate(prefix) if c not in at[f])
+        rotate_finish(u, prefix[:j + 1], c)
+
+    used = max(color_of.values())
+    if used > palette:
+        raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
+    return EdgeColoring(dict(color_of), used)

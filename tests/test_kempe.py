@@ -1,5 +1,6 @@
 """Kempe-chain local search: switches, color elimination, criticality."""
 
+import functools
 import hashlib
 import random
 from collections import deque
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, path, petersen
-from graphcert import kempe
+from conftest import complete, cycle, path, petersen, reference_vizing_delta_plus_one
+from graphcert import keller, kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
     CertificateError,
@@ -316,6 +317,13 @@ VIZING_DIGESTS = [
     (6, 7, 0, 22, "aadd3ca1cf60d75c37a2f9b51e7f8c13cd21d765ed49600ef1c83fdfdf503efa"),
     (6, 7, 1, 22, "8eb3c072ca0663bc0462859cc203fbee0900888ce7076f01bfdfef61fb6d1532"),
     (6, 7, 2, 22, "bbb81ca5dafa634c0b1166d20600d9a4825580a5610292566e63fca7ff6900e1"),
+    # two gap-search boards
+    (7, 31, 0, 49, "a5e12448e84f4221e9816caa4450e47fc5bd9d13d96e75b66f37eaa1311cbce3"),
+    (7, 31, 1, 49, "d33abea5fc5da666b2b94614d87ea3d4e820f7e652d18d0ef50e2d7bcfad181d"),
+    (7, 31, 2, 49, "b60dcaf631a61fbdf1d4873ac7a999a657bbc975d5aa6887852ef8a47d0447fa"),
+    (5, 29, 0, 41, "9bc38d1a27ac0d2551b576ea645b986bec795b19814a58f38da74df8adf7a499"),
+    (5, 29, 1, 41, "f1ddaa33ed712a8951981e8b7e43f71b30919b9de604da4f6ebc5c526f5d80b4"),
+    (5, 29, 2, 41, "582ae5db1e00b37365ec86c47acf429e2b2280cf591d91e230b94a1c6af53523"),
 ]
 
 
@@ -327,6 +335,37 @@ def test_vizing_matches_recorded_digests(m, n, shuffle_seed, used, digest):
     coloring = vizing_delta_plus_one(g, order)
     assert coloring.declared_color_count == used
     assert _digest(coloring) == digest
+
+
+@functools.cache
+def _vizing_host(name: str) -> Graph:
+    if name[0] == "G":
+        return keller.build(int(name[1:]))
+    return build_queen(*map(int, name[1:].split(",")))
+
+
+@st.composite
+def _vizing_case(draw):
+    """A small queen board, G_2, G_3 or a random graph, and an edge order."""
+    name = draw(st.sampled_from(["Q3,4", "Q4,4", "Q3,7", "Q5,9", "Q4,11", "G2", "G3", "random"]))
+    if name == "random":
+        n = draw(st.integers(0, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                             if pairs else [])
+    else:
+        g = _vizing_host(name)
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return g, None if seed is None else _shuffled(g, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vizing_case())
+def test_vizing_matches_the_reference(case):
+    g, order = case
+    got, want = vizing_delta_plus_one(g, order), reference_vizing_delta_plus_one(g, order)
+    assert got.assignment == want.assignment
+    assert got.declared_color_count == want.declared_color_count
 
 
 def test_eliminate_color_switch_count_is_pinned():
