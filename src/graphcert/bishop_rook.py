@@ -20,7 +20,9 @@ from .core import CertificateError, EdgeColoring
 # --- complete graphs ----------------------------------------------------------
 
 def _inv2(n: int) -> int:
-    assert n % 2 == 1
+    """The inverse of 2 modulo an odd n."""
+    if n % 2 == 0:
+        raise CertificateError(f"2 has no inverse modulo the even {n}")
     return (n + 1) // 2
 
 

@@ -162,18 +162,25 @@ class EdgeColoring:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Structured verifier output. ok is true iff detail is empty."""
+    """Structured verifier output. ok is true iff detail is empty.
+
+    delta is the host's maximum degree in the reports of the edge-colouring
+    and multicycle verifiers, which need it to name a colouring's class. The
+    Hamiltonian, decomposition and clique-cover verifiers never read it, so
+    they report None rather than spend a pass over the edges on it.
+    """
 
     ok: bool
     colors_used: int
-    delta: int
+    delta: int | None
     detail: tuple[str, ...] = field(default_factory=tuple)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _report(detail: list[str], colors_used: int, delta: int) -> VerificationReport:
+def _report(detail: list[str], colors_used: int, delta: int | None = None
+            ) -> VerificationReport:
     return VerificationReport(not detail, colors_used, delta, tuple(detail))
 
 
@@ -279,21 +286,19 @@ def _check_edges_exist(g: Graph, seq: Sequence[int], closed: bool) -> list[str]:
 
 def verify_hamiltonian_cycle(g: Graph, seq: Sequence[int]) -> VerificationReport:
     detail: list[str] = []
-    delta = max_degree(g) if g.vertex_count else 0
     if len(seq) != g.vertex_count or set(seq) != set(range(g.vertex_count)):
         detail.append("sequence is not a permutation of the vertices")
     elif g.vertex_count < 3:
         detail.append("cycle needs at least 3 vertices")
     else:
         detail.extend(_check_edges_exist(g, seq, closed=True))
-    return _report(detail, 0, delta)
+    return _report(detail, 0)
 
 
 def verify_hamiltonian_path(g: Graph, seq: Sequence[int],
                             start: int | None = None,
                             end: int | None = None) -> VerificationReport:
     detail: list[str] = []
-    delta = max_degree(g) if g.vertex_count else 0
     if len(seq) != g.vertex_count or set(seq) != set(range(g.vertex_count)):
         detail.append("sequence is not a permutation of the vertices")
     else:
@@ -303,7 +308,7 @@ def verify_hamiltonian_path(g: Graph, seq: Sequence[int],
             detail.append(f"path starts at {seq[0]}, expected {start}")
         if end is not None and seq[-1] != end:
             detail.append(f"path ends at {seq[-1]}, expected {end}")
-    return _report(detail, 0, delta)
+    return _report(detail, 0)
 
 
 def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
@@ -314,7 +319,6 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     colors_used reports the number of parts (cycles, plus one for a matching).
     """
     detail: list[str] = []
-    delta = max_degree(g) if g.vertex_count else 0
     used: dict[tuple[int, int], int] = {}
 
     def claim(e: tuple[int, int], part: str) -> None:
@@ -346,13 +350,12 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     leftover = g.edges - set(used)
     if leftover:
         detail.append(f"{len(leftover)} edges uncovered, e.g. {sorted(leftover)[:5]}")
-    return _report(detail, parts, delta)
+    return _report(detail, parts)
 
 
 def verify_clique_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> VerificationReport:
     """Disjoint cliques covering every vertex. colors_used reports the clique count."""
     detail: list[str] = []
-    delta = max_degree(g) if g.vertex_count else 0
     seen: set[int] = set()
     for idx, raw in enumerate(cliques):
         members = sorted(set(raw))
@@ -368,7 +371,7 @@ def verify_clique_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> Verificat
                     detail.append(f"clique {idx} misses edge ({u},{v})")
     if seen != set(range(g.vertex_count)):
         detail.append(f"{g.vertex_count - len(seen)} vertices uncovered")
-    return _report(detail, len(cliques), delta)
+    return _report(detail, len(cliques))
 
 
 def fournier_forest_check(g: Graph) -> bool:
@@ -513,106 +516,265 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+class ColorState:
+    """A proper partial edge colouring held per vertex and edited in place.
+
+    For each vertex v: at[v] maps each colour at v to the neighbour across
+    it, nbr[v] maps each coloured neighbour to the colour of their edge, and
+    bit c of present[v] is set when colour c is at v (bit 0 is always set,
+    so the lowest clear bit is the lowest free colour). Built from a
+    colouring, the state also keeps by_color[c], the edge set of colour c,
+    which recolor and swap maintain; Vizing starts from an empty state and
+    never reads the class sets, so it has none (by_color is None).
+    """
+
+    def __init__(self, vertex_count: int, coloring: EdgeColoring | None = None):
+        self.at: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+        self.nbr: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+        self.present = [1] * vertex_count
+        self.by_color: list[set[tuple[int, int]]] | None = None
+        if coloring is None:
+            return
+        at, nbr, present = self.at, self.nbr, self.present
+        self.by_color = by_color = [set() for _ in range(coloring.declared_color_count + 1)]
+        for e, c in coloring.assignment.items():
+            u, v = e
+            at[u][c] = v
+            at[v][c] = u
+            nbr[u][v] = c
+            nbr[v][u] = c
+            present[u] |= 1 << c
+            present[v] |= 1 << c
+            by_color[c].add(e)
+
+    def free(self, v: int) -> int:
+        """The lowest colour absent at v."""
+        absent = ~self.present[v]
+        return (absent & -absent).bit_length() - 1
+
+    def walk(self, start: int, first: int, second: int) -> list[tuple[int, int, int]]:
+        """Maximal path from start whose edges alternate first, second, ...
+
+        Each step is (vertex, next vertex, colour). start must miss one of
+        the two colours, so the path is simple and never closes.
+        """
+        at = self.at
+        path: list[tuple[int, int, int]] = []
+        cur, col, other = start, first, second
+        while (nxt := at[cur].get(col)) is not None:
+            path.append((cur, nxt, col))
+            cur, col, other = nxt, other, col
+        return path
+
+    def invert(self, path: list[tuple[int, int, int]], c: int, d: int) -> None:
+        """Swap c and d on every edge of a walk.
+
+        Two passes, so no colour is ever at a vertex twice: the first drops
+        the old entries, the second writes the new ones. Every inner vertex
+        keeps one c-edge and one d-edge, so only the path's two ends change
+        their masks.
+        """
+        if not path:
+            return
+        at, nbr = self.at, self.nbr
+        for x, y, col in path:
+            del at[x][col]
+            del at[y][col]
+        for x, y, col in path:
+            new = c if col == d else d
+            at[x][new] = y
+            at[y][new] = x
+            nbr[x][y] = new
+            nbr[y][x] = new
+        flip = (1 << c) | (1 << d)
+        self.present[path[0][0]] ^= flip
+        self.present[path[-1][1]] ^= flip
+
+    def rotate(self, u: int, fan: Sequence[int], final: int) -> None:
+        """Shift the fan's colours down by one and colour its last edge.
+
+        (u, fan[0]) is uncoloured. Each (u, fan[i]) takes the colour of
+        (u, fan[i+1]), which must be free at fan[i], and (u, fan[-1]) takes
+        final, which must be free at u and at fan[-1]. In place: fan[i+1]
+        loses the colour fan[i] gains, and u gains only final.
+        """
+        at, nbr, present = self.at, self.nbr, self.present
+        at_u, nbr_u = at[u], nbr[u]
+        prev = fan[0]
+        for f in fan[1:]:
+            c = nbr_u[f]
+            at_u[c] = prev
+            nbr_u[prev] = c
+            at[prev][c] = u
+            nbr[prev][u] = c
+            present[prev] |= 1 << c
+            del at[f][c]
+            present[f] ^= 1 << c
+            prev = f
+        at_u[final] = prev
+        nbr_u[prev] = final
+        at[prev][final] = u
+        nbr[prev][u] = final
+        present[prev] |= 1 << final
+        present[u] |= 1 << final
+
+    def recolor(self, e: tuple[int, int], c: int) -> None:
+        """Give the coloured edge e colour c, which must be free at both ends."""
+        u, v = e
+        old = self.nbr[u][v]
+        at_u, at_v = self.at[u], self.at[v]
+        del at_u[old]
+        del at_v[old]
+        at_u[c] = v
+        at_v[c] = u
+        self.nbr[u][v] = self.nbr[v][u] = c
+        flip = (1 << old) | (1 << c)
+        self.present[u] ^= flip
+        self.present[v] ^= flip
+        self.by_color[old].remove(e)
+        self.by_color[c].add(e)
+
+    def chain_edges(self, start: int, a: int, b: int
+                    ) -> tuple[set[tuple[int, int]], tuple[int, int] | None]:
+        """Maximal (a,b)-alternating component through start: a path or a cycle.
+
+        Returns its edge set and the two end vertices of a path (the end
+        reached by leaving start on a first), or None for a closed cycle and
+        for an empty chain.
+        """
+        at = self.at
+        seen: set[tuple[int, int]] = set()
+        cur, col = start, a
+        while col in at[cur]:
+            nxt = at[cur][col]
+            e = (cur, nxt) if cur < nxt else (nxt, cur)
+            if e in seen:
+                break
+            seen.add(e)
+            cur, col = nxt, (b if col == a else a)
+            if cur == start:
+                return seen, None
+        first_end = cur
+        cur, col = start, b
+        while col in at[cur]:
+            nxt = at[cur][col]
+            e = (cur, nxt) if cur < nxt else (nxt, cur)
+            if e in seen:
+                break
+            seen.add(e)
+            cur, col = nxt, (a if col == b else b)
+        return seen, ((first_end, cur) if seen else None)
+
+    def chain_counts(self, start: int, a: int, b: int
+                     ) -> tuple[int, int, tuple[int, int] | None]:
+        """The component chain_edges returns, counted instead of collected.
+
+        Returns its length, its number of a-coloured edges and the same ends.
+        Colours alternate along the walk, so the a-edges are the odd steps
+        of the walk that leaves start on a and the even steps of the one
+        that leaves on b.
+        """
+        at = self.at
+        out = 0
+        cur, col, other = start, a, b
+        while (nxt := at[cur].get(col)) is not None:
+            out += 1
+            if nxt == start:
+                return out, out // 2, None
+            cur, col, other = nxt, other, col
+        first_end = cur
+        back = 0
+        cur, col, other = start, b, a
+        while (nxt := at[cur].get(col)) is not None:
+            back += 1
+            cur, col, other = nxt, other, col
+        length = out + back
+        return length, (out + 1) // 2 + back // 2, ((first_end, cur) if length else None)
+
+    def swap(self, chain: Iterable[tuple[int, int]], a: int, b: int) -> None:
+        """Swap a and b on every edge of a chain_edges component."""
+        # Two passes: transient duplicates would corrupt the at-maps otherwise.
+        # Each vertex's mask flips once per chain edge at it, so inner vertices
+        # (one a-edge, one b-edge) end unchanged and path ends trade a for b.
+        at, nbr, present, by_color = self.at, self.nbr, self.present, self.by_color
+        flip = (1 << a) | (1 << b)
+        for e in chain:
+            u, v = e
+            old = nbr[u][v]
+            del at[u][old]
+            del at[v][old]
+            present[u] ^= flip
+            present[v] ^= flip
+            by_color[old].remove(e)
+        for e in chain:
+            u, v = e
+            new = b if nbr[u][v] == a else a
+            nbr[u][v] = nbr[v][u] = new
+            at[u][new] = v
+            at[v][new] = u
+            by_color[new].add(e)
+
+    def snapshot(self, declared: int) -> EdgeColoring:
+        """The coloured edges as an EdgeColoring over colours 1..declared."""
+        return EdgeColoring({(u, w): c for u, row in enumerate(self.nbr)
+                             for w, c in row.items() if u < w}, declared)
+
+
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
                           ) -> EdgeColoring:
     """Proper edge coloring with at most Δ+1 colors by fan rotation.
 
     Deterministic for a fixed insertion order (sorted edges by default).
+    Each edge (u, v) grows a maximal fan at u from v; if the tip's free
+    colour is also free at u the fan rotates, otherwise the c,d path from
+    the tip (or from the earlier fan vertex that misses d, when that path
+    ends at u) is inverted first. Both edits work on one ColorState in
+    place: inversion rewrites the path's colours and flips the masks of its
+    two ends only, and rotation moves each fan colour one edge down, so a
+    fan vertex loses one colour and gains one and u gains only the final
+    colour.
     """
     if g.edge_count == 0:
         return EdgeColoring({}, 0)
     palette = max_degree(g) + 1
-    at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-    present = [1] * g.vertex_count  # bit c set when color c is at v; bit 0 always
-    color_of: dict[tuple[int, int], int] = {}
+    state = ColorState(g.vertex_count)
+    at, present, free = state.at, state.present, state.free
 
-    def free(v: int) -> int:
-        return lowest_bit(~present[v])
-
-    def set_color(u: int, v: int, c: int) -> None:
-        e = _normalize_edge(u, v)
-        old = color_of.get(e)
-        if old is not None:
-            del at[u][old]
-            del at[v][old]
-            present[u] ^= 1 << old
-            present[v] ^= 1 << old
-        color_of[e] = c
-        at[u][c] = v
-        at[v][c] = u
-        present[u] |= 1 << c
-        present[v] |= 1 << c
-
-    def uncolor(u: int, v: int) -> None:
-        e = _normalize_edge(u, v)
-        old = color_of.pop(e)
-        del at[u][old]
-        del at[v][old]
-        present[u] ^= 1 << old
-        present[v] ^= 1 << old
-
-    def walk(start: int, first: int, second: int) -> list[tuple[int, int, int]]:
-        # Maximal path from start whose edges alternate first, second, ...
-        # start must miss one of the two colors, so this is a simple path.
-        chain: list[tuple[int, int, int]] = []
-        cur, col = start, first
-        while col in at[cur]:
-            nxt = at[cur][col]
-            chain.append((cur, nxt, col))
-            cur = nxt
-            col = first if col == second else second
-        return chain
-
-    def invert(chain: list[tuple[int, int, int]], c: int, d: int) -> None:
-        for x, y, _ in chain:
-            uncolor(x, y)
-        for x, y, col in chain:
-            set_color(x, y, c if col == d else d)
-
-    def rotate_finish(u: int, prefix: list[int], final_color: int) -> None:
-        # Edge (u, prefix[0]) is uncolored; shift colors down the fan.
-        cols = [color_of[_normalize_edge(u, f)] for f in prefix[1:]]
-        for f in prefix[1:]:
-            uncolor(u, f)
-        for f, col in zip(prefix[:-1], cols):
-            set_color(u, f, col)
-        set_color(u, prefix[-1], final_color)
-
-    for e in (order if order is not None else sorted(g.edges)):
-        u, v = e
+    for u, v in (order if order is not None else sorted(g.edges)):
         # Maximal fan at u starting with v; fan_cols[i] = color of (u, fan[i+1]),
         # which is a color missing at fan[i].
+        at_u = at[u]
         fan = [v]
         fan_cols: list[int] = []
         in_fan = {v}
         while True:
             d = free(fan[-1])
-            w = at[u].get(d)
+            w = at_u.get(d)
             if w is None or w in in_fan:
                 break
             fan.append(w)
             fan_cols.append(d)
             in_fan.add(w)
         d = free(fan[-1])
-        if d not in at[u]:
-            rotate_finish(u, fan, d)
+        if d not in at_u:
+            state.rotate(u, fan, d)
             continue
         c = free(u)
-        path = walk(fan[-1], c, d)
+        path = state.walk(fan[-1], c, d)
         end = path[-1][1] if path else fan[-1]
         if end == u:
             # u terminates the c,d path from the fan tip; use the earlier fan
             # vertex that also misses d. Its c,d path cannot reach u.
             i0 = fan_cols.index(d)
-            invert(walk(fan[i0], c, d), c, d)
+            state.invert(state.walk(fan[i0], c, d), c, d)
             prefix = fan[:i0 + 1]
         else:
-            invert(path, c, d)
+            state.invert(path, c, d)
             prefix = fan
         j = next(i for i, f in enumerate(prefix) if c not in at[f])
-        rotate_finish(u, prefix[:j + 1], c)
+        state.rotate(u, prefix[:j + 1], c)
 
-    used = max(color_of.values())
+    used = max(present).bit_length() - 1
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
-    return EdgeColoring(dict(color_of), used)
+    return state.snapshot(used)

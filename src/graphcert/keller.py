@@ -415,7 +415,7 @@ def verify_cover_by_rule(d: int, cover: Sequence[Iterable[int]]) -> Verification
                 detail.append(f"clique {idx} misses edge ({inside[a]},{inside[b]})")
     if len(seen) != n:
         detail.append(f"{n - len(seen)} vertices uncovered")
-    return VerificationReport(not detail, len(cover), 0, tuple(detail[:20]))
+    return VerificationReport(not detail, len(cover), None, tuple(detail[:20]))
 
 
 def double_clique_cover(d: int, cover: Sequence[Iterable[int]]) -> list[list[int]]:

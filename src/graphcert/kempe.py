@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core import (CertificateError, EdgeColoring, Graph, is_overfull, lowest_bit, max_degree,
-                   verify_edge_coloring, vizing_delta_plus_one)
+from .core import (CertificateError, ColorState, EdgeColoring, Graph, is_overfull, lowest_bit,
+                   max_degree, verify_edge_coloring, vizing_delta_plus_one)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -50,123 +50,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _Work:
-    """Mutable coloring state kept incremental under recolor and swap.
+def _missing(state: ColorState, full: int, v: int,
+             ends: tuple[int, int] | None = None, a: int = 0, b: int = 0) -> int:
+    """Bitmask of the colours of full absent at v, once the (a,b)-chain with these
+    path ends is swapped (now, when ends is None).
 
-    Besides edge -> color and per-vertex color -> neighbor, it keeps each
-    color's edge set and a per-vertex bitmask of the colors present there
-    (bit c for color c), so the rarest class and the missing colors cost no
-    scan over the graph.
+    Every inner chain vertex keeps one a-edge and one b-edge, so only a
+    path end trades a for b or b for a; a closed cycle changes no vertex.
     """
-
-    def __init__(self, g: Graph, coloring: EdgeColoring):
-        self.declared = coloring.declared_color_count
-        self.full = (1 << (self.declared + 1)) - 2  # bits 1..declared
-        self.colors: dict[tuple[int, int], int] = dict(coloring.assignment)
-        self.at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-        self.present = [0] * g.vertex_count
-        self.by_color: list[set[tuple[int, int]]] = [set() for _ in range(self.declared + 1)]
-        for e, c in self.colors.items():
-            u, v = e
-            self.at[u][c] = v
-            self.at[v][c] = u
-            self.present[u] |= 1 << c
-            self.present[v] |= 1 << c
-            self.by_color[c].add(e)
-
-    def missing(self, v: int) -> int:
-        """Bitmask of the declared colors absent at v."""
-        return self.full & ~self.present[v]
-
-    def missing_after_swap(self, v: int, ends: tuple[int, int] | None, a: int, b: int) -> int:
-        """missing(v) once the (a,b)-chain with these path ends is swapped.
-
-        Every inner chain vertex keeps one a-edge and one b-edge, so only a
-        path end trades a for b or b for a; a closed cycle (ends None)
-        changes no vertex.
-        """
-        present = self.present[v]
-        if ends is not None and v in ends:
-            present ^= (1 << a) | (1 << b)
-        return self.full & ~present
-
-    def recolor(self, e: tuple[int, int], c: int) -> None:
-        u, v = e
-        old = self.colors[e]
-        del self.at[u][old]
-        del self.at[v][old]
-        flip = (1 << old) | (1 << c)
-        self.present[u] ^= flip
-        self.present[v] ^= flip
-        self.by_color[old].remove(e)
-        self.by_color[c].add(e)
-        self.colors[e] = c
-        self.at[u][c] = v
-        self.at[v][c] = u
-
-    def chain_edges(self, start: int, a: int, b: int
-                    ) -> tuple[set[tuple[int, int]], tuple[int, int] | None]:
-        """Maximal (a,b)-alternating component through start: a path or a cycle.
-
-        Returns its edge set and the two end vertices of a path, or None for
-        a closed cycle (and for an empty chain).
-        """
-        at = self.at
-        seen: set[tuple[int, int]] = set()
-        cur, col = start, a
-        while col in at[cur]:
-            nxt = at[cur][col]
-            e = (cur, nxt) if cur < nxt else (nxt, cur)
-            if e in seen:
-                break
-            seen.add(e)
-            cur, col = nxt, (b if col == a else a)
-            if cur == start:
-                return seen, None
-        first_end = cur
-        cur, col = start, b
-        while col in at[cur]:
-            nxt = at[cur][col]
-            e = (cur, nxt) if cur < nxt else (nxt, cur)
-            if e in seen:
-                break
-            seen.add(e)
-            cur, col = nxt, (a if col == b else b)
-        return seen, ((first_end, cur) if seen else None)
-
-    def swap(self, chain: Iterable[tuple[int, int]], a: int, b: int) -> None:
-        # Two passes: transient duplicates would corrupt the at-maps otherwise.
-        # Each vertex's mask flips once per chain edge at it, so inner vertices
-        # (one a-edge, one b-edge) end unchanged and path ends trade a for b.
-        flip = (1 << a) | (1 << b)
-        for e in chain:
-            u, v = e
-            old = self.colors[e]
-            del self.at[u][old]
-            del self.at[v][old]
-            self.present[u] ^= flip
-            self.present[v] ^= flip
-            self.by_color[old].remove(e)
-        for e in chain:
-            u, v = e
-            new = b if self.colors[e] == a else a
-            self.colors[e] = new
-            self.at[u][new] = v
-            self.at[v][new] = u
-            self.by_color[new].add(e)
-
-    def snapshot(self) -> EdgeColoring:
-        return EdgeColoring(dict(self.colors), self.declared)
+    present = state.present[v]
+    if ends is not None and v in ends:
+        present ^= (1 << a) | (1 << b)
+    return full & ~present
 
 
 def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -> EdgeColoring:
     """Swap colors a and b along the maximal (a,b)-component through start."""
     if a == b:
         raise ValueError("need two distinct colors")
-    work = _Work(g, coloring)
-    chain, _ = work.chain_edges(start, a, b)
-    work.swap(chain, a, b)
-    result = work.snapshot()
+    state = ColorState(g.vertex_count, coloring)
+    chain, _ = state.chain_edges(start, a, b)
+    state.swap(chain, a, b)
+    result = state.snapshot(coloring.declared_color_count)
     report = verify_edge_coloring(g, result)
     if not report.ok:
         raise CertificateError(f"switch broke properness: {report.detail}")
@@ -182,13 +87,20 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     random target edge (u, v), scores candidate Kempe chains anchored at u
     or v, and switches the best one.
 
-    A chain is scored without changing the state:
+    A chain is scored without changing the state, and without collecting
+    its edges: a counting walk gives its length, its number of target edges
+    t and its ends, and the edge set is built only for the winning chain.
 
+    - Counting rule. Every candidate is either (w, target, c) anchored at u
+      or v, or a pair of two non-target colours. The first kind runs
+      through w's target edge, (u, v); the second cannot contain it. So
+      (u, v) is on the chain exactly when target is one of its two colours,
+      and then the target class changes by drop = 2·t − length.
     - Endpoint rule. Swapping an (a,b)-chain changes the colors present only
       at the two ends of a path, where a and b trade places; a closed cycle
-      changes none. (u, v) keeps the target color exactly when it is not on
-      the chain. So whether the switch frees a color for (u, v) follows from
-      the color masks of u and v.
+      changes none. A chain off (u, v) leaves it the target colour, so
+      whether the switch frees a color for (u, v) follows from the color
+      masks of u and v.
     - Shared-chain rule. (u, v) has the target color, so the candidates
       (u, target, c) and (v, target, c) lie on one component. It is walked
       once per round and scored for both anchors.
@@ -196,65 +108,66 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     report = verify_edge_coloring(g, coloring)
     if not report.ok:
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
-    work = _Work(g, coloring)
+    declared = coloring.declared_color_count
+    state = ColorState(g.vertex_count, coloring)
+    present, target_class = state.present, state.by_color[target]
+    full = (1 << (declared + 1)) - 2  # bits 1..declared
     rng = random.Random(budget.seed)
-    not_target = ~(1 << target)
+    not_target = full & ~(1 << target)
     switches = 0
     while True:
-        targets = sorted(work.by_color[target])
+        targets = sorted(target_class)
         if not targets:
-            return work.snapshot().normalized()
+            return state.snapshot(declared).normalized()
         progress = False
         for e in targets:
             u, v = e
-            common = work.missing(u) & work.missing(v) & not_target
+            common = not_target & ~(present[u] | present[v])
             if common:
-                work.recolor(e, lowest_bit(common))
+                state.recolor(e, lowest_bit(common))
                 progress = True
         if progress:
             continue
         if switches >= budget.max_switches:
             return None
-        e_uv = targets[rng.randrange(len(targets))]
-        u, v = e_uv
+        u, v = targets[rng.randrange(len(targets))]
         # Candidate switches anchored at u or v: target-colored chains can move
         # or shrink the target class; missing-pair chains can open a direct
         # recoloring of (u,v).
         candidates: set[tuple[int, int, int]] = set()
         for w, other in ((u, v), (v, u)):
-            for c in range(1, work.declared + 1):
+            for c in range(1, declared + 1):
                 if c != target:
                     candidates.add((w, target, c))
-            for acol in _bits(work.missing(w) & not_target):
-                for bcol in _bits(work.missing(other) & not_target & ~(1 << acol)):
+            for acol in _bits(not_target & ~present[w]):
+                for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
                     candidates.add((other, acol, bcol))
         # Scores of the target chains, by their second color (shared-chain rule).
-        target_scores: dict[int, tuple[int, set[tuple[int, int]]]] = {}
-        best: tuple[tuple[int, float], set[tuple[int, int]], int, int] | None = None
+        target_scores: dict[int, int] = {}
+        best: tuple[tuple[int, float], int, int, int] | None = None
         for anchor, acol, bcol in sorted(candidates):
             if acol == target and bcol in target_scores:
-                score, chain = target_scores[bcol]
+                score = target_scores[bcol]
             else:
-                chain, ends = work.chain_edges(anchor, acol, bcol)
-                if not chain:
+                length, t, ends = state.chain_counts(anchor, acol, bcol)
+                if not length:
                     continue
-                drop = 0
-                if target in (acol, bcol):
-                    drop = 2 * len(chain & work.by_color[target]) - len(chain)
-                freed = (work.missing_after_swap(u, ends, acol, bcol)
-                         & work.missing_after_swap(v, ends, acol, bcol) & not_target)
-                if freed and e_uv not in chain:
-                    drop += 1
-                score = drop * 1000 - len(chain)
                 if acol == target:
-                    target_scores[bcol] = (score, chain)
+                    drop = 2 * t - length
+                else:
+                    drop = 1 if (_missing(state, not_target, u, ends, acol, bcol)
+                                 & _missing(state, not_target, v, ends, acol, bcol)) else 0
+                score = drop * 1000 - length
+                if acol == target:
+                    target_scores[bcol] = score
             key = (score, rng.random())
             if best is None or key > best[0]:
-                best = (key, chain, acol, bcol)
+                best = (key, anchor, acol, bcol)
         if best is None:
             return None
-        _, chain, acol, bcol = best
-        work.swap(chain, acol, bcol)
+        _, anchor, acol, bcol = best
+        chain, _ = state.chain_edges(anchor, acol, bcol)
+        state.swap(chain, acol, bcol)
         switches += 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Graph, verify_hamiltonian_path
+from .core import CertificateError, Graph, verify_hamiltonian_path
 
 
 @dataclass(frozen=True)
@@ -297,9 +297,11 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
     relabel[2 * n] = 2 * n
     allowed = {tuple(sorted((relabel[u], relabel[v]))) for u, v in mu_cycle_edges}
     for u, v in zip(path, path[1:]):
-        assert tuple(sorted((u, v))) in allowed, "path strayed off the cycle's mu-image"
+        if tuple(sorted((u, v))) not in allowed:
+            raise CertificateError(f"path strayed off the cycle's mu-image at ({u},{v})")
     report = verify_hamiltonian_path(mycielskian(g), path, start=a, end=b)
-    assert report.ok, f"mapped path failed verification: {report.detail}"
+    if not report.ok:
+        raise CertificateError(f"mapped path failed verification: {report.detail}")
     return path
 
 

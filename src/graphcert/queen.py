@@ -137,7 +137,10 @@ def class2_overfull_coloring(m: int, n: int) -> QueenColoringCertificate:
         raise ValueError("odd m and n required")
     if n < overfull_threshold(m):
         raise ValueError(f"Q_{{{m},{n}}} is not overfull; needs n >= {overfull_threshold(m)}")
-    assert queen_edge_count(m, n) > queen_delta(m, n) * ((m * n) // 2)
+    edges, delta = queen_edge_count(m, n), queen_delta(m, n)
+    if edges <= delta * ((m * n) // 2):
+        raise CertificateError(f"Q_{{{m},{n}}} has {edges} edges, not more than "
+                               f"Delta * floor(mn/2) = {delta * ((m * n) // 2)}: not overfull")
     bishop = canonical_bishop_coloring(m, n)
     rook = ladder_coloring(m, n).shifted(bishop.declared_color_count)
     assignment = dict(bishop.assignment)

@@ -85,6 +85,20 @@ def find_ham_cycle(g: Graph) -> list[int] | None:
     return list(order) if dfs() else None
 
 
+def is_hamiltonian(g: Graph, seq: list[int], closed: bool,
+                   start: int | None = None, end: int | None = None) -> bool:
+    """Definition check: a permutation of the vertices whose consecutive pairs
+    (and, when closed, the last and first) are all edges, with the given ends.
+    The oracle for verify_hamiltonian_cycle and verify_hamiltonian_path."""
+    n = g.vertex_count
+    if sorted(seq) != list(range(n)) or (closed and n < 3):
+        return False
+    pairs = list(zip(seq, seq[1:])) + ([(seq[-1], seq[0])] if closed else [])
+    if not all(v in g.adjacency[u] for u, v in pairs):
+        return False
+    return (start is None or seq[0] == start) and (end is None or seq[-1] == end)
+
+
 def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
                                    require_total: bool = True) -> VerificationReport:
     """Per-vertex dictionary check of an edge coloring: the oracle for

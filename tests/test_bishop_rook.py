@@ -235,6 +235,14 @@ def test_path_decomposition_matches_recorded_digests():
     assert wrong == []
 
 
+def test_inverse_of_two_needs_an_odd_modulus():
+    # The K_n scheme for odd n divides by 2 mod n; an even n must fail under
+    # python -O too, so the check cannot be an assert.
+    assert [bishop_rook._inv2(n) * 2 % n for n in (3, 5, 7, 9)] == [1, 1, 1, 1]
+    with pytest.raises(CertificateError, match="even"):
+        bishop_rook._inv2(6)
+
+
 def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
     calls = []
     enumerate_edges = bishop_rook.bishop_edge_pairs

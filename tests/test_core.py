@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcert.keller as keller
-from conftest import (complete, cycle, edgeless, naive_alpha, naive_omega, path, petersen,
-                      reference_verify_edge_coloring)
+from conftest import (complete, cycle, edgeless, is_hamiltonian, naive_alpha, naive_omega,
+                      path, petersen, reference_verify_edge_coloring)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_bishop, build_queen, build_rook
 from graphcert.core import (
@@ -190,6 +190,63 @@ def test_verify_edge_coloring_matches_the_reference_on_mutants(instance, mutatio
     want = reference_verify_edge_coloring(g, mutant, require_total)
     assert (got.ok, got.colors_used, got.delta, got.detail) == \
         (want.ok, want.colors_used, want.delta, want.detail)
+
+
+def _mutants(seq: list[int]):
+    """Every swap of two entries, every entry overwritten by another (a repeat),
+    every entry dropped, and the reversal."""
+    n = len(seq)
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                swapped = list(seq)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                yield f"swap {i},{j}", swapped
+            if i != j:
+                yield f"repeat {j} at {i}", seq[:i] + [seq[j]] + seq[i + 1:]
+        yield f"drop {i}", seq[:i] + seq[i + 1:]
+    yield "reverse", seq[::-1]
+
+
+def test_hamiltonian_cycle_verifier_matches_the_definition_on_mutants():
+    g, cyc = keller.build(3), keller.ham_cycle(3)
+    assert verify_hamiltonian_cycle(g, cyc).ok
+    rejected = 0
+    for name, mutant in _mutants(cyc):
+        ok = verify_hamiltonian_cycle(g, mutant).ok
+        assert ok == is_hamiltonian(g, mutant, closed=True), name
+        rejected += not ok
+    assert rejected > 0.9 * len(cyc) ** 2
+
+
+@pytest.mark.parametrize("ends", [("x1", "y3"), ("y2", "z"), ("x4", "x5")])
+def test_hamiltonian_path_verifier_matches_the_definition_on_mutants(ends):
+    n = 9
+    a, b = (MycielskiVertex(e[0], int(e[1:] or 0)).to_id(n) for e in ends)
+    g = mycielskian(cycle_graph(n))
+    seq = ham_path_mu_odd_cycle(n, MycielskiVertex.from_id(a, n), MycielskiVertex.from_id(b, n))
+    assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
+    for name, mutant in _mutants(seq):
+        for start, end in ((a, b), (None, None)):
+            ok = verify_hamiltonian_path(g, mutant, start=start, end=end).ok
+            assert ok == is_hamiltonian(g, mutant, False, start, end), (name, start, end)
+    # the reversal is still a Hamiltonian path, but not one from a to b
+    assert not verify_hamiltonian_path(g, seq[::-1], start=a, end=b).ok
+
+
+def test_structure_verifiers_report_no_delta():
+    # Only the edge-colouring report needs Δ; the others must not spend an
+    # edge pass on it (Graph.max_degree is a cached property, so a computed
+    # Δ would show in the instance dict).
+    g = keller.build(2)
+    reports = [verify_hamiltonian_cycle(g, keller.ham_cycle(2)),
+               verify_hamiltonian_path(g, keller.ham_cycle(2)),
+               verify_hamiltonian_decomposition(g, [keller.ham_cycle(2)]),
+               verify_clique_cover(g, [[v] for v in range(g.vertex_count)]),
+               keller.verify_cover_by_rule(2, [[v] for v in range(16)])]
+    assert [r.delta for r in reports] == [None] * 5
+    assert "max_degree" not in vars(g)
+    assert verify_edge_coloring(cycle(3), vizing_delta_plus_one(cycle(3))).delta == 2
 
 
 def test_edge_coloring_invariants():

@@ -14,6 +14,7 @@ from graphcert import keller, kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
     CertificateError,
+    ColorState,
     EdgeColoring,
     Graph,
     fournier_forest_check,
@@ -128,19 +129,36 @@ def test_scoring_predicts_the_swap(case):
     g, coloring, anchor, a, b, e_uv = case
     assume(a != b)
     u, v = e_uv
-    work = kempe._Work(g, coloring)
-    chain, ends = work.chain_edges(anchor, a, b)
-    predicted = (work.missing_after_swap(u, ends, a, b), work.missing_after_swap(v, ends, a, b),
-                 e_uv not in chain)
-    swapped = kempe._Work(g, coloring)
+    full = (1 << (coloring.declared_color_count + 1)) - 2
+    state = ColorState(g.vertex_count, coloring)
+    chain, ends = state.chain_edges(anchor, a, b)
+    predicted = (kempe._missing(state, full, u, ends, a, b),
+                 kempe._missing(state, full, v, ends, a, b), e_uv not in chain)
+    swapped = ColorState(g.vertex_count, coloring)
     swapped.swap(chain, a, b)
-    assert predicted == (swapped.missing(u), swapped.missing(v),
-                         swapped.colors[e_uv] == coloring.assignment[e_uv])
+    assert predicted == (kempe._missing(swapped, full, u), kempe._missing(swapped, full, v),
+                         swapped.nbr[u][v] == coloring.assignment[e_uv])
     # the incremental structures match a rebuild from the swapped coloring
-    rebuilt = kempe._Work(g, swapped.snapshot())
-    assert swapped.present == rebuilt.present
-    assert swapped.by_color == rebuilt.by_color
-    assert verify_edge_coloring(g, swapped.snapshot()).ok
+    result = swapped.snapshot(coloring.declared_color_count)
+    rebuilt = ColorState(g.vertex_count, result)
+    assert (swapped.at, swapped.nbr, swapped.present, swapped.by_color) == \
+        (rebuilt.at, rebuilt.nbr, rebuilt.present, rebuilt.by_color)
+    assert verify_edge_coloring(g, result).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graph_and_move())
+def test_counting_walk_matches_the_chain(case):
+    # eliminate_color scores a chain by chain_counts and builds the edge set
+    # only for the winner, so the counts must describe that set exactly.
+    g, coloring, anchor, a, b, _ = case
+    assume(a != b)
+    state = ColorState(g.vertex_count, coloring)
+    chain, ends = state.chain_edges(anchor, a, b)
+    length, a_edges, counted_ends = state.chain_counts(anchor, a, b)
+    assert (length, counted_ends) == (len(chain), ends)
+    assert a_edges == len(chain & state.by_color[a])
+    assert length - a_edges == len(chain & state.by_color[b])
 
 
 def _switch_on_c4() -> EdgeColoring:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import complete, edgeless, find_ham_cycle, path
-from graphcert.core import verify_hamiltonian_path
+from graphcert import mycielski
+from graphcert.core import CertificateError, VerificationReport, verify_hamiltonian_path
 from graphcert.mycielski import (
     MycielskiVertex,
     cycle_graph,
@@ -160,6 +161,32 @@ def test_lift_rejects_bad_input():
         ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 3], 0, 10)
     with pytest.raises(ValueError):
         ham_path_mu_of_hc_graph(cycle_graph(5), [0, 2, 1, 3, 4], 0, 10)
+
+
+def _swap_middle(n, a, b):
+    # the canonical path with two inner vertices swapped: it leaves mu(C_n)
+    seq = ham_path_mu_odd_cycle(n, a, b)
+    seq[1], seq[3] = seq[3], seq[1]
+    return seq
+
+
+def _fail(g, seq, start, end):
+    return VerificationReport(False, 0, None, ("forced",))
+
+
+@pytest.mark.parametrize("patches,message", [
+    ([("ham_path_mu_odd_cycle", _swap_middle)], "strayed"),
+    # the canonical path is computed first: it runs the verifier itself
+    ([("ham_path_mu_odd_cycle", lambda n, a, b, path=ham_path_mu_odd_cycle(
+        5, MycielskiVertex("x", 1), MycielskiVertex("z")): path),
+      ("verify_hamiltonian_path", _fail)], "failed verification"),
+], ids=["strayed", "report"])
+def test_lift_failed_self_check_raises_certificate_error(monkeypatch, patches, message):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    for patch in patches:
+        monkeypatch.setattr(mycielski, *patch)
+    with pytest.raises(CertificateError, match=message):
+        ham_path_mu_of_hc_graph(complete(5), [0, 2, 4, 1, 3], 0, 10)
 
 
 # --- parity witness and HC checks ----------------------------------------------------

@@ -78,6 +78,13 @@ def test_square_odd_failed_self_check_raises_certificate_error(monkeypatch, patc
         class1_square_odd(5)
 
 
+def test_overfull_failed_self_check_raises_certificate_error(monkeypatch):
+    # A class-2 claim rests on the overfull inequality, under python -O too.
+    monkeypatch.setattr(queen, "queen_edge_count", lambda m, n: 0)
+    with pytest.raises(CertificateError, match="not overfull"):
+        class2_overfull_coloring(3, 13)
+
+
 @pytest.mark.parametrize("m,n,colors", [(7, 9, 26), (9, 27, 50), (5, 11, 22)])
 def test_ladder_multicycle(m, n, colors):
     cert = class1_ladder_multicycle(m, n)
