@@ -519,24 +519,30 @@ def lowest_bit(mask: int) -> int:
 class ColorState:
     """A proper partial edge colouring held per vertex and edited in place.
 
-    For each vertex v: at[v] maps each colour at v to the neighbour across
-    it, nbr[v] maps each coloured neighbour to the colour of their edge, and
-    bit c of present[v] is set when colour c is at v (bit 0 is always set,
-    so the lowest clear bit is the lowest free colour). Built from a
-    colouring, the state also keeps by_color[c], the edge set of colour c,
-    which recolor and swap maintain; Vizing starts from an empty state and
-    never reads the class sets, so it has none (by_color is None).
+    For each vertex v: at[v][c] is the neighbour across v's c-coloured edge
+    (None when colour c is absent at v), nbr[v] maps each coloured
+    neighbour to the colour of their edge, and bit c of present[v] is set
+    when colour c is at v (bit 0 is always set, so the lowest clear bit is
+    the lowest free colour). at[v] is a list over the colours 0..colors,
+    so a chain walk is one list index per step. A state built by of() also
+    keeps by_color[c], the edge set of colour c, which recolor and swap
+    maintain; Vizing starts from an empty state and never reads the class
+    sets, so it has none.
     """
 
-    def __init__(self, vertex_count: int, coloring: EdgeColoring | None = None):
-        self.at: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+    def __init__(self, vertex_count: int, colors: int):
+        """An uncoloured state on vertex_count vertices for colours 1..colors."""
+        self.at: list[list[int | None]] = [[None] * (colors + 1) for _ in range(vertex_count)]
         self.nbr: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         self.present = [1] * vertex_count
         self.by_color: list[set[tuple[int, int]]] | None = None
-        if coloring is None:
-            return
-        at, nbr, present = self.at, self.nbr, self.present
-        self.by_color = by_color = [set() for _ in range(coloring.declared_color_count + 1)]
+
+    @classmethod
+    def of(cls, vertex_count: int, coloring: EdgeColoring) -> "ColorState":
+        """The state of a proper colouring, with its colour classes."""
+        state = cls(vertex_count, coloring.declared_color_count)
+        at, nbr, present = state.at, state.nbr, state.present
+        state.by_color = by_color = [set() for _ in range(coloring.declared_color_count + 1)]
         for e, c in coloring.assignment.items():
             u, v = e
             at[u][c] = v
@@ -546,6 +552,7 @@ class ColorState:
             present[u] |= 1 << c
             present[v] |= 1 << c
             by_color[c].add(e)
+        return state
 
     def free(self, v: int) -> int:
         """The lowest colour absent at v."""
@@ -561,7 +568,7 @@ class ColorState:
         at = self.at
         path: list[tuple[int, int, int]] = []
         cur, col, other = start, first, second
-        while (nxt := at[cur].get(col)) is not None:
+        while (nxt := at[cur][col]) is not None:
             path.append((cur, nxt, col))
             cur, col, other = nxt, other, col
         return path
@@ -569,7 +576,7 @@ class ColorState:
     def invert(self, path: list[tuple[int, int, int]], c: int, d: int) -> None:
         """Swap c and d on every edge of a walk.
 
-        Two passes, so no colour is ever at a vertex twice: the first drops
+        Two passes, so no colour is ever at a vertex twice: the first clears
         the old entries, the second writes the new ones. Every inner vertex
         keeps one c-edge and one d-edge, so only the path's two ends change
         their masks.
@@ -578,14 +585,12 @@ class ColorState:
             return
         at, nbr = self.at, self.nbr
         for x, y, col in path:
-            del at[x][col]
-            del at[y][col]
+            at[x][col] = at[y][col] = None
         for x, y, col in path:
             new = c if col == d else d
             at[x][new] = y
             at[y][new] = x
-            nbr[x][y] = new
-            nbr[y][x] = new
+            nbr[x][y] = nbr[y][x] = new
         flip = (1 << c) | (1 << d)
         self.present[path[0][0]] ^= flip
         self.present[path[-1][1]] ^= flip
@@ -604,17 +609,15 @@ class ColorState:
         for f in fan[1:]:
             c = nbr_u[f]
             at_u[c] = prev
-            nbr_u[prev] = c
             at[prev][c] = u
-            nbr[prev][u] = c
+            nbr_u[prev] = nbr[prev][u] = c
             present[prev] |= 1 << c
-            del at[f][c]
+            at[f][c] = None
             present[f] ^= 1 << c
             prev = f
         at_u[final] = prev
-        nbr_u[prev] = final
         at[prev][final] = u
-        nbr[prev][u] = final
+        nbr_u[prev] = nbr[prev][u] = final
         present[prev] |= 1 << final
         present[u] |= 1 << final
 
@@ -623,8 +626,7 @@ class ColorState:
         u, v = e
         old = self.nbr[u][v]
         at_u, at_v = self.at[u], self.at[v]
-        del at_u[old]
-        del at_v[old]
+        at_u[old] = at_v[old] = None
         at_u[c] = v
         at_v[c] = u
         self.nbr[u][v] = self.nbr[v][u] = c
@@ -644,25 +646,23 @@ class ColorState:
         """
         at = self.at
         seen: set[tuple[int, int]] = set()
-        cur, col = start, a
-        while col in at[cur]:
-            nxt = at[cur][col]
+        cur, col, other = start, a, b
+        while (nxt := at[cur][col]) is not None:
             e = (cur, nxt) if cur < nxt else (nxt, cur)
             if e in seen:
                 break
             seen.add(e)
-            cur, col = nxt, (b if col == a else a)
-            if cur == start:
+            if nxt == start:
                 return seen, None
+            cur, col, other = nxt, other, col
         first_end = cur
-        cur, col = start, b
-        while col in at[cur]:
-            nxt = at[cur][col]
+        cur, col, other = start, b, a
+        while (nxt := at[cur][col]) is not None:
             e = (cur, nxt) if cur < nxt else (nxt, cur)
             if e in seen:
                 break
             seen.add(e)
-            cur, col = nxt, (a if col == b else b)
+            cur, col, other = nxt, other, col
         return seen, ((first_end, cur) if seen else None)
 
     def chain_counts(self, start: int, a: int, b: int
@@ -677,7 +677,7 @@ class ColorState:
         at = self.at
         out = 0
         cur, col, other = start, a, b
-        while (nxt := at[cur].get(col)) is not None:
+        while (nxt := at[cur][col]) is not None:
             out += 1
             if nxt == start:
                 return out, out // 2, None
@@ -685,7 +685,7 @@ class ColorState:
         first_end = cur
         back = 0
         cur, col, other = start, b, a
-        while (nxt := at[cur].get(col)) is not None:
+        while (nxt := at[cur][col]) is not None:
             back += 1
             cur, col, other = nxt, other, col
         length = out + back
@@ -693,7 +693,7 @@ class ColorState:
 
     def swap(self, chain: Iterable[tuple[int, int]], a: int, b: int) -> None:
         """Swap a and b on every edge of a chain_edges component."""
-        # Two passes: transient duplicates would corrupt the at-maps otherwise.
+        # Two passes: transient duplicates would corrupt the at-lists otherwise.
         # Each vertex's mask flips once per chain edge at it, so inner vertices
         # (one a-edge, one b-edge) end unchanged and path ends trade a for b.
         at, nbr, present, by_color = self.at, self.nbr, self.present, self.by_color
@@ -701,8 +701,7 @@ class ColorState:
         for e in chain:
             u, v = e
             old = nbr[u][v]
-            del at[u][old]
-            del at[v][old]
+            at[u][old] = at[v][old] = None
             present[u] ^= flip
             present[v] ^= flip
             by_color[old].remove(e)
@@ -714,10 +713,14 @@ class ColorState:
             at[v][new] = u
             by_color[new].add(e)
 
-    def snapshot(self, declared: int) -> EdgeColoring:
-        """The coloured edges as an EdgeColoring over colours 1..declared."""
-        return EdgeColoring({(u, w): c for u, row in enumerate(self.nbr)
-                             for w, c in row.items() if u < w}, declared)
+    def snapshot(self, edges: Iterable[tuple[int, int]], declared: int) -> EdgeColoring:
+        """The colours of the given coloured edges, over colours 1..declared.
+
+        The caller passes the edge tuples it already holds, so a snapshot
+        makes no new ones.
+        """
+        nbr = self.nbr
+        return EdgeColoring({e: nbr[e[0]][e[1]] for e in edges}, declared)
 
 
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
@@ -737,10 +740,10 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     if g.edge_count == 0:
         return EdgeColoring({}, 0)
     palette = max_degree(g) + 1
-    state = ColorState(g.vertex_count)
+    state = ColorState(g.vertex_count, palette)
     at, present, free = state.at, state.present, state.free
-
-    for u, v in (order if order is not None else sorted(g.edges)):
+    edges = order if order is not None else sorted(g.edges)
+    for u, v in edges:
         # Maximal fan at u starting with v; fan_cols[i] = color of (u, fan[i+1]),
         # which is a color missing at fan[i].
         at_u = at[u]
@@ -749,14 +752,14 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         in_fan = {v}
         while True:
             d = free(fan[-1])
-            w = at_u.get(d)
+            w = at_u[d]
             if w is None or w in in_fan:
                 break
             fan.append(w)
             fan_cols.append(d)
             in_fan.add(w)
         d = free(fan[-1])
-        if d not in at_u:
+        if at_u[d] is None:
             state.rotate(u, fan, d)
             continue
         c = free(u)
@@ -771,10 +774,10 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         else:
             state.invert(path, c, d)
             prefix = fan
-        j = next(i for i, f in enumerate(prefix) if c not in at[f])
+        j = next(i for i, f in enumerate(prefix) if at[f][c] is None)
         state.rotate(u, prefix[:j + 1], c)
 
     used = max(present).bit_length() - 1
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
-    return state.snapshot(used)
+    return state.snapshot(edges, used)

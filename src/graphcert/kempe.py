@@ -52,8 +52,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _missing(state: ColorState, full: int, v: int,
              ends: tuple[int, int] | None = None, a: int = 0, b: int = 0) -> int:
-    """Bitmask of the colours of full absent at v, once the (a,b)-chain with these
-    path ends is swapped (now, when ends is None).
+    """Bitmask of the colours in full that are absent at v; with ends given, as
+    they will be once the (a,b)-chain with those path ends is swapped.
 
     Every inner chain vertex keeps one a-edge and one b-edge, so only a
     path end trades a for b or b for a; a closed cycle changes no vertex.
@@ -68,10 +68,10 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
     """Swap colors a and b along the maximal (a,b)-component through start."""
     if a == b:
         raise ValueError("need two distinct colors")
-    state = ColorState(g.vertex_count, coloring)
+    state = ColorState.of(g.vertex_count, coloring)
     chain, _ = state.chain_edges(start, a, b)
     state.swap(chain, a, b)
-    result = state.snapshot(coloring.declared_color_count)
+    result = state.snapshot(coloring.assignment, coloring.declared_color_count)
     report = verify_edge_coloring(g, result)
     if not report.ok:
         raise CertificateError(f"switch broke properness: {report.detail}")
@@ -109,7 +109,7 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     if not report.ok:
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
     declared = coloring.declared_color_count
-    state = ColorState(g.vertex_count, coloring)
+    state = ColorState.of(g.vertex_count, coloring)
     present, target_class = state.present, state.by_color[target]
     full = (1 << (declared + 1)) - 2  # bits 1..declared
     rng = random.Random(budget.seed)
@@ -118,7 +118,7 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     while True:
         targets = sorted(target_class)
         if not targets:
-            return state.snapshot(declared).normalized()
+            return state.snapshot(coloring.assignment, declared).normalized()
         progress = False
         for e in targets:
             u, v = e

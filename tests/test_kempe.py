@@ -130,17 +130,17 @@ def test_scoring_predicts_the_swap(case):
     assume(a != b)
     u, v = e_uv
     full = (1 << (coloring.declared_color_count + 1)) - 2
-    state = ColorState(g.vertex_count, coloring)
+    state = ColorState.of(g.vertex_count, coloring)
     chain, ends = state.chain_edges(anchor, a, b)
     predicted = (kempe._missing(state, full, u, ends, a, b),
                  kempe._missing(state, full, v, ends, a, b), e_uv not in chain)
-    swapped = ColorState(g.vertex_count, coloring)
+    swapped = ColorState.of(g.vertex_count, coloring)
     swapped.swap(chain, a, b)
     assert predicted == (kempe._missing(swapped, full, u), kempe._missing(swapped, full, v),
                          swapped.nbr[u][v] == coloring.assignment[e_uv])
     # the incremental structures match a rebuild from the swapped coloring
-    result = swapped.snapshot(coloring.declared_color_count)
-    rebuilt = ColorState(g.vertex_count, result)
+    result = swapped.snapshot(coloring.assignment, coloring.declared_color_count)
+    rebuilt = ColorState.of(g.vertex_count, result)
     assert (swapped.at, swapped.nbr, swapped.present, swapped.by_color) == \
         (rebuilt.at, rebuilt.nbr, rebuilt.present, rebuilt.by_color)
     assert verify_edge_coloring(g, result).ok
@@ -153,7 +153,7 @@ def test_counting_walk_matches_the_chain(case):
     # only for the winner, so the counts must describe that set exactly.
     g, coloring, anchor, a, b, _ = case
     assume(a != b)
-    state = ColorState(g.vertex_count, coloring)
+    state = ColorState.of(g.vertex_count, coloring)
     chain, ends = state.chain_edges(anchor, a, b)
     length, a_edges, counted_ends = state.chain_counts(anchor, a, b)
     assert (length, counted_ends) == (len(chain), ends)
