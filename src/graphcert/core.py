@@ -556,8 +556,7 @@ class ColorState:
 
     def free(self, v: int) -> int:
         """The lowest colour absent at v."""
-        absent = ~self.present[v]
-        return (absent & -absent).bit_length() - 1
+        return lowest_bit(~self.present[v])
 
     def walk(self, start: int, first: int, second: int) -> list[tuple[int, int, int]]:
         """Maximal path from start whose edges alternate first, second, ...
