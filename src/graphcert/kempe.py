@@ -50,10 +50,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _missing(state: ColorState, full: int, v: int,
-             ends: tuple[int, int] | None = None, a: int = 0, b: int = 0) -> int:
-    """Bitmask of the colours in full that are absent at v; with ends given, as
-    they will be once the (a,b)-chain with those path ends is swapped.
+def _missing_after_swap(state: ColorState, full: int, v: int,
+                        ends: tuple[int, int] | None, a: int, b: int) -> int:
+    """Bitmask of the colours in full absent at v once the (a,b)-chain with
+    these path ends (None for a cycle) is swapped.
 
     Every inner chain vertex keeps one a-edge and one b-edge, so only a
     path end trades a for b or b for a; a closed cycle changes no vertex.
@@ -152,14 +152,12 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                 length, t, ends = state.chain_counts(anchor, acol, bcol)
                 if not length:
                     continue
-                if acol == target:
-                    drop = 2 * t - length
-                else:
-                    drop = 1 if (_missing(state, not_target, u, ends, acol, bcol)
-                                 & _missing(state, not_target, v, ends, acol, bcol)) else 0
-                score = drop * 1000 - length
-                if acol == target:
-                    target_scores[bcol] = score
+                if acol == target:  # counting rule: (u, v) is on the chain
+                    score = target_scores[bcol] = (2 * t - length) * 1000 - length
+                else:  # endpoint rule
+                    freed = (_missing_after_swap(state, not_target, u, ends, acol, bcol)
+                             & _missing_after_swap(state, not_target, v, ends, acol, bcol))
+                    score = (1000 if freed else 0) - length
             key = (score, rng.random())
             if best is None or key > best[0]:
                 best = (key, anchor, acol, bcol)

@@ -132,11 +132,11 @@ def test_scoring_predicts_the_swap(case):
     full = (1 << (coloring.declared_color_count + 1)) - 2
     state = ColorState.of(g.vertex_count, coloring)
     chain, ends = state.chain_edges(anchor, a, b)
-    predicted = (kempe._missing(state, full, u, ends, a, b),
-                 kempe._missing(state, full, v, ends, a, b), e_uv not in chain)
+    predicted = (kempe._missing_after_swap(state, full, u, ends, a, b),
+                 kempe._missing_after_swap(state, full, v, ends, a, b), e_uv not in chain)
     swapped = ColorState.of(g.vertex_count, coloring)
     swapped.swap(chain, a, b)
-    assert predicted == (kempe._missing(swapped, full, u), kempe._missing(swapped, full, v),
+    assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
                          swapped.nbr[u][v] == coloring.assignment[e_uv])
     # the incremental structures match a rebuild from the swapped coloring
     result = swapped.snapshot(coloring.assignment, coloring.declared_color_count)
