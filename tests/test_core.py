@@ -222,9 +222,10 @@ def test_hamiltonian_cycle_verifier_matches_the_definition_on_mutants():
 @pytest.mark.parametrize("ends", [("x1", "y3"), ("y2", "z"), ("x4", "x5")])
 def test_hamiltonian_path_verifier_matches_the_definition_on_mutants(ends):
     n = 9
-    a, b = (MycielskiVertex(e[0], int(e[1:] or 0)).to_id(n) for e in ends)
+    va, vb = (MycielskiVertex(e[0], int(e[1:] or 0)) for e in ends)
+    a, b = va.to_id(n), vb.to_id(n)
     g = mycielskian(cycle_graph(n))
-    seq = ham_path_mu_odd_cycle(n, MycielskiVertex.from_id(a, n), MycielskiVertex.from_id(b, n))
+    seq = ham_path_mu_odd_cycle(n, va, vb)
     assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
     for name, mutant in _mutants(seq):
         for start, end in ((a, b), (None, None)):

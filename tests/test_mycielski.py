@@ -163,29 +163,28 @@ def test_lift_rejects_bad_input():
         ham_path_mu_of_hc_graph(cycle_graph(5), [0, 2, 1, 3, 4], 0, 10)
 
 
-def _swap_middle(n, a, b):
-    # the canonical path with two inner vertices swapped: it leaves mu(C_n)
-    seq = ham_path_mu_odd_cycle(n, a, b)
-    seq[1], seq[3] = seq[3], seq[1]
-    return seq
+# The lift's two self-checks must hold under python -O too, so they cannot
+# be asserts.
 
 
-def _fail(g, seq, start, end):
-    return VerificationReport(False, 0, None, ("forced",))
+def test_lift_raises_when_the_path_strays(monkeypatch):
+    def swap_middle(n, a, b):  # two inner vertices swapped: off mu(C_n)
+        seq = ham_path_mu_odd_cycle(n, a, b)
+        seq[1], seq[3] = seq[3], seq[1]
+        return seq
+
+    monkeypatch.setattr(mycielski, "ham_path_mu_odd_cycle", swap_middle)
+    with pytest.raises(CertificateError, match="strayed"):
+        ham_path_mu_of_hc_graph(complete(5), [0, 2, 4, 1, 3], 0, 10)
 
 
-@pytest.mark.parametrize("patches,message", [
-    ([("ham_path_mu_odd_cycle", _swap_middle)], "strayed"),
-    # the canonical path is computed first: it runs the verifier itself
-    ([("ham_path_mu_odd_cycle", lambda n, a, b, path=ham_path_mu_odd_cycle(
-        5, MycielskiVertex("x", 1), MycielskiVertex("z")): path),
-      ("verify_hamiltonian_path", _fail)], "failed verification"),
-], ids=["strayed", "report"])
-def test_lift_failed_self_check_raises_certificate_error(monkeypatch, patches, message):
-    # These checks must hold under python -O too, so they cannot be asserts.
-    for patch in patches:
-        monkeypatch.setattr(mycielski, *patch)
-    with pytest.raises(CertificateError, match=message):
+def test_lift_raises_when_the_lifted_path_fails_verification(monkeypatch):
+    # the canonical path runs the verifier itself, so it is built before the patch
+    canonical = ham_path_mu_odd_cycle(5, MycielskiVertex("x", 1), MycielskiVertex("z"))
+    monkeypatch.setattr(mycielski, "ham_path_mu_odd_cycle", lambda n, a, b: canonical)
+    monkeypatch.setattr(mycielski, "verify_hamiltonian_path",
+                        lambda *args, **kwargs: VerificationReport(False, 0, None, ("forced",)))
+    with pytest.raises(CertificateError, match="failed verification"):
         ham_path_mu_of_hc_graph(complete(5), [0, 2, 4, 1, 3], 0, 10)
 
 
