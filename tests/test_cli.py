@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process, checking exit codes and output shapes."""
 
+import hashlib
 import json
 
 import pytest
@@ -388,3 +389,221 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
     assert json.loads(reused[0][1])["seed"] == 7
     assert json.loads(reused[1][1])["seed"] == 0
     assert reused[4][1].startswith("c family=queen")
+
+
+# --- pinned output ----------------------------------------------------------------------
+
+# R(2,2) with one colour repeated at vertex 1: a certificate that reads but fails.
+R22_CLASH = "c k=2\n1 2 1\n1 3 1\n2 4 2\n3 4 1\n"
+
+# (id, argv, commands run first, files written first, modes). A row whose JSON
+# carries failure detail is pinned in text mode only.
+PINNED = [
+    ("gen-queen", "gen --family queen --m 3 --n 3", [], {}, "text json"),
+    ("gen-queen-out", "gen --family queen --m 3 --n 4 --out q.col", [], {}, "text json"),
+    ("gen-rook-out", "gen --family rook --m 3 --n 4 --out r.col", [], {}, "text json"),
+    ("gen-bishop-out", "gen --family bishop --m 3 --n 4 --out b.col", [], {}, "text json"),
+    ("gen-mycielski-out", "gen --family mycielski --n 5 --out m.col", [], {}, "text json"),
+    ("gen-keller-out", "gen --family keller --d 2 --out k.col", [], {}, "text json"),
+    ("gen-knight", "gen --family knight --m 3 --n 3", [], {}, "text json"),
+    ("color-auto", "color --m 3 --n 3 --out q.coloring", [], {}, "text json"),
+    ("color-even-union", "color --m 4 --n 4 --construction even-union --out q.coloring",
+     [], {}, "text json"),
+    ("color-square-odd", "color --m 5 --n 5 --construction square-odd --out q.coloring",
+     [], {}, "text json"),
+    ("color-ladder", "color --m 5 --n 9 --construction ladder-multicycle --out q.coloring",
+     [], {}, "text json"),
+    ("color-overfull", "color --m 3 --n 13 --construction overfull --out q.coloring",
+     [], {}, "text json"),
+    ("color-kempe", "color --m 3 --n 9 --construction kempe --out q.coloring",
+     [], {}, "text json"),
+    ("color-kempe-warm", "color --m 3 --n 9 --construction kempe --warm-start w.coloring "
+     "--out q.coloring", ["color --m 3 --n 9 --out w.coloring"], {}, "text json"),
+    ("queen-color", "queen color --m 3 --n 13", [], {}, "text json"),
+    ("color-ladder-inapplicable", "color --m 3 --n 7 --construction ladder-multicycle "
+     "--out q.coloring", [], {}, "text json"),
+    ("color-kempe-overfull", "color --m 3 --n 13 --construction kempe --out q.coloring",
+     [], {}, "text json"),
+    ("color-kempe-budget", "color --m 3 --n 9 --construction kempe --budget-switches 1 "
+     "--restarts 1 --out q.coloring", [], {}, "text json"),
+    ("color-missing-n", "color --m 3", [], {}, "text json"),
+    ("verify-coloring", "verify coloring --graph q.col --certificate q.coloring",
+     ["gen --family queen --m 3 --n 5 --out q.col",
+      "color --m 3 --n 5 --out q.coloring"], {}, "text json"),
+    ("verify-coloring-clash", "verify coloring --graph r.col --certificate r.coloring",
+     ["gen --family rook --m 2 --n 2 --out r.col"], {"r.coloring": R22_CLASH}, "text"),
+    ("verify-coloring-malformed", "verify coloring --graph r.col --certificate r.coloring",
+     ["gen --family rook --m 2 --n 2 --out r.col"], {"r.coloring": "1 2 1\n"}, "text json"),
+    ("verify-hamcycle", "verify hamcycle --graph g.col --certificate c.seq",
+     ["keller build --d 2 --out g.col", "keller hamcycle --d 2 --out c.seq"], {},
+     "text json"),
+    ("verify-hampath", "verify hampath --graph m.col --certificate p.seq --start 10 --end 15",
+     ["gen --family mycielski --n 9 --out m.col",
+      "mycielski hampath --n 9 --from y1 --to y6 --out p.seq"], {}, "text json"),
+    ("verify-decomposition", "verify decomposition --graph g.col --certificate d.sets "
+     "--matching p.sets", ["keller build --d 2 --out g.col",
+                           "keller decompose --d 2 --out d.sets --matching-out p.sets"],
+     {}, "text json"),
+    ("verify-cover", "verify cover --graph g.col --certificate c.sets",
+     ["keller build --d 3 --out g.col", "keller double-cover --d 2 --out c.sets"], {},
+     "text json"),
+    ("verify-missing-graph", "verify cover --graph absent.col --certificate c.sets", [],
+     {"c.sets": "1 2\n"}, "text json"),
+    ("multicycle-derive", "multicycle derive --m 5 --n 11", [], {}, "text json"),
+    ("multicycle-chi", "multicycle chi --mult 3,5,3,4,4", [], {}, "text json"),
+    ("multicycle-survey", "multicycle survey --m 5,7 --n-max 11", [], {}, "text json"),
+    ("multicycle-survey-csv", "multicycle survey --m 5 --n-max 11 --csv s.csv", [], {},
+     "text json"),
+    ("mycielski-hampath", "mycielski hampath --n 9 --from y1 --to y6 --out p.seq", [], {},
+     "text json"),
+    ("mycielski-witness", "mycielski witness --n 6", [], {}, "text json"),
+    ("mycielski-witness-odd", "mycielski witness --n 5", [], {}, "text json"),
+    ("keller-build", "keller build --d 2", [], {}, "text"),
+    ("keller-build-out", "keller build --d 2 --out g.col", [], {}, "text json"),
+    ("keller-build-long", "keller build --d 6", [], {}, "text json"),
+    ("keller-hamcycle", "keller hamcycle --d 2 --out c.seq", [], {}, "text json"),
+    ("keller-edgecolor", "keller edgecolor --d 2 --out e.coloring", [], {}, "text json"),
+    ("keller-square", "keller square --d 2 --flip 01 --out s.txt", [], {}, "text json"),
+    ("keller-alpha", "keller alpha --d 3", [], {}, "text json"),
+    ("keller-double-cover", "keller double-cover --d 2 --out c.sets", [], {}, "text json"),
+    ("keller-decompose", "keller decompose --d 2 --out d.sets --matching-out p.sets", [],
+     {}, "text json"),
+    ("keller-decompose-budget", "keller decompose --d 2 --budget-switches 1 --out d.sets",
+     [], {}, "text json"),
+    ("keller-verify-fixture-1", "keller verify-fixture --table 1", [], {}, "text json"),
+    ("keller-verify-fixture-5", "keller verify-fixture --table 5", [], {}, "text json"),
+    ("conjecture-2", "conjecture 2 --m-max 2 --n-max 4", [], {}, "text json"),
+    ("conjecture-3", "conjecture 3 --long-run --m 3 --n 5", [], {}, "text json"),
+    ("conjecture-3-budget", "conjecture 3 --long-run --m 3 --n 5 --budget-switches 1 "
+     "--restarts 1", [], {}, "text"),
+    ("conjecture-4", "conjecture 4 --m 5 --n-max 11", [], {}, "text json"),
+    ("conjecture-5-csv", "conjecture 5 --m 5 --n-max 11 --csv c.csv", [], {}, "text json"),
+    ("conjecture-9", "conjecture 9 --d-max 3", [], {}, "text json"),
+]
+
+# sha256 prefixes of "<exit code>\n<stdout>" and of each file the command wrote
+PINNED_DIGESTS = {
+    "gen-queen-text": "a8ac0d7233a035cd",  # exit 0
+    "gen-queen-json": "53c234e5e8472b6a",  # exit 2
+    "gen-queen-out-text": "f4272efc8effa04f q.col=f42f0fcc0830d52c",  # exit 0
+    "gen-queen-out-json": "073ee44a9959ceb5 q.col=f42f0fcc0830d52c",  # exit 0
+    "gen-rook-out-text": "8167f82fef8de8f2 r.col=3c9f2fdeef576bbe",  # exit 0
+    "gen-rook-out-json": "bae5725d4becd918 r.col=3c9f2fdeef576bbe",  # exit 0
+    "gen-bishop-out-text": "b954bdc5fad1acd1 b.col=ac7671c042174561",  # exit 0
+    "gen-bishop-out-json": "b9656c0e65605def b.col=ac7671c042174561",  # exit 0
+    "gen-mycielski-out-text": "cf7243dd20622db5 m.col=7bf73fc6cea3db6e",  # exit 0
+    "gen-mycielski-out-json": "d099b49f50930582 m.col=7bf73fc6cea3db6e",  # exit 0
+    "gen-keller-out-text": "1c14d51ba51a7883 k.col=3ea03e65d31b6ed8",  # exit 0
+    "gen-keller-out-json": "20435cbb9c5eabe5 k.col=3ea03e65d31b6ed8",  # exit 0
+    "gen-knight-text": "53c234e5e8472b6a",  # exit 2
+    "gen-knight-json": "53c234e5e8472b6a",  # exit 2
+    "color-auto-text": "467207e681340171 q.coloring=7820ac3be5ec488b",  # exit 0
+    "color-auto-json": "d1c1c793803d9f2a q.coloring=7820ac3be5ec488b",  # exit 0
+    "color-even-union-text": "4c2c0fd596de72d0 q.coloring=bf60cd1048eb0395",  # exit 0
+    "color-even-union-json": "0377c273cd4246ee q.coloring=bf60cd1048eb0395",  # exit 0
+    "color-square-odd-text": "589b43801e27294b q.coloring=97868d87cc5423f9",  # exit 0
+    "color-square-odd-json": "ddc3fc9ce4917ac3 q.coloring=97868d87cc5423f9",  # exit 0
+    "color-ladder-text": "62eb7b71af6b5e08 q.coloring=0bf311343df4e082",  # exit 0
+    "color-ladder-json": "347ccd5859851f60 q.coloring=0bf311343df4e082",  # exit 0
+    "color-overfull-text": "7416d9090b05834e q.coloring=7bc957efd92f5863",  # exit 0
+    "color-overfull-json": "59bc5b0ff1a6a958 q.coloring=7bc957efd92f5863",  # exit 0
+    "color-kempe-text": "9ceee81b41256feb q.coloring=8bf2db10ca693221",  # exit 0
+    "color-kempe-json": "9bc938ab8fe47a8f q.coloring=8bf2db10ca693221",  # exit 0
+    "color-kempe-warm-text": "9ceee81b41256feb q.coloring=8bf2db10ca693221",  # exit 0
+    "color-kempe-warm-json": "9bc938ab8fe47a8f q.coloring=8bf2db10ca693221",  # exit 0
+    "queen-color-text": "7416d9090b05834e",  # exit 0
+    "queen-color-json": "59bc5b0ff1a6a958",  # exit 0
+    "color-ladder-inapplicable-text": "4355a46b19d348dc",  # exit 1
+    "color-ladder-inapplicable-json": "2a1e1142312c4e5d",  # exit 1
+    "color-kempe-overfull-text": "4355a46b19d348dc",  # exit 1
+    "color-kempe-overfull-json": "399efe08ce239ced",  # exit 1
+    "color-kempe-budget-text": "1121cfccd5913f0a",  # exit 3
+    "color-kempe-budget-json": "376bf3cb72d1b9d2",  # exit 3
+    "color-missing-n-text": "53c234e5e8472b6a",  # exit 2
+    "color-missing-n-json": "53c234e5e8472b6a",  # exit 2
+    "verify-coloring-text": "df5f4b294af04289",  # exit 0
+    "verify-coloring-json": "f135830f6a1280a5",  # exit 0
+    "verify-coloring-clash-text": "e04246f9cba4bad8",  # exit 1
+    "verify-coloring-malformed-text": "4355a46b19d348dc",  # exit 1
+    "verify-coloring-malformed-json": "6bc147a8a947afd4",  # exit 1
+    "verify-hamcycle-text": "84d1628259a587ea",  # exit 0
+    "verify-hamcycle-json": "734fc8e79c4da7db",  # exit 0
+    "verify-hampath-text": "a6178fc55cd8b237",  # exit 0
+    "verify-hampath-json": "f45e2c633a451ab2",  # exit 0
+    "verify-decomposition-text": "5a1d097108878256",  # exit 0
+    "verify-decomposition-json": "05cde12518d77b03",  # exit 0
+    "verify-cover-text": "84d1628259a587ea",  # exit 0
+    "verify-cover-json": "091749219a9885a5",  # exit 0
+    "verify-missing-graph-text": "53c234e5e8472b6a",  # exit 2
+    "verify-missing-graph-json": "53c234e5e8472b6a",  # exit 2
+    "multicycle-derive-text": "cc998a11e8ba20be",  # exit 0
+    "multicycle-derive-json": "a8ee7ebc79b7e438",  # exit 0
+    "multicycle-chi-text": "f8a0f6a7582d3009",  # exit 0
+    "multicycle-chi-json": "7de2eca286e940c8",  # exit 0
+    "multicycle-survey-text": "4c019c3b0de43228",  # exit 0
+    "multicycle-survey-json": "6165c0f89bad9d47",  # exit 0
+    "multicycle-survey-csv-text": "9a271f2a916b0b6e s.csv=c4e56ce44ac8f5e1",  # exit 0
+    "multicycle-survey-csv-json": "ea14e4928587b50f s.csv=c4e56ce44ac8f5e1",  # exit 0
+    "mycielski-hampath-text": "58d0fe867920c20e p.seq=046f789d75157aee",  # exit 0
+    "mycielski-hampath-json": "8ac0d67e2e6eecd0 p.seq=046f789d75157aee",  # exit 0
+    "mycielski-witness-text": "4c7f8e1ace20e4a1",  # exit 0
+    "mycielski-witness-json": "a0d46008a00e77d2",  # exit 0
+    "mycielski-witness-odd-text": "53c234e5e8472b6a",  # exit 2
+    "mycielski-witness-odd-json": "53c234e5e8472b6a",  # exit 2
+    "keller-build-text": "5323cfdfb10ab524",  # exit 0
+    "keller-build-out-text": "1c14d51ba51a7883 g.col=61559173ea31c942",  # exit 0
+    "keller-build-out-json": "20435cbb9c5eabe5 g.col=61559173ea31c942",  # exit 0
+    "keller-build-long-text": "53c234e5e8472b6a",  # exit 2
+    "keller-build-long-json": "53c234e5e8472b6a",  # exit 2
+    "keller-hamcycle-text": "a1b1d494d605d6a1 c.seq=050839c05a18cdb3",  # exit 0
+    "keller-hamcycle-json": "dfbb776e3a65912d c.seq=050839c05a18cdb3",  # exit 0
+    "keller-edgecolor-text": "f18362fd2ec3bef7 e.coloring=7dc77a0812a6bc98",  # exit 0
+    "keller-edgecolor-json": "1e408d087d019ec0 e.coloring=7dc77a0812a6bc98",  # exit 0
+    "keller-square-text": "8b2b2612fc5f8194 s.txt=b2c6fade54fbc7d5",  # exit 0
+    "keller-square-json": "8e45b0927d61b736 s.txt=b2c6fade54fbc7d5",  # exit 0
+    "keller-alpha-text": "e3a06c3ed263c89f",  # exit 0
+    "keller-alpha-json": "78af6222874a50a9",  # exit 0
+    "keller-double-cover-text": "58d2435e3d54cf44 c.sets=e8682da15a764535",  # exit 0
+    "keller-double-cover-json": "9553c601ef94c6ee c.sets=e8682da15a764535",  # exit 0
+    "keller-decompose-text": "0a68e83af4233bca d.sets=4a6ad253ea045726 p.sets=f1076366ff98ac71",  # exit 0
+    "keller-decompose-json": "4d7da4f985cd040d d.sets=4a6ad253ea045726 p.sets=f1076366ff98ac71",  # exit 0
+    "keller-decompose-budget-text": "1121cfccd5913f0a",  # exit 3
+    "keller-decompose-budget-json": "0d830eb5eac2660f",  # exit 3
+    "keller-verify-fixture-1-text": "219ab10118c513ef",  # exit 0
+    "keller-verify-fixture-1-json": "099982ecd5814ec6",  # exit 0
+    "keller-verify-fixture-5-text": "a7998f32010a48d3",  # exit 0
+    "keller-verify-fixture-5-json": "90adf89378544adf",  # exit 0
+    "conjecture-2-text": "dc1dc5733fa3e4f6",  # exit 0
+    "conjecture-2-json": "e8a3a5116ea23697",  # exit 0
+    "conjecture-3-text": "08d136964546d95f",  # exit 0
+    "conjecture-3-json": "d799cb6627cde00b",  # exit 0
+    "conjecture-3-budget-text": "fb238e21920d9b22",  # exit 3
+    "conjecture-4-text": "c4928abef7d3138d",  # exit 0
+    "conjecture-4-json": "ea14e4928587b50f",  # exit 0
+    "conjecture-5-csv-text": "c4928abef7d3138d c.csv=c4e56ce44ac8f5e1",  # exit 0
+    "conjecture-5-csv-json": "ea14e4928587b50f c.csv=c4e56ce44ac8f5e1",  # exit 0
+    "conjecture-9-text": "cd031d208de2dd45",  # exit 0
+    "conjecture-9-json": "876237a2b754a6d5",  # exit 0
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv,setup,files", [
+    pytest.param(f"{argv} --json" if mode == "json" else argv, setup, files,
+                 id=f"{name}-{mode}")
+    for name, argv, setup, files, modes in PINNED for mode in modes.split()])
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, request, argv, setup, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for command in setup:
+        assert run(capsys, command.split())[0] == 0
+    before = set(tmp_path.iterdir())
+    code, out, _ = run(capsys, argv.split())
+    written = sorted(set(tmp_path.iterdir()) - before)
+    got = " ".join([_digest(f"{code}\n{out}".encode())] +
+                   [f"{p.name}={_digest(p.read_bytes())}" for p in written])
+    assert got == PINNED_DIGESTS[request.node.callspec.id]
