@@ -28,8 +28,9 @@ from .multicycle import (Multicycle, chromatic_index, derive, survey, survey_csv
                          verify_multicycle_coloring)
 from .mycielski import (MycielskiVertex, cycle_graph, even_cycle_parity_witness,
                         ham_path_mu_odd_cycle, mycielskian)
-from .queen import (MethodInapplicableError, class1_even, class1_ladder_multicycle,
-                    class1_square_odd, class2_overfull_coloring, classify_and_color)
+from .queen import (MethodInapplicableError, QueenColoringCertificate, class1_even,
+                    class1_ladder_multicycle, class1_square_odd, class2_overfull_coloring,
+                    classify_and_color)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,6 +42,14 @@ BOARD_SQUARE_CAP = 2500
 # keller dimensions past this need --long-run for anything that walks all edges
 KELLER_DIM_CAP = 5
 
+# raised failures other than usage errors -> (stderr prefix, exit code)
+_RAISED = {
+    MethodInapplicableError: ("no construction", EXIT_FAIL),
+    BudgetExhaustedError: ("budget exhausted", EXIT_BUDGET),
+    CertificateError: ("verification failed", EXIT_FAIL),
+    AssertionError: ("verification failed", EXIT_FAIL),
+}
+
 
 def _emit(args, payload: dict, lines: Sequence[str] = ()) -> None:
     if getattr(args, "json", False):
@@ -48,6 +57,36 @@ def _emit(args, payload: dict, lines: Sequence[str] = ()) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _finish(args, payload: dict, lines: Sequence[str], detail: Sequence[str] = (),
+            write: Sequence[tuple] = (), fail: int = EXIT_FAIL) -> int:
+    """Report a finished run and return its exit code; every handler ends here.
+
+    `write` holds (target, writer) pairs: each writer is called with its
+    target, when the target is set and only when `payload["ok"]` is true, so
+    an unverified certificate never reaches disk. A failed run prints each
+    `detail` line to stderr as `fail: <line>` and carries the same list in
+    the JSON as `"detail"`. Text mode prints `lines` either way; the JSON
+    line gets the run's seed.
+    """
+    ok = payload["ok"]
+    payload = {**payload, "seed": args.seed}
+    if ok:
+        for target, writer in write:
+            if target:
+                writer(target)
+    else:
+        for line in detail:
+            print(f"fail: {line}", file=sys.stderr)
+        payload["detail"] = list(detail)
+    _emit(args, payload, lines)
+    return EXIT_OK if ok else fail
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _params(args) -> dict:
@@ -89,6 +128,13 @@ def _csv_ints(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
+def _count_detail(report, colors: int, want: int) -> list[str]:
+    """The verifier's detail, plus a line when the declared color count is not `want`."""
+    if colors == want:
+        return list(report.detail)
+    return [*report.detail, f"declares {colors} colors, expected {want}"]
+
+
 # --- gen ---------------------------------------------------------------------------
 
 def _build_family(args) -> Graph:
@@ -111,127 +157,132 @@ def _build_family(args) -> Graph:
     return builder(args.m, args.n)
 
 
-def _cmd_gen(args) -> int:
-    g = _build_family(args)
-    comment = f"family={args.family} " + " ".join(f"{k}={v}" for k, v in _params(args).items())
-    if args.out:
-        gio.write_dimacs(g, args.out, comments=[comment])
-    elif not args.json:
-        gio.write_dimacs(g, sys.stdout, comments=[comment])
-    else:
+def _finish_graph(args, g: Graph, family: str, comment: str) -> int:
+    """Write a generated graph to --out, or to stdout in text mode."""
+    if args.json and not args.out:
         raise ValueError("--json without --out would discard the graph; add --out")
-    payload = {"ok": True, "family": args.family, "params": _params(args),
-               "size": g.edge_count, "seed": args.seed}
-    _emit(args, payload, [f"vertices = {g.vertex_count}", f"edges = {g.edge_count}"])
-    return EXIT_OK
+    payload = {"ok": True, "family": family, "params": _params(args), "size": g.edge_count}
+    return _finish(args, payload, [f"vertices = {g.vertex_count}", f"edges = {g.edge_count}"],
+                   write=[(args.out or sys.stdout,
+                           functools.partial(gio.write_dimacs, g, comments=[comment]))])
+
+
+def _cmd_gen(args) -> int:
+    comment = f"family={args.family} " + " ".join(f"{k}={v}" for k, v in _params(args).items())
+    return _finish_graph(args, _build_family(args), args.family, comment)
 
 
 # --- color -------------------------------------------------------------------------
 
-def _color_queen(args):
-    m, n = args.m, args.n
-    if m is None or n is None:
-        raise ValueError("--m and --n are required")
-    if m * n > BOARD_SQUARE_CAP:
-        _need_long_run(args, f"a {m}x{n} board has {m * n} squares")
-    name = args.construction
-    if name != "kempe" and getattr(args, "warm_start", None):
-        raise ValueError("--warm-start only applies to the kempe construction")
-    if name == "auto":
-        return classify_and_color(m, n, budget=_budget(args), seed=args.seed)
-    if name == "even-union":
-        return class1_even(m, n)
-    if name == "square-odd":
-        if m != n:
-            raise ValueError("square-odd needs m = n")
-        return class1_square_odd(n)
-    if name == "ladder-multicycle":
-        return class1_ladder_multicycle(m, n)
-    if name == "overfull":
-        return class2_overfull_coloring(m, n)
-    assert name == "kempe"
+def _color_auto(args) -> QueenColoringCertificate:
+    return classify_and_color(args.m, args.n, budget=_budget(args), seed=args.seed)
+
+
+def _color_square_odd(args) -> QueenColoringCertificate:
+    if args.m != args.n:
+        raise ValueError("square-odd needs m = n")
+    return class1_square_odd(args.n)
+
+
+def _color_kempe(args) -> QueenColoringCertificate:
     warm = gio.read_coloring(args.warm_start) if args.warm_start else None
-    outcome = find_class1(build_queen(m, n), _budget(args), warm_start=warm)
+    outcome = find_class1(build_queen(args.m, args.n), _budget(args), warm_start=warm)
     if outcome.coloring is None:
         if outcome.reason == "overfull":
             raise MethodInapplicableError("board is overfull: no Delta coloring exists")
         raise BudgetExhaustedError("kempe search exhausted its budget")
-    from .queen import QueenColoringCertificate
+    return QueenColoringCertificate(args.m, args.n, outcome.coloring, 1, "KempeSearch")
 
-    return QueenColoringCertificate(m, n, outcome.coloring, 1, "KempeSearch")
+
+# --construction name -> the certificate it builds
+_CONSTRUCTIONS = {
+    "auto": _color_auto,
+    "even-union": lambda args: class1_even(args.m, args.n),
+    "square-odd": _color_square_odd,
+    "ladder-multicycle": lambda args: class1_ladder_multicycle(args.m, args.n),
+    "overfull": lambda args: class2_overfull_coloring(args.m, args.n),
+    "kempe": _color_kempe,
+}
 
 
 def _cmd_color(args) -> int:
-    cert = _color_queen(args)
-    g = build_queen(args.m, args.n)
-    report = verify_edge_coloring(g, cert.coloring)
+    m, n = args.m, args.n
+    if m * n > BOARD_SQUARE_CAP:
+        _need_long_run(args, f"a {m}x{n} board has {m * n} squares")
+    if args.construction != "kempe" and args.warm_start:
+        raise ValueError("--warm-start only applies to the kempe construction")
+    cert = _CONSTRUCTIONS[args.construction](args)
+    report = verify_edge_coloring(build_queen(m, n), cert.coloring)
     colors = cert.coloring.declared_color_count
-    want = queen_delta(args.m, args.n) + (cert.claimed_class - 1)
-    ok = report.ok and colors == want
-    payload = {"ok": ok, "family": "queen", "params": _params(args),
-               "class": cert.claimed_class, "colors": colors,
-               "construction": cert.construction, "seed": args.seed}
-    if not ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_coloring(cert.coloring, args.out,
-                           comments=[f"queen m={args.m} n={args.n} "
-                                     f"construction={cert.construction}"])
-    _emit(args, payload, [f"class = {cert.claimed_class}", f"colors = {colors}",
-                          f"construction = {cert.construction}"])
-    return EXIT_OK
+    want = queen_delta(m, n) + (cert.claimed_class - 1)
+    payload = {"ok": report.ok and colors == want, "family": "queen",
+               "params": _params(args), "class": cert.claimed_class, "colors": colors,
+               "construction": cert.construction}
+    comment = f"queen m={m} n={n} construction={cert.construction}"
+    return _finish(args, payload, [f"class = {cert.claimed_class}", f"colors = {colors}",
+                                   f"construction = {cert.construction}"],
+                   _count_detail(report, colors, want),
+                   write=[(args.out, functools.partial(gio.write_coloring, cert.coloring,
+                                                       comments=[comment]))])
 
 
 # --- verify ------------------------------------------------------------------------
 
+def _check_coloring(args, g: Graph):
+    coloring = gio.read_coloring(args.certificate)
+    report = verify_edge_coloring(g, coloring)
+    extra = {"colors": coloring.declared_color_count}
+    if report.ok and coloring.declared_color_count in (report.delta, report.delta + 1):
+        extra["class"] = coloring.declared_color_count - report.delta + 1
+    return report, extra
+
+
+def _check_hamcycle(args, g: Graph):
+    seq = gio.read_sequence(args.certificate)
+    return verify_hamiltonian_cycle(g, seq), {"size": len(seq)}
+
+
+def _check_hampath(args, g: Graph):
+    seq = gio.read_sequence(args.certificate)
+    start = args.start - 1 if args.start is not None else None
+    end = args.end - 1 if args.end is not None else None
+    return verify_hamiltonian_path(g, seq, start=start, end=end), {"size": len(seq)}
+
+
+def _check_decomposition(args, g: Graph):
+    cycles = gio.read_vertex_sets(args.certificate)
+    matching = None
+    if args.matching:
+        pairs = gio.read_vertex_sets(args.matching)
+        for p in pairs:
+            if len(p) != 2:
+                line = " ".join(str(v + 1) for v in p)
+                raise CertificateError(f"matching line {line!r} is not a pair")
+        matching = [tuple(p) for p in pairs]
+    return verify_hamiltonian_decomposition(g, cycles, matching), {"size": len(cycles)}
+
+
+def _check_cover(args, g: Graph):
+    sets = gio.read_vertex_sets(args.certificate)
+    return verify_clique_cover(g, sets), {"size": len(sets)}
+
+
+# verify subcommand -> (report, extra payload fields) for its certificate
+_CHECKS = {
+    "coloring": _check_coloring,
+    "hamcycle": _check_hamcycle,
+    "hampath": _check_hampath,
+    "decomposition": _check_decomposition,
+    "cover": _check_cover,
+}
+
+
 def _cmd_verify(args) -> int:
-    g = gio.read_dimacs(args.graph)
-    kind = args.kind
-    extra = {}
-    if kind == "coloring":
-        coloring = gio.read_coloring(args.certificate)
-        report = verify_edge_coloring(g, coloring)
-        extra = {"colors": coloring.declared_color_count}
-        if report.ok and coloring.declared_color_count in (report.delta, report.delta + 1):
-            extra["class"] = coloring.declared_color_count - report.delta + 1
-    elif kind == "hamcycle":
-        seq = gio.read_sequence(args.certificate)
-        report = verify_hamiltonian_cycle(g, seq)
-        extra = {"size": len(seq)}
-    elif kind == "hampath":
-        seq = gio.read_sequence(args.certificate)
-        start = args.start - 1 if args.start is not None else None
-        end = args.end - 1 if args.end is not None else None
-        report = verify_hamiltonian_path(g, seq, start=start, end=end)
-        extra = {"size": len(seq)}
-    elif kind == "decomposition":
-        cycles = gio.read_vertex_sets(args.certificate)
-        matching = None
-        if args.matching:
-            pairs = gio.read_vertex_sets(args.matching)
-            for p in pairs:
-                if len(p) != 2:
-                    line = " ".join(str(v + 1) for v in p)
-                    raise CertificateError(f"matching line {line!r} is not a pair")
-            matching = [tuple(p) for p in pairs]
-        report = verify_hamiltonian_decomposition(g, cycles, matching)
-        extra = {"size": len(cycles)}
-    else:
-        assert kind == "cover"
-        sets = gio.read_vertex_sets(args.certificate)
-        report = verify_clique_cover(g, sets)
-        extra = {"size": len(sets)}
+    report, extra = _CHECKS[args.kind](args, gio.read_dimacs(args.graph))
     payload = {"ok": report.ok, "family": "file",
-               "params": {"graph": args.graph, "certificate": args.certificate},
-               "seed": args.seed, **extra}
-    if not report.ok:
-        for line in report.detail:
-            print(f"fail: {line}", file=sys.stderr)
-    _emit(args, payload, [f"ok = {report.ok}"] +
-          [f"{k} = {v}" for k, v in extra.items()])
-    return EXIT_OK if report.ok else EXIT_FAIL
+               "params": {"graph": args.graph, "certificate": args.certificate}, **extra}
+    return _finish(args, payload, [f"ok = {report.ok}"] +
+                   [f"{k} = {v}" for k, v in extra.items()], report.detail)
 
 
 # --- multicycle --------------------------------------------------------------------
@@ -240,12 +291,10 @@ def _cmd_multicycle_derive(args) -> int:
     dm = derive(args.m, args.n)
     payload = {"ok": True, "family": "multicycle",
                "params": {"m": args.m, "n": args.n, "mult": list(dm.mult),
-                          "order": list(dm.order)},
-               "size": dm.sigma, "seed": args.seed}
-    _emit(args, payload, [f"mult = {','.join(str(x) for x in dm.mult)}",
-                          f"order = {','.join(str(x) for x in dm.order)}",
-                          f"sigma = {dm.sigma}"])
-    return EXIT_OK
+                          "order": list(dm.order)}, "size": dm.sigma}
+    return _finish(args, payload, [f"mult = {','.join(str(x) for x in dm.mult)}",
+                                   f"order = {','.join(str(x) for x in dm.order)}",
+                                   f"sigma = {dm.sigma}"])
 
 
 def _cmd_multicycle_chi(args) -> int:
@@ -254,13 +303,9 @@ def _cmd_multicycle_chi(args) -> int:
     report = verify_multicycle_coloring(mc, result.coloring, result.value)
     payload = {"ok": report.ok, "family": "multicycle",
                "params": {"mult": list(mc.mult)}, "colors": result.value,
-               "construction": result.method, "seed": args.seed}
-    if not report.ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    _emit(args, payload, [f"chi = {result.value}", f"construction = {result.method}"])
-    return EXIT_OK
+               "construction": result.method}
+    return _finish(args, payload, [f"chi = {result.value}", f"construction = {result.method}"],
+                   report.detail)
 
 
 def _survey_task(task):
@@ -276,18 +321,26 @@ def _survey_rows(args):
     return [row for chunk in chunks for row in chunk]
 
 
-def _cmd_multicycle_survey(args) -> int:
+def _cmd_survey(args) -> int:
+    """`multicycle survey` and `conjecture 4`/`5`: check `args.conjectures` on each row.
+
+    The survey prints the rows as CSV (unless --csv takes them); a conjecture
+    prints a count of the rows it checked and names each violation.
+    """
     rows = _survey_rows(args)
     csv_text = survey_csv(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    ok = all(r.conjecture4_ok and r.conjecture5_ok for r in rows)
-    payload = {"ok": ok, "family": "multicycle",
-               "params": {"m": _csv_ints(args.m), "n_max": args.n_max},
-               "size": len(rows), "seed": args.seed}
-    _emit(args, payload, [] if args.csv and not args.json else [csv_text.rstrip("\n")])
-    return EXIT_OK if ok else EXIT_FAIL
+    csv_path = getattr(args, "csv", None)
+    bad = [(r, c) for r in rows for c in args.conjectures if not getattr(r, f"conjecture{c}_ok")]
+    if args.summary:
+        lines = ([f"checked = {len(rows)}, violations = {len(bad)}"] +
+                 [f"violated at m={r.m} n={r.n}" for r, _ in bad])
+    else:
+        lines = [] if csv_path else [csv_text.rstrip("\n")]
+    payload = {"ok": not bad, "family": "multicycle",
+               "params": {"m": _csv_ints(args.m), "n_max": args.n_max}, "size": len(rows)}
+    return _finish(args, payload, lines,
+                   [f"conjecture {c} violated at m={r.m} n={r.n}" for r, c in bad],
+                   write=[(csv_path, functools.partial(_write_text, csv_text))])
 
 
 # --- mycielski ---------------------------------------------------------------------
@@ -301,26 +354,19 @@ def _cmd_mycielski_hampath(args) -> int:
                                      end=dst.to_id(args.n))
     payload = {"ok": report.ok, "family": "mycielski",
                "params": {"n": args.n, "from": str(src), "to": str(dst)},
-               "size": len(path), "construction": "template", "seed": args.seed}
-    if not report.ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_sequence(path, args.out)
+               "size": len(path), "construction": "template"}
     names = " ".join(str(MycielskiVertex.from_id(v, args.n)) for v in path)
-    _emit(args, payload, [names])
-    return EXIT_OK
+    return _finish(args, payload, [names], report.detail,
+                   write=[(args.out, functools.partial(gio.write_sequence, path))])
 
 
 def _cmd_mycielski_witness(args) -> int:
     rep = even_cycle_parity_witness(args.n)
-    ok = not rep.path_exists
-    payload = {"ok": ok, "family": "mycielski", "params": {"n": args.n},
-               "size": rep.nodes_explored, "seed": args.seed}
-    _emit(args, payload,
-          [f"path exists = {rep.path_exists}", f"nodes explored = {rep.nodes_explored}"])
-    return EXIT_OK if ok else EXIT_FAIL
+    payload = {"ok": not rep.path_exists, "family": "mycielski", "params": {"n": args.n},
+               "size": rep.nodes_explored}
+    return _finish(args, payload, [f"path exists = {rep.path_exists}",
+                                   f"nodes explored = {rep.nodes_explored}"],
+                   [f"mu(C_{args.n}) has a Hamiltonian path x1 -> z"])
 
 
 # --- keller ------------------------------------------------------------------------
@@ -335,15 +381,7 @@ def _keller_dim(args, cap: int = KELLER_DIM_CAP) -> int:
 
 def _cmd_keller_build(args) -> int:
     d = _keller_dim(args)
-    g = keller.build(d)
-    if args.out:
-        gio.write_dimacs(g, args.out, comments=[f"keller d={d}"])
-    elif not args.json:
-        gio.write_dimacs(g, sys.stdout, comments=[f"keller d={d}"])
-    payload = {"ok": True, "family": "keller", "params": {"d": d},
-               "size": g.edge_count, "seed": args.seed}
-    _emit(args, payload, [f"vertices = {g.vertex_count}", f"edges = {g.edge_count}"])
-    return EXIT_OK
+    return _finish_graph(args, keller.build(d), "keller", f"keller d={d}")
 
 
 def _cmd_keller_hamcycle(args) -> int:
@@ -351,34 +389,22 @@ def _cmd_keller_hamcycle(args) -> int:
     cycle = keller.ham_cycle(d)
     report = verify_hamiltonian_cycle(keller.build(d), cycle)
     payload = {"ok": report.ok, "family": "keller", "params": {"d": d},
-               "size": len(cycle), "construction": "prefix-blocks", "seed": args.seed}
-    if not report.ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_sequence(cycle, args.out)
-    _emit(args, payload, [f"cycle length = {len(cycle)}"])
-    return EXIT_OK
+               "size": len(cycle), "construction": "prefix-blocks"}
+    return _finish(args, payload, [f"cycle length = {len(cycle)}"], report.detail,
+                   write=[(args.out, functools.partial(gio.write_sequence, cycle))])
 
 
 def _cmd_keller_edgecolor(args) -> int:
     d = _keller_dim(args)
     coloring = keller.class1_coloring(d)
-    g = keller.build(d)
-    report = verify_edge_coloring(g, coloring)
-    ok = report.ok and coloring.declared_color_count == keller.delta(d)
-    payload = {"ok": ok, "family": "keller", "params": {"d": d}, "class": 1,
-               "colors": coloring.declared_color_count,
-               "construction": "difference-kernel", "seed": args.seed}
-    if not ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_coloring(coloring, args.out, comments=[f"keller d={d} class 1"])
-    _emit(args, payload, [f"colors = {coloring.declared_color_count}"])
-    return EXIT_OK
+    report = verify_edge_coloring(keller.build(d), coloring)
+    colors = coloring.declared_color_count
+    want = keller.delta(d)
+    payload = {"ok": report.ok and colors == want, "family": "keller", "params": {"d": d},
+               "class": 1, "colors": colors, "construction": "difference-kernel"}
+    return _finish(args, payload, [f"colors = {colors}"], _count_detail(report, colors, want),
+                   write=[(args.out, functools.partial(gio.write_coloring, coloring,
+                                                       comments=[f"keller d={d} class 1"]))])
 
 
 def _cmd_keller_square(args) -> int:
@@ -389,27 +415,18 @@ def _cmd_keller_square(args) -> int:
         perm = keller.bitstring_automorphism(d, args.flip)
         grid = [[perm[v] for v in row] for row in grid]
     rows = [" ".join(str(keller.KellerVertex.decode(v, d)) for v in row) for row in grid]
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(rows) + "\n")
-    payload = {"ok": True, "family": "keller", "params": {"d": d},
-               "size": len(grid), "seed": args.seed}
-    _emit(args, payload, rows)
-    return EXIT_OK
+    payload = {"ok": True, "family": "keller", "params": {"d": d}, "size": len(grid)}
+    return _finish(args, payload, rows,
+                   write=[(args.out, functools.partial(_write_text, "\n".join(rows) + "\n"))])
 
 
 def _cmd_keller_alpha(args) -> int:
     d = _keller_dim(args)
     value = keller.alpha_exact(d)
     expected = keller.alpha_value(d)
-    ok = value == expected
-    payload = {"ok": ok, "family": "keller", "params": {"d": d}, "size": value,
-               "seed": args.seed}
-    if not ok:
-        print(f"alpha mismatch: computed {value}, table says {expected}",
-              file=sys.stderr)
-    _emit(args, payload, [f"alpha = {value}"])
-    return EXIT_OK if ok else EXIT_FAIL
+    payload = {"ok": value == expected, "family": "keller", "params": {"d": d}, "size": value}
+    return _finish(args, payload, [f"alpha = {value}"],
+                   [f"alpha computed {value}, table says {expected}"])
 
 
 def _source_cover(args, d: int) -> list[list[int]]:
@@ -435,17 +452,10 @@ def _cmd_keller_double_cover(args) -> int:
     report = keller.verify_cover_by_rule(d + 1, doubled)
     payload = {"ok": report.ok, "family": "keller",
                "params": {"d": d, "target": d + 1}, "size": len(doubled),
-               "construction": "prefix-doubling", "seed": args.seed}
-    if not report.ok:
-        for line in report.detail:
-            print(f"fail: {line}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_vertex_sets(doubled, args.out)
-    _emit(args, payload,
-          [f"cover of G_{d + 1} with {len(doubled)} cliques verified"])
-    return EXIT_OK
+               "construction": "prefix-doubling"}
+    return _finish(args, payload, [f"cover of G_{d + 1} with {len(doubled)} cliques verified"],
+                   report.detail,
+                   write=[(args.out, functools.partial(gio.write_vertex_sets, doubled))])
 
 
 def _cmd_keller_decompose(args) -> int:
@@ -453,25 +463,18 @@ def _cmd_keller_decompose(args) -> int:
     result = keller.ham_decomposition_search(d, budget=args.budget_switches, seed=args.seed)
     if result is None:
         raise BudgetExhaustedError("decomposition search exhausted its budget")
-    g = keller.build(d)
-    report = verify_hamiltonian_decomposition(g, [list(c) for c in result.cycles],
-                                              result.matching)
+    cycles = [list(c) for c in result.cycles]
+    report = verify_hamiltonian_decomposition(keller.build(d), cycles, result.matching)
     payload = {"ok": report.ok, "family": "keller", "params": {"d": d},
-               "size": len(result.cycles), "construction": "kernel+kempe",
-               "seed": args.seed}
-    if not report.ok:
-        print(f"verification failed: {report.detail}", file=sys.stderr)
-        _emit(args, payload)
-        return EXIT_FAIL
-    if args.out:
-        gio.write_vertex_sets([list(c) for c in result.cycles], args.out)
-    if args.matching_out and result.matching is not None:
-        gio.write_vertex_sets([list(e) for e in result.matching], args.matching_out)
-    lines = [f"cycles = {len(result.cycles)}",
+               "size": len(cycles), "construction": "kernel+kempe"}
+    write = [(args.out, functools.partial(gio.write_vertex_sets, cycles))]
+    if result.matching is not None:
+        write.append((args.matching_out, functools.partial(
+            gio.write_vertex_sets, [list(e) for e in result.matching])))
+    lines = [f"cycles = {len(cycles)}",
              f"matching = {'yes' if result.matching else 'no'}",
              f"switches used = {result.switches_used}"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _finish(args, payload, lines, report.detail, write=write)
 
 
 def _cmd_keller_verify_fixture(args) -> int:
@@ -487,13 +490,8 @@ def _cmd_keller_verify_fixture(args) -> int:
         if report.ok and d <= 4:
             report = verify_clique_cover(keller.build(d), cover)
         size = len(cover)
-    payload = {"ok": report.ok, "family": "keller", "params": {"table": table},
-               "size": size, "seed": args.seed}
-    if not report.ok:
-        for line in report.detail:
-            print(f"fail: {line}", file=sys.stderr)
-    _emit(args, payload, [f"ok = {report.ok}", f"size = {size}"])
-    return EXIT_OK if report.ok else EXIT_FAIL
+    payload = {"ok": report.ok, "family": "keller", "params": {"table": table}, "size": size}
+    return _finish(args, payload, [f"ok = {report.ok}", f"size = {size}"], report.detail)
 
 
 # --- conjecture --------------------------------------------------------------------
@@ -514,77 +512,51 @@ def _cmd_conjecture2(args) -> int:
              for m in range(1, args.m_max + 1)
              for n in range(m, args.n_max + 1)]
     results = _parallel_map(_class_task, tasks, args.jobs)
-    bad = [(m, n) for m, n, pred, got, verified in results
+    bad = [(m, n, pred, got, verified) for m, n, pred, got, verified in results
            if not verified or pred != got]
-    ok = not bad
-    payload = {"ok": ok, "family": "queen",
-               "params": {"m_max": args.m_max, "n_max": args.n_max},
-               "size": len(results), "seed": args.seed}
+    payload = {"ok": not bad, "family": "queen",
+               "params": {"m_max": args.m_max, "n_max": args.n_max}, "size": len(results)}
     lines = [f"Q_{m},{n}: predicted class {p}, colored as class {g}"
              for m, n, p, g, _ in results]
     lines.append(f"checked = {len(results)}, disagreements = {len(bad)}")
-    _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _finish(args, payload, lines,
+                   [f"Q_{m},{n}: predicted class {p}, colored as class {g}, verified = {v}"
+                    for m, n, p, g, v in bad])
 
 
 def _cmd_conjecture3(args) -> int:
     _need_long_run(args, "edge criticality re-colors the board once per edge")
     report = edge_critical_check(build_queen(args.m, args.n), _budget(args))
     payload = {"ok": report.critical, "family": "queen", "params": _params(args),
-               "size": len(report.failures) + len(report.disproved),
-               "seed": args.seed}
+               "size": len(report.failures) + len(report.disproved)}
     lines = [f"critical = {report.critical}",
              f"inconclusive edges = {len(report.failures)}",
              f"disproving edges = {len(report.disproved)}"]
-    _emit(args, payload, lines)
-    if report.critical:
-        return EXIT_OK
-    return EXIT_FAIL if report.disproved else EXIT_BUDGET
-
-
-def _cmd_conjecture4(args) -> int:
-    rows = _survey_rows(args)
-    bad = [(r.m, r.n) for r in rows if not r.conjecture4_ok]
-    payload = {"ok": not bad, "family": "multicycle",
-               "params": {"m": _csv_ints(args.m), "n_max": args.n_max},
-               "size": len(rows), "seed": args.seed}
-    _emit(args, payload, [f"checked = {len(rows)}, violations = {len(bad)}"] +
-          [f"violated at m={m} n={n}" for m, n in bad])
-    return EXIT_OK if not bad else EXIT_FAIL
-
-
-def _cmd_conjecture5(args) -> int:
-    rows = _survey_rows(args)
-    bad = [(r.m, r.n) for r in rows if not r.conjecture5_ok]
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(survey_csv(rows))
-    payload = {"ok": not bad, "family": "multicycle",
-               "params": {"m": _csv_ints(args.m), "n_max": args.n_max},
-               "size": len(rows), "seed": args.seed}
-    _emit(args, payload, [f"checked = {len(rows)}, violations = {len(bad)}"] +
-          [f"violated at m={m} n={n}" for m, n in bad])
-    return EXIT_OK if not bad else EXIT_FAIL
+    detail = ([f"edge {e}: the graph without it is still overfull" for e in report.disproved] +
+              [f"edge {e}: search budget exhausted" for e in report.failures])
+    return _finish(args, payload, lines, detail,
+                   fail=EXIT_FAIL if report.disproved else EXIT_BUDGET)
 
 
 def _cmd_conjecture9(args) -> int:
     if args.d_max > 7:
         raise ValueError("omega is tabulated through d=7 only")
     lines = []
+    detail = []
     ok = True
     settled = {}
     for d in range(2, args.d_max + 1):
         cover = _source_cover(args, d)
         report = keller.verify_cover_by_rule(d, cover)
         ok = ok and report.ok
+        detail += [f"G_{d}: {line}" for line in report.detail]
         bounds = keller.theta_bounds(d, len(cover))
         settled[d] = bounds.upper == bounds.lower
         lines.append(f"{bounds}" + ("  (matches the conjectured value)"
                                     if settled[d] else "  (open)"))
     payload = {"ok": ok, "family": "keller", "params": {"d_max": args.d_max},
-               "size": sum(1 for v in settled.values() if v), "seed": args.seed}
-    _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+               "size": sum(1 for v in settled.values() if v)}
+    return _finish(args, payload, lines, detail)
 
 
 # --- parser ------------------------------------------------------------------------
@@ -609,9 +581,7 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
 def _add_color_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--construction", default="auto",
-                   choices=["auto", "even-union", "square-odd", "ladder-multicycle",
-                            "overfull", "kempe"])
+    p.add_argument("--construction", default="auto", choices=list(_CONSTRUCTIONS))
     _add_budget(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_color, family="queen")
@@ -647,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="check a certificate against a graph")
     vsubs = verify.add_subparsers(dest="kind", required=True)
-    for kind in ("coloring", "hamcycle", "hampath", "decomposition", "cover"):
+    for kind in _CHECKS:
         vp = vsubs.add_parser(kind)
         vp.add_argument("--graph", required=True)
         vp.add_argument("--certificate", required=True)
@@ -679,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--csv", default=None, help="write rows as CSV to this file")
     _add_common(p)
-    p.set_defaults(handler=_cmd_multicycle_survey)
+    p.set_defaults(handler=_cmd_survey, conjectures=(4, 5), summary=False)
 
     my = subs.add_parser("mycielski", help="Hamiltonian paths in mu(C_n)")
     ysubs = my.add_subparsers(dest="my_command", required=True)
@@ -736,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_conjecture3)
-    for which, handler in (("4", _cmd_conjecture4), ("5", _cmd_conjecture5)):
+    for which in ("4", "5"):
         p = csubs.add_parser(which)
         p.add_argument("--m", default="3,5,7,9", help="comma-separated odd heights")
         p.add_argument("--n-max", type=int, default=39)
@@ -744,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         if which == "5":
             p.add_argument("--csv", default=None)
         _add_common(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_survey, conjectures=(int(which),), summary=True)
     p = csubs.add_parser("9", help="theta equals ceil(4^d / omega)")
     p.add_argument("--d-max", type=int, default=5)
     _add_common(p)
@@ -769,21 +739,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except MethodInapplicableError as exc:
-        print(f"no construction: {exc}", file=sys.stderr)
+    except tuple(_RAISED) as exc:
+        prefix, code = next(v for cls, v in _RAISED.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
                      "params": _params(args), "error": str(exc)})
-        return EXIT_FAIL
-    except BudgetExhaustedError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
-                     "params": _params(args), "error": str(exc)})
-        return EXIT_BUDGET
-    except (CertificateError, AssertionError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
-                     "params": _params(args), "error": str(exc)})
-        return EXIT_FAIL
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from graphcert import cli
+from graphcert import cli, keller
 from graphcert import io as gio
 from graphcert.cli import main
-from graphcert.core import EdgeColoring
+from graphcert.core import EdgeColoring, VerificationReport
 
 
 def run(capsys, argv):
@@ -119,6 +119,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["mycielski", "witness", "--n", "5"])[0] == 2  # odd n
     assert run(capsys, ["gen", "--family", "queen", "--m", "3", "--n", "3",
                         "--json"])[0] == 2  # graph would be discarded
+    assert run(capsys, ["keller", "build", "--d", "2", "--json"])[0] == 2  # likewise
     assert run(capsys, ["color", "--m", "5", "--n", "5",
                         "--warm-start", "x.coloring"])[0] == 2  # not kempe
     # the decomposition search takes a switch budget only
@@ -353,11 +354,20 @@ def test_conjecture_harnesses(capsys):
     assert "13 <= theta(G_3) <= 13" in out
 
 
-def test_jobs_do_not_change_output(capsys):
-    argv = ["multicycle", "survey", "--m", "5,7", "--n-max", "13"]
-    _, serial, _ = run(capsys, argv + ["--jobs", "1"])
-    _, parallel, _ = run(capsys, argv + ["--jobs", "4"])
-    assert serial == parallel and serial.strip()
+def test_jobs_do_not_change_output(tmp_path, capsys):
+    rows = [
+        (["multicycle", "survey", "--m", "5,7", "--n-max", "13"], "4", None),
+        (["conjecture", "2", "--m-max", "3", "--n-max", "6"], "2", None),
+        (["conjecture", "5", "--m", "5,7", "--n-max", "15"], "2", "rows.csv"),
+    ]
+    for argv, jobs, csv in rows:
+        outputs = []
+        for j in ("1", jobs):
+            extra = ["--csv", str(tmp_path / f"{j}-{csv}")] if csv else []
+            code, out, _ = run(capsys, argv + extra + ["--jobs", j])
+            assert code == 0 and out.strip()
+            outputs.append(out + ((tmp_path / f"{j}-{csv}").read_text() if csv else ""))
+        assert outputs[0] == outputs[1], argv
 
 
 def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
@@ -607,3 +617,75 @@ def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, request, argv, setu
     got = " ".join([_digest(f"{code}\n{out}".encode())] +
                    [f"{p.name}={_digest(p.read_bytes())}" for p in written])
     assert got == PINNED_DIGESTS[request.node.callspec.id]
+
+
+# --- failure contract -------------------------------------------------------------------
+
+FAILED = VerificationReport(False, 0, None, ("first reason", "second reason"))
+
+
+def _fail_cover_of_g3(real):
+    # double-cover also checks its input cover (of G_2) with the same verifier
+    return lambda d, cover: FAILED if d == 3 else real(d, cover)
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (cli, "verify_edge_coloring", "color --m 3 --n 5 --out q.coloring"),
+    (cli, "verify_multicycle_coloring", "multicycle chi --mult 3,5,3,4,4"),
+    (cli, "verify_hamiltonian_path", "mycielski hampath --n 9 --from y1 --to y6 --out p.seq"),
+    (cli, "verify_hamiltonian_cycle", "keller hamcycle --d 2 --out c.seq"),
+    (cli, "verify_edge_coloring", "keller edgecolor --d 2 --out e.coloring"),
+    (keller, "verify_cover_by_rule", "keller double-cover --d 2 --out c.sets"),
+    (cli, "verify_hamiltonian_decomposition",
+     "keller decompose --d 2 --out d.sets --matching-out p.sets"),
+], ids=["color", "multicycle-chi", "mycielski-hampath", "keller-hamcycle", "keller-edgecolor",
+        "keller-double-cover", "keller-decompose"])
+def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                            module, name, argv):
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "failed").mkdir()
+    monkeypatch.chdir(tmp_path / "ok")
+    code, verified_text, _ = run(capsys, argv.split())
+    assert code == 0
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, _fail_cover_of_g3(real) if module is keller
+                        else lambda *args, **kwargs: FAILED)
+    monkeypatch.chdir(tmp_path / "failed")
+    expected_err = "".join(f"fail: {line}\n" for line in FAILED.detail)
+    code, text, err = run(capsys, argv.split())
+    assert (code, text, err) == (1, verified_text, expected_err)
+    code, payload, err = run_json(capsys, argv.split())
+    assert (code, err) == (1, expected_err)
+    assert payload["ok"] is False and payload["detail"] == list(FAILED.detail)
+    assert list((tmp_path / "failed").iterdir()) == []
+
+
+def _delta_moves_after_coloring(monkeypatch):
+    # keller.class1_coloring checks its kernel against keller.delta, so the
+    # count only moves once the coloring is built
+    real = keller.class1_coloring
+
+    def coloring(d):
+        result = real(d)
+        monkeypatch.setattr(keller, "delta", lambda d: result.declared_color_count + 1)
+        return result
+    monkeypatch.setattr(keller, "class1_coloring", coloring)
+
+
+@pytest.mark.parametrize("argv,colors", [
+    ("color --m 3 --n 5 --out q.coloring", 10),
+    ("color --m 3 --n 13 --out q.coloring", 19),
+    ("keller edgecolor --d 2 --out e.coloring", 5),
+], ids=["color-class1", "color-class2", "keller-edgecolor"])
+def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors):
+    if argv.startswith("keller"):
+        _delta_moves_after_coloring(monkeypatch)
+    else:
+        real = cli.queen_delta
+        monkeypatch.setattr(cli, "queen_delta", lambda m, n: real(m, n) + 1)
+    monkeypatch.chdir(tmp_path)
+    code, payload, err = run_json(capsys, argv.split())
+    detail = [f"declares {colors} colors, expected {colors + 1}"]
+    assert code == 1 and payload["ok"] is False and payload["detail"] == detail
+    assert err == f"fail: {detail[0]}\n"
+    assert list(tmp_path.iterdir()) == []
