@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .chess import BoardCoord, bishop_delta, bishop_edge_pairs
+from .chess import BoardCoord, _check_board, bishop_delta, bishop_edge_pairs
 from .core import CertificateError, EdgeColoring
 
 
@@ -165,6 +165,44 @@ def _group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]
     return buckets
 
 
+def _walk_paths(edges: Iterable[tuple[int, int]], n: int) -> list[tuple[int, ...]]:
+    """Split the edges of one path group into paths, each walked from its
+    leftmost end (smallest column, then row) and listed in the order of
+    those ends. The order of the edges does not matter.
+
+    Raises CertificateError when a vertex has degree > 2 or an edge lies on
+    a cycle, since then the group is no disjoint union of paths.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nbrs) > 2 for nbrs in adj.values()):
+        raise CertificateError("path group has a vertex of degree > 2")
+    paths = []
+    far_ends: set[int] = set()
+    walked = 0
+    ends = sorted(
+        (v for v, nbrs in adj.items() if len(nbrs) == 1),
+        key=lambda v: (v % n, v // n),
+    )
+    for start in ends:
+        if start in far_ends:
+            continue
+        # A component with an end and no degree > 2 is a path: step to the
+        # neighbour that is not the previous vertex until the other end.
+        path = [start, adj[start][0]]
+        while len(adj[path[-1]]) == 2:
+            a, b = adj[path[-1]]
+            path.append(a + b - path[-2])
+        far_ends.add(path[-1])
+        walked += len(path)
+        paths.append(tuple(path))
+    if walked != len(adj):
+        raise CertificateError("path group contains a cycle")
+    return paths
+
+
 def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
     """Partition bishop edges into the path groups of the canonical coloring.
 
@@ -180,34 +218,7 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
         for sign in (1, -1):
             if m % 2 == 0 and 2 * i == m and sign == -1:
                 continue  # coincides with the + group
-            edges = sorted(set(buckets.get((i, sign), ())))
-            adj: dict[int, list[int]] = {}
-            for u, v in edges:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            if any(len(nbrs) > 2 for nbrs in adj.values()):
-                raise CertificateError("path group has a vertex of degree > 2")
-            paths = []
-            seen: set[int] = set()
-            ends = sorted(
-                (v for v, nbrs in adj.items() if len(nbrs) == 1),
-                key=lambda v: (v % n, v // n),
-            )
-            for start in ends:
-                if start in seen:
-                    continue
-                path = [start]
-                seen.add(start)
-                while True:
-                    nxt = [w for w in adj[path[-1]] if w not in seen]
-                    if not nxt:
-                        break
-                    path.append(nxt[0])
-                    seen.add(nxt[0])
-                paths.append(tuple(path))
-            if len(seen) != len(adj):
-                raise CertificateError("path group contains a cycle")
-            paths.sort(key=lambda p: (p[0] % n, p[0] // n))
+            paths = _walk_paths(buckets.get((i, sign), ()), n)
             groups.append(PathGroup(i, sign, tuple(paths)))
     return PathDecomposition(m, n, tuple(groups))
 
@@ -235,11 +246,35 @@ def rarest_bishop_color(m: int) -> int:
     return 2 * m - 2
 
 
+def _last_group_edges(m: int, n: int) -> list[tuple[int, int]]:
+    """Edges of group (k, -), k = m // 2, for odd m >= 3: positive slopes of
+    column distance k and negative slopes of distance k + 1, as (u, v) with
+    u the lower-column endpoint."""
+    k = m // 2
+    up, down = k * (n + 1), (k + 1) * (n - 1)
+    edges = [(u, u + up) for row in range(m - k) for u in range(row * n, row * n + n - k)]
+    edges += [(u, u - down) for row in range(k + 1, m)
+              for u in range(row * n, row * n + n - k - 1)]
+    return edges
+
+
 def rarest_color_edges(m: int, n: int) -> list[tuple[int, int]]:
-    """Edges carrying the last canonical bishop color, as sorted id pairs."""
-    cyan = rarest_bishop_color(m)
-    coloring = canonical_bishop_coloring(m, n)
-    return sorted(e for e, c in coloring.assignment.items() if c == cyan)
+    """Edges carrying the last canonical bishop color 2m-2, as sorted id pairs.
+
+    For odd m that color is the second color of group (k, -), k = m // 2, so
+    its edges are every second edge along that group's paths, counted from
+    each path's leftmost vertex: edges 1, 3, 5, ... of each path, 0-based.
+    Only this one group is built, not the whole coloring.
+    """
+    _check_board(m, n)
+    rarest_bishop_color(m)  # rejects even m
+    if m < 3:
+        return []
+    rare = []
+    for path in _walk_paths(_last_group_edges(m, n), n):
+        for u, v in zip(path[1::2], path[2::2]):
+            rare.append((u, v) if u < v else (v, u))
+    return sorted(rare)
 
 
 # --- rook colorings -------------------------------------------------------------

@@ -501,9 +501,13 @@ def _class_task(task):
     pred = classify_queen_prediction(m, n)
     cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed),
                               seed=seed)
-    verified = verify_edge_coloring(build_queen(m, n), cert.coloring).ok
+    report = verify_edge_coloring(build_queen(m, n), cert.coloring)
+    want = queen_delta(m, n) + (cert.claimed_class - 1)
+    detail = _count_detail(report, cert.coloring.declared_color_count, want)
     predicted = 2 if pred.status is QueenClass.CLASS2_OVERFULL else 1
-    return (m, n, predicted, cert.claimed_class, verified)
+    if predicted != cert.claimed_class:
+        detail.insert(0, f"predicted class {predicted}, colored as class {cert.claimed_class}")
+    return (m, n, predicted, cert.claimed_class, detail)
 
 
 def _cmd_conjecture2(args) -> int:
@@ -512,16 +516,14 @@ def _cmd_conjecture2(args) -> int:
              for m in range(1, args.m_max + 1)
              for n in range(m, args.n_max + 1)]
     results = _parallel_map(_class_task, tasks, args.jobs)
-    bad = [(m, n, pred, got, verified) for m, n, pred, got, verified in results
-           if not verified or pred != got]
+    bad = [(m, n, detail) for m, n, _, _, detail in results if detail]
     payload = {"ok": not bad, "family": "queen",
                "params": {"m_max": args.m_max, "n_max": args.n_max}, "size": len(results)}
     lines = [f"Q_{m},{n}: predicted class {p}, colored as class {g}"
              for m, n, p, g, _ in results]
     lines.append(f"checked = {len(results)}, disagreements = {len(bad)}")
     return _finish(args, payload, lines,
-                   [f"Q_{m},{n}: predicted class {p}, colored as class {g}, verified = {v}"
-                    for m, n, p, g, v in bad])
+                   [f"Q_{m},{n}: {line}" for m, n, detail in bad for line in detail])
 
 
 def _cmd_conjecture3(args) -> int:

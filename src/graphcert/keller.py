@@ -429,7 +429,7 @@ def double_clique_cover(d: int, cover: Sequence[Iterable[int]]) -> list[list[int
         raise ValueError("cover size does not match dimension")
     report = verify_cover_by_rule(d, cover)
     if not report.ok:
-        raise ValueError(f"input cover is invalid: {report.detail}")
+        raise CertificateError(f"input cover is invalid: {'; '.join(report.detail)}")
     plus_ones = _shift(_digit_matrix(d), (1,) * d)
     block = 4 ** d
     out: list[list[int]] = []

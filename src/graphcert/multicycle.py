@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import ClassVar, Iterable, Sequence
 
-from .bishop_rook import canonical_bishop_coloring, rarest_bishop_color
-from .chess import id_to_coord
+from .bishop_rook import rarest_color_edges
 from .core import CapExceeded, CertificateError, VerificationReport
 
 
@@ -277,23 +276,22 @@ class DerivedMulticycle:
 
 
 def derive(m: int, n: int) -> DerivedMulticycle:
-    """Project the edges colored 2m-2 by the canonical bishop coloring onto
-    their row indices, arranged on the k-step cycle."""
+    """Project the edges of the rarest canonical bishop color 2m-2 onto their
+    row indices, arranged on the k-step cycle.
+
+    Those edges are the second color of group (k, -), k = m // 2: every
+    second edge along that group's paths from each leftmost end, which
+    `rarest_color_edges` builds without coloring the rest of the board.
+    """
     if m % 2 == 0 or n % 2 == 0 or m > n:
         raise ValueError("derive needs odd m <= n")
     if m < 3:
         raise ValueError("derive needs m >= 3")
     k = m // 2
-    cyan = rarest_bishop_color(m)
-    coloring = canonical_bishop_coloring(m, n)
-    pos = {(j * k) % m + 1: j for j in range(m)}
+    pos = {(j * k) % m: j for j in range(m)}  # 0-based row -> position
     slot_edges: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for edge, color in coloring.assignment.items():
-        if color != cyan:
-            continue
-        r1 = id_to_coord(edge[0], n).row
-        r2 = id_to_coord(edge[1], n).row
-        p1, p2 = pos[r1], pos[r2]
+    for edge in rarest_color_edges(m, n):
+        p1, p2 = pos[edge[0] // n], pos[edge[1] // n]
         if (p1 + 1) % m == p2:
             slot_edges[p1].append(edge)
         elif (p2 + 1) % m == p1:
@@ -305,17 +303,10 @@ def derive(m: int, n: int) -> DerivedMulticycle:
 
 
 def derived_sigma(m: int, n: int) -> int:
-    """Number of edges wearing the rarest bishop color, without coloring the
-    whole board: second colors along the last group's paths."""
-    from .bishop_rook import bishop_path_decomposition
-
-    pd = bishop_path_decomposition(m, n)
-    k = m // 2
-    total = 0
-    for grp in pd.groups:
-        if grp.i == k and grp.sign < 0:
-            total += sum((len(p) - 1) // 2 for p in grp.paths)
-    return total
+    """Number of edges wearing the rarest bishop color 2m-2: every second
+    edge, from the leftmost end, along the paths of group (k, -), k = m // 2.
+    Neither this nor `derive` colors the whole board."""
+    return len(rarest_color_edges(m, n))
 
 
 # --- survey ----------------------------------------------------------------------

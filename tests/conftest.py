@@ -2,8 +2,11 @@
 
 from typing import Sequence
 
+from graphcert.bishop_rook import canonical_bishop_coloring, rarest_bishop_color
+from graphcert.chess import id_to_coord
 from graphcert.core import (CertificateError, EdgeColoring, Graph, VerificationReport,
                             _normalize_edge, _report, lowest_bit, max_degree)
+from graphcert.multicycle import DerivedMulticycle, Multicycle
 
 
 def cycle(n: int) -> Graph:
@@ -227,3 +230,32 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
     return EdgeColoring(dict(color_of), used)
+
+
+def reference_derive(m: int, n: int) -> DerivedMulticycle:
+    """Project the edges colored 2m-2 by the canonical bishop coloring onto
+    their row indices, arranged on the k-step cycle. Colours the whole board:
+    the oracle for graphcert.multicycle.derive, which builds one path group."""
+    if m % 2 == 0 or n % 2 == 0 or m > n:
+        raise ValueError("derive needs odd m <= n")
+    if m < 3:
+        raise ValueError("derive needs m >= 3")
+    k = m // 2
+    cyan = rarest_bishop_color(m)
+    coloring = canonical_bishop_coloring(m, n)
+    pos = {(j * k) % m + 1: j for j in range(m)}
+    slot_edges: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for edge, color in coloring.assignment.items():
+        if color != cyan:
+            continue
+        r1 = id_to_coord(edge[0], n).row
+        r2 = id_to_coord(edge[1], n).row
+        p1, p2 = pos[r1], pos[r2]
+        if (p1 + 1) % m == p2:
+            slot_edges[p1].append(edge)
+        elif (p2 + 1) % m == p1:
+            slot_edges[p2].append(edge)
+        else:
+            raise CertificateError("projected edge joins non-adjacent positions")
+    mult = tuple(len(s) for s in slot_edges)
+    return DerivedMulticycle(m, n, Multicycle(mult), tuple(tuple(sorted(s)) for s in slot_edges))

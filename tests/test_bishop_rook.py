@@ -256,15 +256,33 @@ def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
     assert calls == [(9, 13)]
 
 
-@pytest.mark.parametrize("bucket", [
+BAD_GROUPS = pytest.mark.parametrize("bucket", [
     [(0, 4), (4, 8), (2, 4)],  # vertex 4 has degree 3
     [(0, 1), (1, 2), (0, 2)],  # a triangle, so no path ends
 ], ids=["degree", "cycle"])
+
+
+@BAD_GROUPS
 def test_failed_path_check_raises_certificate_error(monkeypatch, bucket):
     # These checks must hold under python -O too, so they cannot be asserts.
     monkeypatch.setattr(bishop_rook, "_group_buckets", lambda m, n: {(1, 1): bucket})
     with pytest.raises(CertificateError):
         bishop_path_decomposition(3, 3)
+
+
+@BAD_GROUPS
+def test_rarest_color_path_check_raises_certificate_error(monkeypatch, bucket):
+    # the one-group walk shares its checks with the whole decomposition
+    monkeypatch.setattr(bishop_rook, "_last_group_edges", lambda m, n: bucket)
+    with pytest.raises(CertificateError):
+        rarest_color_edges(3, 3)
+
+
+def test_last_group_edges_are_the_last_bucket():
+    for m in range(3, 42, 2):
+        for n in range(m, 42, 2):
+            bucket = bishop_rook._group_buckets(m, n)[(m // 2, -1)]
+            assert sorted(bishop_rook._last_group_edges(m, n)) == sorted(bucket), (m, n)
 
 
 def test_path_decomposition_lines_format():

@@ -8,7 +8,9 @@ import pytest
 from graphcert import cli, keller
 from graphcert import io as gio
 from graphcert.cli import main
-from graphcert.core import EdgeColoring, VerificationReport
+from graphcert.chess import build_queen
+from graphcert.core import EdgeColoring, VerificationReport, vizing_delta_plus_one
+from graphcert.queen import QueenColoringCertificate
 
 
 def run(capsys, argv):
@@ -689,3 +691,24 @@ def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors)
     assert code == 1 and payload["ok"] is False and payload["detail"] == detail
     assert err == f"fail: {detail[0]}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_conjecture2_checks_the_declared_color_count(monkeypatch, capsys):
+    # a Vizing colouring labelled class 1 verifies, but declares Δ+1 colours
+    monkeypatch.setattr(cli, "classify_and_color", lambda m, n, budget, seed: (
+        QueenColoringCertificate(m, n, vizing_delta_plus_one(build_queen(m, n)), 1, "vizing")))
+    code, payload, err = run_json(capsys, "conjecture 2 --m-max 2 --n-max 3".split())
+    assert code == 1 and payload["ok"] is False
+    assert payload["detail"] == ["Q_1,3: predicted class 2, colored as class 1",
+                                 "Q_1,3: declares 3 colors, expected 2",
+                                 "Q_2,2: declares 4 colors, expected 3",
+                                 "Q_2,3: declares 6 colors, expected 5"]
+    assert err == "".join(f"fail: {line}\n" for line in payload["detail"])
+
+
+def test_invalid_input_cover_is_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(keller, "verify_cover_by_rule", lambda d, cover: FAILED)
+    code, payload, err = run_json(capsys, "keller double-cover --d 2".split())
+    assert code == 1 and payload["ok"] is False
+    assert "first reason; second reason" in payload["error"]
+    assert err.startswith("verification failed: input cover is invalid")

@@ -387,7 +387,7 @@ def test_doubling_a_single_clique():
 def test_double_clique_cover_rejects_bad_input():
     with pytest.raises(ValueError):
         double_clique_cover(2, [[0, 11]])
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="input cover is invalid"):
         double_clique_cover(2, [[2 * i, 2 * i + 1] for i in range(8)])
 
 

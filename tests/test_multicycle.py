@@ -6,9 +6,10 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_derive
 from graphcert import multicycle
 from graphcert.bishop_rook import rarest_color_edges
-from graphcert.core import CertificateError, EdgeColoring, VerificationReport
+from graphcert.core import CertificateError, VerificationReport
 from graphcert.multicycle import (
     SURVEY_COLUMNS,
     Multicycle,
@@ -232,10 +233,15 @@ def test_derive_5_11():
 def test_derive_rejects_non_adjacent_projection(monkeypatch):
     # On 5x5 the rows project to positions 1->0, 3->1, 5->2, 2->3, 4->4, so an
     # edge of the rarest color 8 from row 1 to row 5 skips a position.
-    monkeypatch.setattr(multicycle, "canonical_bishop_coloring",
-                        lambda m, n: EdgeColoring({(0, 20): 8}, 8))
+    monkeypatch.setattr(multicycle, "rarest_color_edges", lambda m, n: [(0, 20)])
     with pytest.raises(CertificateError):
         derive(5, 5)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(3, 62, 2) for n in range(m, 62, 2)]
+                         + [(25, 49)])
+def test_derive_matches_the_whole_board_reference(m, n):
+    assert derive(m, n) == reference_derive(m, n)
 
 
 def test_derive_validation():
