@@ -1,16 +1,20 @@
 """Plain graph types, certificate verifiers, and exact small-graph solvers.
 
 Vertices are 0-based ints internally (1-based only in files). Graphs are
-simple and undirected; edges are stored as sorted 2-tuples. Everything here
-is deterministic and side-effect free.
+simple and undirected. A graph stores its edges as one sorted (E, 2) int32
+array and an edge colouring as an edge array with a colour array aligned to
+it; the verifiers and file writers read only those arrays, and the tuple
+sets and dicts the search layers use are views built on demand. Everything
+here is deterministic and side-effect free.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,20 +37,118 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=False)
+def _int_array(values: Callable[[], Iterable[int]], count: int) -> np.ndarray:
+    """count ints as an int64 array, or as an object array when one passes int64."""
+    try:
+        return np.fromiter(values(), np.int64, count)
+    except OverflowError:  # an id or colour past int64, as in a forged certificate
+        return np.array(list(values()), dtype=object)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """a as int32 when its values fit, else as int64 when they fit there, else as it is."""
+    for dtype in (np.int32, np.int64):
+        info = np.iinfo(dtype)
+        if not a.size or (info.min <= a.min() and a.max() <= info.max):
+            return a.astype(dtype, copy=False)
+    return a
+
+
+def _row(pairs: np.ndarray, i: int) -> tuple[int, int]:
+    """Row i of an (E, 2) array as a tuple of Python ints."""
+    return tuple(pairs[i].tolist())
+
+
+def _ids(values: Iterable[int], n: int) -> np.ndarray:
+    """The values as an int64 array; each outside 0..n-1 becomes -1, never an edge end."""
+    return np.array([x if 0 <= x < n else -1 for x in values], np.int64)
+
+
+def _row_codes(pairs: np.ndarray) -> np.ndarray | None:
+    """One int64 code per row of an (E, 2) integer array, ordered as the rows
+    are lexicographically; None when the ids are too spread for int64."""
+    if pairs.dtype == object:
+        return None
+    lo = int(pairs.min(initial=0))
+    span = int(pairs.max(initial=0)) - lo + 1
+    if span * span >= 2 ** 63:
+        return None
+    shifted = pairs.astype(np.int64) - lo
+    return shifted[:, 0] * span + shifted[:, 1]
+
+
+def _first_repeat(pairs: np.ndarray) -> int:
+    """Index of the first row of an (E, 2) array that equals an earlier row, or -1."""
+    codes = _row_codes(pairs)
+    if codes is None:
+        seen: set[tuple[int, int]] = set()
+        for i, row in enumerate(map(tuple, pairs.tolist())):
+            if row in seen:
+                return i
+            seen.add(row)
+        return -1
+    if (codes[1:] > codes[:-1]).all():
+        return -1
+    ordered = np.sort(codes)
+    repeated = ordered[1:] == ordered[:-1]
+    if not repeated.any():
+        return -1
+    # a stable order puts the first occurrence of each code ahead of its repeats
+    order = np.argsort(codes, kind="stable")
+    return int(order[1:][repeated].min())
+
+
 class Graph:
-    """Simple undirected graph on vertices 0..vertex_count-1."""
+    """Simple undirected graph on vertices 0..vertex_count-1.
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    labels: Mapping[int, str] | None = None
+    The edge store is `pairs`, an (E, 2) int32 array of the edges (u, v)
+    with u < v, sorted and without repeats. The frozenset `edges` and the
+    `adjacency` sets are views for the Python search layers: a graph built
+    from a set keeps that set as `edges`, and a graph built with
+    `from_array` makes a view only when it is first read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: AbstractSet[tuple[int, int]],
+                 labels: Mapping[int, str] | None = None):
+        self._store(vertex_count, _int_array(lambda: chain.from_iterable(edges), 2 * len(edges)),
+                    labels)
+        vars(self)["edges"] = edges
+
+    @classmethod
+    def from_array(cls, vertex_count: int, pairs: np.ndarray,
+                   labels: Mapping[int, str] | None = None) -> "Graph":
+        """The graph on the rows (u, v), u < v, of an (E, 2) integer array.
+
+        Rows may come in any order and may repeat.
+        """
+        g = cls.__new__(cls)
+        g._store(vertex_count, np.asarray(pairs).reshape(-1), labels)
+        return g
+
+    def _store(self, vertex_count: int, flat: np.ndarray,
+               labels: Mapping[int, str] | None) -> None:
+        """Check the edges (flat[2i], flat[2i+1]) and keep them sorted and unique.
+
+        The first edge, in the given order, that is not 0 <= u < v < n is named.
+        """
+        if vertex_count < 0:
             raise ValueError("negative vertex count")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range or unnormalized")
+        if vertex_count > 2 ** 31:
+            raise ValueError(f"{vertex_count} vertices: ids past int32 are not supported")
+        u, v = flat[0::2], flat[1::2]
+        bad = ~((0 <= u) & (u < v) & (v < vertex_count))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({u[i]},{v[i]}) out of range or unnormalized")
+        codes = u.astype(np.int64) * vertex_count + v
+        if (codes[1:] > codes[:-1]).all():
+            pairs = flat.reshape(-1, 2)
+        else:
+            codes = np.sort(codes)
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            pairs = np.column_stack(np.divmod(codes, vertex_count))
+        self.vertex_count, self.labels = vertex_count, labels
+        self.pairs = pairs.astype(np.int32, copy=False)
 
     @staticmethod
     def from_edges(vertex_count: int, pairs: Iterable[tuple[int, int]],
@@ -54,9 +156,19 @@ class Graph:
         return Graph(vertex_count, frozenset(_normalize_edge(u, v) for u, v in pairs), labels)
 
     @cached_property
+    def edges(self) -> AbstractSet[tuple[int, int]]:
+        """The edges as a frozenset of tuples (u, v), u < v."""
+        return frozenset(zip(*self.pairs.T.tolist()))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """u·n + v for each edge (u, v), ascending: the keys edge_index searches."""
+        return self.pairs[:, 0].astype(np.int64) * self.vertex_count + self.pairs[:, 1]
+
+    @cached_property
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
+        for u, v in zip(*self.pairs.T.tolist()):
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -64,14 +176,29 @@ class Graph:
     @cached_property
     def max_degree(self) -> int:
         """Largest degree (0 without edges), counted once without the adjacency sets."""
-        return _largest_degree(_edge_array(self))
+        return int(np.bincount(self.pairs.ravel(), minlength=1).max())
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
+
+    def edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The row of pairs holding each edge {u[i], v[i]}, or -1 where there is none.
+
+        u and v are int64 arrays, in either order per edge. An id outside the
+        graph is never an edge, and neither is u[i] == v[i], whose code no
+        edge has. One searchsorted in codes.
+        """
+        n, codes = self.vertex_count, self.codes
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = np.where((0 <= lo) & (hi < n), lo * n + hi, -1)
+        at = np.searchsorted(codes, key)
+        found = at < codes.size
+        found[found] = codes[at[found]] == key[found]
+        return np.where(found, at, -1)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -83,17 +210,6 @@ class Graph:
         if e not in self.edges:
             raise ValueError(f"edge {e} not in graph")
         return Graph(self.vertex_count, self.edges - {e}, self.labels)
-
-
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges of g as an (E, 2) int64 array, in the edge set's iteration order."""
-    return np.fromiter(chain.from_iterable(g.edges), np.int64,
-                       2 * g.edge_count).reshape(-1, 2)
-
-
-def _largest_degree(pairs: np.ndarray) -> int:
-    """Largest degree (0 without edges) of the graph on an _edge_array."""
-    return int(np.bincount(pairs.ravel(), minlength=1).max())
 
 
 def max_degree(g: Graph) -> int:
@@ -117,25 +233,79 @@ def is_overfull(g: Graph) -> bool:
     return g.edge_count > max_degree(g) * (g.vertex_count // 2)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_items(assignment: Mapping[tuple[int, int], int], declared: int) -> None:
+    """The check of each (edge, colour) in turn, for colours that are not all plain ints."""
+    for e, c in assignment.items():
+        if not (isinstance(c, int) and 1 <= c <= declared):
+            raise ValueError(f"color {c} on edge {e} outside 1..{declared}")
+        if e != _normalize_edge(*e):
+            raise ValueError(f"unnormalized edge key {e}")
+
+
 class EdgeColoring:
-    """Partial or total assignment of positive color ids to edges."""
+    """Partial or total assignment of positive color ids to edges.
 
-    assignment: Mapping[tuple[int, int], int]
-    declared_color_count: int
+    The store is two aligned arrays in assignment order: `ends`, an (E, 2)
+    array of the edges (u, v) with u < v, and `colors`; each is int32 when
+    its values fit. The dict `assignment` is a view for the Python search
+    layers: a colouring built from a dict keeps that dict, and one built
+    with `from_arrays` makes the dict only when it is first read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.declared_color_count < 0:
+    def __init__(self, assignment: Mapping[tuple[int, int], int], declared_color_count: int):
+        if declared_color_count >= 0 and not set(map(type, assignment.values())) <= {int, bool}:
+            _check_items(assignment, declared_color_count)  # a float or numpy colour is refused
+        count = len(assignment)
+        self._store(_int_array(lambda: chain.from_iterable(assignment), 2 * count),
+                    _int_array(assignment.values, count), declared_color_count)
+        vars(self)["assignment"] = assignment
+
+    @classmethod
+    def from_arrays(cls, ends: np.ndarray, colors: np.ndarray,
+                    declared_color_count: int) -> "EdgeColoring":
+        """The colouring that gives colors[i] to the edge ends[i] = (u, v), u < v.
+
+        ends is (E, 2) and colors has E entries; no edge may repeat.
+        """
+        coloring = cls.__new__(cls)
+        coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),
+                        declared_color_count)
+        first = _first_repeat(coloring.ends)
+        if first >= 0:
+            raise ValueError(f"edge {_row(coloring.ends, first)} colored twice")
+        return coloring
+
+    def _store(self, flat: np.ndarray, colors: np.ndarray, declared: int) -> None:
+        """Check each edge (flat[2i], flat[2i+1]) and its colour, and keep both arrays.
+
+        The first offender in assignment order is named: a colour outside
+        1..declared before an edge that is not u < v.
+        """
+        if declared < 0:
             raise ValueError("negative color count")
-        for e, c in self.assignment.items():
-            if not (isinstance(c, int) and 1 <= c <= self.declared_color_count):
-                raise ValueError(f"color {c} on edge {e} outside 1..{self.declared_color_count}")
-            if e != _normalize_edge(*e):
-                raise ValueError(f"unnormalized edge key {e}")
+        if flat.size != 2 * colors.size:
+            raise ValueError(f"{flat.size // 2} edges but {colors.size} colors")
+        u, v = flat[0::2], flat[1::2]
+        off_palette = (colors < 1) | (colors > declared)
+        bad = off_palette | (u >= v)
+        if bad.any():
+            i = int(bad.argmax())
+            e = (int(u[i]), int(v[i]))
+            if off_palette[i]:
+                raise ValueError(f"color {colors[i]} on edge {e} outside 1..{declared}")
+            raise ValueError(f"self loop at vertex {e[0]}" if e[0] == e[1]
+                             else f"unnormalized edge key {e}")
+        self.ends, self.colors = _narrow(flat).reshape(-1, 2), _narrow(colors)
+        self.declared_color_count = declared
+
+    @cached_property
+    def assignment(self) -> Mapping[tuple[int, int], int]:
+        """The colouring as a dict {(u, v): color}, in assignment order."""
+        return dict(zip(zip(*self.ends.T.tolist()), self.colors.tolist()))
 
     @property
     def colors_used(self) -> set[int]:
-        return set(self.assignment.values())
+        return set(np.unique(self.colors).tolist())
 
     def color_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -149,15 +319,17 @@ class EdgeColoring:
         A coloring that already uses exactly 1..declared_color_count is
         returned as is.
         """
-        used = sorted(self.colors_used)
+        used = np.unique(self.colors)
         if len(used) == self.declared_color_count:
             return self
-        remap = {c: i + 1 for i, c in enumerate(used)}
-        return EdgeColoring({e: remap[c] for e, c in self.assignment.items()}, len(used))
+        return EdgeColoring.from_arrays(self.ends, np.searchsorted(used, self.colors) + 1,
+                                        len(used))
 
     def shifted(self, offset: int) -> "EdgeColoring":
-        return EdgeColoring({e: c + offset for e, c in self.assignment.items()},
-                            self.declared_color_count + offset)
+        # int64 (or Python ints), so the shift cannot wrap an int32 colour
+        colors = self.colors if self.colors.dtype == object else self.colors.astype(np.int64)
+        return EdgeColoring.from_arrays(self.ends, colors + offset,
+                                        self.declared_color_count + offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,35 +356,31 @@ def _report(detail: list[str], colors_used: int, delta: int | None = None
     return VerificationReport(not detail, colors_used, delta, tuple(detail))
 
 
-def _colored_ends(assignment: Mapping[tuple[int, int], int], n: int
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
+def _colored_ends(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Both ends of every colored edge as one flat int64 array, in assignment order.
 
     An end outside 0..n-1 is relabelled to an id from n up, one id per
     distinct value, so no arithmetic ever sees it; the mask of those ends is
     returned too, or None when every end is a vertex.
     """
-    try:
-        ends = np.fromiter(chain.from_iterable(assignment), np.int64, 2 * len(assignment))
-        if not ends.size or (ends.min() >= 0 and ends.max() < n):
-            return ends, None
-    except OverflowError:
-        pass
+    flat = ends.ravel()
+    if flat.dtype != object and (not flat.size or (flat.min() >= 0 and flat.max() < n)):
+        return flat.astype(np.int64), None
     relabel: dict[int, int] = {}
-    ends = np.array([x if 0 <= x < n else relabel.setdefault(x, n + len(relabel))
-                     for x in chain.from_iterable(assignment)], np.int64)
-    return ends, ends >= n
+    flat = np.array([x if 0 <= x < n else relabel.setdefault(x, n + len(relabel))
+                     for x in flat.tolist()], np.int64)
+    return flat, flat >= n
 
 
 def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
                          require_total: bool = True) -> VerificationReport:
     """Check properness of an edge coloring against its host graph.
 
-    The check runs on int64 arrays. Each colored edge gives one key per end,
-    vertex·K + color; a color repeated at a vertex is two equal neighbours
-    among the sorted keys. Each edge (u, v) gives the code u·n + v, and the
-    colored codes are searched in the sorted codes of g.edges: a code not
-    found is a colored non-edge, and the edges no code hits are uncolored.
+    The check runs on the stored arrays. Each colored edge gives one key per
+    end, vertex·K + color; a color repeated at a vertex is two equal
+    neighbours among the sorted keys. Each edge (u, v) gives the code
+    u·n + v, and the colored codes are searched in g.codes: a code not found
+    is a colored non-edge, and the edges no code hits are uncolored.
     An end outside 0..n-1 is reported as not in the graph before any int64
     arithmetic, and takes part in the repeat check under a relabelled id.
     Detail lines are built from the offending indices only, in this order:
@@ -222,17 +390,14 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
     """
     detail: list[str] = []
     n = g.vertex_count
-    assignment = coloring.assignment
-    ends, outside = _colored_ends(assignment, n)
+    ends, outside = _colored_ends(coloring.ends, n)
+    colors = coloring.colors
+    used = np.unique(colors)
     palette = coloring.declared_color_count + 1
-    colors: Iterable[int] = assignment.values()
     if palette * (n + ends.size + 1) >= 2 ** 63:  # a forged huge k: compare colors by rank
-        rank = {c: i for i, c in enumerate(set(colors))}
-        colors, palette = map(rank.__getitem__, colors), len(rank)
-    color_of = np.fromiter(colors, np.int64, len(assignment))
-    edges = list(assignment)
-    pairs = _edge_array(g)
-    codes = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        colors, palette = np.searchsorted(used, colors), len(used)
+    colors = colors.astype(np.int64)
+    codes = g.codes
     colored = ends[0::2] * n + ends[1::2]
     in_graph = np.ones(colored.size, bool)
     hit = np.ones(codes.size, bool)
@@ -247,9 +412,9 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
         hit[:] = False
         hit[at[in_graph]] = True
     for i in np.flatnonzero(~in_graph).tolist():
-        detail.append(f"colored edge {edges[i]} not in graph")
+        detail.append(f"colored edge {_row(coloring.ends, i)} not in graph")
 
-    keys = ends * palette + np.repeat(color_of, 2)
+    keys = ends * palette + np.repeat(colors, 2)
     ordered = np.sort(keys)
     repeated = ordered[1:] == ordered[:-1]
     if repeated.any():
@@ -260,9 +425,9 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
         later, head = order[~first], head[~first]
         by_occurrence = np.argsort(later)
         for j, h in zip(later[by_occurrence].tolist(), head[by_occurrence].tolist()):
-            e = edges[j // 2]
-            detail.append(f"color {assignment[e]} repeated at vertex {e[j % 2]} "
-                          f"on {edges[h // 2]} and {e}")
+            e = _row(coloring.ends, j // 2)
+            detail.append(f"color {coloring.colors[j // 2]} repeated at vertex {e[j % 2]} "
+                          f"on {_row(coloring.ends, h // 2)} and {e}")
 
     if require_total:
         missing = np.flatnonzero(~hit)
@@ -270,18 +435,16 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
             detail.append(f"edge {divmod(code, n)} uncolored")
         if missing.size > 10:
             detail.append(f"...{missing.size - 10} more uncolored edges")
-    return _report(detail, len(coloring.colors_used), _largest_degree(pairs))
+    return _report(detail, len(used), g.max_degree)
 
 
-def _check_edges_exist(g: Graph, seq: Sequence[int], closed: bool) -> list[str]:
-    detail = []
-    pairs = list(zip(seq, seq[1:]))
-    if closed:
-        pairs.append((seq[-1], seq[0]))
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            detail.append(f"missing edge ({u},{v})")
-    return detail
+def _missing_edges(g: Graph, seq: Sequence[int], closed: bool) -> list[str]:
+    """A line for each step of seq (and its last to first, when closed) that is not an edge."""
+    walk = np.asarray(seq, dtype=np.int64)
+    steps = g.edge_index(walk, np.roll(walk, -1)) if closed else g.edge_index(walk[:-1],
+                                                                              walk[1:])
+    return [f"missing edge ({seq[i]},{seq[(i + 1) % len(seq)]})"
+            for i in np.flatnonzero(steps < 0).tolist()]
 
 
 def verify_hamiltonian_cycle(g: Graph, seq: Sequence[int]) -> VerificationReport:
@@ -291,7 +454,7 @@ def verify_hamiltonian_cycle(g: Graph, seq: Sequence[int]) -> VerificationReport
     elif g.vertex_count < 3:
         detail.append("cycle needs at least 3 vertices")
     else:
-        detail.extend(_check_edges_exist(g, seq, closed=True))
+        detail.extend(_missing_edges(g, seq, closed=True))
     return _report(detail, 0)
 
 
@@ -303,7 +466,7 @@ def verify_hamiltonian_path(g: Graph, seq: Sequence[int],
         detail.append("sequence is not a permutation of the vertices")
     else:
         if g.vertex_count >= 2:
-            detail.extend(_check_edges_exist(g, seq, closed=False))
+            detail.extend(_missing_edges(g, seq, closed=False))
         if start is not None and seq[0] != start:
             detail.append(f"path starts at {seq[0]}, expected {start}")
         if end is not None and seq[-1] != end:
@@ -317,60 +480,75 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     """Cycles (plus an optional perfect matching) must partition the edge set.
 
     colors_used reports the number of parts (cycles, plus one for a matching).
+    Each edge is looked up by its row in g.pairs, one search per part.
     """
     detail: list[str] = []
-    used: dict[tuple[int, int], int] = {}
-
-    def claim(e: tuple[int, int], part: str) -> None:
-        if e in used:
-            detail.append(f"edge {e} reused by {part}")
-        used[e] = used.get(e, 0) + 1
-
+    claimed = np.zeros(g.edge_count, bool)  # the graph edges some part holds already
     for idx, cyc in enumerate(cycles):
         rep = verify_hamiltonian_cycle(g, cyc)
         if not rep.ok:
             detail.append(f"cycle {idx}: " + "; ".join(rep.detail))
             continue
-        for u, v in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-            claim(_normalize_edge(u, v), f"cycle {idx}")
+        walk = np.asarray(cyc, dtype=np.int64)
+        rows = g.edge_index(walk, np.roll(walk, -1))
+        for r in rows[claimed[rows]].tolist():
+            detail.append(f"edge {_row(g.pairs, r)} reused by cycle {idx}")
+        claimed[rows] = True
     parts = len(cycles)
     if matching is not None:
         parts += 1
+        edges = [_normalize_edge(u, v) for u, v in matching]
+        ids = _ids(chain.from_iterable(edges), g.vertex_count)
         covered: set[int] = set()
-        for u, v in matching:
-            e = _normalize_edge(u, v)
-            if e not in g.edges:
+        claimed_off: set[tuple[int, int]] = set()  # matching edges that are not graph edges
+        for e, r in zip(edges, g.edge_index(ids[0::2], ids[1::2]).tolist()):
+            if r < 0:
                 detail.append(f"matching edge {e} not in graph")
-            if u in covered or v in covered:
+            if e[0] in covered or e[1] in covered:
                 detail.append(f"matching repeats a vertex on {e}")
-            covered.update((u, v))
-            claim(e, "matching")
+            covered.update(e)
+            if (claimed[r] if r >= 0 else e in claimed_off):
+                detail.append(f"edge {e} reused by matching")
+            if r >= 0:
+                claimed[r] = True
+            else:
+                claimed_off.add(e)
         if len(covered) != g.vertex_count:
             detail.append("matching is not perfect")
-    leftover = g.edges - set(used)
-    if leftover:
-        detail.append(f"{len(leftover)} edges uncovered, e.g. {sorted(leftover)[:5]}")
+    leftover = np.flatnonzero(~claimed)
+    if leftover.size:
+        examples = [_row(g.pairs, r) for r in leftover[:5].tolist()]
+        detail.append(f"{leftover.size} edges uncovered, e.g. {examples}")
     return _report(detail, parts)
 
 
-def verify_clique_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> VerificationReport:
-    """Disjoint cliques covering every vertex. colors_used reports the clique count."""
+def verify_clique_cover(g: Graph, cliques: Iterable[Iterable[int]]) -> VerificationReport:
+    """Disjoint cliques covering every vertex. colors_used reports the clique count.
+
+    Each clique is read once, so one-shot iterables are checked as lists
+    would be. Every pair inside a clique is looked up in one search.
+    """
     detail: list[str] = []
+    n = g.vertex_count
+    cliques = [list(raw) for raw in cliques]
+    members = [sorted(set(raw)) for raw in cliques]
+    pairs = [(u, v) for m in members for i, u in enumerate(m) for v in m[i + 1:]]
+    ids = _ids(chain.from_iterable(pairs), n)
+    joined = iter((g.edge_index(ids[0::2], ids[1::2]) >= 0).tolist())
     seen: set[int] = set()
-    for idx, raw in enumerate(cliques):
-        members = sorted(set(raw))
-        if len(members) != len(list(raw)):
+    for idx, (raw, m) in enumerate(zip(cliques, members)):
+        if len(m) != len(raw):
             detail.append(f"clique {idx} repeats a vertex")
-        for v in members:
+        for v in m:
             if v in seen:
                 detail.append(f"vertex {v} in more than one clique")
             seen.add(v)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if not g.has_edge(u, v):
+        for i, u in enumerate(m):
+            for v in m[i + 1:]:
+                if not next(joined):
                     detail.append(f"clique {idx} misses edge ({u},{v})")
-    if seen != set(range(g.vertex_count)):
-        detail.append(f"{g.vertex_count - len(seen)} vertices uncovered")
+    if seen != set(range(n)):
+        detail.append(f"{n - len(seen)} vertices uncovered")
     return _report(detail, len(cliques))
 
 

@@ -117,12 +117,6 @@ def _shift(digs: np.ndarray, s: Sequence[int]) -> np.ndarray:
     return ((digs + np.asarray(s, dtype=np.int8)) & 3) @ place
 
 
-def _int_objects(bound: int) -> np.ndarray:
-    # indexing this and calling tolist() hands out one shared int object per
-    # value, so million-entry tuple lists hold no duplicate ints
-    return np.arange(bound).astype(object)
-
-
 def adjacent(u: int, v: int, d: int) -> bool:
     """Scalar form of the adjacency rule; the array paths below must agree with it."""
     du = KellerVertex.decode(u, d).digits
@@ -153,13 +147,11 @@ def _rule_pairs(digs: np.ndarray, joined: bool) -> Iterator[tuple[np.ndarray, np
 def build(d: int) -> Graph:
     if d < 2:
         raise ValueError("d >= 2 required")
-    n = 4 ** d
     chunks = list(_rule_pairs(_digit_matrix(d), joined=True))
-    ints = _int_objects(n)
-    us = ints[np.concatenate([i for i, _ in chunks])].tolist()
-    vs = ints[np.concatenate([j for _, j in chunks])].tolist()
-    # the pairs are already normalized, so skip Graph.from_edges
-    return Graph(n, frozenset(zip(us, vs)))
+    # _rule_pairs lists i < j in lexicographic order: already the sorted edge store
+    pairs = np.column_stack((np.concatenate([i for i, _ in chunks]),
+                             np.concatenate([j for _, j in chunks])))
+    return Graph.from_array(4 ** d, pairs.astype(np.int32))
 
 
 # --- Hamiltonian cycle -------------------------------------------------------------
@@ -258,13 +250,11 @@ def class1_coloring(d: int) -> EdgeColoring:
         colors.append(np.tile([c_pos, c_pos, c_neg, c_neg], len(v0)))
     if color != delta(d):
         raise CertificateError(f"kernel coloring used {color} colors, Delta = {delta(d)}")
-    ints = _int_objects(4 ** d)  # Delta < 4^d, so colors index it too
-    keys = list(zip(ints[np.concatenate(firsts)].tolist(),
-                    ints[np.concatenate(seconds)].tolist()))
-    assign = dict(zip(keys, ints[np.concatenate(colors)].tolist()))
-    if len(assign) != len(keys):
-        raise CertificateError(f"kernel coloring assigned {len(keys) - len(assign)} edges twice")
-    return EdgeColoring(assign, color)
+    ends = np.column_stack((np.concatenate(firsts), np.concatenate(seconds)))
+    try:
+        return EdgeColoring.from_arrays(ends, np.concatenate(colors), color)
+    except ValueError as exc:  # an edge coloured twice: the kernel is not what it claims
+        raise CertificateError(f"kernel coloring: {exc}") from None
 
 
 # --- independence square and automorphisms ------------------------------------------

@@ -1,11 +1,13 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
-from typing import Sequence
+import re
+from typing import IO, Iterable, Sequence
 
 from graphcert.bishop_rook import canonical_bishop_coloring, rarest_bishop_color
 from graphcert.chess import id_to_coord
 from graphcert.core import (CertificateError, EdgeColoring, Graph, VerificationReport,
-                            _normalize_edge, _report, lowest_bit, max_degree)
+                            _normalize_edge, _report, lowest_bit, max_degree,
+                            verify_hamiltonian_cycle)
 from graphcert.multicycle import DerivedMulticycle, Multicycle
 
 
@@ -259,3 +261,138 @@ def reference_derive(m: int, n: int) -> DerivedMulticycle:
             raise CertificateError("projected edge joins non-adjacent positions")
     mult = tuple(len(s) for s in slot_edges)
     return DerivedMulticycle(m, n, Multicycle(mult), tuple(tuple(sorted(s)) for s in slot_edges))
+
+
+def is_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
+                     matching: Iterable[tuple[int, int]] | None = None) -> bool:
+    """Definition check: every cycle is a Hamiltonian cycle of g, the matching
+    (when given) covers every vertex once, and together their edges are the
+    edges of g, each exactly once. The oracle for
+    verify_hamiltonian_decomposition."""
+    used = []
+    for cyc in cycles:
+        if not is_hamiltonian(g, list(cyc), closed=True):
+            return False
+        used += [tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(len(cyc))]
+    if matching is not None:
+        matching = [tuple(sorted(e)) for e in matching]
+        if sorted(v for e in matching for v in e) != list(range(g.vertex_count)):
+            return False
+        used += matching
+    return sorted(used) == sorted(g.edges)
+
+
+def reference_verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
+                                               matching=None) -> VerificationReport:
+    """Edge-tuple bookkeeping: the oracle for
+    graphcert.core.verify_hamiltonian_decomposition, which must report the
+    same detail."""
+    detail: list[str] = []
+    used: set[tuple[int, int]] = set()
+
+    def claim(e: tuple[int, int], part: str) -> None:
+        if e in used:
+            detail.append(f"edge {e} reused by {part}")
+        used.add(e)
+
+    for idx, cyc in enumerate(cycles):
+        rep = verify_hamiltonian_cycle(g, cyc)
+        if not rep.ok:
+            detail.append(f"cycle {idx}: " + "; ".join(rep.detail))
+            continue
+        for u, v in zip(cyc, list(cyc[1:]) + [cyc[0]]):
+            claim(_normalize_edge(u, v), f"cycle {idx}")
+    parts = len(cycles)
+    if matching is not None:
+        parts += 1
+        covered: set[int] = set()
+        for u, v in matching:
+            e = _normalize_edge(u, v)
+            if e not in g.edges:
+                detail.append(f"matching edge {e} not in graph")
+            if u in covered or v in covered:
+                detail.append(f"matching repeats a vertex on {e}")
+            covered.update((u, v))
+            claim(e, "matching")
+        if len(covered) != g.vertex_count:
+            detail.append("matching is not perfect")
+    leftover = g.edges - used
+    if leftover:
+        detail.append(f"{len(leftover)} edges uncovered, e.g. {sorted(leftover)[:5]}")
+    return _report(detail, parts)
+
+
+def _unsigned_token(token: str, lineno: int, raw: str, error: type) -> int:
+    if not re.fullmatch("[0-9]+", token):
+        raise error(f"line {lineno}: non-integer token in {raw.strip()!r}")
+    return int(token)
+
+
+def reference_read_dimacs(fh: IO[str]) -> Graph:
+    """Line-by-line DIMACS reader: the oracle for graphcert.io.read_dimacs,
+    which must return the same graph or raise the same error."""
+    n = declared = None
+    rows: list[tuple[int, int, int]] = []  # (line, a, b) with 1-based ids as written
+    for lineno, raw in enumerate(fh, 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == "e":
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: bad edge line {raw.strip()!r}")
+            a, b = (_unsigned_token(t, lineno, raw, ValueError) for t in parts[1:])
+            rows.append((lineno, a, b))
+        elif parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"line {lineno}: bad problem line {raw.strip()!r}")
+            if n is not None:
+                raise ValueError(f"line {lineno}: second 'p edge' line")
+            n, declared = (_unsigned_token(t, lineno, raw, ValueError) for t in parts[2:])
+        else:
+            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+    if n is None:
+        raise ValueError("missing 'p edge' line")
+    for lineno, a, b in rows:
+        for x in (a, b):
+            if not 1 <= x <= n:
+                raise ValueError(f"line {lineno}: vertex id {x} outside 1..{n}")
+        if a == b:
+            raise ValueError(f"self loop at vertex {a - 1}")
+    g = Graph(n, frozenset((min(a, b) - 1, max(a, b) - 1) for _, a, b in rows))
+    if g.edge_count != declared:
+        raise ValueError(f"declared {declared} edges, found {g.edge_count}")
+    return g
+
+
+def reference_read_coloring(fh: IO[str]) -> EdgeColoring:
+    """Line-by-line colouring reader: the oracle for graphcert.io.read_coloring,
+    which must return the same colouring or raise the same error."""
+    declared = None
+    assignment: dict[tuple[int, int], int] = {}
+    lineno = 0
+    for lineno, raw in enumerate(fh, 1):
+        if not raw.isascii():
+            raise CertificateError(f"line {lineno}: non-ASCII byte")
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0][0] == "c":
+            body = raw.strip()[1:].strip()
+            if body.startswith("k="):
+                if declared is not None:
+                    raise CertificateError(f"line {lineno}: second 'c k=' line")
+                declared = _unsigned_token(body[2:].strip(), lineno, raw, CertificateError)
+            continue
+        if len(parts) != 3:
+            raise CertificateError(f"line {lineno}: expected 'u v color', got {raw.strip()!r}")
+        u, v, c = (_unsigned_token(t, lineno, raw, CertificateError) for t in parts)
+        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        if key in assignment:
+            raise CertificateError(f"line {lineno}: edge {u} {v} listed twice")
+        assignment[key] = c
+    if declared is None:
+        raise CertificateError(f"line {lineno + 1}: end of file without a 'c k=<count>' line")
+    for (lo, hi), c in assignment.items():
+        if not 1 <= c <= declared:
+            raise CertificateError(f"edge {lo + 1} {hi + 1}: color {c} outside 1..{declared}")
+    return EdgeColoring(assignment, declared)

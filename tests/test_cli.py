@@ -407,6 +407,8 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
 
 # R(2,2) with one colour repeated at vertex 1: a certificate that reads but fails.
 R22_CLASH = "c k=2\n1 2 1\n1 3 1\n2 4 2\n3 4 1\n"
+# R(2,2) whose second 'c k=' line would raise the count: a malformed certificate.
+R22_SECOND_K = "c k=1\n1 2 1\nc k=5\n2 4 5\n"
 
 # (id, argv, commands run first, files written first, modes). A row whose JSON
 # carries failure detail is pinned in text mode only.
@@ -446,6 +448,8 @@ PINNED = [
      ["gen --family rook --m 2 --n 2 --out r.col"], {"r.coloring": R22_CLASH}, "text"),
     ("verify-coloring-malformed", "verify coloring --graph r.col --certificate r.coloring",
      ["gen --family rook --m 2 --n 2 --out r.col"], {"r.coloring": "1 2 1\n"}, "text json"),
+    ("verify-coloring-second-k", "verify coloring --graph r.col --certificate r.coloring",
+     ["gen --family rook --m 2 --n 2 --out r.col"], {"r.coloring": R22_SECOND_K}, "text json"),
     ("verify-hamcycle", "verify hamcycle --graph g.col --certificate c.seq",
      ["keller build --d 2 --out g.col", "keller hamcycle --d 2 --out c.seq"], {},
      "text json"),
@@ -538,6 +542,8 @@ PINNED_DIGESTS = {
     "verify-coloring-clash-text": "e04246f9cba4bad8",  # exit 1
     "verify-coloring-malformed-text": "4355a46b19d348dc",  # exit 1
     "verify-coloring-malformed-json": "6bc147a8a947afd4",  # exit 1
+    "verify-coloring-second-k-text": "4355a46b19d348dc",  # exit 1
+    "verify-coloring-second-k-json": "99ceb1dfe7ee684b",  # exit 1
     "verify-hamcycle-text": "84d1628259a587ea",  # exit 0
     "verify-hamcycle-json": "734fc8e79c4da7db",  # exit 0
     "verify-hampath-text": "a6178fc55cd8b237",  # exit 0

@@ -1,13 +1,16 @@
 """Core types, verifiers, exact solvers, and the Vizing baseline."""
 
 import functools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcert.keller as keller
-from conftest import (complete, cycle, edgeless, is_hamiltonian, naive_alpha, naive_omega,
-                      path, petersen, reference_verify_edge_coloring)
+from conftest import (complete, cycle, edgeless, is_decomposition, is_hamiltonian, naive_alpha,
+                      naive_omega, path, petersen, reference_verify_edge_coloring,
+                      reference_verify_hamiltonian_decomposition)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_bishop, build_queen, build_rook
 from graphcert.core import (
@@ -15,6 +18,7 @@ from graphcert.core import (
     EdgeColoring,
     EmptyGraphError,
     Graph,
+    _check_items,
     complement,
     exact_alpha,
     exact_omega,
@@ -44,6 +48,27 @@ def test_graph_rejects_self_loops_and_out_of_range():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, frozenset({(2, 1)}))  # unnormalized edge key
+
+
+def _message(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(-1, 4),
+       st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7), st.integers(-1, 5)), max_size=8))
+def test_constructor_checks_name_the_first_offender_as_the_loops_did(n, k, items):
+    edges = frozenset((u, v) for u, v, _ in items)
+    want = next((f"edge ({u},{v}) out of range or unnormalized"
+                 for u, v in edges if not 0 <= u < v < n), None)
+    assert _message(lambda: Graph(n, edges)) == want
+    assignment = {(u, v): c for u, v, c in items}
+    want = "negative color count" if k < 0 else _message(lambda: _check_items(assignment, k))
+    assert _message(lambda: EdgeColoring(assignment, k)) == want
 
 
 def test_graph_deduplicates_edges():
@@ -315,6 +340,72 @@ def test_verify_hamiltonian_decomposition_with_matching():
     assert rep.ok and rep.colors_used == 2
     assert not verify_hamiltonian_decomposition(k4, [[0, 1, 2, 3]], [(0, 2)]).ok
     assert not verify_hamiltonian_decomposition(k4, [[0, 1, 2, 3]]).ok
+
+
+@functools.cache
+def _decompositions():
+    """The G_3 fixture (17 Hamiltonian cycles) and the G_2 search result (two
+    Hamiltonian cycles plus a perfect matching)."""
+    found = keller.ham_decomposition_search(2)
+    return [(keller.build(3), keller.fixture_ham_decomposition(), None),
+            (keller.build(2), [list(c) for c in found.cycles], list(found.matching))]
+
+
+def _mutate_decomposition(cycles, matching, kind, rng):
+    cycles = [list(c) for c in cycles]
+    matching = None if matching is None else list(matching)
+    i, j = rng.sample(range(len(cycles)), 2)
+    if kind == "swap":  # two vertices of one cycle trade places
+        a, b = rng.sample(range(len(cycles[i])), 2)
+        cycles[i][a], cycles[i][b] = cycles[i][b], cycles[i][a]
+        return cycles, matching
+    if kind == "drop-matching":
+        del matching[rng.randrange(len(matching))]
+        return cycles, matching
+    p = rng.randrange(len(cycles[i]))
+    edge = (cycles[i][p - 1], cycles[i][p])
+    if kind == "cycle-into-matching":  # a cycle edge replaces a matching edge
+        matching[rng.randrange(len(matching))] = edge
+        return cycles, matching
+    if kind == "matching-into-cycle":
+        edge = matching[rng.randrange(len(matching))]
+    # "move" and "matching-into-cycle": cycle j takes the edge, its second end
+    # moved to follow its first
+    a, b = edge if rng.random() < 0.5 else edge[::-1]
+    cycles[j].remove(b)
+    cycles[j].insert(cycles[j].index(a) + 1, b)
+    return cycles, matching
+
+
+@pytest.mark.parametrize("which,kind", [
+    (0, "swap"), (0, "move"), (1, "swap"), (1, "move"), (1, "matching-into-cycle"),
+    (1, "cycle-into-matching"), (1, "drop-matching")])
+def test_decomposition_mutants_are_rejected(which, kind):
+    g, cycles, matching = _decompositions()[which]
+    assert is_decomposition(g, cycles, matching)
+    assert verify_hamiltonian_decomposition(g, cycles, matching).ok
+    rng = random.Random(kind)
+    for _ in range(25):
+        mutant_cycles, mutant_matching = _mutate_decomposition(cycles, matching, kind, rng)
+        assert not is_decomposition(g, mutant_cycles, mutant_matching)
+        got = verify_hamiltonian_decomposition(g, mutant_cycles, mutant_matching)
+        want = reference_verify_hamiltonian_decomposition(g, mutant_cycles, mutant_matching)
+        assert not got.ok and (got.colors_used, got.detail) == (want.colors_used, want.detail)
+
+
+def test_edge_index_finds_edges_in_either_order_and_nothing_else():
+    g = cycle(4)  # rows (0,1), (0,3), (1,2), (2,3); (0,6) would wrap onto (1,2)
+    u = np.array([1, 3, 0, 0, -1, 2, 2, 0])
+    v = np.array([0, 2, 3, 6, 5, 2, 9, 2])
+    assert g.edge_index(u, v).tolist() == [0, 3, 1, -1, -1, -1, -1, -1]
+
+
+def test_verify_clique_cover_reads_each_clique_once():
+    g = Graph(4, {(0, 1), (2, 3)})
+    assert verify_clique_cover(g, [iter([0, 1]), iter([2, 3])]).ok
+    assert verify_clique_cover(g, (iter(c) for c in ([0, 1], [2, 3]))).ok
+    rep = verify_clique_cover(g, [iter([0, 2]), iter([1, 3])])
+    assert rep.detail == ("clique 0 misses edge (0,2)", "clique 1 misses edge (1,3)")
 
 
 def test_verify_clique_cover_examples():

@@ -2,15 +2,18 @@
 
 import hashlib
 import io
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphcert.io as gio
 import graphcert.keller as keller
-from conftest import cycle
+from conftest import cycle, reference_read_coloring, reference_read_dimacs
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_queen
-from graphcert.core import CertificateError, EdgeColoring
+from graphcert.core import (CertificateError, EdgeColoring, verify_edge_coloring,
+                            verify_hamiltonian_cycle)
 from graphcert.queen import classify_and_color
 
 
@@ -30,15 +33,31 @@ def test_dimacs_ids_are_one_based_on_disk():
     assert "e 1 2" in buf.getvalue() and "e 0 1" not in buf.getvalue()
 
 
-def test_dimacs_errors():
-    with pytest.raises(ValueError):
-        gio.read_dimacs(io.StringIO("e 1 2\n"))  # no problem line
-    with pytest.raises(ValueError):
-        gio.read_dimacs(io.StringIO("p edge 3\ne 1 2\n"))
-    with pytest.raises(ValueError):
-        gio.read_dimacs(io.StringIO("p edge 3 2\ne 1 2\n"))  # declared 2, found 1
-    with pytest.raises(ValueError):
-        gio.read_dimacs(io.StringIO("p edge 3 1\nx 1 2\n"))
+# (text, message) of each malformed DIMACS file; every one is bad input (exit 2)
+MALFORMED_DIMACS = [
+    ("e 1 2\n", "missing 'p edge' line"),
+    ("p edge 3\ne 1 2\n", "line 1: bad problem line 'p edge 3'"),
+    ("p edge 3 2\ne 1 2\n", "declared 2 edges, found 1"),
+    ("p edge 3 1\nx 1 2\n", "line 2: unknown record 'x'"),
+    ("p edge 3 1\ne 1 2 3\n", "line 2: bad edge line 'e 1 2 3'"),
+    ("p edge 3 1\ne 1 x\n", "line 2: non-integer token in 'e 1 x'"),
+    ("p edge 3 1\nc note\ne +1 2\n", "line 3: non-integer token in 'e +1 2'"),
+    ("p edge 3 1\ne 1_0 2\n", "line 2: non-integer token in 'e 1_0 2'"),
+    ("p edge 3 1\ne -1 2\n", "line 2: non-integer token in 'e -1 2'"),
+    ("p edge x 1\ne 1 2\n", "line 1: non-integer token in 'p edge x 1'"),
+    ("p edge 4 2\ne 1 2\ne 1 5\n", "line 3: vertex id 5 outside 1..4"),
+    ("p edge 4 1\ne 0 4\n", "line 2: vertex id 0 outside 1..4"),
+    ("e 2 3\ne 9 1\np edge 4 2\n", "line 2: vertex id 9 outside 1..4"),
+    ("p edge 3 1\np edge 5 1\ne 1 2\n", "line 2: second 'p edge' line"),
+    ("p edge 3 2\ne 1 2\ne 3 3\n", "self loop at vertex 2"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_DIMACS)
+def test_dimacs_errors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        gio.read_dimacs(io.StringIO(text))
+    assert not isinstance(caught.value, CertificateError)  # bad input, not a failed check
 
 
 def test_coloring_roundtrip(tmp_path):
@@ -66,6 +85,27 @@ def test_coloring_accepts_comments_and_blank_lines():
 def test_coloring_rejects_malformed_line():
     with pytest.raises(ValueError):
         gio.read_coloring(io.StringIO("c k=1\n1 2\n"))
+
+
+# (text, message) of each malformed colouring read from text; each is a failed certificate
+MALFORMED_COLORING = [
+    ("1 2 1\n2 3 2\n", "line 3: end of file without a 'c k="),
+    ("c k=1\n1 2\n", "line 2: expected 'u v color', got '1 2'"),
+    ("c k=1\n1 2 1\nc k=5\n2 3 5\n", "line 3: second 'c k=' line"),
+    ("c k=2\n1 2 1\n3 4 2\n2 1 2\n", "line 4: edge 2 1 listed twice"),
+    ("c k=2\n1 2 1\n2 1 2\n1 x 1\n", "line 3: edge 2 1 listed twice"),
+    ("c k=2\n1 2 1\n2 3 3\n", "edge 2 3: color 3 outside 1..2"),
+    ("c k=2\n1 2 +1\n", "line 2: non-integer token in '1 2 +1'"),
+    ("c k=1_0\n1 2 1\n", "line 1: non-integer token in 'c k=1_0'"),
+    ("c k=2\n1 2 1\n2 3 two\n", "line 3: non-integer token in '2 3 two'"),
+    ("c k=2\n1 2 1\nc \u00e9\n", "line 3: non-ASCII byte"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_COLORING)
+def test_coloring_errors(text, message):
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        gio.read_coloring(io.StringIO(text))
 
 
 @pytest.mark.parametrize("reader,text,line", [
@@ -150,3 +190,135 @@ def test_writers_keep_their_bytes(tmp_path, name):
         buf = io.StringIO()
         writer(obj, buf, comments=["pin"])
         assert buf.getvalue().encode("ascii") == target.read_bytes()
+
+
+# --- the array readers against the line-by-line oracles -----------------------------------
+
+def _outcome(reader, fh):
+    """What a reader makes of a file: its result, or the type and text of its error."""
+    try:
+        return reader(fh)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same_graph(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return (not isinstance(got, tuple) and got.vertex_count == want.vertex_count
+            and got.edges == want.edges and got.pairs.tolist() == sorted(map(list, want.edges)))
+
+
+def _same_coloring(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return (not isinstance(got, tuple)
+            and got.declared_color_count == want.declared_color_count
+            and list(got.assignment.items()) == list(want.assignment.items()))
+
+
+@st.composite
+def _line(draw, tokens):
+    """tokens joined by spaces or tabs, with optional blanks around and a LF or CRLF end."""
+    gaps = draw(st.lists(st.sampled_from([" "] * 6 + ["  ", "\t", " \t"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    lead = draw(st.sampled_from([""] * 6 + [" ", "\t"]))
+    tail = draw(st.sampled_from([""] * 6 + [" ", "\t"]))
+    body = lead + tokens[0] + "".join(g + t for g, t in zip(gaps[1:], tokens[1:])) + tail
+    return body + draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+
+
+_NOISE = st.sampled_from(["c a comment\n", "c\n", "\n", "   \n", "\t\r\n", "cx 1 2\n"])
+
+
+@st.composite
+def _file(draw, header, rows):
+    """header lines and row lines in a random order, with comments and blank lines between."""
+    lines = list(rows)
+    for line in header:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for noise in draw(st.lists(_NOISE, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text
+
+
+def _pair(draw, ids):
+    """Pairs of ids, reversed as often as not; a self loop in about one file of five."""
+    pairs = st.tuples(ids, ids)
+    return pairs if draw(st.integers(0, 4)) == 0 else pairs.filter(lambda p: p[0] != p[1])
+
+
+@st.composite
+def _dimacs_text(draw):
+    n = draw(st.integers(1, 7))
+    ids = st.integers(0, n + 1) if draw(st.integers(0, 4)) == 0 else st.integers(1, n)
+    pairs = draw(st.lists(_pair(draw, ids), max_size=12))
+    rows = [draw(_line(["e", str(a), str(b)])) for a, b in pairs]
+    distinct = len({(min(a, b), max(a, b)) for a, b in pairs})
+    declared = distinct + draw(st.sampled_from([0, 0, 0, 1]))
+    header = [draw(_line(["p", "edge", str(n), str(declared)]))]
+    header *= draw(st.sampled_from([1, 1, 1, 2]))
+    return draw(_file(header, rows))
+
+
+@st.composite
+def _coloring_text(draw):
+    k = draw(st.integers(1, 6))
+    colors = st.integers(0, k + 1) if draw(st.integers(0, 4)) == 0 else st.integers(1, k)
+    distinct = draw(st.sampled_from([True, True, False]))
+    pairs = draw(st.lists(_pair(draw, st.integers(1, 6)), max_size=10,
+                          unique_by=(lambda p: (min(p), max(p))) if distinct else None))
+    rows = [draw(_line([str(a), str(b), str(draw(colors))])) for a, b in pairs]
+    header = [draw(_line(["c", f"k={k}"]))] * draw(st.sampled_from([0, 1, 1, 1, 2]))
+    return draw(_file(header, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dimacs_text())
+def test_read_dimacs_matches_the_line_reader(text):
+    assert _same_graph(_outcome(gio.read_dimacs, io.StringIO(text)),
+                       _outcome(reference_read_dimacs, io.StringIO(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coloring_text())
+def test_read_coloring_matches_the_line_reader(text):
+    assert _same_coloring(_outcome(gio.read_coloring, io.StringIO(text)),
+                          _outcome(reference_read_coloring, io.StringIO(text)))
+
+
+@pytest.mark.parametrize("text", [text for text, _ in MALFORMED_DIMACS])
+def test_malformed_dimacs_fails_as_in_the_line_reader(text):
+    assert _outcome(gio.read_dimacs, io.StringIO(text)) == \
+        _outcome(reference_read_dimacs, io.StringIO(text))
+
+
+@pytest.mark.parametrize("content", [text.encode("utf-8") for text, _ in MALFORMED_COLORING] + [
+    b"c k=2\n1 2 1\n2 3 two\n", b"c k=2.5\n1 2 1\n", b"c k=1\n1 2\n", b"1 2 1\n2 3 2\n", b"",
+    b"c k=1\nc \xe9\n1 2 1\n", b"c k=2\r\n1 2 1\r\n2 1 2\r\n"])
+def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
+    target = tmp_path / "cert"
+    target.write_bytes(content)
+    with open(target, encoding="ascii", errors="surrogateescape") as fh:
+        want = _outcome(reference_read_coloring, fh)
+    assert isinstance(want, tuple)
+    assert _outcome(gio.read_coloring, target) == want
+
+
+def test_array_path_builds_no_tuple_views(tmp_path):
+    g, coloring = keller.build(4), keller.class1_coloring(4)
+    assert verify_edge_coloring(g, coloring).ok
+    assert verify_hamiltonian_cycle(g, keller.ham_cycle(4)).ok
+    gio.write_dimacs(g, tmp_path / "g.col")
+    gio.write_coloring(coloring, tmp_path / "g.coloring")
+    back, read = gio.read_dimacs(tmp_path / "g.col"), gio.read_coloring(tmp_path / "g.coloring")
+    assert verify_edge_coloring(back, read).ok
+    assert verify_hamiltonian_cycle(back, keller.ham_cycle(4)).ok
+    for graph in (g, back):
+        assert not {"edges", "adjacency"} & set(vars(graph))
+    for col in (coloring, read):
+        assert "assignment" not in vars(col)
+    assert sorted(back.edges) == sorted(g.edges) and read.assignment == coloring.assignment
