@@ -64,38 +64,26 @@ def _ids(values: Iterable[int], n: int) -> np.ndarray:
     return np.array([x if 0 <= x < n else -1 for x in values], np.int64)
 
 
-def _row_codes(pairs: np.ndarray) -> np.ndarray | None:
-    """One int64 code per row of an (E, 2) integer array, ordered as the rows
-    are lexicographically; None when the ids are too spread for int64."""
-    if pairs.dtype == object:
-        return None
-    lo = int(pairs.min(initial=0))
-    span = int(pairs.max(initial=0)) - lo + 1
-    if span * span >= 2 ** 63:
-        return None
-    shifted = pairs.astype(np.int64) - lo
-    return shifted[:, 0] * span + shifted[:, 1]
-
-
 def _first_repeat(pairs: np.ndarray) -> int:
     """Index of the first row of an (E, 2) array that equals an earlier row, or -1."""
-    codes = _row_codes(pairs)
-    if codes is None:
-        seen: set[tuple[int, int]] = set()
-        for i, row in enumerate(map(tuple, pairs.tolist())):
-            if row in seen:
-                return i
-            seen.add(row)
-        return -1
-    if (codes[1:] > codes[:-1]).all():
-        return -1
-    ordered = np.sort(codes)
-    repeated = ordered[1:] == ordered[:-1]
+    u, v = pairs[:, 0], pairs[:, 1]
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return -1  # strictly ascending rows cannot repeat
+    # lexsort is stable, so the first occurrence of each row comes ahead of its repeats
+    order = np.lexsort((v, u))
+    ordered = pairs[order]
+    repeated = (ordered[1:] == ordered[:-1]).all(axis=1).astype(bool)
     if not repeated.any():
         return -1
-    # a stable order puts the first occurrence of each code ahead of its repeats
-    order = np.argsort(codes, kind="stable")
     return int(order[1:][repeated].min())
+
+
+def _frozen(a: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """a made read-only, copied first when it shares memory the caller can still write."""
+    if given.flags.writeable and np.may_share_memory(a, given):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 class Graph:
@@ -148,7 +136,7 @@ class Graph:
             codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
             pairs = np.column_stack(np.divmod(codes, vertex_count))
         self.vertex_count, self.labels = vertex_count, labels
-        self.pairs = pairs.astype(np.int32, copy=False)
+        self.pairs = _frozen(pairs.astype(np.int32, copy=False), flat)
 
     @staticmethod
     def from_edges(vertex_count: int, pairs: Iterable[tuple[int, int]],
@@ -163,7 +151,9 @@ class Graph:
     @cached_property
     def codes(self) -> np.ndarray:
         """u·n + v for each edge (u, v), ascending: the keys edge_index searches."""
-        return self.pairs[:, 0].astype(np.int64) * self.vertex_count + self.pairs[:, 1]
+        codes = self.pairs[:, 0].astype(np.int64) * self.vertex_count + self.pairs[:, 1]
+        codes.setflags(write=False)
+        return codes
 
     @cached_property
     def adjacency(self) -> list[set[int]]:
@@ -295,7 +285,8 @@ class EdgeColoring:
                 raise ValueError(f"color {colors[i]} on edge {e} outside 1..{declared}")
             raise ValueError(f"self loop at vertex {e[0]}" if e[0] == e[1]
                              else f"unnormalized edge key {e}")
-        self.ends, self.colors = _narrow(flat).reshape(-1, 2), _narrow(colors)
+        self.ends = _frozen(_narrow(flat).reshape(-1, 2), flat)
+        self.colors = _frozen(_narrow(colors), colors)
         self.declared_color_count = declared
 
     @cached_property
@@ -532,9 +523,13 @@ def verify_clique_cover(g: Graph, cliques: Iterable[Iterable[int]]) -> Verificat
     n = g.vertex_count
     cliques = [list(raw) for raw in cliques]
     members = [sorted(set(raw)) for raw in cliques]
-    pairs = [(u, v) for m in members for i, u in enumerate(m) for v in m[i + 1:]]
-    ids = _ids(chain.from_iterable(pairs), n)
-    joined = iter((g.edge_index(ids[0::2], ids[1::2]) >= 0).tolist())
+    inside = [(idx, u, v) for idx, m in enumerate(members)
+              for i, u in enumerate(m) for v in m[i + 1:]]
+    ids = _ids(chain.from_iterable(pair for _, *pair in inside), n)
+    misses: list[list[str]] = [[] for _ in cliques]
+    for (idx, u, v), r in zip(inside, g.edge_index(ids[0::2], ids[1::2]).tolist()):
+        if r < 0:
+            misses[idx].append(f"clique {idx} misses edge ({u},{v})")
     seen: set[int] = set()
     for idx, (raw, m) in enumerate(zip(cliques, members)):
         if len(m) != len(raw):
@@ -543,10 +538,7 @@ def verify_clique_cover(g: Graph, cliques: Iterable[Iterable[int]]) -> Verificat
             if v in seen:
                 detail.append(f"vertex {v} in more than one clique")
             seen.add(v)
-        for i, u in enumerate(m):
-            for v in m[i + 1:]:
-                if not next(joined):
-                    detail.append(f"clique {idx} misses edge ({u},{v})")
+        detail.extend(misses[idx])
     if seen != set(range(n)):
         detail.append(f"{n - len(seen)} vertices uncovered")
     return _report(detail, len(cliques))

@@ -12,7 +12,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CertificateError, EdgeColoring, Graph, _first_repeat, _row_codes
+from .core import CertificateError, EdgeColoring, Graph, _first_repeat
 
 
 def _open_read(path_or_file, certificate: bool = False) -> tuple[IO[str], bool]:
@@ -59,13 +59,14 @@ def _unsigned(token: str, lineno: int, raw: str,
     return int(token)
 
 
-# A run of body lines in their plain form: single spaces, '\n' ends, and ids
-# of at most 18 digits, so int64 holds each. Any other line, a comment or a
-# line with tabs, a '\r' or a longer id included, is read on its own. The
+# A run of body lines: fields separated by spaces or tabs, '\n' or '\r\n'
+# ends, and ids of at most 18 digits, so int64 holds each. Any other line, a
+# comment, a 'p' or 'k=' line or a longer id, is read on its own. The
 # patterns compile on first use, so importing the CLI does not pay for them.
 _POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
-_DIMACS_RUN = r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*" + _POSSESSIVE
-_COLORING_RUN = r"(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*" + _POSSESSIVE
+_ID, _GAP, _END = r"[0-9]{1,18}", r"[ \t]+", r"[ \t]*\r?\n"
+_DIMACS_RUN = rf"(?:[ \t]*e{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
+_COLORING_RUN = rf"(?:[ \t]*{_ID}{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 
 
 class _Rows:
@@ -213,8 +214,7 @@ def write_coloring(coloring: EdgeColoring, path_or_file,
             fh.write(f"c {line}\n")
         fh.write(f"c k={coloring.declared_color_count}\n")
         ends = coloring.ends
-        codes = _row_codes(ends)
-        order = np.argsort(codes) if codes is not None else np.lexsort((ends[:, 1], ends[:, 0]))
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
         _write_rows(fh, "%d %d %d\n", np.column_stack((ends[order] + 1, coloring.colors[order])))
     finally:
         if close:
@@ -296,10 +296,7 @@ def read_sequence(path_or_file) -> list[int]:
         for lineno, raw in enumerate(fh, 1):
             if not raw.isascii():
                 raise _non_ascii(lineno)
-            try:
-                out.extend([int(t) - 1 for t in raw.split()])
-            except ValueError:
-                raise _bad_token(lineno, raw) from None
+            out.extend([_unsigned(t, lineno, raw) - 1 for t in raw.split()])
         return out
     finally:
         if close:
@@ -327,10 +324,7 @@ def read_vertex_sets(path_or_file) -> list[list[int]]:
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
-            try:
-                out.append([int(t) - 1 for t in line.split()])
-            except ValueError:
-                raise _bad_token(lineno, raw) from None
+            out.append([_unsigned(t, lineno, raw) - 1 for t in line.split()])
         return out
     finally:
         if close:

@@ -219,10 +219,15 @@ def _write(target, content):
     ("coloring", b"c k=2 \xe9\n1 2 1\n", None, 1),
     ("cover", b"1 2\n3\xe9 4\n", None, 1),
     ("decomposition", "1 2 4 3\n", b"1 2\n3 4\xe9\n", 1),
+    ("hamcycle", "+1 2 4 3\n", None, 1),
+    ("hampath", "1 2\n4 -3\n", None, 1),
+    ("cover", "1 2\n3 4_0\n", None, 1),
+    ("decomposition", "1 2 4 +3\n", None, 1),
 ], ids=["hamcycle-ok", "hamcycle-token", "hampath-token", "cover-token",
         "matching-not-a-pair", "matching-token", "coloring-short-line",
         "coloring-without-k", "hamcycle-non-ascii", "coloring-comment-non-ascii",
-        "cover-non-ascii", "matching-non-ascii"])
+        "cover-non-ascii", "matching-non-ascii", "hamcycle-sign", "hampath-minus",
+        "cover-underscore", "decomposition-sign"])
 def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificate,
                                               matching, code):
     # R(2,2) is the 4-cycle 1-2-4-3-1

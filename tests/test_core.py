@@ -400,12 +400,34 @@ def test_edge_index_finds_edges_in_either_order_and_nothing_else():
     assert g.edge_index(u, v).tolist() == [0, 3, 1, -1, -1, -1, -1, -1]
 
 
+def test_stored_arrays_are_read_only_and_not_shared_with_a_writer():
+    pairs = np.array([[0, 1], [1, 2]], np.int32)
+    ends, colors = pairs.copy(), np.array([1, 2], np.int32)
+    g = Graph.from_array(3, pairs)
+    coloring = EdgeColoring.from_arrays(ends, colors, 2)
+    pairs[0], ends[0], colors[0] = (0, 2), (0, 2), 2
+    assert g.pairs.tolist() == coloring.ends.tolist() == [[0, 1], [1, 2]]
+    assert coloring.colors.tolist() == [1, 2]
+    built = Graph(3, {(0, 1)}), EdgeColoring({(0, 1): 1}, 1)
+    for a in (g.pairs, g.codes, coloring.ends, coloring.colors, built[0].pairs,
+              built[1].ends, built[1].colors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # a read-only store is shared as it is
+    assert np.shares_memory(EdgeColoring.from_arrays(g.pairs, coloring.colors, 2).ends, g.pairs)
+    assert np.shares_memory(coloring.normalized().ends, coloring.ends)
+
+
 def test_verify_clique_cover_reads_each_clique_once():
     g = Graph(4, {(0, 1), (2, 3)})
     assert verify_clique_cover(g, [iter([0, 1]), iter([2, 3])]).ok
     assert verify_clique_cover(g, (iter(c) for c in ([0, 1], [2, 3]))).ok
     rep = verify_clique_cover(g, [iter([0, 2]), iter([1, 3])])
     assert rep.detail == ("clique 0 misses edge (0,2)", "clique 1 misses edge (1,3)")
+    rep = verify_clique_cover(g, [[0, 2, 0], [2, 1, 3]])
+    assert rep.detail == ("clique 0 repeats a vertex", "clique 0 misses edge (0,2)",
+                          "vertex 2 in more than one clique", "clique 1 misses edge (1,2)",
+                          "clique 1 misses edge (1,3)")
 
 
 def test_verify_clique_cover_examples():

@@ -113,7 +113,11 @@ def test_coloring_errors(text, message):
     (gio.read_coloring, "c k=2.5\n1 2 1\n", 1),
     (gio.read_sequence, "1 2\n3 x\n", 2),
     (gio.read_vertex_sets, "c cover\n1 2\n\n3 4 5e\n", 4),
-], ids=["coloring-body", "coloring-k", "sequence", "vertex-sets"])
+    (gio.read_sequence, "1 +2\n", 1),
+    (gio.read_sequence, "1 2\n-3\n", 2),
+    (gio.read_vertex_sets, "1 2\n1_0 4\n", 2),
+], ids=["coloring-body", "coloring-k", "sequence", "vertex-sets", "sequence-plus",
+        "sequence-minus", "vertex-sets-underscore"])
 def test_non_integer_token_is_a_certificate_error_naming_the_line(reader, text, line):
     with pytest.raises(CertificateError, match=f"line {line}: non-integer token"):
         reader(io.StringIO(text))
@@ -306,6 +310,18 @@ def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
         want = _outcome(reference_read_coloring, fh)
     assert isinstance(want, tuple)
     assert _outcome(gio.read_coloring, target) == want
+
+
+@pytest.mark.parametrize("width,run,text,other", [
+    (2, gio._DIMACS_RUN, "p edge 4 3\r\ne 1 2\r\n\te\t2 3 \r\n  e 3  4\n", ["p edge 4 3\r"]),
+    (3, gio._COLORING_RUN, "c k=2\r\n1 2 1\r\n\t2\t3 2 \r\n  3 4  1\n", ["c k=2\r"]),
+], ids=["dimacs", "coloring"])
+def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, text, other):
+    rows = gio._Rows(width, run)
+    assert [line for _, line in rows.other_lines(text)] == other
+    got, lines = rows.arrays()
+    assert len(rows.chunks) == 1 and lines.tolist() == [2, 3, 4]
+    assert got[:, :2].tolist() == [[1, 2], [2, 3], [3, 4]]
 
 
 def test_array_path_builds_no_tuple_views(tmp_path):
