@@ -72,7 +72,7 @@ def _first_repeat(pairs: np.ndarray) -> int:
     # lexsort is stable, so the first occurrence of each row comes ahead of its repeats
     order = np.lexsort((v, u))
     ordered = pairs[order]
-    repeated = (ordered[1:] == ordered[:-1]).all(axis=1).astype(bool)
+    repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
     if not repeated.any():
         return -1
     return int(order[1:][repeated].min())

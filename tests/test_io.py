@@ -302,7 +302,8 @@ def test_malformed_dimacs_fails_as_in_the_line_reader(text):
 
 @pytest.mark.parametrize("content", [text.encode("utf-8") for text, _ in MALFORMED_COLORING] + [
     b"c k=2\n1 2 1\n2 3 two\n", b"c k=2.5\n1 2 1\n", b"c k=1\n1 2\n", b"1 2 1\n2 3 2\n", b"",
-    b"c k=1\nc \xe9\n1 2 1\n", b"c k=2\r\n1 2 1\r\n2 1 2\r\n"])
+    b"c k=1\nc \xe9\n1 2 1\n", b"c k=2\r\n1 2 1\r\n2 1 2\r\n",
+    b"c k=1\n1 100000000000000000000 1\n2 3 1\n100000000000000000000 1 1\n"])
 def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
     target = tmp_path / "cert"
     target.write_bytes(content)
