@@ -6,14 +6,23 @@ row and column with controlled missing colors. The class-2 "ladder" rook
 coloring additionally realizes an arbitrary prescription of which high color
 is missing at every vertex outside the leftmost column; that freedom is what
 the queen constructions consume.
+
+Every coloring here is computed on index arrays and returned through
+`EdgeColoring.from_arrays`. The complete-graph and rook colors are closed
+forms in the vertex indices. The bishop colors need each edge's group, a
+closed form in its length and slope, and its parity along its path, which
+`_path_ranks` finds for all paths at once by pointer doubling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .chess import BoardCoord, _check_board, bishop_delta, bishop_edge_pairs
+import numpy as np
+
+from .chess import (BoardCoord, _check_board, _column_edges, _row_edges, bishop_delta,
+                    bishop_edge_pairs)
 from .core import CertificateError, EdgeColoring
 
 
@@ -26,20 +35,16 @@ def _inv2(n: int) -> int:
     return (n + 1) // 2
 
 
-def _k_odd_color(u: int, v: int, n: int) -> int:
+def _k_odd_color(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     # 0-based scheme on K_n, n odd: vertex u misses color u.
-    return ((u + v) * _inv2(n)) % n
+    return (u + v) * _inv2(n) % n
 
 
-def _k_even_class(u: int, v: int, n: int) -> int:
+def _k_even_class(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     # 0-based scheme on K_n, n even: polygon 0..n-2 plus hub n-1; every class
     # is a perfect matching, so every vertex sees all n-1 colors.
-    h = n - 1
-    if v == h:
-        return u
-    if u == h:
-        return v
-    return ((u + v) * _inv2(n - 1)) % (n - 1)
+    hub = np.maximum(u, v) == n - 1
+    return np.where(hub, np.minimum(u, v), (u + v) * _inv2(n - 1) % (n - 1))
 
 
 def _base_class_pairs(n: int) -> list[tuple[int, int]]:
@@ -72,7 +77,7 @@ def complete_graph_coloring(n: int, matching_as_class: Sequence[tuple[int, int]]
     """
     if n < 2:
         raise ValueError("K_n coloring needs n >= 2")
-    perm = list(range(n))
+    perm = np.arange(n)
     if matching_as_class is not None:
         matching = [tuple(sorted(e)) for e in matching_as_class]
         if not _is_maximum_matching(n, matching):
@@ -83,45 +88,38 @@ def complete_graph_coloring(n: int, matching_as_class: Sequence[tuple[int, int]]
             perm[0] = missed
         for (a, b), (x, y) in zip(base_pairs, matching):
             perm[a], perm[b] = x, y
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    assignment: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            u, v = inv[x], inv[y]
-            c = _k_odd_color(u, v, n) if n % 2 == 1 else _k_even_class(u, v, n)
-            assignment[(x, y)] = c + 1
-    return EdgeColoring(assignment, n if n % 2 == 1 else n - 1)
+    inv = np.argsort(perm)
+    x, y = np.triu_indices(n, 1)
+    scheme = _k_odd_color if n % 2 == 1 else _k_even_class
+    return EdgeColoring.from_arrays(np.column_stack((x, y)), scheme(inv[x], inv[y], n) + 1,
+                                    n if n % 2 == 1 else n - 1)
 
 
-def k_odd_prescribed_missing(n: int, desired_missing: Sequence[int],
-                             matching_class: bool = False) -> dict[tuple[int, int], int]:
+def k_odd_prescribed_missing(n: int, desired_missing, matching_class: bool = False
+                             ) -> np.ndarray:
     """Color K_n (n odd) so vertex u misses exactly desired_missing[u].
 
-    desired_missing must be injective. With matching_class, the matching
+    Returns the colors of the edges (x, y), x < y, in `np.triu_indices(n, 1)`
+    order. desired_missing is one prescription of n colors, or a (rows, n)
+    array of them, which gives a (rows, n(n-1)/2) array of colors; each
+    prescription must be injective. With matching_class, the matching
     (1,2),(3,4),...,(n-2,n-1) is a single class, colored desired_missing[0].
     """
     if n % 2 == 0:
         raise ValueError("odd n required")
-    if len(set(desired_missing)) != n:
+    desired = np.asarray(desired_missing)
+    if desired.shape[-1:] != (n,) or (np.diff(np.sort(desired, axis=-1), axis=-1) == 0).any():
         raise ValueError("desired_missing must be a bijection")
-    perm = list(range(n))
+    perm = np.arange(n)
     if matching_class:
         # Vertex bijection carrying base class 0 = {(t, n-t)} onto the target
         # matching while keeping the uncovered vertex at 0.
-        for t in range(1, (n - 1) // 2 + 1):
-            perm[t] = 2 * t - 1
-            perm[n - t] = 2 * t
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    out: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            b = _k_odd_color(inv[x], inv[y], n)
-            out[(x, y)] = desired_missing[perm[b]]
-    return out
+        t = np.arange(1, (n - 1) // 2 + 1)
+        perm[t] = 2 * t - 1
+        perm[n - t] = 2 * t
+    inv = np.argsort(perm)
+    x, y = np.triu_indices(n, 1)
+    return desired[..., perm[_k_odd_color(inv[x], inv[y], n)]]
 
 
 # --- canonical bishop coloring --------------------------------------------------
@@ -150,93 +148,101 @@ class PathDecomposition:
         return lines
 
 
-def _group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in bishop_edge_pairs(m, n):
-        length = v % n - u % n
-        pos_slope = v > u
-        if 2 * length == m:
-            key = (length, 1)
-        elif length < m - length:
-            key = (length, -1 if pos_slope else 1)
-        else:
-            key = (m - length, 1 if pos_slope else -1)
-        buckets.setdefault(key, []).append((u, v))
-    return buckets
+def _bishop_groups(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bishop edges (u, v), u the lower-column endpoint, and the group of each.
 
-
-def _walk_paths(edges: Iterable[tuple[int, int]], n: int) -> list[tuple[int, ...]]:
-    """Split the edges of one path group into paths, each walked from its
-    leftmost end (smallest column, then row) and listed in the order of
-    those ends. The order of the edges does not matter.
-
-    Raises CertificateError when a vertex has degree > 2 or an edge lies on
-    a cycle, since then the group is no disjoint union of paths.
+    Group g is (i, +) for g = 2i - 2 and (i, -) for g = 2i - 1. With L the
+    column distance of the edge: when 2L = m it goes to (L, +); when
+    L < m - L it goes to (L, -) on a positive slope and (L, +) on a negative
+    one; otherwise it goes to (m - L, +) on a positive slope and (m - L, -)
+    on a negative one.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nbrs) > 2 for nbrs in adj.values()):
+    pairs = bishop_edge_pairs(m, n)
+    u, v = pairs[:, 0], pairs[:, 1]
+    length = v % n - u % n
+    short = 2 * length < m
+    minus = np.where(short, v > u, v < u) & (2 * length != m)
+    return pairs, 2 * (np.where(short, length, m - length) - 1) + minus
+
+
+def _path_ranks(ends, group, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the paths of every group at once. For each edge: the leftmost end
+    of its path (smallest column, then row, on a board of n columns), its end
+    further from that one along the path, and its rank, the number of edges
+    between it and the leftmost end.
+
+    ends is an (E, 2) array of edges in either orientation and group[i] the
+    group of edge i. Edge i has two arcs, 2i running from ends[i, 0] to
+    ends[i, 1] and 2i + 1 back; the arc after an arc leaves its head along
+    the other edge of the group there. Doubling these links about log2(E)
+    times gives every arc the number of arcs after it and the last one. An
+    edge's rank is that count for its arc whose walk ends further left.
+
+    Raises CertificateError when a vertex has degree > 2 in a group, or a
+    group has a cycle, whose arcs never reach a last one.
+    """
+    flat = np.asarray(ends, np.int64).reshape(-1)  # incidence 2i + side is vertex flat[2i + side]
+    if not flat.size:
+        return flat, flat, flat
+    span = int(flat.max()) + 1
+    at = np.repeat(np.asarray(group, np.int64), 2) * span + flat
+    order = np.argsort(at, kind="stable")
+    shared = np.diff(at[order]) == 0
+    if (shared[1:] & shared[:-1]).any():
         raise CertificateError("path group has a vertex of degree > 2")
-    paths = []
-    far_ends: set[int] = set()
-    walked = 0
-    ends = sorted(
-        (v for v, nbrs in adj.items() if len(nbrs) == 1),
-        key=lambda v: (v % n, v // n),
-    )
-    for start in ends:
-        if start in far_ends:
-            continue
-        # A component with an end and no degree > 2 is a path: step to the
-        # neighbour that is not the previous vertex until the other end.
-        path = [start, adj[start][0]]
-        while len(adj[path[-1]]) == 2:
-            a, b = adj[path[-1]]
-            path.append(a + b - path[-2])
-        far_ends.add(path[-1])
-        walked += len(path)
-        paths.append(tuple(path))
-    if walked != len(adj):
+    arc = np.arange(flat.size)
+    partner = arc.copy()  # the other incidence at the same vertex of the group, or itself
+    partner[order[1:][shared]] = order[:-1][shared]
+    partner[order[:-1][shared]] = order[1:][shared]
+    # arc a runs from flat[a] to flat[a ^ 1] and goes on along partner[a ^ 1]
+    nxt = partner[arc ^ 1]
+    last = nxt == arc ^ 1
+    nxt[last] = arc[last]
+    count = (~last).astype(np.int64)
+    for _ in range(flat.size.bit_length()):
+        if last[nxt].all():
+            break
+        count += count[nxt]
+        nxt = nxt[nxt]
+    if not last[nxt].all():
         raise CertificateError("path group contains a cycle")
-    return paths
+    end = flat[nxt ^ 1]
+    key = (end % n) * span + end
+    toward = arc[0::2] + (key[1::2] < key[0::2])
+    return end[toward], flat[toward], count[toward]
 
 
 def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
     """Partition bishop edges into the path groups of the canonical coloring.
 
-    One pass over the bishop edges puts each edge into the bucket of its
-    group. With L the column distance of the edge: when 2L = m it goes to
-    (L, +); when L < m - L it goes to (L, -) on a positive slope and (L, +)
-    on a negative one; otherwise it goes to (m - L, +) on a positive slope
-    and (m - L, -) on a negative one.
+    Each path is listed from its leftmost end, and the paths of a group in
+    the order of those ends, as `_path_ranks` finds them.
     """
-    buckets = _group_buckets(m, n)
+    ends, group = _bishop_groups(m, n)
+    start, far, rank = _path_ranks(ends, group, n)
+    order = np.lexsort((rank, (start % n) * (m * n) + start, group))
+    paths: dict[int, list[list[int]]] = {}
+    for g, first, vertex, r in zip(*(a[order].tolist() for a in (group, start, far, rank))):
+        if r == 0:
+            paths.setdefault(g, []).append([first])
+        paths[g][-1].append(vertex)
     groups = []
     for i in range(1, m // 2 + 1):
         for sign in (1, -1):
             if m % 2 == 0 and 2 * i == m and sign == -1:
                 continue  # coincides with the + group
-            paths = _walk_paths(buckets.get((i, sign), ()), n)
-            groups.append(PathGroup(i, sign, tuple(paths)))
+            group_paths = paths.get(2 * i - 2 + (sign < 0), ())
+            groups.append(PathGroup(i, sign, tuple(map(tuple, group_paths))))
     return PathDecomposition(m, n, tuple(groups))
 
 
 def canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
     """Class-1 bishop coloring: group (i,+) uses {4i-3, 4i-2}, (i,-) uses
     {4i-1, 4i}, first color on the leftmost edge of each path."""
-    pd = bishop_path_decomposition(m, n)
-    assignment: dict[tuple[int, int], int] = {}
-    for grp in pd.groups:
-        first = 4 * grp.i - 3 if grp.sign > 0 else 4 * grp.i - 1
-        for path in grp.paths:
-            for idx in range(len(path) - 1):
-                u, v = path[idx], path[idx + 1]
-                e = (u, v) if u < v else (v, u)
-                assignment[e] = first + (idx % 2)
-    declared = bishop_delta(m, n) if assignment else 0
-    return EdgeColoring(assignment, declared)
+    ends, group = _bishop_groups(m, n)
+    rank = _path_ranks(ends, group, n)[2]
+    declared = bishop_delta(m, n) if len(ends) else 0
+    return EdgeColoring.from_arrays(np.sort(ends, axis=1), 2 * group + 1 + rank % 2, declared)
 
 
 def rarest_bishop_color(m: int) -> int:
@@ -246,16 +252,15 @@ def rarest_bishop_color(m: int) -> int:
     return 2 * m - 2
 
 
-def _last_group_edges(m: int, n: int) -> list[tuple[int, int]]:
+def _last_group_edges(m: int, n: int) -> np.ndarray:
     """Edges of group (k, -), k = m // 2, for odd m >= 3: positive slopes of
-    column distance k and negative slopes of distance k + 1, as (u, v) with
-    u the lower-column endpoint."""
+    column distance k and negative slopes of distance k + 1, as an (E, 2)
+    array of (u, v) with u the lower-column endpoint."""
     k = m // 2
-    up, down = k * (n + 1), (k + 1) * (n - 1)
-    edges = [(u, u + up) for row in range(m - k) for u in range(row * n, row * n + n - k)]
-    edges += [(u, u - down) for row in range(k + 1, m)
-              for u in range(row * n, row * n + n - k - 1)]
-    return edges
+    ids = np.arange(m * n).reshape(m, n)
+    up, down = ids[:m - k, :n - k].ravel(), ids[k + 1:, :n - k - 1].ravel()
+    return np.concatenate((np.column_stack((up, up + k * (n + 1))),
+                           np.column_stack((down, down - (k + 1) * (n - 1)))))
 
 
 def rarest_color_edges(m: int, n: int) -> list[tuple[int, int]]:
@@ -263,65 +268,48 @@ def rarest_color_edges(m: int, n: int) -> list[tuple[int, int]]:
 
     For odd m that color is the second color of group (k, -), k = m // 2, so
     its edges are every second edge along that group's paths, counted from
-    each path's leftmost vertex: edges 1, 3, 5, ... of each path, 0-based.
-    Only this one group is built, not the whole coloring.
+    each path's leftmost vertex: the edges of odd rank. Only this one group
+    is built, not the whole coloring.
     """
     _check_board(m, n)
     rarest_bishop_color(m)  # rejects even m
     if m < 3:
         return []
-    rare = []
-    for path in _walk_paths(_last_group_edges(m, n), n):
-        for u, v in zip(path[1::2], path[2::2]):
-            rare.append((u, v) if u < v else (v, u))
-    return sorted(rare)
+    ends = _last_group_edges(m, n)
+    rank = _path_ranks(ends, np.zeros(len(ends), np.int64), n)[2]
+    return sorted(map(tuple, np.sort(ends[rank % 2 == 1], axis=1).tolist()))
 
 
 # --- rook colorings -------------------------------------------------------------
 
-def _row_vertex(row0: int, col0: int, n: int) -> int:
-    return row0 * n + col0
-
-
 def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
-    """Class-1 coloring of R_{m,n} with m+n-2 colors; fails for m, n both odd."""
+    """Class-1 coloring of R_{m,n} with m+n-2 colors; fails for m, n both odd.
+
+    The row edges come row by row and the column edges column by column, as
+    `_row_edges` and `_column_edges` list them; each color is a closed form
+    in the row or column index and the pair's indices inside it.
+    """
     if m % 2 == 1 and n % 2 == 1:
         raise ValueError("R_{m,n} with both sides odd is class 2")
-    assignment: dict[tuple[int, int], int] = {}
-
-    def color_rows(color_fn) -> None:
-        for r0 in range(m):
-            for x in range(n):
-                for y in range(x + 1, n):
-                    assignment[(_row_vertex(r0, x, n), _row_vertex(r0, y, n))] = color_fn(r0, x, y)
-
-    def color_cols(color_fn) -> None:
-        for j in range(n):
-            for u in range(m):
-                for v in range(u + 1, m):
-                    assignment[(_row_vertex(u, j, n), _row_vertex(v, j, n))] = color_fn(j, u, v)
-
+    x, y = np.triu_indices(n, 1)  # columns of the row edges
+    u, v = np.triu_indices(m, 1)  # rows of the column edges
     if m % 2 == 0 and n % 2 == 0:
-        color_rows(lambda r0, x, y: _k_even_class(x, y, n) + 1)
-        color_cols(lambda j, u, v: _k_even_class(u, v, m) + n)
+        row_colors = _k_even_class(x, y, n) + 1
+        col_colors = _k_even_class(u, v, m) + n
     elif n % 2 == 1:
         # Rows are odd complete graphs on colors 1..n, column i missing color i;
         # column i reuses color i alongside the m-2 high colors.
-        color_rows(lambda r0, x, y: _k_odd_color(x, y, n) + 1)
-
-        def col_color(j: int, u: int, v: int) -> int:
-            cls = _k_even_class(u, v, m)
-            return j + 1 if cls == 0 else n + cls
-        color_cols(col_color)
+        row_colors = _k_odd_color(x, y, n) + 1
+        cls = _k_even_class(u, v, m)
+        col_colors = np.where(cls == 0, np.arange(1, n + 1)[:, None], n + cls)
     else:
         # Mirror image: columns odd on colors 1..m, row r missing color r.
-        color_cols(lambda j, u, v: _k_odd_color(u, v, m) + 1)
-
-        def row_color(r0: int, x: int, y: int) -> int:
-            cls = _k_even_class(x, y, n)
-            return r0 + 1 if cls == 0 else m + cls
-        color_rows(row_color)
-    return EdgeColoring(assignment, m + n - 2)
+        col_colors = _k_odd_color(u, v, m) + 1
+        cls = _k_even_class(x, y, n)
+        row_colors = np.where(cls == 0, np.arange(1, m + 1)[:, None], m + cls)
+    colors = (np.broadcast_to(row_colors, (m, x.size)), np.broadcast_to(col_colors, (n, u.size)))
+    return EdgeColoring.from_arrays(np.concatenate((_row_edges(m, n), _column_edges(m, n))),
+                                    np.concatenate([c.ravel() for c in colors]), m + n - 2)
 
 
 @dataclass(frozen=True)
@@ -399,17 +387,13 @@ def ladder_coloring(m: int, n: int, plan: MissingColorPlan | None = None) -> Edg
         plan = MissingColorPlan.identity(m, n)
     if plan.m != m or plan.n != n:
         raise ValueError("plan dimensions do not match the board")
-    assignment: dict[tuple[int, int], int] = {}
-    for j in range(n):
-        for u in range(m):
-            for v in range(u + 1, m):
-                assignment[(_row_vertex(u, j, n), _row_vertex(v, j, n))] = _k_odd_color(u, v, m) + 1
-    for r0 in range(m):
-        desired = [r0 + 1] + list(plan.rows[r0])
-        row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
-        for (x, y), c in row_colors.items():
-            assignment[(_row_vertex(r0, x, n), _row_vertex(r0, y, n))] = c
-    return EdgeColoring(assignment, m + n - 1)
+    u, v = np.triu_indices(m, 1)
+    col_colors = np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size))
+    desired = np.column_stack((np.arange(1, m + 1), np.array(plan.rows).reshape(m, n - 1)))
+    row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
+    return EdgeColoring.from_arrays(np.concatenate((_column_edges(m, n), _row_edges(m, n))),
+                                    np.concatenate((col_colors.ravel(), row_colors.ravel())),
+                                    m + n - 1)
 
 
 def ladder_missing_color(plan: MissingColorPlan, coord: BoardCoord) -> int:

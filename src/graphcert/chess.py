@@ -6,6 +6,11 @@ row-major: id = (row-1)*n + (col-1), so the 1-based file id is (row-1)*n + col.
 The lower-left square (1,1) is white, and a square is white iff col+row is
 even. Rook, bishop and queen generators share this numbering, so the queen
 edge set is exactly the union of the rook and bishop edge sets.
+
+The generators build (E, 2) id arrays and hand them to `Graph.from_array`:
+the rook edges are one `np.triu_indices` pair list broadcast over the rows
+and one over the columns, and the bishop edges come from one slice of the
+board per diagonal length and slope. No Python loop runs per edge.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Graph
+import numpy as np
+
+from .core import CertificateError, Graph
 
 
 @dataclass(frozen=True)
@@ -45,19 +52,27 @@ def _labels(m: int, n: int) -> dict[int, str]:
     return {v: f"c{v % n + 1}r{v // n + 1}" for v in range(m * n)}
 
 
+def _row_edges(m: int, n: int) -> np.ndarray:
+    """The edges inside each row as an (E, 2) id array: row by row, each row's
+    column pairs (x, y), x < y, in `np.triu_indices(n, 1)` order."""
+    x, y = np.triu_indices(n, 1)
+    first = np.arange(m)[:, None] * n
+    return np.stack((first + x, first + y), axis=-1).reshape(-1, 2)
+
+
+def _column_edges(m: int, n: int) -> np.ndarray:
+    """The edges inside each column as an (E, 2) id array: column by column,
+    each column's row pairs (u, v), u < v, in `np.triu_indices(m, 1)` order."""
+    u, v = np.triu_indices(m, 1)
+    col = np.arange(n)[:, None]
+    return np.stack((u * n + col, v * n + col), axis=-1).reshape(-1, 2)
+
+
 def build_rook(m: int, n: int) -> Graph:
     """Rook graph: same row or same column."""
     _check_board(m, n)
-    edges = []
-    for row in range(m):
-        for c1 in range(n):
-            for c2 in range(c1 + 1, n):
-                edges.append((row * n + c1, row * n + c2))
-    for col in range(n):
-        for r1 in range(m):
-            for r2 in range(r1 + 1, m):
-                edges.append((r1 * n + col, r2 * n + col))
-    return Graph.from_edges(m * n, edges, _labels(m, n))
+    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n))),
+                            _labels(m, n))
 
 
 class SquareColor(Enum):
@@ -66,26 +81,33 @@ class SquareColor(Enum):
     BLACK = "black"
 
 
-def bishop_edge_pairs(m: int, n: int) -> list[tuple[int, int]]:
-    """All bishop edges as vertex-id pairs (u, v), u the lower-column endpoint.
+def bishop_edge_pairs(m: int, n: int) -> np.ndarray:
+    """All bishop edges as an (E, 2) array of vertex ids (u, v), u the
+    lower-column endpoint.
 
     An edge of column distance L is v = u + L(n+1) on a positive slope
-    (up-right) and v = u - L(n-1) on a negative slope (down-right), so
-    v > u exactly when the slope is positive. Edges come row by row, then
-    column by column, then by increasing L, the positive slope before the
-    negative one.
+    (up-right) and v = u - L(n-1) on a negative one (down-right), so v > u
+    exactly when the slope is positive. The ends u of one length and slope
+    are a rectangle of the board, taken as one slice. Edges come row by row,
+    then column by column, then by increasing L, the positive slope before
+    the negative one.
     """
     _check_board(m, n)
-    out = []
-    for row in range(m):
-        for col in range(n):
-            u = row * n + col
-            for length in range(1, min(m, n - col)):
-                if length < m - row:
-                    out.append((u, u + length * (n + 1)))
-                if length <= row:
-                    out.append((u, u - length * (n - 1)))
-    return out
+    ids = np.arange(m * n).reshape(m, n)
+    starts, steps, lengths, negative = [], [], [], []
+    for length in range(1, m):
+        for neg, corner, step in ((0, ids[:m - length, :n - length], length * (n + 1)),
+                                  (1, ids[length:, :n - length], -length * (n - 1))):
+            u = corner.ravel()
+            starts.append(u)
+            steps.append(np.full(u.size, step))
+            lengths.append(np.full(u.size, length))
+            negative.append(np.full(u.size, neg))
+    if not starts:
+        return np.empty((0, 2), np.int64)
+    u, step = np.concatenate(starts), np.concatenate(steps)
+    order = np.lexsort((np.concatenate(negative), np.concatenate(lengths), u))
+    return np.column_stack((u, u + step))[order]
 
 
 def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) -> Graph:
@@ -95,16 +117,16 @@ def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) ->
     pairs = bishop_edge_pairs(m, n)
     if color_filter is not SquareColor.ALL:
         # both ends of a bishop edge share a square colour; white iff col+row is even
-        white = color_filter is SquareColor.WHITE
-        pairs = [(u, v) for u, v in pairs if ((u % n + u // n) % 2 == 0) == white]
-    return Graph.from_edges(m * n, pairs, _labels(m, n))
+        u = pairs[:, 0]
+        pairs = pairs[((u % n + u // n) % 2 == 0) == (color_filter is SquareColor.WHITE)]
+    return Graph.from_array(m * n, np.sort(pairs, axis=1), _labels(m, n))
 
 
 def build_queen(m: int, n: int) -> Graph:
     """Queen graph: union of rook and bishop edges on the same vertices."""
-    rook = build_rook(m, n)
-    bishop = build_bishop(m, n)
-    return Graph(m * n, rook.edges | bishop.edges, _labels(m, n))
+    _check_board(m, n)
+    pairs = (_row_edges(m, n), _column_edges(m, n), np.sort(bishop_edge_pairs(m, n), axis=1))
+    return Graph.from_array(m * n, np.concatenate(pairs), _labels(m, n))
 
 
 def queen_delta(m: int, n: int) -> int:
@@ -117,9 +139,10 @@ def queen_delta(m: int, n: int) -> int:
 
 def queen_edge_count(m: int, n: int) -> int:
     _check_board(m, n)
-    num = m * (2 - 2 * m * m - 12 * n + 9 * m * n + 3 * n * n)
-    assert num % 6 == 0
-    return num // 6
+    count, rest = divmod(m * (2 - 2 * m * m - 12 * n + 9 * m * n + 3 * n * n), 6)
+    if rest:
+        raise CertificateError(f"queen edge count formula is not whole for m={m} n={n}")
+    return count
 
 
 def rook_delta(m: int, n: int) -> int:
@@ -136,9 +159,10 @@ def bishop_delta(m: int, n: int) -> int:
 
 def overfull_threshold(m: int) -> int:
     """Least n (for odd m <= n, both odd) at which Q_{m,n} is overfull."""
-    num = 2 * m ** 3 - 11 * m + 18
-    assert num % 3 == 0
-    return num // 3
+    threshold, rest = divmod(2 * m ** 3 - 11 * m + 18, 3)
+    if rest:
+        raise CertificateError(f"overfull threshold formula is not whole for m={m}")
+    return threshold
 
 
 class QueenClass(Enum):

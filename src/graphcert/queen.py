@@ -7,12 +7,18 @@ rook's missing colors; the ladder-and-multicycle pipeline for odd boards whose
 derived multicycle is colorable inside the rook's high colors; and the
 Delta+1 union for overfull boards. A Kempe-chain search covers the remaining
 gap heuristically.
+
+Each construction concatenates the edge and color arrays of its bishop and
+rook colorings into one `EdgeColoring`; the few edges it recolors are found
+in the joined edge list by binary search.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bishop_rook import (MissingColorPlan, canonical_bishop_coloring, ladder_coloring,
                           rarest_bishop_color, rook_class1_coloring)
@@ -40,6 +46,26 @@ class QueenColoringCertificate:
                            "colors": self.coloring.declared_color_count})
 
 
+def _union(m: int, n: int, parts: list[EdgeColoring], declared: int,
+           recolor: tuple[list[tuple[int, int]], list[int]] = ([], [])) -> EdgeColoring:
+    """The edge-disjoint colorings parts of Q_{m,n} as one coloring in edge
+    order, with each edge recolor[0][j] given the color recolor[1][j]."""
+    ends = np.concatenate([p.ends for p in parts]).astype(np.int64)
+    colors = np.concatenate([p.colors for p in parts]).astype(np.int64)
+    codes = ends[:, 0] * (m * n) + ends[:, 1]
+    order = np.argsort(codes)
+    codes, ends, colors = codes[order], ends[order], colors[order]
+    edges = np.array(recolor[0], np.int64).reshape(-1, 2)
+    keys = edges.min(axis=1) * (m * n) + edges.max(axis=1)
+    rows = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    missing = codes[rows] != keys
+    if missing.any():
+        raise CertificateError(f"recolored edge {tuple(edges[missing.argmax()].tolist())} "
+                               f"is not colored")
+    colors[rows] = recolor[1]
+    return EdgeColoring.from_arrays(ends, colors, declared)
+
+
 def class1_even(m: int, n: int) -> QueenColoringCertificate:
     """Bishop colors 1..Delta_B, rook colors on top; Delta(Q) colors total."""
     _check_board(m, n)
@@ -47,9 +73,7 @@ def class1_even(m: int, n: int) -> QueenColoringCertificate:
         raise ValueError("one dimension must be even")
     bishop = canonical_bishop_coloring(m, n)
     rook = rook_class1_coloring(m, n).shifted(bishop.declared_color_count)
-    assignment = dict(bishop.assignment)
-    assignment.update(rook.assignment)
-    coloring = EdgeColoring(assignment, queen_delta(m, n))
+    coloring = _union(m, n, [bishop, rook], queen_delta(m, n))
     return QueenColoringCertificate(m, n, coloring, 1, "EvenUnion")
 
 
@@ -63,11 +87,10 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     if n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
     bishop = canonical_bishop_coloring(n, n)
-    rare = rarest_bishop_color(n)
-    rare_edges = [e for e, c in bishop.assignment.items() if c == rare]
-    if len(rare_edges) != 1:
+    rare_rows = np.flatnonzero(bishop.colors == rarest_bishop_color(n))
+    if len(rare_rows) != 1:
         raise CertificateError("rarest bishop color must be unique on a square board")
-    edge = rare_edges[0]
+    edge = tuple(bishop.ends[rare_rows[0]].tolist())
     a, b = (id_to_coord(v, n) for v in edge)
     if a.col < 2 or b.col < 2 or a.row == b.row:
         raise CertificateError(
@@ -75,10 +98,8 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     top = 2 * n - 1  # before the shift; lands on 4n-3
     plan = MissingColorPlan.from_assignments(n, n, {(a.col, a.row): top, (b.col, b.row): top})
     rook = ladder_coloring(n, n, plan).shifted(2 * n - 2)
-    assignment = dict(bishop.assignment)
-    assignment.update(rook.assignment)
-    assignment[edge] = top + 2 * n - 2
-    coloring = EdgeColoring(assignment, 4 * n - 3).normalized()
+    coloring = _union(n, n, [bishop, rook], 4 * n - 3,
+                      recolor=([edge], [top + 2 * n - 2])).normalized()
     report = verify_edge_coloring(build_queen(n, n), coloring)
     if not report.ok or coloring.declared_color_count != queen_delta(n, n):
         raise CertificateError(
@@ -108,11 +129,13 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
             f"derived multicycle needs {result.value} colors, only {n - 1} available")
     xi = result.coloring
     fixed: dict[tuple[int, int], int] = {}
-    recolor: dict[tuple[int, int], int] = {}
+    recolored: list[tuple[int, int]] = []
+    highs: list[int] = []
     for p, edges in enumerate(dm.slot_edges):
         for idx, edge in enumerate(edges):
             high = m + xi.slots[p][idx]
-            recolor[edge] = high
+            recolored.append(edge)
+            highs.append(high)
             for v in edge:
                 c = id_to_coord(v, n)
                 if (c.col, c.row) in fixed:
@@ -122,11 +145,7 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
     plan = MissingColorPlan.from_assignments(m, n, fixed)
     rook = ladder_coloring(m, n, plan)
     bishop = canonical_bishop_coloring(m, n).shifted(m + n - 1)
-    assignment = dict(bishop.assignment)
-    assignment.update(rook.assignment)
-    for edge, high in recolor.items():
-        assignment[edge] = high
-    coloring = EdgeColoring(assignment, 3 * m + n - 4)
+    coloring = _union(m, n, [rook, bishop], 3 * m + n - 4, recolor=(recolored, highs))
     return QueenColoringCertificate(m, n, coloring, 1, "LadderMulticycle")
 
 
@@ -143,9 +162,7 @@ def class2_overfull_coloring(m: int, n: int) -> QueenColoringCertificate:
                                f"Delta * floor(mn/2) = {delta * ((m * n) // 2)}: not overfull")
     bishop = canonical_bishop_coloring(m, n)
     rook = ladder_coloring(m, n).shifted(bishop.declared_color_count)
-    assignment = dict(bishop.assignment)
-    assignment.update(rook.assignment)
-    coloring = EdgeColoring(assignment, queen_delta(m, n) + 1)
+    coloring = _union(m, n, [bishop, rook], queen_delta(m, n) + 1)
     return QueenColoringCertificate(m, n, coloring, 2, "OverfullDeltaPlusOne")
 
 

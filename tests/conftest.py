@@ -3,8 +3,9 @@
 import re
 from typing import IO, Iterable, Sequence
 
-from graphcert.bishop_rook import canonical_bishop_coloring, rarest_bishop_color
-from graphcert.chess import id_to_coord
+from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup,
+                                   canonical_bishop_coloring, rarest_bishop_color)
+from graphcert.chess import SquareColor, _check_board, _labels, bishop_delta, id_to_coord
 from graphcert.core import (CertificateError, EdgeColoring, Graph, VerificationReport,
                             _normalize_edge, _report, lowest_bit, max_degree,
                             verify_hamiltonian_cycle)
@@ -261,6 +262,191 @@ def reference_derive(m: int, n: int) -> DerivedMulticycle:
             raise CertificateError("projected edge joins non-adjacent positions")
     mult = tuple(len(s) for s in slot_edges)
     return DerivedMulticycle(m, n, Multicycle(mult), tuple(tuple(sorted(s)) for s in slot_edges))
+
+
+# --- board generators and constructions, one edge at a time --------------------
+
+
+def reference_build_rook(m: int, n: int) -> Graph:
+    """Rook edges pair by pair: the oracle for graphcert.chess.build_rook."""
+    _check_board(m, n)
+    edges = [(row * n + c1, row * n + c2)
+             for row in range(m) for c1 in range(n) for c2 in range(c1 + 1, n)]
+    edges += [(r1 * n + col, r2 * n + col)
+              for col in range(n) for r1 in range(m) for r2 in range(r1 + 1, m)]
+    return Graph.from_edges(m * n, edges, _labels(m, n))
+
+
+def reference_bishop_edge_pairs(m: int, n: int) -> list[tuple[int, int]]:
+    """Bishop edges (u, v), u the lower-column endpoint, square by square in
+    the order of graphcert.chess.bishop_edge_pairs, which must list the same."""
+    _check_board(m, n)
+    out = []
+    for row in range(m):
+        for col in range(n):
+            u = row * n + col
+            for length in range(1, min(m, n - col)):
+                if length < m - row:
+                    out.append((u, u + length * (n + 1)))
+                if length <= row:
+                    out.append((u, u - length * (n - 1)))
+    return out
+
+
+def reference_build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL
+                           ) -> Graph:
+    """Bishop graph edge by edge: the oracle for graphcert.chess.build_bishop."""
+    pairs = reference_bishop_edge_pairs(m, n)
+    if color_filter is not SquareColor.ALL:
+        white = color_filter is SquareColor.WHITE
+        pairs = [(u, v) for u, v in pairs if ((u % n + u // n) % 2 == 0) == white]
+    return Graph.from_edges(m * n, pairs, _labels(m, n))
+
+
+def reference_build_queen(m: int, n: int) -> Graph:
+    """Union of the oracle rook and bishop edge sets."""
+    edges = reference_build_rook(m, n).edges | reference_build_bishop(m, n).edges
+    return Graph(m * n, edges, _labels(m, n))
+
+
+def reference_group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Bishop edges by path group (i, sign), one edge at a time."""
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in reference_bishop_edge_pairs(m, n):
+        length = v % n - u % n
+        pos_slope = v > u
+        if 2 * length == m:
+            key = (length, 1)
+        elif length < m - length:
+            key = (length, -1 if pos_slope else 1)
+        else:
+            key = (m - length, 1 if pos_slope else -1)
+        buckets.setdefault(key, []).append((u, v))
+    return buckets
+
+
+def reference_walk_paths(edges: Iterable[tuple[int, int]], n: int) -> list[tuple[int, ...]]:
+    """Split the edges of one path group into paths, each walked from its
+    leftmost end (smallest column, then row) and listed in the order of
+    those ends. Raises CertificateError on a vertex of degree > 2 or a cycle."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nbrs) > 2 for nbrs in adj.values()):
+        raise CertificateError("path group has a vertex of degree > 2")
+    paths = []
+    far_ends: set[int] = set()
+    walked = 0
+    ends = sorted((v for v, nbrs in adj.items() if len(nbrs) == 1),
+                  key=lambda v: (v % n, v // n))
+    for start in ends:
+        if start in far_ends:
+            continue
+        path = [start, adj[start][0]]
+        while len(adj[path[-1]]) == 2:
+            a, b = adj[path[-1]]
+            path.append(a + b - path[-2])
+        far_ends.add(path[-1])
+        walked += len(path)
+        paths.append(tuple(path))
+    if walked != len(adj):
+        raise CertificateError("path group contains a cycle")
+    return paths
+
+
+def reference_bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
+    """Path groups walked vertex by vertex: the oracle for
+    graphcert.bishop_rook.bishop_path_decomposition."""
+    buckets = reference_group_buckets(m, n)
+    groups = []
+    for i in range(1, m // 2 + 1):
+        for sign in (1, -1):
+            if m % 2 == 0 and 2 * i == m and sign == -1:
+                continue
+            paths = reference_walk_paths(buckets.get((i, sign), ()), n)
+            groups.append(PathGroup(i, sign, tuple(paths)))
+    return PathDecomposition(m, n, tuple(groups))
+
+
+def reference_canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
+    """Each path of the oracle decomposition 2-coloured from its leftmost edge:
+    the oracle for graphcert.bishop_rook.canonical_bishop_coloring."""
+    assignment: dict[tuple[int, int], int] = {}
+    for grp in reference_bishop_path_decomposition(m, n).groups:
+        first = 4 * grp.i - 3 if grp.sign > 0 else 4 * grp.i - 1
+        for path in grp.paths:
+            for idx, (u, v) in enumerate(zip(path, path[1:])):
+                assignment[_normalize_edge(u, v)] = first + idx % 2
+    return EdgeColoring(assignment, bishop_delta(m, n) if assignment else 0)
+
+
+def _odd_color(u: int, v: int, n: int) -> int:
+    return ((u + v) * ((n + 1) // 2)) % n
+
+
+def _even_class(u: int, v: int, n: int) -> int:
+    h = n - 1
+    if v == h:
+        return u
+    if u == h:
+        return v
+    return ((u + v) * (n // 2)) % (n - 1)
+
+
+def reference_k_odd_prescribed_missing(n: int, desired: Sequence[int],
+                                       matching_class: bool) -> dict[tuple[int, int], int]:
+    """K_n (n odd) coloured pair by pair so vertex u misses desired[u]."""
+    perm = list(range(n))
+    if matching_class:
+        for t in range(1, (n - 1) // 2 + 1):
+            perm[t] = 2 * t - 1
+            perm[n - t] = 2 * t
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return {(x, y): desired[perm[_odd_color(inv[x], inv[y], n)]]
+            for x in range(n) for y in range(x + 1, n)}
+
+
+def reference_rook_class1_coloring(m: int, n: int) -> EdgeColoring:
+    """Row and column complete graphs coloured pair by pair: the oracle for
+    graphcert.bishop_rook.rook_class1_coloring."""
+    assignment: dict[tuple[int, int], int] = {}
+    for r0 in range(m):
+        for x in range(n):
+            for y in range(x + 1, n):
+                if n % 2 == 1:
+                    c = _odd_color(x, y, n) + 1
+                else:
+                    cls = _even_class(x, y, n)
+                    c = cls + 1 if m % 2 == 0 else (r0 + 1 if cls == 0 else m + cls)
+                assignment[(r0 * n + x, r0 * n + y)] = c
+    for j in range(n):
+        for u in range(m):
+            for v in range(u + 1, m):
+                if m % 2 == 1:
+                    c = _odd_color(u, v, m) + 1
+                else:
+                    cls = _even_class(u, v, m)
+                    c = cls + n if n % 2 == 0 else (j + 1 if cls == 0 else n + cls)
+                assignment[(u * n + j, v * n + j)] = c
+    return EdgeColoring(assignment, m + n - 2)
+
+
+def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeColoring:
+    """Columns and rows coloured pair by pair: the oracle for
+    graphcert.bishop_rook.ladder_coloring."""
+    assignment: dict[tuple[int, int], int] = {}
+    for j in range(n):
+        for u in range(m):
+            for v in range(u + 1, m):
+                assignment[(u * n + j, v * n + j)] = _odd_color(u, v, m) + 1
+    for r0 in range(m):
+        row = reference_k_odd_prescribed_missing(n, [r0 + 1, *plan.rows[r0]], True)
+        for (x, y), c in row.items():
+            assignment[(r0 * n + x, r0 * n + y)] = c
+    return EdgeColoring(assignment, m + n - 1)
 
 
 def is_decomposition(g: Graph, cycles: Sequence[Sequence[int]],

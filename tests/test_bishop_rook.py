@@ -3,10 +3,13 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete
+from conftest import (complete, reference_bishop_path_decomposition,
+                      reference_canonical_bishop_coloring, reference_group_buckets,
+                      reference_ladder_coloring, reference_rook_class1_coloring)
 from graphcert import bishop_rook
 from graphcert.bishop_rook import (
     MissingColorPlan,
@@ -29,6 +32,11 @@ from graphcert.chess import (
     id_to_coord,
 )
 from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
+
+
+def complete_coloring(n: int, colors, declared: int) -> EdgeColoring:
+    """The colouring of K_n whose edges (x, y) take colors in np.triu_indices order."""
+    return EdgeColoring.from_arrays(np.column_stack(np.triu_indices(n, 1)), colors, declared)
 
 
 def missing_colors_at(coloring: EdgeColoring, vertex: int) -> set[int]:
@@ -90,9 +98,9 @@ def test_complete_rejects_bad_matchings():
 
 def test_prescribed_missing_realizes_the_prescription():
     desired = (3, 1, 5, 2, 4)
-    assignment = k_odd_prescribed_missing(5, desired)
-    assert len(assignment) == 10
-    coloring = EdgeColoring(assignment, 5)
+    colors = k_odd_prescribed_missing(5, desired)
+    assert colors.shape == (10,)
+    coloring = complete_coloring(5, colors, 5)
     assert verify_edge_coloring(complete(5), coloring).ok
     for u in range(5):
         assert missing_colors_at(coloring, u) == {desired[u]}
@@ -100,9 +108,9 @@ def test_prescribed_missing_realizes_the_prescription():
 
 def test_prescribed_missing_matching_class():
     desired = (7, 1, 2, 3, 4, 5, 6)
-    assignment = k_odd_prescribed_missing(7, desired, matching_class=True)
+    coloring = complete_coloring(7, k_odd_prescribed_missing(7, desired, matching_class=True), 7)
+    assignment = coloring.assignment
     assert assignment[(1, 2)] == assignment[(3, 4)] == assignment[(5, 6)] == 7
-    coloring = EdgeColoring(assignment, 7)
     assert verify_edge_coloring(complete(7), coloring).ok
     for u in range(7):
         assert missing_colors_at(coloring, u) == {desired[u]}
@@ -113,6 +121,8 @@ def test_prescribed_missing_rejects_bad_input():
         k_odd_prescribed_missing(4, (1, 2, 3, 4))
     with pytest.raises(ValueError):
         k_odd_prescribed_missing(5, (1, 1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        k_odd_prescribed_missing(5, [(1, 2, 3, 4, 5), (1, 2, 3, 4, 4)])
 
 
 # --- canonical bishop coloring ---------------------------------------------------
@@ -143,7 +153,8 @@ def test_path_decomposition_partitions_bishop_edges():
 
 
 # sha256 of "\n".join(bishop_path_decomposition(m, n).to_lines()), recorded
-# from the per-group enumeration that preceded the single-pass bucketing.
+# from the per-group enumeration that preceded the single-pass bucketing;
+# the pointer-doubling walk and the vertex-by-vertex oracle must both give them.
 DECOMPOSITION_SHA256 = {
     (1, 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     (1, 2): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -229,8 +240,9 @@ DECOMPOSITION_SHA256 = {
 
 
 def test_path_decomposition_matches_recorded_digests():
-    wrong = [board for board, digest in DECOMPOSITION_SHA256.items()
-             if hashlib.sha256("\n".join(bishop_path_decomposition(*board).to_lines())
+    wrong = [(decompose.__name__, board) for board, digest in DECOMPOSITION_SHA256.items()
+             for decompose in (bishop_path_decomposition, reference_bishop_path_decomposition)
+             if hashlib.sha256("\n".join(decompose(*board).to_lines())
                                .encode()).hexdigest() != digest]
     assert wrong == []
 
@@ -265,15 +277,17 @@ BAD_GROUPS = pytest.mark.parametrize("bucket", [
 @BAD_GROUPS
 def test_failed_path_check_raises_certificate_error(monkeypatch, bucket):
     # These checks must hold under python -O too, so they cannot be asserts.
-    monkeypatch.setattr(bishop_rook, "_group_buckets", lambda m, n: {(1, 1): bucket})
-    with pytest.raises(CertificateError):
-        bishop_path_decomposition(3, 3)
+    monkeypatch.setattr(bishop_rook, "_bishop_groups",
+                        lambda m, n: (np.array(bucket), np.zeros(len(bucket), np.int64)))
+    for build in (bishop_path_decomposition, canonical_bishop_coloring):
+        with pytest.raises(CertificateError):
+            build(3, 3)
 
 
 @BAD_GROUPS
 def test_rarest_color_path_check_raises_certificate_error(monkeypatch, bucket):
     # the one-group walk shares its checks with the whole decomposition
-    monkeypatch.setattr(bishop_rook, "_last_group_edges", lambda m, n: bucket)
+    monkeypatch.setattr(bishop_rook, "_last_group_edges", lambda m, n: np.array(bucket))
     with pytest.raises(CertificateError):
         rarest_color_edges(3, 3)
 
@@ -281,8 +295,32 @@ def test_rarest_color_path_check_raises_certificate_error(monkeypatch, bucket):
 def test_last_group_edges_are_the_last_bucket():
     for m in range(3, 42, 2):
         for n in range(m, 42, 2):
-            bucket = bishop_rook._group_buckets(m, n)[(m // 2, -1)]
-            assert sorted(bishop_rook._last_group_edges(m, n)) == sorted(bucket), (m, n)
+            bucket = reference_group_buckets(m, n)[(m // 2, -1)]
+            last = bishop_rook._last_group_edges(m, n).tolist()
+            assert sorted(map(tuple, last)) == sorted(bucket), (m, n)
+
+
+ORACLE_BOARDS = ([(m, n) for n in range(1, 22) for m in range(1, n + 1)]
+                 + [(50, 50), (49, 49), (25, 49), (3, 51)])
+
+
+def test_constructions_match_the_tuple_oracle():
+    # the array colourings against the pair-by-pair ones, with a seeded random
+    # ladder plan on every odd board
+    rng = random.Random(0)
+    wrong = []
+    for m, n in ORACLE_BOARDS:
+        built = [(canonical_bishop_coloring(m, n), reference_canonical_bishop_coloring(m, n))]
+        if m % 2 == 0 or n % 2 == 0:
+            built.append((rook_class1_coloring(m, n), reference_rook_class1_coloring(m, n)))
+        elif n >= 3:
+            rows = [rng.sample(range(m + 1, m + n), n - 1) for _ in range(m)]
+            plan = MissingColorPlan(m, n, tuple(map(tuple, rows)))
+            built.append((ladder_coloring(m, n, plan), reference_ladder_coloring(m, n, plan)))
+        wrong += [(m, n, got.declared_color_count) for got, want in built
+                  if got.assignment != want.assignment
+                  or got.declared_color_count != want.declared_color_count]
+    assert wrong == []
 
 
 def test_path_decomposition_lines_format():

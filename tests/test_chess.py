@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import (reference_bishop_edge_pairs, reference_build_bishop,
+                      reference_build_queen, reference_build_rook)
 from graphcert.chess import (
     BoardCoord,
     QueenClass,
@@ -92,7 +94,24 @@ def _reference_bishop_pairs(m, n):
 
 def test_bishop_edge_pairs_match_coordinate_enumeration():
     wrong = [(m, n) for n in range(1, 13) for m in range(1, n + 1)
-             if bishop_edge_pairs(m, n) != _reference_bishop_pairs(m, n)]
+             if list(map(tuple, bishop_edge_pairs(m, n).tolist()))
+             != _reference_bishop_pairs(m, n)]
+    assert wrong == []
+
+
+def test_generators_match_the_tuple_oracle():
+    boards = ([(m, n) for n in range(1, 22) for m in range(1, n + 1)]
+              + [(50, 50), (49, 49), (25, 49), (3, 51)])
+    wrong = []
+    for m, n in boards:
+        built = [(build_rook(m, n), reference_build_rook(m, n)),
+                 (build_queen(m, n), reference_build_queen(m, n))]
+        built += [(build_bishop(m, n, f), reference_build_bishop(m, n, f)) for f in SquareColor]
+        wrong += [(m, n, i) for i, (got, want) in enumerate(built)
+                  if got.edges != want.edges
+                  or got.labels != want.labels]
+        if bishop_edge_pairs(m, n).tolist() != list(map(list, reference_bishop_edge_pairs(m, n))):
+            wrong.append((m, n, "pairs"))
     assert wrong == []
 
 
@@ -128,14 +147,14 @@ def test_queen_formula_examples():
 
 
 def test_delta_formulas_on_a_sweep():
-    for m in range(1, 11):
-        for n in range(m, 11):
+    # the closed forms against the array generators, which do not use them
+    for m in range(1, 41):
+        for n in range(m, 41):
             q = build_queen(m, n)
             assert queen_delta(m, n) == max_degree(q), (m, n)
             assert queen_edge_count(m, n) == q.edge_count, (m, n)
             assert rook_delta(m, n) == max_degree(build_rook(m, n)), (m, n)
-            if m >= 2:
-                assert bishop_delta(m, n) == max_degree(build_bishop(m, n)), (m, n)
+            assert bishop_delta(m, n) == build_bishop(m, n).max_degree, (m, n)
 
 
 def test_queen_is_disjoint_union_of_rook_and_bishop():

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+from graphcert import cli, core, queen
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
-from graphcert import queen
 from graphcert.core import CertificateError, EdgeColoring, VerificationReport, verify_edge_coloring
 from graphcert.queen import (
     MethodInapplicableError,
@@ -176,3 +176,22 @@ def test_classify_and_color_grid():
                 assert cert.coloring.assignment == {}
                 continue
             check_certificate(cert)
+
+
+@pytest.mark.parametrize("m,n", [(50, 50), (49, 49), (25, 49), (3, 51)])
+def test_color_command_builds_no_tuple_views(monkeypatch, tmp_path, capsys, m, n):
+    # one board per construction: each is built, verified and written on the
+    # edge and colour arrays alone
+    graphs, colorings = [], []
+    for cls, seen in ((core.Graph, graphs), (core.EdgeColoring, colorings)):
+        def store(self, *args, _store=cls._store, _seen=seen):
+            _seen.append(self)
+            _store(self, *args)
+        monkeypatch.setattr(cls, "_store", store)
+    out = tmp_path / "q.coloring"
+    assert cli.main(["color", "--m", str(m), "--n", str(n), "--out", str(out)]) == 0
+    assert graphs and colorings and out.exists()
+    for graph in graphs:
+        assert not {"edges", "adjacency"} & set(vars(graph))
+    for coloring in colorings:
+        assert "assignment" not in vars(coloring)
