@@ -94,20 +94,15 @@ def bishop_edge_pairs(m: int, n: int) -> np.ndarray:
     """
     _check_board(m, n)
     ids = np.arange(m * n).reshape(m, n)
-    starts, steps, lengths, negative = [], [], [], []
+    pairs, kinds = [np.empty((0, 2), np.int64)], [np.empty(0, np.int64)]
     for length in range(1, m):
-        for neg, corner, step in ((0, ids[:m - length, :n - length], length * (n + 1)),
-                                  (1, ids[length:, :n - length], -length * (n - 1))):
+        for kind, corner, step in ((2 * length, ids[:m - length, :n - length], length * (n + 1)),
+                                   (2 * length + 1, ids[length:, :n - length], -length * (n - 1))):
             u = corner.ravel()
-            starts.append(u)
-            steps.append(np.full(u.size, step))
-            lengths.append(np.full(u.size, length))
-            negative.append(np.full(u.size, neg))
-    if not starts:
-        return np.empty((0, 2), np.int64)
-    u, step = np.concatenate(starts), np.concatenate(steps)
-    order = np.lexsort((np.concatenate(negative), np.concatenate(lengths), u))
-    return np.column_stack((u, u + step))[order]
+            pairs.append(np.column_stack((u, u + step)))
+            kinds.append(np.full(u.size, kind))
+    pairs = np.concatenate(pairs)
+    return pairs[np.lexsort((np.concatenate(kinds), pairs[:, 0]))]
 
 
 def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) -> Graph:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,22 +48,22 @@ class QueenColoringCertificate:
 
 
 def _union(m: int, n: int, parts: list[EdgeColoring], declared: int,
-           recolor: tuple[list[tuple[int, int]], list[int]] = ([], [])) -> EdgeColoring:
+           recolor: Sequence[tuple[tuple[int, int], int]] = ()) -> EdgeColoring:
     """The edge-disjoint colorings parts of Q_{m,n} as one coloring in edge
-    order, with each edge recolor[0][j] given the color recolor[1][j]."""
+    order, with each (edge, color) of recolor giving that edge a new color."""
     ends = np.concatenate([p.ends for p in parts]).astype(np.int64)
     colors = np.concatenate([p.colors for p in parts]).astype(np.int64)
     codes = ends[:, 0] * (m * n) + ends[:, 1]
     order = np.argsort(codes)
     codes, ends, colors = codes[order], ends[order], colors[order]
-    edges = np.array(recolor[0], np.int64).reshape(-1, 2)
+    edges = np.array([e for e, _ in recolor], np.int64).reshape(-1, 2)
     keys = edges.min(axis=1) * (m * n) + edges.max(axis=1)
     rows = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
     missing = codes[rows] != keys
     if missing.any():
         raise CertificateError(f"recolored edge {tuple(edges[missing.argmax()].tolist())} "
                                f"is not colored")
-    colors[rows] = recolor[1]
+    colors[rows] = [c for _, c in recolor]
     return EdgeColoring.from_arrays(ends, colors, declared)
 
 
@@ -99,7 +100,7 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     plan = MissingColorPlan.from_assignments(n, n, {(a.col, a.row): top, (b.col, b.row): top})
     rook = ladder_coloring(n, n, plan).shifted(2 * n - 2)
     coloring = _union(n, n, [bishop, rook], 4 * n - 3,
-                      recolor=([edge], [top + 2 * n - 2])).normalized()
+                      recolor=[(edge, top + 2 * n - 2)]).normalized()
     report = verify_edge_coloring(build_queen(n, n), coloring)
     if not report.ok or coloring.declared_color_count != queen_delta(n, n):
         raise CertificateError(
@@ -129,13 +130,11 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
             f"derived multicycle needs {result.value} colors, only {n - 1} available")
     xi = result.coloring
     fixed: dict[tuple[int, int], int] = {}
-    recolored: list[tuple[int, int]] = []
-    highs: list[int] = []
+    recolor: dict[tuple[int, int], int] = {}
     for p, edges in enumerate(dm.slot_edges):
         for idx, edge in enumerate(edges):
             high = m + xi.slots[p][idx]
-            recolored.append(edge)
-            highs.append(high)
+            recolor[edge] = high
             for v in edge:
                 c = id_to_coord(v, n)
                 if (c.col, c.row) in fixed:
@@ -145,7 +144,7 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
     plan = MissingColorPlan.from_assignments(m, n, fixed)
     rook = ladder_coloring(m, n, plan)
     bishop = canonical_bishop_coloring(m, n).shifted(m + n - 1)
-    coloring = _union(m, n, [rook, bishop], 3 * m + n - 4, recolor=(recolored, highs))
+    coloring = _union(m, n, [rook, bishop], 3 * m + n - 4, recolor=list(recolor.items()))
     return QueenColoringCertificate(m, n, coloring, 1, "LadderMulticycle")
 
 

@@ -195,3 +195,12 @@ def test_color_command_builds_no_tuple_views(monkeypatch, tmp_path, capsys, m, n
         assert not {"edges", "adjacency"} & set(vars(graph))
     for coloring in colorings:
         assert "assignment" not in vars(coloring)
+
+
+def test_recoloring_an_edge_outside_the_union_raises_certificate_error():
+    # a construction that reroutes an edge none of its parts colours is void,
+    # under python -O too
+    part = EdgeColoring.from_arrays([[0, 1]], [1], 1)
+    assert queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)]).assignment == {(0, 1): 2}
+    with pytest.raises(CertificateError, match="not colored"):
+        queen._union(2, 2, [part], 2, recolor=[((0, 3), 2)])
