@@ -95,8 +95,8 @@ def complete_graph_coloring(n: int, matching_as_class: Sequence[tuple[int, int]]
                                     n if n % 2 == 1 else n - 1)
 
 
-def k_odd_prescribed_missing(n: int, desired_missing, matching_class: bool = False
-                             ) -> np.ndarray:
+def k_odd_prescribed_missing(n: int, desired_missing: Sequence[int] | np.ndarray,
+                             matching_class: bool = False) -> np.ndarray:
     """Color K_n (n odd) so vertex u misses exactly desired_missing[u].
 
     Returns the colors of the edges (x, y), x < y, in `np.triu_indices(n, 1)`
