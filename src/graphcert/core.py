@@ -257,12 +257,19 @@ class EdgeColoring:
 
         ends is (E, 2) and colors has E entries; no edge may repeat.
         """
-        coloring = cls.__new__(cls)
-        coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),
-                        declared_color_count)
+        coloring = cls._of_rows(ends, colors, declared_color_count)
         first = _first_repeat(coloring.ends)
         if first >= 0:
             raise ValueError(f"edge {_row(coloring.ends, first)} colored twice")
+        return coloring
+
+    @classmethod
+    def _of_rows(cls, ends: np.ndarray, colors: np.ndarray,
+                 declared_color_count: int) -> "EdgeColoring":
+        """from_arrays without the repeat check, for rows known to hold no repeat."""
+        coloring = cls.__new__(cls)
+        coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),
+                        declared_color_count)
         return coloring
 
     def _store(self, flat: np.ndarray, colors: np.ndarray, declared: int) -> None:
@@ -313,14 +320,15 @@ class EdgeColoring:
         used = np.unique(self.colors)
         if len(used) == self.declared_color_count:
             return self
-        return EdgeColoring.from_arrays(self.ends, np.searchsorted(used, self.colors) + 1,
-                                        len(used))
+        # self.ends held no repeat when self was built, and it is read-only
+        return EdgeColoring._of_rows(self.ends, np.searchsorted(used, self.colors) + 1,
+                                     len(used))
 
     def shifted(self, offset: int) -> "EdgeColoring":
         # int64 (or Python ints), so the shift cannot wrap an int32 colour
         colors = self.colors if self.colors.dtype == object else self.colors.astype(np.int64)
-        return EdgeColoring.from_arrays(self.ends, colors + offset,
-                                        self.declared_color_count + offset)
+        return EdgeColoring._of_rows(self.ends, colors + offset,
+                                     self.declared_color_count + offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -724,10 +732,6 @@ class ColorState:
             by_color[c].add(e)
         return state
 
-    def free(self, v: int) -> int:
-        """The lowest colour absent at v."""
-        return lowest_bit(~self.present[v])
-
     def walk(self, start: int, first: int, second: int) -> list[tuple[int, int, int]]:
         """Maximal path from start whose edges alternate first, second, ...
 
@@ -904,40 +908,45 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     place: inversion rewrites the path's colours and flips the masks of its
     two ends only, and rotation moves each fan colour one edge down, so a
     fan vertex loses one colour and gains one and u gains only the final
-    colour.
+    colour. The lowest colour free at a vertex with mask p is the lowest
+    clear bit of p, (~p & (p + 1)).bit_length() - 1, computed inline.
     """
     if g.edge_count == 0:
         return EdgeColoring({}, 0)
     palette = max_degree(g) + 1
     state = ColorState(g.vertex_count, palette)
-    at, present, free = state.at, state.present, state.free
+    at, nbr, present = state.at, state.nbr, state.present
     edges = order if order is not None else sorted(g.edges)
     for u, v in edges:
-        # Maximal fan at u starting with v; fan_cols[i] = color of (u, fan[i+1]),
-        # which is a color missing at fan[i].
+        # Maximal fan at u starting with v: the next fan vertex is u's
+        # neighbour w across d, the lowest colour free at the current tip.
         at_u = at[u]
         fan = [v]
-        fan_cols: list[int] = []
-        in_fan = {v}
-        while True:
-            d = free(fan[-1])
-            w = at_u[d]
-            if w is None or w in in_fan:
-                break
+        p = present[v]
+        d = (~p & (p + 1)).bit_length() - 1
+        while (w := at_u[d]) is not None and w not in fan:
             fan.append(w)
-            fan_cols.append(d)
-            in_fan.add(w)
-        d = free(fan[-1])
-        if at_u[d] is None:
-            state.rotate(u, fan, d)
+            p = present[w]
+            d = (~p & (p + 1)).bit_length() - 1
+        if w is None:  # d, free at the tip, is free at u too
+            if len(fan) == 1:
+                at_u[d] = v
+                at[v][d] = u
+                nbr[u][v] = nbr[v][u] = d
+                present[u] |= 1 << d
+                present[v] |= 1 << d
+            else:
+                state.rotate(u, fan, d)
             continue
-        c = free(u)
+        p = present[u]
+        c = (~p & (p + 1)).bit_length() - 1
         path = state.walk(fan[-1], c, d)
         end = path[-1][1] if path else fan[-1]
         if end == u:
             # u terminates the c,d path from the fan tip; use the earlier fan
-            # vertex that also misses d. Its c,d path cannot reach u.
-            i0 = fan_cols.index(d)
+            # vertex that also misses d, the one before w = at_u[d]. Its c,d
+            # path cannot reach u.
+            i0 = fan.index(w) - 1
             state.invert(state.walk(fan[i0], c, d), c, d)
             prefix = fan[:i0 + 1]
         else:

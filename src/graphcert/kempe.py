@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from .core import (CertificateError, ColorState, EdgeColoring, Graph, is_overfull, lowest_bit,
@@ -64,6 +65,79 @@ def _missing_after_swap(state: ColorState, full: int, v: int,
     return full & ~present
 
 
+def _recolor_free(state: ColorState, edges: list[tuple[int, int]], not_target: int) -> None:
+    """Give each of these target edges the lowest colour of not_target free at
+    both its ends, where there is one."""
+    present = state.present
+    for e in edges:
+        u, v = e
+        common = not_target & ~(present[u] | present[v])
+        if common:
+            state.recolor(e, lowest_bit(common))
+
+
+def _touched_targets(state: ColorState, chain: set[tuple[int, int]],
+                     ends: tuple[int, int] | None, a: int, b: int,
+                     target: int) -> list[tuple[int, int]]:
+    """The target edges that may have a free common colour after the (a,b)-chain
+    with these path ends (None for a cycle) was swapped.
+
+    Only the path ends change their masks. When target is a or b, a target
+    edge at a path end lies on the chain, so the candidates are the chain
+    edges that now have the target colour; otherwise the chain has no
+    target edge and they are the target edges at the two ends.
+    """
+    if target == a or target == b:
+        nbr = state.nbr
+        return [e for e in chain if nbr[e[0]][e[1]] == target]
+    touched: list[tuple[int, int]] = []
+    if ends is not None:
+        at = state.at
+        for x in ends:
+            y = at[x][target]
+            if y is not None:
+                e = (x, y) if x < y else (y, x)
+                if e not in touched:  # both ends of one target edge
+                    touched.append(e)
+    return touched
+
+
+def _scored_moves(state: ColorState, u: int, v: int, target: int, not_target: int,
+                  others: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The candidate switches for the target edge (u, v), u < v, with their scores.
+
+    A move (anchor, a, b) swaps the (a,b)-chain through anchor. The moves are
+    anchored at u or v and listed in sorted order, (anchor, a, b) ascending;
+    an empty chain is left out. The target moves (w, target, c) run through
+    (u, v) and can move or shrink the target class; a pair move (x, a, b),
+    with a missing at the other end of (u, v) and b missing at x, can open
+    a direct recoloring of (u, v). Each kind is listed once per anchor, so
+    no move repeats and the order needs no sort.
+    """
+    present, chain_counts = state.present, state.chain_counts
+    target_scores = []
+    for c in others:  # shared-chain rule: one walk per c serves both anchors
+        length, t, _ = chain_counts(u, target, c)
+        target_scores.append((2 * t - length) * 1000 - length)  # counting rule
+    moves: list[tuple[int, int, int]] = []
+    scores: list[int] = []
+    for x, y in ((u, v), (v, u)):
+        # the target moves sit between the pair moves with a below and above target
+        for a in _bits((not_target & ~present[y]) | (1 << target)):
+            if a == target:
+                moves.extend([(x, target, c) for c in others])
+                scores.extend(target_scores)
+                continue
+            for b in _bits(not_target & ~present[x] & ~(1 << a)):
+                length, _, ends = chain_counts(x, a, b)
+                if length:  # endpoint rule
+                    freed = (_missing_after_swap(state, not_target, u, ends, a, b)
+                             & _missing_after_swap(state, not_target, v, ends, a, b))
+                    moves.append((x, a, b))
+                    scores.append((1000 if freed else 0) - length)
+    return moves, scores
+
+
 def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -> EdgeColoring:
     """Swap colors a and b along the maximal (a,b)-component through start."""
     if a == b:
@@ -87,6 +161,15 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     random target edge (u, v), scores candidate Kempe chains anchored at u
     or v, and switches the best one.
 
+    - Rescan rule. Every vertex has at most one target edge, and recoloring
+      an edge changes the masks of its two ends only, so recoloring one
+      target edge never changes whether another has a free common color.
+      The whole target class is scanned once, at the start. After a switch
+      only the edges it touched are rechecked (see _touched_targets): the
+      chain edges that now have the target color and the target edges at
+      the chain's two path ends. Every other target edge keeps both masks,
+      and had no free common color before the switch.
+
     A chain is scored without changing the state, and without collecting
     its edges: a counting walk gives its length, its number of target edges
     t and its ends, and the edge set is built only for the winning chain.
@@ -104,68 +187,41 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     - Shared-chain rule. (u, v) has the target color, so the candidates
       (u, target, c) and (v, target, c) lie on one component. It is walked
       once per round and scored for both anchors.
+    - Draw rule. Scoring draws no random numbers. So every candidate of a
+      round is scored first (see _scored_moves), then each non-empty one
+      draws once, in sorted candidate order. The largest (score, draw)
+      wins, and the earliest candidate on a tie.
     """
     report = verify_edge_coloring(g, coloring)
     if not report.ok:
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
     declared = coloring.declared_color_count
     state = ColorState.of(g.vertex_count, coloring)
-    present, target_class = state.present, state.by_color[target]
+    target_class = state.by_color[target]
     full = (1 << (declared + 1)) - 2  # bits 1..declared
     rng = random.Random(budget.seed)
+    draw = rng.random
     not_target = full & ~(1 << target)
+    others = [c for c in range(1, declared + 1) if c != target]
     switches = 0
+    recheck = list(target_class)
     while True:
-        targets = sorted(target_class)
-        if not targets:
+        _recolor_free(state, recheck, not_target)
+        if not target_class:
             return state.snapshot(coloring.assignment, declared).normalized()
-        progress = False
-        for e in targets:
-            u, v = e
-            common = not_target & ~(present[u] | present[v])
-            if common:
-                state.recolor(e, lowest_bit(common))
-                progress = True
-        if progress:
-            continue
         if switches >= budget.max_switches:
             return None
+        targets = sorted(target_class)
         u, v = targets[rng.randrange(len(targets))]
-        # Candidate switches anchored at u or v: target-colored chains can move
-        # or shrink the target class; missing-pair chains can open a direct
-        # recoloring of (u,v).
-        candidates: set[tuple[int, int, int]] = set()
-        for w, other in ((u, v), (v, u)):
-            for c in range(1, declared + 1):
-                if c != target:
-                    candidates.add((w, target, c))
-            for acol in _bits(not_target & ~present[w]):
-                for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
-                    candidates.add((other, acol, bcol))
-        # Scores of the target chains, by their second color (shared-chain rule).
-        target_scores: dict[int, int] = {}
-        best: tuple[tuple[int, float], int, int, int] | None = None
-        for anchor, acol, bcol in sorted(candidates):
-            if acol == target and bcol in target_scores:
-                score = target_scores[bcol]
-            else:
-                length, t, ends = state.chain_counts(anchor, acol, bcol)
-                if not length:
-                    continue
-                if acol == target:  # counting rule: (u, v) is on the chain
-                    score = target_scores[bcol] = (2 * t - length) * 1000 - length
-                else:  # endpoint rule
-                    freed = (_missing_after_swap(state, not_target, u, ends, acol, bcol)
-                             & _missing_after_swap(state, not_target, v, ends, acol, bcol))
-                    score = (1000 if freed else 0) - length
-            key = (score, rng.random())
-            if best is None or key > best[0]:
-                best = (key, anchor, acol, bcol)
-        if best is None:
+        moves, scores = _scored_moves(state, u, v, target, not_target, others)
+        if not scores:
             return None
-        _, anchor, acol, bcol = best
-        chain, _ = state.chain_edges(anchor, acol, bcol)
+        draws = [draw() for _ in scores]  # draw rule
+        _, _, minus_i = max(zip(scores, draws, count(0, -1)))
+        anchor, acol, bcol = moves[-minus_i]
+        chain, ends = state.chain_edges(anchor, acol, bcol)
         state.swap(chain, acol, bcol)
+        recheck = _touched_targets(state, chain, ends, acol, bcol, target)
         switches += 1
 
 
@@ -184,7 +240,7 @@ def find_class1(g: Graph, budget: SearchBudget,
         if r == 0 and warm_start is not None:
             current = warm_start
         else:
-            order = sorted(g.edges)
+            order = list(zip(*g.pairs.T.tolist()))  # the sorted edges
             random.Random(sub_seed).shuffle(order)
             current = vizing_delta_plus_one(g, order)
         while len(current.colors_used) > delta:

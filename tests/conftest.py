@@ -1,14 +1,16 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
+import random
 import re
 from typing import IO, Iterable, Sequence
 
 from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup,
                                    canonical_bishop_coloring, rarest_bishop_color)
 from graphcert.chess import SquareColor, _check_board, _labels, bishop_delta, id_to_coord
-from graphcert.core import (CertificateError, EdgeColoring, Graph, VerificationReport,
-                            _normalize_edge, _report, lowest_bit, max_degree,
-                            verify_hamiltonian_cycle)
+from graphcert.core import (CertificateError, ColorState, EdgeColoring, Graph,
+                            VerificationReport, _normalize_edge, _report, lowest_bit, max_degree,
+                            verify_edge_coloring, verify_hamiltonian_cycle)
+from graphcert.kempe import SearchBudget, _bits, _missing_after_swap
 from graphcert.multicycle import DerivedMulticycle, Multicycle
 
 
@@ -233,6 +235,72 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
     return EdgeColoring(dict(color_of), used)
+
+
+def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
+                              budget: SearchBudget) -> EdgeColoring | None:
+    """Colour elimination that rescans the whole sorted target class every
+    round and collects the candidate chains in a set: the oracle for
+    graphcert.kempe.eliminate_color, which must make the same switches and
+    the same random draws."""
+    report = verify_edge_coloring(g, coloring)
+    if not report.ok:
+        raise ValueError(f"input coloring is not proper/total: {report.detail}")
+    declared = coloring.declared_color_count
+    state = ColorState.of(g.vertex_count, coloring)
+    present, target_class = state.present, state.by_color[target]
+    full = (1 << (declared + 1)) - 2  # bits 1..declared
+    rng = random.Random(budget.seed)
+    not_target = full & ~(1 << target)
+    switches = 0
+    while True:
+        targets = sorted(target_class)
+        if not targets:
+            return state.snapshot(coloring.assignment, declared).normalized()
+        progress = False
+        for e in targets:
+            u, v = e
+            common = not_target & ~(present[u] | present[v])
+            if common:
+                state.recolor(e, lowest_bit(common))
+                progress = True
+        if progress:
+            continue
+        if switches >= budget.max_switches:
+            return None
+        u, v = targets[rng.randrange(len(targets))]
+        candidates: set[tuple[int, int, int]] = set()
+        for w, other in ((u, v), (v, u)):
+            for c in range(1, declared + 1):
+                if c != target:
+                    candidates.add((w, target, c))
+            for acol in _bits(not_target & ~present[w]):
+                for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
+                    candidates.add((other, acol, bcol))
+        target_scores: dict[int, int] = {}
+        best: tuple[tuple[int, float], int, int, int] | None = None
+        for anchor, acol, bcol in sorted(candidates):
+            if acol == target and bcol in target_scores:
+                score = target_scores[bcol]
+            else:
+                length, t, ends = state.chain_counts(anchor, acol, bcol)
+                if not length:
+                    continue
+                if acol == target:
+                    score = target_scores[bcol] = (2 * t - length) * 1000 - length
+                else:
+                    freed = (_missing_after_swap(state, not_target, u, ends, acol, bcol)
+                             & _missing_after_swap(state, not_target, v, ends, acol, bcol))
+                    score = (1000 if freed else 0) - length
+            key = (score, rng.random())
+            if best is None or key > best[0]:
+                best = (key, anchor, acol, bcol)
+        if best is None:
+            return None
+        _, anchor, acol, bcol = best
+        chain, _ = state.chain_edges(anchor, acol, bcol)
+        state.swap(chain, acol, bcol)
+        switches += 1
 
 
 def reference_derive(m: int, n: int) -> DerivedMulticycle:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphcert.core as core
 import graphcert.keller as keller
 from conftest import (complete, cycle, edgeless, is_decomposition, is_hamiltonian, naive_alpha,
                       naive_omega, path, petersen, reference_verify_edge_coloring,
@@ -290,6 +291,18 @@ def test_edge_coloring_invariants():
     assert contiguous.normalized() is contiguous
     shifted = EdgeColoring({(0, 1): 1}, 1).shifted(3)
     assert shifted.assignment == {(0, 1): 4} and shifted.declared_color_count == 4
+
+
+def test_from_arrays_names_a_repeated_edge_and_relabelling_does_not_look_again(monkeypatch):
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) colored twice"):
+        EdgeColoring.from_arrays([[1, 2], [0, 1], [0, 1]], [1, 2, 1], 2)
+    coloring = EdgeColoring.from_arrays([[1, 2], [0, 1]], [3, 1], 3)  # rows not ascending
+    # the rows were checked when coloring was built; relabelling keeps them
+    monkeypatch.setattr(core, "_first_repeat", lambda pairs: pytest.fail("rows checked again"))
+    assert coloring.normalized().assignment == {(1, 2): 2, (0, 1): 1}
+    assert coloring.shifted(2).assignment == {(1, 2): 5, (0, 1): 3}
+    with pytest.raises(ValueError, match="outside 1..2"):  # the colour range is still checked
+        coloring.shifted(-1)
 
 
 def test_verification_report_is_truthy():

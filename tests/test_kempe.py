@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cycle, path, petersen, reference_vizing_delta_plus_one
+from conftest import (complete, cycle, path, petersen, reference_eliminate_color,
+                      reference_vizing_delta_plus_one)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
@@ -161,6 +162,34 @@ def test_counting_walk_matches_the_chain(case):
     assert length - a_edges == len(chain & state.by_color[b])
 
 
+@settings(max_examples=300, deadline=None)
+@given(_colored_graph_and_move(), st.integers(0, 2**16))
+def test_a_swap_frees_a_common_color_only_on_the_target_edges_it_touched(case, pick):
+    # eliminate_color rescans the target class once and, after each switch,
+    # only the edges _touched_targets names; a full rescan must agree.
+    g, coloring, anchor, a, b, _ = case
+    assume(a != b)
+    declared = coloring.declared_color_count
+    target = [a, b, *range(1, declared + 1)][pick % (declared + 2)]
+    not_target = ((1 << (declared + 1)) - 2) & ~(1 << target)
+    state = ColorState.of(g.vertex_count, coloring)
+    target_class = state.by_color[target]
+
+    def free_common(edges):
+        return {(u, v) for u, v in edges
+                if not_target & ~(state.present[u] | state.present[v])}
+
+    kempe._recolor_free(state, list(target_class), not_target)
+    assert not free_common(target_class)
+    chain, ends = state.chain_edges(anchor, a, b)
+    state.swap(chain, a, b)
+    touched = kempe._touched_targets(state, chain, ends, a, b, target)
+    assert len(set(touched)) == len(touched) and set(touched) <= target_class
+    assert free_common(touched) == free_common(target_class)
+    kempe._recolor_free(state, touched, not_target)
+    assert not free_common(target_class)
+
+
 def _switch_on_c4() -> EdgeColoring:
     g, coloring = c4_coloring()
     return kempe_switch(coloring, g, 0, 1, 2)
@@ -228,6 +257,66 @@ def test_eliminate_never_increases_colors():
         if result is not None:
             assert len(result.colors_used) < 4
             assert verify_edge_coloring(g, result).ok
+
+
+@st.composite
+def _elimination_case(draw):
+    """A random graph, a small queen board, Petersen or K_5 (the last two are
+    class 2, so every budget runs out), a shuffled Vizing start, a switch
+    budget and a seed."""
+    name = draw(st.sampled_from(["random", "random", "Q3,4", "Q4,4", "petersen", "K5"]))
+    if name == "random":
+        n = draw(st.integers(2, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    elif name == "petersen":
+        g = petersen()
+    elif name == "K5":
+        g = complete(5)
+    else:
+        g = _vizing_host(name)
+    start = vizing_delta_plus_one(g, _shuffled(g, draw(st.integers(0, 2**16))))
+    return g, start, draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_case())
+def test_eliminate_color_matches_the_full_rescan_oracle(case):
+    g, start, switches, seed = case
+    for target in range(1, start.declared_color_count + 1):
+        for sub_seed in (seed, seed + 1, seed + 2):
+            budget = SearchBudget(switches, 1, sub_seed)
+            got = eliminate_color(g, start, target, budget)
+            want = reference_eliminate_color(g, start, target, budget)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.assignment == want.assignment
+                assert got.declared_color_count == want.declared_color_count
+
+
+def _outcome(outcome: SearchOutcome):
+    coloring = outcome.coloring
+    return (None if coloring is None else (coloring.assignment, coloring.declared_color_count),
+            outcome.reason, outcome.restarts_used)
+
+
+SEARCH_CASES = [(m, n, seed, False) for m, n in ((3, 7), (3, 9), (5, 29)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("m,n,seed,warm", SEARCH_CASES + [(5, 29, 0, True)],
+                         ids=[f"Q{m}x{n}-seed{s}{'-warm' if w else ''}"
+                              for m, n, s, w in SEARCH_CASES + [(5, 29, 0, True)]])
+def test_find_class1_matches_the_oracle_search(monkeypatch, m, n, seed, warm):
+    # The same search with the oracle Vizing start and the oracle elimination
+    # in place of the module functions find_class1 calls.
+    g = build_queen(m, n)
+    warm_start = vizing_delta_plus_one(g, _shuffled(g, 99)) if warm else None
+    got = find_class1(g, SearchBudget.default(seed), warm_start)
+    monkeypatch.setattr(kempe, "vizing_delta_plus_one", reference_vizing_delta_plus_one)
+    monkeypatch.setattr(kempe, "eliminate_color", reference_eliminate_color)
+    want = find_class1(g, SearchBudget.default(seed), warm_start)
+    assert want.reason == "ok"
+    assert _outcome(got) == _outcome(want)
 
 
 # --- find_class1 ------------------------------------------------------------------
