@@ -294,18 +294,22 @@ def test_eliminate_color_matches_the_full_rescan_oracle(case):
                 assert got.declared_color_count == want.declared_color_count
 
 
+# --- find_class1 ------------------------------------------------------------------
+
+
 def _outcome(outcome: SearchOutcome):
     coloring = outcome.coloring
     return (None if coloring is None else (coloring.assignment, coloring.declared_color_count),
             outcome.reason, outcome.restarts_used)
 
 
-SEARCH_CASES = [(m, n, seed, False) for m, n in ((3, 7), (3, 9), (5, 29)) for seed in range(4)]
+SEARCH_CASES = ([(m, n, seed, False) for m, n in ((3, 7), (3, 9), (5, 29)) for seed in range(4)]
+                + [(5, 29, 0, True)])
 
 
-@pytest.mark.parametrize("m,n,seed,warm", SEARCH_CASES + [(5, 29, 0, True)],
+@pytest.mark.parametrize("m,n,seed,warm", SEARCH_CASES,
                          ids=[f"Q{m}x{n}-seed{s}{'-warm' if w else ''}"
-                              for m, n, s, w in SEARCH_CASES + [(5, 29, 0, True)]])
+                              for m, n, s, w in SEARCH_CASES])
 def test_find_class1_matches_the_oracle_search(monkeypatch, m, n, seed, warm):
     # The same search with the oracle Vizing start and the oracle elimination
     # in place of the module functions find_class1 calls.
@@ -317,9 +321,6 @@ def test_find_class1_matches_the_oracle_search(monkeypatch, m, n, seed, warm):
     want = find_class1(g, SearchBudget.default(seed), warm_start)
     assert want.reason == "ok"
     assert _outcome(got) == _outcome(want)
-
-
-# --- find_class1 ------------------------------------------------------------------
 
 
 def test_find_class1_q39():
