@@ -422,6 +422,28 @@ def test_ham_decomposition_search_g2():
     assert verify_hamiltonian_decomposition(build(2), result.cycles, result.matching).ok
 
 
+# sha256 of repr((cycles, matching)) and switches_used of ham_decomposition_search(d, 400, seed)
+_SEARCH_PINS = [
+    (2, 0, 8, "515d827d502e63d8cf0fd7ea168d378aa9a255de63717c500fe55070bb86e35b"),
+    (2, 1, 8, "2eb14793559fadc50e3244ddda65a78f1cf348c865c9939e704231ee67b3b098"),
+    (2, 2, 8, "8a7e6ea6e1ecc7b74f039c785f8e2ec7ca6eadbcb987d033f55379290dfc69dd"),
+    (2, 3, 8, "fbc84b1e2d7747b7b820522c5a5faa560cfff1861588b7683cf4753a1a19b334"),
+    (2, 4, 8, "8a7e6ea6e1ecc7b74f039c785f8e2ec7ca6eadbcb987d033f55379290dfc69dd"),
+    (2, 5, 8, "88f5161f38823a367fda39e5edac28725ab804333c51b39821008aee7346eba7"),
+    (3, 2, 176, "f1ca6e864010c36923fab95d6e7ad716638f5d58470a16ec3b5f815b8067d956"),
+]
+
+
+def _search_pin(d, seed):
+    r = ham_decomposition_search(d, budget=400, seed=seed)
+    return r.switches_used, hashlib.sha256(repr((r.cycles, r.matching)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d,seed,switches,digest", _SEARCH_PINS)
+def test_ham_decomposition_search_output_is_pinned(d, seed, switches, digest):
+    assert _search_pin(d, seed) == (switches, digest)
+
+
 def test_no_perfect_factorization_of_g2():
     assert perfect_factorization_exists(2) is False
     with pytest.raises(ValueError):
