@@ -59,11 +59,6 @@ def _row(pairs: np.ndarray, i: int) -> tuple[int, int]:
     return tuple(pairs[i].tolist())
 
 
-def _ids(values: Iterable[int], n: int) -> np.ndarray:
-    """The values as an int64 array; each outside 0..n-1 becomes -1, never an edge end."""
-    return np.array([x if 0 <= x < n else -1 for x in values], np.int64)
-
-
 def _first_repeat(pairs: np.ndarray) -> int:
     """Index of the first row of an (E, 2) array that equals an earlier row, or -1."""
     u, v = pairs[:, 0], pairs[:, 1]
@@ -224,8 +219,10 @@ def is_overfull(g: Graph) -> bool:
 
 
 def _check_items(assignment: Mapping[tuple[int, int], int], declared: int) -> None:
-    """The check of each (edge, colour) in turn, for colours that are not all plain ints."""
+    """The check of each (edge, colour) in turn, for keys or colours that are not all plain ints."""
     for e, c in assignment.items():
+        if not all(isinstance(x, (int, np.integer)) for x in e):
+            raise ValueError(f"edge key {e} has an end that is not an integer")
         if not (isinstance(c, int) and 1 <= c <= declared):
             raise ValueError(f"color {c} on edge {e} outside 1..{declared}")
         if e != _normalize_edge(*e):
@@ -243,8 +240,10 @@ class EdgeColoring:
     """
 
     def __init__(self, assignment: Mapping[tuple[int, int], int], declared_color_count: int):
-        if declared_color_count >= 0 and not set(map(type, assignment.values())) <= {int, bool}:
-            _check_items(assignment, declared_color_count)  # a float or numpy colour is refused
+        # a float or numpy colour is refused, as is an end the int64 store would truncate or parse
+        if declared_color_count >= 0 and not set(map(type, chain(
+                assignment.values(), chain.from_iterable(assignment)))) <= {int, bool}:
+            _check_items(assignment, declared_color_count)
         count = len(assignment)
         self._store(_int_array(lambda: chain.from_iterable(assignment), 2 * count),
                     _int_array(assignment.values, count), declared_color_count)
@@ -497,7 +496,9 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     if matching is not None:
         parts += 1
         edges = [_normalize_edge(u, v) for u, v in matching]
-        ids = _ids(chain.from_iterable(edges), g.vertex_count)
+        # an id outside 0..n-1 becomes -1, never an edge end
+        ids = np.array([x if 0 <= x < g.vertex_count else -1
+                        for x in chain.from_iterable(edges)], np.int64)
         covered: set[int] = set()
         claimed_off: set[tuple[int, int]] = set()  # matching edges that are not graph edges
         for e, r in zip(edges, g.edge_index(ids[0::2], ids[1::2]).tolist()):
@@ -521,35 +522,57 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     return _report(detail, parts)
 
 
+_COVER_DETAIL = 20  # detail lines a clique-cover report keeps
+_COVER_PAIRS = 1 << 18  # pairs of one clique checked at once
+
+
+def _verify_cover(n: int, cliques: Iterable[Iterable[int]],
+                  joined: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> VerificationReport:
+    """verify_clique_cover on vertices 0..n-1, where joined(u, v) maps two
+    broadcastable int64 id arrays to a bool array of their shape."""
+    cliques = [list(raw) for raw in cliques]
+    detail: list[str] = []
+    seen: set[int] = set()
+    for idx, raw in enumerate(cliques):
+        if len(detail) >= _COVER_DETAIL:
+            break  # nothing later can be kept
+        members = sorted(set(raw))
+        if len(members) != len(raw):
+            detail.append(f"clique {idx} repeats a vertex")
+        inside = []
+        for v in members:
+            if not (0 <= v < n and v == int(v)):
+                detail.append(f"clique {idx} vertex {v} out of range")
+                continue
+            if v in seen:
+                detail.append(f"vertex {v} in more than one clique")
+            seen.add(v)
+            inside.append(v)
+        ids = np.array(inside, np.int64)
+        step = max(1, _COVER_PAIRS // max(1, ids.size))
+        for lo in range(0, ids.size, step):
+            if len(detail) >= _COVER_DETAIL:
+                break
+            rows = ids[lo:lo + step]
+            i, j = np.nonzero(np.triu(~joined(rows[:, None], ids[None, lo:]), 1))
+            detail.extend(f"clique {idx} misses edge ({u},{v})" for u, v in
+                          zip(rows[i[:_COVER_DETAIL]].tolist(), ids[lo + j[:_COVER_DETAIL]].tolist()))
+    if len(seen) != n:
+        detail.append(f"{n - len(seen)} vertices uncovered")
+    return _report(detail[:_COVER_DETAIL], len(cliques))
+
+
 def verify_clique_cover(g: Graph, cliques: Iterable[Iterable[int]]) -> VerificationReport:
     """Disjoint cliques covering every vertex. colors_used reports the clique count.
 
     Each clique is read once, so one-shot iterables are checked as lists
-    would be. Every pair inside a clique is looked up in one search.
+    would be. A vertex that is not an integer in 0..n-1 is named out of
+    range and left out of the other checks, so it covers nothing. A clique's
+    pairs are looked up a block of rows at a time. At most 20 detail lines
+    are kept: per clique a repeat, each vertex out of range or seen before,
+    the missing edges; then the uncovered count.
     """
-    detail: list[str] = []
-    n = g.vertex_count
-    cliques = [list(raw) for raw in cliques]
-    members = [sorted(set(raw)) for raw in cliques]
-    inside = [(idx, u, v) for idx, m in enumerate(members)
-              for i, u in enumerate(m) for v in m[i + 1:]]
-    ids = _ids(chain.from_iterable(pair for _, *pair in inside), n)
-    misses: list[list[str]] = [[] for _ in cliques]
-    for (idx, u, v), r in zip(inside, g.edge_index(ids[0::2], ids[1::2]).tolist()):
-        if r < 0:
-            misses[idx].append(f"clique {idx} misses edge ({u},{v})")
-    seen: set[int] = set()
-    for idx, (raw, m) in enumerate(zip(cliques, members)):
-        if len(m) != len(raw):
-            detail.append(f"clique {idx} repeats a vertex")
-        for v in m:
-            if v in seen:
-                detail.append(f"vertex {v} in more than one clique")
-            seen.add(v)
-        detail.extend(misses[idx])
-    if seen != set(range(n)):
-        detail.append(f"{n - len(seen)} vertices uncovered")
-    return _report(detail, len(cliques))
+    return _verify_cover(g.vertex_count, cliques, lambda u, v: g.edge_index(u, v) >= 0)
 
 
 def fournier_forest_check(g: Graph) -> bool:

@@ -21,9 +21,11 @@ import numpy as np
 
 from .core import (
     CertificateError,
+    ColorState,
     EdgeColoring,
     Graph,
     VerificationReport,
+    _verify_cover,
     exact_alpha,
     verify_hamiltonian_decomposition,
 )
@@ -125,12 +127,18 @@ def adjacent(u: int, v: int, d: int) -> bool:
     return sum(1 for x in diffs if x) >= 2 and any(x == 2 for x in diffs)
 
 
+def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The adjacency rule between digit rows a and b, broadcast over all but the last axis."""
+    diff = (a - b) & 3
+    return (np.count_nonzero(diff, axis=-1) >= 2) & (diff == 2).any(axis=-1)
+
+
 # cells of the (rows, columns, d) digit-difference block held at once
 _RULE_CELLS = 1 << 22
 
 
-def _rule_pairs(digs: np.ndarray, joined: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row index pairs i < j of digs whose adjacency equals joined.
+def _rule_pairs(digs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row index pairs i < j of digs that are adjacent.
 
     Pairs come in lexicographic order, one chunk of rows at a time, so the
     difference block stays under _RULE_CELLS cells however many rows there are.
@@ -138,16 +146,14 @@ def _rule_pairs(digs: np.ndarray, joined: bool) -> Iterator[tuple[np.ndarray, np
     k, d = digs.shape
     step = max(1, _RULE_CELLS // max(1, k * d))
     for lo in range(0, k, step):
-        diff = (digs[lo:lo + step, None, :] - digs[None, lo:, :]) & 3
-        rule = (np.count_nonzero(diff, axis=2) >= 2) & (diff == 2).any(axis=2)
-        i, j = np.nonzero(np.triu(rule == joined, 1))
+        i, j = np.nonzero(np.triu(_joined(digs[lo:lo + step, None, :], digs[None, lo:, :]), 1))
         yield i + lo, j + lo
 
 
 def build(d: int) -> Graph:
     if d < 2:
         raise ValueError("d >= 2 required")
-    chunks = list(_rule_pairs(_digit_matrix(d), joined=True))
+    chunks = list(_rule_pairs(_digit_matrix(d)))
     # _rule_pairs lists i < j in lexicographic order: already the sorted edge store
     pairs = np.column_stack((np.concatenate([i for i, _ in chunks]),
                              np.concatenate([j for _, j in chunks])))
@@ -375,37 +381,11 @@ MAX_INDEPENDENT_G2 = (3, 4, 6, 7, 11)  # 03, 10, 12, 13, 23 as base-4 codes
 def verify_cover_by_rule(d: int, cover: Sequence[Iterable[int]]) -> VerificationReport:
     """Clique-cover check straight from the digit adjacency rule.
 
-    Equivalent to core.verify_clique_cover(build(d), cover) but does not
-    materialize the graph, which matters for d >= 5. A vertex outside
-    0..4^d-1 is reported and left out of the other checks.
+    Reports exactly as core.verify_clique_cover(build(d), cover) does, but
+    does not materialize the graph, which matters for d >= 5.
     """
-    n = 4 ** d
     digs = _digit_matrix(d)
-    detail: list[str] = []
-    seen: set[int] = set()
-    for idx, raw in enumerate(cover):
-        raw = list(raw)
-        members = sorted(set(raw))
-        if len(members) != len(raw):
-            detail.append(f"clique {idx} repeats a vertex")
-        inside = []
-        for v in members:
-            if not 0 <= v < n:
-                detail.append(f"clique {idx} vertex {v} out of range")
-                continue
-            if v in seen:
-                detail.append(f"vertex {v} in more than one clique")
-            seen.add(v)
-            inside.append(v)
-        # only the first 20 details are kept, so stop listing misses there
-        for i, j in _rule_pairs(digs[inside], joined=False):
-            if len(detail) >= 20:
-                break
-            for a, b in zip(i[:20].tolist(), j[:20].tolist()):
-                detail.append(f"clique {idx} misses edge ({inside[a]},{inside[b]})")
-    if len(seen) != n:
-        detail.append(f"{n - len(seen)} vertices uncovered")
-    return VerificationReport(not detail, len(cover), None, tuple(detail[:20]))
+    return _verify_cover(4 ** d, cover, lambda u, v: _joined(digs[u], digs[v]))
 
 
 def double_clique_cover(d: int, cover: Sequence[Iterable[int]]) -> list[list[int]]:
@@ -481,9 +461,13 @@ class HamDecomposition:
     switches_used: int
 
 
-def _union_cycle_count(succ_i: dict[int, int], succ_j: dict[int, int], n: int
+def _union_cycle_count(at: Sequence[Sequence[int | None]], a: int, b: int
                        ) -> tuple[int, list[int]]:
-    """Number of cycles in the union of two perfect matchings, plus the first."""
+    """Number of cycles in the union of the perfect matchings a and b, plus the first.
+
+    at[v][c] is the partner of v in matching c, as in ColorState.at.
+    """
+    n = len(at)
     visited = [False] * n
     count = 0
     first: list[int] = []
@@ -492,26 +476,15 @@ def _union_cycle_count(succ_i: dict[int, int], succ_j: dict[int, int], n: int
             continue
         count += 1
         walk = []
-        v, use_i = start, True
+        v, col, other = start, a, b
         while not visited[v]:
             visited[v] = True
             walk.append(v)
-            v = succ_i[v] if use_i else succ_j[v]
-            use_i = not use_i
+            v = at[v][col]
+            col, other = other, col
         if count == 1:
             first = walk
     return count, first
-
-
-def _matching_maps(coloring: EdgeColoring, n: int) -> dict[int, dict[int, int]]:
-    maps: dict[int, dict[int, int]] = {}
-    for (u, v), c in coloring.assignment.items():
-        maps.setdefault(c, {})[u] = v
-        maps.setdefault(c, {})[v] = u
-    for c, succ in maps.items():
-        if len(succ) != n:
-            raise ValueError(f"color {c} is not a perfect matching")
-    return maps
 
 
 def _pair_up(colors: list[int], compatible: dict[tuple[int, int], bool],
@@ -544,16 +517,22 @@ def _pair_up(colors: list[int], compatible: dict[tuple[int, int], bool],
     return solve(frozenset(pool))
 
 
-def _score(colors: list[int], compatible: dict[tuple[int, int], bool],
-           cycle_counts: dict[tuple[int, int], int]) -> tuple[int, int, int]:
+def _pair_cycles(at: Sequence[Sequence[int | None]], colors: list[int]
+                 ) -> dict[tuple[int, int], tuple[int, list[int]]]:
+    """_union_cycle_count of every pair of classes (ci, cj), ci < cj."""
+    return {(ci, cj): _union_cycle_count(at, ci, cj)
+            for i, ci in enumerate(colors) for cj in colors[i + 1:]}
+
+
+def _score(colors: list[int], cycles: dict[tuple[int, int], tuple[int, list[int]]]
+           ) -> tuple[int, int, int]:
     """Lexicographic score, larger is better: pairable classes, then fewer
     cycles in the worst pair, then fewer cycles overall."""
     pairable = sum(1 for c in colors
-                   if any(compatible[(min(c, o), max(c, o))]
+                   if any(cycles[(min(c, o), max(c, o))][0] == 1
                           for o in colors if o != c))
-    worst = max(cycle_counts.values())
-    total = sum(cycle_counts.values())
-    return (pairable, -worst, -total)
+    counts = [cnt for cnt, _ in cycles.values()]
+    return (pairable, -max(counts), -sum(counts))
 
 
 def ham_decomposition_search(d: int, budget: int = 400,
@@ -564,6 +543,11 @@ def ham_decomposition_search(d: int, budget: int = 400,
     by (pairable classes, worst pair cycle count, total cycle count), perturb
     the coloring when the pairing search gets stuck. None when the budget runs
     out.
+
+    The whole search edits one ColorState in place. A trial switch swaps its
+    chain, is scored, and is undone by swapping the same chain again, since
+    a swap is its own inverse; the best trial is then swapped back in. The
+    result is checked by verify_hamiltonian_decomposition.
     """
     if budget < 1:
         raise ValueError("the switch budget must be positive")
@@ -571,62 +555,48 @@ def ham_decomposition_search(d: int, budget: int = 400,
     n = 4 ** d
     dd = delta(d)
     rng = random.Random(seed)
-    coloring = class1_coloring(d)
+    state = ColorState.of(n, class1_coloring(d))
+    colors = list(range(1, dd + 1))
+    # G_d is Delta-regular: every color at every vertex makes every class a perfect matching
+    if any(p != (1 << (dd + 1)) - 1 for p in state.present):
+        raise CertificateError("a color class of the kernel coloring is not a perfect matching")
     switches = 0
 
     while True:
-        maps = _matching_maps(coloring, n)
-        colors = sorted(maps)
-        compatible: dict[tuple[int, int], bool] = {}
-        counts: dict[tuple[int, int], int] = {}
-        firsts: dict[tuple[int, int], list[int]] = {}
-        for i, ci in enumerate(colors):
-            for cj in colors[i + 1:]:
-                cnt, first = _union_cycle_count(maps[ci], maps[cj], n)
-                counts[(ci, cj)] = cnt
-                compatible[(ci, cj)] = cnt == 1
-                firsts[(ci, cj)] = first
+        cycles = _pair_cycles(state.at, colors)
+        compatible = {p: cnt == 1 for p, (cnt, _) in cycles.items()}
         leftovers: list[int | None] = [None] if dd % 2 == 0 else list(colors)
         for leftover in leftovers:
             pairs = _pair_up(colors, compatible, leftover)
             if pairs is None:
                 continue
-            cycles = tuple(tuple(firsts[p]) for p in pairs)
+            found = tuple(tuple(cycles[p][1]) for p in pairs)
             matching = None
             if leftover is not None:
-                matching = tuple(sorted(e for e, c in coloring.assignment.items()
-                                        if c == leftover))
-            report = verify_hamiltonian_decomposition(g, cycles, matching)
+                matching = tuple(sorted(state.by_color[leftover]))
+            report = verify_hamiltonian_decomposition(g, found, matching)
             if not report.ok:
                 raise CertificateError(
                     f"pairing produced a bad decomposition: {report.detail}")
-            return HamDecomposition(d, cycles, matching, switches)
+            return HamDecomposition(d, found, matching, switches)
         if switches >= budget:
             return None
         # escape: try a few random Kempe switches, keep the best-scoring one
-        from .kempe import kempe_switch
-        base_score = _score(colors, compatible, counts)
+        base_score = _score(colors, cycles)
         best = None
         for _ in range(8):
             a, b = rng.sample(colors, 2)
-            start = rng.randrange(n)
-            candidate = kempe_switch(coloring, g, start, a, b)
-            cmaps = _matching_maps(candidate, n)
-            ccomp: dict[tuple[int, int], bool] = {}
-            ccounts: dict[tuple[int, int], int] = {}
-            for i, ci in enumerate(colors):
-                for cj in colors[i + 1:]:
-                    cnt, _ = _union_cycle_count(cmaps[ci], cmaps[cj], n)
-                    ccounts[(ci, cj)] = cnt
-                    ccomp[(ci, cj)] = cnt == 1
-            cscore = _score(colors, ccomp, ccounts)
-            if best is None or cscore > best[0]:
-                best = (cscore, candidate)
+            chain, _ = state.chain_edges(rng.randrange(n), a, b)
+            state.swap(chain, a, b)
+            score = _score(colors, _pair_cycles(state.at, colors))
+            state.swap(chain, a, b)
+            if best is None or score > best[0]:
+                best = (score, chain, a, b)
             switches += 1
             if switches >= budget:
                 break
         if best is not None and best[0] >= base_score:
-            coloring = best[1]
+            state.swap(*best[1:])
         if switches >= budget:
             return None
 
@@ -662,16 +632,12 @@ def perfect_factorization_exists(d: int = 2) -> bool:
         yield from extend(start, [first])
 
     def hamiltonian_pair(m1: frozenset, m2: frozenset) -> bool:
-        succ1 = {}
-        succ2 = {}
-        for u, v in m1:
-            succ1[u] = v
-            succ1[v] = u
-        for u, v in m2:
-            succ2[u] = v
-            succ2[v] = u
-        cnt, _ = _union_cycle_count(succ1, succ2, n)
-        return cnt == 1
+        at: list[list[int | None]] = [[None, None] for _ in range(n)]
+        for c, m in enumerate((m1, m2)):
+            for u, v in m:
+                at[u][c] = v
+                at[v][c] = u
+        return _union_cycle_count(at, 0, 1)[0] == 1
 
     def search(avail: set[tuple[int, int]], chosen: list[frozenset]) -> bool:
         if len(chosen) == delta(d):

@@ -293,6 +293,15 @@ def test_edge_coloring_invariants():
     assert shifted.assignment == {(0, 1): 4} and shifted.declared_color_count == 4
 
 
+def test_edge_coloring_refuses_an_edge_end_that_is_not_an_integer():
+    # the int store would truncate 0.5, so (0.5, 1) would become a second (0, 1)
+    with pytest.raises(ValueError, match=r"edge key \(0\.5, 1\)"):
+        EdgeColoring({(0.5, 1): 1, (0, 1): 2, (1, 2): 3}, 3)
+    with pytest.raises(ValueError, match=r"edge key \('0', 1\)"):
+        EdgeColoring({("0", 1): 1}, 1)
+    assert EdgeColoring({(np.int64(0), 1): 1}, 1).ends.tolist() == [[0, 1]]
+
+
 def test_from_arrays_names_a_repeated_edge_and_relabelling_does_not_look_again(monkeypatch):
     with pytest.raises(ValueError, match=r"edge \(0, 1\) colored twice"):
         EdgeColoring.from_arrays([[1, 2], [0, 1], [0, 1]], [1, 2, 1], 2)
@@ -452,6 +461,11 @@ def test_verify_clique_cover_examples():
     assert singles.ok and singles.colors_used == 5
     assert not verify_clique_cover(c5, [[0, 2], [1], [3], [4]]).ok  # not a clique
     assert not verify_clique_cover(c5, [[0, 1], [1, 2], [3], [4]]).ok  # overlap
+    # a vertex outside the graph is named, and never counts as covering one
+    rep = verify_clique_cover(complete(2), [[0, 1], [7]])
+    assert rep.detail == ("clique 1 vertex 7 out of range",)
+    rep = verify_clique_cover(complete(2), [[0, 1.5]])
+    assert rep.detail == ("clique 0 vertex 1.5 out of range", "1 vertices uncovered")
 
 
 def test_exact_alpha_examples():

@@ -6,9 +6,12 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+import graphcert.core as core
 import graphcert.keller as keller
+import graphcert.kempe as kempe
 from graphcert.core import (
     CertificateError,
+    EdgeColoring,
     VerificationReport,
     exact_omega,
     verify_clique_cover,
@@ -185,6 +188,12 @@ def _kernel_with_repeated_even(d):
     return ColorKernel(d, kernel.even[:1] * 2 + kernel.even[2:], kernel.odd)
 
 
+def _kernel_coloring_without_first_edge(d):
+    coloring = class1_coloring(d)
+    return EdgeColoring.from_arrays(coloring.ends[1:], coloring.colors[1:],
+                                    coloring.declared_color_count)
+
+
 @pytest.mark.parametrize("patch, call", [
     (("delta", lambda d: 0), lambda: color_kernel(3)),
     (("ColorKernel", lambda d, even, odd: ColorKernel(d, even + odd[:1], odd[1:])),
@@ -194,6 +203,8 @@ def _kernel_with_repeated_even(d):
     (("verify_hamiltonian_decomposition",
       lambda g, cycles, matching: VerificationReport(False, 0, 0, ("forced",))),
      lambda: ham_decomposition_search(2)),
+    (("class1_coloring", _kernel_coloring_without_first_edge),
+     lambda: ham_decomposition_search(2)),
     (("_row_col", lambda vertex: (0, 0)), lambda: independence_square(2)),
     (("adjacent", lambda u, v, d: True), lambda: independence_square(2)),
     # the row of a vertex becomes its id, which "001" moves for every vertex
@@ -202,7 +213,7 @@ def _kernel_with_repeated_even(d):
     # "001" flips the parity of every id, so this adjacency is never preserved
     (("adjacent", lambda u, v, d: u % 2 == 0), lambda: bitstring_automorphism(3, "001")),
     (("adjacent", lambda u, v, d: False), lambda: alpha_exact(3)),
-], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition",
+], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition", "matching",
         "square-bijection", "square-independence", "automorphism-rows",
         "automorphism-adjacency", "alpha-members"])
 def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
@@ -358,6 +369,7 @@ def test_cover_rule_agrees_with_graph_verifier_on_mutants(d, mutations):
     report = verify_cover_by_rule(d, cover)
     assert report.ok == verify_clique_cover(g, cover).ok
     assert report.detail == _cover_reference(d, cover)
+    assert verify_clique_cover(g, cover).detail == report.detail
 
 
 def test_rule_chunking_does_not_change_results(monkeypatch):
@@ -365,7 +377,9 @@ def test_rule_chunking_does_not_change_results(monkeypatch):
     expected = (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail)
     assert expected[1] == _cover_reference(3, whole)
     monkeypatch.setattr(keller, "_RULE_CELLS", 1)  # one row per chunk
+    monkeypatch.setattr(core, "_COVER_PAIRS", 1)  # one row per chunk in the cover check
     assert (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail) == expected
+    assert verify_clique_cover(build(3), whole).detail == expected[1]
 
 
 def test_double_clique_cover():
@@ -441,6 +455,13 @@ def _search_pin(d, seed):
 
 @pytest.mark.parametrize("d,seed,switches,digest", _SEARCH_PINS)
 def test_ham_decomposition_search_output_is_pinned(d, seed, switches, digest):
+    assert _search_pin(d, seed) == (switches, digest)
+
+
+def test_ham_decomposition_search_switches_on_its_own_state(monkeypatch):
+    # trial switches edit the search's ColorState in place; kempe_switch is never called
+    monkeypatch.setattr(kempe, "kempe_switch", lambda *args: pytest.fail("kempe_switch called"))
+    d, seed, switches, digest = _SEARCH_PINS[0]
     assert _search_pin(d, seed) == (switches, digest)
 
 
