@@ -315,7 +315,7 @@ def test_cover_rule_reports_out_of_range_vertices(bad):
 
 
 def _cover_reference(d, cover):
-    """verify_cover_by_rule's detail, from the scalar adjacent() rule."""
+    """The clique-cover verifiers' detail, from the scalar adjacent() rule."""
     n = 4 ** d
     detail, seen = [], set()
     for idx, raw in enumerate(cover):
