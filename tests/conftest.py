@@ -4,6 +4,8 @@ import random
 import re
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup,
                                    canonical_bishop_coloring, rarest_bishop_color)
 from graphcert.chess import SquareColor, _check_board, _labels, bishop_delta, id_to_coord
@@ -650,3 +652,54 @@ def reference_read_coloring(fh: IO[str]) -> EdgeColoring:
         if not 1 <= c <= declared:
             raise CertificateError(f"edge {lo + 1} {hi + 1}: color {c} outside 1..{declared}")
     return EdgeColoring(assignment, declared)
+
+
+# --- the writers, one %-formatted batch of Python ints at a time ---------------
+
+def _reference_open_write(path_or_file) -> tuple[IO[str], bool]:
+    if hasattr(path_or_file, "write"):
+        return path_or_file, False
+    return open(path_or_file, "w", encoding="ascii"), True
+
+
+# rows per write; keeps each formatted string small
+_REFERENCE_ROW_BATCH = 4096
+
+
+def _reference_write_rows(fh: IO[str], row_format: str, rows: np.ndarray) -> None:
+    """Write each row of an integer array as row_format % row, one batch at a time."""
+    for start in range(0, len(rows), _REFERENCE_ROW_BATCH):
+        batch = rows[start:start + _REFERENCE_ROW_BATCH]
+        fh.write(row_format * len(batch) % tuple(batch.ravel().tolist()))
+
+
+def reference_write_dimacs(g: Graph, path_or_file, comments: Iterable[str] = ()) -> None:
+    """The %-formatting DIMACS writer: the oracle for graphcert.io.write_dimacs,
+    which must write the same bytes."""
+    fh, close = _reference_open_write(path_or_file)
+    try:
+        for line in comments:
+            fh.write(f"c {line}\n")
+        fh.write(f"p edge {g.vertex_count} {g.edge_count}\n")
+        _reference_write_rows(fh, "e %d %d\n", g.pairs + 1)
+    finally:
+        if close:
+            fh.close()
+
+
+def reference_write_coloring(coloring: EdgeColoring, path_or_file,
+                             comments: Iterable[str] = ()) -> None:
+    """The %-formatting colouring writer, which sorts every colouring: the oracle
+    for graphcert.io.write_coloring, which must write the same bytes."""
+    fh, close = _reference_open_write(path_or_file)
+    try:
+        for line in comments:
+            fh.write(f"c {line}\n")
+        fh.write(f"c k={coloring.declared_color_count}\n")
+        ends = coloring.ends
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        _reference_write_rows(fh, "%d %d %d\n",
+                              np.column_stack((ends[order] + 1, coloring.colors[order])))
+    finally:
+        if close:
+            fh.close()

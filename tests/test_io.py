@@ -4,15 +4,17 @@ import hashlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcert.io as gio
 import graphcert.keller as keller
-from conftest import cycle, reference_read_coloring, reference_read_dimacs
+from conftest import (cycle, reference_read_coloring, reference_read_dimacs,
+                      reference_write_coloring, reference_write_dimacs)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_queen
-from graphcert.core import (CertificateError, EdgeColoring, verify_edge_coloring,
+from graphcert.core import (CertificateError, EdgeColoring, Graph, verify_edge_coloring,
                             verify_hamiltonian_cycle)
 from graphcert.queen import classify_and_color
 
@@ -195,6 +197,54 @@ def test_writers_keep_their_bytes(tmp_path, name):
         writer(obj, buf, comments=["pin"])
         assert buf.getvalue().encode("ascii") == target.read_bytes()
 
+
+
+def _shuffled(coloring, seed=0):
+    """The same colouring with its rows in a random order."""
+    order = np.random.default_rng(seed).permutation(len(coloring.colors))
+    return EdgeColoring.from_arrays(coloring.ends[order], coloring.colors[order],
+                                    coloring.declared_color_count)
+
+
+# what each writer is handed: rows that ascend and rows that do not, no rows, an
+# id past int64 (only a forged file gives one) and a negative id (only the dict
+# constructor lets one in)
+WRITER_CASES = {
+    "write_dimacs": {
+        "Q5,7": lambda: build_queen(5, 7),
+        "G3": lambda: keller.build(3),
+        "C5": lambda: cycle(5),
+        "edgeless": lambda: Graph.from_edges(3, []),
+        "empty": lambda: Graph.from_edges(0, []),
+    },
+    "write_coloring": {
+        "Q5,7 ascending": lambda: classify_and_color(5, 7).coloring,
+        "Q5,7 shuffled": lambda: _shuffled(classify_and_color(5, 7).coloring),
+        "G3": lambda: keller.class1_coloring(3),
+        "bishop 9x13 shuffled": lambda: _shuffled(canonical_bishop_coloring(9, 13), 1),
+        "empty": lambda: EdgeColoring({}, 0),
+        "past int64": lambda: EdgeColoring({(3, 2 ** 64): 1, (0, 1): 2 ** 70}, 2 ** 70),
+        "negative id": lambda: EdgeColoring({(-1, 0): 1, (-3, 5): 2}, 2),
+    },
+}
+
+
+@pytest.mark.parametrize("writer_name, case",
+                         [(w, c) for w in sorted(WRITER_CASES) for c in WRITER_CASES[w]])
+@pytest.mark.parametrize("comments", [(), ("pin",), ("two words", "k=7 is a comment")])
+def test_writers_match_their_oracles(tmp_path, writer_name, case, comments):
+    obj = WRITER_CASES[writer_name][case]()
+    writer = getattr(gio, writer_name)
+    oracle = {"write_dimacs": reference_write_dimacs,
+              "write_coloring": reference_write_coloring}[writer_name]
+    writer(obj, tmp_path / "got", comments=comments)
+    oracle(obj, tmp_path / "want", comments=comments)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+    got, want = io.StringIO(), io.StringIO()
+    writer(obj, got, comments=comments)
+    oracle(obj, want, comments=comments)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().encode("ascii") == (tmp_path / "want").read_bytes()
 
 # --- the array readers against the line-by-line oracles -----------------------------------
 
