@@ -1,4 +1,4 @@
-"""Constructive optimal colorings for complete graphs, bishops and rooks.
+"""Constructive optimal colorings for bishops and rooks.
 
 The bishop coloring decomposes the edge set into groups of disjoint paths and
 2-colors each path; the rook colorings assemble complete-graph colorings per
@@ -7,11 +7,14 @@ coloring additionally realizes an arbitrary prescription of which high color
 is missing at every vertex outside the leftmost column; that freedom is what
 the queen constructions consume.
 
-Every coloring here is computed on index arrays and returned through
-`EdgeColoring.from_arrays`. The complete-graph and rook colors are closed
-forms in the vertex indices. The bishop colors need each edge's group, a
-closed form in its length and slope, and its parity along its path, which
-`_path_ranks` finds for all paths at once by pointer doubling.
+Every coloring here is computed on index arrays. The complete-graph and rook
+colors are closed forms in the vertex indices. The bishop colors need each
+edge's group, a closed form in its length and slope, and its parity along its
+path, which `_path_ranks` finds for all paths at once by pointer doubling.
+Each coloring is returned through `EdgeColoring._of_rows`, without a repeat
+check: its edges come from the board's edge lists, which hold each edge
+once. The queen constructions join these parts in `queen._union`, whose
+`EdgeColoring.from_arrays` checks the joined rows for a repeated edge.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chess import (BoardCoord, _check_board, _column_edges, _row_edges, bishop_delta,
-                    bishop_edge_pairs)
+from .chess import _check_board, _column_edges, _row_edges, bishop_delta, bishop_edge_pairs
 from .core import CertificateError, EdgeColoring
 
 
@@ -45,54 +47,6 @@ def _k_even_class(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     # is a perfect matching, so every vertex sees all n-1 colors.
     hub = np.maximum(u, v) == n - 1
     return np.where(hub, np.minimum(u, v), (u + v) * _inv2(n - 1) % (n - 1))
-
-
-def _base_class_pairs(n: int) -> list[tuple[int, int]]:
-    # Pairs of class 0 in the odd scheme, or of class 0 in the even scheme.
-    if n % 2 == 1:
-        return [(t, n - t) for t in range(1, (n - 1) // 2 + 1)]
-    h = n - 1
-    pairs = [(0, h)]
-    pairs += [(t, (n - 1 - t)) for t in range(1, (n - 2) // 2 + 1)]
-    return pairs
-
-
-def _is_maximum_matching(n: int, matching: Sequence[tuple[int, int]]) -> bool:
-    covered: set[int] = set()
-    for u, v in matching:
-        if u == v or not (0 <= u < n) or not (0 <= v < n):
-            return False
-        if u in covered or v in covered:
-            return False
-        covered.update((u, v))
-    return len(matching) == n // 2
-
-
-def complete_graph_coloring(n: int, matching_as_class: Sequence[tuple[int, int]] | None = None
-                            ) -> EdgeColoring:
-    """Optimal coloring of K_n: n-1 colors for even n, n colors for odd n.
-
-    With matching_as_class (a maximum matching), the coloring is relabeled by
-    a vertex bijection so that the matching is exactly color class 1.
-    """
-    if n < 2:
-        raise ValueError("K_n coloring needs n >= 2")
-    perm = np.arange(n)
-    if matching_as_class is not None:
-        matching = [tuple(sorted(e)) for e in matching_as_class]
-        if not _is_maximum_matching(n, matching):
-            raise ValueError("matching_as_class is not a maximum matching of K_n")
-        base_pairs = _base_class_pairs(n)
-        if n % 2 == 1:
-            missed = (set(range(n)) - {w for e in matching for w in e}).pop()
-            perm[0] = missed
-        for (a, b), (x, y) in zip(base_pairs, matching):
-            perm[a], perm[b] = x, y
-    inv = np.argsort(perm)
-    x, y = np.triu_indices(n, 1)
-    scheme = _k_odd_color if n % 2 == 1 else _k_even_class
-    return EdgeColoring.from_arrays(np.column_stack((x, y)), scheme(inv[x], inv[y], n) + 1,
-                                    n if n % 2 == 1 else n - 1)
 
 
 def k_odd_prescribed_missing(n: int, desired_missing: Sequence[int] | np.ndarray,
@@ -242,7 +196,7 @@ def canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
     ends, group = _bishop_groups(m, n)
     rank = _path_ranks(ends, group, n)[2]
     declared = bishop_delta(m, n) if len(ends) else 0
-    return EdgeColoring.from_arrays(np.sort(ends, axis=1), 2 * group + 1 + rank % 2, declared)
+    return EdgeColoring._of_rows(np.sort(ends, axis=1), 2 * group + 1 + rank % 2, declared)
 
 
 def rarest_bishop_color(m: int) -> int:
@@ -308,8 +262,8 @@ def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
         cls = _k_even_class(x, y, n)
         row_colors = np.where(cls == 0, np.arange(1, m + 1)[:, None], m + cls)
     colors = (np.broadcast_to(row_colors, (m, x.size)), np.broadcast_to(col_colors, (n, u.size)))
-    return EdgeColoring.from_arrays(np.concatenate((_row_edges(m, n), _column_edges(m, n))),
-                                    np.concatenate([c.ravel() for c in colors]), m + n - 2)
+    return EdgeColoring._of_rows(np.concatenate((_row_edges(m, n), _column_edges(m, n))),
+                                 np.concatenate([c.ravel() for c in colors]), m + n - 2)
 
 
 @dataclass(frozen=True)
@@ -391,13 +345,7 @@ def ladder_coloring(m: int, n: int, plan: MissingColorPlan | None = None) -> Edg
     col_colors = np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size))
     desired = np.column_stack((np.arange(1, m + 1), np.array(plan.rows).reshape(m, n - 1)))
     row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
-    return EdgeColoring.from_arrays(np.concatenate((_column_edges(m, n), _row_edges(m, n))),
-                                    np.concatenate((col_colors.ravel(), row_colors.ravel())),
-                                    m + n - 1)
+    return EdgeColoring._of_rows(np.concatenate((_column_edges(m, n), _row_edges(m, n))),
+                                 np.concatenate((col_colors.ravel(), row_colors.ravel())),
+                                 m + n - 1)
 
-
-def ladder_missing_color(plan: MissingColorPlan, coord: BoardCoord) -> int:
-    """The single color absent at a vertex under the ladder coloring."""
-    if coord.col == 1:
-        return coord.row
-    return plan.missing_at(coord.col, coord.row)

@@ -59,13 +59,18 @@ def _row(pairs: np.ndarray, i: int) -> tuple[int, int]:
     return tuple(pairs[i].tolist())
 
 
+def _ascending(pairs: np.ndarray) -> bool:
+    """True when the rows (u, v) of an (E, 2) array strictly ascend, by u and then v."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    return bool(((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all())
+
+
 def _first_repeat(pairs: np.ndarray) -> int:
     """Index of the first row of an (E, 2) array that equals an earlier row, or -1."""
-    u, v = pairs[:, 0], pairs[:, 1]
-    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+    if _ascending(pairs):
         return -1  # strictly ascending rows cannot repeat
     # lexsort is stable, so the first occurrence of each row comes ahead of its repeats
-    order = np.lexsort((v, u))
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     ordered = pairs[order]
     repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
     if not repeated.any():
@@ -265,7 +270,14 @@ class EdgeColoring:
     @classmethod
     def _of_rows(cls, ends: np.ndarray, colors: np.ndarray,
                  declared_color_count: int) -> "EdgeColoring":
-        """from_arrays without the repeat check, for rows known to hold no repeat."""
+        """from_arrays without the repeat check, for rows known to hold no repeat.
+
+        Its callers: from_arrays, which then makes the check; `normalized`
+        and `shifted`, on the rows of a colouring that holds none already;
+        and the bishop and rook colourings of `bishop_rook`, built on board
+        edge lists that hold each edge once. The queen constructions join
+        those in `queen._union`, whose from_arrays checks every joined row.
+        """
         coloring = cls.__new__(cls)
         coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),
                         declared_color_count)
@@ -478,7 +490,9 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     """Cycles (plus an optional perfect matching) must partition the edge set.
 
     colors_used reports the number of parts (cycles, plus one for a matching).
-    Each edge is looked up by its row in g.pairs, one search per part.
+    Each edge is looked up by its row in g.pairs, one search per part. A
+    matching end that is not an integer in 0..n-1 is named out of range, as
+    `verify_clique_cover` names a vertex, and its edge covers nothing.
     """
     detail: list[str] = []
     claimed = np.zeros(g.edge_count, bool)  # the graph edges some part holds already
@@ -496,12 +510,16 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     if matching is not None:
         parts += 1
         edges = [_normalize_edge(u, v) for u, v in matching]
-        # an id outside 0..n-1 becomes -1, never an edge end
-        ids = np.array([x if 0 <= x < g.vertex_count else -1
-                        for x in chain.from_iterable(edges)], np.int64)
+        # ends that are not an integer in 0..n-1; their edge is named and covers nothing
+        outside = [[x for x in e if not (0 <= x < g.vertex_count and x == int(x))]
+                   for e in edges]
+        ids = np.array([-1 if bad else x for e, bad in zip(edges, outside) for x in e], np.int64)
         covered: set[int] = set()
         claimed_off: set[tuple[int, int]] = set()  # matching edges that are not graph edges
-        for e, r in zip(edges, g.edge_index(ids[0::2], ids[1::2]).tolist()):
+        for e, bad, r in zip(edges, outside, g.edge_index(ids[0::2], ids[1::2]).tolist()):
+            if bad:
+                detail.extend(f"matching edge {e} end {x} out of range" for x in bad)
+                continue
             if r < 0:
                 detail.append(f"matching edge {e} not in graph")
             if e[0] in covered or e[1] in covered:

@@ -2,17 +2,26 @@
 
 Vertex ids are 1-based in every file and 0-based in memory. See FORMATS.md
 at the repository root for the grammar of each format.
+
+Every writer makes ASCII bytes: a path is opened in binary mode, and an open
+file such as `sys.stdout` or a `StringIO` gets the same bytes as text. The
+rows of DIMACS and colouring files are formatted by `_ascii_rows`, which
+writes what `"%d %d ...\\n" % row` would, from a table of the digits of every
+4-digit group; a colouring whose rows already ascend is written without a
+sort.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
-from typing import IO, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CertificateError, EdgeColoring, Graph, _first_repeat
+from .core import CertificateError, EdgeColoring, Graph, _ascending, _first_repeat
 
 
 def _open_read(path_or_file, certificate: bool = False) -> tuple[IO[str], bool]:
@@ -37,10 +46,20 @@ def _read_text(path_or_file, certificate: bool = False) -> str:
             fh.close()
 
 
-def _open_write(path_or_file) -> tuple[IO[str], bool]:
+@contextmanager
+def _ascii_sink(path_or_file) -> Iterator[Callable[[bytes], object]]:
+    """A function that writes ASCII bytes: to a path opened in binary mode, or
+    as text to an open file, which is left open."""
     if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", encoding="ascii"), True
+        yield lambda data: path_or_file.write(data.decode("ascii"))
+        return
+    with open(path_or_file, "wb") as fh:
+        yield fh.write
+
+
+def _header(comments: Iterable[str], last: str) -> bytes:
+    """A 'c' line per comment, then the line last, as ASCII."""
+    return "".join([f"c {line}\n" for line in comments] + [last + "\n"]).encode("ascii")
 
 
 def _bad_token(lineno: int, raw: str, error: type[ValueError] = CertificateError) -> ValueError:
@@ -138,27 +157,82 @@ def _zero_based_edges(pairs: np.ndarray) -> np.ndarray:
                             np.maximum(pairs[:, 0], pairs[:, 1]))) - 1
 
 
-# rows per write; keeps each formatted string small
-_ROW_BATCH = 4096
+# rows formatted at once when every value is below 10^4, about 7 MB of
+# arrays for three columns; values of more 4-digit groups take fewer rows
+_ROW_BATCH = 1 << 16
 
 
-def _write_rows(fh: IO[str], row_format: str, rows: np.ndarray) -> None:
-    """Write each row of an integer array as row_format % row, one batch at a time."""
-    for start in range(0, len(rows), _ROW_BATCH):
-        batch = rows[start:start + _ROW_BATCH]
-        fh.write(row_format * len(batch) % tuple(batch.ravel().tolist()))
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """For every 4-digit group g: its four ASCII digits, zero-padded, as one
+    uint32 word, and a word whose bytes are 1 at the significant digits of g
+    (only the last for g = 0) and 0 at its leading zeros. Each word holds its
+    bytes in memory in the order they are written in."""
+    group = np.arange(10 ** 4)
+    digits = (group[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    count = 1 + (group >= 10) + (group >= 100) + (group >= 1000)
+    significant = (np.arange(4) >= 4 - count[:, None]).astype(np.uint8)
+    return digits.view(np.uint32).ravel(), significant.view(np.uint32).ravel()
+
+
+def _words(data: bytes) -> np.ndarray:
+    """data, padded with zero bytes to whole uint32 words, as those words."""
+    return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), np.uint32)
+
+
+def _ascii_rows(rows: np.ndarray, lead: bytes = b"") -> Iterator[bytes]:
+    """The bytes of lead + "%d %d ...\\n" % row for each row of an (R, w)
+    integer array, one batch of rows at a time.
+
+    Each value is cut into as many 4-digit groups as the largest needs (five
+    hold any int64). `_digit_table` gives each group's digits and which of
+    them are significant; a value keeps the significant digits of its first
+    non-zero group (of its last group when it is 0) and every digit of the
+    groups after that. One boolean mask keeps those digits, the lead, and
+    the space or newline after each value. Only rows with a value outside
+    0..2^63-1, an id past int64 in a forged file or a negative id handed to
+    the dict constructor, are formatted by %d instead.
+    """
+    width = rows.shape[1]
+    if rows.dtype == object or (rows.size and rows.min() < 0):
+        row_format = lead + b" ".join([b"%d"] * width) + b"\n"
+        for start in range(0, len(rows), _ROW_BATCH):
+            batch = rows[start:start + _ROW_BATCH]
+            yield row_format * len(batch) % tuple(batch.ravel().tolist())
+        return
+    top, count = (int(rows.max()) if rows.size else 0), 1
+    while top >= 10 ** (4 * count):
+        count += 1
+    scale = 10 ** (4 * np.arange(count - 1, -1, -1, dtype=np.int64))
+    digits, significant = _digit_table()
+    head, head_mask = _words(lead), _words(b"\1" * len(lead))
+    every = _words(b"\1\1\1\1")[0]
+    step = -(-_ROW_BATCH // count)
+    for start in range(0, len(rows), step):
+        batch = rows[start:start + step, :, None]
+        groups = batch if count == 1 else batch.astype(np.int64) // scale % 10 ** 4
+        keep = significant[groups]
+        if count > 1:
+            nonzero = groups > 0
+            first = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), count - 1)[:, :, None]
+            at = np.arange(count)
+            keep = np.where(at < first, 0, np.where(at == first, keep, every))
+        out = np.empty((len(batch), head.size + width * (count + 1)), np.uint32)
+        mask = np.empty_like(out)
+        out[:, :head.size], mask[:, :head.size] = head, head_mask
+        values = out[:, head.size:].reshape(len(batch), width, count + 1)
+        values_mask = mask[:, head.size:].reshape(len(batch), width, count + 1)
+        values[:, :, :count], values_mask[:, :, :count] = digits[groups], keep
+        values[:, :, count], values_mask[:, :, count] = _words(b" ")[0], _words(b"\1")[0]
+        values[:, -1, count] = _words(b"\n")[0]
+        yield out.view(np.uint8)[mask.view(bool)].tobytes()
 
 
 def write_dimacs(g: Graph, path_or_file, comments: Iterable[str] = ()) -> None:
-    fh, close = _open_write(path_or_file)
-    try:
-        for line in comments:
-            fh.write(f"c {line}\n")
-        fh.write(f"p edge {g.vertex_count} {g.edge_count}\n")
-        _write_rows(fh, "e %d %d\n", g.pairs + 1)
-    finally:
-        if close:
-            fh.close()
+    with _ascii_sink(path_or_file) as write:
+        write(_header(comments, f"p edge {g.vertex_count} {g.edge_count}"))
+        for chunk in _ascii_rows(g.pairs + 1, b"e "):
+            write(chunk)
 
 
 def read_dimacs(path_or_file) -> Graph:
@@ -208,17 +282,18 @@ def read_dimacs(path_or_file) -> Graph:
 
 def write_coloring(coloring: EdgeColoring, path_or_file,
                    comments: Iterable[str] = ()) -> None:
-    fh, close = _open_write(path_or_file)
-    try:
-        for line in comments:
-            fh.write(f"c {line}\n")
-        fh.write(f"c k={coloring.declared_color_count}\n")
-        ends = coloring.ends
+    """Write the comments, a `c k=` line and one `u v color` line per edge, in
+    (u, v) order. Rows that already ascend, as every queen construction
+    gives them, are written without a sort; the digits come from
+    `_ascii_rows`, byte for byte what `%d` gives."""
+    ends, colors = coloring.ends, coloring.colors
+    if not _ascending(ends):
         order = np.lexsort((ends[:, 1], ends[:, 0]))
-        _write_rows(fh, "%d %d %d\n", np.column_stack((ends[order] + 1, coloring.colors[order])))
-    finally:
-        if close:
-            fh.close()
+        ends, colors = ends[order], colors[order]
+    with _ascii_sink(path_or_file) as write:
+        write(_header(comments, f"c k={coloring.declared_color_count}"))
+        for chunk in _ascii_rows(np.column_stack((ends + 1, colors))):
+            write(chunk)
 
 
 def read_coloring(path_or_file) -> EdgeColoring:
@@ -281,12 +356,8 @@ def read_coloring(path_or_file) -> EdgeColoring:
 
 
 def write_sequence(seq: Sequence[int], path_or_file) -> None:
-    fh, close = _open_write(path_or_file)
-    try:
-        fh.write(" ".join(str(v + 1) for v in seq) + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _ascii_sink(path_or_file) as write:
+        write((" ".join(str(v + 1) for v in seq) + "\n").encode("ascii"))
 
 
 def read_sequence(path_or_file) -> list[int]:
@@ -305,13 +376,9 @@ def read_sequence(path_or_file) -> list[int]:
 
 def write_vertex_sets(sets: Sequence[Sequence[int]], path_or_file) -> None:
     """One set per line, members as 1-based ids."""
-    fh, close = _open_write(path_or_file)
-    try:
+    with _ascii_sink(path_or_file) as write:
         for s in sets:
-            fh.write(" ".join(str(v + 1) for v in s) + "\n")
-    finally:
-        if close:
-            fh.close()
+            write((" ".join(str(v + 1) for v in s) + "\n").encode("ascii"))
 
 
 def read_vertex_sets(path_or_file) -> list[list[int]]:

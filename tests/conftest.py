@@ -6,9 +6,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup,
-                                   canonical_bishop_coloring, rarest_bishop_color)
-from graphcert.chess import SquareColor, _check_board, _labels, bishop_delta, id_to_coord
+from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup, _k_even_class,
+                                   _k_odd_color, canonical_bishop_coloring, rarest_bishop_color)
+from graphcert.chess import (BoardCoord, SquareColor, _check_board, _labels, bishop_delta,
+                             id_to_coord)
 from graphcert.core import (CertificateError, ColorState, EdgeColoring, Graph,
                             VerificationReport, _normalize_edge, _report, lowest_bit, max_degree,
                             verify_edge_coloring, verify_hamiltonian_cycle)
@@ -518,6 +519,63 @@ def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeCol
             assignment[(r0 * n + x, r0 * n + y)] = c
     return EdgeColoring(assignment, m + n - 1)
 
+
+
+# --- complete graphs and ladder missing colours, used only by the tests ---------
+
+def _base_class_pairs(n: int) -> list[tuple[int, int]]:
+    # Pairs of class 0 in the odd scheme, or of class 0 in the even scheme.
+    if n % 2 == 1:
+        return [(t, n - t) for t in range(1, (n - 1) // 2 + 1)]
+    h = n - 1
+    pairs = [(0, h)]
+    pairs += [(t, (n - 1 - t)) for t in range(1, (n - 2) // 2 + 1)]
+    return pairs
+
+
+def _is_maximum_matching(n: int, matching: Sequence[tuple[int, int]]) -> bool:
+    covered: set[int] = set()
+    for u, v in matching:
+        if u == v or not (0 <= u < n) or not (0 <= v < n):
+            return False
+        if u in covered or v in covered:
+            return False
+        covered.update((u, v))
+    return len(matching) == n // 2
+
+
+def complete_graph_coloring(n: int, matching_as_class: Sequence[tuple[int, int]] | None = None
+                            ) -> EdgeColoring:
+    """Optimal coloring of K_n: n-1 colors for even n, n colors for odd n.
+
+    With matching_as_class (a maximum matching), the coloring is relabeled by
+    a vertex bijection so that the matching is exactly color class 1.
+    """
+    if n < 2:
+        raise ValueError("K_n coloring needs n >= 2")
+    perm = np.arange(n)
+    if matching_as_class is not None:
+        matching = [tuple(sorted(e)) for e in matching_as_class]
+        if not _is_maximum_matching(n, matching):
+            raise ValueError("matching_as_class is not a maximum matching of K_n")
+        base_pairs = _base_class_pairs(n)
+        if n % 2 == 1:
+            missed = (set(range(n)) - {w for e in matching for w in e}).pop()
+            perm[0] = missed
+        for (a, b), (x, y) in zip(base_pairs, matching):
+            perm[a], perm[b] = x, y
+    inv = np.argsort(perm)
+    x, y = np.triu_indices(n, 1)
+    scheme = _k_odd_color if n % 2 == 1 else _k_even_class
+    return EdgeColoring.from_arrays(np.column_stack((x, y)), scheme(inv[x], inv[y], n) + 1,
+                                    n if n % 2 == 1 else n - 1)
+
+
+def ladder_missing_color(plan: MissingColorPlan, coord: BoardCoord) -> int:
+    """The single color absent at a vertex under the ladder coloring."""
+    if coord.col == 1:
+        return coord.row
+    return plan.missing_at(coord.col, coord.row)
 
 def is_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
                      matching: Iterable[tuple[int, int]] | None = None) -> bool:

@@ -10,12 +10,12 @@ import random
 
 import pytest
 
+from conftest import ladder_missing_color
 from graphcert import keller
 from graphcert.bishop_rook import (
     MissingColorPlan,
     canonical_bishop_coloring,
     ladder_coloring,
-    ladder_missing_color,
     rarest_bishop_color,
     rook_class1_coloring,
 )

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete, reference_bishop_path_decomposition,
+from conftest import (complete, complete_graph_coloring, ladder_missing_color,
+                      reference_bishop_path_decomposition,
                       reference_canonical_bishop_coloring, reference_group_buckets,
                       reference_ladder_coloring, reference_rook_class1_coloring)
 from graphcert import bishop_rook
@@ -15,10 +16,8 @@ from graphcert.bishop_rook import (
     MissingColorPlan,
     bishop_path_decomposition,
     canonical_bishop_coloring,
-    complete_graph_coloring,
     k_odd_prescribed_missing,
     ladder_coloring,
-    ladder_missing_color,
     rarest_bishop_color,
     rarest_color_edges,
     rook_class1_coloring,

@@ -364,6 +364,19 @@ def test_verify_hamiltonian_decomposition_with_matching():
     assert not verify_hamiltonian_decomposition(k4, [[0, 1, 2, 3]]).ok
 
 
+
+def test_decomposition_names_a_matching_end_that_is_not_a_vertex():
+    # 0.5 used to be looked up as vertex 0 and counted as a vertex of its own,
+    # so this matching passed as perfect on K_2
+    k2 = Graph(2, {(0, 1)})
+    rep = verify_hamiltonian_decomposition(k2, [], [(0.5, 1)])
+    assert rep.detail == ("matching edge (0.5, 1) end 0.5 out of range",
+                          "matching is not perfect", "1 edges uncovered, e.g. [(0, 1)]")
+    rep = verify_hamiltonian_decomposition(k2, [], [(0, 7)])
+    assert rep.detail == ("matching edge (0, 7) end 7 out of range",
+                          "matching is not perfect", "1 edges uncovered, e.g. [(0, 1)]")
+    assert verify_hamiltonian_decomposition(k2, [], [(1.0, 0)]).ok
+
 @functools.cache
 def _decompositions():
     """The G_3 fixture (17 Hamiltonian cycles) and the G_2 search result (two

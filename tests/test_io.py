@@ -199,6 +199,44 @@ def test_writers_keep_their_bytes(tmp_path, name):
 
 
 
+
+# digit counts at every group boundary, and the ends of int64
+_ROW_VALUES = st.one_of(
+    st.sampled_from([0, 9, 10, 99, 100, 999, 1000, 9_999, 10_000, 99_999_999, 10 ** 8,
+                     10 ** 12, 10 ** 16 - 1, 10 ** 16, 10 ** 17, 2 ** 63 - 1]),
+    st.integers(0, 10 ** 5), st.integers(0, 2 ** 63 - 1))
+
+
+def _percent_d(rows, width, lead):
+    return (lead + b" ".join([b"%d"] * width) + b"\n") * len(rows) % tuple(
+        v for row in rows for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+           st.just(w), st.lists(st.lists(_ROW_VALUES, min_size=w, max_size=w), max_size=30))),
+       st.sampled_from([b"", b"e ", b"abcde"]))
+def test_ascii_rows_match_percent_d(shape, lead):
+    width, rows = shape
+    array = np.array(rows, np.int64).reshape(-1, width)
+    assert b"".join(gio._ascii_rows(array, lead)) == _percent_d(rows, width, lead)
+
+
+def test_ascii_rows_in_batches(monkeypatch):
+    # batches of three rows of ids below 10^4, and of one row when a value
+    # has five 4-digit groups; int32 rows, and object rows past int64
+    monkeypatch.setattr(gio, "_ROW_BATCH", 3)
+    rows = [[1, 2], [30, 4], [5, 6], [7, 9_999], [8, 9], [10, 11], [12, 13]]
+    for big in ([], [[2 ** 63 - 1, 0], [10 ** 4, 10 ** 8]]):
+        got = b"".join(gio._ascii_rows(np.array(rows + big, np.int64), b"e "))
+        assert got == _percent_d(rows + big, 2, b"e ")
+    assert b"".join(gio._ascii_rows(np.array(rows, np.int32))) == _percent_d(rows, 2, b"")
+    huge = np.array([[2 ** 64, 1], [3, 4], [-1, 5], [6, 7]], dtype=object)
+    assert b"".join(gio._ascii_rows(huge, b"e ")) == _percent_d(huge.tolist(), 2, b"e ")
+    negative = np.array([[-1, 5], [6, 7], [8, 9], [10, 11]], np.int64)
+    assert b"".join(gio._ascii_rows(negative)) == _percent_d(negative.tolist(), 2, b"")
+
+
 def _shuffled(coloring, seed=0):
     """The same colouring with its rows in a random order."""
     order = np.random.default_rng(seed).permutation(len(coloring.colors))

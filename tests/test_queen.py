@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from graphcert import cli, core, queen
@@ -84,6 +85,33 @@ def test_overfull_failed_self_check_raises_certificate_error(monkeypatch):
     with pytest.raises(CertificateError, match="not overfull"):
         class2_overfull_coloring(3, 13)
 
+
+@pytest.mark.parametrize("build, board, part", [
+    (class1_even, (4, 6), "canonical_bishop_coloring"),
+    (class1_even, (4, 6), "rook_class1_coloring"),
+    (class1_square_odd, (7,), "ladder_coloring"),
+    (class1_ladder_multicycle, (7, 9), "ladder_coloring"),
+    (class2_overfull_coloring, (3, 13), "canonical_bishop_coloring"),
+])
+@pytest.mark.parametrize("repeat", ["own-row", "other-part"])
+def test_union_refuses_an_edge_colored_twice(monkeypatch, build, board, part, repeat):
+    # The parts are built without a repeat check, so the joined rows must be
+    # checked: a part repeats one of its own rows, or holds an edge of the other part.
+    m, n = board * (3 - len(board))
+    real = getattr(queen, part)
+
+    def with_a_repeat(*args, **kwargs):
+        got = real(*args, **kwargs)
+        own = set(map(tuple, got.ends.tolist()))
+        edge = (got.ends[0].tolist() if repeat == "own-row" else
+                next(e for e in build_queen(m, n).pairs.tolist() if tuple(e) not in own))
+        return EdgeColoring._of_rows(np.concatenate((got.ends, [edge])),
+                                     np.append(got.colors, got.colors[0]),
+                                     got.declared_color_count)
+
+    monkeypatch.setattr(queen, part, with_a_repeat)
+    with pytest.raises(ValueError, match="colored twice"):
+        build(*board)
 
 @pytest.mark.parametrize("m,n,colors", [(7, 9, 26), (9, 27, 50), (5, 11, 22)])
 def test_ladder_multicycle(m, n, colors):
