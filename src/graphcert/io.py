@@ -283,9 +283,9 @@ def read_dimacs(path_or_file) -> Graph:
 def write_coloring(coloring: EdgeColoring, path_or_file,
                    comments: Iterable[str] = ()) -> None:
     """Write the comments, a `c k=` line and one `u v color` line per edge, in
-    (u, v) order. Rows that already ascend, as every queen construction
-    gives them, are written without a sort; the digits come from
-    `_ascii_rows`, byte for byte what `%d` gives."""
+    (u, v) order. Rows that already ascend, as the queen constructions joined
+    by `queen._union` give them, are written without a sort; the digits come
+    from `_ascii_rows`, byte for byte what `%d` gives."""
     ends, colors = coloring.ends, coloring.colors
     if not _ascending(ends):
         order = np.lexsort((ends[:, 1], ends[:, 0]))

@@ -520,7 +520,6 @@ def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeCol
     return EdgeColoring(assignment, m + n - 1)
 
 
-
 # --- complete graphs and ladder missing colours, used only by the tests ---------
 
 def _base_class_pairs(n: int) -> list[tuple[int, int]]:
@@ -576,6 +575,7 @@ def ladder_missing_color(plan: MissingColorPlan, coord: BoardCoord) -> int:
     if coord.col == 1:
         return coord.row
     return plan.missing_at(coord.col, coord.row)
+
 
 def is_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
                      matching: Iterable[tuple[int, int]] | None = None) -> bool:

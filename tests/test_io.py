@@ -198,7 +198,7 @@ def test_writers_keep_their_bytes(tmp_path, name):
         assert buf.getvalue().encode("ascii") == target.read_bytes()
 
 
-
+# --- the row formatter and both writers against %-formatting --------------------------------
 
 # digit counts at every group boundary, and the ends of int64
 _ROW_VALUES = st.one_of(
@@ -283,6 +283,7 @@ def test_writers_match_their_oracles(tmp_path, writer_name, case, comments):
     oracle(obj, want, comments=comments)
     assert got.getvalue() == want.getvalue()
     assert got.getvalue().encode("ascii") == (tmp_path / "want").read_bytes()
+
 
 # --- the array readers against the line-by-line oracles -----------------------------------
 
