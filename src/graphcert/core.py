@@ -272,11 +272,13 @@ class EdgeColoring:
                  declared_color_count: int) -> "EdgeColoring":
         """from_arrays without the repeat check, for rows known to hold no repeat.
 
-        Its callers: from_arrays, which then makes the check; `normalized`
-        and `shifted`, on the rows of a colouring that holds none already;
-        and the bishop and rook colourings of `bishop_rook`, built on board
-        edge lists that hold each edge once. The queen constructions join
-        those in `queen._union`, whose from_arrays checks every joined row.
+        Its callers: from_arrays, which then makes the check;
+        `io.read_coloring`, which makes its own check first to name the
+        line; `normalized` and `shifted`, on the rows of a colouring that
+        holds none already; and the bishop and rook colourings of
+        `bishop_rook`, built on board edge lists that hold each edge once.
+        The queen constructions join those in `queen._union`, whose
+        from_arrays checks every joined row.
         """
         coloring = cls.__new__(cls)
         coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),
@@ -492,7 +494,8 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     colors_used reports the number of parts (cycles, plus one for a matching).
     Each edge is looked up by its row in g.pairs, one search per part. A
     matching end that is not an integer in 0..n-1 is named out of range, as
-    `verify_clique_cover` names a vertex, and its edge covers nothing.
+    `verify_clique_cover` names a vertex, and its edge covers nothing; so
+    does a self loop.
     """
     detail: list[str] = []
     claimed = np.zeros(g.edge_count, bool)  # the graph edges some part holds already
@@ -509,7 +512,7 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
     parts = len(cycles)
     if matching is not None:
         parts += 1
-        edges = [_normalize_edge(u, v) for u, v in matching]
+        edges = [(u, v) if u <= v else (v, u) for u, v in matching]
         # ends that are not an integer in 0..n-1; their edge is named and covers nothing
         outside = [[x for x in e if not (0 <= x < g.vertex_count and x == int(x))]
                    for e in edges]
@@ -519,6 +522,9 @@ def verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
         for e, bad, r in zip(edges, outside, g.edge_index(ids[0::2], ids[1::2]).tolist()):
             if bad:
                 detail.extend(f"matching edge {e} end {x} out of range" for x in bad)
+                continue
+            if e[0] == e[1]:
+                detail.append(f"matching edge {e} is a self loop")
                 continue
             if r < 0:
                 detail.append(f"matching edge {e} not in graph")

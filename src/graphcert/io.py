@@ -302,8 +302,9 @@ def read_coloring(path_or_file) -> EdgeColoring:
     Plain `u v color` lines are parsed as runs; every other line on its
     own. Errors name the first bad line: a non-ASCII byte, a malformed
     line, a token that is not an unsigned decimal integer, a second `c k=`
-    line, or an edge listed twice. A missing `c k=` line and a colour
-    outside 1..k are reported after.
+    line, a self loop, or an edge listed twice. A missing `c k=` line and a
+    colour outside 1..k are reported after. The rows are checked here once,
+    so the colouring is built without a second repeat check.
     """
     text = _read_text(path_or_file, certificate=True)
     bad_byte = None
@@ -337,6 +338,9 @@ def read_coloring(path_or_file) -> EdgeColoring:
     body, lines = rows.arrays()
     ends = _zero_based_edges(body[:, :2])
     twice = _first_repeat(ends)
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if loops.size and (twice < 0 or loops[0] < twice):
+        raise CertificateError(f"line {lines[loops[0]]}: self loop at vertex {body[loops[0], 0]}")
     if twice >= 0:
         u, v = body[twice, :2].tolist()
         raise CertificateError(f"line {lines[twice]}: edge {u} {v} listed twice")
@@ -352,7 +356,7 @@ def read_coloring(path_or_file) -> EdgeColoring:
         i = int(off_palette.argmax())
         lo, hi = ends[i].tolist()
         raise CertificateError(f"edge {lo + 1} {hi + 1}: color {colors[i]} outside 1..{declared}")
-    return EdgeColoring.from_arrays(ends, colors, declared)
+    return EdgeColoring._of_rows(ends, colors, declared)
 
 
 def write_sequence(seq: Sequence[int], path_or_file) -> None:

@@ -138,23 +138,12 @@ def _scored_moves(state: ColorState, u: int, v: int, target: int, not_target: in
     return moves, scores
 
 
-def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -> EdgeColoring:
-    """Swap colors a and b along the maximal (a,b)-component through start."""
-    if a == b:
-        raise ValueError("need two distinct colors")
-    state = ColorState.of(g.vertex_count, coloring)
-    chain, _ = state.chain_edges(start, a, b)
-    state.swap(chain, a, b)
-    result = state.snapshot(coloring.assignment, coloring.declared_color_count)
-    report = verify_edge_coloring(g, result)
-    if not report.ok:
-        raise CertificateError(f"switch broke properness: {report.detail}")
-    return result
-
-
 def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                     budget: SearchBudget) -> EdgeColoring | None:
     """Drive the target color's usage to zero within the switch budget.
+
+    coloring must be a proper total coloring of g, as Vizing and every
+    elimination give; it is not checked here.
 
     Each round recolors every target edge that has a color missing at both
     ends (the lowest such color). When no edge can be recolored, it picks a
@@ -192,9 +181,6 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
       draws once, in sorted candidate order. The largest (score, draw)
       wins, and the earliest candidate on a tie.
     """
-    report = verify_edge_coloring(g, coloring)
-    if not report.ok:
-        raise ValueError(f"input coloring is not proper/total: {report.detail}")
     declared = coloring.declared_color_count
     state = ColorState.of(g.vertex_count, coloring)
     target_class = state.by_color[target]
@@ -227,7 +213,11 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
 
 def find_class1(g: Graph, budget: SearchBudget,
                 warm_start: EdgeColoring | None = None) -> SearchOutcome:
-    """Search for a Delta-color certificate; None with a reason otherwise."""
+    """Search for a Delta-color certificate; None with a reason otherwise.
+
+    A warm start comes from outside the search (a file, for the CLI), so it is
+    verified first. The result is not: the caller verifies it once.
+    """
     if g.edge_count == 0:
         return SearchOutcome(EdgeColoring({}, 0), "ok", 0)
     if is_overfull(g):
@@ -252,11 +242,7 @@ def find_class1(g: Graph, budget: SearchBudget,
                 break
             current = nxt
         if len(current.colors_used) <= delta:
-            final = current.normalized()
-            report = verify_edge_coloring(g, final)
-            if not report.ok:
-                raise CertificateError(f"search result is not proper: {report.detail}")
-            return SearchOutcome(final, "ok", r + 1)
+            return SearchOutcome(current.normalized(), "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)
 
 
@@ -272,7 +258,9 @@ def edge_critical_check(g: Graph, budget: SearchBudget) -> CriticalityReport:
 
     Edges whose removal lowers Delta are certified by the Delta+1 bound and
     skipped. Overfull removals are conclusive counterexamples; budget
-    exhaustion is recorded separately as inconclusive.
+    exhaustion is recorded separately as inconclusive. Every colouring the
+    search finds is verified before it counts, and a failure raises
+    CertificateError.
     """
     delta = max_degree(g)
     failures: list[tuple[int, int]] = []
@@ -284,5 +272,9 @@ def edge_critical_check(g: Graph, budget: SearchBudget) -> CriticalityReport:
         outcome = find_class1(sub, budget)
         if outcome.coloring is None:
             (disproved if outcome.reason == "overfull" else failures).append(e)
+            continue
+        report = verify_edge_coloring(sub, outcome.coloring)
+        if not report.ok:
+            raise CertificateError(f"coloring without edge {e} is not proper: {report.detail}")
     return CriticalityReport(critical=not failures and not disproved,
                              failures=tuple(failures), disproved=tuple(disproved))

@@ -700,6 +700,8 @@ def reference_read_coloring(fh: IO[str]) -> EdgeColoring:
         if len(parts) != 3:
             raise CertificateError(f"line {lineno}: expected 'u v color', got {raw.strip()!r}")
         u, v, c = (_unsigned_token(t, lineno, raw, CertificateError) for t in parts)
+        if u == v:
+            raise CertificateError(f"line {lineno}: self loop at vertex {u}")
         key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
         if key in assignment:
             raise CertificateError(f"line {lineno}: edge {u} {v} listed twice")

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from graphcert import cli, keller
+from graphcert import cli, core, keller, mycielski
 from graphcert import io as gio
 from graphcert.cli import main
 from graphcert.chess import build_queen
@@ -223,12 +224,15 @@ def _write(target, content):
     ("hampath", "1 2\n4 -3\n", None, 1),
     ("cover", "1 2\n3 4_0\n", None, 1),
     ("decomposition", "1 2 4 +3\n", None, 1),
+    ("coloring", "c k=2\n1 2 1\n1 1 2\n", None, 1),
+    ("decomposition", "1 2 4 3\n", "1 1\n", 1),
 ], ids=["hamcycle-ok", "hamcycle-token", "hampath-token", "cover-token",
         "matching-not-a-pair", "matching-token", "coloring-short-line",
         "coloring-without-k", "hamcycle-non-ascii", "coloring-comment-non-ascii",
         "cover-non-ascii", "matching-non-ascii", "hamcycle-sign", "hampath-minus",
-        "cover-underscore", "decomposition-sign"])
-def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificate,
+        "cover-underscore", "decomposition-sign", "coloring-self-loop",
+        "matching-self-loop"])
+def test_verify_malformed_certificate_exits_1(tmp_path, capsys, request, kind, certificate,
                                               matching, code):
     # R(2,2) is the 4-cycle 1-2-4-3-1
     graph = str(tmp_path / "r22.col")
@@ -243,8 +247,18 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, kind, certificat
     got, out, err = run(capsys, argv)
     assert got == code
     assert json.loads(out)["ok"] is (code == 0)
-    if code:
+    detail = VERIFIER_DETAIL.get(request.node.callspec.id)
+    if detail is not None:
+        assert json.loads(out)["detail"] == detail
+        assert err == "".join(f"fail: {line}\n" for line in detail)
+    elif code:
         assert err.startswith("verification failed:") and "line" in err
+
+
+# rows the reader takes and the verifier fails, with their detail lines
+VERIFIER_DETAIL = {
+    "matching-self-loop": ["matching edge (0, 0) is a self loop", "matching is not perfect"],
+}
 
 
 def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
@@ -651,8 +665,10 @@ def _fail_cover_of_g3(real):
     (keller, "verify_cover_by_rule", "keller double-cover --d 2 --out c.sets"),
     (cli, "verify_hamiltonian_decomposition",
      "keller decompose --d 2 --out d.sets --matching-out p.sets"),
+    (cli, "verify_edge_coloring", "color --m 5 --n 5 --out q.coloring"),
+    (cli, "verify_edge_coloring", "color --m 3 --n 7 --out q.coloring"),
 ], ids=["color", "multicycle-chi", "mycielski-hampath", "keller-hamcycle", "keller-edgecolor",
-        "keller-double-cover", "keller-decompose"])
+        "keller-double-cover", "keller-decompose", "color-square-odd", "color-kempe"])
 def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                             module, name, argv):
     (tmp_path / "ok").mkdir()
@@ -689,7 +705,8 @@ def _delta_moves_after_coloring(monkeypatch):
     ("color --m 3 --n 5 --out q.coloring", 10),
     ("color --m 3 --n 13 --out q.coloring", 19),
     ("keller edgecolor --d 2 --out e.coloring", 5),
-], ids=["color-class1", "color-class2", "keller-edgecolor"])
+    ("color --m 5 --n 5 --out q.coloring", 16),
+], ids=["color-class1", "color-class2", "keller-edgecolor", "color-square-odd"])
 def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors):
     if argv.startswith("keller"):
         _delta_moves_after_coloring(monkeypatch)
@@ -723,3 +740,55 @@ def test_invalid_input_cover_is_a_failed_check(monkeypatch, capsys):
     assert code == 1 and payload["ok"] is False
     assert "first reason; second reason" in payload["error"]
     assert err.startswith("verification failed: input cover is invalid")
+
+
+def test_no_mycielski_template_is_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(mycielski, "_candidate", lambda n, p, q: None)
+    code, payload, err = run_json(capsys, "mycielski hampath --n 9 --from y1 --to y6".split())
+    assert code == 1 and payload["ok"] is False
+    assert err == "verification failed: no template applies to y1 -> y6 in mu(C_9)\n"
+
+
+# the verifiers of the certificates the CLI emits; multicycle.arc_coloring's
+# check of a derived multicycle is a step of the queen construction
+CERTIFICATE_VERIFIERS = [(core, "verify_edge_coloring"), (core, "verify_hamiltonian_cycle"),
+                         (core, "verify_hamiltonian_path"),
+                         (core, "verify_hamiltonian_decomposition"),
+                         (core, "verify_clique_cover"), (keller, "verify_cover_by_rule")]
+
+
+@pytest.mark.parametrize("argv,verifier", [
+    ("color --m 3 --n 7", "verify_edge_coloring"),
+    ("color --m 5 --n 5", "verify_edge_coloring"),
+    ("keller decompose --d 2", "verify_hamiltonian_decomposition"),
+    ("mycielski hampath --n 9 --from y1 --to y6", "verify_hamiltonian_path"),
+], ids=["color-kempe", "color-square-odd", "keller-decompose", "mycielski-hampath"])
+def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier):
+    # Each verifier is counted under every name a graphcert module binds it to.
+    # A verifier that calls another (a decomposition checks each cycle) counts once.
+    calls = []
+    depth = [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    wrappers = {}
+    for module, name in CERTIFICATE_VERIFIERS:
+        fn = getattr(module, name)
+        wrappers[id(fn)] = (fn, counted(name, fn))
+    for modname, module in list(sys.modules.items()):
+        if modname == "graphcert" or modname.startswith("graphcert."):
+            for attr, value in list(vars(module).items()):
+                hit = wrappers.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, hit[1])
+    assert run(capsys, argv.split())[0] == 0
+    assert calls == [verifier]

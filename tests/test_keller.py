@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 
 import graphcert.core as core
 import graphcert.keller as keller
-import graphcert.kempe as kempe
 from graphcert.core import (
     CertificateError,
+    ColorState,
     EdgeColoring,
-    VerificationReport,
     exact_omega,
     verify_clique_cover,
     verify_edge_coloring,
@@ -200,9 +199,6 @@ def _kernel_coloring_without_first_edge(d):
      lambda: color_kernel(3)),
     (("color_kernel", _short_kernel), lambda: class1_coloring(3)),
     (("color_kernel", _kernel_with_repeated_even), lambda: class1_coloring(3)),
-    (("verify_hamiltonian_decomposition",
-      lambda g, cycles, matching: VerificationReport(False, 0, 0, ("forced",))),
-     lambda: ham_decomposition_search(2)),
     (("class1_coloring", _kernel_coloring_without_first_edge),
      lambda: ham_decomposition_search(2)),
     (("_row_col", lambda vertex: (0, 0)), lambda: independence_square(2)),
@@ -213,7 +209,7 @@ def _kernel_coloring_without_first_edge(d):
     # "001" flips the parity of every id, so this adjacency is never preserved
     (("adjacent", lambda u, v, d: u % 2 == 0), lambda: bitstring_automorphism(3, "001")),
     (("adjacent", lambda u, v, d: False), lambda: alpha_exact(3)),
-], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition", "matching",
+], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "matching",
         "square-bijection", "square-independence", "automorphism-rows",
         "automorphism-adjacency", "alpha-members"])
 def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
@@ -459,10 +455,13 @@ def test_ham_decomposition_search_output_is_pinned(d, seed, switches, digest):
 
 
 def test_ham_decomposition_search_switches_on_its_own_state(monkeypatch):
-    # trial switches edit the search's ColorState in place; kempe_switch is never called
-    monkeypatch.setattr(kempe, "kempe_switch", lambda *args: pytest.fail("kempe_switch called"))
+    # trial switches edit the search's one ColorState in place; no other state is built
+    states = []
+    real = ColorState.of
+    monkeypatch.setattr(ColorState, "of", lambda n, coloring: states.append(n) or real(n, coloring))
     d, seed, switches, digest = _SEARCH_PINS[0]
     assert _search_pin(d, seed) == (switches, digest)
+    assert states == [4 ** d]
 
 
 def test_no_perfect_factorization_of_g2():

@@ -29,7 +29,6 @@ from graphcert.kempe import (
     edge_critical_check,
     eliminate_color,
     find_class1,
-    kempe_switch,
 )
 from graphcert.mycielski import mycielski_graph
 from graphcert.queen import class2_overfull_coloring, classify_and_color
@@ -60,6 +59,17 @@ def _shuffled(g: Graph, seed: int) -> list[tuple[int, int]]:
 # --- switches ---------------------------------------------------------------------
 
 
+def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -> EdgeColoring:
+    """Swap a and b along the maximal (a,b)-component through start, as the
+    searches do, on a ColorState of the coloring; the result must be proper."""
+    state = ColorState.of(g.vertex_count, coloring)
+    chain, _ = state.chain_edges(start, a, b)
+    state.swap(chain, a, b)
+    result = state.snapshot(coloring.assignment, coloring.declared_color_count)
+    assert verify_edge_coloring(g, result).ok
+    return result
+
+
 def test_switch_swaps_the_whole_even_cycle():
     g, coloring = c4_coloring()
     swapped = kempe_switch(coloring, g, 0, 1, 2)
@@ -80,10 +90,20 @@ def test_switch_stays_inside_the_component():
     assert swapped.assignment[(4, 5)] == 1
 
 
-def test_switch_needs_two_colors():
-    g, coloring = c4_coloring()
-    with pytest.raises(ValueError):
-        kempe_switch(coloring, g, 0, 1, 1)
+def test_switch_needs_two_colors(monkeypatch):
+    # a swap on (a, a) would flip the masks at its ends without moving a
+    # colour, so every switch the Kempe and decomposition searches make has a != b
+    pairs = []
+    real = ColorState.swap
+
+    def recording(self, chain, a, b):
+        pairs.append((a, b))
+        real(self, chain, a, b)
+
+    monkeypatch.setattr(ColorState, "swap", recording)
+    assert find_class1(build_queen(3, 7), SearchBudget.default()).reason == "ok"
+    assert keller.ham_decomposition_search(2) is not None
+    assert pairs and all(a != b for a, b in pairs)
 
 
 def test_switch_sequence_reaches_class1_on_k4():
@@ -190,18 +210,13 @@ def test_a_swap_frees_a_common_color_only_on_the_target_edges_it_touched(case, p
     assert not free_common(target_class)
 
 
-def _switch_on_c4() -> EdgeColoring:
-    g, coloring = c4_coloring()
-    return kempe_switch(coloring, g, 0, 1, 2)
+def _criticality_of_c4():
+    # each removal leaves a path of maximum degree 2, which the search colours
+    # with 2 colours; that colouring is what edge_critical_check verifies
+    return edge_critical_check(cycle(4), SearchBudget.default())
 
 
-def _search_on_star() -> SearchOutcome:
-    # Every proper coloring of a star is class 1, so only the final check runs.
-    return find_class1(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), SearchBudget.default())
-
-
-@pytest.mark.parametrize("call", [_switch_on_c4, _search_on_star],
-                         ids=["kempe_switch", "find_class1"])
+@pytest.mark.parametrize("call", [_criticality_of_c4], ids=["edge_critical_check"])
 def test_failed_final_check_raises_certificate_error(monkeypatch, call):
     # These checks must hold under python -O too, so they cannot be asserts.
     failed = verify_edge_coloring(path(2), EdgeColoring({}, 0))
@@ -243,11 +258,13 @@ def test_eliminate_color_gives_up_on_overfull_board():
     assert eliminate_color(g, start, target, SearchBudget(200, 1, 0)) is None
 
 
-def test_eliminate_color_rejects_improper_input():
+def test_find_class1_rejects_an_improper_warm_start():
+    # a warm start comes from outside the search, so it is checked before the
+    # search starts; eliminate_color trusts the colourings the search hands it
     g = cycle(4)
     partial = EdgeColoring({(0, 1): 1}, 2)
-    with pytest.raises(ValueError):
-        eliminate_color(g, partial, 1, SearchBudget.default())
+    with pytest.raises(ValueError, match="warm start"):
+        find_class1(g, SearchBudget.default(), warm_start=partial)
 
 
 def test_eliminate_never_increases_colors():

@@ -8,7 +8,7 @@ import pytest
 
 from graphcert import cli, core, queen
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
-from graphcert.core import CertificateError, EdgeColoring, VerificationReport, verify_edge_coloring
+from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
 from graphcert.queen import (
     MethodInapplicableError,
     class1_even,
@@ -69,11 +69,10 @@ def test_square_odd_rejects_bad_input():
     # a lone rarest edge touching column 1, and one inside a single row
     ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(0, 6): 8}, 8)),
     ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(1, 2): 8}, 8)),
-    ("verify_edge_coloring", lambda g, c: VerificationReport(False, 0, 0, ("forced",))),
-    ("queen_delta", lambda m, n: 0),
-], ids=["rare-unique", "rare-column", "rare-row", "report", "color-count"])
+], ids=["rare-unique", "rare-column", "rare-row"])
 def test_square_odd_failed_self_check_raises_certificate_error(monkeypatch, patch):
-    # These checks must hold under python -O too, so they cannot be asserts.
+    # These checks must hold under python -O too, so they cannot be asserts. The
+    # colouring itself is verified once, by the CLI (test_cli's color-square-odd rows).
     monkeypatch.setattr(queen, *patch)
     with pytest.raises(CertificateError):
         class1_square_odd(5)
