@@ -193,12 +193,23 @@ def _kernel_coloring_without_first_edge(d):
                                     coloring.declared_color_count)
 
 
+def _kernel_coloring_with_first_edge_recolored(d):
+    # both ends of the first edge lose its colour and see another one twice
+    coloring = class1_coloring(d)
+    colors = coloring.colors.copy()
+    colors[0] = colors[0] % coloring.declared_color_count + 1
+    return EdgeColoring.from_arrays(coloring.ends, colors, coloring.declared_color_count)
+
+
 @pytest.mark.parametrize("patch, call", [
     (("delta", lambda d: 0), lambda: color_kernel(3)),
     (("ColorKernel", lambda d, even, odd: ColorKernel(d, even + odd[:1], odd[1:])),
      lambda: color_kernel(3)),
     (("color_kernel", _short_kernel), lambda: class1_coloring(3)),
     (("color_kernel", _kernel_with_repeated_even), lambda: class1_coloring(3)),
+    # an improper colouring pairs into no decomposition, so the search refuses it
+    (("class1_coloring", _kernel_coloring_with_first_edge_recolored),
+     lambda: ham_decomposition_search(2)),
     (("class1_coloring", _kernel_coloring_without_first_edge),
      lambda: ham_decomposition_search(2)),
     (("_row_col", lambda vertex: (0, 0)), lambda: independence_square(2)),
@@ -209,7 +220,7 @@ def _kernel_coloring_without_first_edge(d):
     # "001" flips the parity of every id, so this adjacency is never preserved
     (("adjacent", lambda u, v, d: u % 2 == 0), lambda: bitstring_automorphism(3, "001")),
     (("adjacent", lambda u, v, d: False), lambda: alpha_exact(3)),
-], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "matching",
+], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition", "matching",
         "square-bijection", "square-independence", "automorphism-rows",
         "automorphism-adjacency", "alpha-members"])
 def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
