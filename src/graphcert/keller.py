@@ -3,10 +3,16 @@
 Vertices are d-tuples over {0,1,2,3}, encoded as base-4 integers with the most
 significant digit first. Two vertices are adjacent when they differ in at
 least two coordinates and at least one coordinate differs by exactly 2 mod 4.
-The module builds the graphs, the explicit Hamiltonian cycle, the kernel-based
-class-1 edge coloring, the independence square with its bitstring
-automorphisms, the neighborhood reduction for the independence number, clique
-cover doubling, and a pairing search for Hamiltonian decompositions.
+
+Every computation reads digits from one int8 matrix, row v holding the digits
+of vertex v (`_digit_matrix`), and applies the rule to whole arrays of rows:
+`_shift` adds a fixed vector, `_joined` tests adjacency and `_rule_pairs`
+lists the adjacent pairs of a set of rows. On it the module builds the graphs,
+the explicit Hamiltonian cycle, the kernel-based class-1 edge coloring, the
+independence square with its bitstring automorphisms, the neighborhood
+reduction for the independence number, clique cover doubling, and a pairing
+search for Hamiltonian decompositions. `parse_vertex` and `vertex_string`
+convert between codes and the digit strings of the fixtures and the CLI.
 """
 
 from __future__ import annotations
@@ -53,54 +59,22 @@ def alpha_value(d: int) -> int:
     return 5 if d == 2 else 2 ** d
 
 
-@dataclass(frozen=True, order=True)
-class KellerVertex:
-    digits: tuple[int, ...]
+def parse_vertex(text: str, d: int) -> int:
+    """Vertex code of a d-char base-4 digit string, else of a base-10 integer in range."""
+    text = text.strip()
+    if len(text) == d and all(ch in "0123" for ch in text):
+        return int(text, 4)
+    value = int(text)
+    if not 0 <= value < 4 ** d:
+        raise ValueError(f"{value} out of range for d={d}")
+    return value
 
-    def __post_init__(self) -> None:
-        if not self.digits or any(x not in (0, 1, 2, 3) for x in self.digits):
-            raise ValueError("digits must be a nonempty tuple over 0..3")
 
-    @property
-    def d(self) -> int:
-        return len(self.digits)
-
-    def encode(self) -> int:
-        value = 0
-        for x in self.digits:
-            value = value * 4 + x
-        return value
-
-    @staticmethod
-    def decode(value: int, d: int) -> "KellerVertex":
-        if not 0 <= value < 4 ** d:
-            raise ValueError(f"{value} out of range for d={d}")
-        digits = []
-        for _ in range(d):
-            digits.append(value % 4)
-            value //= 4
-        return KellerVertex(tuple(reversed(digits)))
-
-    @staticmethod
-    def from_digit_string(text: str) -> "KellerVertex":
-        return KellerVertex(tuple(int(ch) for ch in text.strip()))
-
-    @staticmethod
-    def parse(text: str, d: int) -> "KellerVertex":
-        """Accepts both encodings: a d-char digit string, else a base-10 integer."""
-        text = text.strip()
-        if len(text) == d and all(ch in "0123" for ch in text):
-            return KellerVertex.from_digit_string(text)
-        return KellerVertex.decode(int(text), d)
-
-    def __add__(self, other: "KellerVertex") -> "KellerVertex":
-        return KellerVertex(tuple((a + b) % 4 for a, b in zip(self.digits, other.digits)))
-
-    def __neg__(self) -> "KellerVertex":
-        return KellerVertex(tuple((-a) % 4 for a in self.digits))
-
-    def __str__(self) -> str:
-        return "".join(str(x) for x in self.digits)
+def vertex_string(v: int, d: int) -> str:
+    """The d base-4 digits of vertex code v, most significant first."""
+    if not 0 <= v < 4 ** d:
+        raise ValueError(f"{v} out of range for d={d}")
+    return np.base_repr(v, 4).zfill(d)
 
 
 def _digit_matrix(d: int) -> np.ndarray:
@@ -116,14 +90,6 @@ def _shift(digs: np.ndarray, s: Sequence[int]) -> np.ndarray:
     """Code of v + s for every row v of the digit matrix (digit-wise mod 4)."""
     place = 4 ** np.arange(digs.shape[1] - 1, -1, -1, dtype=np.int64)
     return ((digs + np.asarray(s, dtype=np.int8)) & 3) @ place
-
-
-def adjacent(u: int, v: int, d: int) -> bool:
-    """Scalar form of the adjacency rule; the array paths below must agree with it."""
-    du = KellerVertex.decode(u, d).digits
-    dv = KellerVertex.decode(v, d).digits
-    diffs = [(a - b) % 4 for a, b in zip(du, dv)]
-    return sum(1 for x in diffs if x) >= 2 and any(x == 2 for x in diffs)
 
 
 def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,14 +115,19 @@ def _rule_pairs(digs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield i + lo, j + lo
 
 
-def build(d: int) -> Graph:
-    if d < 2:
-        raise ValueError("d >= 2 required")
-    chunks = list(_rule_pairs(_digit_matrix(d)))
+def _rule_graph(digs: np.ndarray) -> Graph:
+    """The graph on the rows of digs, joined by the adjacency rule."""
+    chunks = list(_rule_pairs(digs))
     # _rule_pairs lists i < j in lexicographic order: already the sorted edge store
     pairs = np.column_stack((np.concatenate([i for i, _ in chunks]),
                              np.concatenate([j for _, j in chunks])))
-    return Graph.from_array(4 ** d, pairs.astype(np.int32))
+    return Graph.from_array(len(digs), pairs.astype(np.int32))
+
+
+def build(d: int) -> Graph:
+    if d < 2:
+        raise ValueError("d >= 2 required")
+    return _rule_graph(_digit_matrix(d))
 
 
 # --- Hamiltonian cycle -------------------------------------------------------------
@@ -182,39 +153,39 @@ def ham_cycle(d: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ColorKernel:
-    """Difference set S driving the class-1 coloring, split by digit parity."""
+    """Difference set S driving the class-1 coloring, split by digit parity.
+
+    Both parts hold vertex codes in ascending order.
+    """
 
     d: int
-    even: tuple[KellerVertex, ...]
-    odd: tuple[KellerVertex, ...]
+    even: tuple[int, ...]
+    odd: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.even) + len(self.odd)
 
-    def odd_pairs(self) -> list[tuple[KellerVertex, KellerVertex]]:
-        return [(s, -s) for s in self.odd if s <= -s]
+    def odd_pairs(self) -> list[tuple[int, int]]:
+        """(s, -s) for each odd s with s < -s."""
+        return [(s, t) for s, t in zip(self.odd, _negated(self.odd, self.d)) if s < t]
+
+
+def _negated(codes: Sequence[int], d: int) -> list[int]:
+    """Code of -v for each vertex code v."""
+    return _shift(-_digit_matrix(d)[list(codes)], (0,) * d).tolist()
 
 
 def color_kernel(d: int) -> ColorKernel:
-    even: list[KellerVertex] = []
-    odd: list[KellerVertex] = []
-    for value in range(4 ** d):
-        s = KellerVertex.decode(value, d)
-        if 2 not in s.digits:
-            continue
-        nonzero = sum(1 for x in s.digits if x)
-        if nonzero == 1:
-            continue  # the d single-2 tuples are excluded
-        if all(x % 2 == 0 for x in s.digits):
-            even.append(s)
-        else:
-            odd.append(s)
-    kernel = ColorKernel(d, tuple(even), tuple(odd))
+    """S is the neighbourhood of vertex 0: the vectors with at least two
+    non-zero digits, one of them 2."""
+    digs = _digit_matrix(d)
+    s = np.flatnonzero(_joined(digs, digs[0]))
+    even = ((digs[s] & 1) == 0).all(axis=1)
+    kernel = ColorKernel(d, tuple(s[even].tolist()), tuple(s[~even].tolist()))
     if kernel.size != delta(d):
         raise CertificateError(f"kernel has {kernel.size} elements, Delta = {delta(d)}")
-    odd_set = set(kernel.odd)
-    if any(-s not in odd_set for s in kernel.odd):
+    if not set(_negated(kernel.odd, d)) <= set(kernel.odd):
         raise CertificateError("odd part of the kernel is not closed under negation")
     return kernel
 
@@ -237,7 +208,7 @@ def class1_coloring(d: int) -> EdgeColoring:
     color = 0
     for s in kernel.even:
         color += 1
-        w = _shift(digs, s.digits)
+        w = _shift(digs, digs[s])
         keep = v < w
         firsts.append(v[keep])
         seconds.append(w[keep])
@@ -245,7 +216,7 @@ def class1_coloring(d: int) -> EdgeColoring:
     for s, _neg in kernel.odd_pairs():
         c_pos, c_neg = color + 1, color + 2
         color += 2
-        w1 = _shift(digs, s.digits)
+        w1 = _shift(digs, digs[s])
         w2 = w1[w1]
         w3 = w1[w2]
         first = (v < w1) & (v < w2) & (v < w3)
@@ -264,50 +235,40 @@ def class1_coloring(d: int) -> EdgeColoring:
 
 # --- independence square and automorphisms ------------------------------------------
 
-def _row_col(vertex: KellerVertex) -> tuple[int, int]:
-    row = col = 0
-    for x in vertex.digits:
-        row = row * 2 + (1 if x in (2, 3) else 0)
-        col = col * 2 + (1 if x in (1, 2) else 0)
-    return row, col
+def _row_col(digs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square row and column of each digit row, one bit per digit: the row bit
+    is set for digits 2 and 3, the column bit for digits 1 and 2."""
+    place = 2 ** np.arange(digs.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (digs >= 2) @ place, ((digs == 1) | (digs == 2)) @ place
 
 
-@dataclass(frozen=True)
-class IndependenceSquare:
-    d: int
-    grid: tuple[tuple[KellerVertex, ...], ...]
-
-    def row(self, r: int) -> tuple[KellerVertex, ...]:
-        return self.grid[r]
-
-    def column(self, c: int) -> tuple[KellerVertex, ...]:
-        return tuple(row[c] for row in self.grid)
-
-    def encoded(self) -> list[list[int]]:
-        return [[v.encode() for v in row] for row in self.grid]
-
-
-def independence_square(d: int) -> IndependenceSquare:
+def independence_square(d: int) -> np.ndarray:
+    """The 2^d x 2^d grid of vertex codes, v at _row_col(v); every row and
+    every column is an independent set."""
     if d < 2:
         raise ValueError("d >= 2 required")
     side = 2 ** d
-    cells: list[list[KellerVertex | None]] = [[None] * side for _ in range(side)]
-    for value in range(4 ** d):
-        vertex = KellerVertex.decode(value, d)
-        r, c = _row_col(vertex)
-        if cells[r][c] is not None:
-            raise CertificateError(f"vertices {cells[r][c]} and {vertex} share square cell "
-                                   f"({r}, {c}): the row/column map is not a bijection")
-        cells[r][c] = vertex
-    grid = tuple(tuple(row) for row in cells)  # type: ignore[arg-type]
-    square = IndependenceSquare(d, grid)
-    for line in list(square.grid) + [square.column(c) for c in range(side)]:
-        ids = [v.encode() for v in line]
-        for i, u in enumerate(ids):
-            for w in ids[i + 1:]:
-                if adjacent(u, w, d):
-                    raise CertificateError(f"square line joins {u} and {w}: not independent")
-    return square
+    digs = _digit_matrix(d)
+    rows, cols = _row_col(digs)
+    cells = rows * side + cols
+    _, first = np.unique(cells, return_index=True)
+    if len(first) != 4 ** d:
+        taken = np.zeros(4 ** d, dtype=bool)
+        taken[first] = True
+        v = int(np.argmin(taken))  # the first vertex whose cell is already taken
+        u = int(np.argmax(cells == cells[v]))
+        raise CertificateError(f"vertices {vertex_string(u, d)} and {vertex_string(v, d)} "
+                               f"share square cell ({rows[v]}, {cols[v]}): "
+                               f"the row/column map is not a bijection")
+    grid = np.empty(side * side, dtype=np.int64)
+    grid[cells] = np.arange(4 ** d)
+    grid = grid.reshape(side, side)
+    for line in np.concatenate((grid, grid.T)):
+        for i, j in _rule_pairs(digs[line]):
+            if len(i):
+                raise CertificateError(f"square line joins {line[i[0]]} and {line[j[0]]}: "
+                                       f"not independent")
+    return grid
 
 
 def bitstring_automorphism(d: int, bits: str | Sequence[int]) -> list[int]:
@@ -315,61 +276,33 @@ def bitstring_automorphism(d: int, bits: str | Sequence[int]) -> list[int]:
     pattern = [int(b) for b in bits]
     if len(pattern) != d or any(b not in (0, 1) for b in pattern):
         raise ValueError("need a bit-string of length d")
-    perm = []
-    for value in range(4 ** d):
-        digits = KellerVertex.decode(value, d).digits
-        image = tuple(x ^ 1 if flip else x for x, flip in zip(digits, pattern))
-        perm.append(KellerVertex(image).encode())
-    for v in range(4 ** d):
-        if _row_col(KellerVertex.decode(perm[v], d))[0] != _row_col(KellerVertex.decode(v, d))[0]:
-            raise CertificateError(f"bits {bits}: vertex {v} leaves its square row")
+    digs = _digit_matrix(d)
+    image = digs ^ np.array(pattern, dtype=np.int8)
+    moved = np.flatnonzero(_row_col(image)[0] != _row_col(digs)[0])
+    if len(moved):
+        raise CertificateError(f"bits {bits}: vertex {moved[0]} leaves its square row")
     rng = random.Random(0)
-    for _ in range(100):
-        u, v = rng.randrange(4 ** d), rng.randrange(4 ** d)
-        if adjacent(u, v, d) != adjacent(perm[u], perm[v], d):
-            raise CertificateError(f"bits {bits}: pair ({u}, {v}) changes adjacency")
-    return perm
-
-
-def anchor_vertex_coloring(d: int) -> list[int]:
-    """Proper 2^d vertex coloring: the class of v is its all-even anchor."""
-    colors = []
-    for value in range(4 ** d):
-        digits = KellerVertex.decode(value, d).digits
-        anchor = 0
-        for x in digits:
-            anchor = anchor * 2 + x // 2
-        colors.append(anchor)
-    return colors
+    u, v = np.array([(rng.randrange(4 ** d), rng.randrange(4 ** d)) for _ in range(100)]).T
+    changed = np.flatnonzero(_joined(digs[u], digs[v]) != _joined(image[u], image[v]))
+    if len(changed):
+        i = changed[0]
+        raise CertificateError(f"bits {bits}: pair ({u[i]}, {v[i]}) changes adjacency")
+    return _shift(image, (0,) * d).tolist()  # the zero shift reads each row's code
 
 
 def alpha_exact(d: int, cap: int = 4096) -> int:
     """Independence number via the non-neighborhood reduction at vertex 0."""
     if not 2 <= d <= 7:
         raise ValueError("2 <= d <= 7 required")
-    n = 4 ** d
-    members = [v for v in range(1, n) if not adjacent(0, v, d)]
+    digs = _digit_matrix(d)
+    members = np.flatnonzero(~_joined(digs[1:], digs[0])) + 1
     if len(members) != 3 ** d + d - 1:
         raise CertificateError(f"vertex 0 has {len(members)} non-neighbours, "
                                f"expected 3^d + d - 1 = {3 ** d + d - 1}")
-    index = {v: i for i, v in enumerate(members)}
-    edges = [(index[u], index[v])
-             for i, u in enumerate(members) for v in members[i + 1:]
-             if adjacent(u, v, d)]
-    sub = Graph.from_edges(len(members), edges)
-    # tuples over {0,1} stay pairwise non-adjacent: prime the bound with them
-    seed = [index[KellerVertex(bits).encode()]
-            for bits in _binary_tuples(d) if any(bits)]
-    best, _ = exact_alpha(sub, cap=cap, seed=seed)
+    # vectors over {0,1} stay pairwise non-adjacent: prime the bound with them
+    seed = np.flatnonzero((digs[members] <= 1).all(axis=1)).tolist()
+    best, _ = exact_alpha(_rule_graph(digs[members]), cap=cap, seed=seed)
     return 1 + best
-
-
-def _binary_tuples(d: int) -> list[tuple[int, ...]]:
-    out = []
-    for value in range(2 ** d):
-        bits = tuple((value >> (d - 1 - i)) & 1 for i in range(d))
-        out.append(bits)
-    return out
 
 
 MAX_INDEPENDENT_G2 = (3, 4, 6, 7, 11)  # 03, 10, 12, 13, 23 as base-4 codes
@@ -433,14 +366,7 @@ def _fixture_rows(name: str) -> list[list[str]]:
 
 
 def fixture_clique_cover(d: int) -> list[list[int]]:
-    rows = _fixture_rows(f"g{d}_clique_cover")
-    return [[KellerVertex.parse(tok, d).encode() for tok in row] for row in rows]
-
-
-def fixture_square(d: int, flipped: bool = False) -> list[list[int]]:
-    name = f"g{d}_square_flip001" if flipped else f"g{d}_square"
-    rows = _fixture_rows(name)
-    return [[KellerVertex.parse(tok, d).encode() for tok in row] for row in rows]
+    return [[parse_vertex(tok, d) for tok in row] for row in _fixture_rows(f"g{d}_clique_cover")]
 
 
 def fixture_ham_decomposition() -> list[list[int]]:

@@ -216,15 +216,19 @@ def find_class1(g: Graph, budget: SearchBudget,
     """Search for a Delta-color certificate; None with a reason otherwise.
 
     A warm start comes from outside the search (a file, for the CLI), so it is
-    verified first. The result is not: the caller verifies it once.
+    verified first, and one that fails raises CertificateError. The result is
+    not: the caller verifies it once.
     """
     if g.edge_count == 0:
         return SearchOutcome(EdgeColoring({}, 0), "ok", 0)
     if is_overfull(g):
         return SearchOutcome(None, "overfull", 0)
     delta = max_degree(g)
-    if warm_start is not None and not verify_edge_coloring(g, warm_start).ok:
-        raise ValueError("warm start is not a proper total coloring")
+    if warm_start is not None:
+        report = verify_edge_coloring(g, warm_start)
+        if not report.ok:
+            raise CertificateError(f"warm start is not a proper total coloring: "
+                                   f"{'; '.join(report.detail)}")
     for r in range(budget.max_restarts):
         sub_seed = budget.seed * 1_000_003 + r
         if r == 0 and warm_start is not None:

@@ -13,6 +13,7 @@ from graphcert.chess import (BoardCoord, SquareColor, _check_board, _labels, bis
 from graphcert.core import (CertificateError, ColorState, EdgeColoring, Graph,
                             VerificationReport, _normalize_edge, _report, lowest_bit, max_degree,
                             verify_edge_coloring, verify_hamiltonian_cycle)
+from graphcert.keller import ColorKernel, _fixture_rows, parse_vertex
 from graphcert.kempe import SearchBudget, _bits, _missing_after_swap
 from graphcert.multicycle import DerivedMulticycle, Multicycle
 
@@ -763,3 +764,60 @@ def reference_write_coloring(coloring: EdgeColoring, path_or_file,
     finally:
         if close:
             fh.close()
+
+
+# --- Keller digit rule, one vertex at a time -------------------------------------------
+
+def keller_digits(v: int, d: int) -> tuple[int, ...]:
+    """The base-4 digits of vertex code v, most significant first."""
+    if not 0 <= v < 4 ** d:
+        raise ValueError(f"{v} out of range for d={d}")
+    return tuple((v >> 2 * (d - 1 - i)) & 3 for i in range(d))
+
+
+def adjacent(u: int, v: int, d: int) -> bool:
+    """Scalar form of the Keller adjacency rule; the array paths of keller must agree with it."""
+    diffs = [(a - b) % 4 for a, b in zip(keller_digits(u, d), keller_digits(v, d))]
+    return sum(1 for x in diffs if x) >= 2 and any(x == 2 for x in diffs)
+
+
+def reference_color_kernel(d: int) -> ColorKernel:
+    """The kernel by one test per vector: a 2 among at least two non-zero digits."""
+    even, odd = [], []
+    for value in range(4 ** d):
+        digits = keller_digits(value, d)
+        if 2 in digits and sum(1 for x in digits if x) >= 2:
+            (even if all(x % 2 == 0 for x in digits) else odd).append(value)
+    return ColorKernel(d, tuple(even), tuple(odd))
+
+
+def reference_row_col(v: int, d: int) -> tuple[int, int]:
+    """Square row and column of v, one digit at a time."""
+    row = col = 0
+    for x in keller_digits(v, d):
+        row = row * 2 + (1 if x in (2, 3) else 0)
+        col = col * 2 + (1 if x in (1, 2) else 0)
+    return row, col
+
+
+def reference_vertex_string(v: int, d: int) -> str:
+    return "".join(str(x) for x in keller_digits(v, d))
+
+
+def reference_parse_vertex(text: str, d: int) -> int:
+    """A d-char digit string read digit by digit, else a base-10 integer in range."""
+    text = text.strip()
+    if len(text) == d and all(ch in "0123" for ch in text):
+        value = 0
+        for ch in text:
+            value = value * 4 + int(ch)
+        return value
+    value = int(text)
+    keller_digits(value, d)  # the range check
+    return value
+
+
+def fixture_square(d: int, flipped: bool = False) -> list[list[int]]:
+    """The bundled independence square of G_d, as vertex codes."""
+    name = f"g{d}_square_flip001" if flipped else f"g{d}_square"
+    return [[parse_vertex(tok, d) for tok in row] for row in _fixture_rows(name)]

@@ -261,6 +261,22 @@ VERIFIER_DETAIL = {
 }
 
 
+@pytest.mark.parametrize("body,error", [
+    ("c k=2\n1 2\n", "line 2: "),
+    ("c k=2\n1 2 1\n", "warm start is not a proper total coloring: "),
+], ids=["malformed", "improper"])
+def test_failed_warm_start_exits_1(tmp_path, capsys, body, error):
+    # a warm start is a certificate file: one the reader or the verifier
+    # rejects is a failed check, reported in the JSON
+    warm = tmp_path / "ws.coloring"
+    warm.write_text(body)
+    code, payload, err = run_json(capsys, ["color", "--m", "3", "--n", "7", "--construction",
+                                           "kempe", "--warm-start", str(warm)])
+    assert code == 1 and payload["ok"] is False
+    assert payload["error"].startswith(error)
+    assert err == f"verification failed: {payload['error']}\n"
+
+
 def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
     graph = tmp_path / "bad.col"
     graph.write_text("p edge 4 1\ne 1 x\n")
@@ -762,7 +778,10 @@ CERTIFICATE_VERIFIERS = [(core, "verify_edge_coloring"), (core, "verify_hamilton
     ("color --m 5 --n 5", "verify_edge_coloring"),
     ("keller decompose --d 2", "verify_hamiltonian_decomposition"),
     ("mycielski hampath --n 9 --from y1 --to y6", "verify_hamiltonian_path"),
-], ids=["color-kempe", "color-square-odd", "keller-decompose", "mycielski-hampath"])
+    ("keller verify-fixture --table 5", "verify_cover_by_rule"),
+    ("keller verify-fixture --table 6", "verify_cover_by_rule"),
+], ids=["color-kempe", "color-square-odd", "keller-decompose", "mycielski-hampath",
+        "keller-fixture-table5", "keller-fixture-table6"])
 def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier):
     # Each verifier is counted under every name a graphcert module binds it to.
     # A verifier that calls another (a decomposition checks each cycle) counts once.

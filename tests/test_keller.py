@@ -3,7 +3,10 @@
 import functools
 import hashlib
 
+import numpy as np
 import pytest
+from conftest import (adjacent, fixture_square, reference_color_kernel, reference_parse_vertex,
+                      reference_row_col, reference_vertex_string)
 from hypothesis import given, strategies as st
 
 import graphcert.core as core
@@ -21,11 +24,11 @@ from graphcert.core import (
 from graphcert.keller import (
     KNOWN_OMEGA,
     ColorKernel,
-    KellerVertex,
-    adjacent,
+    _digit_matrix,
+    _row_col,
+    _shift,
     alpha_exact,
     alpha_value,
-    anchor_vertex_coloring,
     bitstring_automorphism,
     build,
     class1_coloring,
@@ -34,14 +37,15 @@ from graphcert.keller import (
     double_clique_cover,
     fixture_clique_cover,
     fixture_ham_decomposition,
-    fixture_square,
     ham_cycle,
     ham_decomposition_search,
     independence_square,
     omega_value,
+    parse_vertex,
     perfect_factorization_exists,
     theta_bounds,
     verify_cover_by_rule,
+    vertex_string,
 )
 
 G2_CYCLE = [0, 11, 1, 8, 2, 9, 3, 10, 4, 15, 5, 12, 6, 13, 7, 14]
@@ -95,9 +99,9 @@ def test_build_and_class1_match_recorded_digests(d):
 
 def test_adjacency_rule():
     # 00-11 differs in two coordinates but never by exactly 2.
-    assert not adjacent(0, KellerVertex((1, 1)).encode(), 2)
-    assert adjacent(0, KellerVertex((2, 2)).encode(), 2)
-    assert not adjacent(0, KellerVertex((0, 2)).encode(), 2)
+    assert not adjacent(0, parse_vertex("11", 2), 2)
+    assert adjacent(0, parse_vertex("22", 2), 2)
+    assert not adjacent(0, parse_vertex("02", 2), 2)
     g = build(3)
     by_rule = {(u, v) for u in range(64) for v in range(u + 1, 64) if adjacent(u, v, 3)}
     assert by_rule == set(g.edges)
@@ -116,12 +120,13 @@ def test_ham_cycle():
 
 def test_kernel_g2():
     kernel = color_kernel(2)
-    assert {str(s) for s in kernel.even} == {"22"}
-    assert {str(s) for s in kernel.odd} == {"21", "23", "12", "32"}
-    assert {s.encode() for s in kernel.even + kernel.odd} == {10, 9, 11, 6, 14}
+    assert {vertex_string(s, 2) for s in kernel.even} == {"22"}
+    assert {vertex_string(s, 2) for s in kernel.odd} == {"21", "23", "12", "32"}
+    assert set(kernel.even + kernel.odd) == {10, 9, 11, 6, 14}
     assert kernel.size == 5
     odd = set(kernel.odd)
-    assert all(-s in odd for s in kernel.odd)
+    digs = _digit_matrix(2)
+    assert all(_shift(digs, -digs[s])[0] in odd for s in kernel.odd)  # the code of 0 - s
     assert len(kernel.odd_pairs()) == 2
 
 
@@ -157,24 +162,24 @@ def test_class1_classes_are_perfect_matchings():
 def test_odd_kernel_orbit_representatives_match_for_s_and_minus_s():
     for d in (2, 3):
         kernel = color_kernel(d)
+        digs = _digit_matrix(d)
 
-        def reps(s: KellerVertex) -> set[int]:
+        def reps(step) -> set[int]:
+            # step[v] is the code of v + s; each orbit is named by its smallest vertex
             out = set()
             seen = set()
             for v in range(4 ** d):
                 if v in seen:
                     continue
                 orbit = [v]
-                cur = KellerVertex.decode(v, d)
                 for _ in range(3):
-                    cur = cur + s
-                    orbit.append(cur.encode())
+                    orbit.append(int(step[orbit[-1]]))
                 seen.update(orbit)
                 out.add(min(orbit))
             return out
 
         for s in kernel.odd:
-            assert reps(s) == reps(-s)
+            assert reps(_shift(digs, digs[s])) == reps(_shift(digs, -digs[s]))
 
 
 def _short_kernel(d):
@@ -201,6 +206,11 @@ def _kernel_coloring_with_first_edge_recolored(d):
     return EdgeColoring.from_arrays(coloring.ends, colors, coloring.declared_color_count)
 
 
+def _rule_everywhere(a, b, value):
+    # a patched adjacency rule that answers value for every pair of digit rows
+    return np.full(np.broadcast_shapes(a.shape, b.shape)[:-1], value)
+
+
 @pytest.mark.parametrize("patch, call", [
     (("delta", lambda d: 0), lambda: color_kernel(3)),
     (("ColorKernel", lambda d, even, odd: ColorKernel(d, even + odd[:1], odd[1:])),
@@ -212,14 +222,15 @@ def _kernel_coloring_with_first_edge_recolored(d):
      lambda: ham_decomposition_search(2)),
     (("class1_coloring", _kernel_coloring_without_first_edge),
      lambda: ham_decomposition_search(2)),
-    (("_row_col", lambda vertex: (0, 0)), lambda: independence_square(2)),
-    (("adjacent", lambda u, v, d: True), lambda: independence_square(2)),
+    (("_row_col", lambda digs: (np.zeros(len(digs), int), np.zeros(len(digs), int))),
+     lambda: independence_square(2)),
+    (("_joined", lambda a, b: _rule_everywhere(a, b, True)), lambda: independence_square(2)),
     # the row of a vertex becomes its id, which "001" moves for every vertex
-    (("_row_col", lambda vertex: (vertex.encode(), 0)),
+    (("_row_col", lambda digs: (_shift(digs, [0] * digs.shape[1]), 0)),
      lambda: bitstring_automorphism(3, "001")),
-    # "001" flips the parity of every id, so this adjacency is never preserved
-    (("adjacent", lambda u, v, d: u % 2 == 0), lambda: bitstring_automorphism(3, "001")),
-    (("adjacent", lambda u, v, d: False), lambda: alpha_exact(3)),
+    # "001" flips the parity of the last digit, so this adjacency is never preserved
+    (("_joined", lambda a, b: a[..., -1] % 2 == 0), lambda: bitstring_automorphism(3, "001")),
+    (("_joined", lambda a, b: _rule_everywhere(a, b, False)), lambda: alpha_exact(3)),
 ], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition", "matching",
         "square-bijection", "square-independence", "automorphism-rows",
         "automorphism-adjacency", "alpha-members"])
@@ -234,12 +245,12 @@ def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
 
 
 def test_independence_square_matches_fixture():
-    assert independence_square(3).encoded() == fixture_square(3)
+    assert independence_square(3).tolist() == fixture_square(3)
 
 
 def test_independence_square_first_row_d4():
     square = independence_square(4)
-    assert [str(v) for v in square.row(0)] == [format(i, "04b") for i in range(16)]
+    assert [vertex_string(v, 4) for v in square[0]] == [format(i, "04b") for i in range(16)]
     with pytest.raises(ValueError):
         independence_square(1)
 
@@ -247,14 +258,14 @@ def test_independence_square_first_row_d4():
 def test_independence_square_lines_are_independent():
     square = independence_square(2)
     for idx in range(4):
-        for line in (square.row(idx), square.column(idx)):
-            ids = [v.encode() for v in line]
+        for line in (square[idx], square[:, idx]):
+            ids = line.tolist()
             assert all(not adjacent(u, w, 2) for i, u in enumerate(ids) for w in ids[i + 1:])
 
 
 def test_bitstring_automorphism():
     perm = bitstring_automorphism(3, "001")
-    assert perm[0] == KellerVertex((0, 0, 1)).encode() == 1
+    assert perm[0] == parse_vertex("001", 3) == 1
     assert bitstring_automorphism(3, "000") == list(range(64))
     flipped = [[perm[v] for v in row] for row in fixture_square(3)]
     assert flipped == fixture_square(3, flipped=True)
@@ -265,9 +276,12 @@ def test_bitstring_automorphism():
 
 
 def test_anchor_vertex_coloring_is_proper():
+    # the anchor colouring: the class of v is its row of the square, read
+    # from the high bit of each digit
     for d in (2, 3):
-        colors = anchor_vertex_coloring(d)
-        assert len(set(colors)) == 2 ** d
+        colors = np.empty(4 ** d, dtype=int)
+        colors[independence_square(d)] = np.arange(2 ** d)[:, None]
+        assert len(set(colors.tolist())) == 2 ** d
         g = build(d)
         assert all(colors[u] != colors[v] for u, v in g.edges)
 
@@ -397,10 +411,10 @@ def test_double_clique_cover():
 
 def test_doubling_a_single_clique():
     # {00, 23} doubles to prefix-0/prefix-2(+1) and prefix-1/prefix-3(+1).
-    ones = KellerVertex((1, 1))
-    clique = [KellerVertex((0, 0)), KellerVertex((2, 3))]
-    first = [v.encode() for v in clique] + [32 + (v + ones).encode() for v in clique]
-    second = [16 + v.encode() for v in clique] + [48 + (v + ones).encode() for v in clique]
+    plus_ones = _shift(_digit_matrix(2), (1, 1))
+    clique = [parse_vertex("00", 2), parse_vertex("23", 2)]
+    first = clique + [32 + int(plus_ones[v]) for v in clique]
+    second = [16 + v for v in clique] + [48 + int(plus_ones[v]) for v in clique]
     for grown in (first, second):
         assert all(adjacent(u, w, 3) for i, u in enumerate(grown) for w in grown[i + 1:])
 
@@ -485,26 +499,37 @@ def test_no_perfect_factorization_of_g2():
 
 
 def test_vertex_parsing():
-    assert KellerVertex.parse("23", 2).encode() == 11
-    assert KellerVertex.parse("11", 2).encode() == 5  # digit string, not base 10
-    assert KellerVertex.parse("9", 2) == KellerVertex((2, 1))
-    assert str(KellerVertex.decode(14, 2)) == "32"
+    assert parse_vertex("23", 2) == 11
+    assert parse_vertex("11", 2) == 5  # digit string, not base 10
+    assert parse_vertex("9", 2) == 9 == parse_vertex("21", 2)
+    assert vertex_string(14, 2) == "32"
     with pytest.raises(ValueError):
-        KellerVertex.decode(16, 2)
+        parse_vertex("16", 2)
     with pytest.raises(ValueError):
-        KellerVertex((0, 4))
-
-
-def test_vertex_arithmetic():
-    assert (KellerVertex((2, 3)) + KellerVertex((1, 1))).digits == (3, 0)
-    assert (-KellerVertex((1, 2))).digits == (3, 2)
-    assert (-KellerVertex((0, 0))).digits == (0, 0)
+        vertex_string(16, 2)
 
 
 @given(st.integers(2, 4), st.integers(0, 255))
 def test_vertex_roundtrip(d, value):
     value %= 4 ** d
-    vertex = KellerVertex.decode(value, d)
-    assert vertex.encode() == value
-    assert KellerVertex.parse(str(vertex), d) == vertex
-    assert KellerVertex.from_digit_string(str(vertex)) == vertex
+    text = vertex_string(value, d)
+    assert len(text) == d and int(text, 4) == value
+    assert parse_vertex(text, d) == value
+
+
+def _parsed(parse, text, d):
+    try:
+        return parse(text, d)
+    except ValueError:
+        return ValueError
+
+
+@given(st.integers(2, 5), st.integers(0, 4 ** 5 - 1), st.text("0123456789 +-_", max_size=7))
+def test_digit_arrays_match_the_scalar_oracles(d, value, text):
+    value %= 4 ** d
+    assert color_kernel(d) == reference_color_kernel(d)
+    rows, cols = _row_col(_digit_matrix(d))
+    assert (int(rows[value]), int(cols[value])) == reference_row_col(value, d)
+    assert vertex_string(value, d) == reference_vertex_string(value, d)
+    for token in (text, str(value), vertex_string(value, d)):
+        assert _parsed(parse_vertex, token, d) == _parsed(reference_parse_vertex, token, d)
