@@ -3,9 +3,10 @@ Keller graphs, with multicycle chromatic-index machinery.
 
 Every construction in this package is paired with an independent verifier.
 Constructions and searches return unverified results; the command line,
-`conjecture 2` and `kempe.edge_critical_check` verify each one once, where it
-leaves, and nothing is reported as colored, decomposed, or covered until the
-verifier agrees. A library caller verifies what it uses.
+`conjecture 2`, `multicycle.survey` and `kempe.edge_critical_check` verify
+each one once, where it leaves, and nothing is reported as colored,
+decomposed, or covered until the verifier agrees. A library caller verifies
+what it uses.
 """
 
 from .core import (EdgeColoring, Graph, VerificationReport, exact_alpha, exact_omega,

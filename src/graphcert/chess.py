@@ -35,10 +35,6 @@ class BoardCoord:
         return (self.col + self.row) % 2 == 0
 
 
-def coord_to_id(c: BoardCoord, n: int) -> int:
-    return (c.row - 1) * n + (c.col - 1)
-
-
 def id_to_coord(v: int, n: int) -> BoardCoord:
     return BoardCoord(col=v % n + 1, row=v // n + 1)
 

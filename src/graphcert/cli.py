@@ -2,8 +2,10 @@
 
 Constructions and searches return unverified results. Each handler verifies
 the result it emits once, before exiting 0; `conjecture 2` verifies each
-board in `_class_task`, and `conjecture 3` relies on `edge_critical_check`,
-which verifies each colouring it finds. Nothing unverified ever exits 0.
+board in `_class_task`, `conjecture 3` relies on `edge_critical_check`,
+which verifies each colouring it finds, and `multicycle survey` and
+`conjecture 4`/`5` rely on `multicycle.survey`, which verifies each row's
+colouring. Nothing unverified ever exits 0.
 Exit codes: 0 success/verified, 1 verification failed or the construction
 reported none, 2 usage error, 3 budget exhausted (search inconclusive).
 """
@@ -28,8 +30,8 @@ from .core import (CertificateError, Graph, verify_clique_cover, verify_edge_col
 from .kempe import BudgetExhaustedError, SearchBudget, edge_critical_check, find_class1
 from .multicycle import (Multicycle, chromatic_index, derive, survey, survey_csv,
                          verify_multicycle_coloring)
-from .mycielski import (MycielskiVertex, cycle_graph, even_cycle_parity_witness,
-                        ham_path_mu_odd_cycle, mycielskian)
+from .mycielski import (cycle_graph, even_cycle_parity_witness, ham_path_mu_odd_cycle,
+                        mycielskian, parse_vertex, vertex_name)
 from .queen import (MethodInapplicableError, QueenColoringCertificate, class1_even,
                     class1_ladder_multicycle, class1_square_odd, class2_overfull_coloring,
                     classify_and_color)
@@ -347,16 +349,14 @@ def _cmd_survey(args) -> int:
 # --- mycielski ---------------------------------------------------------------------
 
 def _cmd_mycielski_hampath(args) -> int:
-    src = MycielskiVertex.parse(args.src)
-    dst = MycielskiVertex.parse(args.dst)
-    path = ham_path_mu_odd_cycle(args.n, src, dst)
-    g = mycielskian(cycle_graph(args.n))
-    report = verify_hamiltonian_path(g, path, start=src.to_id(args.n),
-                                     end=dst.to_id(args.n))
+    n = args.n
+    src, dst = parse_vertex(args.src, n), parse_vertex(args.dst, n)
+    path = ham_path_mu_odd_cycle(n, src, dst)
+    report = verify_hamiltonian_path(mycielskian(cycle_graph(n)), path, start=src, end=dst)
     payload = {"ok": report.ok, "family": "mycielski",
-               "params": {"n": args.n, "from": str(src), "to": str(dst)},
+               "params": {"n": n, "from": vertex_name(src, n), "to": vertex_name(dst, n)},
                "size": len(path), "construction": "template"}
-    names = " ".join(str(MycielskiVertex.from_id(v, args.n)) for v in path)
+    names = " ".join(vertex_name(v, n) for v in path)
     return _finish(args, payload, [names], report.detail,
                    write=[(args.out, functools.partial(gio.write_sequence, path))])
 

@@ -208,14 +208,6 @@ def max_degree(g: Graph) -> int:
     return g.max_degree
 
 
-def complement(g: Graph) -> Graph:
-    n = g.vertex_count
-    edges = frozenset(
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges
-    )
-    return Graph(n, edges)
-
-
 def is_overfull(g: Graph) -> bool:
     """Edge count exceeds Δ·⌊n/2⌋, forcing class 2."""
     if g.vertex_count == 0:
@@ -597,33 +589,6 @@ def verify_clique_cover(g: Graph, cliques: Iterable[Iterable[int]]) -> Verificat
     the missing edges; then the uncovered count.
     """
     return _verify_cover(g.vertex_count, cliques, lambda u, v: g.edge_index(u, v) >= 0)
-
-
-def fournier_forest_check(g: Graph) -> bool:
-    """True when the subgraph induced by the maximum-degree vertices is a forest.
-
-    A true result certifies class 1 for the whole graph.
-    """
-    if g.vertex_count == 0:
-        raise EmptyGraphError("fournier check on empty graph")
-    delta = max_degree(g)
-    majors = [v for v in range(g.vertex_count) if g.degree(v) == delta]
-    index = {v: i for i, v in enumerate(majors)}
-    parent = list(range(len(majors)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        if u in index and v in index:
-            ru, rv = find(index[u]), find(index[v])
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
 
 
 # --- exact independence and clique numbers -----------------------------------

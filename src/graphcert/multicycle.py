@@ -9,19 +9,18 @@ class is an independent set of slots (no two cyclically consecutive).
 The chromatic index is exactly max(Delta, tau), where tau = ceil(sigma/k) and
 k = floor(m/2): one construction, the arc coloring, attains this lower bound
 on every multicycle, multipaths (some slot empty) included. The proof is in
-the docstring of `chromatic_index`. An exhaustive branch-and-bound oracle
-stays for tests on small instances.
+the docstring of `chromatic_index`; the tests check it against an exhaustive
+oracle on small instances.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil
 from typing import ClassVar, Iterable, Sequence
 
 from .bishop_rook import rarest_color_edges
-from .core import CapExceeded, CertificateError, VerificationReport
+from .core import CertificateError, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,9 @@ def arc_coloring(mc: Multicycle) -> MulticycleColoring:
     Walking around the cycle, slot p takes the next mult[p] colors after a gap
     of gap[p] <= slack[p] = K - mult[p-1] - mult[p] unused ones, so adjacent
     arcs are disjoint. The gaps add up to laps*K - sigma, which closes the walk
-    after laps = ceil(sigma/K) turns; `chromatic_index` proves they fit. The
-    result is verified before it is returned, and CertificateError is raised
-    if either step fails.
+    after laps = ceil(sigma/K) turns; `chromatic_index` proves they fit, and
+    CertificateError is raised if they do not. The coloring is returned
+    unverified.
     """
     K = mc.lower_bound
     m = mc.m
@@ -160,69 +159,14 @@ def arc_coloring(mc: Multicycle) -> MulticycleColoring:
         s += gaps[p]
         slots.append(tuple((s + j) % K + 1 for j in range(mc.mult[p])))
         s += mc.mult[p]
-    coloring = MulticycleColoring(tuple(slots))
-    report = verify_multicycle_coloring(mc, coloring, expected_colors=K)
-    if not report.ok:
-        raise CertificateError(f"arc coloring of {mc.mult} failed: {report.detail}")
-    return coloring
-
-
-# --- exhaustive oracle -----------------------------------------------------------
-
-def exhaustive_chromatic_index(mc: Multicycle, cap: int = 24) -> tuple[int, MulticycleColoring]:
-    """Exact chromatic index by branch and bound; guarded by sigma <= cap."""
-    if mc.sigma > cap:
-        raise CapExceeded(f"sigma {mc.sigma} exceeds oracle cap {cap}")
-    m = mc.m
-    if mc.sigma == 0:
-        return 0, MulticycleColoring(tuple(() for _ in range(m)))
-    rot = max(range(m), key=lambda p: mc.mult[p])
-    mult = tuple(mc.mult[(rot + i) % m] for i in range(m))
-
-    def feasible(limit: int) -> list[tuple[int, ...]] | None:
-        chosen: list[tuple[int, ...]] = []
-
-        def dfs(p: int, max_used: int) -> bool:
-            if p == m:
-                return True
-            need = mult[p]
-            banned = set(chosen[p - 1]) if p else set()
-            if p == m - 1:
-                banned |= set(chosen[0])
-            if need == 0:
-                chosen.append(())
-                if dfs(p + 1, max_used):
-                    return True
-                chosen.pop()
-                return False
-            old = [c for c in range(1, max_used + 1) if c not in banned]
-            for fresh in range(min(need, limit - max_used) + 1):
-                base = tuple(range(max_used + 1, max_used + fresh + 1))
-                for pick in itertools.combinations(old, need - fresh):
-                    chosen.append(tuple(sorted(pick + base)))
-                    if dfs(p + 1, max_used + fresh):
-                        return True
-                    chosen.pop()
-            return False
-
-        got = dfs(0, 0)
-        return chosen if got else None
-
-    for limit in itertools.count(mc.lower_bound):
-        result = feasible(limit)
-        if result is not None:
-            slots = [()] * m
-            for i, colors in enumerate(result):
-                slots[(rot + i) % m] = colors
-            return limit, MulticycleColoring(tuple(slots))
-    raise AssertionError("unreachable")
+    return MulticycleColoring(tuple(slots))
 
 
 # --- chromatic index -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ChiResult:
-    """Chromatic index and a verified coloring that attains it."""
+    """Chromatic index and an unverified coloring that attains it."""
 
     value: int
     coloring: MulticycleColoring
@@ -337,6 +281,8 @@ def conjecture5_bounds(m: int, n: int) -> tuple[int, int]:
 
 
 def survey(m_values: Iterable[int], n_values: Iterable[int]) -> list[SurveyRow]:
+    """One row per odd 3 <= m <= n. Each row's arc coloring is verified once;
+    CertificateError names the m and n of a coloring that fails."""
     rows = []
     for m in sorted(set(m_values)):
         for n in sorted(set(n_values)):
@@ -344,7 +290,12 @@ def survey(m_values: Iterable[int], n_values: Iterable[int]) -> list[SurveyRow]:
                 continue
             dm = derive(m, n)
             mc = dm.multicycle
-            chi = chromatic_index(mc).value
+            result = chromatic_index(mc)
+            report = verify_multicycle_coloring(mc, result.coloring, result.value)
+            if not report.ok:
+                raise CertificateError(f"arc coloring at m={m} n={n} failed: "
+                                       f"{'; '.join(report.detail)}")
+            chi = result.value
             c4 = chi == ceil(2 * mc.sigma / (m - 1))
             low4, high4 = conjecture5_bounds(m, n)
             c5 = low4 <= 4 * mc.sigma <= high4
@@ -359,18 +310,3 @@ def survey_csv(rows: Sequence[SurveyRow]) -> str:
         lines.append(",".join(str(getattr(r, c)).lower() if isinstance(getattr(r, c), bool)
                               else str(getattr(r, c)) for c in SURVEY_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def sigma_period_observed(m: int, n_start: int | None = None, samples: int = 4) -> bool:
-    """Check whether 2*sigma - m*n repeats with period m^2 - 1 along odd n."""
-    if m % 2 == 0:
-        raise ValueError("odd m required")
-    period = m * m - 1
-    n0 = n_start if n_start is not None else m
-    for idx in range(samples):
-        n = n0 + 2 * idx
-        a = 2 * derived_sigma(m, n) - m * n
-        b = 2 * derived_sigma(m, n + period) - m * (n + period)
-        if a != b:
-            return False
-    return True

@@ -1,75 +1,64 @@
 """Mycielskian graphs and explicit Hamiltonian paths on mu(odd cycle).
 
-Vertices of mu(G) for an n-vertex G: the original X layer keeps ids 0..n-1,
-the shadow Y layer is n..2n-1 (y_i adjacent to x's neighbors), and the apex z
-is 2n, adjacent to every y. For odd cycles a Hamiltonian path between any two
-vertices is produced from a small family of zigzag templates, placed by the
-dihedral symmetry and verified before being returned.
+Vertices of mu(G) for an n-vertex G are integer ids: the original X layer
+keeps ids 0..n-1, the shadow Y layer is n..2n-1 (y_i adjacent to x_i's
+neighbors), and the apex z is 2n, adjacent to every y. On mu(C_n) the names
+x_i = i-1, y_i = n+i-1 and z = 2n are read and written only at the command
+line, by `parse_vertex` and `vertex_name`.
+
+For odd n a Hamiltonian path of mu(C_n) between any two vertices comes from
+the canonical Hamiltonian cycle, opened at the pair when it is an edge, and
+otherwise from a small family of zigzag templates, placed by the dihedral
+symmetry of C_n. The paths are returned unverified.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CertificateError, Graph, verify_hamiltonian_path
+import numpy as np
+
+from .core import CertificateError, Graph, verify_hamiltonian_cycle
 
 
-@dataclass(frozen=True)
-class MycielskiVertex:
-    kind: str  # 'x', 'y', or 'z'
-    index: int = 0  # 1..n for x/y, 0 for z
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("x", "y", "z"):
-            raise ValueError(f"bad vertex kind {self.kind!r}")
-        if self.kind == "z" and self.index != 0:
-            raise ValueError("z carries no index")
-        if self.kind != "z" and self.index < 1:
-            raise ValueError("x/y indices start at 1")
-
-    def to_id(self, n: int) -> int:
-        if self.kind == "x":
-            return self.index - 1
-        if self.kind == "y":
-            return n + self.index - 1
+def parse_vertex(text: str, n: int) -> int:
+    """Id of the vertex of mu(C_n) named z, x1..xn or y1..yn."""
+    match = re.fullmatch(r"([xy])([0-9]+)|z", text.strip().lower())
+    if match is None or (match[1] and not 1 <= int(match[2]) <= n):
+        raise ValueError(f"vertex {text!r} is not one of z, x1..x{n}, y1..y{n}")
+    if not match[1]:
         return 2 * n
+    return int(match[2]) - 1 + (n if match[1] == "y" else 0)
 
-    @staticmethod
-    def from_id(v: int, n: int) -> "MycielskiVertex":
-        if v == 2 * n:
-            return MycielskiVertex("z")
-        if v >= n:
-            return MycielskiVertex("y", v - n + 1)
-        return MycielskiVertex("x", v + 1)
 
-    @staticmethod
-    def parse(text: str) -> "MycielskiVertex":
-        text = text.strip().lower()
-        if text == "z":
-            return MycielskiVertex("z")
-        return MycielskiVertex(text[0], int(text[1:]))
-
-    def __str__(self) -> str:
-        return "z" if self.kind == "z" else f"{self.kind}{self.index}"
+def vertex_name(v: int, n: int) -> str:
+    """The name z, x_i or y_i of id v of mu(C_n)."""
+    if not 0 <= v <= 2 * n:
+        raise ValueError(f"{v} out of range for n={n}")
+    if v == 2 * n:
+        return "z"
+    return f"{'xy'[v // n]}{v % n + 1}"
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph.from_array(n, np.sort(np.column_stack((i, (i + 1) % n)), axis=1))
 
 
 def mycielskian(g: Graph) -> Graph:
+    """mu(g): g on 0..n-1, y_i = n+i joined to the neighbors of i, and z = 2n
+    joined to every y_i."""
     n = g.vertex_count
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        edges.append((u, v))
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    for i in range(n):
-        edges.append((2 * n, n + i))
-    return Graph.from_edges(2 * n + 1, edges)
+    u, v = g.pairs[:, 0], g.pairs[:, 1]
+    y = np.arange(n, 2 * n)
+    return Graph.from_array(2 * n + 1, np.concatenate((
+        g.pairs, np.column_stack((u, n + v)), np.column_stack((v, n + u)),
+        np.column_stack((y, np.full(n, 2 * n))))))
 
 
 def mycielski_graph(n: int) -> Graph:
@@ -86,223 +75,158 @@ def mycielski_graph(n: int) -> Graph:
 
 # --- Hamiltonian path templates on mu(C_n), n odd --------------------------------
 
-Step = tuple[str, int]  # ('x'|'y', 1..n) or ('z', 0)
+X, Y, Z = 0, 1, 2  # the layer v // n of x_i, y_i and z
 
 
-def _zig(lo: int, hi: int, odd_kind: str, reverse: bool = False) -> list[Step]:
-    # Indices lo..hi with kinds alternating by parity: odd indices get odd_kind.
-    other = "y" if odd_kind == "x" else "x"
+def _zig(n: int, lo: int, hi: int, odd_layer: int, reverse: bool = False) -> list[int]:
+    # Ids of the indices lo..hi, odd indices in odd_layer and even ones in the other.
     rng = range(hi, lo - 1, -1) if reverse else range(lo, hi + 1)
-    return [((odd_kind if i % 2 == 1 else other), i) for i in rng]
+    return [i - 1 + n * (odd_layer ^ (i % 2 == 0)) for i in rng]
 
 
-def _canonical_cycle(n: int) -> list[Step]:
+def _canonical_cycle(n: int) -> list[int]:
     # y1,x2,y3,...,y_n, x1, x_n, y_{n-1},...,y2, z and back to y1.
-    path = _zig(1, n, "y")
-    path += [("x", 1), ("x", n)]
-    path += _zig(2, n - 1, "x", reverse=True)
-    path += [("z", 0)]
-    return path
+    return _zig(n, 1, n, Y) + [0, n - 1] + _zig(n, 2, n - 1, X, reverse=True) + [2 * n]
 
 
-def _t_xx(n: int, j: int) -> list[Step]:
+def _t_xx(n: int, j: int) -> list[int]:
     # x1 -> x_j, j odd, 3 <= j <= n-2
-    path = _zig(1, j - 1, "x")
-    path += [("z", 0)]
-    path += _zig(1, n, "y", reverse=True)
-    path += _zig(j, n, "x", reverse=True)
-    return path
+    return (_zig(n, 1, j - 1, X) + [2 * n] + _zig(n, 1, n, Y, reverse=True)
+            + _zig(n, j, n, X, reverse=True))
 
 
-def _t_xy_first(n: int) -> list[Step]:
-    # x1 -> y1
-    path = _zig(1, n, "x")
-    path += [("x", n - 1), ("y", n), ("z", 0)]
-    path += _zig(1, n - 2, "y", reverse=True)
-    return path
+def _t_xy_first(n: int) -> list[int]:
+    # x1 -> y1, through x_{n-1}, y_n, z
+    return _zig(n, 1, n, X) + [n - 2, 2 * n - 1, 2 * n] + _zig(n, 1, n - 2, Y, reverse=True)
 
 
-def _t_xy(n: int, j: int) -> list[Step]:
-    # x1 -> y_j, j odd, 3 <= j <= n-2
-    path = _zig(1, j - 1, "x")
-    path += [("z", 0)]
-    path += _zig(j + 1, n, "y", reverse=True)
-    path += [("x", j)]
-    path += _zig(j + 1, n, "x")
-    path += [("y", 1)]
-    path += _zig(2, j, "y")
-    return path
+def _t_xy(n: int, j: int) -> list[int]:
+    # x1 -> y_j, j odd, 3 <= j <= n-2, through z, then x_j, then y1
+    return (_zig(n, 1, j - 1, X) + [2 * n] + _zig(n, j + 1, n, Y, reverse=True) + [j - 1]
+            + _zig(n, j + 1, n, X) + [n] + _zig(n, 2, j, Y))
 
 
-def _t_xz(n: int) -> list[Step]:
+def _t_xz(n: int) -> list[int]:
     # x1 -> z: two laps around the cycle, then the apex.
-    return _zig(1, n, "x") + _zig(1, n, "y") + [("z", 0)]
+    return _zig(n, 1, n, X) + _zig(n, 1, n, Y) + [2 * n]
 
 
-def _t_yy_even(n: int, j: int) -> list[Step]:
-    # y1 -> y_j, j even, 2 <= j <= n-3
-    path = [("y", 1)] + _zig(j + 1, n, "x", reverse=True)
-    path += [("x", j + 2)]
-    path += _zig(j + 3, n, "y")
-    path += [("z", 0)]
-    path += _zig(2, j + 1, "y", reverse=True)
-    path += [("x", 1)]
-    path += _zig(2, j, "x")
-    return path
+def _t_yy_even(n: int, j: int) -> list[int]:
+    # y1 -> y_j, j even, 2 <= j <= n-3, through x_{j+2}, z, x1
+    return ([n] + _zig(n, j + 1, n, X, reverse=True) + [j + 1] + _zig(n, j + 3, n, Y)
+            + [2 * n] + _zig(n, 2, j + 1, Y, reverse=True) + [0] + _zig(n, 2, j, X))
 
 
-def _t_yy_odd(n: int, j: int) -> list[Step]:
-    # y1 -> y_j, j odd, 3 <= j <= n-2
-    path = [("y", 1)] + _zig(j, n, "x", reverse=True)
-    path += [("x", j + 1)]
-    path += _zig(j + 2, n, "y")
-    path += [("z", 0)]
-    path += _zig(1, j - 1, "x", reverse=True)
-    path += [("x", 2)]
-    path += _zig(3, j, "y")
-    return path
+def _t_yy_odd(n: int, j: int) -> list[int]:
+    # y1 -> y_j, j odd, 3 <= j <= n-2, through x_{j+1}, z, x2
+    return ([n] + _zig(n, j, n, X, reverse=True) + [j] + _zig(n, j + 2, n, Y) + [2 * n]
+            + _zig(n, 1, j - 1, X, reverse=True) + [1] + _zig(n, 3, j, Y))
 
 
-def _dihedral_maps(n: int) -> list[tuple[bool, int]]:
-    return [(reflect, r) for reflect in (False, True) for r in range(n)]
+def _dihedral(n: int, reflect: bool, r: int, v: int | np.ndarray) -> int | np.ndarray:
+    """Id v, or each id of an array, under the map of mu(C_n) that sends cycle
+    position k to r + k, or to r - 2 - k when it reflects. The map keeps each
+    layer, fixes z and keeps adjacency. The rotation by -r undoes the rotation
+    by r; a reflection undoes itself."""
+    k = v % n
+    image = (r - 2 - k if reflect else r + k) % n
+    return v + (v < 2 * n) * (image - k)
 
 
-def _apply(sigma: tuple[bool, int], step: Step, n: int) -> Step:
-    reflect, r = sigma
-    kind, i = step
-    if kind == "z":
-        return step
-    j = (r - i) if reflect else (r + i)
-    return (kind, (j - 1) % n + 1)
+def _check_ends(n: int, a: int, b: int) -> None:
+    if not (0 <= a <= 2 * n and 0 <= b <= 2 * n):
+        raise ValueError(f"endpoints must be ids in 0..{2 * n}")
+    if a == b:
+        raise ValueError("endpoints must differ")
 
 
-def _invert(sigma: tuple[bool, int], n: int) -> tuple[bool, int]:
-    reflect, r = sigma
-    return sigma if reflect else (False, (-r) % n)
+def ham_path_mu_odd_cycle(n: int, a: int, b: int) -> list[int]:
+    """Hamiltonian path of mu(C_n) between ids a and b, n odd >= 3.
 
-
-def _mu_adjacent(a: Step, b: Step, n: int) -> bool:
-    (ka, ia), (kb, ib) = a, b
-    if ka == "z" or kb == "z":
-        return (ka, kb) in (("z", "y"), ("y", "z"))
-    diff = (ia - ib) % n
-    if diff not in (1, n - 1):
-        return False
-    return (ka, kb) != ("y", "y")
-
-
-def _steps_to_ids(steps: Sequence[Step], n: int) -> list[int]:
-    out = []
-    for kind, i in steps:
-        out.append(MycielskiVertex(kind, 0 if kind == "z" else i).to_id(n))
-    return out
-
-
-def ham_path_mu_odd_cycle(n: int, a: MycielskiVertex, b: MycielskiVertex) -> list[int]:
-    """Hamiltonian path of mu(C_n) between two given vertices, n odd >= 3.
-
-    Returns the first template that applies under a dihedral map, unverified;
-    CertificateError when none does.
+    An edge ab opens the first image of the canonical cycle under a dihedral
+    map that runs through it. Any other pair takes the first template that
+    applies once a rotation or a reflection carries one end to x1 or y1,
+    where every template starts. The path is unverified; CertificateError
+    when nothing applies.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
-    if a == b:
-        raise ValueError("endpoints must differ")
-    step_a: Step = (a.kind, a.index if a.kind != "z" else 0)
-    step_b: Step = (b.kind, b.index if b.kind != "z" else 0)
-    for p, q, swapped in ((step_a, step_b, False), (step_b, step_a, True)):
-        for sigma in _dihedral_maps(n):
-            candidate = _candidate(n, _apply(sigma, p, n), _apply(sigma, q, n))
-            if candidate is None:
+    _check_ends(n, a, b)
+    if mycielskian(cycle_graph(n)).has_edge(a, b):
+        cycle = np.array(_canonical_cycle(n))
+        length = len(cycle)
+        at = np.empty(length, dtype=int)
+        at[cycle] = np.arange(length)
+        for reflect, r in itertools.product((False, True), range(n)):
+            inverse = r if reflect else -r
+            pa = at[_dihedral(n, reflect, inverse, a)]
+            pb = at[_dihedral(n, reflect, inverse, b)]
+            if pb == (pa + 1) % length:
+                step = -1  # walk the image backwards from a, ending at b
+            elif pb == (pa - 1) % length:
+                step = 1
+            else:
                 continue
-            inv = _invert(sigma, n)
-            steps = [_apply(inv, s, n) for s in candidate]
-            if swapped:
-                steps.reverse()
-            return _steps_to_ids(steps, n)
-    raise CertificateError(f"no template applies to {a} -> {b} in mu(C_{n})")
+            image = _dihedral(n, reflect, r, cycle)
+            return image[(pa + step * np.arange(length)) % length].tolist()
+    else:
+        for p, q, swapped in ((a, b, False), (b, a, True)):
+            k = p % n  # the maps that send cycle position k to 0
+            for reflect, r in ((False, -k % n), (True, (k + 2) % n)):
+                template = _candidate(n, _dihedral(n, reflect, r, p), _dihedral(n, reflect, r, q))
+                if template is not None:
+                    path = _dihedral(n, reflect, r if reflect else -r, np.array(template))
+                    return (path[::-1] if swapped else path).tolist()
+    raise CertificateError(f"no template applies to {vertex_name(a, n)} -> "
+                           f"{vertex_name(b, n)} in mu(C_{n})")
 
 
-def _candidate(n: int, p: Step, q: Step) -> list[Step] | None:
-    if _mu_adjacent(p, q, n):
-        cyc = _canonical_cycle(n)
-        length = len(cyc)
-        for sigma in _dihedral_maps(n):
-            image = [_apply(sigma, s, n) for s in cyc]
-            if p not in image:
-                continue
-            pos = image.index(p)
-            if image[(pos + 1) % length] == q:
-                return [image[(pos - t) % length] for t in range(length)]
-            if image[(pos - 1) % length] == q:
-                return [image[(pos + t) % length] for t in range(length)]
-        return None
-    if p == ("x", 1):
-        if q[0] == "x" and q[1] % 2 == 1 and 3 <= q[1] <= n - 2:
-            return _t_xx(n, q[1])
-        if q == ("y", 1):
+def _candidate(n: int, p: int, q: int) -> list[int] | None:
+    """A template path p -> q for a pair that is not an edge, or None."""
+    layer, j = q // n, q % n + 1  # q is x_j or y_j, or z
+    inner_odd = j % 2 == 1 and 3 <= j <= n - 2
+    if p == 0:  # x1
+        if layer == X and inner_odd:
+            return _t_xx(n, j)
+        if q == n:
             return _t_xy_first(n)
-        if q[0] == "y" and q[1] % 2 == 1 and 3 <= q[1] <= n - 2:
-            return _t_xy(n, q[1])
-        if q[0] == "z":
+        if layer == Y and inner_odd:
+            return _t_xy(n, j)
+        if layer == Z:
             return _t_xz(n)
-    if p == ("y", 1) and q[0] == "y":
-        j = q[1]
+    if p == n and layer == Y:  # y1 -> y_j
         if n == 3 and j == 2:
             # both template ranges are empty at n=3; one explicit path suffices,
             # the dihedral maps reach every other shadow pair from it
-            return [("y", 1), ("z", 0), ("y", 3), ("x", 1), ("x", 2), ("x", 3), ("y", 2)]
+            return [3, 6, 5, 0, 1, 2, 4]  # y1 z y3 x1 x2 x3 y2
         if j % 2 == 0 and 2 <= j <= n - 3:
             return _t_yy_even(n, j)
-        if j % 2 == 1 and 3 <= j <= n - 2:
+        if inner_odd:
             return _t_yy_odd(n, j)
     return None
 
 
 def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
                             a: int, b: int) -> list[int]:
-    """Hamiltonian path of mu(g) between mu-vertex ids a and b, using only the
-    mu-image of the given Hamiltonian cycle."""
+    """Hamiltonian path of mu(g) between mu-vertex ids a and b, n = |g| odd.
+
+    The relabelling lift = [hc, n + hc, 2n] carries mu(C_n) onto the
+    mu-image of the Hamiltonian cycle hc, a subgraph of mu(g); the path is
+    the lift of the path of mu(C_n) between the preimages of a and b, and it
+    is returned unverified.
+    """
     n = g.vertex_count
     if n % 2 == 0:
         raise ValueError("odd vertex count required")
-    if sorted(ham_cycle) != list(range(n)):
-        raise ValueError("ham_cycle must visit every vertex once")
-    for i, u in enumerate(ham_cycle):
-        v = ham_cycle[(i + 1) % n]
-        if not g.has_edge(u, v):
-            raise ValueError("ham_cycle is not a cycle of g")
-    position = {u: i for i, u in enumerate(ham_cycle)}
-
-    def to_canonical(v: int) -> MycielskiVertex:
-        if v == 2 * n:
-            return MycielskiVertex("z")
-        if v >= n:
-            return MycielskiVertex("y", position[v - n] + 1)
-        return MycielskiVertex("x", position[v] + 1)
-
-    canonical = ham_path_mu_odd_cycle(n, to_canonical(a), to_canonical(b))
-
-    def from_canonical(cv: int) -> int:
-        if cv == 2 * n:
-            return 2 * n
-        if cv >= n:
-            return n + ham_cycle[cv - n]
-        return ham_cycle[cv]
-
-    path = [from_canonical(cv) for cv in canonical]
-    mu_cycle_edges = mycielskian(cycle_graph(n)).edges
-    relabel = {i: ham_cycle[i] for i in range(n)}
-    relabel.update({n + i: n + ham_cycle[i] for i in range(n)})
-    relabel[2 * n] = 2 * n
-    allowed = {tuple(sorted((relabel[u], relabel[v]))) for u, v in mu_cycle_edges}
-    for u, v in zip(path, path[1:]):
-        if tuple(sorted((u, v))) not in allowed:
-            raise CertificateError(f"path strayed off the cycle's mu-image at ({u},{v})")
-    report = verify_hamiltonian_path(mycielskian(g), path, start=a, end=b)
+    report = verify_hamiltonian_cycle(g, ham_cycle)
     if not report.ok:
-        raise CertificateError(f"mapped path failed verification: {report.detail}")
-    return path
+        raise ValueError(f"ham_cycle is not a Hamiltonian cycle of g: {'; '.join(report.detail)}")
+    _check_ends(n, a, b)
+    hc = np.asarray(ham_cycle)
+    lift = np.concatenate((hc, n + hc, [2 * n]))
+    preimage = np.empty_like(lift)
+    preimage[lift] = np.arange(2 * n + 1)
+    return lift[ham_path_mu_odd_cycle(n, int(preimage[a]), int(preimage[b]))].tolist()
 
 
 # --- exhaustive small-graph searches ----------------------------------------------
@@ -365,26 +289,3 @@ def even_cycle_parity_witness(n: int) -> ParityWitnessReport:
     g = mycielskian(cycle_graph(n))
     path, nodes = _ham_path_search(g, 0, 2 * n)
     return ParityWitnessReport(n, path is not None, nodes)
-
-
-def hc_check_all_pairs(g: Graph) -> bool:
-    """True iff every vertex pair admits a Hamiltonian path (small graphs)."""
-    if g.vertex_count > 30:
-        raise ValueError("all-pairs check is limited to 30 vertices")
-    for s in range(g.vertex_count):
-        for t in range(s + 1, g.vertex_count):
-            path, _ = _ham_path_search(g, s, t)
-            if path is None:
-                return False
-    return True
-
-
-def decode_vertex_code(code: int, n: int) -> MycielskiVertex:
-    """Grid codes 1..n = x1..xn, n+1..2n = y1..yn, 2n+1 = z."""
-    if not 1 <= code <= 2 * n + 1:
-        raise ValueError(f"code {code} out of range for n={n}")
-    if code <= n:
-        return MycielskiVertex("x", code)
-    if code <= 2 * n:
-        return MycielskiVertex("y", code - n)
-    return MycielskiVertex("z")

@@ -1,5 +1,6 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
+import itertools
 import random
 import re
 from typing import IO, Iterable, Sequence
@@ -10,12 +11,13 @@ from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGrou
                                    _k_odd_color, canonical_bishop_coloring, rarest_bishop_color)
 from graphcert.chess import (BoardCoord, SquareColor, _check_board, _labels, bishop_delta,
                              id_to_coord)
-from graphcert.core import (CertificateError, ColorState, EdgeColoring, Graph,
-                            VerificationReport, _normalize_edge, _report, lowest_bit, max_degree,
-                            verify_edge_coloring, verify_hamiltonian_cycle)
+from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColoring,
+                            EmptyGraphError, Graph, VerificationReport, _normalize_edge, _report,
+                            lowest_bit, max_degree, verify_edge_coloring, verify_hamiltonian_cycle)
 from graphcert.keller import ColorKernel, _fixture_rows, parse_vertex
 from graphcert.kempe import SearchBudget, _bits, _missing_after_swap
-from graphcert.multicycle import DerivedMulticycle, Multicycle
+from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring, derived_sigma
+from graphcert.mycielski import _ham_path_search
 
 
 def cycle(n: int) -> Graph:
@@ -821,3 +823,139 @@ def fixture_square(d: int, flipped: bool = False) -> list[list[int]]:
     """The bundled independence square of G_d, as vertex codes."""
     name = f"g{d}_square_flip001" if flipped else f"g{d}_square"
     return [[parse_vertex(tok, d) for tok in row] for row in _fixture_rows(name)]
+
+
+# --- oracles and checks that only the tests use ---------------------------------
+
+def coord_to_id(c: BoardCoord, n: int) -> int:
+    return (c.row - 1) * n + (c.col - 1)
+
+
+def complement(g: Graph) -> Graph:
+    n = g.vertex_count
+    edges = frozenset(
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges
+    )
+    return Graph(n, edges)
+
+
+def fournier_forest_check(g: Graph) -> bool:
+    """True when the subgraph induced by the maximum-degree vertices is a forest.
+
+    A true result certifies class 1 for the whole graph.
+    """
+    if g.vertex_count == 0:
+        raise EmptyGraphError("fournier check on empty graph")
+    delta = max_degree(g)
+    majors = [v for v in range(g.vertex_count) if g.degree(v) == delta]
+    index = {v: i for i, v in enumerate(majors)}
+    parent = list(range(len(majors)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        if u in index and v in index:
+            ru, rv = find(index[u]), find(index[v])
+            if ru == rv:
+                return False
+            parent[ru] = rv
+    return True
+
+
+def exhaustive_chromatic_index(mc: Multicycle, cap: int = 24) -> tuple[int, MulticycleColoring]:
+    """Exact chromatic index by branch and bound; guarded by sigma <= cap."""
+    if mc.sigma > cap:
+        raise CapExceeded(f"sigma {mc.sigma} exceeds oracle cap {cap}")
+    m = mc.m
+    if mc.sigma == 0:
+        return 0, MulticycleColoring(tuple(() for _ in range(m)))
+    rot = max(range(m), key=lambda p: mc.mult[p])
+    mult = tuple(mc.mult[(rot + i) % m] for i in range(m))
+
+    def feasible(limit: int) -> list[tuple[int, ...]] | None:
+        chosen: list[tuple[int, ...]] = []
+
+        def dfs(p: int, max_used: int) -> bool:
+            if p == m:
+                return True
+            need = mult[p]
+            banned = set(chosen[p - 1]) if p else set()
+            if p == m - 1:
+                banned |= set(chosen[0])
+            if need == 0:
+                chosen.append(())
+                if dfs(p + 1, max_used):
+                    return True
+                chosen.pop()
+                return False
+            old = [c for c in range(1, max_used + 1) if c not in banned]
+            for fresh in range(min(need, limit - max_used) + 1):
+                base = tuple(range(max_used + 1, max_used + fresh + 1))
+                for pick in itertools.combinations(old, need - fresh):
+                    chosen.append(tuple(sorted(pick + base)))
+                    if dfs(p + 1, max_used + fresh):
+                        return True
+                    chosen.pop()
+            return False
+
+        got = dfs(0, 0)
+        return chosen if got else None
+
+    for limit in itertools.count(mc.lower_bound):
+        result = feasible(limit)
+        if result is not None:
+            slots = [()] * m
+            for i, colors in enumerate(result):
+                slots[(rot + i) % m] = colors
+            return limit, MulticycleColoring(tuple(slots))
+    raise AssertionError("unreachable")
+
+
+def sigma_period_observed(m: int, n_start: int | None = None, samples: int = 4) -> bool:
+    """Check whether 2*sigma - m*n repeats with period m^2 - 1 along odd n."""
+    if m % 2 == 0:
+        raise ValueError("odd m required")
+    period = m * m - 1
+    n0 = n_start if n_start is not None else m
+    for idx in range(samples):
+        n = n0 + 2 * idx
+        a = 2 * derived_sigma(m, n) - m * n
+        b = 2 * derived_sigma(m, n + period) - m * (n + period)
+        if a != b:
+            return False
+    return True
+
+
+# --- Mycielskians, one tuple at a time ------------------------------------------
+
+def reference_mycielskian(g: Graph) -> Graph:
+    """mu(g) edge by edge: the oracle for graphcert.mycielski.mycielskian."""
+    n = g.vertex_count
+    edges: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        edges += [(u, v), (u, n + v), (v, n + u)]
+    edges += [(n + i, 2 * n) for i in range(n)]
+    return Graph.from_edges(2 * n + 1, edges)
+
+
+def hc_check_all_pairs(g: Graph) -> bool:
+    """True iff every vertex pair admits a Hamiltonian path (small graphs)."""
+    if g.vertex_count > 30:
+        raise ValueError("all-pairs check is limited to 30 vertices")
+    for s in range(g.vertex_count):
+        for t in range(s + 1, g.vertex_count):
+            path, _ = _ham_path_search(g, s, t)
+            if path is None:
+                return False
+    return True
+
+
+def decode_vertex_code(code: int, n: int) -> int:
+    """Id of a grid code of mu(C_n): 1..n = x1..xn, n+1..2n = y1..yn, 2n+1 = z."""
+    if not 1 <= code <= 2 * n + 1:
+        raise ValueError(f"code {code} out of range for n={n}")
+    return code - 1

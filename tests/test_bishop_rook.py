@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete, complete_graph_coloring, ladder_missing_color,
+from conftest import (complete, complete_graph_coloring, coord_to_id, ladder_missing_color,
                       reference_bishop_path_decomposition,
                       reference_canonical_bishop_coloring, reference_group_buckets,
                       reference_ladder_coloring, reference_rook_class1_coloring)
@@ -27,7 +27,6 @@ from graphcert.chess import (
     bishop_delta,
     build_bishop,
     build_rook,
-    coord_to_id,
     id_to_coord,
 )
 from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (reference_bishop_edge_pairs, reference_build_bishop,
+from conftest import (coord_to_id, reference_bishop_edge_pairs, reference_build_bishop,
                       reference_build_queen, reference_build_rook)
 from graphcert.chess import (
     BoardCoord,
@@ -18,7 +18,6 @@ from graphcert.chess import (
     build_queen,
     build_rook,
     classify_queen_prediction,
-    coord_to_id,
     id_to_coord,
     overfull_threshold,
     queen_delta,

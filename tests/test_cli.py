@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from graphcert import cli, core, keller, mycielski
+from graphcert import cli, core, keller, multicycle, mycielski
 from graphcert import io as gio
 from graphcert.cli import main
 from graphcert.chess import build_queen
@@ -143,6 +143,15 @@ def test_zero_budget_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "positive" in err
+
+
+@pytest.mark.parametrize("name", ["x10", "x99", "x"])
+def test_bad_mycielski_vertex_is_a_usage_error(capsys, name):
+    # an index past n names no vertex: x10 at n = 9 must not be read as y1
+    code, out, err = run(capsys, ["mycielski", "hampath", "--n", "9", "--from", name,
+                                  "--to", "y6"])
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex '{name}' is not one of z, x1..x9, y1..y9\n"
 
 
 # R(2,2) is the 4-cycle 1-2-4-3-1, properly colored by "1 2 1", "1 3 2",
@@ -765,24 +774,29 @@ def test_no_mycielski_template_is_a_failed_check(monkeypatch, capsys):
     assert err == "verification failed: no template applies to y1 -> y6 in mu(C_9)\n"
 
 
-# the verifiers of the certificates the CLI emits; multicycle.arc_coloring's
-# check of a derived multicycle is a step of the queen construction
+# the verifiers of the certificates the CLI emits
 CERTIFICATE_VERIFIERS = [(core, "verify_edge_coloring"), (core, "verify_hamiltonian_cycle"),
                          (core, "verify_hamiltonian_path"),
                          (core, "verify_hamiltonian_decomposition"),
-                         (core, "verify_clique_cover"), (keller, "verify_cover_by_rule")]
+                         (core, "verify_clique_cover"), (keller, "verify_cover_by_rule"),
+                         (multicycle, "verify_multicycle_coloring")]
 
 
-@pytest.mark.parametrize("argv,verifier", [
-    ("color --m 3 --n 7", "verify_edge_coloring"),
-    ("color --m 5 --n 5", "verify_edge_coloring"),
-    ("keller decompose --d 2", "verify_hamiltonian_decomposition"),
-    ("mycielski hampath --n 9 --from y1 --to y6", "verify_hamiltonian_path"),
-    ("keller verify-fixture --table 5", "verify_cover_by_rule"),
-    ("keller verify-fixture --table 6", "verify_cover_by_rule"),
-], ids=["color-kempe", "color-square-odd", "keller-decompose", "mycielski-hampath",
-        "keller-fixture-table5", "keller-fixture-table6"])
-def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier):
+@pytest.mark.parametrize("argv,verifier,times", [
+    ("color --m 3 --n 7", "verify_edge_coloring", 1),
+    ("color --m 5 --n 5", "verify_edge_coloring", 1),
+    ("color --m 5 --n 7", "verify_edge_coloring", 1),
+    ("keller decompose --d 2", "verify_hamiltonian_decomposition", 1),
+    ("mycielski hampath --n 9 --from y1 --to y6", "verify_hamiltonian_path", 1),
+    ("keller verify-fixture --table 5", "verify_cover_by_rule", 1),
+    ("keller verify-fixture --table 6", "verify_cover_by_rule", 1),
+    ("multicycle chi --mult 3,5,3,4,4", "verify_multicycle_coloring", 1),
+    # one row per odd 3 <= m <= n <= 11: five for m = 3, four for m = 5
+    ("multicycle survey --m 3,5 --n-max 11", "verify_multicycle_coloring", 9),
+], ids=["color-kempe", "color-square-odd", "color-ladder", "keller-decompose",
+        "mycielski-hampath", "keller-fixture-table5", "keller-fixture-table6", "multicycle-chi",
+        "multicycle-survey"])
+def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier, times):
     # Each verifier is counted under every name a graphcert module binds it to.
     # A verifier that calls another (a decomposition checks each cycle) counts once.
     calls = []
@@ -810,4 +824,4 @@ def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier):
                 if hit is not None and hit[0] is value:
                     monkeypatch.setattr(module, attr, hit[1])
     assert run(capsys, argv.split())[0] == 0
-    assert calls == [verifier]
+    assert calls == [verifier] * times

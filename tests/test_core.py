@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import graphcert.core as core
 import graphcert.keller as keller
-from conftest import (complete, cycle, edgeless, is_decomposition, is_hamiltonian, naive_alpha,
-                      naive_omega, path, petersen, reference_verify_edge_coloring,
-                      reference_verify_hamiltonian_decomposition)
+from conftest import (complement, complete, cycle, edgeless, fournier_forest_check,
+                      is_decomposition, is_hamiltonian, naive_alpha, naive_omega, path, petersen,
+                      reference_verify_edge_coloring, reference_verify_hamiltonian_decomposition)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_bishop, build_queen, build_rook
 from graphcert.core import (
@@ -20,10 +20,8 @@ from graphcert.core import (
     EmptyGraphError,
     Graph,
     _check_items,
-    complement,
     exact_alpha,
     exact_omega,
-    fournier_forest_check,
     is_overfull,
     max_degree,
     verify_clique_cover,
@@ -34,11 +32,11 @@ from graphcert.core import (
     vizing_delta_plus_one,
 )
 from graphcert.mycielski import (
-    MycielskiVertex,
     cycle_graph,
     ham_path_mu_odd_cycle,
     mycielskian,
     mycielski_graph,
+    parse_vertex,
 )
 
 
@@ -248,10 +246,9 @@ def test_hamiltonian_cycle_verifier_matches_the_definition_on_mutants():
 @pytest.mark.parametrize("ends", [("x1", "y3"), ("y2", "z"), ("x4", "x5")])
 def test_hamiltonian_path_verifier_matches_the_definition_on_mutants(ends):
     n = 9
-    va, vb = (MycielskiVertex(e[0], int(e[1:] or 0)) for e in ends)
-    a, b = va.to_id(n), vb.to_id(n)
+    a, b = (parse_vertex(e, n) for e in ends)
     g = mycielskian(cycle_graph(n))
-    seq = ham_path_mu_odd_cycle(n, va, vb)
+    seq = ham_path_mu_odd_cycle(n, a, b)
     assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
     for name, mutant in _mutants(seq):
         for start, end in ((a, b), (None, None)):
@@ -340,9 +337,9 @@ def test_verify_hamiltonian_path_p3():
 
 def test_verify_hamiltonian_path_mu_c9():
     g = mycielskian(cycle_graph(9))
-    a, b = MycielskiVertex("y", 1), MycielskiVertex("y", 6)
+    a, b = parse_vertex("y1", 9), parse_vertex("y6", 9)
     seq = ham_path_mu_odd_cycle(9, a, b)
-    assert verify_hamiltonian_path(g, seq, start=a.to_id(9), end=b.to_id(9)).ok
+    assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
 
 
 def test_verify_hamiltonian_decomposition_g3():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (complete, cycle, path, petersen, reference_eliminate_color,
-                      reference_vizing_delta_plus_one)
+from conftest import (complete, cycle, fournier_forest_check, path, petersen,
+                      reference_eliminate_color, reference_vizing_delta_plus_one)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
@@ -18,7 +18,6 @@ from graphcert.core import (
     ColorState,
     EdgeColoring,
     Graph,
-    fournier_forest_check,
     max_degree,
     verify_edge_coloring,
     vizing_delta_plus_one,

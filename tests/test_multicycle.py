@@ -6,7 +6,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_derive
+from conftest import exhaustive_chromatic_index, reference_derive, sigma_period_observed
 from graphcert import multicycle
 from graphcert.bishop_rook import rarest_color_edges
 from graphcert.core import CertificateError, VerificationReport
@@ -19,8 +19,6 @@ from graphcert.multicycle import (
     conjecture5_bounds,
     derive,
     derived_sigma,
-    exhaustive_chromatic_index,
-    sigma_period_observed,
     survey,
     survey_csv,
     verify_multicycle_coloring,
@@ -166,17 +164,20 @@ def test_arc_coloring_hits_the_lower_bound_beyond_the_oracle(mult):
     assert verify_multicycle_coloring(mc, coloring, expected_colors=mc.lower_bound).ok
 
 
-@pytest.mark.parametrize("patch,match", [
+@pytest.mark.parametrize("patch,build,match", [
     # K = Delta = 8 below tau = 10: the gaps need 5 colors, the slack holds 2
-    ((Multicycle, "lower_bound", property(lambda mc: mc.delta)), "exceed the slack"),
+    ((Multicycle, "lower_bound", property(lambda mc: mc.delta)),
+     lambda: chromatic_index(Multicycle((3, 5, 3, 4, 4))), "exceed the slack"),
+    # arc_coloring returns unverified; the survey checks each row's coloring once
     ((multicycle, "verify_multicycle_coloring",
       lambda mc, col, expected_colors=None: VerificationReport(False, 0, 0, ("forged",))),
-     "forged"),
+     lambda: survey([5], [11]), "m=5 n=11 failed: forged"),
 ], ids=["gaps-overflow", "verification"])
-def test_arc_coloring_failed_self_check_raises_certificate_error(monkeypatch, patch, match):
+def test_arc_coloring_failed_self_check_raises_certificate_error(monkeypatch, patch, build,
+                                                                 match):
     monkeypatch.setattr(*patch)
     with pytest.raises(CertificateError, match=match):
-        chromatic_index(Multicycle((3, 5, 3, 4, 4)))
+        build()
 
 
 def single_mutants(coloring):

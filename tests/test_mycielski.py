@@ -1,21 +1,22 @@
 """Mycielskian structure and Hamiltonian-path constructions."""
 
-import pytest
-from hypothesis import given, strategies as st
+import hashlib
 
-from conftest import complete, edgeless, find_ham_cycle, path
-from graphcert import mycielski
-from graphcert.core import CertificateError, VerificationReport, verify_hamiltonian_path
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (complete, cycle, decode_vertex_code, edgeless, find_ham_cycle,
+                      hc_check_all_pairs, path, reference_mycielskian)
+from graphcert.core import Graph, verify_hamiltonian_path
 from graphcert.mycielski import (
-    MycielskiVertex,
     cycle_graph,
-    decode_vertex_code,
     even_cycle_parity_witness,
     ham_path_mu_odd_cycle,
     ham_path_mu_of_hc_graph,
-    hc_check_all_pairs,
     mycielski_graph,
     mycielskian,
+    parse_vertex,
+    vertex_name,
 )
 
 FIG_CODES = [10, 2, 12, 4, 14, 19, 18, 1, 11, 3, 13, 5, 6, 16, 8, 9, 17, 7, 15]
@@ -57,6 +58,24 @@ def test_mu_structural_formulas():
         assert mu.edge_count == 3 * base.edge_count + base.vertex_count
 
 
+@st.composite
+def _graph(draw):
+    """A random graph on up to 12 vertices."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                            if pairs else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph())
+def test_mycielskian_matches_the_tuple_oracle(g):
+    mu, ref = mycielskian(g), reference_mycielskian(g)
+    assert mu.vertex_count == ref.vertex_count and mu.edges == ref.edges
+    if g.vertex_count >= 3:
+        assert cycle_graph(g.vertex_count).edges == cycle(g.vertex_count).edges
+
+
 def test_mycielski_graph_tower():
     assert (mycielski_graph(1).vertex_count, mycielski_graph(1).edge_count) == (1, 0)
     assert (mycielski_graph(2).vertex_count, mycielski_graph(2).edge_count) == (2, 1)
@@ -73,56 +92,70 @@ def test_mycielski_graph_tower():
 
 
 def test_ham_path_spec_pairs():
-    for n, a, b in [(9, MycielskiVertex("y", 1), MycielskiVertex("y", 6)),
-                    (5, MycielskiVertex("x", 1), MycielskiVertex("x", 3)),
-                    (7, MycielskiVertex("x", 2), MycielskiVertex("z"))]:
+    for n, a, b in [(9, "y1", "y6"), (5, "x1", "x3"), (7, "x2", "z")]:
         g = mycielskian(cycle_graph(n))
+        a, b = parse_vertex(a, n), parse_vertex(b, n)
         seq = ham_path_mu_odd_cycle(n, a, b)
-        assert verify_hamiltonian_path(g, seq, start=a.to_id(n), end=b.to_id(n)).ok
+        assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
 
 
 def test_ham_path_all_pairs_small_n():
     for n in (3, 5, 7):
         g = mycielskian(cycle_graph(n))
-        everyone = [MycielskiVertex("x", i) for i in range(1, n + 1)]
-        everyone += [MycielskiVertex("y", i) for i in range(1, n + 1)]
-        everyone.append(MycielskiVertex("z"))
-        for a in everyone:
-            for b in everyone:
+        for a in range(2 * n + 1):
+            for b in range(2 * n + 1):
                 if a == b:
                     continue
                 seq = ham_path_mu_odd_cycle(n, a, b)
-                report = verify_hamiltonian_path(g, seq, start=a.to_id(n), end=b.to_id(n))
-                assert report.ok, (n, str(a), str(b), report.detail)
+                report = verify_hamiltonian_path(g, seq, start=a, end=b)
+                assert report.ok, (n, a, b, report.detail)
+
+
+# sha256 of every path of mu(C_n), odd n = 3..15, one line of 0-based ids per
+# ordered pair (a, b), a != b, in ascending order: 2,842 lines
+HAM_PATHS_SHA256 = "5a6097b9e6a605c043f3e7d49b45cb3b7ac53e5bd1631d4c26b2bcdac465687e"
+
+
+def test_ham_paths_are_pinned():
+    digest = hashlib.sha256()
+    lines = 0
+    for n in range(3, 16, 2):
+        for a in range(2 * n + 1):
+            for b in range(2 * n + 1):
+                if a != b:
+                    digest.update((" ".join(map(str, ham_path_mu_odd_cycle(n, a, b))) + "\n")
+                                  .encode())
+                    lines += 1
+    assert (lines, digest.hexdigest()) == (2842, HAM_PATHS_SHA256)
 
 
 def test_ham_path_rejects_bad_input():
     with pytest.raises(ValueError):
-        ham_path_mu_odd_cycle(4, MycielskiVertex("x", 1), MycielskiVertex("z"))
+        ham_path_mu_odd_cycle(4, 0, 8)
     with pytest.raises(ValueError):
-        ham_path_mu_odd_cycle(5, MycielskiVertex("x", 1), MycielskiVertex("x", 1))
+        ham_path_mu_odd_cycle(5, 0, 0)
+    for a, b in [(-1, 3), (0, 11)]:
+        with pytest.raises(ValueError, match="ids in 0..10"):
+            ham_path_mu_odd_cycle(5, a, b)
 
 
 def test_published_grid_sequence_decodes_to_a_valid_path():
     n = 9
     g = mycielskian(cycle_graph(n))
 
-    def verified(vertices: list[MycielskiVertex]) -> bool:
-        ids = [v.to_id(n) for v in vertices]
+    def verified(ids: list[int]) -> bool:
         return verify_hamiltonian_path(g, ids, start=ids[0], end=ids[-1]).ok
 
     identity = [decode_vertex_code(c, n) for c in FIG_CODES]
 
-    def reflect(v: MycielskiVertex) -> MycielskiVertex:
-        if v.kind == "z":
-            return v
-        return MycielskiVertex(v.kind, 1 if v.index == 1 else n + 2 - v.index)
+    def reflect(v: int) -> int:  # x_i -> x_{2-i} and y_i -> y_{2-i}, indices mod n
+        return v if v == 2 * n else v - v % n + (-(v % n)) % n
 
     # The grid encoding is 1..n = x, n+1..2n = y, 2n+1 = z; accept the straight
     # reading or its reflection around vertex 1.
     assert verified(identity) or verified([reflect(v) for v in identity])
     assert verified(identity)
-    assert (str(identity[0]), str(identity[-1])) == ("y1", "y6")
+    assert (vertex_name(identity[0], n), vertex_name(identity[-1], n)) == ("y1", "y6")
 
 
 # --- lifting along a Hamiltonian cycle ----------------------------------------------
@@ -131,10 +164,7 @@ def test_published_grid_sequence_decodes_to_a_valid_path():
 def test_lift_identity_case_matches_direct_construction():
     g = cycle_graph(5)
     for a, b in [(0, 7), (5, 10), (2, 3)]:
-        lifted = ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], a, b)
-        direct = ham_path_mu_odd_cycle(5, MycielskiVertex.from_id(a, 5),
-                                       MycielskiVertex.from_id(b, 5))
-        assert lifted == direct
+        assert ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], a, b) == ham_path_mu_odd_cycle(5, a, b)
 
 
 def test_lift_through_k5():
@@ -149,9 +179,11 @@ def test_lift_m4_cycle_into_m5():
     assert hc is not None
     m5 = mycielski_graph(5)
     assert mycielskian(m4).edges == m5.edges
-    for a, b in [(0, 22), (3, 15), (11, 12)]:
-        seq = ham_path_mu_of_hc_graph(m4, hc, a, b)
-        assert verify_hamiltonian_path(m5, seq, start=a, end=b).ok
+    for a in range(23):
+        for b in range(23):
+            if a != b:
+                seq = ham_path_mu_of_hc_graph(m4, hc, a, b)
+                assert verify_hamiltonian_path(m5, seq, start=a, end=b).ok, (a, b)
 
 
 def test_lift_rejects_bad_input():
@@ -161,31 +193,32 @@ def test_lift_rejects_bad_input():
         ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 3], 0, 10)
     with pytest.raises(ValueError):
         ham_path_mu_of_hc_graph(cycle_graph(5), [0, 2, 1, 3, 4], 0, 10)
+    with pytest.raises(ValueError):
+        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 4], 0, 11)
 
 
-# The lift's two self-checks must hold under python -O too, so they cannot
-# be asserts.
+@st.composite
+def _planted_cycle(draw):
+    """An odd graph with a Hamiltonian cycle planted in random edges, and two ends of mu."""
+    n = draw(st.sampled_from((3, 5, 7, 9, 11, 13)))
+    cycle = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = Graph.from_edges(n, [(cycle[i - 1], cycle[i]) for i in range(n)] + extra)
+    a, b = draw(st.lists(st.integers(0, 2 * n), min_size=2, max_size=2, unique=True))
+    return g, cycle, a, b
 
 
-def test_lift_raises_when_the_path_strays(monkeypatch):
-    def swap_middle(n, a, b):  # two inner vertices swapped: off mu(C_n)
-        seq = ham_path_mu_odd_cycle(n, a, b)
-        seq[1], seq[3] = seq[3], seq[1]
-        return seq
-
-    monkeypatch.setattr(mycielski, "ham_path_mu_odd_cycle", swap_middle)
-    with pytest.raises(CertificateError, match="strayed"):
-        ham_path_mu_of_hc_graph(complete(5), [0, 2, 4, 1, 3], 0, 10)
-
-
-def test_lift_raises_when_the_lifted_path_fails_verification(monkeypatch):
-    # the canonical path runs the verifier itself, so it is built before the patch
-    canonical = ham_path_mu_odd_cycle(5, MycielskiVertex("x", 1), MycielskiVertex("z"))
-    monkeypatch.setattr(mycielski, "ham_path_mu_odd_cycle", lambda n, a, b: canonical)
-    monkeypatch.setattr(mycielski, "verify_hamiltonian_path",
-                        lambda *args, **kwargs: VerificationReport(False, 0, None, ("forced",)))
-    with pytest.raises(CertificateError, match="failed verification"):
-        ham_path_mu_of_hc_graph(complete(5), [0, 2, 4, 1, 3], 0, 10)
+@settings(max_examples=200, deadline=None)
+@given(_planted_cycle())
+def test_lift_stays_on_the_cycle_mu_image(case):
+    g, cycle, a, b = case
+    n = g.vertex_count
+    seq = ham_path_mu_of_hc_graph(g, cycle, a, b)
+    assert verify_hamiltonian_path(mycielskian(g), seq, start=a, end=b).ok
+    lift = list(cycle) + [n + v for v in cycle] + [2 * n]
+    image = {frozenset((lift[u], lift[v])) for u, v in mycielskian(cycle_graph(n)).edges}
+    assert all(frozenset(step) in image for step in zip(seq, seq[1:]))
 
 
 # --- parity witness and HC checks ----------------------------------------------------
@@ -218,10 +251,10 @@ def test_hamiltonian_connectivity_checks():
 
 
 def test_vertex_codes_and_ids():
-    assert str(decode_vertex_code(1, 9)) == "x1"
-    assert str(decode_vertex_code(10, 9)) == "y1"
-    assert str(decode_vertex_code(19, 9)) == "z"
-    assert decode_vertex_code(19, 9).to_id(9) == 18
+    assert vertex_name(decode_vertex_code(1, 9), 9) == "x1"
+    assert vertex_name(decode_vertex_code(10, 9), 9) == "y1"
+    assert vertex_name(decode_vertex_code(19, 9), 9) == "z"
+    assert decode_vertex_code(19, 9) == 18
     with pytest.raises(ValueError):
         decode_vertex_code(0, 9)
     with pytest.raises(ValueError):
@@ -229,16 +262,19 @@ def test_vertex_codes_and_ids():
 
 
 def test_vertex_validation():
-    with pytest.raises(ValueError):
-        MycielskiVertex("w", 1)
-    with pytest.raises(ValueError):
-        MycielskiVertex("z", 2)
-    with pytest.raises(ValueError):
-        MycielskiVertex("x", 0)
+    # an index past n is refused: x10 at n = 9 would be y1's id
+    for text in ("x10", "x99", "y0", "x", "w1", "z1", "x+1", "x1.0", ""):
+        with pytest.raises(ValueError, match="is not one of z, x1..x9, y1..y9"):
+            parse_vertex(text, 9)
+    for v in (-1, 19):
+        with pytest.raises(ValueError):
+            vertex_name(v, 9)
+    assert [parse_vertex(t, 9) for t in (" X1", "x09", "y9", "Z ")] == [0, 8, 17, 18]
 
 
-@given(st.integers(0, 22))
-def test_vertex_id_roundtrip(v):
-    vertex = MycielskiVertex.from_id(v, 11)
-    assert vertex.to_id(11) == v
-    assert MycielskiVertex.parse(str(vertex)) == vertex
+@given(st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 * n))))
+def test_vertex_id_roundtrip(case):
+    n, v = case
+    name = vertex_name(v, n)
+    assert parse_vertex(name, n) == v
+    assert (name == "z") == (v == 2 * n) and name[0] == "xyz"[v // n]
