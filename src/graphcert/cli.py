@@ -177,19 +177,19 @@ def _cmd_gen(args) -> int:
 
 # --- color -------------------------------------------------------------------------
 
-def _color_auto(args) -> QueenColoringCertificate:
-    return classify_and_color(args.m, args.n, budget=_budget(args), seed=args.seed)
+def _color_auto(args, g: Graph) -> QueenColoringCertificate:
+    return classify_and_color(args.m, args.n, budget=_budget(args), seed=args.seed, graph=g)
 
 
-def _color_square_odd(args) -> QueenColoringCertificate:
+def _color_square_odd(args, g: Graph) -> QueenColoringCertificate:
     if args.m != args.n:
         raise ValueError("square-odd needs m = n")
     return class1_square_odd(args.n)
 
 
-def _color_kempe(args) -> QueenColoringCertificate:
+def _color_kempe(args, g: Graph) -> QueenColoringCertificate:
     warm = gio.read_coloring(args.warm_start) if args.warm_start else None
-    outcome = find_class1(build_queen(args.m, args.n), _budget(args), warm_start=warm)
+    outcome = find_class1(g, _budget(args), warm_start=warm)
     if outcome.coloring is None:
         if outcome.reason == "overfull":
             raise MethodInapplicableError("board is overfull: no Delta coloring exists")
@@ -197,13 +197,13 @@ def _color_kempe(args) -> QueenColoringCertificate:
     return QueenColoringCertificate(args.m, args.n, outcome.coloring, 1, "KempeSearch")
 
 
-# --construction name -> the certificate it builds
+# --construction name -> the certificate it builds, given the board it is verified on
 _CONSTRUCTIONS = {
     "auto": _color_auto,
-    "even-union": lambda args: class1_even(args.m, args.n),
+    "even-union": lambda args, g: class1_even(args.m, args.n),
     "square-odd": _color_square_odd,
-    "ladder-multicycle": lambda args: class1_ladder_multicycle(args.m, args.n),
-    "overfull": lambda args: class2_overfull_coloring(args.m, args.n),
+    "ladder-multicycle": lambda args, g: class1_ladder_multicycle(args.m, args.n),
+    "overfull": lambda args, g: class2_overfull_coloring(args.m, args.n),
     "kempe": _color_kempe,
 }
 
@@ -214,8 +214,9 @@ def _cmd_color(args) -> int:
         _need_long_run(args, f"a {m}x{n} board has {m * n} squares")
     if args.construction != "kempe" and args.warm_start:
         raise ValueError("--warm-start only applies to the kempe construction")
-    cert = _CONSTRUCTIONS[args.construction](args)
-    report = verify_edge_coloring(build_queen(m, n), cert.coloring)
+    g = build_queen(m, n)
+    cert = _CONSTRUCTIONS[args.construction](args, g)
+    report = verify_edge_coloring(g, cert.coloring)
     colors = cert.coloring.declared_color_count
     want = queen_delta(m, n) + (cert.claimed_class - 1)
     payload = {"ok": report.ok and colors == want, "family": "queen",
@@ -351,8 +352,9 @@ def _cmd_survey(args) -> int:
 def _cmd_mycielski_hampath(args) -> int:
     n = args.n
     src, dst = parse_vertex(args.src, n), parse_vertex(args.dst, n)
-    path = ham_path_mu_odd_cycle(n, src, dst)
-    report = verify_hamiltonian_path(mycielskian(cycle_graph(n)), path, start=src, end=dst)
+    mu = mycielskian(cycle_graph(n))
+    path = ham_path_mu_odd_cycle(mu, src, dst)
+    report = verify_hamiltonian_path(mu, path, start=src, end=dst)
     payload = {"ok": report.ok, "family": "mycielski",
                "params": {"n": n, "from": vertex_name(src, n), "to": vertex_name(dst, n)},
                "size": len(path), "construction": "template"}
@@ -497,9 +499,10 @@ def _cmd_keller_verify_fixture(args) -> int:
 def _class_task(task):
     m, n, switches, restarts, seed = task
     pred = classify_queen_prediction(m, n)
+    g = build_queen(m, n)
     cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed),
-                              seed=seed)
-    report = verify_edge_coloring(build_queen(m, n), cert.coloring)
+                              seed=seed, graph=g)
+    report = verify_edge_coloring(g, cert.coloring)
     want = queen_delta(m, n) + (cert.claimed_class - 1)
     detail = _count_detail(report, cert.coloring.declared_color_count, want)
     predicted = 2 if pred.status is QueenClass.CLASS2_OVERFULL else 1

@@ -267,7 +267,8 @@ class EdgeColoring:
         Its callers: from_arrays, which then makes the check;
         `io.read_coloring`, which makes its own check first to name the
         line; `normalized` and `shifted`, on the rows of a colouring that
-        holds none already; and the bishop and rook colourings of
+        holds none already; `ColorState.coloring`, on the rows of a graph;
+        and the bishop and rook colourings of
         `bishop_rook`, built on board edge lists that hold each edge once.
         The queen constructions join those in `queen._union`, whose
         from_arrays checks every joined row.
@@ -714,10 +715,12 @@ class ColorState:
     neighbour to the colour of their edge, and bit c of present[v] is set
     when colour c is at v (bit 0 is always set, so the lowest clear bit is
     the lowest free colour). at[v] is a list over the colours 0..colors,
-    so a chain walk is one list index per step. A state built by of() also
-    keeps by_color[c], the edge set of colour c, which recolor and swap
-    maintain; Vizing starts from an empty state and never reads the class
-    sets, so it has none.
+    so a chain walk is one list index per step. by_color[c] is the edge set
+    of colour c, which recolor and swap maintain, and len(by_color) - 1 is
+    the number of declared colours. of() fills the class sets as it loads a
+    colouring, over its declared colours; Vizing fills them once every edge
+    is coloured, over the colours up to the highest it used, since its fan
+    edits never read them.
     """
 
     def __init__(self, vertex_count: int, colors: int):
@@ -898,21 +901,30 @@ class ColorState:
             at[v][new] = u
             by_color[new].add(e)
 
-    def snapshot(self, edges: Iterable[tuple[int, int]], declared: int) -> EdgeColoring:
-        """The colours of the given coloured edges, over colours 1..declared.
+    def coloring(self, pairs: np.ndarray) -> EdgeColoring:
+        """The colouring of the edge rows pairs, relabelled to 1..k.
 
-        The caller passes the edge tuples it already holds, so a snapshot
-        makes no new ones.
+        pairs holds every coloured edge once as (u, v) with u < v, like
+        Graph.pairs, and its rows are the rows of the result. The k
+        non-empty classes keep their relative order, as
+        EdgeColoring.normalized relabels.
         """
+        used = [c for c, edges in enumerate(self.by_color) if edges]
+        rank = np.zeros(len(self.by_color), dtype=np.int64)
+        rank[used] = np.arange(1, len(used) + 1)
         nbr = self.nbr
-        return EdgeColoring({e: nbr[e[0]][e[1]] for e in edges}, declared)
+        raw = np.fromiter((nbr[u][v] for u, v in zip(*pairs.T.tolist())), np.int64, len(pairs))
+        return EdgeColoring._of_rows(pairs, rank[raw], len(used))
 
 
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
-                          ) -> EdgeColoring:
+                          ) -> ColorState:
     """Proper edge coloring with at most Δ+1 colors by fan rotation.
 
-    Deterministic for a fixed insertion order (sorted edges by default).
+    Returns the ColorState it coloured, with its class sets over the colours
+    1..the highest it used: the Kempe search edits this state in place, and
+    state.coloring(g.pairs) reads the colouring out. Deterministic for a
+    fixed insertion order of the edges (u, v), u < v (sorted by default).
     Each edge (u, v) grows a maximal fan at u from v; if the tip's free
     colour is also free at u the fan rotates, otherwise the c,d path from
     the tip (or from the earlier fan vertex that misses d, when that path
@@ -923,9 +935,7 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     colour. The lowest colour free at a vertex with mask p is the lowest
     clear bit of p, (~p & (p + 1)).bit_length() - 1, computed inline.
     """
-    if g.edge_count == 0:
-        return EdgeColoring({}, 0)
-    palette = max_degree(g) + 1
+    palette = max_degree(g) + 1 if g.edge_count else 0
     state = ColorState(g.vertex_count, palette)
     at, nbr, present = state.at, state.nbr, state.present
     edges = order if order is not None else sorted(g.edges)
@@ -967,7 +977,10 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
         j = next(i for i, f in enumerate(prefix) if at[f][c] is None)
         state.rotate(u, prefix[:j + 1], c)
 
-    used = max(present).bit_length() - 1
+    used = max(present, default=1).bit_length() - 1
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
-    return state.snapshot(edges, used)
+    state.by_color = by_color = [set() for _ in range(used + 1)]
+    for e in edges:
+        by_color[nbr[e[0]][e[1]]].add(e)
+    return state

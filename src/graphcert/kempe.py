@@ -4,6 +4,16 @@ The search starts from a Delta+1 coloring, repeatedly picks the rarest color
 and tries to eliminate it: each of its edges is either recolored directly
 with a color missing at both endpoints, or freed up by switching a two-color
 chain chosen by score. Deterministic for a fixed (graph, budget, seed).
+
+Each restart works on one ColorState: Vizing fills it, every elimination
+edits it in place, and the certificate is read out of it once, in the rows
+of g.pairs with its colours relabelled 1..k. Colours are never relabelled in
+between. Relabelling keeps their relative order, so the lowest-colour and
+sorted-move choices, and with them every switch and random draw, are those
+of a search that relabels after each elimination. Each elimination
+therefore runs over the palette such a search would see: at the start of a
+restart all the declared colours, unused ones included, and after that
+exactly the colours whose classes are non-empty.
 """
 
 from __future__ import annotations
@@ -138,12 +148,17 @@ def _scored_moves(state: ColorState, u: int, v: int, target: int, not_target: in
     return moves, scores
 
 
-def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
-                    budget: SearchBudget) -> EdgeColoring | None:
+def eliminate_color(state: ColorState, palette: int, target: int,
+                    budget: SearchBudget) -> ColorState | None:
     """Drive the target color's usage to zero within the switch budget.
 
-    coloring must be a proper total coloring of g, as Vizing and every
-    elimination give; it is not checked here.
+    Edits state in place and returns it once the target class is empty, or
+    returns None when the switch budget runs out first (or no switch
+    applies), leaving state proper with the target class not yet empty.
+    state must hold a proper total coloring with its class sets, as Vizing
+    and every elimination leave it; it is not checked here. palette is the
+    bitmask of the colours the search may use, target among them; no edge
+    is given a colour outside it.
 
     Each round recolors every target edge that has a color missing at both
     ends (the lowest such color). When no edge can be recolored, it picks a
@@ -181,20 +196,17 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
       draws once, in sorted candidate order. The largest (score, draw)
       wins, and the earliest candidate on a tie.
     """
-    declared = coloring.declared_color_count
-    state = ColorState.of(g.vertex_count, coloring)
     target_class = state.by_color[target]
-    full = (1 << (declared + 1)) - 2  # bits 1..declared
     rng = random.Random(budget.seed)
     draw = rng.random
-    not_target = full & ~(1 << target)
-    others = [c for c in range(1, declared + 1) if c != target]
+    not_target = palette & ~(1 << target)
+    others = list(_bits(not_target))
     switches = 0
     recheck = list(target_class)
     while True:
         _recolor_free(state, recheck, not_target)
         if not target_class:
-            return state.snapshot(coloring.assignment, declared).normalized()
+            return state
         if switches >= budget.max_switches:
             return None
         targets = sorted(target_class)
@@ -202,8 +214,8 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
         moves, scores = _scored_moves(state, u, v, target, not_target, others)
         if not scores:
             return None
-        draws = [draw() for _ in scores]  # draw rule
-        _, _, minus_i = max(zip(scores, draws, count(0, -1)))
+        # draw rule: zip stops at the last score, so each candidate draws once, in order
+        _, _, minus_i = max(zip(scores, iter(draw, None), count(0, -1)))
         anchor, acol, bcol = moves[-minus_i]
         chain, ends = state.chain_edges(anchor, acol, bcol)
         state.swap(chain, acol, bcol)
@@ -211,9 +223,20 @@ def eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
         switches += 1
 
 
+def _classes(by_color: list[set[tuple[int, int]]]) -> int:
+    """Bitmask of the colours whose classes are non-empty."""
+    return sum(1 << c for c, edges in enumerate(by_color) if edges)
+
+
 def find_class1(g: Graph, budget: SearchBudget,
                 warm_start: EdgeColoring | None = None) -> SearchOutcome:
     """Search for a Delta-color certificate; None with a reason otherwise.
+
+    Each restart runs on one ColorState, with the palettes the module
+    docstring gives: a Vizing start from a shuffled edge order or, on the
+    first restart, the warm start loaded once. While more than Delta
+    classes are non-empty it eliminates the smallest, the lowest colour on
+    a tie.
 
     A warm start comes from outside the search (a file, for the CLI), so it is
     verified first, and one that fails raises CertificateError. The result is
@@ -229,24 +252,26 @@ def find_class1(g: Graph, budget: SearchBudget,
         if not report.ok:
             raise CertificateError(f"warm start is not a proper total coloring: "
                                    f"{'; '.join(report.detail)}")
+    edges = list(zip(*g.pairs.T.tolist()))  # the sorted edges
     for r in range(budget.max_restarts):
         sub_seed = budget.seed * 1_000_003 + r
         if r == 0 and warm_start is not None:
-            current = warm_start
+            state = ColorState.of(g.vertex_count, warm_start)
         else:
-            order = list(zip(*g.pairs.T.tolist()))  # the sorted edges
+            order = edges.copy()
             random.Random(sub_seed).shuffle(order)
-            current = vizing_delta_plus_one(g, order)
-        while len(current.colors_used) > delta:
-            counts = current.color_counts()
-            target = min(counts, key=lambda c: (counts[c], c))
-            sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
-            nxt = eliminate_color(g, current, target, sub_budget)
-            if nxt is None:
+            state = vizing_delta_plus_one(g, order)
+        by_color = state.by_color
+        sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
+        palette = (1 << len(by_color)) - 2  # the declared colours 1..len(by_color) - 1
+        used = _classes(by_color)
+        while used.bit_count() > delta:
+            target = min(_bits(used), key=lambda c: (len(by_color[c]), c))
+            if eliminate_color(state, palette, target, sub_budget) is None:
                 break
-            current = nxt
-        if len(current.colors_used) <= delta:
-            return SearchOutcome(current.normalized(), "ok", r + 1)
+            palette = used = _classes(by_color)
+        else:
+            return SearchOutcome(state.coloring(g.pairs), "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)
 
 

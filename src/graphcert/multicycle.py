@@ -246,13 +246,6 @@ def derive(m: int, n: int) -> DerivedMulticycle:
     return DerivedMulticycle(m, n, Multicycle(mult), tuple(tuple(sorted(s)) for s in slot_edges))
 
 
-def derived_sigma(m: int, n: int) -> int:
-    """Number of edges wearing the rarest bishop color 2m-2: every second
-    edge, from the leftmost end, along the paths of group (k, -), k = m // 2.
-    Neither this nor `derive` colors the whole board."""
-    return len(rarest_color_edges(m, n))
-
-
 # --- survey ----------------------------------------------------------------------
 
 SURVEY_COLUMNS = ("m", "n", "sigma", "mu_minus", "delta", "tau", "chi",

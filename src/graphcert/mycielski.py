@@ -140,19 +140,23 @@ def _check_ends(n: int, a: int, b: int) -> None:
         raise ValueError("endpoints must differ")
 
 
-def ham_path_mu_odd_cycle(n: int, a: int, b: int) -> list[int]:
+def ham_path_mu_odd_cycle(mu: Graph, a: int, b: int) -> list[int]:
     """Hamiltonian path of mu(C_n) between ids a and b, n odd >= 3.
 
-    An edge ab opens the first image of the canonical cycle under a dihedral
-    map that runs through it. Any other pair takes the first template that
-    applies once a rotation or a reflection carries one end to x1 or y1,
-    where every template starts. The path is unverified; CertificateError
-    when nothing applies.
+    mu is mycielskian(cycle_graph(n)), which the caller builds once, for
+    this call and for the check of its result; it is read only to ask
+    whether ab is an edge. An edge ab opens
+    the first image of the canonical cycle under a dihedral map that runs
+    through it. Any other pair takes the first template that applies once a
+    rotation or a reflection carries one end to x1 or y1, where every
+    template starts. The path is unverified; CertificateError when nothing
+    applies.
     """
-    if n < 3 or n % 2 == 0:
+    n, extra = divmod(mu.vertex_count - 1, 2)
+    if extra or n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
     _check_ends(n, a, b)
-    if mycielskian(cycle_graph(n)).has_edge(a, b):
+    if mu.has_edge(a, b):
         cycle = np.array(_canonical_cycle(n))
         length = len(cycle)
         at = np.empty(length, dtype=int)
@@ -226,7 +230,8 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
     lift = np.concatenate((hc, n + hc, [2 * n]))
     preimage = np.empty_like(lift)
     preimage[lift] = np.arange(2 * n + 1)
-    return lift[ham_path_mu_odd_cycle(n, int(preimage[a]), int(preimage[b]))].tolist()
+    path = ham_path_mu_odd_cycle(mycielskian(cycle_graph(n)), int(preimage[a]), int(preimage[b]))
+    return lift[path].tolist()
 
 
 # --- exhaustive small-graph searches ----------------------------------------------

@@ -25,7 +25,7 @@ from .bishop_rook import (MissingColorPlan, canonical_bishop_coloring, ladder_co
                           rarest_bishop_color, rook_class1_coloring)
 from .chess import (_check_board, build_queen, id_to_coord, overfull_threshold, queen_delta,
                     queen_edge_count)
-from .core import CertificateError, EdgeColoring
+from .core import CertificateError, EdgeColoring, Graph
 from .multicycle import chromatic_index, derive
 
 
@@ -160,8 +160,13 @@ def class2_overfull_coloring(m: int, n: int) -> QueenColoringCertificate:
     return QueenColoringCertificate(m, n, coloring, 2, "OverfullDeltaPlusOne")
 
 
-def classify_and_color(m: int, n: int, budget=None, seed: int = 0) -> QueenColoringCertificate:
-    """Dispatch to the applicable construction; Kempe search covers the gap."""
+def classify_and_color(m: int, n: int, budget=None, seed: int = 0, *,
+                       graph: Graph | None = None) -> QueenColoringCertificate:
+    """Dispatch to the applicable construction; Kempe search covers the gap.
+
+    The search runs on graph, the caller's build_queen(m, n) when it holds
+    one to verify the result on, and otherwise on a board it builds.
+    """
     _check_board(m, n)
     if m == 1 and n == 1:
         return QueenColoringCertificate(1, 1, EdgeColoring({}, 0), 1, "EvenUnion")
@@ -178,7 +183,7 @@ def classify_and_color(m: int, n: int, budget=None, seed: int = 0) -> QueenColor
     from .kempe import BudgetExhaustedError, SearchBudget, find_class1
 
     budget = budget if budget is not None else SearchBudget.default(seed)
-    outcome = find_class1(build_queen(m, n), budget)
+    outcome = find_class1(graph if graph is not None else build_queen(m, n), budget)
     if outcome.coloring is None:
         raise BudgetExhaustedError(
             f"no construction applies to Q_{{{m},{n}}} and the search gave up: {outcome.reason}")

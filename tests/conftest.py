@@ -8,15 +8,17 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup, _k_even_class,
-                                   _k_odd_color, canonical_bishop_coloring, rarest_bishop_color)
+                                   _k_odd_color, canonical_bishop_coloring, rarest_bishop_color,
+                                   rarest_color_edges)
 from graphcert.chess import (BoardCoord, SquareColor, _check_board, _labels, bishop_delta,
                              id_to_coord)
 from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColoring,
                             EmptyGraphError, Graph, VerificationReport, _normalize_edge, _report,
-                            lowest_bit, max_degree, verify_edge_coloring, verify_hamiltonian_cycle)
+                            is_overfull, lowest_bit, max_degree, verify_edge_coloring,
+                            verify_hamiltonian_cycle, vizing_delta_plus_one)
 from graphcert.keller import ColorKernel, _fixture_rows, parse_vertex
-from graphcert.kempe import SearchBudget, _bits, _missing_after_swap
-from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring, derived_sigma
+from graphcert.kempe import SearchBudget, SearchOutcome, _bits, _missing_after_swap
+from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
 from graphcert.mycielski import _ham_path_search
 
 
@@ -243,6 +245,19 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     return EdgeColoring(dict(color_of), used)
 
 
+def snapshot(state: ColorState, edges: Iterable[tuple[int, int]], declared: int) -> EdgeColoring:
+    """The colours state gives these edges, as they are, over colours 1..declared."""
+    nbr = state.nbr
+    return EdgeColoring({e: nbr[e[0]][e[1]] for e in edges}, declared)
+
+
+def vizing_coloring(g: Graph, order: Sequence[tuple[int, int]] | None = None) -> EdgeColoring:
+    """The colouring of graphcert.core.vizing_delta_plus_one's state, unrelabelled,
+    over colours 1..the highest it used, as the reference Vizing declares it."""
+    state = vizing_delta_plus_one(g, order)
+    return snapshot(state, g.edges, len(state.by_color) - 1)
+
+
 def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                               budget: SearchBudget) -> EdgeColoring | None:
     """Colour elimination that rescans the whole sorted target class every
@@ -262,7 +277,7 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     while True:
         targets = sorted(target_class)
         if not targets:
-            return state.snapshot(coloring.assignment, declared).normalized()
+            return snapshot(state, coloring.assignment, declared).normalized()
         progress = False
         for e in targets:
             u, v = e
@@ -307,6 +322,43 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
         chain, _ = state.chain_edges(anchor, acol, bcol)
         state.swap(chain, acol, bcol)
         switches += 1
+
+
+def reference_find_class1(g: Graph, budget: SearchBudget,
+                          warm_start: EdgeColoring | None = None) -> SearchOutcome:
+    """The Kempe search one EdgeColoring at a time: each elimination starts
+    from a colouring, loads it into a fresh state and hands back its
+    relabelled copy. The oracle for graphcert.kempe.find_class1, which keeps
+    one state per restart and must make the same switches and draws."""
+    if g.edge_count == 0:
+        return SearchOutcome(EdgeColoring({}, 0), "ok", 0)
+    if is_overfull(g):
+        return SearchOutcome(None, "overfull", 0)
+    delta = max_degree(g)
+    if warm_start is not None:
+        report = verify_edge_coloring(g, warm_start)
+        if not report.ok:
+            raise CertificateError(f"warm start is not a proper total coloring: "
+                                   f"{'; '.join(report.detail)}")
+    for r in range(budget.max_restarts):
+        sub_seed = budget.seed * 1_000_003 + r
+        if r == 0 and warm_start is not None:
+            current = warm_start
+        else:
+            order = sorted(g.edges)
+            random.Random(sub_seed).shuffle(order)
+            current = reference_vizing_delta_plus_one(g, order)
+        while len(current.colors_used) > delta:
+            counts = current.color_counts()
+            target = min(counts, key=lambda c: (counts[c], c))
+            sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
+            nxt = reference_eliminate_color(g, current, target, sub_budget)
+            if nxt is None:
+                break
+            current = nxt
+        if len(current.colors_used) <= delta:
+            return SearchOutcome(current.normalized(), "ok", r + 1)
+    return SearchOutcome(None, "budget", budget.max_restarts)
 
 
 def reference_derive(m: int, n: int) -> DerivedMulticycle:
@@ -913,6 +965,13 @@ def exhaustive_chromatic_index(mc: Multicycle, cap: int = 24) -> tuple[int, Mult
                 slots[(rot + i) % m] = colors
             return limit, MulticycleColoring(tuple(slots))
     raise AssertionError("unreachable")
+
+
+def derived_sigma(m: int, n: int) -> int:
+    """Number of edges wearing the rarest bishop color 2m-2: every second
+    edge, from the leftmost end, along the paths of group (k, -), k = m // 2.
+    Neither this nor `derive` colors the whole board."""
+    return len(rarest_color_edges(m, n))
 
 
 def sigma_period_observed(m: int, n_start: int | None = None, samples: int = 4) -> bool:

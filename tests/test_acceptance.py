@@ -188,7 +188,7 @@ def test_criterion_10_mycielski_ham_paths_and_parity_witnesses():
             for b in range(2 * n + 1):
                 if a == b:
                     continue
-                seq = ham_path_mu_odd_cycle(n, a, b)
+                seq = ham_path_mu_odd_cycle(g, a, b)
                 assert verify_hamiltonian_path(g, seq, start=a, end=b).ok, (n, a, b)
     for n in (4, 6):
         assert not even_cycle_parity_witness(n).path_exists, n

@@ -9,7 +9,6 @@ import pytest
 from graphcert import cli, core, keller, multicycle, mycielski
 from graphcert import io as gio
 from graphcert.cli import main
-from graphcert.chess import build_queen
 from graphcert.core import EdgeColoring, VerificationReport, vizing_delta_plus_one
 from graphcert.queen import QueenColoringCertificate
 
@@ -748,8 +747,9 @@ def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors)
 
 def test_conjecture2_checks_the_declared_color_count(monkeypatch, capsys):
     # a Vizing colouring labelled class 1 verifies, but declares Δ+1 colours
-    monkeypatch.setattr(cli, "classify_and_color", lambda m, n, budget, seed: (
-        QueenColoringCertificate(m, n, vizing_delta_plus_one(build_queen(m, n)), 1, "vizing")))
+    monkeypatch.setattr(cli, "classify_and_color", lambda m, n, budget, seed, graph: (
+        QueenColoringCertificate(m, n, vizing_delta_plus_one(graph).coloring(graph.pairs), 1,
+                                 "vizing")))
     code, payload, err = run_json(capsys, "conjecture 2 --m-max 2 --n-max 3".split())
     assert code == 1 and payload["ok"] is False
     assert payload["detail"] == ["Q_1,3: predicted class 2, colored as class 1",

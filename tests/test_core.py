@@ -11,7 +11,8 @@ import graphcert.core as core
 import graphcert.keller as keller
 from conftest import (complement, complete, cycle, edgeless, fournier_forest_check,
                       is_decomposition, is_hamiltonian, naive_alpha, naive_omega, path, petersen,
-                      reference_verify_edge_coloring, reference_verify_hamiltonian_decomposition)
+                      reference_verify_edge_coloring, reference_verify_hamiltonian_decomposition,
+                      vizing_coloring)
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert.chess import build_bishop, build_queen, build_rook
 from graphcert.core import (
@@ -156,7 +157,7 @@ def _vizing_instance(name):
         g = keller.build(int(name[1:]))
     else:
         g = build_queen(*map(int, name[1:].split(",")))
-    return g, vizing_delta_plus_one(g)
+    return g, vizing_delta_plus_one(g).coloring(g.pairs)
 
 
 @st.composite
@@ -168,7 +169,7 @@ def _colored_graph(draw):
     n = draw(st.integers(0, 9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))) if n else []
     g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
-    return g, vizing_delta_plus_one(g)
+    return g, vizing_delta_plus_one(g).coloring(g.pairs)
 
 
 _MUTATION = st.tuples(
@@ -248,7 +249,7 @@ def test_hamiltonian_path_verifier_matches_the_definition_on_mutants(ends):
     n = 9
     a, b = (parse_vertex(e, n) for e in ends)
     g = mycielskian(cycle_graph(n))
-    seq = ham_path_mu_odd_cycle(n, a, b)
+    seq = ham_path_mu_odd_cycle(g, a, b)
     assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
     for name, mutant in _mutants(seq):
         for start, end in ((a, b), (None, None)):
@@ -270,7 +271,7 @@ def test_structure_verifiers_report_no_delta():
                keller.verify_cover_by_rule(2, [[v] for v in range(16)])]
     assert [r.delta for r in reports] == [None] * 5
     assert "max_degree" not in vars(g)
-    assert verify_edge_coloring(cycle(3), vizing_delta_plus_one(cycle(3))).delta == 2
+    assert verify_edge_coloring(cycle(3), vizing_coloring(cycle(3))).delta == 2
 
 
 def test_edge_coloring_invariants():
@@ -338,7 +339,7 @@ def test_verify_hamiltonian_path_p3():
 def test_verify_hamiltonian_path_mu_c9():
     g = mycielskian(cycle_graph(9))
     a, b = parse_vertex("y1", 9), parse_vertex("y6", 9)
-    seq = ham_path_mu_odd_cycle(9, a, b)
+    seq = ham_path_mu_odd_cycle(g, a, b)
     assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
 
 
@@ -542,33 +543,33 @@ def test_fournier_forest_check_examples():
 
 def test_vizing_delta_plus_one_examples():
     c5 = cycle(5)
-    col = vizing_delta_plus_one(c5)
+    col = vizing_delta_plus_one(c5).coloring(c5.pairs)
     rep = verify_edge_coloring(c5, col)
     assert rep.ok and rep.colors_used <= 3
 
     k4 = complete(4)
-    rep = verify_edge_coloring(k4, vizing_delta_plus_one(k4))
+    rep = verify_edge_coloring(k4, vizing_delta_plus_one(k4).coloring(k4.pairs))
     assert rep.ok and rep.colors_used <= 4
 
     q = build_queen(3, 13)
-    rep = verify_edge_coloring(q, vizing_delta_plus_one(q))
+    rep = verify_edge_coloring(q, vizing_delta_plus_one(q).coloring(q.pairs))
     assert rep.ok and rep.colors_used == 19  # overfull, so delta+1 exactly
 
 
 def test_vizing_is_deterministic():
     g = build_queen(3, 5)
-    assert vizing_delta_plus_one(g).assignment == vizing_delta_plus_one(g).assignment
-    assert vizing_delta_plus_one(g, sorted(g.edges)).assignment == \
-        vizing_delta_plus_one(g).assignment
+    assert vizing_coloring(g).assignment == vizing_coloring(g).assignment
+    assert vizing_coloring(g, sorted(g.edges)).assignment == vizing_coloring(g).assignment
 
 
 def test_vizing_handles_edgeless_graph():
-    col = vizing_delta_plus_one(edgeless(4))
+    g = edgeless(4)
+    col = vizing_delta_plus_one(g).coloring(g.pairs)
     assert col.assignment == {} and col.declared_color_count == 0
 
 
 def test_vizing_on_small_corpus():
     for g in (path(6), cycle(6), cycle(9), complete(5), complete(6), petersen(),
               build_rook(3, 3), build_bishop(4, 5)):
-        rep = verify_edge_coloring(g, vizing_delta_plus_one(g))
+        rep = verify_edge_coloring(g, vizing_delta_plus_one(g).coloring(g.pairs))
         assert rep.ok and rep.colors_used <= max_degree(g) + 1

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (complete, cycle, fournier_forest_check, path, petersen,
-                      reference_eliminate_color, reference_vizing_delta_plus_one)
+                      reference_eliminate_color, reference_find_class1,
+                      reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
 from graphcert.core import (
@@ -20,7 +21,6 @@ from graphcert.core import (
     Graph,
     max_degree,
     verify_edge_coloring,
-    vizing_delta_plus_one,
 )
 from graphcert.kempe import (
     SearchBudget,
@@ -64,7 +64,7 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
     state = ColorState.of(g.vertex_count, coloring)
     chain, _ = state.chain_edges(start, a, b)
     state.swap(chain, a, b)
-    result = state.snapshot(coloring.assignment, coloring.declared_color_count)
+    result = snapshot(state, coloring.assignment, coloring.declared_color_count)
     assert verify_edge_coloring(g, result).ok
     return result
 
@@ -134,7 +134,7 @@ def _colored_graph_and_move(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     g = Graph.from_edges(n, edges)
-    coloring = vizing_delta_plus_one(g, _shuffled(g, draw(st.integers(0, 2**16))))
+    coloring = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
     colors = range(1, coloring.declared_color_count + 1)
     a = draw(st.sampled_from(colors))
     b = draw(st.sampled_from([c for c in colors if c != a] or [a]))
@@ -159,7 +159,7 @@ def test_scoring_predicts_the_swap(case):
     assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
                          swapped.nbr[u][v] == coloring.assignment[e_uv])
     # the incremental structures match a rebuild from the swapped coloring
-    result = swapped.snapshot(coloring.assignment, coloring.declared_color_count)
+    result = snapshot(swapped, coloring.assignment, coloring.declared_color_count)
     rebuilt = ColorState.of(g.vertex_count, result)
     assert (swapped.at, swapped.nbr, swapped.present, swapped.by_color) == \
         (rebuilt.at, rebuilt.nbr, rebuilt.present, rebuilt.by_color)
@@ -228,10 +228,19 @@ def test_failed_final_check_raises_certificate_error(monkeypatch, call):
 # --- eliminate_color --------------------------------------------------------------
 
 
+def _eliminate(g: Graph, coloring: EdgeColoring, target: int,
+               budget: SearchBudget) -> EdgeColoring | None:
+    """eliminate_color on a state of coloring over its declared colours, read
+    out relabelled, as find_class1 reads its certificate."""
+    palette = (1 << (coloring.declared_color_count + 1)) - 2
+    state = eliminate_color(ColorState.of(g.vertex_count, coloring), palette, target, budget)
+    return None if state is None else state.coloring(g.pairs)
+
+
 def test_eliminate_color_on_small_cycle():
     g = cycle(4)
     coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 3}, 3)
-    result = eliminate_color(g, coloring, 3, SearchBudget.default())
+    result = _eliminate(g, coloring, 3, SearchBudget.default())
     assert result is not None
     assert verify_edge_coloring(g, result).ok
     assert result.colors_used == {1, 2}
@@ -239,11 +248,11 @@ def test_eliminate_color_on_small_cycle():
 
 def test_eliminate_color_reaches_class1_on_q37():
     g = build_queen(3, 7)
-    start = vizing_delta_plus_one(g)
+    start = vizing_coloring(g)
     assert len(start.colors_used) == 13
     counts = start.color_counts()
     target = min(counts, key=lambda c: (counts[c], c))
-    result = eliminate_color(g, start, target, SearchBudget.default())
+    result = _eliminate(g, start, target, SearchBudget.default())
     assert result is not None
     assert verify_edge_coloring(g, result).ok
     assert len(result.colors_used) == 12 == max_degree(g)
@@ -254,7 +263,7 @@ def test_eliminate_color_gives_up_on_overfull_board():
     start = class2_overfull_coloring(3, 13).coloring
     counts = start.color_counts()
     target = min(counts, key=lambda c: (counts[c], c))
-    assert eliminate_color(g, start, target, SearchBudget(200, 1, 0)) is None
+    assert _eliminate(g, start, target, SearchBudget(200, 1, 0)) is None
 
 
 def test_find_class1_rejects_an_improper_warm_start():
@@ -269,7 +278,7 @@ def test_find_class1_rejects_an_improper_warm_start():
 def test_eliminate_never_increases_colors():
     g, coloring = k4_four_coloring()
     for target in range(1, 5):
-        result = eliminate_color(g, coloring, target, SearchBudget.default())
+        result = _eliminate(g, coloring, target, SearchBudget.default())
         if result is not None:
             assert len(result.colors_used) < 4
             assert verify_edge_coloring(g, result).ok
@@ -291,7 +300,7 @@ def _elimination_case(draw):
         g = complete(5)
     else:
         g = _vizing_host(name)
-    start = vizing_delta_plus_one(g, _shuffled(g, draw(st.integers(0, 2**16))))
+    start = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
     return g, start, draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
 
 
@@ -302,7 +311,7 @@ def test_eliminate_color_matches_the_full_rescan_oracle(case):
     for target in range(1, start.declared_color_count + 1):
         for sub_seed in (seed, seed + 1, seed + 2):
             budget = SearchBudget(switches, 1, sub_seed)
-            got = eliminate_color(g, start, target, budget)
+            got = _eliminate(g, start, target, budget)
             want = reference_eliminate_color(g, start, target, budget)
             assert (got is None) == (want is None)
             if got is not None:
@@ -326,17 +335,69 @@ SEARCH_CASES = ([(m, n, seed, False) for m, n in ((3, 7), (3, 9), (5, 29)) for s
 @pytest.mark.parametrize("m,n,seed,warm", SEARCH_CASES,
                          ids=[f"Q{m}x{n}-seed{s}{'-warm' if w else ''}"
                               for m, n, s, w in SEARCH_CASES])
-def test_find_class1_matches_the_oracle_search(monkeypatch, m, n, seed, warm):
-    # The same search with the oracle Vizing start and the oracle elimination
-    # in place of the module functions find_class1 calls.
+def test_find_class1_matches_the_oracle_search(m, n, seed, warm):
+    # The same search with the oracle Vizing start and the oracle elimination,
+    # one EdgeColoring at a time.
     g = build_queen(m, n)
-    warm_start = vizing_delta_plus_one(g, _shuffled(g, 99)) if warm else None
+    warm_start = vizing_coloring(g, _shuffled(g, 99)) if warm else None
     got = find_class1(g, SearchBudget.default(seed), warm_start)
-    monkeypatch.setattr(kempe, "vizing_delta_plus_one", reference_vizing_delta_plus_one)
-    monkeypatch.setattr(kempe, "eliminate_color", reference_eliminate_color)
-    want = find_class1(g, SearchBudget.default(seed), warm_start)
+    want = reference_find_class1(g, SearchBudget.default(seed), warm_start)
     assert want.reason == "ok"
     assert _outcome(got) == _outcome(want)
+
+
+@st.composite
+def _search_case(draw):
+    """A random graph, a small queen board or Petersen (class 2, so every
+    budget runs out), a budget small enough to force restarts, and an
+    optional warm start: a Vizing colouring whose colours are spread apart
+    and topped up, so that it declares colours no edge uses."""
+    name = draw(st.sampled_from(["random", "random", "Q3,4", "Q4,4", "Q3,7", "petersen"]))
+    if name == "random":
+        n = draw(st.integers(2, 9))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    elif name == "petersen":
+        g = petersen()
+    else:
+        g = _vizing_host(name)
+    budget = SearchBudget(draw(st.integers(1, 40)), draw(st.integers(1, 3)),
+                          draw(st.integers(0, 2**16)))
+    warm = None
+    if draw(st.booleans()):
+        start = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
+        spread, extra = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+        warm = EdgeColoring({e: spread * c for e, c in start.assignment.items()},
+                            spread * start.declared_color_count + extra)
+    return g, budget, warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_case())
+def test_find_class1_matches_the_reference_search(case):
+    # One state per restart, relabelled once at the end, against the search
+    # that loads and relabels an EdgeColoring for every elimination.
+    g, budget, warm = case
+    assert _outcome(find_class1(g, budget, warm)) == \
+        _outcome(reference_find_class1(g, budget, warm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elimination_case())
+def test_an_elimination_empties_no_class_but_the_target(case):
+    # A switch never empties a class other than the target: a target move
+    # leaves (u, v), once the target's, in the other colour's class, and a pair
+    # move that empties a class (a one-edge chain of a one-edge class) frees
+    # that colour at both ends of (u, v), which takes it at once. So the
+    # non-empty classes after a success are those before it, less the
+    # target, plus any palette colour that was empty and took an edge.
+    g, start, switches, seed = case
+    for target in sorted(start.colors_used):
+        state = ColorState.of(g.vertex_count, start)
+        before = kempe._classes(state.by_color)
+        palette = (1 << (start.declared_color_count + 1)) - 2
+        if eliminate_color(state, palette, target, SearchBudget(switches, 1, seed)) is not None:
+            assert before & ~kempe._classes(state.by_color) == 1 << target
 
 
 def test_find_class1_q39():
@@ -456,7 +517,7 @@ VIZING_DIGESTS = [
 def test_vizing_matches_recorded_digests(m, n, shuffle_seed, used, digest):
     g = build_queen(m, n)
     order = None if shuffle_seed is None else _shuffled(g, shuffle_seed)
-    coloring = vizing_delta_plus_one(g, order)
+    coloring = vizing_coloring(g, order)
     assert coloring.declared_color_count == used
     assert _digest(coloring) == digest
 
@@ -487,7 +548,7 @@ def _vizing_case(draw):
 @given(_vizing_case())
 def test_vizing_matches_the_reference(case):
     g, order = case
-    got, want = vizing_delta_plus_one(g, order), reference_vizing_delta_plus_one(g, order)
+    got, want = vizing_coloring(g, order), reference_vizing_delta_plus_one(g, order)
     assert got.assignment == want.assignment
     assert got.declared_color_count == want.declared_color_count
 
@@ -497,12 +558,12 @@ def test_eliminate_color_switch_count_is_pinned():
     # rarest color takes exactly 24 switches.
     g = build_queen(5, 13)
     sub_seed = 1_000_003
-    start = vizing_delta_plus_one(g, _shuffled(g, sub_seed))
+    start = vizing_coloring(g, _shuffled(g, sub_seed))
     counts = start.color_counts()
     target = min(counts, key=lambda c: (counts[c], c))
     assert target == 25
-    assert eliminate_color(g, start, target, SearchBudget(23, 1, sub_seed)) is None
-    result = eliminate_color(g, start, target, SearchBudget(24, 1, sub_seed))
+    assert _eliminate(g, start, target, SearchBudget(23, 1, sub_seed)) is None
+    result = _eliminate(g, start, target, SearchBudget(24, 1, sub_seed))
     assert _digest(result) == "ec0763d4f4a302ab8cb0ebbe0c59a483248f506bc1163ea5173c34950c9f6bee"
 
 

@@ -6,7 +6,8 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exhaustive_chromatic_index, reference_derive, sigma_period_observed
+from conftest import (derived_sigma, exhaustive_chromatic_index, reference_derive,
+                      sigma_period_observed)
 from graphcert import multicycle
 from graphcert.bishop_rook import rarest_color_edges
 from graphcert.core import CertificateError, VerificationReport
@@ -18,7 +19,6 @@ from graphcert.multicycle import (
     chromatic_index,
     conjecture5_bounds,
     derive,
-    derived_sigma,
     survey,
     survey_csv,
     verify_multicycle_coloring,

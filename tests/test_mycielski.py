@@ -95,7 +95,7 @@ def test_ham_path_spec_pairs():
     for n, a, b in [(9, "y1", "y6"), (5, "x1", "x3"), (7, "x2", "z")]:
         g = mycielskian(cycle_graph(n))
         a, b = parse_vertex(a, n), parse_vertex(b, n)
-        seq = ham_path_mu_odd_cycle(n, a, b)
+        seq = ham_path_mu_odd_cycle(g, a, b)
         assert verify_hamiltonian_path(g, seq, start=a, end=b).ok
 
 
@@ -106,7 +106,7 @@ def test_ham_path_all_pairs_small_n():
             for b in range(2 * n + 1):
                 if a == b:
                     continue
-                seq = ham_path_mu_odd_cycle(n, a, b)
+                seq = ham_path_mu_odd_cycle(g, a, b)
                 report = verify_hamiltonian_path(g, seq, start=a, end=b)
                 assert report.ok, (n, a, b, report.detail)
 
@@ -120,23 +120,25 @@ def test_ham_paths_are_pinned():
     digest = hashlib.sha256()
     lines = 0
     for n in range(3, 16, 2):
+        g = mycielskian(cycle_graph(n))
         for a in range(2 * n + 1):
             for b in range(2 * n + 1):
                 if a != b:
-                    digest.update((" ".join(map(str, ham_path_mu_odd_cycle(n, a, b))) + "\n")
+                    digest.update((" ".join(map(str, ham_path_mu_odd_cycle(g, a, b))) + "\n")
                                   .encode())
                     lines += 1
     assert (lines, digest.hexdigest()) == (2842, HAM_PATHS_SHA256)
 
 
 def test_ham_path_rejects_bad_input():
+    mu5 = mycielskian(cycle_graph(5))
     with pytest.raises(ValueError):
-        ham_path_mu_odd_cycle(4, 0, 8)
+        ham_path_mu_odd_cycle(mycielskian(cycle_graph(4)), 0, 8)
     with pytest.raises(ValueError):
-        ham_path_mu_odd_cycle(5, 0, 0)
+        ham_path_mu_odd_cycle(mu5, 0, 0)
     for a, b in [(-1, 3), (0, 11)]:
         with pytest.raises(ValueError, match="ids in 0..10"):
-            ham_path_mu_odd_cycle(5, a, b)
+            ham_path_mu_odd_cycle(mu5, a, b)
 
 
 def test_published_grid_sequence_decodes_to_a_valid_path():
@@ -164,7 +166,8 @@ def test_published_grid_sequence_decodes_to_a_valid_path():
 def test_lift_identity_case_matches_direct_construction():
     g = cycle_graph(5)
     for a, b in [(0, 7), (5, 10), (2, 3)]:
-        assert ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], a, b) == ham_path_mu_odd_cycle(5, a, b)
+        assert ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], a, b) == \
+            ham_path_mu_odd_cycle(mycielskian(g), a, b)
 
 
 def test_lift_through_k5():
