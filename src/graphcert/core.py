@@ -65,12 +65,45 @@ def _ascending(pairs: np.ndarray) -> bool:
     return bool(((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all())
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _row_keys(pairs: np.ndarray) -> np.ndarray | None:
+    """One int64 key per row (u, v) of an (E, 2) array, u·2^32 + (v + 2^31),
+    ordered as the rows are, by u and then v; None when a column does not fit
+    int32, as an int64 or object array from a forged file may not."""
+    if pairs.dtype.kind not in "iu" or (pairs.dtype != np.int32 and pairs.size and (
+            pairs.min() < _INT32.min or pairs.max() > _INT32.max)):
+        return None
+    return (pairs[:, 0].astype(np.int64) << 32) + (pairs[:, 1].astype(np.int64) - _INT32.min)
+
+
+def _row_order(pairs: np.ndarray) -> np.ndarray:
+    """The stable order of the rows (u, v) of an (E, 2) array, by u and then v:
+    an argsort of the row keys, or a lexsort of the columns when there are none."""
+    keys = _row_keys(pairs)
+    if keys is None:
+        return np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return np.argsort(keys, kind="stable")
+
+
 def _first_repeat(pairs: np.ndarray) -> int:
-    """Index of the first row of an (E, 2) array that equals an earlier row, or -1."""
+    """Index of the first row of an (E, 2) array that equals an earlier row, or -1.
+
+    Rows that fit int32 are first told apart by one sorted int64 key each,
+    u·2^32 + (v + 2^31) (`_row_keys`): no two equal neighbours there means
+    no repeat, and that one sort is all the work. Only a repeat, or rows
+    past int32, take the stable row order.
+    """
     if _ascending(pairs):
         return -1  # strictly ascending rows cannot repeat
-    # lexsort is stable, so the first occurrence of each row comes ahead of its repeats
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    keys = _row_keys(pairs)
+    if keys is not None:
+        keys.sort()
+        if (keys[1:] != keys[:-1]).all():
+            return -1
+    # the order is stable, so the first occurrence of each row comes ahead of its repeats
+    order = _row_order(pairs)
     ordered = pairs[order]
     repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
     if not repeated.any():
@@ -306,16 +339,6 @@ class EdgeColoring:
     def assignment(self) -> Mapping[tuple[int, int], int]:
         """The colouring as a dict {(u, v): color}, in assignment order."""
         return dict(zip(zip(*self.ends.T.tolist()), self.colors.tolist()))
-
-    @property
-    def colors_used(self) -> set[int]:
-        return set(np.unique(self.colors).tolist())
-
-    def color_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.assignment.values():
-            counts[c] = counts.get(c, 0) + 1
-        return counts
 
     def normalized(self) -> "EdgeColoring":
         """Relabel colors to a contiguous 1..k range, preserving relative order.

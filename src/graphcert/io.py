@@ -8,7 +8,17 @@ file such as `sys.stdout` or a `StringIO` gets the same bytes as text. The
 rows of DIMACS and colouring files are formatted by `_ascii_rows`, which
 writes what `"%d %d ...\\n" % row` would, from a table of the digits of every
 4-digit group; a colouring whose rows already ascend is written without a
-sort.
+sort, and any other in the order of one int64 key per row.
+
+The DIMACS and colouring readers take in the whole text at once and keep
+the line number of every row (`_Rows`). A canonical body, one as the
+writers make it, is parsed by numpy in one call from its first line to the
+end of the file: `e u v` or `u v c` lines, single spaces, '\\n' ends, a
+final newline, and every id below 10^18. Any other body, one with a tab, a
+'\\r\\n' end, a comment, an empty slot, a sign, a longer id or no final
+newline, is cut by a regular expression into runs of plain lines, each
+parsed in one call, and the lines between the runs are read one by one.
+Both give the same rows, line numbers and errors.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CertificateError, EdgeColoring, Graph, _ascending, _first_repeat
+from .core import (CertificateError, EdgeColoring, Graph, _ascending, _first_repeat,
+                   _row_order)
 
 
 def _open_read(path_or_file, certificate: bool = False) -> tuple[IO[str], bool]:
@@ -87,48 +98,77 @@ _ID, _GAP, _END = r"[0-9]{1,18}", r"[ \t]+", r"[ \t]*\r?\n"
 _DIMACS_RUN = rf"(?:[ \t]*e{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 _COLORING_RUN = rf"(?:[ \t]*{_ID}{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# np.fromstring saturates at INT64_MAX, so a run may hold only ids below this
+_RUN_LIMIT = 10 ** 18
+
 
 class _Rows:
     """The integer rows of a body, in file order, with the line of each.
 
-    Runs of plain lines are parsed by numpy in one call each; the reader
-    parses every other line and adds its row.
+    The body is canonical when every line from its first to the end of the
+    file is `blank` once its digits are taken out ("e  \\n" for `e u v`,
+    "  \\n" for `u v c`), and the lines give width ids each, all below
+    10^18. A canonical body is parsed by numpy as one run. Any other body
+    is cut into runs of plain lines by the run pattern, each parsed in one
+    call, and the reader parses every other line and adds its row.
     """
 
-    def __init__(self, width: int, run: str):
-        self.width, self.run = width, run
+    def __init__(self, width: int, run: str, blank: str):
+        self.width, self.run, self.blank = width, run, blank
         self.chunks: list[np.ndarray] = []
         self.lines: list[np.ndarray] = []
         self.loose: list[list[int]] = []  # rows of single lines, not yet in a chunk
         self.loose_lines: list[int] = []
 
     def other_lines(self, text: str) -> Iterator[tuple[int, str]]:
-        """Take in every run of plain lines of text, and yield each other line
-        with its number, in file order."""
+        """Take in the body as one run if it is canonical, else every run of
+        plain lines of text, and yield each other line with its number, in
+        file order."""
         match = re.compile(self.run).match
-        pos, lineno = 0, 1
+        pos, lineno, body = 0, 1, False
         while pos < len(text):
-            end = match(text, pos).end()
-            if end > pos:
-                lineno = self._add_run(lineno, text[pos:end])
-                pos = end
-                continue
             stop = text.find("\n", pos)
             stop = len(text) if stop < 0 else stop
+            if not body and text[pos:stop + 1].translate(_NO_DIGITS) == self.blank:
+                body = True  # the first body line: is the rest canonical?
+                count = self._canonical_lines(text, pos)
+                if count and self._add_run(lineno, text[pos:], count):
+                    return
+            end = match(text, pos).end()
+            if end > pos:
+                run = text[pos:end]
+                count = run.count("\n")
+                if not self._add_run(lineno, run, count):
+                    raise ValueError(f"line {lineno}: a run of {count} lines did not parse")
+                lineno += count
+                pos = end
+                continue
             yield lineno, text[pos:stop]
             lineno += 1
             pos = stop + 1
 
-    def _add_run(self, lineno: int, run: str) -> int:
-        """Parse a run of plain lines from line lineno on; return the line after it."""
-        self._flush()
+    def _canonical_lines(self, text: str, pos: int) -> int:
+        """The number of lines of text from pos on when each of them, with
+        its digits taken out, is blank; else 0."""
+        stripped = text.translate(_NO_DIGITS)
+        head = len(text[:pos].translate(_NO_DIGITS))
+        count, extra = divmod(len(stripped) - head, len(self.blank))
+        if extra or not stripped.startswith(self.blank * count, head):
+            return 0
+        return count
+
+    def _add_run(self, lineno: int, run: str, count: int) -> bool:
+        """Parse the count plain lines of run, from line lineno on, as one
+        chunk. False, and nothing added, unless they give width ids a line,
+        each below 10^18."""
         values = np.fromstring(run.replace("e", " "), dtype=np.int64, sep=" ")
-        count = run.count("\n")
-        if values.size != self.width * count:
-            raise ValueError(f"line {lineno}: a run of {count} lines gave {values.size} ids")
+        if values.size != self.width * count or (values.size and values.max() >= _RUN_LIMIT):
+            return False
+        self._flush()
         self.chunks.append(values.reshape(count, self.width))
         self.lines.append(np.arange(lineno, lineno + count))
-        return lineno + count
+        return True
 
     def add_row(self, lineno: int, row: list[int]) -> None:
         self.loose.append(row)
@@ -148,6 +188,8 @@ class _Rows:
         self._flush()
         if not self.chunks:
             return np.zeros((0, self.width), np.int64), np.zeros(0, np.int64)
+        if len(self.chunks) == 1:  # a canonical body: no copy
+            return self.chunks[0], self.lines[0]
         return np.concatenate(self.chunks), np.concatenate(self.lines)
 
 
@@ -238,15 +280,15 @@ def write_dimacs(g: Graph, path_or_file, comments: Iterable[str] = ()) -> None:
 def read_dimacs(path_or_file) -> Graph:
     """Read a DIMACS edge list in one pass over the whole text.
 
-    Plain `e u v` lines are parsed as runs; every other line on its own.
-    Errors name the first bad line: a malformed record, a token that is
+    A canonical body is parsed as one run, any other body's plain `e u v`
+    lines as runs, and every other line on its own. Errors name the first bad line: a malformed record, a token that is
     not an unsigned decimal integer, a second `p edge` line, then an id
     outside 1..n. A self loop, and an edge count other than the declared
     one, are reported after.
     """
     text = _read_text(path_or_file)
     n = declared = None
-    rows = _Rows(2, _DIMACS_RUN)
+    rows = _Rows(2, _DIMACS_RUN, "e  \n")
     for lineno, line in rows.other_lines(text):
         parts = line.split()
         if not parts or parts[0][0] == "c":
@@ -288,7 +330,7 @@ def write_coloring(coloring: EdgeColoring, path_or_file,
     from `_ascii_rows`, byte for byte what `%d` gives."""
     ends, colors = coloring.ends, coloring.colors
     if not _ascending(ends):
-        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        order = _row_order(ends)
         ends, colors = ends[order], colors[order]
     with _ascii_sink(path_or_file) as write:
         write(_header(comments, f"c k={coloring.declared_color_count}"))
@@ -299,8 +341,8 @@ def write_coloring(coloring: EdgeColoring, path_or_file,
 def read_coloring(path_or_file) -> EdgeColoring:
     """Read an edge-colouring certificate in one pass over the whole text.
 
-    Plain `u v color` lines are parsed as runs; every other line on its
-    own. Errors name the first bad line: a non-ASCII byte, a malformed
+    A canonical body is parsed as one run, any other body's plain
+    `u v color` lines as runs, and every other line on its own. Errors name the first bad line: a non-ASCII byte, a malformed
     line, a token that is not an unsigned decimal integer, a second `c k=`
     line, a self loop, or an edge listed twice. A missing `c k=` line and a
     colour outside 1..k are reported after. The rows are checked here once,
@@ -313,7 +355,7 @@ def read_coloring(path_or_file) -> EdgeColoring:
         bad_byte = text.count("\n", 0, at) + 1
         text = text[:text.rfind("\n", 0, at) + 1]
     declared = None
-    rows = _Rows(3, _COLORING_RUN)
+    rows = _Rows(3, _COLORING_RUN, "  \n")
     failure = None
     try:
         for lineno, line in rows.other_lines(text):

@@ -7,12 +7,17 @@ least two coordinates and at least one coordinate differs by exactly 2 mod 4.
 Every computation reads digits from one int8 matrix, row v holding the digits
 of vertex v (`_digit_matrix`), and applies the rule to whole arrays of rows:
 `_shift` adds a fixed vector, `_joined` tests adjacency and `_rule_pairs`
-lists the adjacent pairs of a set of rows. On it the module builds the graphs,
-the explicit Hamiltonian cycle, the kernel-based class-1 edge coloring, the
-independence square with its bitstring automorphisms, the neighborhood
-reduction for the independence number, clique cover doubling, and a pairing
-search for Hamiltonian decompositions. `parse_vertex` and `vertex_string`
-convert between codes and the digit strings of the fixtures and the CLI.
+lists the adjacent pairs of a set of rows. `build` makes G_d as the Cayley
+graph Cay(Z_4^d, S), S the neighbourhood of vertex 0: the neighbours of row v
+are the codes v + S, summed one digit column at a time, so no pair of rows is
+tested. `_rule_pairs` serves the row subsets, which are not Cayley graphs:
+the lines of the independence square and the non-neighbours of vertex 0.
+On the matrix the module builds the explicit Hamiltonian cycle, the
+kernel-based class-1 edge coloring, the independence square with its
+bitstring automorphisms, the neighborhood reduction for the independence
+number, clique cover doubling, and a pairing search for Hamiltonian
+decompositions. `parse_vertex` and `vertex_string` convert between codes and
+the digit strings of the fixtures and the CLI.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.count_nonzero(diff, axis=-1) >= 2) & (diff == 2).any(axis=-1)
 
 
-# cells of the (rows, columns, d) digit-difference block held at once
+# cells of a block held at once: the (rows, columns, d) digit-difference
+# block of _rule_pairs, or the (rows, |S|) neighbour table of build
 _RULE_CELLS = 1 << 22
 
 
@@ -125,9 +131,34 @@ def _rule_graph(digs: np.ndarray) -> Graph:
 
 
 def build(d: int) -> Graph:
+    """G_d as Cay(Z_4^d, S), S the rows the rule joins to vertex 0.
+
+    Each block of vertices v gets the (block, |S|) table of the codes v + s,
+    summed one digit column at a time mod 4. A sorted table row cut to
+    w > v lists v's edges in order, so the blocks fill the sorted edge store
+    row by row, and no block holds more than _RULE_CELLS cells.
+    """
     if d < 2:
         raise ValueError("d >= 2 required")
-    return _rule_graph(_digit_matrix(d))
+    digs = _digit_matrix(d)
+    kernel = digs[_joined(digs, digs[0])]
+    place = 4 ** np.arange(d - 1, -1, -1, dtype=np.int32)
+    pairs = np.empty((4 ** d * len(kernel) // 2, 2), np.int32)
+    step, at = max(1, _RULE_CELLS // len(kernel)), 0
+    for lo in range(0, 4 ** d, step):
+        block = digs[lo:lo + step]
+        table = np.zeros((len(block), len(kernel)), np.int32)
+        for i in range(d):
+            table += ((block[:, i, None] + kernel[:, i]) & 3) * place[i]
+        table.sort(axis=1)
+        v = np.arange(lo, lo + len(block), dtype=np.int32)
+        later = table > v[:, None]
+        w = table[later]
+        pairs[at:at + w.size, 0] = np.repeat(v, later.sum(axis=1))
+        pairs[at:at + w.size, 1] = w
+        at += w.size
+    pairs.setflags(write=False)  # handed over, so the graph keeps it without a copy
+    return Graph.from_array(4 ** d, pairs)
 
 
 # --- Hamiltonian cycle -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared graph builders and brute-force oracles for the test suite."""
 
 import itertools
+from collections import Counter
 import random
 import re
 from typing import IO, Iterable, Sequence
@@ -43,6 +44,16 @@ def petersen() -> Graph:
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     return Graph.from_edges(10, edges)
+
+
+def colors_used(coloring: EdgeColoring) -> set[int]:
+    """The colours that at least one edge of the colouring takes."""
+    return set(np.unique(coloring.colors).tolist())
+
+
+def color_counts(coloring: EdgeColoring) -> dict[int, int]:
+    """The number of edges of each colour, in the order the colours first occur."""
+    return dict(Counter(coloring.colors.tolist()))
 
 
 def neighbor_masks(g: Graph) -> list[int]:
@@ -138,7 +149,7 @@ def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
             detail.append(f"edge {e} uncolored")
         if len(missing) > 10:
             detail.append(f"...{len(missing) - 10} more uncolored edges")
-    return _report(detail, len(coloring.colors_used), delta)
+    return _report(detail, len(colors_used(coloring)), delta)
 
 
 def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
@@ -348,15 +359,15 @@ def reference_find_class1(g: Graph, budget: SearchBudget,
             order = sorted(g.edges)
             random.Random(sub_seed).shuffle(order)
             current = reference_vizing_delta_plus_one(g, order)
-        while len(current.colors_used) > delta:
-            counts = current.color_counts()
+        while len(colors_used(current)) > delta:
+            counts = color_counts(current)
             target = min(counts, key=lambda c: (counts[c], c))
             sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
             nxt = reference_eliminate_color(g, current, target, sub_budget)
             if nxt is None:
                 break
             current = nxt
-        if len(current.colors_used) <= delta:
+        if len(colors_used(current)) <= delta:
             return SearchOutcome(current.normalized(), "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)
 

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from conftest import exhaustive_chromatic_index, hc_check_all_pairs, ladder_missing_color
+from conftest import (color_counts, exhaustive_chromatic_index, hc_check_all_pairs,
+                      ladder_missing_color)
 from graphcert import keller
 from graphcert.bishop_rook import (
     MissingColorPlan,
@@ -82,7 +83,7 @@ def test_criterion_02_bishop_class1_with_lonely_color():
             assert len(coloring.assignment) == g.edge_count  # total
             assert checked_colors(g, coloring) == bishop_delta(m, n), (m, n)
     for n in range(3, 16, 2):
-        counts = canonical_bishop_coloring(n, n).color_counts()
+        counts = color_counts(canonical_bishop_coloring(n, n))
         assert counts[rarest_bishop_color(n)] == 1 == min(counts.values()), n
 
 

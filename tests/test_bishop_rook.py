@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete, complete_graph_coloring, coord_to_id, ladder_missing_color,
-                      reference_bishop_path_decomposition,
+from conftest import (color_counts, colors_used, complete, complete_graph_coloring, coord_to_id,
+                      ladder_missing_color, reference_bishop_path_decomposition,
                       reference_canonical_bishop_coloring, reference_group_buckets,
                       reference_ladder_coloring, reference_rook_class1_coloring)
 from graphcert import bishop_rook
@@ -55,7 +55,7 @@ def test_complete_even_uses_n_minus_1_colors():
 def test_complete_odd_missing_colors_are_distinct():
     coloring = complete_graph_coloring(5)
     assert verify_edge_coloring(complete(5), coloring).ok
-    assert coloring.colors_used == {1, 2, 3, 4, 5}
+    assert colors_used(coloring) == {1, 2, 3, 4, 5}
     missing = [missing_colors_at(coloring, u) for u in range(5)]
     assert all(len(m) == 1 for m in missing)
     assert set().union(*missing) == {1, 2, 3, 4, 5}
@@ -353,7 +353,7 @@ def test_canonical_coloring_group_colors_and_alternation():
 def test_rarest_color_is_lonely_on_the_odd_square():
     assert rarest_bishop_color(5) == 8
     coloring = canonical_bishop_coloring(5, 5)
-    assert coloring.color_counts()[8] == 1
+    assert color_counts(coloring)[8] == 1
     assert rarest_color_edges(5, 5) == [(12, 24)]
     center = coord_to_id(BoardCoord(3, 3), 5)
     corner = coord_to_id(BoardCoord(5, 5), 5)
@@ -364,7 +364,7 @@ def test_rarest_color_is_lonely_on_the_odd_square():
 
 def test_rarest_color_minimal_across_odd_squares():
     for n in (3, 5, 7, 9):
-        counts = canonical_bishop_coloring(n, n).color_counts()
+        counts = color_counts(canonical_bishop_coloring(n, n))
         cyan = rarest_bishop_color(n)
         assert counts[cyan] == min(counts.values()) == 1
 

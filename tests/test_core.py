@@ -312,6 +312,37 @@ def test_from_arrays_names_a_repeated_edge_and_relabelling_does_not_look_again(m
         coloring.shifted(-1)
 
 
+def _first_seen_again(rows: list[tuple[int, int]]) -> int:
+    """Brute-force oracle for core._first_repeat: the first row seen earlier, or -1."""
+    seen: set[tuple[int, int]] = set()
+    for i, row in enumerate(rows):
+        if row in seen:
+            return i
+        seen.add(row)
+    return -1
+
+
+# values for each kind of edge array: int32 rows, which take the one int64 key,
+# and int64 and object rows past int32, which take the column sort; small
+# values make repeats likely, and every kind holds negative ids
+_ROW_VALUES = {
+    "int32": (np.int32, st.integers(-3, 3) | st.sampled_from([-2 ** 31, 2 ** 31 - 1])),
+    "int64": (np.int64, st.integers(-3, 3) | st.sampled_from(
+        [-2 ** 63, 2 ** 63 - 1, -2 ** 31 - 1, 2 ** 31, 2 ** 40])),
+    "object": (object, st.integers(-3, 3) | st.sampled_from([-2 ** 70, 2 ** 70])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_VALUES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_first_repeat_matches_the_brute_force_oracle(kind, data):
+    dtype, values = _ROW_VALUES[kind]
+    rows = data.draw(st.lists(st.tuples(values, values), max_size=12))
+    pairs = np.array(rows, dtype=dtype).reshape(-1, 2)
+    assert core._first_repeat(pairs) == _first_seen_again(rows)
+
+
 def test_verification_report_is_truthy():
     rep = verify_edge_coloring(path(3), EdgeColoring({(0, 1): 1, (1, 2): 2}, 2))
     assert rep and rep.ok

@@ -1,5 +1,6 @@
 """File format round trips: DIMACS graphs, colorings, sequences, vertex sets."""
 
+import functools
 import hashlib
 import io
 import re
@@ -259,6 +260,7 @@ WRITER_CASES = {
         "Q5,7 ascending": lambda: classify_and_color(5, 7).coloring,
         "Q5,7 shuffled": lambda: _shuffled(classify_and_color(5, 7).coloring),
         "G3": lambda: keller.class1_coloring(3),
+        "G4 shuffled": lambda: _shuffled(keller.class1_coloring(4), 2),
         "bishop 9x13 shuffled": lambda: _shuffled(canonical_bishop_coloring(9, 13), 1),
         "empty": lambda: EdgeColoring({}, 0),
         "past int64": lambda: EdgeColoring({(3, 2 ** 64): 1, (0, 1): 2 ** 70}, 2 ** 70),
@@ -402,16 +404,95 @@ def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
     assert _outcome(gio.read_coloring, target) == want
 
 
-@pytest.mark.parametrize("width,run,text,other", [
-    (2, gio._DIMACS_RUN, "p edge 4 3\r\ne 1 2\r\n\te\t2 3 \r\n  e 3  4\n", ["p edge 4 3\r"]),
-    (3, gio._COLORING_RUN, "c k=2\r\n1 2 1\r\n\t2\t3 2 \r\n  3 4  1\n", ["c k=2\r"]),
+@pytest.mark.parametrize("width,run,blank,text,other", [
+    (2, gio._DIMACS_RUN, "e  \n", "p edge 4 3\r\ne 1 2\r\n\te\t2 3 \r\n  e 3  4\n",
+     ["p edge 4 3\r"]),
+    (3, gio._COLORING_RUN, "  \n", "c k=2\r\n1 2 1\r\n\t2\t3 2 \r\n  3 4  1\n", ["c k=2\r"]),
 ], ids=["dimacs", "coloring"])
-def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, text, other):
-    rows = gio._Rows(width, run)
+def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, blank, text, other):
+    rows = gio._Rows(width, run, blank)
     assert [line for _, line in rows.other_lines(text)] == other
     got, lines = rows.arrays()
     assert len(rows.chunks) == 1 and lines.tolist() == [2, 3, 4]
     assert got[:, :2].tolist() == [[1, 2], [2, 3], [3, 4]]
+
+
+# --- a canonical body is one run, read as the line reader reads it ----------------------
+
+_READERS = {"dimacs": (gio.read_dimacs, reference_read_dimacs, _same_graph),
+            "coloring": (gio.read_coloring, reference_read_coloring, _same_coloring)}
+
+
+@functools.cache
+def _written(kind: str, d: int) -> str:
+    """The writer's file of G_d, or of its class-1 colouring: a comment, a
+    'p edge' or 'c k=' line, then the body."""
+    out = io.StringIO()
+    if kind == "dimacs":
+        gio.write_dimacs(keller.build(d), out, comments=[f"keller d={d}"])
+    else:
+        gio.write_coloring(keller.class1_coloring(d), out, comments=[f"keller d={d}"])
+    return out.getvalue()
+
+
+def _retoken(line: str, at: int, change) -> str:
+    """line with its at-th number (counted cyclically) replaced by change(number)."""
+    parts = line[:-1].split(" ")
+    numbers = [i for i, part in enumerate(parts) if part.isdigit()]
+    i = numbers[at % len(numbers)]
+    parts[i] = change(parts[i])
+    return " ".join(parts) + "\n"
+
+
+# each defect takes a body line, the number it may change and the vertex count
+_DEFECTS = {
+    "19-digit id": lambda line, at, n: _retoken(line, at, lambda t: t.zfill(19)),
+    "id past int64": lambda line, at, n: _retoken(line, at, lambda t: str(2 ** 63 + int(t))),
+    "empty slot": lambda line, at, n: _retoken(line, at, lambda t: ""),
+    "plus sign": lambda line, at, n: _retoken(line, at, lambda t: "+" + t),
+    "minus sign": lambda line, at, n: _retoken(line, at, lambda t: "-" + t),
+    "tab": lambda line, at, n: line.replace(" ", "\t", 1),
+    "crlf": lambda line, at, n: line[:-1] + "\r\n",
+    "comment": lambda line, at, n: "c a comment\n" + line,
+    "non-ascii": lambda line, at, n: line[:-1] + " \xe9\n",
+    "repeated edge": lambda line, at, n: line + line,
+    "id past n": lambda line, at, n: _retoken(line, at % 2, lambda t: str(n + 1)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_READERS)), st.integers(2, 3),
+       st.sampled_from([None, "no final newline"] + sorted(_DEFECTS)),
+       st.integers(0, 10 ** 6), st.integers(0, 2))
+def test_canonical_body_reads_as_the_line_reader(kind, d, defect, where, at):
+    reader, reference, same = _READERS[kind]
+    lines = _written(kind, d).splitlines(keepends=True)
+    i = 2 + where % (len(lines) - 2)  # a body line
+    if defect in _DEFECTS:
+        lines[i] = _DEFECTS[defect](lines[i], at, 4 ** d)
+    text = "".join(lines)
+    if defect == "no final newline":
+        text = text[:-1]
+    assert same(_outcome(reader, io.StringIO(text)), _outcome(reference, io.StringIO(text)))
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_a_writer_file_is_read_as_one_chunk(monkeypatch, kind):
+    text = _written(kind, 3)
+    runs = []
+    add_run = gio._Rows._add_run
+
+    def spy(rows, lineno, run, count):
+        runs.append((lineno, count))
+        return add_run(rows, lineno, run, count)
+
+    monkeypatch.setattr(gio._Rows, "_add_run", spy)
+    # run patterns that match no line: only the canonical body makes a run
+    monkeypatch.setattr(gio, "_DIMACS_RUN", "")
+    monkeypatch.setattr(gio, "_COLORING_RUN", "")
+    reader, reference, same = _READERS[kind]
+    assert same(reader(io.StringIO(text)), reference(io.StringIO(text)))
+    assert runs == [(3, text.count("\n") - 2)]
 
 
 def test_array_path_builds_no_tuple_views(tmp_path):

@@ -5,8 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import (adjacent, fixture_square, reference_color_kernel, reference_parse_vertex,
-                      reference_row_col, reference_vertex_string)
+from conftest import (adjacent, color_counts, fixture_square, reference_color_kernel,
+                      reference_parse_vertex, reference_row_col, reference_vertex_string)
 from hypothesis import given, strategies as st
 
 import graphcert.core as core
@@ -97,6 +97,21 @@ def test_build_and_class1_match_recorded_digests(d):
     assert _digest((u, v, c) for (u, v), c in class1_coloring(d).assignment.items()) == coloring
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cayley_build_is_the_rule_graph(d):
+    # the rule graph tests every pair of rows: the reference for the Cayley table
+    got, want = build(d).pairs, keller._rule_graph(_digit_matrix(d)).pairs
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.longrun
+def test_cayley_build_of_g6_is_regular():
+    g = build(6)
+    assert g.edge_count == 6_883_328
+    assert delta(6) == 3361
+    assert (np.bincount(g.pairs.ravel(), minlength=4 ** 6) == 3361).all()
+
+
 def test_adjacency_rule():
     # 00-11 differs in two coordinates but never by exactly 2.
     assert not adjacent(0, parse_vertex("11", 2), 2)
@@ -142,7 +157,7 @@ def test_class1_g2():
 def test_class1_g3_histogram():
     coloring = class1_coloring(3)
     assert verify_edge_coloring(build(3), coloring).ok
-    counts = coloring.color_counts()
+    counts = color_counts(coloring)
     assert len(counts) == 34
     assert set(counts.values()) == {32}
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (complete, cycle, fournier_forest_check, path, petersen,
-                      reference_eliminate_color, reference_find_class1,
+from conftest import (color_counts, colors_used, complete, cycle, fournier_forest_check, path,
+                      petersen, reference_eliminate_color, reference_find_class1,
                       reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
@@ -113,7 +113,7 @@ def test_switch_sequence_reaches_class1_on_k4():
     reached = None
     while queue:
         cur = queue.popleft()
-        if len(cur.colors_used) == 3:
+        if len(colors_used(cur)) == 3:
             reached = cur
             break
         for v in range(4):
@@ -243,25 +243,25 @@ def test_eliminate_color_on_small_cycle():
     result = _eliminate(g, coloring, 3, SearchBudget.default())
     assert result is not None
     assert verify_edge_coloring(g, result).ok
-    assert result.colors_used == {1, 2}
+    assert colors_used(result) == {1, 2}
 
 
 def test_eliminate_color_reaches_class1_on_q37():
     g = build_queen(3, 7)
     start = vizing_coloring(g)
-    assert len(start.colors_used) == 13
-    counts = start.color_counts()
+    assert len(colors_used(start)) == 13
+    counts = color_counts(start)
     target = min(counts, key=lambda c: (counts[c], c))
     result = _eliminate(g, start, target, SearchBudget.default())
     assert result is not None
     assert verify_edge_coloring(g, result).ok
-    assert len(result.colors_used) == 12 == max_degree(g)
+    assert len(colors_used(result)) == 12 == max_degree(g)
 
 
 def test_eliminate_color_gives_up_on_overfull_board():
     g = build_queen(3, 13)
     start = class2_overfull_coloring(3, 13).coloring
-    counts = start.color_counts()
+    counts = color_counts(start)
     target = min(counts, key=lambda c: (counts[c], c))
     assert _eliminate(g, start, target, SearchBudget(200, 1, 0)) is None
 
@@ -280,7 +280,7 @@ def test_eliminate_never_increases_colors():
     for target in range(1, 5):
         result = _eliminate(g, coloring, target, SearchBudget.default())
         if result is not None:
-            assert len(result.colors_used) < 4
+            assert len(colors_used(result)) < 4
             assert verify_edge_coloring(g, result).ok
 
 
@@ -392,7 +392,7 @@ def test_an_elimination_empties_no_class_but_the_target(case):
     # non-empty classes after a success are those before it, less the
     # target, plus any palette colour that was empty and took an edge.
     g, start, switches, seed = case
-    for target in sorted(start.colors_used):
+    for target in sorted(colors_used(start)):
         state = ColorState.of(g.vertex_count, start)
         before = kempe._classes(state.by_color)
         palette = (1 << (start.declared_color_count + 1)) - 2
@@ -405,7 +405,7 @@ def test_find_class1_q39():
     outcome = find_class1(g, SearchBudget.default())
     assert outcome.reason == "ok"
     assert verify_edge_coloring(g, outcome.coloring).ok
-    assert len(outcome.coloring.colors_used) == 14 == max_degree(g)
+    assert len(colors_used(outcome.coloring)) == 14 == max_degree(g)
 
 
 def test_find_class1_reports_overfull_immediately():
@@ -452,7 +452,7 @@ def test_find_class1_succeeds_on_fournier_graphs():
         assert fournier_forest_check(g)
         outcome = find_class1(g, SearchBudget.default())
         assert outcome.reason == "ok"
-        assert len(outcome.coloring.colors_used) == max_degree(g)
+        assert len(colors_used(outcome.coloring)) == max_degree(g)
         assert verify_edge_coloring(g, outcome.coloring).ok
 
 
@@ -559,7 +559,7 @@ def test_eliminate_color_switch_count_is_pinned():
     g = build_queen(5, 13)
     sub_seed = 1_000_003
     start = vizing_coloring(g, _shuffled(g, sub_seed))
-    counts = start.color_counts()
+    counts = color_counts(start)
     target = min(counts, key=lambda c: (counts[c], c))
     assert target == 25
     assert _eliminate(g, start, target, SearchBudget(23, 1, sub_seed)) is None

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import color_counts
 
 from graphcert import cli, core, queen
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
@@ -53,7 +54,7 @@ def test_square_odd(n, colors):
 def test_square_odd_keeps_one_lonely_color():
     # The rerouted edge is the only one wearing the recycled top color.
     for n in range(3, 14, 2):
-        counts = class1_square_odd(n).coloring.color_counts()
+        counts = color_counts(class1_square_odd(n).coloring)
         assert min(counts.values()) == 1
 
 
