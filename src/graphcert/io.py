@@ -106,16 +106,19 @@ _RUN_LIMIT = 10 ** 18
 class _Rows:
     """The integer rows of a body, in file order, with the line of each.
 
-    The body is canonical when every line from its first to the end of the
-    file is `blank` once its digits are taken out ("e  \\n" for `e u v`,
-    "  \\n" for `u v c`), and the lines give width ids each, all below
-    10^18. A canonical body is parsed by numpy as one run. Any other body
-    is cut into runs of plain lines by the run pattern, each parsed in one
-    call, and the reader parses every other line and adds its row.
+    The body is canonical when it ends with '\\n' and every line from its
+    first to the end of the file starts with `lead` ("e " for `e u v`, ""
+    for `u v c`) and is `lead`, width - 1 spaces and '\\n' once its digits
+    are taken out. Such a line has width places for ids, so the body is
+    one run exactly when it gives width ids a line, all below 10^18; numpy
+    then parses it in one call. Any other body is cut into runs of plain
+    lines by the run pattern, each parsed in one call, and the reader
+    parses every other line and adds its row.
     """
 
-    def __init__(self, width: int, run: str, blank: str):
-        self.width, self.run, self.blank = width, run, blank
+    def __init__(self, width: int, run: str, lead: str):
+        self.width, self.run, self.lead = width, run, lead
+        self.blank = lead + " " * (width - 1) + "\n"
         self.chunks: list[np.ndarray] = []
         self.lines: list[np.ndarray] = []
         self.loose: list[list[int]] = []  # rows of single lines, not yet in a chunk
@@ -132,9 +135,11 @@ class _Rows:
             stop = len(text) if stop < 0 else stop
             if not body and text[pos:stop + 1].translate(_NO_DIGITS) == self.blank:
                 body = True  # the first body line: is the rest canonical?
-                count = self._canonical_lines(text, pos)
-                if count and self._add_run(lineno, text[pos:], count):
+                rest = text[pos:]
+                count = self._canonical_lines(rest)
+                if count and self._add_run(lineno, rest, count):
                     return
+                del rest
             end = match(text, pos).end()
             if end > pos:
                 run = text[pos:end]
@@ -148,13 +153,17 @@ class _Rows:
             lineno += 1
             pos = stop + 1
 
-    def _canonical_lines(self, text: str, pos: int) -> int:
-        """The number of lines of text from pos on when each of them, with
-        its digits taken out, is blank; else 0."""
-        stripped = text.translate(_NO_DIGITS)
-        head = len(text[:pos].translate(_NO_DIGITS))
-        count, extra = divmod(len(stripped) - head, len(self.blank))
-        if extra or not stripped.startswith(self.blank * count, head):
+    def _canonical_lines(self, body: str) -> int:
+        """The number of lines of body when it ends with '\\n' and each of
+        its lines starts with lead and is blank once its digits are taken
+        out; else 0."""
+        count = body.count("\n")
+        if not (body.endswith("\n") and body.startswith(self.lead)
+                and body.count("\n" + self.lead, 0, len(body) - 1) == count - 1):
+            return 0
+        stripped = body.translate(_NO_DIGITS)
+        # count disjoint blanks in count blanks' length: stripped is blank * count
+        if len(stripped) != len(self.blank) * count or stripped.count(self.blank) != count:
             return 0
         return count
 
@@ -281,14 +290,14 @@ def read_dimacs(path_or_file) -> Graph:
     """Read a DIMACS edge list in one pass over the whole text.
 
     A canonical body is parsed as one run, any other body's plain `e u v`
-    lines as runs, and every other line on its own. Errors name the first bad line: a malformed record, a token that is
-    not an unsigned decimal integer, a second `p edge` line, then an id
-    outside 1..n. A self loop, and an edge count other than the declared
-    one, are reported after.
+    lines as runs, and every other line on its own. Errors name the first
+    bad line: a malformed record, a token that is not an unsigned decimal
+    integer, a second `p edge` line, then an id outside 1..n. A self loop,
+    and an edge count other than the declared one, are reported after.
     """
     text = _read_text(path_or_file)
     n = declared = None
-    rows = _Rows(2, _DIMACS_RUN, "e  \n")
+    rows = _Rows(2, _DIMACS_RUN, "e ")
     for lineno, line in rows.other_lines(text):
         parts = line.split()
         if not parts or parts[0][0] == "c":
@@ -342,11 +351,12 @@ def read_coloring(path_or_file) -> EdgeColoring:
     """Read an edge-colouring certificate in one pass over the whole text.
 
     A canonical body is parsed as one run, any other body's plain
-    `u v color` lines as runs, and every other line on its own. Errors name the first bad line: a non-ASCII byte, a malformed
-    line, a token that is not an unsigned decimal integer, a second `c k=`
-    line, a self loop, or an edge listed twice. A missing `c k=` line and a
-    colour outside 1..k are reported after. The rows are checked here once,
-    so the colouring is built without a second repeat check.
+    `u v color` lines as runs, and every other line on its own. Errors name
+    the first bad line: a non-ASCII byte, a malformed line, a token that is
+    not an unsigned decimal integer, a second `c k=` line, a self loop, or
+    an edge listed twice. A missing `c k=` line and a colour outside 1..k
+    are reported after. The rows are checked here once, so the colouring is
+    built without a second repeat check.
     """
     text = _read_text(path_or_file, certificate=True)
     bad_byte = None
@@ -355,7 +365,7 @@ def read_coloring(path_or_file) -> EdgeColoring:
         bad_byte = text.count("\n", 0, at) + 1
         text = text[:text.rfind("\n", 0, at) + 1]
     declared = None
-    rows = _Rows(3, _COLORING_RUN, "  \n")
+    rows = _Rows(3, _COLORING_RUN, "")
     failure = None
     try:
         for lineno, line in rows.other_lines(text):

@@ -404,13 +404,13 @@ def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
     assert _outcome(gio.read_coloring, target) == want
 
 
-@pytest.mark.parametrize("width,run,blank,text,other", [
-    (2, gio._DIMACS_RUN, "e  \n", "p edge 4 3\r\ne 1 2\r\n\te\t2 3 \r\n  e 3  4\n",
+@pytest.mark.parametrize("width,run,lead,text,other", [
+    (2, gio._DIMACS_RUN, "e ", "p edge 4 3\r\ne 1 2\r\n\te\t2 3 \r\n  e 3  4\n",
      ["p edge 4 3\r"]),
-    (3, gio._COLORING_RUN, "  \n", "c k=2\r\n1 2 1\r\n\t2\t3 2 \r\n  3 4  1\n", ["c k=2\r"]),
+    (3, gio._COLORING_RUN, "", "c k=2\r\n1 2 1\r\n\t2\t3 2 \r\n  3 4  1\n", ["c k=2\r"]),
 ], ids=["dimacs", "coloring"])
-def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, blank, text, other):
-    rows = gio._Rows(width, run, blank)
+def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, lead, text, other):
+    rows = gio._Rows(width, run, lead)
     assert [line for _, line in rows.other_lines(text)] == other
     got, lines = rows.arrays()
     assert len(rows.chunks) == 1 and lines.tolist() == [2, 3, 4]
@@ -457,12 +457,56 @@ _DEFECTS = {
     "non-ascii": lambda line, at, n: line[:-1] + " \xe9\n",
     "repeated edge": lambda line, at, n: line + line,
     "id past n": lambda line, at, n: _retoken(line, at % 2, lambda t: str(n + 1)),
+    "first id glued": lambda line, at, n: _glued(line),
+    "id moved to the front": lambda line, at, n: _moved_to_front(line),
+    "ids balanced across lines": lambda line, at, n: _balanced_across_lines(line),
 }
+
+
+def _glued(line: str) -> str:
+    """line with its first two fields joined and a trailing space: "e1 2 " or "12 3 "."""
+    return line.replace(" ", "", 1)[:-1] + " \n"
+
+
+def _moved_to_front(line: str) -> str:
+    """line with its second field moved in front of its first, and a trailing
+    space: "1e 2 " or "21 3 "."""
+    parts = line.split()
+    return parts[1] + parts[0] + " " + " ".join(parts[2:]) + " \n"
+
+
+def _balanced_across_lines(line: str) -> str:
+    """Two lines for line, one id short and one id over: "e 12 \\ne1 2 1"."""
+    cut = line.rfind(" ")
+    return line[:cut] + line[cut + 1:-1] + " \n" + _glued(line)[:-1] + "1\n"
+
+
+def _id_after_the_final_newline(text: str) -> str:
+    """text with the last id of its last line moved past the final newline:
+    "e 3 4\\n" ends as "e 3 \\n4", which holds as many ids as before."""
+    cut = text.rfind(" ")
+    return text[:cut + 1] + "\n" + text[cut + 1:-1]
+
+
+@pytest.mark.parametrize("reader,reference,text", [
+    (gio.read_dimacs, reference_read_dimacs, "p edge 3 1\ne1 2 \n"),
+    (gio.read_dimacs, reference_read_dimacs, "p edge 3 1\n1e 2 \n"),
+    (gio.read_dimacs, reference_read_dimacs, "p edge 20 2\ne 12 \ne1 2 3\n"),
+    (gio.read_dimacs, reference_read_dimacs, "p edge 4 2\ne 1 2\ne 3 \n4"),
+    (gio.read_coloring, reference_read_coloring, "c k=6\n1 2 3\n4 5 \n6"),
+])
+def test_ids_in_the_wrong_places_are_not_one_run(reader, reference, text):
+    """Bodies whose digit-free form and id count look canonical, but whose
+    ids sit in places the writers never put them: the line reader's error."""
+    expected = _outcome(reference, io.StringIO(text))
+    assert isinstance(expected, tuple)
+    assert _outcome(reader, io.StringIO(text)) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_READERS)), st.integers(2, 3),
-       st.sampled_from([None, "no final newline"] + sorted(_DEFECTS)),
+       st.sampled_from([None, "no final newline", "id after the final newline"]
+                       + sorted(_DEFECTS)),
        st.integers(0, 10 ** 6), st.integers(0, 2))
 def test_canonical_body_reads_as_the_line_reader(kind, d, defect, where, at):
     reader, reference, same = _READERS[kind]
@@ -473,6 +517,8 @@ def test_canonical_body_reads_as_the_line_reader(kind, d, defect, where, at):
     text = "".join(lines)
     if defect == "no final newline":
         text = text[:-1]
+    if defect == "id after the final newline":
+        text = _id_after_the_final_newline(text)
     assert same(_outcome(reader, io.StringIO(text)), _outcome(reference, io.StringIO(text)))
 
 
