@@ -157,13 +157,13 @@ class _Rows:
         """The number of lines of body when it ends with '\\n' and each of
         its lines starts with lead and is blank once its digits are taken
         out; else 0."""
-        count = body.count("\n")
-        if not (body.endswith("\n") and body.startswith(self.lead)
-                and body.count("\n" + self.lead, 0, len(body) - 1) == count - 1):
-            return 0
         stripped = body.translate(_NO_DIGITS)
-        # count disjoint blanks in count blanks' length: stripped is blank * count
-        if len(stripped) != len(self.blank) * count or stripped.count(self.blank) != count:
+        count, extra = divmod(len(stripped), len(self.blank))
+        # count disjoint blanks in the length of count blanks: stripped is blank * count
+        if extra or stripped.count(self.blank) != count or not body.endswith("\n"):
+            return 0
+        if self.lead and not (body.startswith(self.lead)
+                              and body.count("\n" + self.lead) == count - 1):
             return 0
         return count
 
