@@ -139,7 +139,7 @@ class _Rows:
                 count = self._canonical_lines(rest)
                 if count and self._add_run(lineno, rest, count):
                     return
-                del rest
+                del rest  # a copy to the end of the file, not kept through the scan
             end = match(text, pos).end()
             if end > pos:
                 run = text[pos:end]
