@@ -44,10 +44,6 @@ def _check_board(m: int, n: int) -> None:
         raise ValueError(f"need 1 <= m <= n, got m={m} n={n}")
 
 
-def _labels(m: int, n: int) -> dict[int, str]:
-    return {v: f"c{v % n + 1}r{v // n + 1}" for v in range(m * n)}
-
-
 def _row_edges(m: int, n: int) -> np.ndarray:
     """The edges inside each row as an (E, 2) id array: row by row, each row's
     column pairs (x, y), x < y, in `np.triu_indices(n, 1)` order."""
@@ -67,8 +63,7 @@ def _column_edges(m: int, n: int) -> np.ndarray:
 def build_rook(m: int, n: int) -> Graph:
     """Rook graph: same row or same column."""
     _check_board(m, n)
-    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n))),
-                            _labels(m, n))
+    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n))))
 
 
 class SquareColor(Enum):
@@ -110,14 +105,14 @@ def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) ->
         # both ends of a bishop edge share a square colour; white iff col+row is even
         u = pairs[:, 0]
         pairs = pairs[((u % n + u // n) % 2 == 0) == (color_filter is SquareColor.WHITE)]
-    return Graph.from_array(m * n, np.sort(pairs, axis=1), _labels(m, n))
+    return Graph.from_array(m * n, np.sort(pairs, axis=1))
 
 
 def build_queen(m: int, n: int) -> Graph:
     """Queen graph: union of rook and bishop edges on the same vertices."""
     _check_board(m, n)
     pairs = (_row_edges(m, n), _column_edges(m, n), np.sort(bishop_edge_pairs(m, n), axis=1))
-    return Graph.from_array(m * n, np.concatenate(pairs), _labels(m, n))
+    return Graph.from_array(m * n, np.concatenate(pairs))
 
 
 def queen_delta(m: int, n: int) -> int:

@@ -20,6 +20,8 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import io as gio
 from . import keller
 from .chess import (QueenClass, build_bishop, build_queen, build_rook,
@@ -437,7 +439,7 @@ def _source_cover(args, d: int) -> list[list[int]]:
     if d == 2:
         # any single color class of the class-1 coloring is a perfect matching
         coloring = keller.class1_coloring(2)
-        return [sorted(e) for e, c in sorted(coloring.assignment.items()) if c == 1]
+        return np.unique(coloring.ends[coloring.colors == 1], axis=0).tolist()
     if d in (6, 7):
         _need_long_run(args, f"the G_{d} cover is rebuilt by repeated doubling")
         cover = keller.fixture_clique_cover(5)

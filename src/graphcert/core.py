@@ -2,19 +2,17 @@
 
 Vertices are 0-based ints internally (1-based only in files). Graphs are
 simple and undirected. A graph stores its edges as one sorted (E, 2) int32
-array and an edge colouring as an edge array with a colour array aligned to
-it; the verifiers and file writers read only those arrays, and the tuple
-sets and dicts the search layers use are views built on demand. Everything
-here is deterministic and side-effect free.
+array, `pairs`, and an edge colouring as an (E, 2) array of edges, `ends`,
+with a colour array aligned to it, `colors`. These arrays are the only store:
+the constructions, the search layers, the verifiers and the file writers all
+read them. Everything here is deterministic and side-effect free.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,18 +29,13 @@ class CapExceeded(ValueError):
     """Raised when an exact solver is asked for more vertices than its cap."""
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError(f"self loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
-def _int_array(values: Callable[[], Iterable[int]], count: int) -> np.ndarray:
-    """count ints as an int64 array, or as an object array when one passes int64."""
-    try:
-        return np.fromiter(values(), np.int64, count)
-    except OverflowError:  # an id or colour past int64, as in a forged certificate
-        return np.array(list(values()), dtype=object)
+def _check_integer(a: np.ndarray, what: str, kinds: str = "iu") -> None:
+    """Refuse a non-empty array of a dtype outside kinds (integer by default),
+    which the int stores would truncate or misread: float, bool, complex,
+    string. An object array, where kinds allow one, must hold integers only."""
+    if a.size and (a.dtype.kind not in kinds or (a.dtype.kind == "O" and not all(
+            isinstance(x, (int, np.integer)) for x in a.tolist()))):
+        raise ValueError(f"{what} of dtype {a.dtype} are not integers")
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -122,40 +115,32 @@ def _frozen(a: np.ndarray, given: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph on vertices 0..vertex_count-1.
 
-    The edge store is `pairs`, an (E, 2) int32 array of the edges (u, v)
-    with u < v, sorted and without repeats. The frozenset `edges` and the
-    `adjacency` sets are views for the Python search layers: a graph built
-    from a set keeps that set as `edges`, and a graph built with
-    `from_array` makes a view only when it is first read.
+    The one edge store is `pairs`, a read-only (E, 2) int32 array of the
+    edges (u, v) with u < v, sorted and without repeats; `codes`,
+    `max_degree` and `edge_index` are computed from it.
     """
 
-    def __init__(self, vertex_count: int, edges: AbstractSet[tuple[int, int]],
-                 labels: Mapping[int, str] | None = None):
-        self._store(vertex_count, _int_array(lambda: chain.from_iterable(edges), 2 * len(edges)),
-                    labels)
-        vars(self)["edges"] = edges
-
     @classmethod
-    def from_array(cls, vertex_count: int, pairs: np.ndarray,
-                   labels: Mapping[int, str] | None = None) -> "Graph":
+    def from_array(cls, vertex_count: int, pairs: np.ndarray) -> "Graph":
         """The graph on the rows (u, v), u < v, of an (E, 2) integer array.
 
         Rows may come in any order and may repeat.
         """
         g = cls.__new__(cls)
-        g._store(vertex_count, np.asarray(pairs).reshape(-1), labels)
+        g._store(vertex_count, np.asarray(pairs).reshape(-1))
         return g
 
-    def _store(self, vertex_count: int, flat: np.ndarray,
-               labels: Mapping[int, str] | None) -> None:
+    def _store(self, vertex_count: int, flat: np.ndarray) -> None:
         """Check the edges (flat[2i], flat[2i+1]) and keep them sorted and unique.
 
-        The first edge, in the given order, that is not 0 <= u < v < n is named.
+        An array that is not of an integer dtype is refused. The first edge,
+        in the given order, that is not 0 <= u < v < n is named.
         """
         if vertex_count < 0:
             raise ValueError("negative vertex count")
         if vertex_count > 2 ** 31:
             raise ValueError(f"{vertex_count} vertices: ids past int32 are not supported")
+        _check_integer(flat, "edge ends")
         u, v = flat[0::2], flat[1::2]
         bad = ~((0 <= u) & (u < v) & (v < vertex_count))
         if bad.any():
@@ -168,18 +153,8 @@ class Graph:
             codes = np.sort(codes)
             codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
             pairs = np.column_stack(np.divmod(codes, vertex_count))
-        self.vertex_count, self.labels = vertex_count, labels
+        self.vertex_count = vertex_count
         self.pairs = _frozen(pairs.astype(np.int32, copy=False), flat)
-
-    @staticmethod
-    def from_edges(vertex_count: int, pairs: Iterable[tuple[int, int]],
-                   labels: Mapping[int, str] | None = None) -> "Graph":
-        return Graph(vertex_count, frozenset(_normalize_edge(u, v) for u, v in pairs), labels)
-
-    @cached_property
-    def edges(self) -> AbstractSet[tuple[int, int]]:
-        """The edges as a frozenset of tuples (u, v), u < v."""
-        return frozenset(zip(*self.pairs.T.tolist()))
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -189,20 +164,9 @@ class Graph:
         return codes
 
     @cached_property
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in zip(*self.pairs.T.tolist()):
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    @cached_property
     def max_degree(self) -> int:
-        """Largest degree (0 without edges), counted once without the adjacency sets."""
+        """Largest degree (0 without edges), one bincount over pairs."""
         return int(np.bincount(self.pairs.ravel(), minlength=1).max())
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     @property
     def edge_count(self) -> int:
@@ -223,17 +187,6 @@ class Graph:
         found[found] = codes[at[found]] == key[found]
         return np.where(found, at, -1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return _normalize_edge(u, v) in self.edges
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        e = _normalize_edge(u, v)
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not in graph")
-        return Graph(self.vertex_count, self.edges - {e}, self.labels)
-
 
 def max_degree(g: Graph) -> int:
     if g.vertex_count == 0:
@@ -248,43 +201,22 @@ def is_overfull(g: Graph) -> bool:
     return g.edge_count > max_degree(g) * (g.vertex_count // 2)
 
 
-def _check_items(assignment: Mapping[tuple[int, int], int], declared: int) -> None:
-    """The check of each (edge, colour) in turn, for keys or colours that are not all plain ints."""
-    for e, c in assignment.items():
-        if not all(isinstance(x, (int, np.integer)) for x in e):
-            raise ValueError(f"edge key {e} has an end that is not an integer")
-        if not (isinstance(c, int) and 1 <= c <= declared):
-            raise ValueError(f"color {c} on edge {e} outside 1..{declared}")
-        if e != _normalize_edge(*e):
-            raise ValueError(f"unnormalized edge key {e}")
-
-
 class EdgeColoring:
     """Partial or total assignment of positive color ids to edges.
 
-    The store is two aligned arrays in assignment order: `ends`, an (E, 2)
-    array of the edges (u, v) with u < v, and `colors`; each is int32 when
-    its values fit. The dict `assignment` is a view for the Python search
-    layers: a colouring built from a dict keeps that dict, and one built
-    with `from_arrays` makes the dict only when it is first read.
+    The one store is two aligned read-only arrays in assignment order:
+    `ends`, an (E, 2) array of the edges (u, v) with u < v, and `colors`;
+    each is int32 when its values fit, int64 past that, and an object array
+    of Python ints past int64, as a reader makes for a forged certificate.
     """
-
-    def __init__(self, assignment: Mapping[tuple[int, int], int], declared_color_count: int):
-        # a float or numpy colour is refused, as is an end the int64 store would truncate or parse
-        if declared_color_count >= 0 and not set(map(type, chain(
-                assignment.values(), chain.from_iterable(assignment)))) <= {int, bool}:
-            _check_items(assignment, declared_color_count)
-        count = len(assignment)
-        self._store(_int_array(lambda: chain.from_iterable(assignment), 2 * count),
-                    _int_array(assignment.values, count), declared_color_count)
-        vars(self)["assignment"] = assignment
 
     @classmethod
     def from_arrays(cls, ends: np.ndarray, colors: np.ndarray,
                     declared_color_count: int) -> "EdgeColoring":
         """The colouring that gives colors[i] to the edge ends[i] = (u, v), u < v.
 
-        ends is (E, 2) and colors has E entries; no edge may repeat.
+        ends is (E, 2) and colors has E entries, both of an integer dtype;
+        no edge may repeat.
         """
         coloring = cls._of_rows(ends, colors, declared_color_count)
         first = _first_repeat(coloring.ends)
@@ -297,7 +229,8 @@ class EdgeColoring:
                  declared_color_count: int) -> "EdgeColoring":
         """from_arrays without the repeat check, for rows known to hold no repeat.
 
-        Its callers: from_arrays, which then makes the check;
+        Every other check of from_arrays is made. Its callers: from_arrays,
+        which then makes the repeat check;
         `io.read_coloring`, which makes its own check first to name the
         line; `normalized` and `shifted`, on the rows of a colouring that
         holds none already; `ColorState.coloring`, on the rows of a graph;
@@ -314,13 +247,17 @@ class EdgeColoring:
     def _store(self, flat: np.ndarray, colors: np.ndarray, declared: int) -> None:
         """Check each edge (flat[2i], flat[2i+1]) and its colour, and keep both arrays.
 
-        The first offender in assignment order is named: a colour outside
-        1..declared before an edge that is not u < v.
+        An array of a dtype other than integer or object, or an object array
+        holding a value that is not an integer, is refused. The first
+        offender in assignment order is named: a colour outside 1..declared
+        before an edge that is not u < v.
         """
         if declared < 0:
             raise ValueError("negative color count")
         if flat.size != 2 * colors.size:
             raise ValueError(f"{flat.size // 2} edges but {colors.size} colors")
+        _check_integer(flat, "edge ends", "iuO")
+        _check_integer(colors, "colors", "iuO")
         u, v = flat[0::2], flat[1::2]
         off_palette = (colors < 1) | (colors > declared)
         bad = off_palette | (u >= v)
@@ -334,11 +271,6 @@ class EdgeColoring:
         self.ends = _frozen(_narrow(flat).reshape(-1, 2), flat)
         self.colors = _frozen(_narrow(colors), colors)
         self.declared_color_count = declared
-
-    @cached_property
-    def assignment(self) -> Mapping[tuple[int, int], int]:
-        """The colouring as a dict {(u, v): color}, in assignment order."""
-        return dict(zip(zip(*self.ends.T.tolist()), self.colors.tolist()))
 
     def normalized(self) -> "EdgeColoring":
         """Relabel colors to a contiguous 1..k range, preserving relative order.
@@ -673,7 +605,7 @@ def _mask_to_vertices(mask: int) -> list[int]:
 def _adjacency_masks(g: Graph, complemented: bool) -> list[int]:
     n = g.vertex_count
     masks = [0] * n
-    for u, v in g.edges:
+    for u, v in zip(*g.pairs.T.tolist()):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     if complemented:
@@ -755,11 +687,15 @@ class ColorState:
 
     @classmethod
     def of(cls, vertex_count: int, coloring: EdgeColoring) -> "ColorState":
-        """The state of a proper colouring, with its colour classes."""
+        """The state of a proper colouring, with its colour classes.
+
+        The rows of coloring are loaded in their order, so each class set
+        takes its edges in assignment order.
+        """
         state = cls(vertex_count, coloring.declared_color_count)
         at, nbr, present = state.at, state.nbr, state.present
         state.by_color = by_color = [set() for _ in range(coloring.declared_color_count + 1)]
-        for e, c in coloring.assignment.items():
+        for e, c in zip(zip(*coloring.ends.T.tolist()), coloring.colors.tolist()):
             u, v = e
             at[u][c] = v
             at[v][c] = u
@@ -929,8 +865,8 @@ class ColorState:
 
         pairs holds every coloured edge once as (u, v) with u < v, like
         Graph.pairs, and its rows are the rows of the result. The k
-        non-empty classes keep their relative order, as
-        EdgeColoring.normalized relabels.
+        non-empty classes keep their relative order, as in
+        EdgeColoring.normalized.
         """
         used = [c for c, edges in enumerate(self.by_color) if edges]
         rank = np.zeros(len(self.by_color), dtype=np.int64)
@@ -947,7 +883,8 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     Returns the ColorState it coloured, with its class sets over the colours
     1..the highest it used: the Kempe search edits this state in place, and
     state.coloring(g.pairs) reads the colouring out. Deterministic for a
-    fixed insertion order of the edges (u, v), u < v (sorted by default).
+    fixed insertion order of the edges (u, v), u < v (by default the rows
+    of g.pairs, which are sorted).
     Each edge (u, v) grows a maximal fan at u from v; if the tip's free
     colour is also free at u the fan rotates, otherwise the c,d path from
     the tip (or from the earlier fan vertex that misses d, when that path
@@ -961,7 +898,7 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     palette = max_degree(g) + 1 if g.edge_count else 0
     state = ColorState(g.vertex_count, palette)
     at, nbr, present = state.at, state.nbr, state.present
-    edges = order if order is not None else sorted(g.edges)
+    edges = order if order is not None else list(zip(*g.pairs.T.tolist()))
     for u, v in edges:
         # Maximal fan at u starting with v: the next fan vertex is u's
         # neighbour w across d, the lowest colour free at the current tip.

@@ -549,55 +549,3 @@ def ham_decomposition_search(d: int, budget: int = 400,
             state.swap(*best[1:])
         if switches >= budget:
             return None
-
-
-def perfect_factorization_exists(d: int = 2) -> bool:
-    """Exhaustively decide whether G_d has a perfect 1-factorization.
-
-    Every pair of the Delta matchings must union into a Hamiltonian cycle.
-    Only d=2 is small enough for the exhaustive claim.
-    """
-    if d != 2:
-        raise ValueError("exhaustive search is limited to d=2")
-    g = build(d)
-    n = g.vertex_count
-    adj = [sorted(g.adjacency[v]) for v in range(n)]
-    all_edges = sorted(g.edges)
-
-    def matchings(avail: set[tuple[int, int]], first: tuple[int, int]
-                  ) -> Iterable[frozenset[tuple[int, int]]]:
-        # perfect matchings within avail that contain the anchor edge
-        def extend(uncovered: list[int], picked: list[tuple[int, int]]
-                   ) -> Iterable[frozenset[tuple[int, int]]]:
-            if not uncovered:
-                yield frozenset(picked)
-                return
-            u = uncovered[0]
-            for w in adj[u]:
-                e = (u, w) if u < w else (w, u)
-                if e in avail and w in uncovered:
-                    rest = [x for x in uncovered if x not in (u, w)]
-                    yield from extend(rest, picked + [e])
-        start = [x for x in range(n) if x not in first]
-        yield from extend(start, [first])
-
-    def hamiltonian_pair(m1: frozenset, m2: frozenset) -> bool:
-        at: list[list[int | None]] = [[None, None] for _ in range(n)]
-        for c, m in enumerate((m1, m2)):
-            for u, v in m:
-                at[u][c] = v
-                at[v][c] = u
-        return _union_cycle_count(at, 0, 1)[0] == 1
-
-    def search(avail: set[tuple[int, int]], chosen: list[frozenset]) -> bool:
-        if len(chosen) == delta(d):
-            return True
-        # anchor on the lowest uncovered edge so each factorization is seen once
-        anchor = min(avail)
-        for m in matchings(avail, anchor):
-            if all(hamiltonian_pair(m, prev) for prev in chosen):
-                if search(avail - m, chosen + [m]):
-                    return True
-        return False
-
-    return search(set(all_edges), [])

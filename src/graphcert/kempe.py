@@ -10,7 +10,7 @@ edits it in place, and the certificate is read out of it once, in the rows
 of g.pairs with its colours relabelled 1..k. Colours are never relabelled in
 between. Relabelling keeps their relative order, so the lowest-colour and
 sorted-move choices, and with them every switch and random draw, are those
-of a search that relabels after each elimination. Each elimination
+of a search that relabelled them after each elimination. Each elimination
 therefore runs over the palette such a search would see: at the start of a
 restart all the declared colours, unused ones included, and after that
 exactly the colours whose classes are non-empty.
@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
+
+import numpy as np
 
 from .core import (CertificateError, ColorState, EdgeColoring, Graph, is_overfull, lowest_bit,
                    max_degree, verify_edge_coloring, vizing_delta_plus_one)
@@ -243,7 +245,7 @@ def find_class1(g: Graph, budget: SearchBudget,
     not: the caller verifies it once.
     """
     if g.edge_count == 0:
-        return SearchOutcome(EdgeColoring({}, 0), "ok", 0)
+        return SearchOutcome(EdgeColoring.from_arrays([], [], 0), "ok", 0)
     if is_overfull(g):
         return SearchOutcome(None, "overfull", 0)
     delta = max_degree(g)
@@ -294,8 +296,8 @@ def edge_critical_check(g: Graph, budget: SearchBudget) -> CriticalityReport:
     delta = max_degree(g)
     failures: list[tuple[int, int]] = []
     disproved: list[tuple[int, int]] = []
-    for e in sorted(g.edges):
-        sub = g.without_edge(*e)
+    for i, e in enumerate(zip(*g.pairs.T.tolist())):
+        sub = Graph.from_array(g.vertex_count, np.delete(g.pairs, i, 0))
         if max_degree(sub) < delta:
             continue
         outcome = find_class1(sub, budget)

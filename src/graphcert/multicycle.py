@@ -28,7 +28,7 @@ class Multicycle:
     """Cyclic multigraph given by its slot multiplicities.
 
     Position i is the vertex between slots i-1 and i; order lists the vertex
-    labels in the k-step arrangement used by derived multicycles.
+    positions in the k-step arrangement used by derived multicycles.
     """
 
     mult: tuple[int, ...]

@@ -66,8 +66,8 @@ def mycielski_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1 required")
     if n == 1:
-        return Graph.from_edges(1, [])
-    g = Graph.from_edges(2, [(0, 1)])
+        return Graph.from_array(1, [])
+    g = Graph.from_array(2, [[0, 1]])
     for _ in range(n - 2):
         g = mycielskian(g)
     return g
@@ -156,7 +156,7 @@ def ham_path_mu_odd_cycle(mu: Graph, a: int, b: int) -> list[int]:
     if extra or n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
     _check_ends(n, a, b)
-    if mu.has_edge(a, b):
+    if mu.edge_index(np.array([a]), np.array([b]))[0] >= 0:
         cycle = np.array(_canonical_cycle(n))
         length = len(cycle)
         at = np.empty(length, dtype=int)
@@ -238,7 +238,12 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
 
 def _ham_path_search(g: Graph, s: int, t: int) -> tuple[list[int] | None, int]:
     n = g.vertex_count
-    adj = [sorted(g.adjacency[v]) for v in range(n)]
+    # pairs ascend, so each vertex takes its lower neighbours first, then its
+    # higher ones, and both runs ascend
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(*g.pairs.T.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
     visited = [False] * n
     visited[s] = True
     path = [s]

@@ -169,7 +169,7 @@ def classify_and_color(m: int, n: int, budget=None, seed: int = 0, *,
     """
     _check_board(m, n)
     if m == 1 and n == 1:
-        return QueenColoringCertificate(1, 1, EdgeColoring({}, 0), 1, "EvenUnion")
+        return QueenColoringCertificate(1, 1, EdgeColoring.from_arrays([], [], 0), 1, "EvenUnion")
     if m % 2 == 0 or n % 2 == 0:
         return class1_even(m, n)
     if m == n:

@@ -4,46 +4,98 @@ import itertools
 from collections import Counter
 import random
 import re
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup, _k_even_class,
                                    _k_odd_color, canonical_bishop_coloring, rarest_bishop_color,
                                    rarest_color_edges)
-from graphcert.chess import (BoardCoord, SquareColor, _check_board, _labels, bishop_delta,
-                             id_to_coord)
+from graphcert.chess import BoardCoord, SquareColor, _check_board, bishop_delta, id_to_coord
 from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColoring,
-                            EmptyGraphError, Graph, VerificationReport, _normalize_edge, _report,
+                            EmptyGraphError, Graph, VerificationReport, _report,
                             is_overfull, lowest_bit, max_degree, verify_edge_coloring,
                             verify_hamiltonian_cycle, vizing_delta_plus_one)
-from graphcert.keller import ColorKernel, _fixture_rows, parse_vertex
+from graphcert.keller import (ColorKernel, _fixture_rows, _union_cycle_count, build, delta,
+                              parse_vertex)
 from graphcert.kempe import SearchBudget, SearchOutcome, _bits, _missing_after_swap
 from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
 from graphcert.mycielski import _ham_path_search
 
 
+# --- the src constructors from tuples and dicts, and the tuple views ------------
+
+def _normalize_edge(u: int, v: int) -> tuple[int, int]:
+    if u == v:
+        raise ValueError(f"self loop at vertex {u}")
+    return (u, v) if u < v else (v, u)
+
+
+def _ints(values: list) -> np.ndarray:
+    """values as an int64 array; as an object array, which the src checks
+    judge, when one passes int64 or is not an integer."""
+    a = np.array(values, dtype=object)
+    if all(isinstance(x, (int, np.integer)) for x in values):
+        try:
+            return a.astype(np.int64)
+        except OverflowError:
+            pass
+    return a
+
+
+def graph_of(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """Graph.from_array on the pairs, each (u, v) or (v, u); a self loop raises."""
+    return Graph.from_array(n, _ints([x for u, v in pairs for x in _normalize_edge(u, v)]))
+
+
+def coloring_of(mapping: Mapping[tuple[int, int], int], k: int) -> EdgeColoring:
+    """EdgeColoring.from_arrays on the items of mapping, in their order."""
+    ends = _ints([x for e in mapping for x in e]).reshape(-1, 2)
+    return EdgeColoring.from_arrays(ends, _ints(list(mapping.values())), k)
+
+
+def edge_set(g: Graph) -> frozenset[tuple[int, int]]:
+    """The edges of g as tuples (u, v), u < v."""
+    return frozenset(zip(*g.pairs.T.tolist()))
+
+
+def neighbours(g: Graph) -> list[set[int]]:
+    """The neighbour set of each vertex of g."""
+    adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for u, v in zip(*g.pairs.T.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def assignment_of(coloring: EdgeColoring) -> dict[tuple[int, int], int]:
+    """The colouring as a dict {(u, v): color}, in assignment order."""
+    return dict(zip(zip(*coloring.ends.T.tolist()), coloring.colors.tolist()))
+
+
+# --- small graphs ---------------------------------------------------------------
+
 def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_of(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_of(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def edgeless(n: int) -> Graph:
-    return Graph.from_edges(n, [])
+    return graph_of(n, [])
 
 
 def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+    return graph_of(10, edges)
 
 
 def colors_used(coloring: EdgeColoring) -> set[int]:
@@ -58,7 +110,7 @@ def color_counts(coloring: EdgeColoring) -> dict[int, int]:
 
 def neighbor_masks(g: Graph) -> list[int]:
     masks = [0] * g.vertex_count
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -91,14 +143,15 @@ def naive_omega(g: Graph) -> int:
 def find_ham_cycle(g: Graph) -> list[int] | None:
     """Backtracking Hamiltonian cycle search for small graphs."""
     n = g.vertex_count
-    adj = [sorted(g.adjacency[v]) for v in range(n)]
+    nbrs = neighbours(g)
+    adj = [sorted(a) for a in nbrs]
     visited = [False] * n
     visited[0] = True
     order = [0]
 
     def dfs() -> bool:
         if len(order) == n:
-            return g.has_edge(order[-1], 0)
+            return 0 in nbrs[order[-1]]
         for w in adj[order[-1]]:
             if not visited[w]:
                 visited[w] = True
@@ -121,7 +174,8 @@ def is_hamiltonian(g: Graph, seq: list[int], closed: bool,
     if sorted(seq) != list(range(n)) or (closed and n < 3):
         return False
     pairs = list(zip(seq, seq[1:])) + ([(seq[-1], seq[0])] if closed else [])
-    if not all(v in g.adjacency[u] for u, v in pairs):
+    edges = edge_set(g)
+    if not all((min(u, v), max(u, v)) in edges for u, v in pairs):
         return False
     return (start is None or seq[0] == start) and (end is None or seq[-1] == end)
 
@@ -132,11 +186,12 @@ def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
     graphcert.core.verify_edge_coloring, which must report the same tuple."""
     detail: list[str] = []
     delta = max_degree(g) if g.vertex_count else 0
-    for e in coloring.assignment:
-        if e not in g.edges:
+    edges, assignment = edge_set(g), assignment_of(coloring)
+    for e in assignment:
+        if e not in edges:
             detail.append(f"colored edge {e} not in graph")
     seen: dict[int, dict[int, tuple[int, int]]] = {}
-    for e, c in coloring.assignment.items():
+    for e, c in assignment.items():
         for v in e:
             at_v = seen.setdefault(v, {})
             if c in at_v:
@@ -144,7 +199,7 @@ def reference_verify_edge_coloring(g: Graph, coloring: EdgeColoring,
             else:
                 at_v[c] = e
     if require_total:
-        missing = g.edges - set(coloring.assignment)
+        missing = edges - set(assignment)
         for e in sorted(missing)[:10]:
             detail.append(f"edge {e} uncolored")
         if len(missing) > 10:
@@ -158,7 +213,7 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     graphcert.core.vizing_delta_plus_one, which must give the same colouring
     for every insertion order."""
     if g.edge_count == 0:
-        return EdgeColoring({}, 0)
+        return coloring_of({}, 0)
     palette = max_degree(g) + 1
     at: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
     present = [1] * g.vertex_count  # bit c set when color c is at v; bit 0 always
@@ -216,7 +271,7 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
             set_color(u, f, col)
         set_color(u, prefix[-1], final_color)
 
-    for e in (order if order is not None else sorted(g.edges)):
+    for e in (order if order is not None else sorted(edge_set(g))):
         u, v = e
         # Maximal fan at u starting with v; fan_cols[i] = color of (u, fan[i+1]),
         # which is a color missing at fan[i].
@@ -253,20 +308,20 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     used = max(color_of.values())
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
-    return EdgeColoring(dict(color_of), used)
+    return coloring_of(color_of, used)
 
 
 def snapshot(state: ColorState, edges: Iterable[tuple[int, int]], declared: int) -> EdgeColoring:
     """The colours state gives these edges, as they are, over colours 1..declared."""
     nbr = state.nbr
-    return EdgeColoring({e: nbr[e[0]][e[1]] for e in edges}, declared)
+    return coloring_of({e: nbr[e[0]][e[1]] for e in edges}, declared)
 
 
 def vizing_coloring(g: Graph, order: Sequence[tuple[int, int]] | None = None) -> EdgeColoring:
     """The colouring of graphcert.core.vizing_delta_plus_one's state, unrelabelled,
     over colours 1..the highest it used, as the reference Vizing declares it."""
     state = vizing_delta_plus_one(g, order)
-    return snapshot(state, g.edges, len(state.by_color) - 1)
+    return snapshot(state, edge_set(g), len(state.by_color) - 1)
 
 
 def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
@@ -288,7 +343,7 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     while True:
         targets = sorted(target_class)
         if not targets:
-            return snapshot(state, coloring.assignment, declared).normalized()
+            return snapshot(state, assignment_of(coloring), declared).normalized()
         progress = False
         for e in targets:
             u, v = e
@@ -342,7 +397,7 @@ def reference_find_class1(g: Graph, budget: SearchBudget,
     relabelled copy. The oracle for graphcert.kempe.find_class1, which keeps
     one state per restart and must make the same switches and draws."""
     if g.edge_count == 0:
-        return SearchOutcome(EdgeColoring({}, 0), "ok", 0)
+        return SearchOutcome(coloring_of({}, 0), "ok", 0)
     if is_overfull(g):
         return SearchOutcome(None, "overfull", 0)
     delta = max_degree(g)
@@ -356,7 +411,7 @@ def reference_find_class1(g: Graph, budget: SearchBudget,
         if r == 0 and warm_start is not None:
             current = warm_start
         else:
-            order = sorted(g.edges)
+            order = sorted(edge_set(g))
             random.Random(sub_seed).shuffle(order)
             current = reference_vizing_delta_plus_one(g, order)
         while len(colors_used(current)) > delta:
@@ -385,7 +440,7 @@ def reference_derive(m: int, n: int) -> DerivedMulticycle:
     coloring = canonical_bishop_coloring(m, n)
     pos = {(j * k) % m + 1: j for j in range(m)}
     slot_edges: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for edge, color in coloring.assignment.items():
+    for edge, color in assignment_of(coloring).items():
         if color != cyan:
             continue
         r1 = id_to_coord(edge[0], n).row
@@ -411,7 +466,7 @@ def reference_build_rook(m: int, n: int) -> Graph:
              for row in range(m) for c1 in range(n) for c2 in range(c1 + 1, n)]
     edges += [(r1 * n + col, r2 * n + col)
               for col in range(n) for r1 in range(m) for r2 in range(r1 + 1, m)]
-    return Graph.from_edges(m * n, edges, _labels(m, n))
+    return graph_of(m * n, edges)
 
 
 def reference_bishop_edge_pairs(m: int, n: int) -> list[tuple[int, int]]:
@@ -437,13 +492,13 @@ def reference_build_bishop(m: int, n: int, color_filter: SquareColor = SquareCol
     if color_filter is not SquareColor.ALL:
         white = color_filter is SquareColor.WHITE
         pairs = [(u, v) for u, v in pairs if ((u % n + u // n) % 2 == 0) == white]
-    return Graph.from_edges(m * n, pairs, _labels(m, n))
+    return graph_of(m * n, pairs)
 
 
 def reference_build_queen(m: int, n: int) -> Graph:
     """Union of the oracle rook and bishop edge sets."""
-    edges = reference_build_rook(m, n).edges | reference_build_bishop(m, n).edges
-    return Graph(m * n, edges, _labels(m, n))
+    edges = edge_set(reference_build_rook(m, n)) | edge_set(reference_build_bishop(m, n))
+    return graph_of(m * n, edges)
 
 
 def reference_group_buckets(m: int, n: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -515,7 +570,7 @@ def reference_canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
         for path in grp.paths:
             for idx, (u, v) in enumerate(zip(path, path[1:])):
                 assignment[_normalize_edge(u, v)] = first + idx % 2
-    return EdgeColoring(assignment, bishop_delta(m, n) if assignment else 0)
+    return coloring_of(assignment, bishop_delta(m, n) if assignment else 0)
 
 
 def _odd_color(u: int, v: int, n: int) -> int:
@@ -568,7 +623,7 @@ def reference_rook_class1_coloring(m: int, n: int) -> EdgeColoring:
                     cls = _even_class(u, v, m)
                     c = cls + n if n % 2 == 0 else (j + 1 if cls == 0 else n + cls)
                 assignment[(u * n + j, v * n + j)] = c
-    return EdgeColoring(assignment, m + n - 2)
+    return coloring_of(assignment, m + n - 2)
 
 
 def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeColoring:
@@ -583,7 +638,7 @@ def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeCol
         row = reference_k_odd_prescribed_missing(n, [r0 + 1, *plan.rows[r0]], True)
         for (x, y), c in row.items():
             assignment[(r0 * n + x, r0 * n + y)] = c
-    return EdgeColoring(assignment, m + n - 1)
+    return coloring_of(assignment, m + n - 1)
 
 
 # --- complete graphs and ladder missing colours, used only by the tests ---------
@@ -659,7 +714,7 @@ def is_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
         if sorted(v for e in matching for v in e) != list(range(g.vertex_count)):
             return False
         used += matching
-    return sorted(used) == sorted(g.edges)
+    return sorted(used) == sorted(edge_set(g))
 
 
 def reference_verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequence[int]],
@@ -669,6 +724,7 @@ def reference_verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequen
     same detail."""
     detail: list[str] = []
     used: set[tuple[int, int]] = set()
+    edges = edge_set(g)
 
     def claim(e: tuple[int, int], part: str) -> None:
         if e in used:
@@ -688,7 +744,7 @@ def reference_verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequen
         covered: set[int] = set()
         for u, v in matching:
             e = _normalize_edge(u, v)
-            if e not in g.edges:
+            if e not in edges:
                 detail.append(f"matching edge {e} not in graph")
             if u in covered or v in covered:
                 detail.append(f"matching repeats a vertex on {e}")
@@ -696,7 +752,7 @@ def reference_verify_hamiltonian_decomposition(g: Graph, cycles: Sequence[Sequen
             claim(e, "matching")
         if len(covered) != g.vertex_count:
             detail.append("matching is not perfect")
-    leftover = g.edges - used
+    leftover = edges - used
     if leftover:
         detail.append(f"{len(leftover)} edges uncovered, e.g. {sorted(leftover)[:5]}")
     return _report(detail, parts)
@@ -738,7 +794,7 @@ def reference_read_dimacs(fh: IO[str]) -> Graph:
                 raise ValueError(f"line {lineno}: vertex id {x} outside 1..{n}")
         if a == b:
             raise ValueError(f"self loop at vertex {a - 1}")
-    g = Graph(n, frozenset((min(a, b) - 1, max(a, b) - 1) for _, a, b in rows))
+    g = graph_of(n, frozenset((min(a, b) - 1, max(a, b) - 1) for _, a, b in rows))
     if g.edge_count != declared:
         raise ValueError(f"declared {declared} edges, found {g.edge_count}")
     return g
@@ -777,7 +833,7 @@ def reference_read_coloring(fh: IO[str]) -> EdgeColoring:
     for (lo, hi), c in assignment.items():
         if not 1 <= c <= declared:
             raise CertificateError(f"edge {lo + 1} {hi + 1}: color {c} outside 1..{declared}")
-    return EdgeColoring(assignment, declared)
+    return coloring_of(assignment, declared)
 
 
 # --- the writers, one %-formatted batch of Python ints at a time ---------------
@@ -888,6 +944,58 @@ def fixture_square(d: int, flipped: bool = False) -> list[list[int]]:
     return [[parse_vertex(tok, d) for tok in row] for row in _fixture_rows(name)]
 
 
+def perfect_factorization_exists(d: int = 2) -> bool:
+    """Exhaustively decide whether G_d has a perfect 1-factorization.
+
+    Every pair of the Delta matchings must union into a Hamiltonian cycle.
+    Only d=2 is small enough for the exhaustive claim.
+    """
+    if d != 2:
+        raise ValueError("exhaustive search is limited to d=2")
+    g = build(d)
+    n = g.vertex_count
+    adj = [sorted(a) for a in neighbours(g)]
+    all_edges = sorted(edge_set(g))
+
+    def matchings(avail: set[tuple[int, int]], first: tuple[int, int]
+                  ) -> Iterable[frozenset[tuple[int, int]]]:
+        # perfect matchings within avail that contain the anchor edge
+        def extend(uncovered: list[int], picked: list[tuple[int, int]]
+                   ) -> Iterable[frozenset[tuple[int, int]]]:
+            if not uncovered:
+                yield frozenset(picked)
+                return
+            u = uncovered[0]
+            for w in adj[u]:
+                e = (u, w) if u < w else (w, u)
+                if e in avail and w in uncovered:
+                    rest = [x for x in uncovered if x not in (u, w)]
+                    yield from extend(rest, picked + [e])
+        start = [x for x in range(n) if x not in first]
+        yield from extend(start, [first])
+
+    def hamiltonian_pair(m1: frozenset, m2: frozenset) -> bool:
+        at: list[list[int | None]] = [[None, None] for _ in range(n)]
+        for c, m in enumerate((m1, m2)):
+            for u, v in m:
+                at[u][c] = v
+                at[v][c] = u
+        return _union_cycle_count(at, 0, 1)[0] == 1
+
+    def search(avail: set[tuple[int, int]], chosen: list[frozenset]) -> bool:
+        if len(chosen) == delta(d):
+            return True
+        # anchor on the lowest uncovered edge so each factorization is seen once
+        anchor = min(avail)
+        for m in matchings(avail, anchor):
+            if all(hamiltonian_pair(m, prev) for prev in chosen):
+                if search(avail - m, chosen + [m]):
+                    return True
+        return False
+
+    return search(set(all_edges), [])
+
+
 # --- oracles and checks that only the tests use ---------------------------------
 
 def coord_to_id(c: BoardCoord, n: int) -> int:
@@ -895,11 +1003,8 @@ def coord_to_id(c: BoardCoord, n: int) -> int:
 
 
 def complement(g: Graph) -> Graph:
-    n = g.vertex_count
-    edges = frozenset(
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges
-    )
-    return Graph(n, edges)
+    n, edges = g.vertex_count, edge_set(g)
+    return graph_of(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges])
 
 
 def fournier_forest_check(g: Graph) -> bool:
@@ -910,7 +1015,7 @@ def fournier_forest_check(g: Graph) -> bool:
     if g.vertex_count == 0:
         raise EmptyGraphError("fournier check on empty graph")
     delta = max_degree(g)
-    majors = [v for v in range(g.vertex_count) if g.degree(v) == delta]
+    majors = [v for v, a in enumerate(neighbours(g)) if len(a) == delta]
     index = {v: i for i, v in enumerate(majors)}
     parent = list(range(len(majors)))
 
@@ -920,7 +1025,7 @@ def fournier_forest_check(g: Graph) -> bool:
             x = parent[x]
         return x
 
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         if u in index and v in index:
             ru, rv = find(index[u]), find(index[v])
             if ru == rv:
@@ -1006,10 +1111,10 @@ def reference_mycielskian(g: Graph) -> Graph:
     """mu(g) edge by edge: the oracle for graphcert.mycielski.mycielskian."""
     n = g.vertex_count
     edges: list[tuple[int, int]] = []
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         edges += [(u, v), (u, n + v), (v, n + u)]
     edges += [(n + i, 2 * n) for i in range(n)]
-    return Graph.from_edges(2 * n + 1, edges)
+    return graph_of(2 * n + 1, edges)
 
 
 def hc_check_all_pairs(g: Graph) -> bool:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (color_counts, colors_used, complete, complete_graph_coloring, coord_to_id,
+from conftest import (assignment_of, color_counts, coloring_of, colors_used, complete,
+                      complete_graph_coloring, coord_to_id, edge_set, graph_of,
                       ladder_missing_color, reference_bishop_path_decomposition,
                       reference_canonical_bishop_coloring, reference_group_buckets,
                       reference_ladder_coloring, reference_rook_class1_coloring)
@@ -38,7 +39,7 @@ def complete_coloring(n: int, colors, declared: int) -> EdgeColoring:
 
 
 def missing_colors_at(coloring: EdgeColoring, vertex: int) -> set[int]:
-    seen = {c for (u, v), c in coloring.assignment.items() if vertex in (u, v)}
+    seen = {c for (u, v), c in assignment_of(coloring).items() if vertex in (u, v)}
     return set(range(1, coloring.declared_color_count + 1)) - seen
 
 
@@ -65,13 +66,11 @@ def test_complete_odd_matching_becomes_class_one():
     matching = [(0, 1), (2, 3), (4, 5)]
     coloring = complete_graph_coloring(7, matching_as_class=matching)
     assert verify_edge_coloring(complete(7), coloring).ok
-    class1 = {e for e, c in coloring.assignment.items() if c == 1}
+    class1 = {e for e, c in assignment_of(coloring).items() if c == 1}
     assert class1 == set(matching)
     # Dropping the matching class leaves a 6-coloring of K_7 minus the matching.
-    rest = EdgeColoring({e: c - 1 for e, c in coloring.assignment.items() if c != 1}, 6)
-    g = complete(7)
-    for u, v in matching:
-        g = g.without_edge(u, v)
+    rest = coloring_of({e: c - 1 for e, c in assignment_of(coloring).items() if c != 1}, 6)
+    g = graph_of(7, edge_set(complete(7)) - set(matching))
     report = verify_edge_coloring(g, rest)
     assert report.ok
     assert report.colors_used == 6
@@ -82,7 +81,7 @@ def test_complete_even_matching_becomes_class_one():
     coloring = complete_graph_coloring(6, matching_as_class=matching)
     assert verify_edge_coloring(complete(6), coloring).ok
     assert coloring.declared_color_count == 5
-    assert {e for e, c in coloring.assignment.items() if c == 1} == set(matching)
+    assert {e for e, c in assignment_of(coloring).items() if c == 1} == set(matching)
 
 
 def test_complete_rejects_bad_matchings():
@@ -107,7 +106,7 @@ def test_prescribed_missing_realizes_the_prescription():
 def test_prescribed_missing_matching_class():
     desired = (7, 1, 2, 3, 4, 5, 6)
     coloring = complete_coloring(7, k_odd_prescribed_missing(7, desired, matching_class=True), 7)
-    assignment = coloring.assignment
+    assignment = assignment_of(coloring)
     assert assignment[(1, 2)] == assignment[(3, 4)] == assignment[(5, 6)] == 7
     assert verify_edge_coloring(complete(7), coloring).ok
     for u in range(7):
@@ -132,20 +131,20 @@ BOARDS = [(2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (4, 7), (5, 5), (5, 8), (6, 6)
 def test_path_decomposition_partitions_bishop_edges():
     for m, n in BOARDS:
         pd = bishop_path_decomposition(m, n)
-        g = build_bishop(m, n)
+        edges = edge_set(build_bishop(m, n))
         covered: set[tuple[int, int]] = set()
         for grp in pd.groups:
             for p in grp.paths:
                 assert len(p) >= 2
                 for a, b in zip(p, p[1:]):
                     e = (a, b) if a < b else (b, a)
-                    assert e in g.edges
+                    assert e in edges
                     assert e not in covered
                     covered.add(e)
             # Paths within one group never share a vertex.
             vertices = [v for p in grp.paths for v in p]
             assert len(vertices) == len(set(vertices))
-        assert covered == set(g.edges)
+        assert covered == edges
         if m % 2 == 0:
             assert all(not (2 * grp.i == m and grp.sign < 0) for grp in pd.groups)
 
@@ -316,7 +315,7 @@ def test_constructions_match_the_tuple_oracle():
             plan = MissingColorPlan(m, n, tuple(map(tuple, rows)))
             built.append((ladder_coloring(m, n, plan), reference_ladder_coloring(m, n, plan)))
         wrong += [(m, n, got.declared_color_count) for got, want in built
-                  if got.assignment != want.assignment
+                  if assignment_of(got) != assignment_of(want)
                   or got.declared_color_count != want.declared_color_count]
     assert wrong == []
 
@@ -342,12 +341,13 @@ def test_canonical_coloring_group_colors_and_alternation():
     coloring = canonical_bishop_coloring(m, n)
     assert verify_edge_coloring(build_bishop(m, n), coloring).ok
     pd = bishop_path_decomposition(m, n)
+    assignment = assignment_of(coloring)
     for grp in pd.groups:
         first = 4 * grp.i - 3 if grp.sign > 0 else 4 * grp.i - 1
         for p in grp.paths:
             for idx, (a, b) in enumerate(zip(p, p[1:])):
                 e = (a, b) if a < b else (b, a)
-                assert coloring.assignment[e] == first + idx % 2
+                assert assignment[e] == first + idx % 2
 
 
 def test_rarest_color_is_lonely_on_the_odd_square():

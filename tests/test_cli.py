@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
+from conftest import coloring_of, edge_set
 from graphcert import cli, core, keller, multicycle, mycielski
 from graphcert import io as gio
 from graphcert.cli import main
-from graphcert.core import EdgeColoring, VerificationReport, vizing_delta_plus_one
+from graphcert.core import VerificationReport, vizing_delta_plus_one
 from graphcert.queen import QueenColoringCertificate
 
 
@@ -47,8 +48,8 @@ def test_verify_rejects_broken_coloring(tmp_path, capsys):
     cert = str(tmp_path / "bad.coloring")
     run(capsys, ["gen", "--family", "queen", "--m", "2", "--n", "2", "--out", graph])
     # 2x2 queens form K_4; one color on every edge clashes everywhere
-    edges = gio.read_dimacs(graph).edges
-    gio.write_coloring(EdgeColoring({e: 1 for e in edges}, 1), cert)
+    edges = edge_set(gio.read_dimacs(graph))
+    gio.write_coloring(coloring_of({e: 1 for e in edges}, 1), cert)
     code, _, err = run(capsys, ["verify", "coloring", "--graph", graph,
                                 "--certificate", cert])
     assert code == 1

@@ -5,8 +5,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import (adjacent, color_counts, fixture_square, reference_color_kernel,
-                      reference_parse_vertex, reference_row_col, reference_vertex_string)
+from conftest import (adjacent, assignment_of, color_counts, edge_set, fixture_square, neighbours,
+                      perfect_factorization_exists, reference_color_kernel, reference_parse_vertex,
+                      reference_row_col, reference_vertex_string)
 from hypothesis import given, strategies as st
 
 import graphcert.core as core
@@ -42,7 +43,6 @@ from graphcert.keller import (
     independence_square,
     omega_value,
     parse_vertex,
-    perfect_factorization_exists,
     theta_bounds,
     verify_cover_by_rule,
     vertex_string,
@@ -70,13 +70,13 @@ def test_build_is_regular():
         g = build(d)
         assert g.vertex_count == 4 ** d
         assert g.edge_count == 4 ** d * delta(d) // 2
-        assert all(len(g.adjacency[v]) == delta(d) for v in range(g.vertex_count))
+        assert all(len(a) == delta(d) for a in neighbours(g))
     with pytest.raises(ValueError):
         build(1)
 
 
-# sha256 of "u v" per line of sorted(build(d).edges), and of "u v color" per
-# line of class1_coloring(d).assignment in insertion order, recorded from the
+# sha256 of "u v" per line of sorted(edge_set(build(d))), and of "u v color" per
+# line of assignment_of(class1_coloring(d)) in insertion order, recorded from the
 # per-vertex loop implementation that the array kernels replaced
 RECORDED_DIGESTS = {
     2: ("3d3eb9a365b510d2a4108a9bba248ef83caf2ceb9bde99167795ae5d3e55c0c3",
@@ -93,8 +93,8 @@ RECORDED_DIGESTS = {
 @pytest.mark.parametrize("d", sorted(RECORDED_DIGESTS))
 def test_build_and_class1_match_recorded_digests(d):
     edges, coloring = RECORDED_DIGESTS[d]
-    assert _digest(sorted(build(d).edges)) == edges
-    assert _digest((u, v, c) for (u, v), c in class1_coloring(d).assignment.items()) == coloring
+    assert _digest(sorted(edge_set(build(d)))) == edges
+    assert _digest((u, v, c) for (u, v), c in assignment_of(class1_coloring(d)).items()) == coloring
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -119,7 +119,7 @@ def test_adjacency_rule():
     assert not adjacent(0, parse_vertex("02", 2), 2)
     g = build(3)
     by_rule = {(u, v) for u in range(64) for v in range(u + 1, 64) if adjacent(u, v, 3)}
-    assert by_rule == set(g.edges)
+    assert by_rule == edge_set(g)
 
 
 def test_ham_cycle():
@@ -149,8 +149,9 @@ def test_class1_g2():
     coloring = class1_coloring(2)
     report = verify_edge_coloring(build(2), coloring)
     assert report.ok and report.colors_used == 5
-    shared = coloring.assignment[(0, 11)]
-    cls = {e for e, c in coloring.assignment.items() if c == shared}
+    assignment = assignment_of(coloring)
+    shared = assignment[(0, 11)]
+    cls = {e for e, c in assignment.items() if c == shared}
     assert {(0, 11), (2, 9), (4, 15)} <= cls
 
 
@@ -166,7 +167,7 @@ def test_class1_classes_are_perfect_matchings():
     for d in (2, 3):
         coloring = class1_coloring(d)
         classes: dict[int, list[tuple[int, int]]] = {}
-        for e, c in coloring.assignment.items():
+        for e, c in assignment_of(coloring).items():
             classes.setdefault(c, []).append(e)
         for edges in classes.values():
             assert len(edges) == 4 ** d // 2
@@ -298,7 +299,7 @@ def test_anchor_vertex_coloring_is_proper():
         colors[independence_square(d)] = np.arange(2 ** d)[:, None]
         assert len(set(colors.tolist())) == 2 ** d
         g = build(d)
-        assert all(colors[u] != colors[v] for u, v in g.edges)
+        assert all(colors[u] != colors[v] for u, v in edge_set(g))
 
 
 def test_alpha():
@@ -378,7 +379,7 @@ def _cover_reference(d, cover):
 @functools.cache
 def _valid_cover_and_graph(d):
     if d == 2:  # a color class of the class-1 coloring is a cover by edges
-        return [sorted(e) for e, c in class1_coloring(2).assignment.items() if c == 1], build(2)
+        return [sorted(e) for e, c in assignment_of(class1_coloring(2)).items() if c == 1], build(2)
     return fixture_clique_cover(d), build(d)
 
 
@@ -410,11 +411,11 @@ def test_cover_rule_agrees_with_graph_verifier_on_mutants(d, mutations):
 
 def test_rule_chunking_does_not_change_results(monkeypatch):
     whole = [list(range(64))]
-    expected = (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail)
+    expected = (sorted(edge_set(build(3))), verify_cover_by_rule(3, whole).detail)
     assert expected[1] == _cover_reference(3, whole)
     monkeypatch.setattr(keller, "_RULE_CELLS", 1)  # one row per chunk
     monkeypatch.setattr(core, "_COVER_PAIRS", 1)  # one row per chunk in the cover check
-    assert (sorted(build(3).edges), verify_cover_by_rule(3, whole).detail) == expected
+    assert (sorted(edge_set(build(3))), verify_cover_by_rule(3, whole).detail) == expected
     assert verify_clique_cover(build(3), whole).detail == expected[1]
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (color_counts, colors_used, complete, cycle, fournier_forest_check, path,
-                      petersen, reference_eliminate_color, reference_find_class1,
+from conftest import (assignment_of, color_counts, coloring_of, colors_used, complete, cycle,
+                      edge_set, fournier_forest_check, graph_of, path, petersen,
+                      reference_eliminate_color, reference_find_class1,
                       reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
@@ -35,22 +36,22 @@ from graphcert.queen import class2_overfull_coloring, classify_and_color
 
 def c4_coloring() -> tuple[Graph, EdgeColoring]:
     g = cycle(4)
-    return g, EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, 2)
+    return g, coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, 2)
 
 
 def k4_four_coloring() -> tuple[Graph, EdgeColoring]:
     g = complete(4)
-    return g, EdgeColoring({(0, 1): 1, (2, 3): 2, (0, 2): 3, (1, 3): 3,
+    return g, coloring_of({(0, 1): 1, (2, 3): 2, (0, 2): 3, (1, 3): 3,
                             (0, 3): 4, (1, 2): 4}, 4)
 
 
 def _digest(coloring: EdgeColoring) -> str:
-    text = "".join(f"{u} {v} {c}\n" for (u, v), c in sorted(coloring.assignment.items()))
+    text = "".join(f"{u} {v} {c}\n" for (u, v), c in sorted(assignment_of(coloring).items()))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _shuffled(g: Graph, seed: int) -> list[tuple[int, int]]:
-    order = sorted(g.edges)
+    order = sorted(edge_set(g))
     random.Random(seed).shuffle(order)
     return order
 
@@ -64,7 +65,7 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
     state = ColorState.of(g.vertex_count, coloring)
     chain, _ = state.chain_edges(start, a, b)
     state.swap(chain, a, b)
-    result = snapshot(state, coloring.assignment, coloring.declared_color_count)
+    result = snapshot(state, assignment_of(coloring), coloring.declared_color_count)
     assert verify_edge_coloring(g, result).ok
     return result
 
@@ -72,21 +73,21 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
 def test_switch_swaps_the_whole_even_cycle():
     g, coloring = c4_coloring()
     swapped = kempe_switch(coloring, g, 0, 1, 2)
-    assert swapped.assignment == {(0, 1): 2, (1, 2): 1, (2, 3): 2, (0, 3): 1}
+    assert assignment_of(swapped) == {(0, 1): 2, (1, 2): 1, (2, 3): 2, (0, 3): 1}
 
 
 def test_switch_swaps_a_path_chain():
     g = path(3)
-    coloring = EdgeColoring({(0, 1): 1, (1, 2): 2}, 2)
+    coloring = coloring_of({(0, 1): 1, (1, 2): 2}, 2)
     swapped = kempe_switch(coloring, g, 0, 1, 2)
-    assert swapped.assignment == {(0, 1): 2, (1, 2): 1}
+    assert assignment_of(swapped) == {(0, 1): 2, (1, 2): 1}
 
 
 def test_switch_stays_inside_the_component():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
-    coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2, (4, 5): 1}, 2)
+    g = graph_of(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+    coloring = coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2, (4, 5): 1}, 2)
     swapped = kempe_switch(coloring, g, 0, 1, 2)
-    assert swapped.assignment[(4, 5)] == 1
+    assert assignment_of(swapped)[(4, 5)] == 1
 
 
 def test_switch_needs_two_colors(monkeypatch):
@@ -108,7 +109,7 @@ def test_switch_needs_two_colors(monkeypatch):
 def test_switch_sequence_reaches_class1_on_k4():
     # Breadth-first search over switch applications, oracle for the heuristic.
     g, start = k4_four_coloring()
-    seen = {tuple(sorted(start.assignment.items()))}
+    seen = {tuple(sorted(assignment_of(start).items()))}
     queue = deque([start])
     reached = None
     while queue:
@@ -120,7 +121,7 @@ def test_switch_sequence_reaches_class1_on_k4():
             for a in range(1, 5):
                 for b in range(a + 1, 5):
                     nxt = kempe_switch(cur, g, v, a, b)
-                    key = tuple(sorted(nxt.assignment.items()))
+                    key = tuple(sorted(assignment_of(nxt).items()))
                     if key not in seen:
                         seen.add(key)
                         queue.append(nxt)
@@ -133,12 +134,13 @@ def _colored_graph_and_move(draw):
     n = draw(st.integers(2, 9))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    g = Graph.from_edges(n, edges)
+    g = graph_of(n, edges)
     coloring = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
     colors = range(1, coloring.declared_color_count + 1)
     a = draw(st.sampled_from(colors))
     b = draw(st.sampled_from([c for c in colors if c != a] or [a]))
-    return g, coloring, draw(st.integers(0, n - 1)), a, b, draw(st.sampled_from(sorted(g.edges)))
+    edge = draw(st.sampled_from(sorted(edge_set(g))))
+    return g, coloring, draw(st.integers(0, n - 1)), a, b, edge
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,9 +159,9 @@ def test_scoring_predicts_the_swap(case):
     swapped = ColorState.of(g.vertex_count, coloring)
     swapped.swap(chain, a, b)
     assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
-                         swapped.nbr[u][v] == coloring.assignment[e_uv])
+                         swapped.nbr[u][v] == assignment_of(coloring)[e_uv])
     # the incremental structures match a rebuild from the swapped coloring
-    result = snapshot(swapped, coloring.assignment, coloring.declared_color_count)
+    result = snapshot(swapped, assignment_of(coloring), coloring.declared_color_count)
     rebuilt = ColorState.of(g.vertex_count, result)
     assert (swapped.at, swapped.nbr, swapped.present, swapped.by_color) == \
         (rebuilt.at, rebuilt.nbr, rebuilt.present, rebuilt.by_color)
@@ -218,7 +220,7 @@ def _criticality_of_c4():
 @pytest.mark.parametrize("call", [_criticality_of_c4], ids=["edge_critical_check"])
 def test_failed_final_check_raises_certificate_error(monkeypatch, call):
     # These checks must hold under python -O too, so they cannot be asserts.
-    failed = verify_edge_coloring(path(2), EdgeColoring({}, 0))
+    failed = verify_edge_coloring(path(2), coloring_of({}, 0))
     assert not failed.ok
     monkeypatch.setattr(kempe, "verify_edge_coloring", lambda g, coloring: failed)
     with pytest.raises(CertificateError):
@@ -239,7 +241,7 @@ def _eliminate(g: Graph, coloring: EdgeColoring, target: int,
 
 def test_eliminate_color_on_small_cycle():
     g = cycle(4)
-    coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 3}, 3)
+    coloring = coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 3}, 3)
     result = _eliminate(g, coloring, 3, SearchBudget.default())
     assert result is not None
     assert verify_edge_coloring(g, result).ok
@@ -270,7 +272,7 @@ def test_find_class1_rejects_an_improper_warm_start():
     # a warm start comes from outside the search, so it is checked before the
     # search starts; eliminate_color trusts the colourings the search hands it
     g = cycle(4)
-    partial = EdgeColoring({(0, 1): 1}, 2)
+    partial = coloring_of({(0, 1): 1}, 2)
     with pytest.raises(ValueError, match="warm start"):
         find_class1(g, SearchBudget.default(), warm_start=partial)
 
@@ -293,7 +295,7 @@ def _elimination_case(draw):
     if name == "random":
         n = draw(st.integers(2, 10))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+        g = graph_of(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
     elif name == "petersen":
         g = petersen()
     elif name == "K5":
@@ -315,7 +317,7 @@ def test_eliminate_color_matches_the_full_rescan_oracle(case):
             want = reference_eliminate_color(g, start, target, budget)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.assignment == want.assignment
+                assert assignment_of(got) == assignment_of(want)
                 assert got.declared_color_count == want.declared_color_count
 
 
@@ -324,7 +326,7 @@ def test_eliminate_color_matches_the_full_rescan_oracle(case):
 
 def _outcome(outcome: SearchOutcome):
     coloring = outcome.coloring
-    return (None if coloring is None else (coloring.assignment, coloring.declared_color_count),
+    return (None if coloring is None else (assignment_of(coloring), coloring.declared_color_count),
             outcome.reason, outcome.restarts_used)
 
 
@@ -356,7 +358,7 @@ def _search_case(draw):
     if name == "random":
         n = draw(st.integers(2, 9))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+        g = graph_of(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
     elif name == "petersen":
         g = petersen()
     else:
@@ -367,7 +369,7 @@ def _search_case(draw):
     if draw(st.booleans()):
         start = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
         spread, extra = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-        warm = EdgeColoring({e: spread * c for e, c in start.assignment.items()},
+        warm = coloring_of({e: spread * c for e, c in assignment_of(start).items()},
                             spread * start.declared_color_count + extra)
     return g, budget, warm
 
@@ -428,7 +430,7 @@ def test_find_class1_is_deterministic():
     first = find_class1(g, budget)
     second = find_class1(g, budget)
     assert first.restarts_used == second.restarts_used
-    assert first.coloring.assignment == second.coloring.assignment
+    assert assignment_of(first.coloring) == assignment_of(second.coloring)
 
 
 def test_find_class1_accepts_a_warm_start():
@@ -436,18 +438,18 @@ def test_find_class1_accepts_a_warm_start():
     warm = classify_and_color(3, 7).coloring
     outcome = find_class1(g, SearchBudget.default(), warm_start=warm)
     assert outcome.reason == "ok" and outcome.restarts_used == 1
-    assert outcome.coloring.assignment == warm.normalized().assignment
+    assert assignment_of(outcome.coloring) == assignment_of(warm.normalized())
 
 
 def test_find_class1_rejects_a_broken_warm_start():
     g = build_queen(3, 7)
     with pytest.raises(ValueError):
-        find_class1(g, SearchBudget.default(), warm_start=EdgeColoring({(0, 1): 1}, 12))
+        find_class1(g, SearchBudget.default(), warm_start=coloring_of({(0, 1): 1}, 12))
 
 
 def test_find_class1_succeeds_on_fournier_graphs():
     corpus = [build_queen(7, 7), mycielski_graph(4), path(7),
-              Graph.from_edges(6, [(0, i) for i in range(1, 6)])]
+              graph_of(6, [(0, i) for i in range(1, 6)])]
     for g in corpus:
         assert fournier_forest_check(g)
         outcome = find_class1(g, SearchBudget.default())
@@ -536,7 +538,7 @@ def _vizing_case(draw):
     if name == "random":
         n = draw(st.integers(0, 12))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+        g = graph_of(n, draw(st.lists(st.sampled_from(pairs), unique=True))
                              if pairs else [])
     else:
         g = _vizing_host(name)
@@ -549,7 +551,7 @@ def _vizing_case(draw):
 def test_vizing_matches_the_reference(case):
     g, order = case
     got, want = vizing_coloring(g, order), reference_vizing_delta_plus_one(g, order)
-    assert got.assignment == want.assignment
+    assert assignment_of(got) == assignment_of(want)
     assert got.declared_color_count == want.declared_color_count
 
 
@@ -578,15 +580,19 @@ def test_k3_is_edge_critical():
 
 def test_k5_is_not_edge_critical():
     # K_5 minus any edge is still overfull, so every removal is a conclusive
-    # counterexample rather than a budget failure.
-    report = edge_critical_check(complete(5), SearchBudget.default())
-    assert not report.critical
-    assert report.failures == ()
-    assert len(report.disproved) == 10
+    # counterexample rather than a budget failure. So is Q(3,15) minus any
+    # edge, each sub-graph built on g.pairs with one row deleted; the report
+    # names the edges in sorted order.
+    for g, count in ((complete(5), 10), (build_queen(3, 15), 442)):
+        report = edge_critical_check(g, SearchBudget.default())
+        assert not report.critical
+        assert report.failures == ()
+        assert report.disproved == tuple(sorted(edge_set(g)))
+        assert len(report.disproved) == count
 
 
 def test_criticality_skips_delta_lowering_removals():
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    star = graph_of(4, [(0, 1), (0, 2), (0, 3)])
     report = edge_critical_check(star, SearchBudget(1, 1, 0))
     assert report.critical and report.failures == () and report.disproved == ()
 

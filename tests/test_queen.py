@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import color_counts
+from conftest import assignment_of, color_counts, coloring_of
 
 from graphcert import cli, core, queen
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
@@ -68,8 +68,8 @@ def test_square_odd_rejects_bad_input():
 @pytest.mark.parametrize("patch", [
     ("rarest_bishop_color", lambda n: 1),  # color 1 sits on many edges
     # a lone rarest edge touching column 1, and one inside a single row
-    ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(0, 6): 8}, 8)),
-    ("canonical_bishop_coloring", lambda m, n: EdgeColoring({(1, 2): 8}, 8)),
+    ("canonical_bishop_coloring", lambda m, n: coloring_of({(0, 6): 8}, 8)),
+    ("canonical_bishop_coloring", lambda m, n: coloring_of({(1, 2): 8}, 8)),
 ], ids=["rare-unique", "rare-column", "rare-row"])
 def test_square_odd_failed_self_check_raises_certificate_error(monkeypatch, patch):
     # These checks must hold under python -O too, so they cannot be asserts. The
@@ -201,7 +201,7 @@ def test_classify_and_color_grid():
             overfull = queen_edge_count(m, n) > queen_delta(m, n) * ((m * n) // 2)
             assert (cert.claimed_class == 2) == overfull
             if m == n == 1:
-                assert cert.coloring.assignment == {}
+                assert assignment_of(cert.coloring) == {}
                 continue
             check_certificate(cert)
 
@@ -229,6 +229,6 @@ def test_recoloring_an_edge_outside_the_union_raises_certificate_error():
     # a construction that reroutes an edge none of its parts colours is void,
     # under python -O too
     part = EdgeColoring.from_arrays([[0, 1]], [1], 1)
-    assert queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)]).assignment == {(0, 1): 2}
+    assert assignment_of(queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)])) == {(0, 1): 2}
     with pytest.raises(CertificateError, match="not colored"):
         queen._union(2, 2, [part], 2, recolor=[((0, 3), 2)])
