@@ -180,7 +180,7 @@ def _cmd_gen(args) -> int:
 # --- color -------------------------------------------------------------------------
 
 def _color_auto(args, g: Graph) -> QueenColoringCertificate:
-    return classify_and_color(args.m, args.n, budget=_budget(args), seed=args.seed, graph=g)
+    return classify_and_color(args.m, args.n, budget=_budget(args), graph=g)
 
 
 def _color_square_odd(args, g: Graph) -> QueenColoringCertificate:
@@ -502,8 +502,7 @@ def _class_task(task):
     m, n, switches, restarts, seed = task
     pred = classify_queen_prediction(m, n)
     g = build_queen(m, n)
-    cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed),
-                              seed=seed, graph=g)
+    cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed), graph=g)
     report = verify_edge_coloring(g, cert.coloring)
     want = queen_delta(m, n) + (cert.claimed_class - 1)
     detail = _count_detail(report, cert.coloring.declared_color_count, want)

@@ -1,11 +1,15 @@
-"""Plain graph types, certificate verifiers, and exact small-graph solvers.
+"""Plain graph types, certificate verifiers, exact small-graph solvers and
+the colour state that Vizing and the Kempe searches edit.
 
 Vertices are 0-based ints internally (1-based only in files). Graphs are
 simple and undirected. A graph stores its edges as one sorted (E, 2) int32
 array, `pairs`, and an edge colouring as an (E, 2) array of edges, `ends`,
-with a colour array aligned to it, `colors`. These arrays are the only store:
-the constructions, the search layers, the verifiers and the file writers all
-read them. Everything here is deterministic and side-effect free.
+with a colour array aligned to it, `colors`. These arrays are the only store
+of a finished graph or colouring: the constructions, the verifiers and the
+file writers all read them. A search holds its colouring in one ColorState
+instead, two per-vertex lists it edits in place, and reads the arrays out
+of it once. Everything here is deterministic, and only ColorState's edits
+change their argument.
 """
 
 from __future__ import annotations
@@ -665,161 +669,124 @@ def lowest_bit(mask: int) -> int:
 class ColorState:
     """A proper partial edge colouring held per vertex and edited in place.
 
-    For each vertex v: at[v][c] is the neighbour across v's c-coloured edge
-    (None when colour c is absent at v), nbr[v] maps each coloured
-    neighbour to the colour of their edge, and bit c of present[v] is set
-    when colour c is at v (bit 0 is always set, so the lowest clear bit is
-    the lowest free colour). at[v] is a list over the colours 0..colors,
-    so a chain walk is one list index per step. by_color[c] is the edge set
-    of colour c, which recolor and swap maintain, and len(by_color) - 1 is
-    the number of declared colours. of() fills the class sets as it loads a
-    colouring, over its declared colours; Vizing fills them once every edge
-    is coloured, over the colours up to the highest it used, since its fan
-    edits never read them.
+    Two lists per vertex are the whole store. at[v][c] is the neighbour
+    across v's c-coloured edge, None when colour c is absent at v; at[v]
+    runs over the colours 0..the palette, so a chain walk is one list index
+    per step. Bit c of present[v] is set when colour c is at v; bit 0 is
+    always set, so the lowest clear bit is the lowest free colour. colors is
+    the number of declared colours: the colouring's own for of(), the
+    highest used for Vizing. An edge's colour, a colour class and the
+    non-empty classes are read from at and present when asked for; no edit
+    keeps a second copy of the colouring in step.
+
+    The edits take the colours their callers already know: rotate the fan
+    colours, recolor the old colour. walk is the one chain primitive, and
+    invert the one chain edit, for a walk or for a component joined from
+    two walks.
     """
 
     def __init__(self, vertex_count: int, colors: int):
         """An uncoloured state on vertex_count vertices for colours 1..colors."""
         self.at: list[list[int | None]] = [[None] * (colors + 1) for _ in range(vertex_count)]
-        self.nbr: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         self.present = [1] * vertex_count
-        self.by_color: list[set[tuple[int, int]]] | None = None
+        self.colors = colors
 
     @classmethod
     def of(cls, vertex_count: int, coloring: EdgeColoring) -> "ColorState":
-        """The state of a proper colouring, with its colour classes.
-
-        The rows of coloring are loaded in their order, so each class set
-        takes its edges in assignment order.
-        """
+        """The state of a proper colouring, over its declared colours."""
         state = cls(vertex_count, coloring.declared_color_count)
-        at, nbr, present = state.at, state.nbr, state.present
-        state.by_color = by_color = [set() for _ in range(coloring.declared_color_count + 1)]
-        for e, c in zip(zip(*coloring.ends.T.tolist()), coloring.colors.tolist()):
-            u, v = e
+        at, present = state.at, state.present
+        for u, v, c in zip(*coloring.ends.T.tolist(), coloring.colors.tolist()):
             at[u][c] = v
             at[v][c] = u
-            nbr[u][v] = c
-            nbr[v][u] = c
             present[u] |= 1 << c
             present[v] |= 1 << c
-            by_color[c].add(e)
         return state
 
     def walk(self, start: int, first: int, second: int) -> list[tuple[int, int, int]]:
-        """Maximal path from start whose edges alternate first, second, ...
+        """Maximal walk from start whose edges alternate first, second, ...
 
-        Each step is (vertex, next vertex, colour). start must miss one of
-        the two colours, so the path is simple and never closes.
+        Each step is (vertex, next vertex, colour of their edge). The walk
+        ends at a vertex that misses the next colour, or back at start once
+        it closes a cycle, so it never repeats an edge.
         """
         at = self.at
         path: list[tuple[int, int, int]] = []
         cur, col, other = start, first, second
         while (nxt := at[cur][col]) is not None:
             path.append((cur, nxt, col))
+            if nxt == start:
+                break
             cur, col, other = nxt, other, col
         return path
 
     def invert(self, path: list[tuple[int, int, int]], c: int, d: int) -> None:
-        """Swap c and d on every edge of a walk.
+        """Swap c and d on every step of a walk, or of two walks joined end to end.
 
-        Two passes, so no colour is ever at a vertex twice: the first clears
+        The steps run from one end to the other, so path[0][0] and
+        path[-1][1] are the ends of a path, or start twice for a cycle. Two
+        passes, so no colour is ever at a vertex twice: the first clears
         the old entries, the second writes the new ones. Every inner vertex
-        keeps one c-edge and one d-edge, so only the path's two ends change
-        their masks.
+        keeps one c-edge and one d-edge, so only the two ends flip their
+        masks, and on a cycle the two flips cancel.
         """
         if not path:
             return
-        at, nbr = self.at, self.nbr
+        at = self.at
         for x, y, col in path:
             at[x][col] = at[y][col] = None
         for x, y, col in path:
             new = c if col == d else d
             at[x][new] = y
             at[y][new] = x
-            nbr[x][y] = nbr[y][x] = new
         flip = (1 << c) | (1 << d)
         self.present[path[0][0]] ^= flip
         self.present[path[-1][1]] ^= flip
 
-    def rotate(self, u: int, fan: Sequence[int], final: int) -> None:
+    def rotate(self, u: int, fan: Sequence[int], ds: Sequence[int], final: int) -> None:
         """Shift the fan's colours down by one and colour its last edge.
 
-        (u, fan[0]) is uncoloured. Each (u, fan[i]) takes the colour of
-        (u, fan[i+1]), which must be free at fan[i], and (u, fan[-1]) takes
-        final, which must be free at u and at fan[-1]. In place: fan[i+1]
-        loses the colour fan[i] gains, and u gains only final.
+        (u, fan[0]) is uncoloured, and ds[i] is the colour of (u, fan[i+1]),
+        which must be free at fan[i]; ds may run past the fan. Each
+        (u, fan[i]) takes ds[i], and (u, fan[-1]) takes final, which must be
+        free at u and at fan[-1]. In place: fan[i+1] loses the colour fan[i]
+        gains, and u gains only final.
         """
-        at, nbr, present = self.at, self.nbr, self.present
-        at_u, nbr_u = at[u], nbr[u]
+        at, present = self.at, self.present
+        at_u = at[u]
         prev = fan[0]
-        for f in fan[1:]:
-            c = nbr_u[f]
+        for f, c in zip(fan[1:], ds):
             at_u[c] = prev
             at[prev][c] = u
-            nbr_u[prev] = nbr[prev][u] = c
             present[prev] |= 1 << c
             at[f][c] = None
             present[f] ^= 1 << c
             prev = f
         at_u[final] = prev
         at[prev][final] = u
-        nbr_u[prev] = nbr[prev][u] = final
         present[prev] |= 1 << final
         present[u] |= 1 << final
 
-    def recolor(self, e: tuple[int, int], c: int) -> None:
-        """Give the coloured edge e colour c, which must be free at both ends."""
-        u, v = e
-        old = self.nbr[u][v]
+    def recolor(self, u: int, v: int, old: int, new: int) -> None:
+        """Give the edge (u, v) of colour old colour new, which must be free at both ends."""
         at_u, at_v = self.at[u], self.at[v]
         at_u[old] = at_v[old] = None
-        at_u[c] = v
-        at_v[c] = u
-        self.nbr[u][v] = self.nbr[v][u] = c
-        flip = (1 << old) | (1 << c)
+        at_u[new] = v
+        at_v[new] = u
+        flip = (1 << old) | (1 << new)
         self.present[u] ^= flip
         self.present[v] ^= flip
-        self.by_color[old].remove(e)
-        self.by_color[c].add(e)
-
-    def chain_edges(self, start: int, a: int, b: int
-                    ) -> tuple[set[tuple[int, int]], tuple[int, int] | None]:
-        """Maximal (a,b)-alternating component through start: a path or a cycle.
-
-        Returns its edge set and the two end vertices of a path (the end
-        reached by leaving start on a first), or None for a closed cycle and
-        for an empty chain.
-        """
-        at = self.at
-        seen: set[tuple[int, int]] = set()
-        cur, col, other = start, a, b
-        while (nxt := at[cur][col]) is not None:
-            e = (cur, nxt) if cur < nxt else (nxt, cur)
-            if e in seen:
-                break
-            seen.add(e)
-            if nxt == start:
-                return seen, None
-            cur, col, other = nxt, other, col
-        first_end = cur
-        cur, col, other = start, b, a
-        while (nxt := at[cur][col]) is not None:
-            e = (cur, nxt) if cur < nxt else (nxt, cur)
-            if e in seen:
-                break
-            seen.add(e)
-            cur, col, other = nxt, other, col
-        return seen, ((first_end, cur) if seen else None)
 
     def chain_counts(self, start: int, a: int, b: int
                      ) -> tuple[int, int, tuple[int, int] | None]:
-        """The component chain_edges returns, counted instead of collected.
+        """The maximal (a,b)-alternating component through start, counted.
 
-        Returns its length, its number of a-coloured edges and the same ends.
-        Colours alternate along the walk, so the a-edges are the odd steps
-        of the walk that leaves start on a and the even steps of the one
-        that leaves on b.
+        Returns its length, its number of a-coloured edges and the two end
+        vertices of a path (the end reached by leaving start on a first),
+        or None for a closed cycle and for an empty chain. Colours
+        alternate along the walk, so the a-edges are the odd steps of the
+        walk that leaves start on a and the even steps of the one that
+        leaves on b.
         """
         at = self.at
         out = 0
@@ -838,27 +805,16 @@ class ColorState:
         length = out + back
         return length, (out + 1) // 2 + back // 2, ((first_end, cur) if length else None)
 
-    def swap(self, chain: Iterable[tuple[int, int]], a: int, b: int) -> None:
-        """Swap a and b on every edge of a chain_edges component."""
-        # Two passes: transient duplicates would corrupt the at-lists otherwise.
-        # Each vertex's mask flips once per chain edge at it, so inner vertices
-        # (one a-edge, one b-edge) end unchanged and path ends trade a for b.
-        at, nbr, present, by_color = self.at, self.nbr, self.present, self.by_color
-        flip = (1 << a) | (1 << b)
-        for e in chain:
-            u, v = e
-            old = nbr[u][v]
-            at[u][old] = at[v][old] = None
-            present[u] ^= flip
-            present[v] ^= flip
-            by_color[old].remove(e)
-        for e in chain:
-            u, v = e
-            new = b if nbr[u][v] == a else a
-            nbr[u][v] = nbr[v][u] = new
-            at[u][new] = v
-            at[v][new] = u
-            by_color[new].add(e)
+    def class_edges(self, c: int) -> list[tuple[int, int]]:
+        """The edges of colour c as (u, v) rows, u < v, in ascending order."""
+        return [(u, v) for u, row in enumerate(self.at) if (v := row[c]) is not None and u < v]
+
+    def used(self) -> int:
+        """Bitmask of the colours whose classes are non-empty."""
+        mask = 0
+        for p in self.present:
+            mask |= p
+        return mask & ~1
 
     def coloring(self, pairs: np.ndarray) -> EdgeColoring:
         """The colouring of the edge rows pairs, relabelled to 1..k.
@@ -868,20 +824,20 @@ class ColorState:
         non-empty classes keep their relative order, as in
         EdgeColoring.normalized.
         """
-        used = [c for c, edges in enumerate(self.by_color) if edges]
-        rank = np.zeros(len(self.by_color), dtype=np.int64)
-        rank[used] = np.arange(1, len(used) + 1)
-        nbr = self.nbr
-        raw = np.fromiter((nbr[u][v] for u, v in zip(*pairs.T.tolist())), np.int64, len(pairs))
-        return EdgeColoring._of_rows(pairs, rank[raw], len(used))
+        used = self.used()
+        rank = np.cumsum([(used >> c) & 1 for c in range(self.colors + 1)])
+        at = self.at
+        raw = np.fromiter((at[u].index(v) for u, v in zip(*pairs.T.tolist())), np.int64,
+                          len(pairs))
+        return EdgeColoring._of_rows(pairs, rank[raw], int(rank[-1]))
 
 
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
                           ) -> ColorState:
     """Proper edge coloring with at most Δ+1 colors by fan rotation.
 
-    Returns the ColorState it coloured, with its class sets over the colours
-    1..the highest it used: the Kempe search edits this state in place, and
+    Returns the ColorState it coloured, declared over the colours 1..the
+    highest it used: the Kempe search edits this state in place, and
     state.coloring(g.pairs) reads the colouring out. Deterministic for a
     fixed insertion order of the edges (u, v), u < v (by default the rows
     of g.pairs, which are sorted).
@@ -892,33 +848,30 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     place: inversion rewrites the path's colours and flips the masks of its
     two ends only, and rotation moves each fan colour one edge down, so a
     fan vertex loses one colour and gains one and u gains only the final
-    colour. The lowest colour free at a vertex with mask p is the lowest
-    clear bit of p, (~p & (p + 1)).bit_length() - 1, computed inline.
+    colour. The fan colours ds are kept as the fan grows: the inverted path
+    misses c at u, so it never reaches u, and no edge at u changes before
+    the rotation. The lowest colour free at a vertex with mask p is the
+    lowest clear bit of p, (~p & (p + 1)).bit_length() - 1, computed inline.
     """
     palette = max_degree(g) + 1 if g.edge_count else 0
     state = ColorState(g.vertex_count, palette)
-    at, nbr, present = state.at, state.nbr, state.present
+    at, present = state.at, state.present
     edges = order if order is not None else list(zip(*g.pairs.T.tolist()))
     for u, v in edges:
         # Maximal fan at u starting with v: the next fan vertex is u's
         # neighbour w across d, the lowest colour free at the current tip.
         at_u = at[u]
         fan = [v]
+        ds: list[int] = []
         p = present[v]
         d = (~p & (p + 1)).bit_length() - 1
         while (w := at_u[d]) is not None and w not in fan:
             fan.append(w)
+            ds.append(d)
             p = present[w]
             d = (~p & (p + 1)).bit_length() - 1
         if w is None:  # d, free at the tip, is free at u too
-            if len(fan) == 1:
-                at_u[d] = v
-                at[v][d] = u
-                nbr[u][v] = nbr[v][u] = d
-                present[u] |= 1 << d
-                present[v] |= 1 << d
-            else:
-                state.rotate(u, fan, d)
+            state.rotate(u, fan, ds, d)
             continue
         p = present[u]
         c = (~p & (p + 1)).bit_length() - 1
@@ -935,12 +888,10 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
             state.invert(path, c, d)
             prefix = fan
         j = next(i for i, f in enumerate(prefix) if at[f][c] is None)
-        state.rotate(u, prefix[:j + 1], c)
+        state.rotate(u, prefix[:j + 1], ds, c)
 
     used = max(present, default=1).bit_length() - 1
     if used > palette:
         raise CertificateError(f"fan rotation used {used} colors, more than Δ+1 = {palette}")
-    state.by_color = by_color = [set() for _ in range(used + 1)]
-    for e in edges:
-        by_color[nbr[e[0]][e[1]]].add(e)
+    state.colors = used
     return state

@@ -500,9 +500,12 @@ def ham_decomposition_search(d: int, budget: int = 400,
     the coloring when the pairing search gets stuck. None when the budget runs
     out.
 
-    The whole search edits one ColorState in place. A trial switch swaps its
-    chain, is scored, and is undone by swapping the same chain again, since
-    a swap is its own inverse; the best trial is then swapped back in.
+    The whole search edits one ColorState in place. Every class is a perfect
+    matching, so every two-colour chain is a cycle, the one walk from its
+    start. A trial switch inverts that walk, is scored, and is undone by
+    inverting the walk from the same start again: a step keeps the colour
+    it was walked with, so inverting the old steps a second time would
+    repeat the switch. The best trial is then walked and inverted again.
     """
     if budget < 1:
         raise ValueError("the switch budget must be positive")
@@ -527,7 +530,7 @@ def ham_decomposition_search(d: int, budget: int = 400,
             found = tuple(tuple(cycles[p][1]) for p in pairs)
             matching = None
             if leftover is not None:
-                matching = tuple(sorted(state.by_color[leftover]))
+                matching = tuple(state.class_edges(leftover))
             return HamDecomposition(d, found, matching, switches)
         if switches >= budget:
             return None
@@ -536,16 +539,17 @@ def ham_decomposition_search(d: int, budget: int = 400,
         best = None
         for _ in range(8):
             a, b = rng.sample(colors, 2)
-            chain, _ = state.chain_edges(rng.randrange(n), a, b)
-            state.swap(chain, a, b)
+            start = rng.randrange(n)
+            state.invert(state.walk(start, a, b), a, b)
             score = _score(colors, _pair_cycles(state.at, colors))
-            state.swap(chain, a, b)
+            state.invert(state.walk(start, a, b), a, b)
             if best is None or score > best[0]:
-                best = (score, chain, a, b)
+                best = (score, start, a, b)
             switches += 1
             if switches >= budget:
                 break
         if best is not None and best[0] >= base_score:
-            state.swap(*best[1:])
+            _, start, a, b = best
+            state.invert(state.walk(start, a, b), a, b)
         if switches >= budget:
             return None

@@ -5,15 +5,21 @@ and tries to eliminate it: each of its edges is either recolored directly
 with a color missing at both endpoints, or freed up by switching a two-color
 chain chosen by score. Deterministic for a fixed (graph, budget, seed).
 
-Each restart works on one ColorState: Vizing fills it, every elimination
-edits it in place, and the certificate is read out of it once, in the rows
-of g.pairs with its colours relabelled 1..k. Colours are never relabelled in
-between. Relabelling keeps their relative order, so the lowest-colour and
-sorted-move choices, and with them every switch and random draw, are those
-of a search that relabelled them after each elimination. Each elimination
-therefore runs over the palette such a search would see: at the start of a
-restart all the declared colours, unused ones included, and after that
-exactly the colours whose classes are non-empty.
+Each restart works on one ColorState, which holds the colouring as at and
+present only: Vizing fills it, every elimination edits it in place, and the
+certificate is read out of it once, in the rows of g.pairs with its colours
+relabelled 1..k. A switch walks its chain into steps (_component) and
+inverts them; a recolouring names the target colour it replaces. The class
+sizes behind the choice of target and the non-empty classes are read from
+the state when needed, and an elimination keeps its own set of target edges.
+
+Colours are never relabelled between the Vizing start and the read-out.
+Relabelling keeps their relative order, so the lowest-colour and sorted-move choices, and with them every
+switch and random draw, are those of a search that relabelled them after
+each elimination. Each elimination therefore runs over the palette such a
+search would see: at the start of a restart all the declared colours,
+unused ones included, and after that exactly the colours whose classes are
+non-empty.
 """
 
 from __future__ import annotations
@@ -77,35 +83,49 @@ def _missing_after_swap(state: ColorState, full: int, v: int,
     return full & ~present
 
 
-def _recolor_free(state: ColorState, edges: list[tuple[int, int]], not_target: int) -> None:
+def _component(state: ColorState, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """The steps of the maximal (a,b)-component through start, end to end.
+
+    A cycle is the walk that leaves start on a and closes there. A path is
+    that walk reversed, joined to the walk that leaves start on b, so it
+    runs from the end chain_counts names first to the other, and
+    ColorState.invert flips the masks of exactly those two ends.
+    """
+    out = state.walk(start, a, b)
+    if out and out[-1][1] == start:
+        return out
+    return [(y, x, c) for x, y, c in reversed(out)] + state.walk(start, b, a)
+
+
+def _recolor_free(state: ColorState, edges: list[tuple[int, int]], target: int,
+                  not_target: int, target_class: set[tuple[int, int]]) -> None:
     """Give each of these target edges the lowest colour of not_target free at
-    both its ends, where there is one."""
+    both its ends, where there is one, and drop it from target_class."""
     present = state.present
     for e in edges:
         u, v = e
         common = not_target & ~(present[u] | present[v])
         if common:
-            state.recolor(e, lowest_bit(common))
+            state.recolor(u, v, target, lowest_bit(common))
+            target_class.discard(e)
 
 
-def _touched_targets(state: ColorState, chain: set[tuple[int, int]],
-                     ends: tuple[int, int] | None, a: int, b: int,
-                     target: int) -> list[tuple[int, int]]:
-    """The target edges that may have a free common colour after the (a,b)-chain
-    with these path ends (None for a cycle) was swapped.
+def _touched_targets(state: ColorState, steps: list[tuple[int, int, int]],
+                     a: int, b: int, target: int) -> list[tuple[int, int]]:
+    """The target edges that may have a free common colour once the (a,b)-chain
+    of these steps, each with its colour before the switch, was swapped.
 
-    Only the path ends change their masks. When target is a or b, a target
-    edge at a path end lies on the chain, so the candidates are the chain
-    edges that now have the target colour; otherwise the chain has no
+    Only the ends of a path change their masks. When target is a or b, a
+    target edge at a path end lies on the chain, so the candidates are the
+    chain edges that now have the target colour; otherwise the chain has no
     target edge and they are the target edges at the two ends.
     """
     if target == a or target == b:
-        nbr = state.nbr
-        return [e for e in chain if nbr[e[0]][e[1]] == target]
+        return [(x, y) if x < y else (y, x) for x, y, col in steps if col != target]
     touched: list[tuple[int, int]] = []
-    if ends is not None:
+    if steps and steps[0][0] != steps[-1][1]:  # a path, not a cycle
         at = state.at
-        for x in ends:
+        for x in (steps[0][0], steps[-1][1]):
             y = at[x][target]
             if y is not None:
                 e = (x, y) if x < y else (y, x)
@@ -157,8 +177,8 @@ def eliminate_color(state: ColorState, palette: int, target: int,
     Edits state in place and returns it once the target class is empty, or
     returns None when the switch budget runs out first (or no switch
     applies), leaving state proper with the target class not yet empty.
-    state must hold a proper total coloring with its class sets, as Vizing
-    and every elimination leave it; it is not checked here. palette is the
+    state must hold a proper total coloring, as Vizing and every
+    elimination leave it; it is not checked here. palette is the
     bitmask of the colours the search may use, target among them; no edge
     is given a colour outside it.
 
@@ -170,15 +190,16 @@ def eliminate_color(state: ColorState, palette: int, target: int,
     - Rescan rule. Every vertex has at most one target edge, and recoloring
       an edge changes the masks of its two ends only, so recoloring one
       target edge never changes whether another has a free common color.
-      The whole target class is scanned once, at the start. After a switch
-      only the edges it touched are rechecked (see _touched_targets): the
-      chain edges that now have the target color and the target edges at
-      the chain's two path ends. Every other target edge keeps both masks,
-      and had no free common color before the switch.
+      The whole target class is read from the state once, at the start,
+      into a set that each recolouring and each switch then updates. After
+      a switch only the edges it touched are rechecked (see
+      _touched_targets): the chain edges that now have the target color and
+      the target edges at the chain's two path ends. Every other target
+      edge keeps both masks, and had no free common color before the switch.
 
     A chain is scored without changing the state, and without collecting
     its edges: a counting walk gives its length, its number of target edges
-    t and its ends, and the edge set is built only for the winning chain.
+    t and its ends, and the steps are walked only for the winning chain.
 
     - Counting rule. Every candidate is either (w, target, c) anchored at u
       or v, or a pair of two non-target colours. The first kind runs
@@ -198,7 +219,7 @@ def eliminate_color(state: ColorState, palette: int, target: int,
       draws once, in sorted candidate order. The largest (score, draw)
       wins, and the earliest candidate on a tie.
     """
-    target_class = state.by_color[target]
+    target_class = set(state.class_edges(target))
     rng = random.Random(budget.seed)
     draw = rng.random
     not_target = palette & ~(1 << target)
@@ -206,7 +227,7 @@ def eliminate_color(state: ColorState, palette: int, target: int,
     switches = 0
     recheck = list(target_class)
     while True:
-        _recolor_free(state, recheck, not_target)
+        _recolor_free(state, recheck, target, not_target, target_class)
         if not target_class:
             return state
         if switches >= budget.max_switches:
@@ -219,15 +240,14 @@ def eliminate_color(state: ColorState, palette: int, target: int,
         # draw rule: zip stops at the last score, so each candidate draws once, in order
         _, _, minus_i = max(zip(scores, iter(draw, None), count(0, -1)))
         anchor, acol, bcol = moves[-minus_i]
-        chain, ends = state.chain_edges(anchor, acol, bcol)
-        state.swap(chain, acol, bcol)
-        recheck = _touched_targets(state, chain, ends, acol, bcol, target)
+        steps = _component(state, anchor, acol, bcol)
+        state.invert(steps, acol, bcol)
+        recheck = _touched_targets(state, steps, acol, bcol, target)
+        if target == acol or target == bcol:
+            # the chain's target edges took the other colour, and its other edges the target
+            target_class.symmetric_difference_update(
+                (x, y) if x < y else (y, x) for x, y, _ in steps)
         switches += 1
-
-
-def _classes(by_color: list[set[tuple[int, int]]]) -> int:
-    """Bitmask of the colours whose classes are non-empty."""
-    return sum(1 << c for c, edges in enumerate(by_color) if edges)
 
 
 def find_class1(g: Graph, budget: SearchBudget,
@@ -263,15 +283,16 @@ def find_class1(g: Graph, budget: SearchBudget,
             order = edges.copy()
             random.Random(sub_seed).shuffle(order)
             state = vizing_delta_plus_one(g, order)
-        by_color = state.by_color
+        at = state.at
         sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
-        palette = (1 << len(by_color)) - 2  # the declared colours 1..len(by_color) - 1
-        used = _classes(by_color)
+        palette = (1 << (state.colors + 1)) - 2  # the declared colours 1..state.colors
+        used = state.used()
         while used.bit_count() > delta:
-            target = min(_bits(used), key=lambda c: (len(by_color[c]), c))
+            # a class's size is half the number of vertices its colour is at
+            target = min(_bits(used), key=lambda c: (sum(row[c] is not None for row in at), c))
             if eliminate_color(state, palette, target, sub_budget) is None:
                 break
-            palette = used = _classes(by_color)
+            palette = used = state.used()
         else:
             return SearchOutcome(state.coloring(g.pairs), "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)

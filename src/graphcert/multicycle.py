@@ -92,17 +92,6 @@ class MulticycleColoring:
     def color_count(self) -> int:
         return len(self.colors_used())
 
-    def classes(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for p, colors in enumerate(self.slots):
-            for c in colors:
-                out.setdefault(c, []).append(p)
-        return {c: tuple(ps) for c, ps in out.items()}
-
-    def normalized(self) -> "MulticycleColoring":
-        remap = {c: i + 1 for i, c in enumerate(self.colors_used())}
-        return MulticycleColoring(tuple(tuple(remap[c] for c in s) for s in self.slots))
-
 
 def verify_multicycle_coloring(mc: Multicycle, coloring: MulticycleColoring,
                                expected_colors: int | None = None) -> VerificationReport:

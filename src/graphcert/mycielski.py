@@ -210,18 +210,22 @@ def _candidate(n: int, p: int, q: int) -> list[int] | None:
     return None
 
 
-def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
+def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int], mu: Graph,
                             a: int, b: int) -> list[int]:
     """Hamiltonian path of mu(g) between mu-vertex ids a and b, n = |g| odd.
 
     The relabelling lift = [hc, n + hc, 2n] carries mu(C_n) onto the
     mu-image of the Hamiltonian cycle hc, a subgraph of mu(g); the path is
     the lift of the path of mu(C_n) between the preimages of a and b, and it
-    is returned unverified.
+    is returned unverified. mu is mycielskian(cycle_graph(n)), which the
+    caller builds once for all the lifts of one n, as for
+    ham_path_mu_odd_cycle.
     """
     n = g.vertex_count
     if n % 2 == 0:
         raise ValueError("odd vertex count required")
+    if mu.vertex_count != 2 * n + 1:
+        raise ValueError(f"mu has {mu.vertex_count} vertices, not 2n + 1 = {2 * n + 1}")
     report = verify_hamiltonian_cycle(g, ham_cycle)
     if not report.ok:
         raise ValueError(f"ham_cycle is not a Hamiltonian cycle of g: {'; '.join(report.detail)}")
@@ -230,7 +234,7 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int],
     lift = np.concatenate((hc, n + hc, [2 * n]))
     preimage = np.empty_like(lift)
     preimage[lift] = np.arange(2 * n + 1)
-    path = ham_path_mu_odd_cycle(mycielskian(cycle_graph(n)), int(preimage[a]), int(preimage[b]))
+    path = ham_path_mu_odd_cycle(mu, int(preimage[a]), int(preimage[b]))
     return lift[path].tolist()
 
 

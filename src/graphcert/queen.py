@@ -160,12 +160,13 @@ def class2_overfull_coloring(m: int, n: int) -> QueenColoringCertificate:
     return QueenColoringCertificate(m, n, coloring, 2, "OverfullDeltaPlusOne")
 
 
-def classify_and_color(m: int, n: int, budget=None, seed: int = 0, *,
+def classify_and_color(m: int, n: int, budget=None, *,
                        graph: Graph | None = None) -> QueenColoringCertificate:
     """Dispatch to the applicable construction; Kempe search covers the gap.
 
-    The search runs on graph, the caller's build_queen(m, n) when it holds
-    one to verify the result on, and otherwise on a board it builds.
+    The search runs with budget, SearchBudget.default() when none is given,
+    on graph, the caller's build_queen(m, n) when it holds one to verify the
+    result on, and otherwise on a board it builds.
     """
     _check_board(m, n)
     if m == 1 and n == 1:
@@ -182,7 +183,7 @@ def classify_and_color(m: int, n: int, budget=None, seed: int = 0, *,
         pass
     from .kempe import BudgetExhaustedError, SearchBudget, find_class1
 
-    budget = budget if budget is not None else SearchBudget.default(seed)
+    budget = budget if budget is not None else SearchBudget.default()
     outcome = find_class1(graph if graph is not None else build_queen(m, n), budget)
     if outcome.coloring is None:
         raise BudgetExhaustedError(

@@ -18,7 +18,7 @@ from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColor
                             verify_hamiltonian_cycle, vizing_delta_plus_one)
 from graphcert.keller import (ColorKernel, _fixture_rows, _union_cycle_count, build, delta,
                               parse_vertex)
-from graphcert.kempe import SearchBudget, SearchOutcome, _bits, _missing_after_swap
+from graphcert.kempe import SearchBudget, SearchOutcome, _bits, _component, _missing_after_swap
 from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
 from graphcert.mycielski import _ham_path_search
 
@@ -313,20 +313,20 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
 
 def snapshot(state: ColorState, edges: Iterable[tuple[int, int]], declared: int) -> EdgeColoring:
     """The colours state gives these edges, as they are, over colours 1..declared."""
-    nbr = state.nbr
-    return coloring_of({e: nbr[e[0]][e[1]] for e in edges}, declared)
+    at = state.at
+    return coloring_of({(u, v): at[u].index(v) for u, v in edges}, declared)
 
 
 def vizing_coloring(g: Graph, order: Sequence[tuple[int, int]] | None = None) -> EdgeColoring:
     """The colouring of graphcert.core.vizing_delta_plus_one's state, unrelabelled,
     over colours 1..the highest it used, as the reference Vizing declares it."""
     state = vizing_delta_plus_one(g, order)
-    return snapshot(state, edge_set(g), len(state.by_color) - 1)
+    return snapshot(state, edge_set(g), state.colors)
 
 
 def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                               budget: SearchBudget) -> EdgeColoring | None:
-    """Colour elimination that rescans the whole sorted target class every
+    """Colour elimination that rescans at for the whole target class every
     round and collects the candidate chains in a set: the oracle for
     graphcert.kempe.eliminate_color, which must make the same switches and
     the same random draws."""
@@ -335,13 +335,13 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
     declared = coloring.declared_color_count
     state = ColorState.of(g.vertex_count, coloring)
-    present, target_class = state.present, state.by_color[target]
+    at, present = state.at, state.present
     full = (1 << (declared + 1)) - 2  # bits 1..declared
     rng = random.Random(budget.seed)
     not_target = full & ~(1 << target)
     switches = 0
     while True:
-        targets = sorted(target_class)
+        targets = [(u, v) for u, row in enumerate(at) if (v := row[target]) is not None and u < v]
         if not targets:
             return snapshot(state, assignment_of(coloring), declared).normalized()
         progress = False
@@ -349,7 +349,7 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
             u, v = e
             common = not_target & ~(present[u] | present[v])
             if common:
-                state.recolor(e, lowest_bit(common))
+                state.recolor(u, v, target, lowest_bit(common))
                 progress = True
         if progress:
             continue
@@ -385,8 +385,7 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
         if best is None:
             return None
         _, anchor, acol, bcol = best
-        chain, _ = state.chain_edges(anchor, acol, bcol)
-        state.swap(chain, acol, bcol)
+        state.invert(_component(state, anchor, acol, bcol), acol, bcol)
         switches += 1
 
 

@@ -748,7 +748,7 @@ def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors)
 
 def test_conjecture2_checks_the_declared_color_count(monkeypatch, capsys):
     # a Vizing colouring labelled class 1 verifies, but declares Δ+1 colours
-    monkeypatch.setattr(cli, "classify_and_color", lambda m, n, budget, seed, graph: (
+    monkeypatch.setattr(cli, "classify_and_color", lambda m, n, budget, graph: (
         QueenColoringCertificate(m, n, vizing_delta_plus_one(graph).coloring(graph.pairs), 1,
                                  "vizing")))
     code, payload, err = run_json(capsys, "conjecture 2 --m-max 2 --n-max 3".split())

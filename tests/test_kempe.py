@@ -63,8 +63,7 @@ def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -
     """Swap a and b along the maximal (a,b)-component through start, as the
     searches do, on a ColorState of the coloring; the result must be proper."""
     state = ColorState.of(g.vertex_count, coloring)
-    chain, _ = state.chain_edges(start, a, b)
-    state.swap(chain, a, b)
+    state.invert(kempe._component(state, start, a, b), a, b)
     result = snapshot(state, assignment_of(coloring), coloring.declared_color_count)
     assert verify_edge_coloring(g, result).ok
     return result
@@ -94,13 +93,13 @@ def test_switch_needs_two_colors(monkeypatch):
     # a swap on (a, a) would flip the masks at its ends without moving a
     # colour, so every switch the Kempe and decomposition searches make has a != b
     pairs = []
-    real = ColorState.swap
+    real = ColorState.invert
 
-    def recording(self, chain, a, b):
+    def recording(self, steps, a, b):
         pairs.append((a, b))
-        real(self, chain, a, b)
+        real(self, steps, a, b)
 
-    monkeypatch.setattr(ColorState, "swap", recording)
+    monkeypatch.setattr(ColorState, "invert", recording)
     assert find_class1(build_queen(3, 7), SearchBudget.default()).reason == "ok"
     assert keller.ham_decomposition_search(2) is not None
     assert pairs and all(a != b for a, b in pairs)
@@ -153,34 +152,39 @@ def test_scoring_predicts_the_swap(case):
     u, v = e_uv
     full = (1 << (coloring.declared_color_count + 1)) - 2
     state = ColorState.of(g.vertex_count, coloring)
-    chain, ends = state.chain_edges(anchor, a, b)
+    steps = kempe._component(state, anchor, a, b)
+    _, _, ends = state.chain_counts(anchor, a, b)
+    chain = {(x, y) if x < y else (y, x) for x, y, _ in steps}
     predicted = (kempe._missing_after_swap(state, full, u, ends, a, b),
                  kempe._missing_after_swap(state, full, v, ends, a, b), e_uv not in chain)
     swapped = ColorState.of(g.vertex_count, coloring)
-    swapped.swap(chain, a, b)
+    swapped.invert(steps, a, b)
     assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
-                         swapped.nbr[u][v] == assignment_of(coloring)[e_uv])
-    # the incremental structures match a rebuild from the swapped coloring
+                         swapped.at[u][assignment_of(coloring)[e_uv]] == v)
+    # the edited state matches a rebuild from the swapped coloring
     result = snapshot(swapped, assignment_of(coloring), coloring.declared_color_count)
     rebuilt = ColorState.of(g.vertex_count, result)
-    assert (swapped.at, swapped.nbr, swapped.present, swapped.by_color) == \
-        (rebuilt.at, rebuilt.nbr, rebuilt.present, rebuilt.by_color)
+    assert (swapped.at, swapped.present) == (rebuilt.at, rebuilt.present)
     assert verify_edge_coloring(g, result).ok
+    # a second inversion of the chain, walked again from the anchor, restores the state
+    swapped.invert(kempe._component(swapped, anchor, a, b), a, b)
+    assert (swapped.at, swapped.present) == (state.at, state.present)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_colored_graph_and_move())
 def test_counting_walk_matches_the_chain(case):
-    # eliminate_color scores a chain by chain_counts and builds the edge set
-    # only for the winner, so the counts must describe that set exactly.
+    # eliminate_color scores a chain by chain_counts and walks its steps
+    # only for the winner, so the counts must describe those steps exactly.
     g, coloring, anchor, a, b, _ = case
     assume(a != b)
     state = ColorState.of(g.vertex_count, coloring)
-    chain, ends = state.chain_edges(anchor, a, b)
+    steps = kempe._component(state, anchor, a, b)
+    ends = (steps[0][0], steps[-1][1]) if steps and steps[0][0] != steps[-1][1] else None
     length, a_edges, counted_ends = state.chain_counts(anchor, a, b)
-    assert (length, counted_ends) == (len(chain), ends)
-    assert a_edges == len(chain & state.by_color[a])
-    assert length - a_edges == len(chain & state.by_color[b])
+    assert (length, counted_ends) == (len(steps), ends)
+    assert a_edges == sum(col == a for _, _, col in steps)
+    assert length - a_edges == sum(col == b for _, _, col in steps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,20 +198,22 @@ def test_a_swap_frees_a_common_color_only_on_the_target_edges_it_touched(case, p
     target = [a, b, *range(1, declared + 1)][pick % (declared + 2)]
     not_target = ((1 << (declared + 1)) - 2) & ~(1 << target)
     state = ColorState.of(g.vertex_count, coloring)
-    target_class = state.by_color[target]
+    target_class = set(state.class_edges(target))
 
     def free_common(edges):
         return {(u, v) for u, v in edges
                 if not_target & ~(state.present[u] | state.present[v])}
 
-    kempe._recolor_free(state, list(target_class), not_target)
+    kempe._recolor_free(state, list(target_class), target, not_target, target_class)
+    assert target_class == set(state.class_edges(target))
     assert not free_common(target_class)
-    chain, ends = state.chain_edges(anchor, a, b)
-    state.swap(chain, a, b)
-    touched = kempe._touched_targets(state, chain, ends, a, b, target)
+    steps = kempe._component(state, anchor, a, b)
+    state.invert(steps, a, b)
+    target_class = set(state.class_edges(target))
+    touched = kempe._touched_targets(state, steps, a, b, target)
     assert len(set(touched)) == len(touched) and set(touched) <= target_class
     assert free_common(touched) == free_common(target_class)
-    kempe._recolor_free(state, touched, not_target)
+    kempe._recolor_free(state, touched, target, not_target, target_class)
     assert not free_common(target_class)
 
 
@@ -396,10 +402,10 @@ def test_an_elimination_empties_no_class_but_the_target(case):
     g, start, switches, seed = case
     for target in sorted(colors_used(start)):
         state = ColorState.of(g.vertex_count, start)
-        before = kempe._classes(state.by_color)
+        before = state.used()
         palette = (1 << (start.declared_color_count + 1)) - 2
         if eliminate_color(state, palette, target, SearchBudget(switches, 1, seed)) is not None:
-            assert before & ~kempe._classes(state.by_color) == 1 << target
+            assert before & ~state.used() == 1 << target
 
 
 def test_find_class1_q39():

@@ -166,13 +166,13 @@ def test_published_grid_sequence_decodes_to_a_valid_path():
 def test_lift_identity_case_matches_direct_construction():
     g = cycle_graph(5)
     for a, b in [(0, 7), (5, 10), (2, 3)]:
-        assert ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], a, b) == \
+        assert ham_path_mu_of_hc_graph(g, [0, 1, 2, 3, 4], mycielskian(g), a, b) == \
             ham_path_mu_odd_cycle(mycielskian(g), a, b)
 
 
 def test_lift_through_k5():
     g = complete(5)
-    seq = ham_path_mu_of_hc_graph(g, [0, 2, 4, 1, 3], 0, 10)
+    seq = ham_path_mu_of_hc_graph(g, [0, 2, 4, 1, 3], mycielskian(cycle_graph(5)), 0, 10)
     assert verify_hamiltonian_path(mycielskian(g), seq, start=0, end=10).ok
 
 
@@ -182,22 +182,24 @@ def test_lift_m4_cycle_into_m5():
     assert hc is not None
     m5 = mycielski_graph(5)
     assert edge_set(mycielskian(m4)) == edge_set(m5)
+    mu = mycielskian(cycle_graph(11))
     for a in range(23):
         for b in range(23):
             if a != b:
-                seq = ham_path_mu_of_hc_graph(m4, hc, a, b)
+                seq = ham_path_mu_of_hc_graph(m4, hc, mu, a, b)
                 assert verify_hamiltonian_path(m5, seq, start=a, end=b).ok, (a, b)
 
 
 def test_lift_rejects_bad_input():
     with pytest.raises(ValueError):
-        ham_path_mu_of_hc_graph(cycle_graph(4), [0, 1, 2, 3], 0, 8)
+        ham_path_mu_of_hc_graph(cycle_graph(4), [0, 1, 2, 3], mycielskian(cycle_graph(4)), 0, 8)
+    mu5 = mycielskian(cycle_graph(5))
     with pytest.raises(ValueError):
-        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 3], 0, 10)
+        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 3], mu5, 0, 10)
     with pytest.raises(ValueError):
-        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 2, 1, 3, 4], 0, 10)
+        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 2, 1, 3, 4], mu5, 0, 10)
     with pytest.raises(ValueError):
-        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 4], 0, 11)
+        ham_path_mu_of_hc_graph(cycle_graph(5), [0, 1, 2, 3, 4], mu5, 0, 11)
 
 
 @st.composite
@@ -217,7 +219,7 @@ def _planted_cycle(draw):
 def test_lift_stays_on_the_cycle_mu_image(case):
     g, cycle, a, b = case
     n = g.vertex_count
-    seq = ham_path_mu_of_hc_graph(g, cycle, a, b)
+    seq = ham_path_mu_of_hc_graph(g, cycle, mycielskian(cycle_graph(n)), a, b)
     assert verify_hamiltonian_path(mycielskian(g), seq, start=a, end=b).ok
     lift = list(cycle) + [n + v for v in cycle] + [2 * n]
     image = {frozenset((lift[u], lift[v])) for u, v in edge_set(mycielskian(cycle_graph(n)))}
