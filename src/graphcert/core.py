@@ -679,10 +679,12 @@ class ColorState:
     non-empty classes are read from at and present when asked for; no edit
     keeps a second copy of the colouring in step.
 
-    The edits take the colours their callers already know: rotate the fan
-    colours, recolor the old colour. walk is the one chain primitive, and
-    invert the one chain edit, for a walk or for a component joined from
-    two walks.
+    walk is the one chain primitive, and a chain is inverted by one rule:
+    swap the two slots at[x][c] and at[x][d] at each of its vertices, and
+    flip the masks of a path's two ends. A maximal chain holds both colours
+    at each inner vertex, so the swap is the whole inversion. invert applies
+    it to the steps of a walk or of a component joined from two walks, and
+    Vizing applies it as it walks (_swap_path).
     """
 
     def __init__(self, vertex_count: int, colors: int):
@@ -721,51 +723,26 @@ class ColorState:
         return path
 
     def invert(self, path: list[tuple[int, int, int]], c: int, d: int) -> None:
-        """Swap c and d on every step of a walk, or of two walks joined end to end.
+        """Swap c and d on the steps of a maximal chain, a walk or two walks
+        joined end to end, by the slot swap at each of its vertices.
 
         The steps run from one end to the other, so path[0][0] and
-        path[-1][1] are the ends of a path, or start twice for a cycle. Two
-        passes, so no colour is ever at a vertex twice: the first clears
-        the old entries, the second writes the new ones. Every inner vertex
-        keeps one c-edge and one d-edge, so only the two ends flip their
-        masks, and on a cycle the two flips cancel.
+        path[-1][1] are the ends of a path, or start twice for a cycle. Each
+        vertex starts one step, bar a path's last end.
         """
         if not path:
             return
         at = self.at
-        for x, y, col in path:
-            at[x][col] = at[y][col] = None
-        for x, y, col in path:
-            new = c if col == d else d
-            at[x][new] = y
-            at[y][new] = x
-        flip = (1 << c) | (1 << d)
-        self.present[path[0][0]] ^= flip
-        self.present[path[-1][1]] ^= flip
-
-    def rotate(self, u: int, fan: Sequence[int], ds: Sequence[int], final: int) -> None:
-        """Shift the fan's colours down by one and colour its last edge.
-
-        (u, fan[0]) is uncoloured, and ds[i] is the colour of (u, fan[i+1]),
-        which must be free at fan[i]; ds may run past the fan. Each
-        (u, fan[i]) takes ds[i], and (u, fan[-1]) takes final, which must be
-        free at u and at fan[-1]. In place: fan[i+1] loses the colour fan[i]
-        gains, and u gains only final.
-        """
-        at, present = self.at, self.present
-        at_u = at[u]
-        prev = fan[0]
-        for f, c in zip(fan[1:], ds):
-            at_u[c] = prev
-            at[prev][c] = u
-            present[prev] |= 1 << c
-            at[f][c] = None
-            present[f] ^= 1 << c
-            prev = f
-        at_u[final] = prev
-        at[prev][final] = u
-        present[prev] |= 1 << final
-        present[u] |= 1 << final
+        for x, _, _ in path:
+            row = at[x]
+            row[c], row[d] = row[d], row[c]
+        first, last = path[0][0], path[-1][1]
+        if first != last:
+            row = at[last]
+            row[c], row[d] = row[d], row[c]
+            flip = (1 << c) | (1 << d)
+            self.present[first] ^= flip
+            self.present[last] ^= flip
 
     def recolor(self, u: int, v: int, old: int, new: int) -> None:
         """Give the edge (u, v) of colour old colour new, which must be free at both ends."""
@@ -776,34 +753,6 @@ class ColorState:
         flip = (1 << old) | (1 << new)
         self.present[u] ^= flip
         self.present[v] ^= flip
-
-    def chain_counts(self, start: int, a: int, b: int
-                     ) -> tuple[int, int, tuple[int, int] | None]:
-        """The maximal (a,b)-alternating component through start, counted.
-
-        Returns its length, its number of a-coloured edges and the two end
-        vertices of a path (the end reached by leaving start on a first),
-        or None for a closed cycle and for an empty chain. Colours
-        alternate along the walk, so the a-edges are the odd steps of the
-        walk that leaves start on a and the even steps of the one that
-        leaves on b.
-        """
-        at = self.at
-        out = 0
-        cur, col, other = start, a, b
-        while (nxt := at[cur][col]) is not None:
-            out += 1
-            if nxt == start:
-                return out, out // 2, None
-            cur, col, other = nxt, other, col
-        first_end = cur
-        back = 0
-        cur, col, other = start, b, a
-        while (nxt := at[cur][col]) is not None:
-            back += 1
-            cur, col, other = nxt, other, col
-        length = out + back
-        return length, (out + 1) // 2 + back // 2, ((first_end, cur) if length else None)
 
     def class_edges(self, c: int) -> list[tuple[int, int]]:
         """The edges of colour c as (u, v) rows, u < v, in ascending order."""
@@ -822,14 +771,36 @@ class ColorState:
         pairs holds every coloured edge once as (u, v) with u < v, like
         Graph.pairs, and its rows are the rows of the result. The k
         non-empty classes keep their relative order, as in
-        EdgeColoring.normalized.
+        EdgeColoring.normalized. One pass over at, as a float array with
+        None read as NaN, finds each edge's colour at its lower end; the
+        rows are then placed by the key u·n + v.
         """
         used = self.used()
         rank = np.cumsum([(used >> c) & 1 for c in range(self.colors + 1)])
-        at = self.at
-        raw = np.fromiter((at[u].index(v) for u, v in zip(*pairs.T.tolist())), np.int64,
-                          len(pairs))
-        return EdgeColoring._of_rows(pairs, rank[raw], int(rank[-1]))
+        n = len(self.at)
+        at = np.array(self.at, dtype=float).reshape(n, len(self.at[0]) if n else 0)
+        u, c = np.nonzero(at > np.arange(n)[:, None])  # NaN compares false
+        keys = u * n + at[u, c].astype(np.int64)
+        order = np.argsort(keys)
+        wanted = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+        pos = np.searchsorted(keys, wanted, sorter=order)
+        if len(pos) != len(keys) or (pos == len(keys)).any() or (keys[order[pos]] != wanted).any():
+            raise CertificateError("pairs must hold each coloured edge once")
+        return EdgeColoring._of_rows(pairs, rank[c[order[pos]]], int(rank[-1]))
+
+
+def _swap_path(at: list[list[int | None]], start: int, first: int, second: int) -> int:
+    """Swap the slots first and second at each vertex of the maximal walk from
+    start, which misses second, and return its last vertex (start when the
+    walk is empty). The walk is a path; the caller flips its ends' masks."""
+    cur, col, other = start, first, second
+    while True:
+        row = at[cur]
+        nxt = row[col]
+        row[first], row[second] = row[second], row[first]
+        if nxt is None:
+            return cur
+        cur, col, other = nxt, other, col
 
 
 def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = None
@@ -844,51 +815,77 @@ def vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] | None = No
     Each edge (u, v) grows a maximal fan at u from v; if the tip's free
     colour is also free at u the fan rotates, otherwise the c,d path from
     the tip (or from the earlier fan vertex that misses d, when that path
-    ends at u) is inverted first. Both edits work on one ColorState in
-    place: inversion rewrites the path's colours and flips the masks of its
-    two ends only, and rotation moves each fan colour one edge down, so a
-    fan vertex loses one colour and gains one and u gains only the final
-    colour. The fan colours ds are kept as the fan grows: the inverted path
-    misses c at u, so it never reaches u, and no edge at u changes before
-    the rotation. The lowest colour free at a vertex with mask p is the
-    lowest clear bit of p, (~p & (p + 1)).bit_length() - 1, computed inline.
+    ends at u) is inverted first. When the lowest colour free at v is free
+    at u too, (u, v) takes it at once. Every edit is made inline on one
+    ColorState. The path is inverted as it is walked, by ColorState's slot
+    swap; one that turns out to end at u is swapped back by a second walk.
+    Rotation moves each fan colour one edge down, so a fan vertex loses one
+    colour and gains one and u gains only the final colour. The fan colours
+    ds are kept as the fan grows: the inverted path misses c at u, so it
+    never reaches u, and no edge at u changes before the rotation. The
+    lowest colour free at a vertex with mask p is the lowest clear bit of
+    p, (~p & (p + 1)).bit_length() - 1, computed inline.
     """
     palette = max_degree(g) + 1 if g.edge_count else 0
     state = ColorState(g.vertex_count, palette)
     at, present = state.at, state.present
     edges = order if order is not None else list(zip(*g.pairs.T.tolist()))
     for u, v in edges:
-        # Maximal fan at u starting with v: the next fan vertex is u's
-        # neighbour w across d, the lowest colour free at the current tip.
         at_u = at[u]
-        fan = [v]
-        ds: list[int] = []
         p = present[v]
         d = (~p & (p + 1)).bit_length() - 1
-        while (w := at_u[d]) is not None and w not in fan:
+        if (w := at_u[d]) is None:  # d, free at v, is free at u too
+            at_u[d] = v
+            at[v][d] = u
+            present[u] |= 1 << d
+            present[v] = p | 1 << d
+            continue
+        # Maximal fan at u starting with v: the next fan vertex is u's
+        # neighbour w across d, the lowest colour free at the current tip.
+        fan = [v]
+        ds: list[int] = []
+        while w is not None and w not in fan:
             fan.append(w)
             ds.append(d)
             p = present[w]
             d = (~p & (p + 1)).bit_length() - 1
+            w = at_u[d]
         if w is None:  # d, free at the tip, is free at u too
-            state.rotate(u, fan, ds, d)
-            continue
-        p = present[u]
-        c = (~p & (p + 1)).bit_length() - 1
-        path = state.walk(fan[-1], c, d)
-        end = path[-1][1] if path else fan[-1]
-        if end == u:
-            # u terminates the c,d path from the fan tip; use the earlier fan
-            # vertex that also misses d, the one before w = at_u[d]. Its c,d
-            # path cannot reach u.
-            i0 = fan.index(w) - 1
-            state.invert(state.walk(fan[i0], c, d), c, d)
-            prefix = fan[:i0 + 1]
+            c, j = d, len(fan) - 1
         else:
-            state.invert(path, c, d)
-            prefix = fan
-        j = next(i for i, f in enumerate(prefix) if at[f][c] is None)
-        state.rotate(u, prefix[:j + 1], ds, c)
+            p = present[u]
+            c = (~p & (p + 1)).bit_length() - 1
+            start = fan[-1]
+            end = _swap_path(at, start, c, d)
+            if end == u:
+                # u terminates the c,d path from the fan tip: swap it back
+                # (the tip now leaves on d) and use the earlier fan vertex
+                # that also misses d, the one before w = at_u[d]. Its c,d
+                # path cannot reach u.
+                _swap_path(at, start, d, c)
+                start = fan[fan.index(w) - 1]
+                end = _swap_path(at, start, c, d)
+            if end != start:
+                flip = (1 << c) | (1 << d)
+                present[start] ^= flip
+                present[end] ^= flip
+            # the first fan vertex that misses c: the inverted path's start at the latest
+            j = 0
+            while at[fan[j]][c] is not None:
+                j += 1
+        # rotate: each (u, fan[i]) takes ds[i], and (u, fan[j]) takes c
+        prev = v
+        for f, col in zip(fan[1:j + 1], ds):
+            at_u[col] = prev
+            at[prev][col] = u
+            present[prev] |= 1 << col
+            at[f][col] = None
+            present[f] ^= 1 << col
+            prev = f
+        at_u[c] = prev
+        at[prev][c] = u
+        present[prev] |= 1 << c
+        present[u] |= 1 << c
 
     used = max(present, default=1).bit_length() - 1
     if used > palette:

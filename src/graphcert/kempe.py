@@ -13,6 +13,11 @@ inverts them; a recolouring names the target colour it replaces. The class
 sizes behind the choice of target and the non-empty classes are read from
 the state when needed, and an elimination keeps its own set of target edges.
 
+Scoring is most of the work. Most target chains are (u, v) and a c-edge or
+two whose far ends miss the target, scored in closed form; the rest, and
+every pair chain, are counted by one inline walk. Only the winning move is
+built as a triple and walked into steps.
+
 Colours are never relabelled between the Vizing start and the read-out.
 Relabelling keeps their relative order, so the lowest-colour and sorted-move choices, and with them every
 switch and random draw, are those of a search that relabelled them after
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -69,26 +73,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _missing_after_swap(state: ColorState, full: int, v: int,
-                        ends: tuple[int, int] | None, a: int, b: int) -> int:
-    """Bitmask of the colours in full absent at v once the (a,b)-chain with
-    these path ends (None for a cycle) is swapped.
-
-    Every inner chain vertex keeps one a-edge and one b-edge, so only a
-    path end trades a for b or b for a; a closed cycle changes no vertex.
-    """
-    present = state.present[v]
-    if ends is not None and v in ends:
-        present ^= (1 << a) | (1 << b)
-    return full & ~present
-
-
 def _component(state: ColorState, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """The steps of the maximal (a,b)-component through start, end to end.
 
     A cycle is the walk that leaves start on a and closes there. A path is
     that walk reversed, joined to the walk that leaves start on b, so it
-    runs from the end chain_counts names first to the other, and
+    runs from the end reached by leaving start on a to the other, and
     ColorState.invert flips the masks of exactly those two ends.
     """
     out = state.walk(start, a, b)
@@ -135,39 +125,68 @@ def _touched_targets(state: ColorState, steps: list[tuple[int, int, int]],
 
 
 def _scored_moves(state: ColorState, u: int, v: int, target: int, not_target: int,
-                  others: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+                  others: list[int]) -> tuple[list[int], list[int]]:
     """The candidate switches for the target edge (u, v), u < v, with their scores.
 
-    A move (anchor, a, b) swaps the (a,b)-chain through anchor. The moves are
-    anchored at u or v and listed in sorted order, (anchor, a, b) ascending;
-    an empty chain is left out. The target moves (w, target, c) run through
-    (u, v) and can move or shrink the target class; a pair move (x, a, b),
-    with a missing at the other end of (u, v) and b missing at x, can open
-    a direct recoloring of (u, v). Each kind is listed once per anchor, so
-    no move repeats and the order needs no sort.
+    A move (anchor, a, b) swaps the (a,b)-chain through anchor, and is listed
+    as the int (anchor·k + a)·k + b, k = state.colors + 1 (see _move). The
+    moves are anchored at u or v and listed in sorted order, (anchor, a, b)
+    ascending; an empty chain is left out. The target moves (w, target, c)
+    run through (u, v) and can move or shrink the target class; a pair move
+    (x, a, b), with a missing at the other end of (u, v) and b missing at x,
+    can open a direct recoloring of (u, v). Each kind is listed once per
+    anchor, so no move repeats and the order needs no sort. A pair chain is
+    a path from x, which misses b, so one walk from x counts it and finds
+    its other end.
     """
-    present, chain_counts = state.present, state.chain_counts
+    at, present = state.at, state.present
+    at_u, at_v = at[u], at[v]
+    k = state.colors + 1
     target_scores = []
-    for c in others:  # shared-chain rule: one walk per c serves both anchors
-        length, t, _ = chain_counts(u, target, c)
+    for c in others:  # shared-chain rule: one count per c serves both anchors
+        x, y = at_u[c], at_v[c]
+        if (x is None or at[x][target] is None) and (y is None or at[y][target] is None):
+            length = 1 + (x is not None) + (y is not None)
+            t = 1
+        else:  # walk from u across (u, v) and, unless that closes a cycle, from u on c
+            length = t = 0
+            for cur, col, other in ((u, target, c), (u, c, target)):
+                while (nxt := at[cur][col]) is not None:
+                    length += 1
+                    t += col == target
+                    if nxt == u:
+                        break
+                    cur, col, other = nxt, other, col
+                if nxt == u:
+                    break
         target_scores.append((2 * t - length) * 1000 - length)  # counting rule
-    moves: list[tuple[int, int, int]] = []
+    moves: list[int] = []
     scores: list[int] = []
     for x, y in ((u, v), (v, u)):
         # the target moves sit between the pair moves with a below and above target
         for a in _bits((not_target & ~present[y]) | (1 << target)):
             if a == target:
-                moves.extend([(x, target, c) for c in others])
+                moves.extend(map(((x * k + target) * k).__add__, others))
                 scores.extend(target_scores)
                 continue
             for b in _bits(not_target & ~present[x] & ~(1 << a)):
-                length, _, ends = chain_counts(x, a, b)
-                if length:  # endpoint rule
-                    freed = (_missing_after_swap(state, not_target, u, ends, a, b)
-                             & _missing_after_swap(state, not_target, v, ends, a, b))
-                    moves.append((x, a, b))
+                length, cur, col, other = 0, x, a, b
+                while (nxt := at[cur][col]) is not None:
+                    length += 1
+                    cur, col, other = nxt, other, col
+                if length:  # endpoint rule: x and cur trade a for b
+                    flip = (1 << a) | (1 << b)
+                    freed = not_target & ~(present[x] ^ flip) & ~(
+                        present[y] ^ flip if cur == y else present[y])
+                    moves.append((x * k + a) * k + b)
                     scores.append((1000 if freed else 0) - length)
     return moves, scores
+
+
+def _move(code: int, k: int) -> tuple[int, int, int]:
+    """The move (anchor, a, b) that _scored_moves lists as (anchor·k + a)·k + b."""
+    anchor, ab = divmod(code, k * k)
+    return (anchor, *divmod(ab, k))
 
 
 def eliminate_color(state: ColorState, palette: int, target: int,
@@ -198,26 +217,29 @@ def eliminate_color(state: ColorState, palette: int, target: int,
       edge keeps both masks, and had no free common color before the switch.
 
     A chain is scored without changing the state, and without collecting
-    its edges: a counting walk gives its length, its number of target edges
-    t and its ends, and the steps are walked only for the winning chain.
+    its edges: its length, its number of target edges t and its ends are
+    counted, and the steps are walked only for the winning chain.
 
     - Counting rule. Every candidate is either (w, target, c) anchored at u
       or v, or a pair of two non-target colours. The first kind runs
       through w's target edge, (u, v); the second cannot contain it. So
       (u, v) is on the chain exactly when target is one of its two colours,
-      and then the target class changes by drop = 2·t − length.
+      and then the target class changes by drop = 2·t − length. Where
+      neither c-neighbour of (u, v) has a target edge, the chain is (u, v)
+      and the c-edges at its ends: length 1 plus the c-edges present, and
+      t = 1, with no walk.
     - Endpoint rule. Swapping an (a,b)-chain changes the colors present only
       at the two ends of a path, where a and b trade places; a closed cycle
       changes none. A chain off (u, v) leaves it the target colour, so
       whether the switch frees a color for (u, v) follows from the color
       masks of u and v.
     - Shared-chain rule. (u, v) has the target color, so the candidates
-      (u, target, c) and (v, target, c) lie on one component. It is walked
-      once per round and scored for both anchors.
+      (u, target, c) and (v, target, c) lie on one component. It is
+      counted once per round and scored for both anchors.
     - Draw rule. Scoring draws no random numbers. So every candidate of a
       round is scored first (see _scored_moves), then each non-empty one
-      draws once, in sorted candidate order. The largest (score, draw)
-      wins, and the earliest candidate on a tie.
+      draws once, in sorted candidate order. The highest draw among the top
+      scores wins, and the earliest candidate on a tie.
     """
     target_class = set(state.class_edges(target))
     rng = random.Random(budget.seed)
@@ -237,9 +259,12 @@ def eliminate_color(state: ColorState, palette: int, target: int,
         moves, scores = _scored_moves(state, u, v, target, not_target, others)
         if not scores:
             return None
-        # draw rule: zip stops at the last score, so each candidate draws once, in order
-        _, _, minus_i = max(zip(scores, iter(draw, None), count(0, -1)))
-        anchor, acol, bcol = moves[-minus_i]
+        top, best = max(scores), -1.0
+        for i, score in enumerate(scores):  # draw rule
+            d = draw()
+            if score == top and d > best:
+                best, win = d, i
+        anchor, acol, bcol = _move(moves[win], state.colors + 1)
         steps = _component(state, anchor, acol, bcol)
         state.invert(steps, acol, bcol)
         recheck = _touched_targets(state, steps, acol, bcol, target)
@@ -283,13 +308,17 @@ def find_class1(g: Graph, budget: SearchBudget,
             order = edges.copy()
             random.Random(sub_seed).shuffle(order)
             state = vizing_delta_plus_one(g, order)
-        at = state.at
         sub_budget = SearchBudget(budget.max_switches, budget.max_restarts, sub_seed)
         palette = (1 << (state.colors + 1)) - 2  # the declared colours 1..state.colors
         used = state.used()
         while used.bit_count() > delta:
-            # a class's size is half the number of vertices its colour is at
-            target = min(_bits(used), key=lambda c: (sum(row[c] is not None for row in at), c))
+            # the smallest class is the colour missing at the most vertices,
+            # counted in one pass over present; the lowest colour on a tie
+            missing = [0] * (state.colors + 1)
+            for p in state.present:
+                for c in _bits(used & ~p):
+                    missing[c] += 1
+            target = max(_bits(used), key=missing.__getitem__)
             if eliminate_color(state, palette, target, sub_budget) is None:
                 break
             palette = used = state.used()

@@ -18,7 +18,7 @@ from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColor
                             verify_hamiltonian_cycle, vizing_delta_plus_one)
 from graphcert.keller import (ColorKernel, _fixture_rows, _union_cycle_count, build, delta,
                               parse_vertex)
-from graphcert.kempe import SearchBudget, SearchOutcome, _bits, _component, _missing_after_swap
+from graphcert.kempe import SearchBudget, SearchOutcome, _bits
 from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
 from graphcert.mycielski import _ham_path_search
 
@@ -324,10 +324,116 @@ def vizing_coloring(g: Graph, order: Sequence[tuple[int, int]] | None = None) ->
     return snapshot(state, edge_set(g), state.colors)
 
 
+def chain_counts(state: ColorState, start: int, a: int, b: int
+                 ) -> tuple[int, int, tuple[int, int] | None]:
+    """The maximal (a,b)-alternating component through start, counted.
+
+    Returns its length, its number of a-coloured edges and the two end
+    vertices of a path (the end reached by leaving start on a first), or
+    None for a closed cycle and for an empty chain. Colours alternate along
+    the walk, so the a-edges are the odd steps of the walk that leaves start
+    on a and the even steps of the one that leaves on b.
+    """
+    at = state.at
+    out = 0
+    cur, col, other = start, a, b
+    while (nxt := at[cur][col]) is not None:
+        out += 1
+        if nxt == start:
+            return out, out // 2, None
+        cur, col, other = nxt, other, col
+    first_end = cur
+    back = 0
+    cur, col, other = start, b, a
+    while (nxt := at[cur][col]) is not None:
+        back += 1
+        cur, col, other = nxt, other, col
+    length = out + back
+    return length, (out + 1) // 2 + back // 2, ((first_end, cur) if length else None)
+
+
+def missing_after_swap(state: ColorState, full: int, v: int,
+                       ends: tuple[int, int] | None, a: int, b: int) -> int:
+    """Bitmask of the colours in full absent at v once the (a,b)-chain with
+    these path ends (None for a cycle) is swapped.
+
+    Every inner chain vertex keeps one a-edge and one b-edge, so only a
+    path end trades a for b or b for a; a closed cycle changes no vertex.
+    """
+    present = state.present[v]
+    if ends is not None and v in ends:
+        present ^= (1 << a) | (1 << b)
+    return full & ~present
+
+
+def reference_scored_moves(state: ColorState, u: int, v: int, target: int, not_target: int
+                           ) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The candidate switches for the target edge (u, v), collected in a set,
+    sorted and scored by one chain_counts call each: the oracle for
+    graphcert.kempe._scored_moves, which must list the same moves with the
+    same scores in the same order."""
+    present = state.present
+    candidates: set[tuple[int, int, int]] = set()
+    for w, other in ((u, v), (v, u)):
+        candidates.update((w, target, c) for c in _bits(not_target))
+        for acol in _bits(not_target & ~present[w]):
+            for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
+                candidates.add((other, acol, bcol))
+    moves: list[tuple[int, int, int]] = []
+    scores: list[int] = []
+    for anchor, acol, bcol in sorted(candidates):
+        length, t, ends = chain_counts(state, anchor, acol, bcol)
+        if not length:
+            continue
+        if acol == target:
+            score = (2 * t - length) * 1000 - length
+        else:
+            freed = (missing_after_swap(state, not_target, u, ends, acol, bcol)
+                     & missing_after_swap(state, not_target, v, ends, acol, bcol))
+            score = (1000 if freed else 0) - length
+        moves.append((anchor, acol, bcol))
+        scores.append(score)
+    return moves, scores
+
+
+def _uncolor(state: ColorState, x: int, y: int, col: int) -> None:
+    state.at[x][col] = state.at[y][col] = None
+    state.present[x] ^= 1 << col
+    state.present[y] ^= 1 << col
+
+
+def _color(state: ColorState, x: int, y: int, col: int) -> None:
+    state.at[x][col], state.at[y][col] = y, x
+    state.present[x] |= 1 << col
+    state.present[y] |= 1 << col
+
+
+def reference_switch(state: ColorState, start: int, a: int, b: int) -> None:
+    """Swap a and b on the component of start in the subgraph of the a- and
+    b-coloured edges, found by a search rather than a walk: every edge is
+    uncoloured, then each takes the other colour."""
+    at = state.at
+    seen, stack, chain = {start}, [start], set()
+    while stack:
+        x = stack.pop()
+        for col in (a, b):
+            y = at[x][col]
+            if y is not None:
+                chain.add((min(x, y), max(x, y), col))
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    for x, y, col in chain:
+        _uncolor(state, x, y, col)
+    for x, y, col in chain:
+        _color(state, x, y, a if col == b else b)
+
+
 def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                               budget: SearchBudget) -> EdgeColoring | None:
     """Colour elimination that rescans at for the whole target class every
-    round and collects the candidate chains in a set: the oracle for
+    round, scores the candidates with reference_scored_moves and edits the
+    colouring one edge at a time: the oracle for
     graphcert.kempe.eliminate_color, which must make the same switches and
     the same random draws."""
     report = verify_edge_coloring(g, coloring)
@@ -349,43 +455,22 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
             u, v = e
             common = not_target & ~(present[u] | present[v])
             if common:
-                state.recolor(u, v, target, lowest_bit(common))
+                _uncolor(state, u, v, target)
+                _color(state, u, v, lowest_bit(common))
                 progress = True
         if progress:
             continue
         if switches >= budget.max_switches:
             return None
         u, v = targets[rng.randrange(len(targets))]
-        candidates: set[tuple[int, int, int]] = set()
-        for w, other in ((u, v), (v, u)):
-            for c in range(1, declared + 1):
-                if c != target:
-                    candidates.add((w, target, c))
-            for acol in _bits(not_target & ~present[w]):
-                for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
-                    candidates.add((other, acol, bcol))
-        target_scores: dict[int, int] = {}
-        best: tuple[tuple[int, float], int, int, int] | None = None
-        for anchor, acol, bcol in sorted(candidates):
-            if acol == target and bcol in target_scores:
-                score = target_scores[bcol]
-            else:
-                length, t, ends = state.chain_counts(anchor, acol, bcol)
-                if not length:
-                    continue
-                if acol == target:
-                    score = target_scores[bcol] = (2 * t - length) * 1000 - length
-                else:
-                    freed = (_missing_after_swap(state, not_target, u, ends, acol, bcol)
-                             & _missing_after_swap(state, not_target, v, ends, acol, bcol))
-                    score = (1000 if freed else 0) - length
+        best: tuple[tuple[int, float], tuple[int, int, int]] | None = None
+        for move, score in zip(*reference_scored_moves(state, u, v, target, not_target)):
             key = (score, rng.random())
             if best is None or key > best[0]:
-                best = (key, anchor, acol, bcol)
+                best = (key, move)
         if best is None:
             return None
-        _, anchor, acol, bcol = best
-        state.invert(_component(state, anchor, acol, bcol), acol, bcol)
+        reference_switch(state, *best[1])
         switches += 1
 
 

@@ -6,12 +6,13 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assignment_of, color_counts, coloring_of, colors_used, complete, cycle,
-                      edge_set, fournier_forest_check, graph_of, path, petersen,
-                      reference_eliminate_color, reference_find_class1,
+from conftest import (assignment_of, chain_counts, color_counts, coloring_of, colors_used,
+                      complete, cycle, edge_set, fournier_forest_check, graph_of,
+                      missing_after_swap, path, petersen, reference_eliminate_color,
+                      reference_find_class1, reference_scored_moves,
                       reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
 from graphcert.chess import build_queen
@@ -153,10 +154,10 @@ def test_scoring_predicts_the_swap(case):
     full = (1 << (coloring.declared_color_count + 1)) - 2
     state = ColorState.of(g.vertex_count, coloring)
     steps = kempe._component(state, anchor, a, b)
-    _, _, ends = state.chain_counts(anchor, a, b)
+    _, _, ends = chain_counts(state, anchor, a, b)
     chain = {(x, y) if x < y else (y, x) for x, y, _ in steps}
-    predicted = (kempe._missing_after_swap(state, full, u, ends, a, b),
-                 kempe._missing_after_swap(state, full, v, ends, a, b), e_uv not in chain)
+    predicted = (missing_after_swap(state, full, u, ends, a, b),
+                 missing_after_swap(state, full, v, ends, a, b), e_uv not in chain)
     swapped = ColorState.of(g.vertex_count, coloring)
     swapped.invert(steps, a, b)
     assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
@@ -174,17 +175,44 @@ def test_scoring_predicts_the_swap(case):
 @settings(max_examples=300, deadline=None)
 @given(_colored_graph_and_move())
 def test_counting_walk_matches_the_chain(case):
-    # eliminate_color scores a chain by chain_counts and walks its steps
-    # only for the winner, so the counts must describe those steps exactly.
+    # the reference scorer counts a chain with chain_counts, and
+    # eliminate_color walks the steps of the winner only, so the counts
+    # must describe those steps exactly.
     g, coloring, anchor, a, b, _ = case
     assume(a != b)
     state = ColorState.of(g.vertex_count, coloring)
     steps = kempe._component(state, anchor, a, b)
     ends = (steps[0][0], steps[-1][1]) if steps and steps[0][0] != steps[-1][1] else None
-    length, a_edges, counted_ends = state.chain_counts(anchor, a, b)
+    length, a_edges, counted_ends = chain_counts(state, anchor, a, b)
     assert (length, counted_ends) == (len(steps), ends)
     assert a_edges == sum(col == a for _, _, col in steps)
     assert length - a_edges == sum(col == b for _, _, col in steps)
+
+
+# a target chain (2, 3), colour 1, with c = 2 that runs past both c-neighbours
+# 1 and 4 to the ends 0 and 5; and one that closes into the 4-cycle 0 1 2 3
+_LONG_TARGET_CHAIN = (path(6), coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2,
+                                            (4, 5): 1}, 3), 0, 1, 2, (2, 3))
+_CYCLIC_TARGET_CHAIN = (cycle(4), coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, 3),
+                        0, 1, 2, (0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graph_and_move())
+@example(_LONG_TARGET_CHAIN)
+@example(_CYCLIC_TARGET_CHAIN)
+def test_scored_moves_match_the_reference_scorer(case):
+    # The scorer counts the short target chains in closed form and walks the
+    # others inline; the reference collects, sorts and counts every chain.
+    g, coloring, _, _, _, (u, v) = case
+    target = assignment_of(coloring)[(u, v)]
+    state = ColorState.of(g.vertex_count, coloring)
+    k = coloring.declared_color_count + 1
+    not_target = ((1 << k) - 2) & ~(1 << target)
+    codes, scores = kempe._scored_moves(state, u, v, target, not_target,
+                                        list(kempe._bits(not_target)))
+    assert ([kempe._move(code, k) for code in codes], scores) == \
+        reference_scored_moves(state, u, v, target, not_target)
 
 
 @settings(max_examples=300, deadline=None)
