@@ -249,6 +249,9 @@ def _check_hamcycle(args, g: Graph):
 
 
 def _check_hampath(args, g: Graph):
+    for option, value in (("--start", args.start), ("--end", args.end)):
+        if value is not None and not 1 <= value <= g.vertex_count:
+            raise ValueError(f"{option} {value} is not a vertex id in 1..{g.vertex_count}")
     seq = gio.read_sequence(args.certificate)
     start = args.start - 1 if args.start is not None else None
     end = args.end - 1 if args.end is not None else None
@@ -368,9 +371,9 @@ def _cmd_mycielski_hampath(args) -> int:
 def _cmd_mycielski_witness(args) -> int:
     rep = even_cycle_parity_witness(args.n)
     payload = {"ok": not rep.path_exists, "family": "mycielski", "params": {"n": args.n},
-               "size": rep.nodes_explored}
+               "size": rep.same_parity_x}
     return _finish(args, payload, [f"path exists = {rep.path_exists}",
-                                   f"nodes explored = {rep.nodes_explored}"],
+                                   f"x with x1's parity = {rep.same_parity_x} of {args.n}"],
                    [f"mu(C_{args.n}) has a Hamiltonian path x1 -> z"])
 
 

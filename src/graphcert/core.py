@@ -236,8 +236,8 @@ class EdgeColoring:
         Every other check of from_arrays is made. Its callers: from_arrays,
         which then makes the repeat check;
         `io.read_coloring`, which makes its own check first to name the
-        line; `normalized` and `shifted`, on the rows of a colouring that
-        holds none already; `ColorState.coloring`, on the rows of a graph;
+        line; `shifted`, on the rows of a colouring that holds none
+        already; `ColorState.coloring`, on the rows of a graph;
         and the bishop and rook colourings of
         `bishop_rook`, built on board edge lists that hold each edge once.
         The queen constructions join those in `queen._union`, whose
@@ -275,19 +275,6 @@ class EdgeColoring:
         self.ends = _frozen(_narrow(flat).reshape(-1, 2), flat)
         self.colors = _frozen(_narrow(colors), colors)
         self.declared_color_count = declared
-
-    def normalized(self) -> "EdgeColoring":
-        """Relabel colors to a contiguous 1..k range, preserving relative order.
-
-        A coloring that already uses exactly 1..declared_color_count is
-        returned as is.
-        """
-        used = np.unique(self.colors)
-        if len(used) == self.declared_color_count:
-            return self
-        # self.ends held no repeat when self was built, and it is read-only
-        return EdgeColoring._of_rows(self.ends, np.searchsorted(used, self.colors) + 1,
-                                     len(used))
 
     def shifted(self, offset: int) -> "EdgeColoring":
         # int64 (or Python ints), so the shift cannot wrap an int32 colour
@@ -770,10 +757,9 @@ class ColorState:
 
         pairs holds every coloured edge once as (u, v) with u < v, like
         Graph.pairs, and its rows are the rows of the result. The k
-        non-empty classes keep their relative order, as in
-        EdgeColoring.normalized. One pass over at, as a float array with
-        None read as NaN, finds each edge's colour at its lower end; the
-        rows are then placed by the key u·n + v.
+        non-empty classes keep their relative order. One pass over at, as
+        a float array with None read as NaN, finds each edge's colour at
+        its lower end; the rows are then placed by the key u·n + v.
         """
         used = self.used()
         rank = np.cumsum([(used >> c) & 1 for c in range(self.colors + 1)])

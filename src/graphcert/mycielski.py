@@ -1,4 +1,4 @@
-"""Mycielskian graphs and explicit Hamiltonian paths on mu(odd cycle).
+"""Mycielskian graphs, Hamiltonian paths on mu(odd cycle), and the even case.
 
 Vertices of mu(G) for an n-vertex G are integer ids: the original X layer
 keeps ids 0..n-1, the shadow Y layer is n..2n-1 (y_i adjacent to x_i's
@@ -10,6 +10,10 @@ For odd n a Hamiltonian path of mu(C_n) between any two vertices comes from
 the canonical Hamiltonian cycle, opened at the pair when it is an edge, and
 otherwise from a small family of zigzag templates, placed by the dihedral
 symmetry of C_n. The paths are returned unverified.
+
+For even n there is no Hamiltonian path x1 -> z: a parity count, checked on
+the pairs of mu(C_n), shows that such a path would need all n x's to share
+x1's parity, and only n/2 do.
 """
 
 from __future__ import annotations
@@ -238,68 +242,38 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int], mu: Graph,
     return lift[path].tolist()
 
 
-# --- exhaustive small-graph searches ----------------------------------------------
-
-def _ham_path_search(g: Graph, s: int, t: int) -> tuple[list[int] | None, int]:
-    n = g.vertex_count
-    # pairs ascend, so each vertex takes its lower neighbours first, then its
-    # higher ones, and both runs ascend
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(*g.pairs.T.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    visited = [False] * n
-    visited[s] = True
-    path = [s]
-    nodes = 0
-
-    def reachable_t() -> bool:
-        # t must stay reachable from the path head through unvisited vertices.
-        stack = [path[-1]]
-        seen = {path[-1]}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w == t:
-                    return True
-                if not visited[w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    def dfs() -> bool:
-        nonlocal nodes
-        nodes += 1
-        u = path[-1]
-        if len(path) == n:
-            return u == t
-        if visited[t] or not reachable_t():
-            return False
-        for w in adj[u]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                if dfs():
-                    return True
-                path.pop()
-                visited[w] = False
-        return False
-
-    found = dfs()
-    return (list(path) if found else None), nodes
-
+# --- the even case: a parity certificate -----------------------------------------
 
 @dataclass(frozen=True)
 class ParityWitnessReport:
     n: int
     path_exists: bool
-    nodes_explored: int
+    same_parity_x: int  # the x's whose index has x1's parity, n/2 of the n a path needs
 
 
 def even_cycle_parity_witness(n: int) -> ParityWitnessReport:
-    """Exhaustively confirm there is no Hamiltonian path x1 -> z in mu(C_n)."""
+    """Certify that mu(C_n), n even, has no Hamiltonian path x1 -> z.
+
+    Three premises are checked on the pairs of the graph:
+    (a) z's neighbours are exactly y1..yn; (b) no edge joins two y's;
+    (c) every x-y edge joins indices of opposite parity.
+    Every y is interior to such a path, and by (a) and (b) 2n - 1 of the
+    y's 2n path-edge ends go to x's; the x's hold 2n - 1 path-edge ends in
+    all, so the path alternates x, y. By (c) each x on it then has x1's
+    parity, and only n/2 x's do. CertificateError names a failed premise.
+    """
     if n < 4 or n % 2 == 1:
         raise ValueError("even n >= 4 required")
-    g = mycielskian(cycle_graph(n))
-    path, nodes = _ham_path_search(g, 0, 2 * n)
-    return ParityWitnessReport(n, path is not None, nodes)
+    pairs = mycielskian(cycle_graph(n)).pairs
+    u, v = pairs[:, 0], pairs[:, 1]  # u < v, so z = 2n is never u
+    if not np.array_equal(np.sort(u[v == 2 * n]), np.arange(n, 2 * n)):
+        raise CertificateError(f"premise (a) fails: z's neighbours are not exactly y1..y{n}")
+    for premise, bad, why in (
+            ("b", (u >= n) & (v < 2 * n), "joins two y's"),
+            ("c", (u < n) & (v >= n) & (v < 2 * n) & ((u - v + n) % 2 == 0),
+             "joins x and y indices of equal parity")):
+        if bad.any():
+            a, b = pairs[bad.argmax()].tolist()
+            raise CertificateError(f"premise ({premise}) fails: edge "
+                                   f"{vertex_name(a, n)} {vertex_name(b, n)} {why}")
+    return ParityWitnessReport(n, False, n // 2)

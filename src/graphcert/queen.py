@@ -81,9 +81,10 @@ def class1_even(m: int, n: int) -> QueenColoringCertificate:
 def class1_square_odd(n: int) -> QueenColoringCertificate:
     """Color Q_{n,n} (n odd) with Delta = 4n-4 colors.
 
-    The rarest bishop color appears on a single edge; the ladder rook coloring
-    is arranged so its top color is missing at both endpoints of that edge,
-    which then takes the top color, retiring the rarest one.
+    The rarest bishop color, the last one, 2n-2, appears on a single edge;
+    the ladder rook coloring is arranged so its top color is missing at both
+    endpoints of that edge, which then takes the top color. With the rarest
+    color retired, the rook colors are shifted onto 2n-2..4n-4.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
@@ -96,11 +97,10 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     if a.col < 2 or b.col < 2 or a.row == b.row:
         raise CertificateError(
             f"rarest bishop edge {edge} must avoid column 1 and join two rows")
-    top = 2 * n - 1  # before the shift; lands on 4n-3
+    top = 2 * n - 1  # before the shift; lands on 4n-4
     plan = MissingColorPlan.from_assignments(n, n, {(a.col, a.row): top, (b.col, b.row): top})
-    rook = ladder_coloring(n, n, plan).shifted(2 * n - 2)
-    coloring = _union(n, n, [bishop, rook], 4 * n - 3,
-                      recolor=[(edge, top + 2 * n - 2)]).normalized()
+    rook = ladder_coloring(n, n, plan).shifted(2 * n - 3)
+    coloring = _union(n, n, [bishop, rook], 4 * n - 4, recolor=[(edge, top + 2 * n - 3)])
     return QueenColoringCertificate(n, n, coloring, 1, "SquareOdd")
 
 

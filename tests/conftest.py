@@ -20,7 +20,6 @@ from graphcert.keller import (ColorKernel, _fixture_rows, _union_cycle_count, bu
                               parse_vertex)
 from graphcert.kempe import SearchBudget, SearchOutcome, _bits
 from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
-from graphcert.mycielski import _ham_path_search
 
 
 # --- the src constructors from tuples and dicts, and the tuple views ------------
@@ -106,6 +105,20 @@ def colors_used(coloring: EdgeColoring) -> set[int]:
 def color_counts(coloring: EdgeColoring) -> dict[int, int]:
     """The number of edges of each colour, in the order the colours first occur."""
     return dict(Counter(coloring.colors.tolist()))
+
+
+def normalized(coloring: EdgeColoring) -> EdgeColoring:
+    """Relabel colors to a contiguous 1..k range, preserving relative order.
+
+    A coloring that already uses exactly 1..declared_color_count is
+    returned as is.
+    """
+    used = np.unique(coloring.colors)
+    if len(used) == coloring.declared_color_count:
+        return coloring
+    # coloring.ends held no repeat when coloring was built, and it is read-only
+    return EdgeColoring._of_rows(coloring.ends, np.searchsorted(used, coloring.colors) + 1,
+                                 len(used))
 
 
 def neighbor_masks(g: Graph) -> list[int]:
@@ -449,7 +462,7 @@ def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
     while True:
         targets = [(u, v) for u, row in enumerate(at) if (v := row[target]) is not None and u < v]
         if not targets:
-            return snapshot(state, assignment_of(coloring), declared).normalized()
+            return normalized(snapshot(state, assignment_of(coloring), declared))
         progress = False
         for e in targets:
             u, v = e
@@ -507,7 +520,7 @@ def reference_find_class1(g: Graph, budget: SearchBudget,
                 break
             current = nxt
         if len(colors_used(current)) <= delta:
-            return SearchOutcome(current.normalized(), "ok", r + 1)
+            return SearchOutcome(normalized(current), "ok", r + 1)
     return SearchOutcome(None, "budget", budget.max_restarts)
 
 
@@ -1201,14 +1214,60 @@ def reference_mycielskian(g: Graph) -> Graph:
     return graph_of(2 * n + 1, edges)
 
 
+def ham_path_search(g: Graph, s: int, t: int) -> list[int] | None:
+    """A Hamiltonian path s -> t by exhaustive DFS, or None (small graphs): the
+    oracle for graphcert.mycielski's paths and its parity witness."""
+    n = g.vertex_count
+    # pairs ascend, so each vertex takes its lower neighbours first, then its
+    # higher ones, and both runs ascend
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(*g.pairs.T.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    visited = [False] * n
+    visited[s] = True
+    path = [s]
+
+    def reachable_t() -> bool:
+        # t must stay reachable from the path head through unvisited vertices.
+        stack = [path[-1]]
+        seen = {path[-1]}
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w == t:
+                    return True
+                if not visited[w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    def dfs() -> bool:
+        u = path[-1]
+        if len(path) == n:
+            return u == t
+        if visited[t] or not reachable_t():
+            return False
+        for w in adj[u]:
+            if not visited[w]:
+                visited[w] = True
+                path.append(w)
+                if dfs():
+                    return True
+                path.pop()
+                visited[w] = False
+        return False
+
+    return list(path) if dfs() else None
+
+
 def hc_check_all_pairs(g: Graph) -> bool:
     """True iff every vertex pair admits a Hamiltonian path (small graphs)."""
     if g.vertex_count > 30:
         raise ValueError("all-pairs check is limited to 30 vertices")
     for s in range(g.vertex_count):
         for t in range(s + 1, g.vertex_count):
-            path, _ = _ham_path_search(g, s, t)
-            if path is None:
+            if ham_path_search(g, s, t) is None:
                 return False
     return True
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import coloring_of, edge_set
@@ -116,7 +117,7 @@ def test_inapplicable_construction_exits_1(capsys):
     assert "no construction" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, ["color", "--m", "3"])[0] == 2  # missing --n
     assert run(capsys, ["gen", "--family", "knight", "--m", "3", "--n", "3"])[0] == 2
     assert run(capsys, ["mycielski", "witness", "--n", "5"])[0] == 2  # odd n
@@ -129,6 +130,15 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["keller", "decompose", "--d", "2", "--restarts", "0"])[0] == 2
     assert run(capsys, ["keller", "decompose", "--d", "2",
                         "--warm-start", "nonexistent.coloring"])[0] == 2
+    # a 1-based path end outside 1..19 names no vertex of mu(C_9)
+    graph, cert = str(tmp_path / "m.col"), str(tmp_path / "p.seq")
+    assert run(capsys, f"gen --family mycielski --n 9 --out {graph}".split())[0] == 0
+    assert run(capsys, f"mycielski hampath --n 9 --from x1 --to z --out {cert}".split())[0] == 0
+    for option, value in [("--start", "0"), ("--end", "-3"), ("--start", "20")]:
+        code, out, err = run(capsys, ["verify", "hampath", "--graph", graph,
+                                      "--certificate", cert, option, value])
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} {value} is not a vertex id in 1..19\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -608,8 +618,8 @@ PINNED_DIGESTS = {
     "multicycle-survey-csv-json": "ea14e4928587b50f s.csv=c4e56ce44ac8f5e1",  # exit 0
     "mycielski-hampath-text": "58d0fe867920c20e p.seq=046f789d75157aee",  # exit 0
     "mycielski-hampath-json": "8ac0d67e2e6eecd0 p.seq=046f789d75157aee",  # exit 0
-    "mycielski-witness-text": "4c7f8e1ace20e4a1",  # exit 0
-    "mycielski-witness-json": "a0d46008a00e77d2",  # exit 0
+    "mycielski-witness-text": "39a6582e017ff54c",  # exit 0
+    "mycielski-witness-json": "25915b756b392377",  # exit 0
     "mycielski-witness-odd-text": "53c234e5e8472b6a",  # exit 2
     "mycielski-witness-odd-json": "53c234e5e8472b6a",  # exit 2
     "keller-build-text": "5323cfdfb10ab524",  # exit 0
@@ -773,6 +783,19 @@ def test_no_mycielski_template_is_a_failed_check(monkeypatch, capsys):
     code, payload, err = run_json(capsys, "mycielski hampath --n 9 --from y1 --to y6".split())
     assert code == 1 and payload["ok"] is False
     assert err == "verification failed: no template applies to y1 -> y6 in mu(C_9)\n"
+
+
+@pytest.mark.parametrize("edge,premise", [((6, 8), "(b)"), ((0, 12), "(a)"), ((0, 8), "(c)")],
+                         ids=["y-y", "z-x1", "x-y-equal-parity"])
+def test_failed_parity_premise_is_a_failed_check(monkeypatch, capsys, edge, premise):
+    # y1 y3, z x1 and x1 y3 of mu(C_6): each breaks one premise of the parity count
+    build = mycielski.mycielskian
+    monkeypatch.setattr(mycielski, "mycielskian", lambda g: core.Graph.from_array(
+        2 * g.vertex_count + 1, np.concatenate((build(g).pairs, [edge]))))
+    code, payload, err = run_json(capsys, "mycielski witness --n 6".split())
+    assert code == 1 and payload["ok"] is False
+    assert payload["error"].startswith(f"premise {premise} fails")
+    assert err == f"verification failed: {payload['error']}\n"
 
 
 # the verifiers of the certificates the CLI emits

@@ -11,7 +11,7 @@ import graphcert.core as core
 import graphcert.keller as keller
 from conftest import (assignment_of, coloring_of, complement, complete, cycle, edge_set, edgeless,
                       fournier_forest_check, graph_of, is_decomposition, is_hamiltonian,
-                      naive_alpha, naive_omega, neighbours, path, petersen,
+                      naive_alpha, naive_omega, neighbours, normalized, path, petersen,
                       reference_verify_edge_coloring, reference_verify_hamiltonian_decomposition,
                       vizing_coloring)
 from graphcert.bishop_rook import canonical_bishop_coloring
@@ -283,14 +283,14 @@ def test_edge_coloring_invariants():
         coloring_of({(0, 1): 3}, 2)  # color above the declared count
     with pytest.raises(ValueError):
         coloring_of({(1, 0): 1}, 1)  # unnormalized key
-    norm = coloring_of({(0, 1): 5, (1, 2): 9}, 9).normalized()
+    norm = normalized(coloring_of({(0, 1): 5, (1, 2): 9}, 9))
     assert assignment_of(norm) == {(0, 1): 1, (1, 2): 2}
     assert norm.declared_color_count == 2
     # a gap in the palette relabels even when the top color is in use
-    gapped = coloring_of({(0, 1): 1, (1, 2): 3}, 3).normalized()
+    gapped = normalized(coloring_of({(0, 1): 1, (1, 2): 3}, 3))
     assert assignment_of(gapped) == {(0, 1): 1, (1, 2): 2} and gapped.declared_color_count == 2
     contiguous = coloring_of({(0, 1): 2, (1, 2): 1}, 2)
-    assert contiguous.normalized() is contiguous
+    assert normalized(contiguous) is contiguous
     shifted = coloring_of({(0, 1): 1}, 1).shifted(3)
     assert assignment_of(shifted) == {(0, 1): 4} and shifted.declared_color_count == 4
 
@@ -322,7 +322,7 @@ def test_from_arrays_names_a_repeated_edge_and_relabelling_does_not_look_again(m
     coloring = EdgeColoring.from_arrays([[1, 2], [0, 1]], [3, 1], 3)  # rows not ascending
     # the rows were checked when coloring was built; relabelling keeps them
     monkeypatch.setattr(core, "_first_repeat", lambda pairs: pytest.fail("rows checked again"))
-    assert assignment_of(coloring.normalized()) == {(1, 2): 2, (0, 1): 1}
+    assert assignment_of(normalized(coloring)) == {(1, 2): 2, (0, 1): 1}
     assert assignment_of(coloring.shifted(2)) == {(1, 2): 5, (0, 1): 3}
     with pytest.raises(ValueError, match="outside 1..2"):  # the colour range is still checked
         coloring.shifted(-1)
@@ -495,7 +495,7 @@ def test_stored_arrays_are_read_only_and_not_shared_with_a_writer():
             a[0] = 0
     # a read-only store is shared as it is
     assert np.shares_memory(EdgeColoring.from_arrays(g.pairs, coloring.colors, 2).ends, g.pairs)
-    assert np.shares_memory(coloring.normalized().ends, coloring.ends)
+    assert np.shares_memory(normalized(coloring).ends, coloring.ends)
 
 
 def test_verify_clique_cover_reads_each_clique_once():

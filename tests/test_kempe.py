@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (assignment_of, chain_counts, color_counts, coloring_of, colors_used,
                       complete, cycle, edge_set, fournier_forest_check, graph_of,
-                      missing_after_swap, path, petersen, reference_eliminate_color,
+                      missing_after_swap, normalized, path, petersen, reference_eliminate_color,
                       reference_find_class1, reference_scored_moves,
                       reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
@@ -472,7 +472,7 @@ def test_find_class1_accepts_a_warm_start():
     warm = classify_and_color(3, 7).coloring
     outcome = find_class1(g, SearchBudget.default(), warm_start=warm)
     assert outcome.reason == "ok" and outcome.restarts_used == 1
-    assert assignment_of(outcome.coloring) == assignment_of(warm.normalized())
+    assert assignment_of(outcome.coloring) == assignment_of(normalized(warm))
 
 
 def test_find_class1_rejects_a_broken_warm_start():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete, cycle, decode_vertex_code, edge_set, edgeless, find_ham_cycle,
-                      graph_of, hc_check_all_pairs, neighbours, path, reference_mycielskian)
+                      graph_of, ham_path_search, hc_check_all_pairs, neighbours, path,
+                      reference_mycielskian)
 from graphcert.core import verify_hamiltonian_path
 from graphcert.mycielski import (
     cycle_graph,
@@ -230,11 +231,10 @@ def test_lift_stays_on_the_cycle_mu_image(case):
 
 
 def test_even_cycle_has_no_x1_to_z_path():
-    for n in (4, 6):
+    for n in range(4, 13, 2):
         report = even_cycle_parity_witness(n)
-        assert not report.path_exists
-        assert report.nodes_explored > 0
-        assert report.n == n
+        assert (report.n, report.path_exists, report.same_parity_x) == (n, False, n // 2)
+        assert ham_path_search(mycielskian(cycle_graph(n)), 0, 2 * n) is None, n
 
 
 def test_parity_witness_rejects_odd_n():
