@@ -1,11 +1,12 @@
 """Batch command line frontend.
 
 Constructions and searches return unverified results. Each handler verifies
-the result it emits once, before exiting 0; `conjecture 2` verifies each
-board in `_class_task`, `conjecture 3` relies on `edge_critical_check`,
-which verifies each colouring it finds, and `multicycle survey` and
-`conjecture 4`/`5` rely on `multicycle.survey`, which verifies each row's
-colouring. Nothing unverified ever exits 0.
+the result it emits once, before exiting 0: `keller square` checks the grid
+it prints, after --flip, with `keller.verify_square_by_rule`; `conjecture 2`
+verifies each board in `_class_task`, `conjecture 3` relies on
+`edge_critical_check`, which verifies each colouring it finds, and
+`multicycle survey` and `conjecture 4`/`5` rely on `multicycle.survey`,
+which verifies each row's colouring. Nothing unverified ever exits 0.
 Exit codes: 0 success/verified, 1 verification failed or the construction
 reported none, 2 usage error, 3 budget exhausted (search inconclusive).
 """
@@ -369,12 +370,12 @@ def _cmd_mycielski_hampath(args) -> int:
 
 
 def _cmd_mycielski_witness(args) -> int:
+    # a failed premise of the parity count raises, so a report means no path
     rep = even_cycle_parity_witness(args.n)
-    payload = {"ok": not rep.path_exists, "family": "mycielski", "params": {"n": args.n},
+    payload = {"ok": True, "family": "mycielski", "params": {"n": args.n},
                "size": rep.same_parity_x}
-    return _finish(args, payload, [f"path exists = {rep.path_exists}",
-                                   f"x with x1's parity = {rep.same_parity_x} of {args.n}"],
-                   [f"mu(C_{args.n}) has a Hamiltonian path x1 -> z"])
+    return _finish(args, payload, ["path exists = False",
+                                   f"x with x1's parity = {rep.same_parity_x} of {args.n}"])
 
 
 # --- keller ------------------------------------------------------------------------
@@ -417,13 +418,15 @@ def _cmd_keller_edgecolor(args) -> int:
 
 def _cmd_keller_square(args) -> int:
     d = _keller_dim(args, cap=7)
-    grid = keller.independence_square(d).tolist()
+    grid = keller.independence_square(d)
     if args.flip:
-        perm = keller.bitstring_automorphism(d, args.flip)
-        grid = [[perm[v] for v in row] for row in grid]
-    rows = [" ".join(keller.vertex_string(v, d) for v in row) for row in grid]
-    payload = {"ok": True, "family": "keller", "params": {"d": d}, "size": len(grid)}
-    return _finish(args, payload, rows,
+        # the appended -1 keeps a cell that no vertex takes at -1
+        grid = np.append(keller.bitstring_automorphism(d, args.flip), -1)[grid]
+    report = keller.verify_square_by_rule(d, grid)
+    rows = [" ".join(keller.vertex_string(v, d) if v >= 0 else "-1" for v in row)
+            for row in grid.tolist()]
+    payload = {"ok": report.ok, "family": "keller", "params": {"d": d}, "size": len(grid)}
+    return _finish(args, payload, rows, report.detail,
                    write=[(args.out, functools.partial(_write_text, "\n".join(rows) + "\n"))])
 
 
@@ -568,9 +571,11 @@ def _cmd_conjecture9(args) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = False) -> None:
+    """The options of every subcommand, and --out where the result can be written."""
     p.add_argument("--json", action="store_true", help="print a JSON result line")
-    p.add_argument("--out", default=None, help="write the artifact to this file")
+    if out:
+        p.add_argument("--out", default=None, help="write the artifact to this file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--long-run", action="store_true",
                    help="allow paper-scale computations")
@@ -581,8 +586,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-switches", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--warm-start", default=None,
-                   help="coloring file seeding the kempe search")
 
 
 def _add_color_args(p: argparse.ArgumentParser) -> None:
@@ -590,7 +593,9 @@ def _add_color_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--construction", default="auto", choices=list(_CONSTRUCTIONS))
     _add_budget(p)
-    _add_common(p)
+    p.add_argument("--warm-start", default=None,
+                   help="coloring file seeding the kempe search")
+    _add_common(p, out=True)
     p.set_defaults(handler=_cmd_color, family="queen")
 
 
@@ -612,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    _add_common(p)
+    _add_common(p, out=True)
     p.set_defaults(handler=_cmd_gen)
 
     _add_color_args(subs.add_parser("color", help="edge-color a queen graph"))
@@ -664,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--from", dest="src", required=True, help="endpoint, e.g. x1")
     p.add_argument("--to", dest="dst", required=True, help="endpoint, e.g. y6")
-    _add_common(p)
+    _add_common(p, out=True)
     p.set_defaults(handler=_cmd_mycielski_hampath)
     p = ysubs.add_parser("witness")
     p.add_argument("--n", type=int, required=True)
@@ -680,19 +685,19 @@ def build_parser() -> argparse.ArgumentParser:
                           ("double-cover", _cmd_keller_double_cover)):
         p = ksubs.add_parser(name)
         p.add_argument("--d", type=int, required=True)
-        _add_common(p)
+        _add_common(p, out=name != "alpha")
         p.set_defaults(handler=handler)
     p = ksubs.add_parser("square")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--flip", default=None,
                    help="bit-string automorphism to apply, e.g. 001")
-    _add_common(p)
+    _add_common(p, out=True)
     p.set_defaults(handler=_cmd_keller_square)
     p = ksubs.add_parser("decompose")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget-switches", type=int, default=400)
     p.add_argument("--matching-out", default=None)
-    _add_common(p)
+    _add_common(p, out=True)
     p.set_defaults(handler=_cmd_keller_decompose)
     p = ksubs.add_parser("verify-fixture")
     p.add_argument("--table", type=int, required=True, choices=[1, 5, 6, 7])

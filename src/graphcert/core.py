@@ -490,9 +490,14 @@ _COVER_PAIRS = 1 << 18  # pairs of one clique checked at once
 
 
 def _verify_cover(n: int, cliques: Iterable[Iterable[int]],
-                  joined: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> VerificationReport:
+                  joined: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  part: str = "clique", misfit: str = "misses edge") -> VerificationReport:
     """verify_clique_cover on vertices 0..n-1, where joined(u, v) maps two
-    broadcastable int64 id arrays to a bool array of their shape."""
+    broadcastable int64 id arrays to a bool array of their shape.
+
+    Detail lines name each set a `part` and say `misfit` of a pair in it
+    that joined refuses; the defaults word a clique cover.
+    """
     cliques = [list(raw) for raw in cliques]
     detail: list[str] = []
     seen: set[int] = set()
@@ -501,14 +506,14 @@ def _verify_cover(n: int, cliques: Iterable[Iterable[int]],
             break  # nothing later can be kept
         members = sorted(set(raw))
         if len(members) != len(raw):
-            detail.append(f"clique {idx} repeats a vertex")
+            detail.append(f"{part} {idx} repeats a vertex")
         inside = []
         for v in members:
             if not (0 <= v < n and v == int(v)):
-                detail.append(f"clique {idx} vertex {v} out of range")
+                detail.append(f"{part} {idx} vertex {v} out of range")
                 continue
             if v in seen:
-                detail.append(f"vertex {v} in more than one clique")
+                detail.append(f"vertex {v} in more than one {part}")
             seen.add(v)
             inside.append(v)
         ids = np.array(inside, np.int64)
@@ -518,7 +523,7 @@ def _verify_cover(n: int, cliques: Iterable[Iterable[int]],
                 break
             rows = ids[lo:lo + step]
             i, j = np.nonzero(np.triu(~joined(rows[:, None], ids[None, lo:]), 1))
-            detail.extend(f"clique {idx} misses edge ({u},{v})" for u, v in
+            detail.extend(f"{part} {idx} {misfit} ({u},{v})" for u, v in
                           zip(rows[i[:_COVER_DETAIL]].tolist(), ids[lo + j[:_COVER_DETAIL]].tolist()))
     if len(seen) != n:
         detail.append(f"{n - len(seen)} vertices uncovered")
@@ -593,18 +598,6 @@ def _mask_to_vertices(mask: int) -> list[int]:
     return out
 
 
-def _adjacency_masks(g: Graph, complemented: bool) -> list[int]:
-    n = g.vertex_count
-    masks = [0] * n
-    for u, v in zip(*g.pairs.T.tolist()):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    if complemented:
-        full = (1 << n) - 1
-        masks = [(~m & full) & ~(1 << v) for v, m in enumerate(masks)]
-    return masks
-
-
 def _seed_mask(masks: list[int], seed: Iterable[int] | None) -> int:
     if seed is None:
         return 0
@@ -619,16 +612,29 @@ def _seed_mask(masks: list[int], seed: Iterable[int] | None) -> int:
     return mask
 
 
+def _exact_clique(g: Graph, cap: int, seed: Iterable[int] | None, complemented: bool,
+                  what: str) -> tuple[int, list[int]]:
+    """Maximum clique of g, or of its complement, with witness; seed primes the bound."""
+    n = g.vertex_count
+    if n == 0:
+        raise EmptyGraphError(f"{what} of empty graph")
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceeds cap {cap}")
+    masks = [0] * n
+    for u, v in zip(*g.pairs.T.tolist()):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if complemented:
+        full = (1 << n) - 1
+        masks = [(~m & full) & ~(1 << v) for v, m in enumerate(masks)]
+    size, mask = _max_clique_masks(masks, _seed_mask(masks, seed))
+    return size, _mask_to_vertices(mask)
+
+
 def exact_omega(g: Graph, cap: int = DEFAULT_EXACT_CAP,
                 seed: Iterable[int] | None = None) -> tuple[int, list[int]]:
     """Exact clique number with witness. seed: a known clique to prime the bound."""
-    if g.vertex_count == 0:
-        raise EmptyGraphError("clique number of empty graph")
-    if g.vertex_count > cap:
-        raise CapExceeded(f"{g.vertex_count} vertices exceeds cap {cap}")
-    masks = _adjacency_masks(g, complemented=False)
-    size, mask = _max_clique_masks(masks, _seed_mask(masks, seed))
-    return size, _mask_to_vertices(mask)
+    return _exact_clique(g, cap, seed, complemented=False, what="clique number")
 
 
 def exact_alpha(g: Graph, cap: int = DEFAULT_EXACT_CAP,
@@ -637,13 +643,7 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_EXACT_CAP,
 
     seed: a known independent set to prime the bound.
     """
-    if g.vertex_count == 0:
-        raise EmptyGraphError("independence number of empty graph")
-    if g.vertex_count > cap:
-        raise CapExceeded(f"{g.vertex_count} vertices exceeds cap {cap}")
-    masks = _adjacency_masks(g, complemented=True)
-    size, mask = _max_clique_masks(masks, _seed_mask(masks, seed))
-    return size, _mask_to_vertices(mask)
+    return _exact_clique(g, cap, seed, complemented=True, what="independence number")
 
 
 # --- Vizing's Δ+1 construction ------------------------------------------------

@@ -15,10 +15,12 @@ the line number of every row (`_Rows`). A canonical body, one as the
 writers make it, is parsed by numpy in one call from its first line to the
 end of the file: `e u v` or `u v c` lines, single spaces, '\\n' ends, a
 final newline, and every id below 10^18. Any other body, one with a tab, a
-'\\r\\n' end, a comment, an empty slot, a sign, a longer id or no final
-newline, is cut by a regular expression into runs of plain lines, each
-parsed in one call, and the lines between the runs are read one by one.
-Both give the same rows, line numbers and errors.
+comment, an empty slot, a sign, a longer id or no final newline, is cut by
+a regular expression into runs of plain lines, each parsed in one call, and
+the lines between the runs are read one by one. Both give the same rows,
+line numbers and errors. A path is read in text mode, which turns '\\r\\n'
+and a lone '\\r' into '\\n', so a CRLF file read from a path is canonical;
+the run pattern takes the '\\r\\n' ends of an open file.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ def _ascii_rows(rows: np.ndarray, lead: bytes = b"") -> Iterator[bytes]:
     groups after that. One boolean mask keeps those digits, the lead, and
     the space or newline after each value. Only rows with a value outside
     0..2^63-1, an id past int64 in a forged file or a negative id handed to
-    the dict constructor, are formatted by %d instead.
+    `EdgeColoring.from_arrays`, are formatted by %d instead.
     """
     width = rows.shape[1]
     if rows.dtype == object or (rows.size and rows.min() < 0):

@@ -247,7 +247,6 @@ def ham_path_mu_of_hc_graph(g: Graph, ham_cycle: Sequence[int], mu: Graph,
 @dataclass(frozen=True)
 class ParityWitnessReport:
     n: int
-    path_exists: bool
     same_parity_x: int  # the x's whose index has x1's parity, n/2 of the n a path needs
 
 
@@ -276,4 +275,4 @@ def even_cycle_parity_witness(n: int) -> ParityWitnessReport:
             a, b = pairs[bad.argmax()].tolist()
             raise CertificateError(f"premise ({premise}) fails: edge "
                                    f"{vertex_name(a, n)} {vertex_name(b, n)} {why}")
-    return ParityWitnessReport(n, False, n // 2)
+    return ParityWitnessReport(n, n // 2)

@@ -192,7 +192,7 @@ def test_criterion_10_mycielski_ham_paths_and_parity_witnesses():
                 seq = ham_path_mu_odd_cycle(g, a, b)
                 assert verify_hamiltonian_path(g, seq, start=a, end=b).ok, (n, a, b)
     for n in (4, 6):
-        assert not even_cycle_parity_witness(n).path_exists, n
+        assert even_cycle_parity_witness(n).same_parity_x == n // 2, n
     assert hc_check_all_pairs(mycielski_graph(4))
 
 

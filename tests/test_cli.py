@@ -130,6 +130,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, ["keller", "decompose", "--d", "2", "--restarts", "0"])[0] == 2
     assert run(capsys, ["keller", "decompose", "--d", "2",
                         "--warm-start", "nonexistent.coloring"])[0] == 2
+    # --out only where a result is written, --warm-start only on color
+    target = tmp_path / "f"
+    for argv in ([f"verify {kind} --graph g.col --certificate c"
+                  for kind in ("coloring", "hamcycle", "hampath", "decomposition", "cover")] +
+                 ["multicycle derive --m 3 --n 5", "multicycle chi --mult 1,2,3",
+                  "multicycle survey --m 3 --n-max 5", "mycielski witness --n 6",
+                  "keller alpha --d 2", "keller verify-fixture --table 5"] +
+                 [f"conjecture {which}" for which in (2, 3, 4, 5, 9)]):
+        code, out, err = run(capsys, argv.split() + ["--out", str(target)])
+        assert (code, out, target.exists()) == (2, "", False), argv
+        assert "unrecognized arguments: --out" in err, argv
+    for which in (2, 3):
+        code, _, err = run(capsys, ["conjecture", str(which),
+                                    "--warm-start", "/nonexistent.coloring"])
+        assert code == 2 and "unrecognized arguments: --warm-start" in err
     # a 1-based path end outside 1..19 names no vertex of mu(C_9)
     graph, cert = str(tmp_path / "m.col"), str(tmp_path / "p.seq")
     assert run(capsys, f"gen --family mycielski --n 9 --out {graph}".split())[0] == 0
@@ -686,11 +701,6 @@ def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, request, argv, setu
 FAILED = VerificationReport(False, 0, None, ("first reason", "second reason"))
 
 
-def _fail_cover_of_g3(real):
-    # double-cover also checks its input cover (of G_2) with the same verifier
-    return lambda d, cover: FAILED if d == 3 else real(d, cover)
-
-
 @pytest.mark.parametrize("module,name,argv", [
     (cli, "verify_edge_coloring", "color --m 3 --n 5 --out q.coloring"),
     (cli, "verify_multicycle_coloring", "multicycle chi --mult 3,5,3,4,4"),
@@ -698,12 +708,14 @@ def _fail_cover_of_g3(real):
     (cli, "verify_hamiltonian_cycle", "keller hamcycle --d 2 --out c.seq"),
     (cli, "verify_edge_coloring", "keller edgecolor --d 2 --out e.coloring"),
     (keller, "verify_cover_by_rule", "keller double-cover --d 2 --out c.sets"),
+    (keller, "verify_square_by_rule", "keller square --d 2 --flip 01 --out s.txt"),
     (cli, "verify_hamiltonian_decomposition",
      "keller decompose --d 2 --out d.sets --matching-out p.sets"),
     (cli, "verify_edge_coloring", "color --m 5 --n 5 --out q.coloring"),
     (cli, "verify_edge_coloring", "color --m 3 --n 7 --out q.coloring"),
 ], ids=["color", "multicycle-chi", "mycielski-hampath", "keller-hamcycle", "keller-edgecolor",
-        "keller-double-cover", "keller-decompose", "color-square-odd", "color-kempe"])
+        "keller-double-cover", "keller-square", "keller-decompose", "color-square-odd",
+        "color-kempe"])
 def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                             module, name, argv):
     (tmp_path / "ok").mkdir()
@@ -711,9 +723,7 @@ def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path / "ok")
     code, verified_text, _ = run(capsys, argv.split())
     assert code == 0
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, _fail_cover_of_g3(real) if module is keller
-                        else lambda *args, **kwargs: FAILED)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: FAILED)
     monkeypatch.chdir(tmp_path / "failed")
     expected_err = "".join(f"fail: {line}\n" for line in FAILED.detail)
     code, text, err = run(capsys, argv.split())
@@ -724,16 +734,23 @@ def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatc
     assert list((tmp_path / "failed").iterdir()) == []
 
 
-def _delta_moves_after_coloring(monkeypatch):
-    # keller.class1_coloring checks its kernel against keller.delta, so the
-    # count only moves once the coloring is built
-    real = keller.class1_coloring
+def test_square_with_two_cells_swapped_names_the_lines(tmp_path, monkeypatch, capsys):
+    # swapped inside row 0, vertices 1 and 2 leave the rows independent but
+    # each lands in a column that holds a neighbour of it
+    real = keller.independence_square
 
-    def coloring(d):
-        result = real(d)
-        monkeypatch.setattr(keller, "delta", lambda d: result.declared_color_count + 1)
-        return result
-    monkeypatch.setattr(keller, "class1_coloring", coloring)
+    def swapped(d):
+        grid = real(d)
+        grid[0, [1, 2]] = grid[0, [2, 1]]
+        return grid
+    monkeypatch.setattr(keller, "independence_square", swapped)
+    monkeypatch.chdir(tmp_path)
+    code, payload, err = run_json(capsys, "keller square --d 3 --out s.txt".split())
+    assert code == 1 and payload["ok"] is False
+    assert payload["detail"][0] == "column 1 holds edge (2,4)"
+    assert {line.split(" holds")[0] for line in payload["detail"]} == {"column 1", "column 2"}
+    assert err == "".join(f"fail: {line}\n" for line in payload["detail"])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,colors", [
@@ -743,11 +760,9 @@ def _delta_moves_after_coloring(monkeypatch):
     ("color --m 5 --n 5 --out q.coloring", 16),
 ], ids=["color-class1", "color-class2", "keller-edgecolor", "color-square-odd"])
 def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors):
-    if argv.startswith("keller"):
-        _delta_moves_after_coloring(monkeypatch)
-    else:
-        real = cli.queen_delta
-        monkeypatch.setattr(cli, "queen_delta", lambda m, n: real(m, n) + 1)
+    module, name = (keller, "delta") if argv.startswith("keller") else (cli, "queen_delta")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *dims: real(*dims) + 1)
     monkeypatch.chdir(tmp_path)
     code, payload, err = run_json(capsys, argv.split())
     detail = [f"declares {colors} colors, expected {colors + 1}"]
@@ -770,12 +785,17 @@ def test_conjecture2_checks_the_declared_color_count(monkeypatch, capsys):
     assert err == "".join(f"fail: {line}\n" for line in payload["detail"])
 
 
-def test_invalid_input_cover_is_a_failed_check(monkeypatch, capsys):
-    monkeypatch.setattr(keller, "verify_cover_by_rule", lambda d, cover: FAILED)
-    code, payload, err = run_json(capsys, "keller double-cover --d 2".split())
+def test_invalid_input_cover_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # pairs (2i, 2i + 1) of G_2 are not edges: doubling keeps them in the
+    # cliques of G_3, so the check of the doubled cover fails
+    monkeypatch.setattr(cli, "_source_cover", lambda args, d: [[2 * i, 2 * i + 1]
+                                                               for i in range(8)])
+    monkeypatch.chdir(tmp_path)
+    code, payload, err = run_json(capsys, "keller double-cover --d 2 --out c.sets".split())
     assert code == 1 and payload["ok"] is False
-    assert "first reason; second reason" in payload["error"]
-    assert err.startswith("verification failed: input cover is invalid")
+    assert payload["detail"][0] == "clique 0 misses edge (0,1)"
+    assert err == "".join(f"fail: {line}\n" for line in payload["detail"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_mycielski_template_is_a_failed_check(monkeypatch, capsys):
@@ -803,6 +823,7 @@ CERTIFICATE_VERIFIERS = [(core, "verify_edge_coloring"), (core, "verify_hamilton
                          (core, "verify_hamiltonian_path"),
                          (core, "verify_hamiltonian_decomposition"),
                          (core, "verify_clique_cover"), (keller, "verify_cover_by_rule"),
+                         (keller, "verify_square_by_rule"),
                          (multicycle, "verify_multicycle_coloring")]
 
 
@@ -814,12 +835,14 @@ CERTIFICATE_VERIFIERS = [(core, "verify_edge_coloring"), (core, "verify_hamilton
     ("mycielski hampath --n 9 --from y1 --to y6", "verify_hamiltonian_path", 1),
     ("keller verify-fixture --table 5", "verify_cover_by_rule", 1),
     ("keller verify-fixture --table 6", "verify_cover_by_rule", 1),
+    ("keller double-cover --d 2", "verify_cover_by_rule", 1),
+    ("keller square --d 3 --flip 001", "verify_square_by_rule", 1),
     ("multicycle chi --mult 3,5,3,4,4", "verify_multicycle_coloring", 1),
     # one row per odd 3 <= m <= n <= 11: five for m = 3, four for m = 5
     ("multicycle survey --m 3,5 --n-max 11", "verify_multicycle_coloring", 9),
 ], ids=["color-kempe", "color-square-odd", "color-ladder", "keller-decompose",
-        "mycielski-hampath", "keller-fixture-table5", "keller-fixture-table6", "multicycle-chi",
-        "multicycle-survey"])
+        "mycielski-hampath", "keller-fixture-table5", "keller-fixture-table6",
+        "keller-double-cover", "keller-square", "multicycle-chi", "multicycle-survey"])
 def test_each_result_is_verified_once(monkeypatch, capsys, argv, verifier, times):
     # Each verifier is counted under every name a graphcert module binds it to.
     # A verifier that calls another (a decomposition checks each cycle) counts once.

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import graphcert.core as core
 import graphcert.keller as keller
+from graphcert.cli import main
 from graphcert.core import (
     CertificateError,
     ColorState,
@@ -45,6 +47,7 @@ from graphcert.keller import (
     parse_vertex,
     theta_bounds,
     verify_cover_by_rule,
+    verify_square_by_rule,
     vertex_string,
 )
 
@@ -223,15 +226,15 @@ def _kernel_coloring_with_first_edge_recolored(d):
 
 
 def _rule_everywhere(a, b, value):
-    # a patched adjacency rule that answers value for every pair of digit rows
+    # a patched adjacency rule that answers value, broadcast, for every pair of digit rows
     return np.full(np.broadcast_shapes(a.shape, b.shape)[:-1], value)
 
 
 @pytest.mark.parametrize("patch, call", [
-    (("delta", lambda d: 0), lambda: color_kernel(3)),
+    (("delta", lambda d: 0), "keller edgecolor --d 3"),
     (("ColorKernel", lambda d, even, odd: ColorKernel(d, even + odd[:1], odd[1:])),
-     lambda: color_kernel(3)),
-    (("color_kernel", _short_kernel), lambda: class1_coloring(3)),
+     "keller edgecolor --d 3"),
+    (("color_kernel", _short_kernel), "keller edgecolor --d 3"),
     (("color_kernel", _kernel_with_repeated_even), lambda: class1_coloring(3)),
     # an improper colouring pairs into no decomposition, so the search refuses it
     (("class1_coloring", _kernel_coloring_with_first_edge_recolored),
@@ -239,22 +242,25 @@ def _rule_everywhere(a, b, value):
     (("class1_coloring", _kernel_coloring_without_first_edge),
      lambda: ham_decomposition_search(2)),
     (("_row_col", lambda digs: (np.zeros(len(digs), int), np.zeros(len(digs), int))),
-     lambda: independence_square(2)),
-    (("_joined", lambda a, b: _rule_everywhere(a, b, True)), lambda: independence_square(2)),
-    # the row of a vertex becomes its id, which "001" moves for every vertex
-    (("_row_col", lambda digs: (_shift(digs, [0] * digs.shape[1]), 0)),
-     lambda: bitstring_automorphism(3, "001")),
-    # "001" flips the parity of the last digit, so this adjacency is never preserved
-    (("_joined", lambda a, b: a[..., -1] % 2 == 0), lambda: bitstring_automorphism(3, "001")),
+     "keller square --d 2"),
+    (("_joined", lambda a, b: _rule_everywhere(a, b, True)), "keller square --d 2"),
+    # a row with an even last digit joins every row: each line of the square holds one
+    (("_joined", lambda a, b: _rule_everywhere(a, b, a[..., -1] % 2 == 0)),
+     "keller square --d 3 --flip 001"),
     (("_joined", lambda a, b: _rule_everywhere(a, b, False)), lambda: alpha_exact(3)),
 ], ids=["kernel-size", "kernel-negation", "color-count", "edge-twice", "decomposition", "matching",
-        "square-bijection", "square-independence", "automorphism-rows",
-        "automorphism-adjacency", "alpha-members"])
-def test_failed_self_check_raises_certificate_error(monkeypatch, patch, call):
+        "square-bijection", "square-independence", "automorphism-adjacency", "alpha-members"])
+def test_failed_self_check_raises_certificate_error(monkeypatch, capsys, patch, call):
     # These checks must hold under python -O too, so they cannot be asserts.
+    # A fault that the boundary check of an emitted result finds is left to
+    # it (argv rows): the command that emits the result exits 1, "ok": false.
     monkeypatch.setattr(keller, *patch)
-    with pytest.raises(CertificateError):
-        call()
+    if isinstance(call, str):
+        code = main(call.split() + ["--json"])
+        assert (code, json.loads(capsys.readouterr().out)["ok"]) == (1, False)
+    else:
+        with pytest.raises(CertificateError):
+            call()
 
 
 # --- independence ---------------------------------------------------------------------
@@ -277,6 +283,29 @@ def test_independence_square_lines_are_independent():
         for line in (square[idx], square[:, idx]):
             ids = line.tolist()
             assert all(not adjacent(u, w, 2) for i, u in enumerate(ids) for w in ids[i + 1:])
+
+
+@given(st.permutations(range(16)), st.integers(0, 5))
+def test_square_check_matches_the_adjacency_oracle(order, swaps):
+    # a square with a few cells swapped: ok iff every line is independent
+    grid = independence_square(2).ravel()
+    for i in range(swaps):
+        a, b = order[2 * i], order[2 * i + 1]
+        grid[[a, b]] = grid[[b, a]]
+    grid = grid.reshape(4, 4)
+    independent = all(not adjacent(u, w, 2) for line in (*grid.tolist(), *grid.T.tolist())
+                      for i, u in enumerate(line) for w in line[i + 1:])
+    assert verify_square_by_rule(2, grid).ok == independent
+
+
+def test_square_check_names_an_empty_cell():
+    grid = independence_square(3)
+    grid[0, 0] = -1
+    assert verify_square_by_rule(3, grid).detail == ("row 0 vertex -1 out of range",
+                                                    "1 vertices uncovered",
+                                                    "column 0 vertex -1 out of range",
+                                                    "1 vertices uncovered")
+    assert verify_square_by_rule(3, fixture_square(3)).ok
 
 
 def test_bitstring_automorphism():
@@ -438,8 +467,11 @@ def test_doubling_a_single_clique():
 def test_double_clique_cover_rejects_bad_input():
     with pytest.raises(ValueError):
         double_clique_cover(2, [[0, 11]])
-    with pytest.raises(CertificateError, match="input cover is invalid"):
-        double_clique_cover(2, [[2 * i, 2 * i + 1] for i in range(8)])
+    # the input is not checked: its non-cliques double into non-cliques, which
+    # the check of the doubled cover finds
+    report = verify_cover_by_rule(3, double_clique_cover(2, [[2 * i, 2 * i + 1]
+                                                             for i in range(8)]))
+    assert not report.ok and report.detail[0] == "clique 0 misses edge (0,1)"
 
 
 @pytest.mark.longrun
