@@ -1,5 +1,7 @@
 """Queen coloring constructions and the classification dispatcher."""
 
+import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import pytest
 from conftest import assignment_of, color_counts, coloring_of
 
 from graphcert import cli, core, queen
+from graphcert import io as gio
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
 from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
 from graphcert.queen import (
@@ -232,3 +235,28 @@ def test_recoloring_an_edge_outside_the_union_raises_certificate_error():
     assert assignment_of(queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)])) == {(0, 1): 2}
     with pytest.raises(CertificateError, match="not colored"):
         queen._union(2, 2, [part], 2, recolor=[((0, 3), 2)])
+
+
+# sha256 over the write_coloring bytes of every certificate below, in order,
+# recorded before the ladder prescription moved onto vertex ids
+QUEEN_CERTIFICATES_SHA256 = "3d518d93e9744afacb656a3093206d15f2fddc6ed6e120a529bf988babf9c847"
+
+
+def test_queen_constructions_keep_their_bytes():
+    # square-odd on every odd n <= 51, then every odd board 3 <= m <= 15,
+    # m < n < 120, that the overfull or ladder-multicycle construction colours
+    certs = [class1_square_odd(n) for n in range(3, 52, 2)]
+    for m in range(3, 16, 2):
+        for n in range(m + 2, 120, 2):
+            build = class2_overfull_coloring if n >= overfull_threshold(m) else class1_ladder_multicycle
+            try:
+                certs.append(build(m, n))
+            except MethodInapplicableError:
+                pass
+    digest = hashlib.sha256()
+    for cert in certs:
+        text = io.StringIO()
+        gio.write_coloring(cert.coloring, text)
+        digest.update(text.getvalue().encode("ascii"))
+    assert len(certs) == 291
+    assert digest.hexdigest() == QUEEN_CERTIFICATES_SHA256
