@@ -4,8 +4,8 @@ The bishop coloring decomposes the edge set into groups of disjoint paths and
 2-colors each path; the rook colorings assemble complete-graph colorings per
 row and column with controlled missing colors. The class-2 "ladder" rook
 coloring additionally realizes an arbitrary prescription of which high color
-is missing at every vertex outside the leftmost column; that freedom is what
-the queen constructions consume.
+is missing at every vertex outside the leftmost column, given as a map from
+vertex ids to colors; that freedom is what the queen constructions consume.
 
 Every coloring here is computed on index arrays. The complete-graph and rook
 colors are closed forms in the vertex indices. The bishop colors need each
@@ -31,7 +31,8 @@ from .core import CertificateError, EdgeColoring
 # --- complete graphs ----------------------------------------------------------
 
 def _inv2(n: int) -> int:
-    """The inverse of 2 modulo an odd n."""
+    """The inverse of 2 modulo an odd n. An even n is refused: a precondition,
+    not a check of any result."""
     if n % 2 == 0:
         raise CertificateError(f"2 has no inverse modulo the even {n}")
     return (n + 1) // 2
@@ -56,8 +57,9 @@ def k_odd_prescribed_missing(n: int, desired_missing: Sequence[int] | np.ndarray
     Returns the colors of the edges (x, y), x < y, in `np.triu_indices(n, 1)`
     order. desired_missing is one prescription of n colors, or a (rows, n)
     array of them, which gives a (rows, n(n-1)/2) array of colors; each
-    prescription must be injective. With matching_class, the matching
-    (1,2),(3,4),...,(n-2,n-1) is a single class, colored desired_missing[0].
+    prescription must be injective, a precondition refused with ValueError.
+    With matching_class, the matching (1,2),(3,4),...,(n-2,n-1) is a single
+    class, colored desired_missing[0].
     """
     if n % 2 == 0:
         raise ValueError("odd n required")
@@ -133,7 +135,8 @@ def _path_ranks(ends, group, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     edge's rank is that count for its arc whose walk ends further left.
 
     Raises CertificateError when a vertex has degree > 2 in a group, or a
-    group has a cycle, whose arcs never reach a last one.
+    group has a cycle, whose arcs never reach a last one: preconditions of
+    the walk, not checks of a coloring.
     """
     flat = np.asarray(ends, np.int64).reshape(-1)  # incidence 2i + side is vertex flat[2i + side]
     if not flat.size:
@@ -266,86 +269,40 @@ def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
                                  np.concatenate([c.ravel() for c in colors]), m + n - 2)
 
 
-@dataclass(frozen=True)
-class MissingColorPlan:
-    """Which high color each vertex outside column 1 misses in a ladder coloring.
-
-    rows[r-1][c-2] is the color of A = {m+1..m+n-1} missing at (col c, row r);
-    each row is a permutation of A. Column-1 vertices miss their row color
-    instead, never an A color.
-    """
-
-    m: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        a_set = set(range(self.m + 1, self.m + self.n))
-        if len(self.rows) != self.m:
-            raise ValueError("plan needs one row per board row")
-        for row in self.rows:
-            if set(row) != a_set or len(row) != self.n - 1:
-                raise ValueError("each plan row must be a permutation of the A colors")
-
-    @staticmethod
-    def identity(m: int, n: int) -> "MissingColorPlan":
-        row = tuple(range(m + 1, m + n))
-        return MissingColorPlan(m, n, tuple(row for _ in range(m)))
-
-    @staticmethod
-    def from_assignments(m: int, n: int,
-                         fixed: Mapping[tuple[int, int], int]) -> "MissingColorPlan":
-        """Extend partial (col, row) -> color requirements to a full plan.
-
-        Keys use 1-based board coordinates with col >= 2; each row's
-        assignments must be injective. Unconstrained vertices take the unused
-        A colors in ascending order.
-        """
-        a_colors = list(range(m + 1, m + n))
-        per_row: list[dict[int, int]] = [dict() for _ in range(m)]
-        for (col, row), color in fixed.items():
-            if not (2 <= col <= n and 1 <= row <= m):
-                raise ValueError(f"assignment at ({col},{row}) outside board or in column 1")
-            if color not in a_colors:
-                raise ValueError(f"color {color} is not an A color")
-            if color in per_row[row - 1].values():
-                raise ValueError(f"color {color} assigned twice in row {row}")
-            per_row[row - 1][col] = color
-        rows = []
-        for r0 in range(m):
-            taken = set(per_row[r0].values())
-            spare = iter(c for c in a_colors if c not in taken)
-            row = tuple(per_row[r0].get(c, None) or next(spare) for c in range(2, n + 1))
-            rows.append(row)
-        return MissingColorPlan(m, n, tuple(rows))
-
-    def missing_at(self, col: int, row: int) -> int:
-        if col < 2:
-            raise ValueError("column 1 vertices miss their row color, not an A color")
-        return self.rows[row - 1][col - 2]
-
-
-def ladder_coloring(m: int, n: int, plan: MissingColorPlan | None = None) -> EdgeColoring:
+def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> EdgeColoring:
     """Class-2 rook coloring of R_{m,n} (m, n odd) with m+n-1 colors.
 
     Columns use colors 1..m with color r missing at row r. In row r the
     matching on columns (2,3),(4,5),...,(n-1,n) takes color r, and the rest of
-    the row uses the A colors so that the plan's missing color is realized at
-    every vertex with col >= 2. Vertex (1, r) misses color r entirely.
+    the row uses the A colors {m+1..m+n-1}, so that every vertex off column 1
+    misses one A color and vertex (1, r) misses color r. fixed maps vertex ids
+    off column 1 to the A color they must miss; every other vertex off column
+    1 takes its row's unused A colors in ascending column order. ValueError
+    names a vertex in column 1 or off the board, a color outside A, or an A
+    color fixed twice in one row.
     """
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError("ladder coloring needs m and n odd")
     if m < 1 or n < 3:
         raise ValueError("board too small for a ladder coloring")
-    if plan is None:
-        plan = MissingColorPlan.identity(m, n)
-    if plan.m != m or plan.n != n:
-        raise ValueError("plan dimensions do not match the board")
+    desired = np.zeros((m, n), np.int64)  # the color each vertex misses; 0 until set
+    desired[:, 0] = np.arange(1, m + 1)
+    used = np.zeros((m, m + n), bool)  # used[r, c]: A color c is fixed in row r
+    for v, color in (fixed or {}).items():
+        row, col = divmod(v, n)
+        if not 0 <= v < m * n or col == 0:
+            raise ValueError(f"vertex {v} is off the board or in column 1")
+        if not m < color < m + n:
+            raise ValueError(f"color {color} is not an A color")
+        if used[row, color]:
+            raise ValueError(f"color {color} fixed twice in row {row + 1}")
+        used[row, color] = True
+        desired[row, col] = color
+    # each row has as many unset vertices as unused A colors, both met in ascending order
+    desired[desired == 0] = np.nonzero(~used[:, m + 1:])[1] + m + 1
     u, v = np.triu_indices(m, 1)
     col_colors = np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size))
-    desired = np.column_stack((np.arange(1, m + 1), np.array(plan.rows).reshape(m, n - 1)))
     row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
     return EdgeColoring._of_rows(np.concatenate((_column_edges(m, n), _row_edges(m, n))),
                                  np.concatenate((col_colors.ravel(), row_colors.ravel())),
                                  m + n - 1)
-

@@ -20,23 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CertificateError, Graph
-
-
-@dataclass(frozen=True)
-class BoardCoord:
-    """A board square; col 1..n, row 1..m."""
-
-    col: int
-    row: int
-
-    @property
-    def white(self) -> bool:
-        return (self.col + self.row) % 2 == 0
-
-
-def id_to_coord(v: int, n: int) -> BoardCoord:
-    return BoardCoord(col=v % n + 1, row=v // n + 1)
+from .core import Graph
 
 
 def _check_board(m: int, n: int) -> None:
@@ -124,11 +108,9 @@ def queen_delta(m: int, n: int) -> int:
 
 
 def queen_edge_count(m: int, n: int) -> int:
+    """The edge count of Q_{m,n}; 6 divides the numerator for every m and n."""
     _check_board(m, n)
-    count, rest = divmod(m * (2 - 2 * m * m - 12 * n + 9 * m * n + 3 * n * n), 6)
-    if rest:
-        raise CertificateError(f"queen edge count formula is not whole for m={m} n={n}")
-    return count
+    return m * (2 - 2 * m * m - 12 * n + 9 * m * n + 3 * n * n) // 6
 
 
 def rook_delta(m: int, n: int) -> int:
@@ -144,11 +126,9 @@ def bishop_delta(m: int, n: int) -> int:
 
 
 def overfull_threshold(m: int) -> int:
-    """Least n (for odd m <= n, both odd) at which Q_{m,n} is overfull."""
-    threshold, rest = divmod(2 * m ** 3 - 11 * m + 18, 3)
-    if rest:
-        raise CertificateError(f"overfull threshold formula is not whole for m={m}")
-    return threshold
+    """Least n (for odd m <= n, both odd) at which Q_{m,n} is overfull; 3
+    divides the numerator for every m."""
+    return (2 * m ** 3 - 11 * m + 18) // 3
 
 
 class QueenClass(Enum):

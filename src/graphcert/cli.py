@@ -2,8 +2,9 @@
 
 Constructions and searches return unverified results. Each handler verifies
 the result it emits once, before exiting 0: `keller square` checks the grid
-it prints, after --flip, with `keller.verify_square_by_rule`; `conjecture 2`
-verifies each board in `_class_task`, `conjecture 3` relies on
+it prints, after --flip, with `keller.verify_square_by_rule`; `color` and
+`conjecture 2` check each queen claim on its board with `_queen_detail`, a
+class-2 claim's overfullness included; `conjecture 3` relies on
 `edge_critical_check`, which verifies each colouring it finds, and
 `multicycle survey` and `conjecture 4`/`5` rely on `multicycle.survey`,
 which verifies each row's colouring. Nothing unverified ever exits 0.
@@ -27,9 +28,9 @@ from . import io as gio
 from . import keller
 from .chess import (QueenClass, build_bishop, build_queen, build_rook,
                     classify_queen_prediction, queen_delta)
-from .core import (CertificateError, Graph, verify_clique_cover, verify_edge_coloring,
-                   verify_hamiltonian_cycle, verify_hamiltonian_decomposition,
-                   verify_hamiltonian_path)
+from .core import (CertificateError, Graph, is_overfull, verify_clique_cover,
+                   verify_edge_coloring, verify_hamiltonian_cycle,
+                   verify_hamiltonian_decomposition, verify_hamiltonian_path)
 from .kempe import BudgetExhaustedError, SearchBudget, edge_critical_check, find_class1
 from .multicycle import (Multicycle, chromatic_index, derive, survey, survey_csv,
                          verify_multicycle_coloring)
@@ -141,6 +142,20 @@ def _count_detail(report, colors: int, want: int) -> list[str]:
     return [*report.detail, f"declares {colors} colors, expected {want}"]
 
 
+def _queen_detail(g: Graph, cert: QueenColoringCertificate) -> list[str]:
+    """Every reason to refuse cert on its board g: the verifier's detail, a
+    declared count other than Delta for class 1 and Delta+1 for class 2, and,
+    for a class-2 claim, a board that is not overfull, read off g itself."""
+    colors = cert.coloring.declared_color_count
+    detail = _count_detail(verify_edge_coloring(g, cert.coloring), colors,
+                           queen_delta(cert.m, cert.n) + (cert.claimed_class - 1))
+    if cert.claimed_class == 2 and not is_overfull(g):
+        bound = g.max_degree * (g.vertex_count // 2)
+        detail.append(f"class 2 needs an overfull board, and Q_{cert.m},{cert.n} is not: "
+                      f"{g.edge_count} edges, not more than Delta * floor(mn/2) = {bound}")
+    return detail
+
+
 # --- gen ---------------------------------------------------------------------------
 
 def _build_family(args) -> Graph:
@@ -219,18 +234,16 @@ def _cmd_color(args) -> int:
         raise ValueError("--warm-start only applies to the kempe construction")
     g = build_queen(m, n)
     cert = _CONSTRUCTIONS[args.construction](args, g)
-    report = verify_edge_coloring(g, cert.coloring)
+    detail = _queen_detail(g, cert)
     colors = cert.coloring.declared_color_count
-    want = queen_delta(m, n) + (cert.claimed_class - 1)
-    payload = {"ok": report.ok and colors == want, "family": "queen",
+    payload = {"ok": not detail, "family": "queen",
                "params": _params(args), "class": cert.claimed_class, "colors": colors,
                "construction": cert.construction}
     comment = f"queen m={m} n={n} construction={cert.construction}"
     return _finish(args, payload, [f"class = {cert.claimed_class}", f"colors = {colors}",
                                    f"construction = {cert.construction}"],
-                   _count_detail(report, colors, want),
-                   write=[(args.out, functools.partial(gio.write_coloring, cert.coloring,
-                                                       comments=[comment]))])
+                   detail, write=[(args.out, functools.partial(
+                       gio.write_coloring, cert.coloring, comments=[comment]))])
 
 
 # --- verify ------------------------------------------------------------------------
@@ -423,8 +436,10 @@ def _cmd_keller_square(args) -> int:
         # the appended -1 keeps a cell that no vertex takes at -1
         grid = np.append(keller.bitstring_automorphism(d, args.flip), -1)[grid]
     report = keller.verify_square_by_rule(d, grid)
-    rows = [" ".join(keller.vertex_string(v, d) if v >= 0 else "-1" for v in row)
-            for row in grid.tolist()]
+    # one digit string per vertex code, and "-1" last for a cell no vertex takes
+    digits = keller._digit_matrix(d) + ord("0")
+    cells = np.append(digits.view(f"S{d}").ravel().astype(str), "-1")
+    rows = [" ".join(row) for row in cells[grid].tolist()]
     payload = {"ok": report.ok, "family": "keller", "params": {"d": d}, "size": len(grid)}
     return _finish(args, payload, rows, report.detail,
                    write=[(args.out, functools.partial(_write_text, "\n".join(rows) + "\n"))])
@@ -509,9 +524,7 @@ def _class_task(task):
     pred = classify_queen_prediction(m, n)
     g = build_queen(m, n)
     cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed), graph=g)
-    report = verify_edge_coloring(g, cert.coloring)
-    want = queen_delta(m, n) + (cert.claimed_class - 1)
-    detail = _count_detail(report, cert.coloring.declared_color_count, want)
+    detail = _queen_detail(g, cert)
     predicted = 2 if pred.status is QueenClass.CLASS2_OVERFULL else 1
     if predicted != cert.claimed_class:
         detail.insert(0, f"predicted class {predicted}, colored as class {cert.claimed_class}")

@@ -18,8 +18,8 @@ bitstring automorphisms, the neighborhood reduction for the independence
 number, clique cover doubling, and a pairing search for Hamiltonian
 decompositions. `verify_cover_by_rule` and `verify_square_by_rule` check a
 clique cover and an independence square from the rule; no construction
-repeats their checks. `parse_vertex` and `vertex_string` convert between
-codes and the digit strings of the fixtures and the CLI.
+repeats their checks. `parse_vertex` reads a code from the digit strings of
+the fixtures and the CLI, which prints codes from the digit matrix.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ def parse_vertex(text: str, d: int) -> int:
     if not 0 <= value < 4 ** d:
         raise ValueError(f"{value} out of range for d={d}")
     return value
-
-
-def vertex_string(v: int, d: int) -> str:
-    """The d base-4 digits of vertex code v, most significant first."""
-    if not 0 <= v < 4 ** d:
-        raise ValueError(f"{v} out of range for d={d}")
-    return np.base_repr(v, 4).zfill(d)
 
 
 def _digit_matrix(d: int) -> np.ndarray:
@@ -342,15 +335,20 @@ def double_clique_cover(d: int, cover: Sequence[Iterable[int]]) -> list[list[int
     """Lift a clique cover of G_d to one of G_{d+1} with 2x the cliques.
 
     Clique C doubles into prefix-0 C with prefix-2 (C+1), and prefix-1 C with
-    prefix-3 (C+1), where C+1 adds 1 mod 4 to every digit. The input is not
-    checked: a non-clique, a shared or an uncovered vertex of it is one of the
-    output too, where the caller's check of the doubled cover finds it.
+    prefix-3 (C+1), where C+1 adds 1 mod 4 to every digit. ValueError names
+    an id outside 0..4^d-1. The input is not otherwise checked: a non-clique,
+    a shared or an uncovered vertex of it is one of the output too, where the
+    caller's check of the doubled cover finds it.
     """
     cover = [sorted(set(c)) for c in cover]
-    if sum(len(c) for c in cover) != 4 ** d:
-        raise ValueError("cover size does not match dimension")
-    plus_ones = _shift(_digit_matrix(d), (1,) * d)
     block = 4 ** d
+    if sum(len(c) for c in cover) != block:
+        raise ValueError("cover size does not match dimension")
+    for clique in cover:
+        if clique and not (clique[0] >= 0 and clique[-1] < block):
+            raise ValueError(f"vertex {clique[0] if clique[0] < 0 else clique[-1]} "
+                             f"out of range for d={d}")
+    plus_ones = _shift(_digit_matrix(d), (1,) * d)
     out: list[list[int]] = []
     for clique in cover:
         shifted = plus_ones[clique].tolist()

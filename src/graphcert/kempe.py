@@ -286,8 +286,9 @@ def find_class1(g: Graph, budget: SearchBudget,
     a tie.
 
     A warm start comes from outside the search (a file, for the CLI), so it is
-    verified first, and one that fails raises CertificateError. The result is
-    not: the caller verifies it once.
+    verified first, and one that fails raises CertificateError: a
+    precondition of the search. The result is not: the caller verifies it
+    once.
     """
     if g.edge_count == 0:
         return SearchOutcome(EdgeColoring.from_arrays([], [], 0), "ok", 0)

@@ -2,16 +2,17 @@
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 import random
 import re
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from graphcert.bishop_rook import (MissingColorPlan, PathDecomposition, PathGroup, _k_even_class,
+from graphcert.bishop_rook import (PathDecomposition, PathGroup, _k_even_class,
                                    _k_odd_color, canonical_bishop_coloring, rarest_bishop_color,
                                    rarest_color_edges)
-from graphcert.chess import BoardCoord, SquareColor, _check_board, bishop_delta, id_to_coord
+from graphcert.chess import SquareColor, _check_board, bishop_delta
 from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColoring,
                             EmptyGraphError, Graph, VerificationReport, _report,
                             is_overfull, lowest_bit, max_degree, verify_edge_coloring,
@@ -723,6 +724,47 @@ def reference_rook_class1_coloring(m: int, n: int) -> EdgeColoring:
     return coloring_of(assignment, m + n - 2)
 
 
+# --- board squares and ladder plans, used only by the tests ---------------------
+
+@dataclass(frozen=True)
+class BoardCoord:
+    """A board square; col 1..n, row 1..m."""
+
+    col: int
+    row: int
+
+    @property
+    def white(self) -> bool:
+        return (self.col + self.row) % 2 == 0
+
+
+def id_to_coord(v: int, n: int) -> BoardCoord:
+    return BoardCoord(col=v % n + 1, row=v // n + 1)
+
+
+def coord_to_id(c: BoardCoord, n: int) -> int:
+    return (c.row - 1) * n + (c.col - 1)
+
+
+@dataclass(frozen=True)
+class MissingColorPlan:
+    """Which A color, A = {m+1..m+n-1}, each vertex outside column 1 misses
+    in a ladder coloring: rows[r-1][c-2] is the one missing at (col c, row r).
+    Column-1 vertices miss their row color instead."""
+
+    m: int
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def fixed(self) -> dict[int, int]:
+        """The plan as ladder_coloring's map from vertex ids to A colors."""
+        return {r * self.n + c: color for r, row in enumerate(self.rows)
+                for c, color in enumerate(row, start=1)}
+
+    def missing_at(self, col: int, row: int) -> int:
+        return self.rows[row - 1][col - 2]
+
+
 def reference_ladder_coloring(m: int, n: int, plan: MissingColorPlan) -> EdgeColoring:
     """Columns and rows coloured pair by pair: the oracle for
     graphcert.bishop_rook.ladder_coloring."""
@@ -1018,6 +1060,13 @@ def reference_row_col(v: int, d: int) -> tuple[int, int]:
     return row, col
 
 
+def vertex_string(v: int, d: int) -> str:
+    """The d base-4 digits of vertex code v, most significant first."""
+    if not 0 <= v < 4 ** d:
+        raise ValueError(f"{v} out of range for d={d}")
+    return np.base_repr(v, 4).zfill(d)
+
+
 def reference_vertex_string(v: int, d: int) -> str:
     return "".join(str(x) for x in keller_digits(v, d))
 
@@ -1094,10 +1143,6 @@ def perfect_factorization_exists(d: int = 2) -> bool:
 
 
 # --- oracles and checks that only the tests use ---------------------------------
-
-def coord_to_id(c: BoardCoord, n: int) -> int:
-    return (c.row - 1) * n + (c.col - 1)
-
 
 def complement(g: Graph) -> Graph:
     n, edges = g.vertex_count, edge_set(g)

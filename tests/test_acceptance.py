@@ -10,11 +10,11 @@ import random
 
 import pytest
 
-from conftest import (assignment_of, color_counts, exhaustive_chromatic_index, hc_check_all_pairs,
-                      ladder_missing_color, neighbours, perfect_factorization_exists)
+from conftest import (MissingColorPlan, assignment_of, color_counts, exhaustive_chromatic_index,
+                      hc_check_all_pairs, id_to_coord, ladder_missing_color, neighbours,
+                      perfect_factorization_exists)
 from graphcert import keller
 from graphcert.bishop_rook import (
-    MissingColorPlan,
     canonical_bishop_coloring,
     ladder_coloring,
     rarest_bishop_color,
@@ -25,7 +25,6 @@ from graphcert.chess import (
     build_bishop,
     build_queen,
     build_rook,
-    id_to_coord,
     queen_delta,
     queen_edge_count,
 )
@@ -103,7 +102,7 @@ def test_criterion_03_rook_dichotomy_and_arbitrary_ladder_plans():
                 rng.shuffle(row)
                 rows.append(tuple(row))
             plan = MissingColorPlan(m, n, tuple(rows))
-            coloring = ladder_coloring(m, n, plan)
+            coloring = ladder_coloring(m, n, plan.fixed())
             assert checked_colors(build_rook(m, n), coloring) == m + n - 1, (m, n)
             for vertex in range(m * n):
                 seen = {c for (u, v), c in assignment_of(coloring).items()

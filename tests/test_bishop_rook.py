@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (assignment_of, color_counts, coloring_of, colors_used, complete,
-                      complete_graph_coloring, coord_to_id, edge_set, graph_of,
-                      ladder_missing_color, reference_bishop_path_decomposition,
+from conftest import (BoardCoord, MissingColorPlan, assignment_of, color_counts, coloring_of,
+                      colors_used, complete, complete_graph_coloring, coord_to_id, edge_set,
+                      graph_of, id_to_coord, ladder_missing_color,
+                      reference_bishop_path_decomposition,
                       reference_canonical_bishop_coloring, reference_group_buckets,
                       reference_ladder_coloring, reference_rook_class1_coloring)
 from graphcert import bishop_rook
 from graphcert.bishop_rook import (
-    MissingColorPlan,
     bishop_path_decomposition,
     canonical_bishop_coloring,
     k_odd_prescribed_missing,
@@ -23,13 +23,7 @@ from graphcert.bishop_rook import (
     rarest_color_edges,
     rook_class1_coloring,
 )
-from graphcert.chess import (
-    BoardCoord,
-    bishop_delta,
-    build_bishop,
-    build_rook,
-    id_to_coord,
-)
+from graphcert.chess import bishop_delta, build_bishop, build_rook
 from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
 
 
@@ -313,7 +307,8 @@ def test_constructions_match_the_tuple_oracle():
         elif n >= 3:
             rows = [rng.sample(range(m + 1, m + n), n - 1) for _ in range(m)]
             plan = MissingColorPlan(m, n, tuple(map(tuple, rows)))
-            built.append((ladder_coloring(m, n, plan), reference_ladder_coloring(m, n, plan)))
+            built.append((ladder_coloring(m, n, plan.fixed()),
+                          reference_ladder_coloring(m, n, plan)))
         wrong += [(m, n, got.declared_color_count) for got, want in built
                   if assignment_of(got) != assignment_of(want)
                   or got.declared_color_count != want.declared_color_count]
@@ -412,7 +407,7 @@ def test_ladder_realizes_random_plans(dims, seed):
         rng.shuffle(row)
         rows.append(tuple(row))
     plan = MissingColorPlan(m, n, tuple(rows))
-    coloring = ladder_coloring(m, n, plan)
+    coloring = ladder_coloring(m, n, plan.fixed())
     assert verify_edge_coloring(build_rook(m, n), coloring).ok
     for vertex in range(m * n):
         coord = id_to_coord(vertex, n)
@@ -424,32 +419,38 @@ def test_ladder_rejects_bad_dimensions():
         ladder_coloring(4, 5)
     with pytest.raises(ValueError):
         ladder_coloring(5, 6)
-    with pytest.raises(ValueError):
-        ladder_coloring(5, 7, MissingColorPlan.identity(3, 7))
+    with pytest.raises(ValueError, match="vertex 22 is off the board"):
+        # a square of row 4 prescribed on a board of 3 rows
+        ladder_coloring(3, 7, {22: 4})
 
 
 def test_plan_identity_and_partial_assignments():
-    plan = MissingColorPlan.identity(3, 5)
-    assert plan.rows == ((4, 5, 6, 7),) * 3
-    assert plan.missing_at(2, 1) == 4
-    fixed = {(3, 1): 7, (2, 2): 6}
-    plan2 = MissingColorPlan.from_assignments(3, 5, fixed)
-    assert plan2.missing_at(3, 1) == 7
-    assert plan2.missing_at(2, 2) == 6
-    for row in plan2.rows:
-        assert set(row) == {4, 5, 6, 7}
+    # unprescribed vertices take their row's unused A colors left to right
+    def plan_rows(fixed):
+        coloring = ladder_coloring(3, 5, fixed)
+        return [[missing_colors_at(coloring, r * 5 + c).pop() for c in range(1, 5)]
+                for r in range(3)]
+
+    assert plan_rows(None) == plan_rows({}) == [[4, 5, 6, 7]] * 3
+    # (col 3, row 1) misses 7 and (col 2, row 2) misses 6
+    assert plan_rows({2: 7, 6: 6}) == [[4, 7, 5, 6], [6, 4, 5, 7], [4, 5, 6, 7]]
 
 
 def test_plan_rejects_bad_assignments():
-    with pytest.raises(ValueError):
-        MissingColorPlan.from_assignments(3, 5, {(1, 1): 4})
-    with pytest.raises(ValueError):
-        MissingColorPlan.from_assignments(3, 5, {(2, 1): 3})
-    with pytest.raises(ValueError):
-        MissingColorPlan.from_assignments(3, 5, {(2, 1): 4, (3, 1): 4})
-    with pytest.raises(ValueError):
-        MissingColorPlan.identity(3, 5).missing_at(1, 2)
-    with pytest.raises(ValueError):
-        MissingColorPlan(3, 5, ((4, 5, 6, 7),) * 2)
-    with pytest.raises(ValueError):
-        MissingColorPlan(3, 5, ((4, 5, 6, 6),) * 3)
+    # ids on a 3 x 5 board: row r, column c (both 0-based) is 5r + c
+    with pytest.raises(ValueError, match="vertex 0 is off the board or in column 1"):
+        ladder_coloring(3, 5, {0: 4})
+    with pytest.raises(ValueError, match="vertex 5 is off the board or in column 1"):
+        ladder_coloring(3, 5, {5: 4})
+    with pytest.raises(ValueError, match="vertex 15 is off the board"):
+        ladder_coloring(3, 5, {15: 4})
+    with pytest.raises(ValueError, match="vertex -1 is off the board"):
+        ladder_coloring(3, 5, {-1: 4})
+    with pytest.raises(ValueError, match="color 3 is not an A color"):
+        ladder_coloring(3, 5, {1: 3})
+    with pytest.raises(ValueError, match="color 8 is not an A color"):
+        ladder_coloring(3, 5, {1: 8})
+    with pytest.raises(ValueError, match="color 4 fixed twice in row 1"):
+        ladder_coloring(3, 5, {1: 4, 2: 4})
+    with pytest.raises(ValueError, match="color 6 fixed twice in row 3"):
+        ladder_coloring(3, 5, dict(zip(range(11, 15), (4, 5, 6, 6))))

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (coord_to_id, edge_set, reference_bishop_edge_pairs, reference_build_bishop,
-                      reference_build_queen, reference_build_rook)
+from conftest import (BoardCoord, coord_to_id, edge_set, id_to_coord, reference_bishop_edge_pairs,
+                      reference_build_bishop, reference_build_queen, reference_build_rook)
 from graphcert.chess import (
-    BoardCoord,
     QueenClass,
     SquareColor,
     bishop_delta,
@@ -18,7 +17,6 @@ from graphcert.chess import (
     build_queen,
     build_rook,
     classify_queen_prediction,
-    id_to_coord,
     overfull_threshold,
     queen_delta,
     queen_edge_count,

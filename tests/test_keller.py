@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import (adjacent, assignment_of, color_counts, edge_set, fixture_square, neighbours,
                       perfect_factorization_exists, reference_color_kernel, reference_parse_vertex,
-                      reference_row_col, reference_vertex_string)
+                      reference_row_col, reference_vertex_string, vertex_string)
 from hypothesis import given, strategies as st
 
 import graphcert.core as core
@@ -48,7 +48,6 @@ from graphcert.keller import (
     theta_bounds,
     verify_cover_by_rule,
     verify_square_by_rule,
-    vertex_string,
 )
 
 G2_CYCLE = [0, 11, 1, 8, 2, 9, 3, 10, 4, 15, 5, 12, 6, 13, 7, 14]
@@ -472,6 +471,14 @@ def test_double_clique_cover_rejects_bad_input():
     report = verify_cover_by_rule(3, double_clique_cover(2, [[2 * i, 2 * i + 1]
                                                              for i in range(8)]))
     assert not report.ok and report.detail[0] == "clique 0 misses edge (0,1)"
+
+
+@pytest.mark.parametrize("bad", [16, -1])
+def test_double_clique_cover_refuses_ids_out_of_range(bad):
+    # 4^2 has no digits in G_2, and -1 must not wrap to the last row
+    cover = [[v] for v in range(15)] + [[bad]]
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range for d=2"):
+        double_clique_cover(2, cover)
 
 
 @pytest.mark.longrun

@@ -3,16 +3,15 @@
 import hashlib
 import io
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assignment_of, color_counts, coloring_of
+from conftest import assignment_of, color_counts
 
 from graphcert import cli, core, queen
 from graphcert import io as gio
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
-from graphcert.core import CertificateError, EdgeColoring, verify_edge_coloring
+from graphcert.core import EdgeColoring, verify_edge_coloring
 from graphcert.queen import (
     MethodInapplicableError,
     class1_even,
@@ -68,25 +67,27 @@ def test_square_odd_rejects_bad_input():
         class1_square_odd(1)
 
 
-@pytest.mark.parametrize("patch", [
-    ("rarest_bishop_color", lambda n: 1),  # color 1 sits on many edges
-    # a lone rarest edge touching column 1, and one inside a single row
-    ("canonical_bishop_coloring", lambda m, n: coloring_of({(0, 6): 8}, 8)),
-    ("canonical_bishop_coloring", lambda m, n: coloring_of({(1, 2): 8}, 8)),
-], ids=["rare-unique", "rare-column", "rare-row"])
-def test_square_odd_failed_self_check_raises_certificate_error(monkeypatch, patch):
-    # These checks must hold under python -O too, so they cannot be asserts. The
-    # colouring itself is verified once, by the CLI (test_cli's color-square-odd rows).
-    monkeypatch.setattr(queen, *patch)
-    with pytest.raises(CertificateError):
-        class1_square_odd(5)
-
-
-def test_overfull_failed_self_check_raises_certificate_error(monkeypatch):
-    # A class-2 claim rests on the overfull inequality, under python -O too.
-    monkeypatch.setattr(queen, "queen_edge_count", lambda m, n: 0)
-    with pytest.raises(CertificateError, match="not overfull"):
-        class2_overfull_coloring(3, 13)
+def test_class2_claim_on_a_board_that_is_not_overfull_fails(monkeypatch, tmp_path, capsys):
+    # A class-2 claim rests on the overfull inequality, which the command line
+    # reads off the verified board, not off a closed form; under python -O too.
+    # With the threshold for m = 3 forged to 11, the overfull construction
+    # colours Q(3,11) properly with Delta+1 colours, and only that check can
+    # refuse it.
+    real = queen.overfull_threshold
+    monkeypatch.setattr(queen, "overfull_threshold", lambda m: 11 if m == 3 else real(m))
+    out = tmp_path / "q.coloring"
+    assert cli.main(["color", "--m", "3", "--n", "11", "--construction", "overfull",
+                     "--out", str(out), "--json"]) == 1
+    captured = capsys.readouterr()
+    fail = [line.removeprefix("fail: ") for line in captured.err.splitlines()]
+    assert len(fail) == 1 and "Q_3,11 is not" in fail[0] and "not more than" in fail[0]
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False and payload["class"] == 2 and payload["detail"] == fail
+    assert not out.exists()
+    assert cli.main(["conjecture", "2", "--m-max", "3", "--n-max", "11", "--json"]) == 1
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    assert f"Q_3,11: {fail[0]}" in detail
+    assert all(line.startswith("Q_3,11: ") for line in detail)
 
 
 @pytest.mark.parametrize("build, board, part", [
@@ -135,18 +136,6 @@ def test_ladder_multicycle_beyond_the_guaranteed_range():
     cert = class1_ladder_multicycle(3, 5)
     assert cert.coloring.declared_color_count == 10 == queen_delta(3, 5)
     check_certificate(cert)
-
-
-def test_ladder_multicycle_failed_self_check_raises_certificate_error(monkeypatch):
-    # Two slots claiming the same edge fix its endpoints twice. The check must
-    # hold under python -O too, so it cannot be an assert.
-    real = queen.derive(5, 11)
-    slots = list(real.slot_edges)
-    slots[1] = (slots[0][0],) + slots[1][1:]
-    forged = replace(real, slot_edges=tuple(slots))
-    monkeypatch.setattr(queen, "derive", lambda m, n: forged)
-    with pytest.raises(CertificateError, match="meet at square"):
-        class1_ladder_multicycle(5, 11)
 
 
 def test_ladder_multicycle_rejects_bad_boards():
@@ -229,12 +218,10 @@ def test_color_command_builds_no_tuple_views(monkeypatch, tmp_path, capsys, m, n
 
 
 def test_recoloring_an_edge_outside_the_union_raises_certificate_error():
-    # a construction that reroutes an edge none of its parts colours is void,
-    # under python -O too
+    # a rerouted edge takes its new colour; one that no part colours is left
+    # to the verifier at the command line, which checks every construction
     part = EdgeColoring.from_arrays([[0, 1]], [1], 1)
     assert assignment_of(queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)])) == {(0, 1): 2}
-    with pytest.raises(CertificateError, match="not colored"):
-        queen._union(2, 2, [part], 2, recolor=[((0, 3), 2)])
 
 
 # sha256 over the write_coloring bytes of every certificate below, in order,
