@@ -92,11 +92,24 @@ RECORDED_DIGESTS = {
 }
 
 
+# sha256 of "u v color" per line of sorted(assignment_of(class1_coloring(d))):
+# the colouring as a map, whatever order its rows are built in
+SORTED_COLORING_DIGESTS = {
+    2: "5c581d627850de95bc83a85d10f724b173fa518ff9cbed9868e0174a744ddd43",
+    3: "8c5d8191dafea787577809481f5bd82367eecd8d73afaf6e5b78c6326cb1154f",
+    4: "1d3908284f24287828547ce5194785752379fde5e4a3a67c26c3a79f79f1d896",
+    5: "10bc41e78931dfcb76b23d1571c80b5fdde83dc56dd623c1e07d41c4d6efa825",
+}
+
+
 @pytest.mark.parametrize("d", sorted(RECORDED_DIGESTS))
 def test_build_and_class1_match_recorded_digests(d):
     edges, coloring = RECORDED_DIGESTS[d]
     assert _digest(sorted(edge_set(build(d)))) == edges
-    assert _digest((u, v, c) for (u, v), c in assignment_of(class1_coloring(d)).items()) == coloring
+    assigned = assignment_of(class1_coloring(d))
+    assert _digest((u, v, c) for (u, v), c in assigned.items()) == coloring
+    assert _digest((u, v, c) for (u, v), c in sorted(assigned.items())) == \
+        SORTED_COLORING_DIGESTS[d]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
