@@ -27,7 +27,7 @@ import numpy as np
 from . import io as gio
 from . import keller
 from .chess import (QueenClass, build_bishop, build_queen, build_rook,
-                    classify_queen_prediction, queen_delta)
+                    classify_queen_prediction)
 from .core import (CertificateError, Graph, is_overfull, verify_clique_cover,
                    verify_edge_coloring, verify_hamiltonian_cycle,
                    verify_hamiltonian_decomposition, verify_hamiltonian_path)
@@ -145,10 +145,11 @@ def _count_detail(report, colors: int, want: int) -> list[str]:
 def _queen_detail(g: Graph, cert: QueenColoringCertificate) -> list[str]:
     """Every reason to refuse cert on its board g: the verifier's detail, a
     declared count other than Delta for class 1 and Delta+1 for class 2, and,
-    for a class-2 claim, a board that is not overfull, read off g itself."""
+    for a class-2 claim, a board that is not overfull. Delta and the overfull
+    test are read off g itself, not from a closed form."""
     colors = cert.coloring.declared_color_count
-    detail = _count_detail(verify_edge_coloring(g, cert.coloring), colors,
-                           queen_delta(cert.m, cert.n) + (cert.claimed_class - 1))
+    report = verify_edge_coloring(g, cert.coloring)
+    detail = _count_detail(report, colors, report.delta + (cert.claimed_class - 1))
     if cert.claimed_class == 2 and not is_overfull(g):
         bound = g.max_degree * (g.vertex_count // 2)
         detail.append(f"class 2 needs an overfull board, and Q_{cert.m},{cert.n} is not: "
@@ -269,7 +270,8 @@ def _check_hampath(args, g: Graph):
     seq = gio.read_sequence(args.certificate)
     start = args.start - 1 if args.start is not None else None
     end = args.end - 1 if args.end is not None else None
-    return verify_hamiltonian_path(g, seq, start=start, end=end), {"size": len(seq)}
+    # the endpoint lines name the 1-based ids of the file and the options
+    return verify_hamiltonian_path(g, seq, start=start, end=end, base=1), {"size": len(seq)}
 
 
 def _check_decomposition(args, g: Graph):
@@ -420,8 +422,7 @@ def _cmd_keller_edgecolor(args) -> int:
     d = _keller_dim(args)
     coloring = keller.class1_coloring(d)
     report = verify_edge_coloring(keller.build(d), coloring)
-    colors = coloring.declared_color_count
-    want = keller.delta(d)
+    colors, want = coloring.declared_color_count, report.delta
     payload = {"ok": report.ok and colors == want, "family": "keller", "params": {"d": d},
                "class": 1, "colors": colors, "construction": "difference-kernel"}
     return _finish(args, payload, [f"colors = {colors}"], _count_detail(report, colors, want),

@@ -150,11 +150,9 @@ class Graph:
         if bad.any():
             i = int(bad.argmax())
             raise ValueError(f"edge ({u[i]},{v[i]}) out of range or unnormalized")
-        codes = u.astype(np.int64) * vertex_count + v
-        if (codes[1:] > codes[:-1]).all():
-            pairs = flat.reshape(-1, 2)
-        else:
-            codes = np.sort(codes)
+        pairs = flat.reshape(-1, 2)
+        if not _ascending(pairs):
+            codes = np.sort(u.astype(np.int64) * vertex_count + v)
             codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
             pairs = np.column_stack(np.divmod(codes, vertex_count))
         self.vertex_count = vertex_count
@@ -169,8 +167,11 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        """Largest degree (0 without edges), one bincount over pairs."""
-        return int(np.bincount(self.pairs.ravel(), minlength=1).max())
+        """Largest degree (0 without edges), from a bincount of each column of pairs."""
+        # one column at a time: bincount counts an int64 copy of its input
+        size = max(1, self.vertex_count)
+        return int((np.bincount(self.pairs[:, 0], minlength=size)
+                    + np.bincount(self.pairs[:, 1], minlength=size)).max())
 
     @property
     def edge_count(self) -> int:
@@ -308,31 +309,49 @@ def _report(detail: list[str], colors_used: int, delta: int | None = None
 
 
 def _colored_ends(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Both ends of every colored edge as one flat int64 array, in assignment order.
+    """Both ends of every colored edge as one flat array, in assignment order:
+    the stored array itself when every end is a vertex, with None for a mask.
 
-    An end outside 0..n-1 is relabelled to an id from n up, one id per
-    distinct value, so no arithmetic ever sees it; the mask of those ends is
-    returned too, or None when every end is a vertex.
+    Otherwise an end outside 0..n-1 is relabelled to an id from n up, one id
+    per distinct value, in a new int64 array, so no arithmetic ever sees it,
+    and the mask of those ends is returned too.
     """
     flat = ends.ravel()
     if flat.dtype != object and (not flat.size or (flat.min() >= 0 and flat.max() < n)):
-        return flat.astype(np.int64), None
+        return flat, None
     relabel: dict[int, int] = {}
     flat = np.array([x if 0 <= x < n else relabel.setdefault(x, n + len(relabel))
                      for x in flat.tolist()], np.int64)
     return flat, flat >= n
 
 
+def _color_keys(ends: np.ndarray, colors: np.ndarray, palette: int, top: int) -> np.ndarray:
+    """end·palette + colour for each end of each edge, in one new array of
+    ends' order: uint32 when top·palette fits it, with every end below top
+    (and palette itself, without ends), and int64 otherwise."""
+    keys = np.empty(ends.size, np.uint32 if max(top, 1) * palette <= 2 ** 32 else np.int64)
+    np.multiply(ends, palette, out=keys, dtype=keys.dtype, casting="unsafe")
+    for side in (keys[0::2], keys[1::2]):
+        np.add(side, colors, out=side, dtype=keys.dtype, casting="unsafe")
+    return keys
+
+
 def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
                          require_total: bool = True) -> VerificationReport:
     """Check properness of an edge coloring against its host graph.
 
-    The check runs on the stored arrays. Each colored edge gives one key per
-    end, vertex·K + color; a color repeated at a vertex is two equal
-    neighbours among the sorted keys. Each edge (u, v) gives the code
-    u·n + v, and the colored codes are searched in g.codes: a code not found
-    is a colored non-edge, and the edges no code hits are uncolored.
-    An end outside 0..n-1 is reported as not in the graph before any int64
+    The check runs on the stored arrays, with no copy of the ends. A
+    colouring whose ends equal g.pairs colours every edge once. Otherwise
+    each edge (u, v) gives the code u·n + v, and the colored codes, sorted
+    unless they ascend, are compared with g.codes; on a mismatch they are
+    searched in g.codes: a code not found is a colored non-edge, and the
+    edges no code hits are uncolored. Each colored edge gives one key per
+    end, vertex·K + color, all in one array, uint32 when n·K < 2^32 and
+    int64 past that, sorted in place; a color repeated at a vertex is two
+    equal neighbours there, and only then are the keys built again for a
+    stable order. A declared count K too large for int64 keys is replaced
+    by the rank of each colour among those used.
+    An end outside 0..n-1 is reported as not in the graph before any
     arithmetic, and takes part in the repeat check under a relabelled id.
     Detail lines are built from the offending indices only, in this order:
     colored non-edges in assignment order; repeats in assignment order (first
@@ -347,30 +366,33 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
     palette = coloring.declared_color_count + 1
     if palette * (n + ends.size + 1) >= 2 ** 63:  # a forged huge k: compare colors by rank
         colors, palette = np.searchsorted(used, colors), len(used)
-    colors = colors.astype(np.int64)
-    codes = g.codes
-    colored = ends[0::2] * n + ends[1::2]
-    in_graph = np.ones(colored.size, bool)
-    hit = np.ones(codes.size, bool)
-    if outside is not None or not np.array_equal(np.sort(colored), codes):
-        # a colored non-edge or an uncolored edge: find out which
-        at = np.searchsorted(codes, colored)
-        in_graph[:] = False
-        if codes.size:
-            in_graph = codes[np.minimum(at, codes.size - 1)] == colored
-        if outside is not None:
-            in_graph &= ~(outside[0::2] | outside[1::2])
-        hit[:] = False
-        hit[at[in_graph]] = True
-    for i in np.flatnonzero(~in_graph).tolist():
-        detail.append(f"colored edge {_row(coloring.ends, i)} not in graph")
+    missing = np.zeros(0, np.intp)
+    if outside is not None or not np.array_equal(coloring.ends, g.pairs):
+        codes = g.codes
+        colored = ends[0::2].astype(np.int64) * n + ends[1::2]
+        if outside is not None or _ascending(coloring.ends) or not np.array_equal(
+                np.sort(colored), codes):
+            # a colored non-edge or an uncolored edge: find out which
+            at = np.searchsorted(codes, colored)
+            in_graph = np.zeros(colored.size, bool)
+            if codes.size:
+                in_graph = codes[np.minimum(at, codes.size - 1)] == colored
+            if outside is not None:
+                in_graph &= ~(outside[0::2] | outside[1::2])
+            hit = np.zeros(codes.size, bool)
+            hit[at[in_graph]] = True
+            missing = np.flatnonzero(~hit)
+            for i in np.flatnonzero(~in_graph).tolist():
+                detail.append(f"colored edge {_row(coloring.ends, i)} not in graph")
 
-    keys = ends * palette + np.repeat(colors, 2)
-    ordered = np.sort(keys)
-    repeated = ordered[1:] == ordered[:-1]
+    top = n if outside is None else int(ends.max()) + 1
+    keys = _color_keys(ends, colors, palette, top)
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]
+    del keys
     if repeated.any():
         # a stable order puts the first occurrence of each key at the head of its run
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(_color_keys(ends, colors, palette, top), kind="stable")
         first = np.concatenate(([True], ~repeated))
         head = order[np.maximum.accumulate(np.where(first, np.arange(order.size), 0))]
         later, head = order[~first], head[~first]
@@ -379,10 +401,10 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
             e = _row(coloring.ends, j // 2)
             detail.append(f"color {coloring.colors[j // 2]} repeated at vertex {e[j % 2]} "
                           f"on {_row(coloring.ends, h // 2)} and {e}")
+    del repeated  # not held through max_degree's count
 
-    if require_total:
-        missing = np.flatnonzero(~hit)
-        for code in codes[missing[:10]].tolist():
+    if require_total and missing.size:
+        for code in g.codes[missing[:10]].tolist():
             detail.append(f"edge {divmod(code, n)} uncolored")
         if missing.size > 10:
             detail.append(f"...{missing.size - 10} more uncolored edges")
@@ -410,8 +432,11 @@ def verify_hamiltonian_cycle(g: Graph, seq: Sequence[int]) -> VerificationReport
 
 
 def verify_hamiltonian_path(g: Graph, seq: Sequence[int],
-                            start: int | None = None,
-                            end: int | None = None) -> VerificationReport:
+                            start: int | None = None, end: int | None = None,
+                            base: int = 0) -> VerificationReport:
+    """Check that seq is a Hamiltonian path of g, from start and to end when
+    given. The endpoint lines name each id plus base: 1 names them as a file
+    and the command line do."""
     detail: list[str] = []
     if len(seq) != g.vertex_count or set(seq) != set(range(g.vertex_count)):
         detail.append("sequence is not a permutation of the vertices")
@@ -419,9 +444,9 @@ def verify_hamiltonian_path(g: Graph, seq: Sequence[int],
         if g.vertex_count >= 2:
             detail.extend(_missing_edges(g, seq, closed=False))
         if start is not None and seq[0] != start:
-            detail.append(f"path starts at {seq[0]}, expected {start}")
+            detail.append(f"path starts at {seq[0] + base}, expected {start + base}")
         if end is not None and seq[-1] != end:
-            detail.append(f"path ends at {seq[-1]}, expected {end}")
+            detail.append(f"path ends at {seq[-1] + base}, expected {end + base}")
     return _report(detail, 0)
 
 

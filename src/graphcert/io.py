@@ -33,7 +33,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (CertificateError, EdgeColoring, Graph, _ascending, _first_repeat,
+from .core import (CertificateError, EdgeColoring, Graph, _ascending, _first_repeat, _narrow,
                    _row_order)
 
 
@@ -204,10 +204,20 @@ class _Rows:
         return np.concatenate(self.chunks), np.concatenate(self.lines)
 
 
-def _zero_based_edges(pairs: np.ndarray) -> np.ndarray:
-    """Rows of 1-based ids (a, b) as 0-based edges (u, v), u <= v."""
+def _ordered(pairs: np.ndarray) -> np.ndarray:
+    """Rows (a, b) as (min, max): pairs itself when every row has a <= b, as
+    in every file this program writes, else a new array."""
+    if (pairs[:, 0] <= pairs[:, 1]).all():
+        return pairs
     return np.column_stack((np.minimum(pairs[:, 0], pairs[:, 1]),
-                            np.maximum(pairs[:, 0], pairs[:, 1]))) - 1
+                            np.maximum(pairs[:, 0], pairs[:, 1])))
+
+
+def _zero_based(pairs: np.ndarray) -> np.ndarray:
+    """A reader's own rows of 1-based ids, shifted to 0-based in place, then
+    narrowed to int32 when they fit, in one C-ordered array."""
+    pairs -= 1
+    return np.ascontiguousarray(_narrow(pairs))
 
 
 # rows formatted at once when every value is below 10^4, about 7 MB of
@@ -296,6 +306,8 @@ def read_dimacs(path_or_file) -> Graph:
     bad line: a malformed record, a token that is not an unsigned decimal
     integer, a second `p edge` line, then an id outside 1..n. A self loop,
     and an edge count other than the declared one, are reported after.
+    The text is dropped once parsed, and the parsed rows become the graph's
+    int32 edge store (`_ordered`, `_zero_based`).
     """
     text = _read_text(path_or_file)
     n = declared = None
@@ -316,6 +328,7 @@ def read_dimacs(path_or_file) -> Graph:
             n, declared = (_unsigned(t, lineno, line, ValueError) for t in parts[2:])
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+    del text
     if n is None:
         raise ValueError("missing 'p edge' line")
     pairs, lines = rows.arrays()
@@ -327,7 +340,9 @@ def read_dimacs(path_or_file) -> Graph:
             x = pairs[i, int(outside[i].argmax())]
             raise ValueError(f"line {lines[i]}: vertex id {x} outside 1..{n}")
         raise ValueError(f"self loop at vertex {pairs[i, 0] - 1}")
-    g = Graph.from_array(n, _zero_based_edges(pairs))
+    pairs = _zero_based(_ordered(pairs))
+    pairs.setflags(write=False)  # handed over, so the graph keeps it without a copy
+    g = Graph.from_array(n, pairs)
     if g.edge_count != declared:
         raise ValueError(f"declared {declared} edges, found {g.edge_count}")
     return g
@@ -336,16 +351,19 @@ def read_dimacs(path_or_file) -> Graph:
 def write_coloring(coloring: EdgeColoring, path_or_file,
                    comments: Iterable[str] = ()) -> None:
     """Write the comments, a `c k=` line and one `u v color` line per edge, in
-    (u, v) order. Rows that already ascend, as the queen constructions joined
-    by `queen._union` give them, are written without a sort; the digits come
-    from `_ascii_rows`, byte for byte what `%d` gives."""
+    (u, v) order. Rows that already ascend, as `keller.class1_coloring` and
+    the queen constructions joined by `queen._union` give them, are written
+    without a sort; the digits come from `_ascii_rows`, byte for byte what
+    `%d` gives."""
     ends, colors = coloring.ends, coloring.colors
     if not _ascending(ends):
         order = _row_order(ends)
         ends, colors = ends[order], colors[order]
+    rows = np.column_stack((ends, colors))
+    rows[:, :2] += 1
     with _ascii_sink(path_or_file) as write:
         write(_header(comments, f"c k={coloring.declared_color_count}"))
-        for chunk in _ascii_rows(np.column_stack((ends + 1, colors))):
+        for chunk in _ascii_rows(rows):
             write(chunk)
 
 
@@ -358,7 +376,9 @@ def read_coloring(path_or_file) -> EdgeColoring:
     not an unsigned decimal integer, a second `c k=` line, a self loop, or
     an edge listed twice. A missing `c k=` line and a colour outside 1..k
     are reported after. The rows are checked here once, so the colouring is
-    built without a second repeat check.
+    built without a second repeat check. The text is dropped once parsed,
+    and the parsed rows become the colouring's int32 arrays (`_ordered`,
+    `_zero_based`).
     """
     text = _read_text(path_or_file, certificate=True)
     bad_byte = None
@@ -389,10 +409,13 @@ def read_coloring(path_or_file) -> EdgeColoring:
             raise _non_ascii(bad_byte)
     except CertificateError as exc:
         failure = exc  # an edge listed twice above this line is reported first
+    if declared is None:
+        end = text.count("\n") + (1 if text and not text.endswith("\n") else 0) + 1
+    del text
     body, lines = rows.arrays()
-    ends = _zero_based_edges(body[:, :2])
-    twice = _first_repeat(ends)
-    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    pairs = _ordered(body[:, :2])
+    twice = _first_repeat(pairs)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
     if loops.size and (twice < 0 or loops[0] < twice):
         raise CertificateError(f"line {lines[loops[0]]}: self loop at vertex {body[loops[0], 0]}")
     if twice >= 0:
@@ -401,15 +424,18 @@ def read_coloring(path_or_file) -> EdgeColoring:
     if failure is not None:
         raise failure
     if declared is None:
-        lines_read = text.count("\n") + (1 if text and not text.endswith("\n") else 0)
-        raise CertificateError(
-            f"line {lines_read + 1}: end of file without a 'c k=<count>' line")
+        raise CertificateError(f"line {end}: end of file without a 'c k=<count>' line")
     colors = body[:, 2]
     off_palette = (colors < 1) | (colors > declared)
     if off_palette.any():
         i = int(off_palette.argmax())
-        lo, hi = ends[i].tolist()
-        raise CertificateError(f"edge {lo + 1} {hi + 1}: color {colors[i]} outside 1..{declared}")
+        lo, hi = pairs[i].tolist()
+        raise CertificateError(f"edge {lo} {hi}: color {colors[i]} outside 1..{declared}")
+    ends, colors = _zero_based(pairs), _narrow(colors)
+    del body, pairs
+    # handed over, so the colouring keeps them without a copy
+    ends.setflags(write=False)
+    colors.setflags(write=False)
     return EdgeColoring._of_rows(ends, colors, declared)
 
 

@@ -100,8 +100,10 @@ def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # cells of a block held at once: the (rows, columns, d) digit-difference
-# block of _rule_pairs, or the (rows, |S|) neighbour table of build
+# block of _rule_pairs, and the (rows, |S|) neighbour table of _cayley_rows,
+# whose smaller blocks keep its transients to a few bytes an edge
 _RULE_CELLS = 1 << 22
+_TABLE_CELLS = 1 << 18
 
 
 def _rule_pairs(digs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -126,34 +128,71 @@ def _rule_graph(digs: np.ndarray) -> Graph:
     return Graph.from_array(len(digs), pairs.astype(np.int32))
 
 
-def build(d: int) -> Graph:
-    """G_d as Cay(Z_4^d, S), S the rows the rule joins to vertex 0.
+def _cayley_rows(digs: np.ndarray, kernel: np.ndarray, rules: tuple[np.ndarray, ...] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The edges (v, w), v < w, of the Cayley graph on the digit rows digs with
+    the difference rows kernel, ascending, as one read-only int32 (E, 2)
+    array; with rules, also the read-only int32 colour of each edge.
 
-    Each block of vertices v gets the (block, |S|) table of the codes v + s,
-    summed one digit column at a time mod 4. A sorted table row cut to
-    w > v lists v's edges in order, so the blocks fill the sorted edge store
-    row by row, and no block holds more than _RULE_CELLS cells.
+    kernel must be closed under negation and must not hold the zero row, so
+    that E = n·|kernel|/2. Each block of vertices v gets the (block, |kernel|)
+    table of the codes v + x, built one digit column at a time mod 4. A
+    sorted table row cut to w > v lists v's edges in order, so the blocks
+    fill the arrays row by row, and no block holds more than _TABLE_CELLS
+    cells. rules = (first, column, shift, sign), one entry per kernel row x,
+    give the edge v -> v + x the colour
+    first + ((digs[v, column] >> shift) & 1) · sign. The colour rides in
+    the table below the code, so one sort orders both.
     """
+    n, d = digs.shape
+    size = len(kernel)
+    pairs = np.empty((n * size // 2, 2), np.int32)
+    colors = None if rules is None else np.empty(len(pairs), np.int32)
+    bits = 0 if rules is None else int(rules[0].max() + 1).bit_length()  # sign is at most 1
+    dtype = np.int32 if n << bits <= 2 ** 31 else np.int64
+    step, at = max(1, _TABLE_CELLS // size), 0
+    for lo in range(0, n, step):
+        block = digs[lo:lo + step]
+        table = np.zeros((len(block), size), dtype)
+        for i in range(d):
+            table <<= 2
+            table += (block[:, i, None] + kernel[:, i]) & 3
+        if rules is not None:
+            first, column, shift, sign = rules
+            bit = block[:, column]
+            bit >>= shift
+            bit &= 1
+            bit *= sign
+            table <<= bits
+            table += first
+            table += bit
+            del bit
+        table.sort(axis=1)
+        v = np.arange(lo, lo + len(block), dtype=np.int32)
+        later = table >= ((v[:, None].astype(dtype) + 1) << bits)
+        kept = table[later]
+        del table
+        rows = pairs[at:at + kept.size]
+        rows[:, 0] = np.repeat(v, later.sum(axis=1))
+        del later
+        np.right_shift(kept, bits, out=rows[:, 1])
+        if colors is not None:
+            np.bitwise_and(kept, (1 << bits) - 1, out=colors[at:at + kept.size])
+        at += kept.size
+    # handed over read-only, so the graph or colouring keeps them without a copy
+    pairs.setflags(write=False)
+    if colors is not None:
+        colors.setflags(write=False)
+    return pairs, colors
+
+
+def build(d: int) -> Graph:
+    """G_d as Cay(Z_4^d, S), S the rows the rule joins to vertex 0, its
+    sorted edge store filled block by block by _cayley_rows."""
     if d < 2:
         raise ValueError("d >= 2 required")
     digs = _digit_matrix(d)
-    kernel = digs[_joined(digs, digs[0])]
-    place = 4 ** np.arange(d - 1, -1, -1, dtype=np.int32)
-    pairs = np.empty((4 ** d * len(kernel) // 2, 2), np.int32)
-    step, at = max(1, _RULE_CELLS // len(kernel)), 0
-    for lo in range(0, 4 ** d, step):
-        block = digs[lo:lo + step]
-        table = np.zeros((len(block), len(kernel)), np.int32)
-        for i in range(d):
-            table += ((block[:, i, None] + kernel[:, i]) & 3) * place[i]
-        table.sort(axis=1)
-        v = np.arange(lo, lo + len(block), dtype=np.int32)
-        later = table > v[:, None]
-        w = table[later]
-        pairs[at:at + w.size, 0] = np.repeat(v, later.sum(axis=1))
-        pairs[at:at + w.size, 1] = w
-        at += w.size
-    pairs.setflags(write=False)  # handed over, so the graph keeps it without a copy
+    pairs, _ = _cayley_rows(digs, digs[_joined(digs, digs[0])])
     return Graph.from_array(4 ** d, pairs)
 
 
@@ -215,40 +254,40 @@ def color_kernel(d: int) -> ColorKernel:
 def class1_coloring(d: int) -> EdgeColoring:
     """Proper edge coloring of G_d with exactly Delta colors.
 
-    Each even kernel element s is an involution v -> v+s and colors its
-    matching. Each odd pair (s, -s) splits G_d's s-edges into 4-cycles
-    v, v+s, v+2s, v+3s, one per orbit, listed from its smallest vertex v, and
-    colors (v, v+s), (v+2s, v+3s) with one color and (v, v+3s), (v+s, v+2s)
-    with the next. Entries are inserted class by class, by ascending v.
+    Colours are numbered along color_kernel(d): one for each even element,
+    in ascending order, then two for each odd pair (s, -s) of odd_pairs(),
+    in its order. Each even kernel element s is an involution v -> v+s and
+    colors its matching. Each odd pair (s, -s) splits G_d's s-edges into
+    4-cycles v, v+s, v+2s, v+3s, one per orbit, listed from its smallest
+    vertex v, and colors (v, v+s), (v+2s, v+3s) with the pair's first color
+    and (v, v+3s), (v+s, v+2s) with the next.
+
+    So the s-edge {u, u+s} takes the first color when u sits at an even
+    place of its orbit, and the orbit's least digit at the first non-zero
+    digit i of s says which places those are: u's digit i is even (s_i odd)
+    or below 2 (s_i = 2). The -s-edge from u is the s-edge from u - s, one
+    place back. Every edge gets its colour from its kernel element and one
+    digit of u, beside build's neighbour table (`_cayley_rows`), so the
+    rows come in (u, v) order, ascending, in one int32 ends array and one
+    int32 colour array.
     """
     kernel = color_kernel(d)
     digs = _digit_matrix(d)
-    v = np.arange(4 ** d)
-    firsts: list[np.ndarray] = []
-    seconds: list[np.ndarray] = []
-    colors: list[np.ndarray] = []
-    color = 0
-    for s in kernel.even:
-        color += 1
-        w = _shift(digs, digs[s])
-        keep = v < w
-        firsts.append(v[keep])
-        seconds.append(w[keep])
-        colors.append(np.full(len(firsts[-1]), color))
-    for s, _neg in kernel.odd_pairs():
-        c_pos, c_neg = color + 1, color + 2
-        color += 2
-        w1 = _shift(digs, digs[s])
-        w2 = w1[w1]
-        w3 = w1[w2]
-        first = (v < w1) & (v < w2) & (v < w3)
-        v0, v1, v2, v3 = v[first], w1[first], w2[first], w3[first]
-        firsts.append(np.stack([v0, np.minimum(v2, v3), v0, np.minimum(v1, v2)], axis=1).ravel())
-        seconds.append(np.stack([v1, np.maximum(v2, v3), v3, np.maximum(v1, v2)], axis=1).ravel())
-        colors.append(np.tile([c_pos, c_pos, c_neg, c_neg], len(v0)))
-    ends = np.column_stack((np.concatenate(firsts), np.concatenate(seconds)))
+    pairs = kernel.odd_pairs()
+    codes = [*kernel.even, *(x for pair in pairs for x in pair)]
+    # the table's size is n·|codes|/2 only for a set closed under negation, without 0
+    if 0 in codes or sorted(codes) != sorted(_negated(codes, d)):
+        raise CertificateError("kernel coloring: the kernel holds 0 or is not closed under "
+                               "negation")
+    rows = digs[codes]
+    column = (rows != 0).argmax(axis=1)  # the first non-zero digit
+    shift = (rows[np.arange(len(rows)), column] == 2).astype(np.int8)
+    # s takes its pair's first colour at an even place and -s the next one there
+    sign = np.array([0] * len(kernel.even) + [1, -1] * len(pairs), np.int8)
+    ends, colors = _cayley_rows(digs, rows, (np.arange(1, len(codes) + 1, dtype=np.int32),
+                                             column, shift, sign))
     try:
-        return EdgeColoring.from_arrays(ends, np.concatenate(colors), color)
+        return EdgeColoring.from_arrays(ends, colors, len(codes))
     except ValueError as exc:  # an edge coloured twice: the kernel is not what it claims
         raise CertificateError(f"kernel coloring: {exc}") from None
 

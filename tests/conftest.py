@@ -1051,6 +1051,52 @@ def reference_color_kernel(d: int) -> ColorKernel:
     return ColorKernel(d, tuple(even), tuple(odd))
 
 
+def reference_class1_coloring(d: int) -> dict[tuple[int, int], int]:
+    """The kernel colouring of G_d as a map {(u, v): colour}, by one loop per
+    orbit, as class1_coloring's docstring states it: one colour for each even
+    kernel element, ascending, then two for each odd pair (s, -s), s < -s,
+    ascending in s. Even s colours every {v, v+s}; an odd pair walks each
+    orbit v, v+s, v+2s, v+3s from its smallest vertex v and colours (v, v+s),
+    (v+2s, v+3s) with its first colour and (v, v+3s), (v+s, v+2s) with the
+    next."""
+    def plus(v: int, s: int) -> int:
+        code = 0
+        for a, b in zip(keller_digits(v, d), keller_digits(s, d)):
+            code = 4 * code + (a + b) % 4
+        return code
+
+    def negated(s: int) -> int:
+        code = 0
+        for a in keller_digits(s, d):
+            code = 4 * code + (-a) % 4
+        return code
+
+    kernel = reference_color_kernel(d)
+    out: dict[tuple[int, int], int] = {}
+    color = 0
+    for s in kernel.even:
+        color += 1
+        for v in range(4 ** d):
+            out[min(v, plus(v, s)), max(v, plus(v, s))] = color
+    for s in kernel.odd:
+        if negated(s) < s:
+            continue
+        first, second = color + 1, color + 2
+        color += 2
+        seen: set[int] = set()
+        for v in range(4 ** d):  # the first unseen vertex of an orbit is its smallest
+            if v in seen:
+                continue
+            orbit = [v]
+            for _ in range(3):
+                orbit.append(plus(orbit[-1], s))
+            seen.update(orbit)
+            for (a, b), c in (((0, 1), first), ((2, 3), first), ((0, 3), second),
+                              ((1, 2), second)):
+                out[min(orbit[a], orbit[b]), max(orbit[a], orbit[b])] = c
+    return out
+
+
 def reference_row_col(v: int, d: int) -> tuple[int, int]:
     """Square row and column of v, one digit at a time."""
     row = col = 0

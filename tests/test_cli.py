@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process, checking exit codes and output shapes."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -11,7 +12,7 @@ from conftest import coloring_of, edge_set
 from graphcert import cli, core, keller, multicycle, mycielski
 from graphcert import io as gio
 from graphcert.cli import main
-from graphcert.core import VerificationReport, vizing_delta_plus_one
+from graphcert.core import EdgeColoring, VerificationReport, vizing_delta_plus_one
 from graphcert.queen import QueenColoringCertificate
 
 
@@ -154,6 +155,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                                       "--certificate", cert, option, value])
         assert (code, out) == (2, "")
         assert err == f"error: {option} {value} is not a vertex id in 1..19\n"
+
+
+def test_hampath_endpoint_mismatch_names_one_based_ids(tmp_path, capsys):
+    # the file and the options both give 1-based ids, and so does the fail line
+    graph, cert = str(tmp_path / "m.col"), str(tmp_path / "p.seq")
+    assert run(capsys, f"gen --family mycielski --n 9 --out {graph}".split())[0] == 0
+    assert run(capsys, f"mycielski hampath --n 9 --from x1 --to z --out {cert}".split())[0] == 0
+    first, *_, last = (tmp_path / "p.seq").read_text().split()
+    assert (first, last) == ("1", "19")
+    code, payload, err = run_json(capsys, ["verify", "hampath", "--graph", graph,
+                                           "--certificate", cert, "--start", "4", "--end", "2"])
+    detail = ["path starts at 1, expected 4", "path ends at 19, expected 2"]
+    assert (code, payload["ok"], payload["detail"]) == (1, False, detail)
+    assert err == "".join(f"fail: {line}\n" for line in detail)
 
 
 @pytest.mark.parametrize("argv", [
@@ -723,7 +738,11 @@ def test_failed_verification_is_reported_and_writes_nothing(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path / "ok")
     code, verified_text, _ = run(capsys, argv.split())
     assert code == 0
-    monkeypatch.setattr(module, name, lambda *args, **kwargs: FAILED)
+    # the real verifier's report, failed: it keeps the Delta that the colour
+    # count is checked against
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), ok=False, detail=FAILED.detail))
     monkeypatch.chdir(tmp_path / "failed")
     expected_err = "".join(f"fail: {line}\n" for line in FAILED.detail)
     code, text, err = run(capsys, argv.split())
@@ -760,12 +779,22 @@ def test_square_with_two_cells_swapped_names_the_lines(tmp_path, monkeypatch, ca
     ("color --m 5 --n 5 --out q.coloring", 16),
 ], ids=["color-class1", "color-class2", "keller-edgecolor", "color-square-odd"])
 def test_wrong_color_count_is_named(tmp_path, monkeypatch, capsys, argv, colors):
-    module, name = (keller, "delta") if argv.startswith("keller") else (cli, "queen_delta")
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *dims: real(*dims) + 1)
+    # the construction declares one colour more than it uses: the colouring
+    # verifies, and the count is checked against Delta read off the graph
+    def one_more(coloring):
+        return EdgeColoring.from_arrays(coloring.ends, coloring.colors,
+                                        coloring.declared_color_count + 1)
+
+    if argv.startswith("keller"):
+        real = keller.class1_coloring
+        monkeypatch.setattr(keller, "class1_coloring", lambda d: one_more(real(d)))
+    else:
+        real_cert = cli.classify_and_color
+        monkeypatch.setattr(cli, "classify_and_color", lambda *args, **kwargs: dataclasses.replace(
+            cert := real_cert(*args, **kwargs), coloring=one_more(cert.coloring)))
     monkeypatch.chdir(tmp_path)
     code, payload, err = run_json(capsys, argv.split())
-    detail = [f"declares {colors} colors, expected {colors + 1}"]
+    detail = [f"declares {colors + 1} colors, expected {colors}"]
     assert code == 1 and payload["ok"] is False and payload["detail"] == detail
     assert err == f"fail: {detail[0]}\n"
     assert list(tmp_path.iterdir()) == []

@@ -208,17 +208,30 @@ def _mutate(g, coloring, mutations):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_colored_graph(), st.lists(_MUTATION, max_size=6), st.booleans(), st.booleans())
+@given(_colored_graph(), st.lists(_MUTATION, max_size=6), st.booleans(),
+       st.sampled_from([None, 2**31, 10**20]))
 def test_verify_edge_coloring_matches_the_reference_on_mutants(instance, mutations,
                                                               require_total, forge_k):
     g, coloring = instance
     mutant = _mutate(g, coloring, mutations)
-    if forge_k:  # a declared count far past int64 must not reach the arrays
-        mutant = coloring_of(assignment_of(mutant), 10**20)
+    # 2^31 colours: n·K past 2^32 from n = 2 on, so the keys are int64 (and
+    # uint32 keys would wrap, not fail), short of the rank path; 10^20, past
+    # int64, must not reach the arrays
+    if forge_k is not None:
+        mutant = coloring_of(assignment_of(mutant), forge_k)
     got = verify_edge_coloring(g, mutant, require_total)
     want = reference_verify_edge_coloring(g, mutant, require_total)
     assert (got.ok, got.colors_used, got.delta, got.detail) == \
         (want.ok, want.colors_used, want.delta, want.detail)
+
+
+def test_color_keys_are_uint32_while_n_times_the_palette_fits():
+    # n·K < 2^32 up to G_7 (16,384 vertices, Delta 14,190); past it, int64
+    ends, colors = np.array([0, 16383], np.int32), np.array([14190], np.int32)
+    keys = core._color_keys(ends, colors, 14191, 16384)
+    assert keys.dtype == np.uint32 and keys.tolist() == [14190, 16383 * 14191 + 14190]
+    keys = core._color_keys(ends, colors, 2**33, 16384)
+    assert keys.dtype == np.int64 and keys.tolist() == [14190, 16383 * 2**33 + 14190]
 
 
 def _mutants(seq: list[int]):
