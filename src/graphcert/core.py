@@ -342,15 +342,15 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
 
     The check runs on the stored arrays, with no copy of the ends. A
     colouring whose ends equal g.pairs colours every edge once. Otherwise
-    each edge (u, v) gives the code u·n + v, and the colored codes, sorted
-    unless they ascend, are compared with g.codes; on a mismatch they are
-    searched in g.codes: a code not found is a colored non-edge, and the
-    edges no code hits are uncolored. Each colored edge gives one key per
-    end, vertex·K + color, all in one array, uint32 when n·K < 2^32 and
-    int64 past that, sorted in place; a color repeated at a vertex is two
-    equal neighbours there, and only then are the keys built again for a
-    stable order. A declared count K too large for int64 keys is replaced
-    by the rank of each colour among those used.
+    each edge (u, v) gives the code u·n + v; rows in another order sort to
+    g.codes. Any other colored codes are searched in g.codes: a code not
+    found is a colored non-edge, and the edges no code hits are uncolored.
+    Each colored edge gives one key per end, vertex·K + color, all in one
+    array, uint32 when n·K < 2^32 and int64 past that, sorted in place; a
+    color repeated at a vertex is two equal neighbours there, and only then
+    are the keys built again for a stable order. A declared count K too
+    large for int64 keys is replaced by the rank of each colour among those
+    used.
     An end outside 0..n-1 is reported as not in the graph before any
     arithmetic, and takes part in the repeat check under a relabelled id.
     Detail lines are built from the offending indices only, in this order:
@@ -370,6 +370,8 @@ def verify_edge_coloring(g: Graph, coloring: EdgeColoring,
     if outside is not None or not np.array_equal(coloring.ends, g.pairs):
         codes = g.codes
         colored = ends[0::2].astype(np.int64) * n + ends[1::2]
+        # rows in another order: sorted, their codes are g.codes (rows that
+        # ascend and differ from g.pairs cannot be)
         if outside is not None or _ascending(coloring.ends) or not np.array_equal(
                 np.sort(colored), codes):
             # a colored non-edge or an uncolored edge: find out which
