@@ -521,31 +521,42 @@ def _cmd_keller_verify_fixture(args) -> int:
 # --- conjecture --------------------------------------------------------------------
 
 def _class_task(task):
+    """(m, n, predicted class, class coloured or None when the search gave up, detail)."""
     m, n, switches, restarts, seed = task
     pred = classify_queen_prediction(m, n)
-    g = build_queen(m, n)
-    cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed), graph=g)
-    detail = _queen_detail(g, cert)
     predicted = 2 if pred.status is QueenClass.CLASS2_OVERFULL else 1
+    g = build_queen(m, n)
+    try:
+        cert = classify_and_color(m, n, budget=SearchBudget(switches, restarts, seed), graph=g)
+    except BudgetExhaustedError:
+        return (m, n, predicted, None, [])
+    detail = _queen_detail(g, cert)
     if predicted != cert.claimed_class:
         detail.insert(0, f"predicted class {predicted}, colored as class {cert.claimed_class}")
     return (m, n, predicted, cert.claimed_class, detail)
 
 
 def _cmd_conjecture2(args) -> int:
+    """Every board's row; a board whose search gave up is open, and any open
+    board without a disagreement makes the run inconclusive (exit 3)."""
     budget = _budget(args)
     tasks = [(m, n, budget.max_switches, budget.max_restarts, args.seed)
              for m in range(1, args.m_max + 1)
              for n in range(m, args.n_max + 1)]
     results = _parallel_map(_class_task, tasks, args.jobs)
     bad = [(m, n, detail) for m, n, _, _, detail in results if detail]
-    payload = {"ok": not bad, "family": "queen",
+    open_boards = [[m, n] for m, n, _, got, _ in results if got is None]
+    payload = {"ok": not bad and not open_boards, "family": "queen",
                "params": {"m_max": args.m_max, "n_max": args.n_max}, "size": len(results)}
-    lines = [f"Q_{m},{n}: predicted class {p}, colored as class {g}"
-             for m, n, p, g, _ in results]
+    if open_boards:
+        payload["open"] = open_boards
+    lines = [f"Q_{m},{n}: predicted class {p}, "
+             + ("open" if g is None else f"colored as class {g}") for m, n, p, g, _ in results]
     lines.append(f"checked = {len(results)}, disagreements = {len(bad)}")
     return _finish(args, payload, lines,
-                   [f"Q_{m},{n}: {line}" for m, n, detail in bad for line in detail])
+                   [f"Q_{m},{n}: {line}" for m, n, detail in bad for line in detail] +
+                   [f"Q_{m},{n}: search budget exhausted" for m, n in open_boards],
+                   fail=EXIT_FAIL if bad else EXIT_BUDGET)
 
 
 def _cmd_conjecture3(args) -> int:
@@ -598,8 +609,9 @@ def _add_common(p: argparse.ArgumentParser, out: bool = False) -> None:
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-switches", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--budget-switches", type=int, default=None,
+                   help="switches per search start; one switch uncolours one edge")
+    p.add_argument("--restarts", type=int, default=None, help="search starts")
 
 
 def _add_color_args(p: argparse.ArgumentParser) -> None:
@@ -769,7 +781,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prefix, code = next(v for cls, v in _RAISED.items() if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
         _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
-                     "params": _params(args), "error": str(exc)})
+                     "params": _params(args), "error": str(exc), "seed": args.seed})
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -675,11 +675,6 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_EXACT_CAP,
 
 # --- Vizing's Δ+1 construction ------------------------------------------------
 
-def lowest_bit(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero mask (two's complement if negative)."""
-    return (mask & -mask).bit_length() - 1
-
-
 class ColorState:
     """A proper partial edge colouring held per vertex and edited in place.
 
@@ -697,8 +692,8 @@ class ColorState:
     swap the two slots at[x][c] and at[x][d] at each of its vertices, and
     flip the masks of a path's two ends. A maximal chain holds both colours
     at each inner vertex, so the swap is the whole inversion. invert applies
-    it to the steps of a walk or of a component joined from two walks, and
-    Vizing applies it as it walks (_swap_path).
+    it to the steps of a maximal chain (the Keller decomposition search
+    walks its cycles), and Vizing applies it as it walks (_swap_path).
     """
 
     def __init__(self, vertex_count: int, colors: int):
@@ -757,16 +752,6 @@ class ColorState:
             flip = (1 << c) | (1 << d)
             self.present[first] ^= flip
             self.present[last] ^= flip
-
-    def recolor(self, u: int, v: int, old: int, new: int) -> None:
-        """Give the edge (u, v) of colour old colour new, which must be free at both ends."""
-        at_u, at_v = self.at[u], self.at[v]
-        at_u[old] = at_v[old] = None
-        at_u[new] = v
-        at_v[new] = u
-        flip = (1 << old) | (1 << new)
-        self.present[u] ^= flip
-        self.present[v] ^= flip
 
     def class_edges(self, c: int) -> list[tuple[int, int]]:
         """The edges of colour c as (u, v) rows, u < v, in ascending order."""

@@ -5,8 +5,8 @@ bishop and rook colorings when a dimension is even; the square-odd recoloring
 that frees one color by rerouting the unique rarest bishop edge through the
 rook's missing colors; the ladder-and-multicycle pipeline for odd boards whose
 derived multicycle is colorable inside the rook's high colors; and the
-Delta+1 union for overfull boards. A Kempe-chain search covers the remaining
-gap heuristically.
+Delta+1 union for overfull boards. A hill-climbing search (`kempe`) covers
+the remaining gap heuristically.
 
 Each construction concatenates the edge and color arrays of its bishop and
 rook colorings into one `EdgeColoring`; the few edges it recolors are found

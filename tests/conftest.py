@@ -15,11 +15,11 @@ from graphcert.bishop_rook import (PathDecomposition, PathGroup, _k_even_class,
 from graphcert.chess import SquareColor, _check_board, bishop_delta
 from graphcert.core import (CapExceeded, CertificateError, ColorState, EdgeColoring,
                             EmptyGraphError, Graph, VerificationReport, _report,
-                            is_overfull, lowest_bit, max_degree, verify_edge_coloring,
+                            is_overfull, max_degree, verify_edge_coloring,
                             verify_hamiltonian_cycle, vizing_delta_plus_one)
 from graphcert.keller import (ColorKernel, _fixture_rows, _union_cycle_count, build, delta,
                               parse_vertex)
-from graphcert.kempe import SearchBudget, SearchOutcome, _bits
+from graphcert.kempe import SearchBudget, SearchOutcome
 from graphcert.multicycle import DerivedMulticycle, Multicycle, MulticycleColoring
 
 
@@ -234,7 +234,8 @@ def reference_vizing_delta_plus_one(g: Graph, order: Sequence[tuple[int, int]] |
     color_of: dict[tuple[int, int], int] = {}
 
     def free(v: int) -> int:
-        return lowest_bit(~present[v])
+        absent = ~present[v]
+        return (absent & -absent).bit_length() - 1
 
     def set_color(u: int, v: int, c: int) -> None:
         e = _normalize_edge(u, v)
@@ -338,154 +339,55 @@ def vizing_coloring(g: Graph, order: Sequence[tuple[int, int]] | None = None) ->
     return snapshot(state, edge_set(g), state.colors)
 
 
-def chain_counts(state: ColorState, start: int, a: int, b: int
-                 ) -> tuple[int, int, tuple[int, int] | None]:
-    """The maximal (a,b)-alternating component through start, counted.
-
-    Returns its length, its number of a-coloured edges and the two end
-    vertices of a path (the end reached by leaving start on a first), or
-    None for a closed cycle and for an empty chain. Colours alternate along
-    the walk, so the a-edges are the odd steps of the walk that leaves start
-    on a and the even steps of the one that leaves on b.
-    """
-    at = state.at
-    out = 0
-    cur, col, other = start, a, b
-    while (nxt := at[cur][col]) is not None:
-        out += 1
-        if nxt == start:
-            return out, out // 2, None
-        cur, col, other = nxt, other, col
-    first_end = cur
-    back = 0
-    cur, col, other = start, b, a
-    while (nxt := at[cur][col]) is not None:
-        back += 1
-        cur, col, other = nxt, other, col
-    length = out + back
-    return length, (out + 1) // 2 + back // 2, ((first_end, cur) if length else None)
-
-
-def missing_after_swap(state: ColorState, full: int, v: int,
-                       ends: tuple[int, int] | None, a: int, b: int) -> int:
-    """Bitmask of the colours in full absent at v once the (a,b)-chain with
-    these path ends (None for a cycle) is swapped.
-
-    Every inner chain vertex keeps one a-edge and one b-edge, so only a
-    path end trades a for b or b for a; a closed cycle changes no vertex.
-    """
-    present = state.present[v]
-    if ends is not None and v in ends:
-        present ^= (1 << a) | (1 << b)
-    return full & ~present
-
-
-def reference_scored_moves(state: ColorState, u: int, v: int, target: int, not_target: int
-                           ) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """The candidate switches for the target edge (u, v), collected in a set,
-    sorted and scored by one chain_counts call each: the oracle for
-    graphcert.kempe._scored_moves, which must list the same moves with the
-    same scores in the same order."""
-    present = state.present
-    candidates: set[tuple[int, int, int]] = set()
-    for w, other in ((u, v), (v, u)):
-        candidates.update((w, target, c) for c in _bits(not_target))
-        for acol in _bits(not_target & ~present[w]):
-            for bcol in _bits(not_target & ~present[other] & ~(1 << acol)):
-                candidates.add((other, acol, bcol))
-    moves: list[tuple[int, int, int]] = []
-    scores: list[int] = []
-    for anchor, acol, bcol in sorted(candidates):
-        length, t, ends = chain_counts(state, anchor, acol, bcol)
-        if not length:
-            continue
-        if acol == target:
-            score = (2 * t - length) * 1000 - length
-        else:
-            freed = (missing_after_swap(state, not_target, u, ends, acol, bcol)
-                     & missing_after_swap(state, not_target, v, ends, acol, bcol))
-            score = (1000 if freed else 0) - length
-        moves.append((anchor, acol, bcol))
-        scores.append(score)
-    return moves, scores
-
-
-def _uncolor(state: ColorState, x: int, y: int, col: int) -> None:
-    state.at[x][col] = state.at[y][col] = None
-    state.present[x] ^= 1 << col
-    state.present[y] ^= 1 << col
-
-
-def _color(state: ColorState, x: int, y: int, col: int) -> None:
-    state.at[x][col], state.at[y][col] = y, x
-    state.present[x] |= 1 << col
-    state.present[y] |= 1 << col
-
-
-def reference_switch(state: ColorState, start: int, a: int, b: int) -> None:
-    """Swap a and b on the component of start in the subgraph of the a- and
-    b-coloured edges, found by a search rather than a walk: every edge is
-    uncoloured, then each takes the other colour."""
-    at = state.at
-    seen, stack, chain = {start}, [start], set()
-    while stack:
-        x = stack.pop()
-        for col in (a, b):
-            y = at[x][col]
-            if y is not None:
-                chain.add((min(x, y), max(x, y), col))
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    for x, y, col in chain:
-        _uncolor(state, x, y, col)
-    for x, y, col in chain:
-        _color(state, x, y, a if col == b else b)
-
-
 def reference_eliminate_color(g: Graph, coloring: EdgeColoring, target: int,
                               budget: SearchBudget) -> EdgeColoring | None:
-    """Colour elimination that rescans at for the whole target class every
-    round, scores the candidates with reference_scored_moves and edits the
-    colouring one edge at a time: the oracle for
-    graphcert.kempe.eliminate_color, which must make the same switches and
-    the same random draws."""
+    """The hill-climb on a dict colouring over the declared colours, with a
+    dict {colour: edge} per vertex beside it: the oracle for
+    graphcert.kempe.eliminate_color, which keeps list slots and bitmasks and
+    must make the same draws and the same switches. The uncoloured edges are
+    kept in one list as there: a coloured edge's slot takes the last edge,
+    and a switch puts (v, w), in that orientation, in the slot of (u, v)."""
     report = verify_edge_coloring(g, coloring)
     if not report.ok:
         raise ValueError(f"input coloring is not proper/total: {report.detail}")
     declared = coloring.declared_color_count
-    state = ColorState.of(g.vertex_count, coloring)
-    at, present = state.at, state.present
-    full = (1 << (declared + 1)) - 2  # bits 1..declared
+    color_of = assignment_of(coloring)
+    edge_at: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.vertex_count)]
+    for e, c in color_of.items():
+        for x in e:
+            edge_at[x][c] = e
+    uncoloured = sorted(e for e, c in color_of.items() if c == target)
+    for e in uncoloured:
+        del color_of[e]
+        for x in e:
+            del edge_at[x][target]
     rng = random.Random(budget.seed)
-    not_target = full & ~(1 << target)
     switches = 0
-    while True:
-        targets = [(u, v) for u, row in enumerate(at) if (v := row[target]) is not None and u < v]
-        if not targets:
-            return normalized(snapshot(state, assignment_of(coloring), declared))
-        progress = False
-        for e in targets:
-            u, v = e
-            common = not_target & ~(present[u] | present[v])
-            if common:
-                _uncolor(state, u, v, target)
-                _color(state, u, v, lowest_bit(common))
-                progress = True
-        if progress:
-            continue
+    while uncoloured:
         if switches >= budget.max_switches:
             return None
-        u, v = targets[rng.randrange(len(targets))]
-        best: tuple[tuple[int, float], tuple[int, int, int]] | None = None
-        for move, score in zip(*reference_scored_moves(state, u, v, target, not_target)):
-            key = (score, rng.random())
-            if best is None or key > best[0]:
-                best = (key, move)
-        if best is None:
+        i = rng.randrange(len(uncoloured))
+        u, v = uncoloured[i]
+        if rng.getrandbits(1):
+            u, v = v, u
+        missing = [c for c in range(1, declared + 1) if c != target and c not in edge_at[u]]
+        if not missing:
             return None
-        reference_switch(state, *best[1])
-        switches += 1
+        c = missing[rng.randrange(len(missing))]
+        vw = edge_at[v].get(c)
+        if vw is None:
+            uncoloured[i] = uncoloured[-1]
+            uncoloured.pop()
+        else:
+            del color_of[vw]
+            for x in vw:
+                del edge_at[x][c]
+            uncoloured[i] = (v, sum(vw) - v)
+            switches += 1
+        e = _normalize_edge(u, v)
+        color_of[e] = c
+        edge_at[u][c] = edge_at[v][c] = e
+    return normalized(coloring_of(color_of, declared))
 
 
 def reference_find_class1(g: Graph, budget: SearchBudget,

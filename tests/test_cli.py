@@ -110,6 +110,32 @@ def test_budget_exhaustion_exits_3(capsys):
                         "--budget-switches", "1"])[0] == 3
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("color --m 5 --n 69 --seed 4 --budget-switches 300 --restarts 2", 3),
+    ("color --m 3 --n 13 --seed 4 --construction kempe", 1),
+], ids=["budget", "no-construction"])
+def test_a_raised_failure_carries_the_seed(capsys, argv, code):
+    # a failure raised before the check completes reports the seed, like _finish
+    got, payload, _ = run_json(capsys, argv.split())
+    assert (got, payload["ok"], payload["seed"]) == (code, False, 4)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_conjecture2_lists_the_open_boards_and_exits_3(capsys, jobs):
+    # one switch per start closes none of the three gap boards; every other
+    # board keeps its row, and the open ones are marked and listed
+    argv = f"conjecture 2 --m-max 3 --n-max 11 --budget-switches 1 --restarts 1 --jobs {jobs}"
+    code, out, err = run(capsys, argv.split())
+    rows = out.splitlines()
+    assert code == 3 and len(rows) == 31 and rows[-1] == "checked = 30, disagreements = 0"
+    assert [row for row in rows if row.endswith("open")] == [
+        f"Q_3,{n}: predicted class 1, open" for n in (7, 9, 11)]
+    assert err == "".join(f"fail: Q_3,{n}: search budget exhausted\n" for n in (7, 9, 11))
+    code, payload, _ = run_json(capsys, argv.split())
+    assert (code, payload["ok"], payload["size"]) == (3, False, 30)
+    assert payload["open"] == [[3, 7], [3, 9], [3, 11]]
+
+
 def test_inapplicable_construction_exits_1(capsys):
     # an overfull board admits no Delta coloring for kempe to find
     code, _, err = run(capsys, ["color", "--m", "3", "--n", "13",
@@ -607,27 +633,27 @@ PINNED_DIGESTS = {
     "color-ladder-json": "347ccd5859851f60 q.coloring=0bf311343df4e082",  # exit 0
     "color-overfull-text": "7416d9090b05834e q.coloring=7bc957efd92f5863",  # exit 0
     "color-overfull-json": "59bc5b0ff1a6a958 q.coloring=7bc957efd92f5863",  # exit 0
-    "color-kempe-text": "9ceee81b41256feb q.coloring=8bf2db10ca693221",  # exit 0
-    "color-kempe-json": "9bc938ab8fe47a8f q.coloring=8bf2db10ca693221",  # exit 0
-    "color-kempe-warm-text": "9ceee81b41256feb q.coloring=8bf2db10ca693221",  # exit 0
-    "color-kempe-warm-json": "9bc938ab8fe47a8f q.coloring=8bf2db10ca693221",  # exit 0
+    "color-kempe-text": "9ceee81b41256feb q.coloring=3f64231d3e622140",  # exit 0
+    "color-kempe-json": "9bc938ab8fe47a8f q.coloring=3f64231d3e622140",  # exit 0
+    "color-kempe-warm-text": "9ceee81b41256feb q.coloring=3f64231d3e622140",  # exit 0
+    "color-kempe-warm-json": "9bc938ab8fe47a8f q.coloring=3f64231d3e622140",  # exit 0
     "queen-color-text": "7416d9090b05834e",  # exit 0
     "queen-color-json": "59bc5b0ff1a6a958",  # exit 0
     "color-ladder-inapplicable-text": "4355a46b19d348dc",  # exit 1
-    "color-ladder-inapplicable-json": "2a1e1142312c4e5d",  # exit 1
+    "color-ladder-inapplicable-json": "60ff28c2535c5821",  # exit 1
     "color-kempe-overfull-text": "4355a46b19d348dc",  # exit 1
-    "color-kempe-overfull-json": "399efe08ce239ced",  # exit 1
+    "color-kempe-overfull-json": "1882fbf9a13882da",  # exit 1
     "color-kempe-budget-text": "1121cfccd5913f0a",  # exit 3
-    "color-kempe-budget-json": "376bf3cb72d1b9d2",  # exit 3
+    "color-kempe-budget-json": "ba23b3573136ce9d",  # exit 3
     "color-missing-n-text": "53c234e5e8472b6a",  # exit 2
     "color-missing-n-json": "53c234e5e8472b6a",  # exit 2
     "verify-coloring-text": "df5f4b294af04289",  # exit 0
     "verify-coloring-json": "f135830f6a1280a5",  # exit 0
     "verify-coloring-clash-text": "e04246f9cba4bad8",  # exit 1
     "verify-coloring-malformed-text": "4355a46b19d348dc",  # exit 1
-    "verify-coloring-malformed-json": "6bc147a8a947afd4",  # exit 1
+    "verify-coloring-malformed-json": "32c0335747b17488",  # exit 1
     "verify-coloring-second-k-text": "4355a46b19d348dc",  # exit 1
-    "verify-coloring-second-k-json": "99ceb1dfe7ee684b",  # exit 1
+    "verify-coloring-second-k-json": "49f3fdd9d2e215be",  # exit 1
     "verify-hamcycle-text": "84d1628259a587ea",  # exit 0
     "verify-hamcycle-json": "734fc8e79c4da7db",  # exit 0
     "verify-hampath-text": "a6178fc55cd8b237",  # exit 0
@@ -670,7 +696,7 @@ PINNED_DIGESTS = {
     "keller-decompose-text": "0a68e83af4233bca d.sets=4a6ad253ea045726 p.sets=f1076366ff98ac71",  # exit 0
     "keller-decompose-json": "4d7da4f985cd040d d.sets=4a6ad253ea045726 p.sets=f1076366ff98ac71",  # exit 0
     "keller-decompose-budget-text": "1121cfccd5913f0a",  # exit 3
-    "keller-decompose-budget-json": "0d830eb5eac2660f",  # exit 3
+    "keller-decompose-budget-json": "e677184915197d39",  # exit 3
     "keller-verify-fixture-1-text": "219ab10118c513ef",  # exit 0
     "keller-verify-fixture-1-json": "099982ecd5814ec6",  # exit 0
     "keller-verify-fixture-5-text": "a7998f32010a48d3",  # exit 0
@@ -679,7 +705,7 @@ PINNED_DIGESTS = {
     "conjecture-2-json": "e8a3a5116ea23697",  # exit 0
     "conjecture-3-text": "08d136964546d95f",  # exit 0
     "conjecture-3-json": "d799cb6627cde00b",  # exit 0
-    "conjecture-3-budget-text": "fb238e21920d9b22",  # exit 3
+    "conjecture-3-budget-text": "0d5f39b154f8aca1",  # exit 3
     "conjecture-4-text": "c4928abef7d3138d",  # exit 0
     "conjecture-4-json": "ea14e4928587b50f",  # exit 0
     "conjecture-5-csv-text": "c4928abef7d3138d c.csv=c4e56ce44ac8f5e1",  # exit 0

@@ -6,16 +6,15 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assignment_of, chain_counts, color_counts, coloring_of, colors_used,
-                      complete, cycle, edge_set, fournier_forest_check, graph_of,
-                      missing_after_swap, normalized, path, petersen, reference_eliminate_color,
-                      reference_find_class1, reference_scored_moves,
+from conftest import (assignment_of, color_counts, coloring_of, colors_used, complete, cycle,
+                      edge_set, fournier_forest_check, graph_of, normalized, path, petersen,
+                      reference_eliminate_color, reference_find_class1,
                       reference_vizing_delta_plus_one, snapshot, vizing_coloring)
 from graphcert import keller, kempe
-from graphcert.chess import build_queen
+from graphcert.chess import build_queen, overfull_threshold
 from graphcert.core import (
     CertificateError,
     ColorState,
@@ -60,11 +59,21 @@ def _shuffled(g: Graph, seed: int) -> list[tuple[int, int]]:
 # --- switches ---------------------------------------------------------------------
 
 
+def _component(state: ColorState, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """The steps of the maximal (a,b)-component through start, end to end: the
+    walk that leaves start on a when it closes a cycle, and otherwise that
+    walk reversed and joined to the walk that leaves start on b."""
+    out = state.walk(start, a, b)
+    if out and out[-1][1] == start:
+        return out
+    return [(y, x, c) for x, y, c in reversed(out)] + state.walk(start, b, a)
+
+
 def kempe_switch(coloring: EdgeColoring, g: Graph, start: int, a: int, b: int) -> EdgeColoring:
-    """Swap a and b along the maximal (a,b)-component through start, as the
-    searches do, on a ColorState of the coloring; the result must be proper."""
+    """Swap a and b along the maximal (a,b)-component through start by
+    ColorState.invert, on a ColorState of the coloring; the result must be proper."""
     state = ColorState.of(g.vertex_count, coloring)
-    state.invert(kempe._component(state, start, a, b), a, b)
+    state.invert(_component(state, start, a, b), a, b)
     result = snapshot(state, assignment_of(coloring), coloring.declared_color_count)
     assert verify_edge_coloring(g, result).ok
     return result
@@ -92,7 +101,8 @@ def test_switch_stays_inside_the_component():
 
 def test_switch_needs_two_colors(monkeypatch):
     # a swap on (a, a) would flip the masks at its ends without moving a
-    # colour, so every switch the Kempe and decomposition searches make has a != b
+    # colour, so every switch the decomposition search makes has a != b; the
+    # Kempe search inverts no chain
     pairs = []
     real = ColorState.invert
 
@@ -101,7 +111,6 @@ def test_switch_needs_two_colors(monkeypatch):
         real(self, steps, a, b)
 
     monkeypatch.setattr(ColorState, "invert", recording)
-    assert find_class1(build_queen(3, 7), SearchBudget.default()).reason == "ok"
     assert keller.ham_decomposition_search(2) is not None
     assert pairs and all(a != b for a, b in pairs)
 
@@ -130,119 +139,35 @@ def test_switch_sequence_reaches_class1_on_k4():
 
 
 @st.composite
-def _colored_graph_and_move(draw):
+def _colored_graph_and_chain(draw):
+    """A random graph, a shuffled Vizing colouring, an anchor and two colours."""
     n = draw(st.integers(2, 9))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    g = graph_of(n, edges)
+    g = graph_of(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
     coloring = vizing_coloring(g, _shuffled(g, draw(st.integers(0, 2**16))))
     colors = range(1, coloring.declared_color_count + 1)
     a = draw(st.sampled_from(colors))
     b = draw(st.sampled_from([c for c in colors if c != a] or [a]))
-    edge = draw(st.sampled_from(sorted(edge_set(g))))
-    return g, coloring, draw(st.integers(0, n - 1)), a, b, edge
+    return g, coloring, draw(st.integers(0, n - 1)), a, b
 
 
 @settings(max_examples=300, deadline=None)
-@given(_colored_graph_and_move())
-def test_scoring_predicts_the_swap(case):
-    # The scorer reads the post-swap missing colors at u and v, and whether
-    # (u, v) keeps its color, from the masks; a real swap must agree.
-    g, coloring, anchor, a, b, e_uv = case
+@given(_colored_graph_and_chain())
+def test_invert_matches_a_rebuild_and_undoes_itself(case):
+    # ColorState.invert edits at and present in place; the result must be the
+    # state of the swapped colouring, and a second inversion of the chain,
+    # walked again from the anchor, must restore the state.
+    g, coloring, anchor, a, b = case
     assume(a != b)
-    u, v = e_uv
-    full = (1 << (coloring.declared_color_count + 1)) - 2
     state = ColorState.of(g.vertex_count, coloring)
-    steps = kempe._component(state, anchor, a, b)
-    _, _, ends = chain_counts(state, anchor, a, b)
-    chain = {(x, y) if x < y else (y, x) for x, y, _ in steps}
-    predicted = (missing_after_swap(state, full, u, ends, a, b),
-                 missing_after_swap(state, full, v, ends, a, b), e_uv not in chain)
     swapped = ColorState.of(g.vertex_count, coloring)
-    swapped.invert(steps, a, b)
-    assert predicted == (full & ~swapped.present[u], full & ~swapped.present[v],
-                         swapped.at[u][assignment_of(coloring)[e_uv]] == v)
-    # the edited state matches a rebuild from the swapped coloring
+    swapped.invert(_component(swapped, anchor, a, b), a, b)
     result = snapshot(swapped, assignment_of(coloring), coloring.declared_color_count)
     rebuilt = ColorState.of(g.vertex_count, result)
     assert (swapped.at, swapped.present) == (rebuilt.at, rebuilt.present)
     assert verify_edge_coloring(g, result).ok
-    # a second inversion of the chain, walked again from the anchor, restores the state
-    swapped.invert(kempe._component(swapped, anchor, a, b), a, b)
+    swapped.invert(_component(swapped, anchor, a, b), a, b)
     assert (swapped.at, swapped.present) == (state.at, state.present)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_colored_graph_and_move())
-def test_counting_walk_matches_the_chain(case):
-    # the reference scorer counts a chain with chain_counts, and
-    # eliminate_color walks the steps of the winner only, so the counts
-    # must describe those steps exactly.
-    g, coloring, anchor, a, b, _ = case
-    assume(a != b)
-    state = ColorState.of(g.vertex_count, coloring)
-    steps = kempe._component(state, anchor, a, b)
-    ends = (steps[0][0], steps[-1][1]) if steps and steps[0][0] != steps[-1][1] else None
-    length, a_edges, counted_ends = chain_counts(state, anchor, a, b)
-    assert (length, counted_ends) == (len(steps), ends)
-    assert a_edges == sum(col == a for _, _, col in steps)
-    assert length - a_edges == sum(col == b for _, _, col in steps)
-
-
-# a target chain (2, 3), colour 1, with c = 2 that runs past both c-neighbours
-# 1 and 4 to the ends 0 and 5; and one that closes into the 4-cycle 0 1 2 3
-_LONG_TARGET_CHAIN = (path(6), coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2,
-                                            (4, 5): 1}, 3), 0, 1, 2, (2, 3))
-_CYCLIC_TARGET_CHAIN = (cycle(4), coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, 3),
-                        0, 1, 2, (0, 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_colored_graph_and_move())
-@example(_LONG_TARGET_CHAIN)
-@example(_CYCLIC_TARGET_CHAIN)
-def test_scored_moves_match_the_reference_scorer(case):
-    # The scorer counts the short target chains in closed form and walks the
-    # others inline; the reference collects, sorts and counts every chain.
-    g, coloring, _, _, _, (u, v) = case
-    target = assignment_of(coloring)[(u, v)]
-    state = ColorState.of(g.vertex_count, coloring)
-    k = coloring.declared_color_count + 1
-    not_target = ((1 << k) - 2) & ~(1 << target)
-    codes, scores = kempe._scored_moves(state, u, v, target, not_target,
-                                        list(kempe._bits(not_target)))
-    assert ([kempe._move(code, k) for code in codes], scores) == \
-        reference_scored_moves(state, u, v, target, not_target)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_colored_graph_and_move(), st.integers(0, 2**16))
-def test_a_swap_frees_a_common_color_only_on_the_target_edges_it_touched(case, pick):
-    # eliminate_color rescans the target class once and, after each switch,
-    # only the edges _touched_targets names; a full rescan must agree.
-    g, coloring, anchor, a, b, _ = case
-    assume(a != b)
-    declared = coloring.declared_color_count
-    target = [a, b, *range(1, declared + 1)][pick % (declared + 2)]
-    not_target = ((1 << (declared + 1)) - 2) & ~(1 << target)
-    state = ColorState.of(g.vertex_count, coloring)
-    target_class = set(state.class_edges(target))
-
-    def free_common(edges):
-        return {(u, v) for u, v in edges
-                if not_target & ~(state.present[u] | state.present[v])}
-
-    kempe._recolor_free(state, list(target_class), target, not_target, target_class)
-    assert target_class == set(state.class_edges(target))
-    assert not free_common(target_class)
-    steps = kempe._component(state, anchor, a, b)
-    state.invert(steps, a, b)
-    target_class = set(state.class_edges(target))
-    touched = kempe._touched_targets(state, steps, a, b, target)
-    assert len(set(touched)) == len(touched) and set(touched) <= target_class
-    assert free_common(touched) == free_common(target_class)
-    kempe._recolor_free(state, touched, target, not_target, target_class)
-    assert not free_common(target_class)
 
 
 def _criticality_of_c4():
@@ -343,6 +268,8 @@ def _elimination_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_elimination_case())
 def test_eliminate_color_matches_the_full_rescan_oracle(case):
+    # The walk on a ColorState against the same walk on a dict colouring that
+    # rescans the whole colouring for every colour set it reads.
     g, start, switches, seed = case
     for target in range(1, start.declared_color_count + 1):
         for sub_seed in (seed, seed + 1, seed + 2):
@@ -353,6 +280,34 @@ def test_eliminate_color_matches_the_full_rescan_oracle(case):
             if got is not None:
                 assert assignment_of(got) == assignment_of(want)
                 assert got.declared_color_count == want.declared_color_count
+
+
+def _uncoloured(g: Graph, state: ColorState) -> int:
+    return g.edge_count - sum(x is not None for row in state.at for x in row) // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_case())
+def test_the_uncoloured_count_never_rises(case):
+    # A switch colours one edge and uncolours one, and any other step colours
+    # one, so the count of uncoloured edges never rises. The walk with a budget
+    # of s + 1 switches repeats the walk with s until its s-th switch, and a
+    # walk that runs out returns right after its last switch, so the states
+    # left by the budgets 1, 2, ... are the walk's states after each switch.
+    # A success uses only palette colours and leaves the target class empty.
+    g, start, _, seed = case
+    palette = (1 << (start.declared_color_count + 1)) - 2
+    for target in sorted(colors_used(start)):
+        counts = [len(ColorState.of(g.vertex_count, start).class_edges(target))]
+        for switches in range(1, 16):
+            state = ColorState.of(g.vertex_count, start)
+            done = eliminate_color(state, palette, target, SearchBudget(switches, 1, seed))
+            counts.append(_uncoloured(g, state))
+            if done is not None:
+                assert counts[-1] == 0
+                assert state.used() & ~palette == 0 and not state.used() >> target & 1
+                break
+        assert counts == sorted(counts, reverse=True), (target, counts)
 
 
 # --- find_class1 ------------------------------------------------------------------
@@ -421,12 +376,12 @@ def test_find_class1_matches_the_reference_search(case):
 @settings(max_examples=200, deadline=None)
 @given(_elimination_case())
 def test_an_elimination_empties_no_class_but_the_target(case):
-    # A switch never empties a class other than the target: a target move
-    # leaves (u, v), once the target's, in the other colour's class, and a pair
-    # move that empties a class (a one-edge chain of a one-edge class) frees
-    # that colour at both ends of (u, v), which takes it at once. So the
-    # non-empty classes after a success are those before it, less the
-    # target, plus any palette colour that was empty and took an edge.
+    # A step never empties a class other than the target: a switch moves
+    # colour c from (v, w) to (u, v), and any other step only adds an edge to
+    # a class. So the non-empty classes after a success are those before it,
+    # less the target, plus any palette colour that was empty and took an
+    # edge. With no colour to spare (a palette of Delta colours or fewer) the
+    # walk gives up at once rather than draw from an empty set.
     g, start, switches, seed = case
     for target in sorted(colors_used(start)):
         state = ColorState.of(g.vertex_count, start)
@@ -492,6 +447,23 @@ def test_find_class1_succeeds_on_fournier_graphs():
         assert verify_edge_coloring(g, outcome.coloring).ok
 
 
+def test_every_gap_board_with_m_at_most_5_closes_at_the_default_budget():
+    # The gap boards: odd m < n below the overfull threshold (none for m = 1)
+    # that no construction covers, so classify_and_color hands each to the
+    # search. Each must close at the default budget, seed 0, with Delta colours.
+    closed = []
+    for m in (3, 5):
+        for n in range(m + 2, overfull_threshold(m), 2):
+            g = build_queen(m, n)
+            cert = classify_and_color(m, n, budget=SearchBudget.default(0), graph=g)
+            if cert.construction != "KempeSearch":
+                continue
+            report = verify_edge_coloring(g, cert.coloring)
+            assert report.ok and cert.coloring.declared_color_count == report.delta, (m, n)
+            closed.append((m, n))
+    assert len(closed) == 29 and closed[-1] == (5, 69)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(0, 1, 0)
@@ -500,23 +472,23 @@ def test_budget_validation():
 
 
 # --- pinned search output ---------------------------------------------------------
-# sha256 of the "u v c" lines of the sorted assignment. The values were recorded
-# from the swap-and-restore chain scoring that the mask-based scoring replaced,
-# so the search must make exactly the same switches.
+# sha256 of the "u v c" lines of the sorted assignment, recorded from the
+# hill-climb, so the search must make exactly the same draws and switches.
 
 
 FIND_CLASS1_DIGESTS = [
-    (3, 7, (3000, 20, 0), 1, "37d4487ab4d1c3c3eedf9529f941fed136bf1dedde0b241a2f00e11624be35b7"),
-    (3, 7, (3000, 20, 1), 1, "5e4d3ee9e093e92376b2913547fd7cf56331bea08b7b6e39d58c4afac5e7ee29"),
-    (3, 7, (3000, 20, 2), 1, "5d3fd703741b8b3161a6d36490cf301507807d92fa33b7db4dce6ea35cad33a3"),
-    (5, 13, (3000, 20, 1), 1, "ec0763d4f4a302ab8cb0ebbe0c59a483248f506bc1163ea5173c34950c9f6bee"),
-    (5, 29, (3000, 20, 0), 1, "84183462086934917a892e6ae54700720e8a5b219a872a4db72f443d0109ab6b"),
-    (5, 29, (3000, 20, 2), 1, "846b4e472f019f2f5e50a8ce98dfb9cbc1dfc243d92207915e5d147ba97fef0f"),
-    # small switch budgets: the first restart runs out, the second succeeds
-    (5, 13, (200, 6, 0), 2, "9cde3e31543f87d912a319b0f063823054b544b4ee09b882f93b522b04f87a34"),
-    (5, 13, (200, 6, 2), 2, "03551e34c8ee7ab25f534dc1997928b2a85f890fbcfb2c467d6bd358de0fa7f0"),
-    (4, 9, (200, 6, 2), 2, "0b67b573efd6336e091d39167eb0a150dfc17bbc241e35050f6240a335de7a12"),
-    (5, 11, (200, 6, 2), 2, "2d668ba16709e28367ffd89d66be6edd770a7b0ac3e52c5ea303aac7687a7602"),
+    # Q(3,7) at seed 1: the first start stalls, and the second succeeds
+    (3, 7, (3000, 20, 0), 1, "4fdd586b65204572c30c1a6f3775a657dfec46669198a8c05802518eb1aa65b6"),
+    (3, 7, (3000, 20, 1), 2, "9b375fa3f73f13a4813aea440d33694400bdd556784dc68efd4282929f2f7711"),
+    (3, 7, (3000, 20, 2), 1, "76f55f976739cc0478b95033a3ce3b87727cc5d8580d98e323e218b57e230ea1"),
+    (5, 13, (3000, 20, 1), 1, "60c0d1b0c510f330fa47e93fb039a30acaf77b7c1a51e4f581dcb314a03dd422"),
+    (5, 29, (3000, 20, 0), 1, "7b3c0acf96d3759c6c07fc5b5f030a014c774f3c4be9c0452b54f4e426ef7fee"),
+    (5, 29, (3000, 20, 2), 1, "6861f04d7ae44e4e3e8e475c94dca120159d283b9a92fc9209fde519bee2b99a"),
+    # small switch budgets: on Q(4,9) the first restart runs out, the second succeeds
+    (5, 13, (200, 6, 0), 1, "e0696d5a2e2128379416dc9440be6cd396df4f649371e65f44592ae7a42805b1"),
+    (5, 13, (200, 6, 2), 1, "4368d4089bb3dc27f3d0bbc69ace31cb5c0450816ce7b2609c780859abab2ebf"),
+    (4, 9, (200, 6, 2), 2, "cc27442e0a72912b302fb82ae4b51ec68b17463e378e819fd72d7033c16623f2"),
+    (5, 11, (200, 6, 2), 1, "14514d4469d8d2fe8e9be2dc732fe378286defa6609252622276d0e8467f8668"),
 ]
 
 
@@ -591,16 +563,16 @@ def test_vizing_matches_the_reference(case):
 
 def test_eliminate_color_switch_count_is_pinned():
     # Q(5,13) from the Vizing start of find_class1's seed 1: eliminating the
-    # rarest color takes exactly 24 switches.
+    # rarest color takes exactly 278 switches.
     g = build_queen(5, 13)
     sub_seed = 1_000_003
     start = vizing_coloring(g, _shuffled(g, sub_seed))
     counts = color_counts(start)
     target = min(counts, key=lambda c: (counts[c], c))
     assert target == 25
-    assert _eliminate(g, start, target, SearchBudget(23, 1, sub_seed)) is None
-    result = _eliminate(g, start, target, SearchBudget(24, 1, sub_seed))
-    assert _digest(result) == "ec0763d4f4a302ab8cb0ebbe0c59a483248f506bc1163ea5173c34950c9f6bee"
+    assert _eliminate(g, start, target, SearchBudget(277, 1, sub_seed)) is None
+    result = _eliminate(g, start, target, SearchBudget(278, 1, sub_seed))
+    assert _digest(result) == "60c0d1b0c510f330fa47e93fb039a30acaf77b7c1a51e4f581dcb314a03dd422"
 
 
 # --- edge criticality -------------------------------------------------------------
