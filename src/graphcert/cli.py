@@ -9,7 +9,9 @@ class-2 claim's overfullness included; `conjecture 3` relies on
 `multicycle survey` and `conjecture 4`/`5` rely on `multicycle.survey`,
 which verifies each row's colouring. Nothing unverified ever exits 0.
 Exit codes: 0 success/verified, 1 verification failed or the construction
-reported none, 2 usage error, 3 budget exhausted (search inconclusive).
+reported none, 2 usage error, 3 budget exhausted (search inconclusive). With
+--json, exits 1, 2 and 3 print one JSON line as success does; a closed stdout
+ends the run with exit 1.
 """
 
 from __future__ import annotations
@@ -776,16 +778,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except tuple(_RAISED) as exc:
-        prefix, code = next(v for cls, v in _RAISED.items() if isinstance(exc, cls))
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
-                     "params": _params(args), "error": str(exc), "seed": args.seed})
+        try:
+            code = args.handler(args)
+        except BrokenPipeError:
+            raise  # a closed stdout, handled below
+        except (*_RAISED, ValueError, OSError) as exc:
+            prefix, code = next((v for cls, v in _RAISED.items() if isinstance(exc, cls)),
+                                ("error", EXIT_USAGE))
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            _emit(args, {"ok": False, "family": getattr(args, "family", args.command),
+                         "params": _params(args), "error": str(exc), "seed": args.seed})
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader has gone: the rest of the output, and the flush at
+        # exit, go to the null device, and the unreported run fails
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -5,26 +5,31 @@ at the repository root for the grammar of each format.
 
 Every writer makes ASCII bytes: a path is opened in binary mode, and an open
 file such as `sys.stdout` or a `StringIO` gets the same bytes as text. The
-rows of DIMACS and colouring files are formatted by `_ascii_rows`, which
+DIMACS and colouring writers hand `_ascii_rows` one `_ROW_BATCH` of rows at a
+time, their ids made 1-based there, so no whole-array copy is made; it
 writes what `"%d %d ...\\n" % row` would, from a table of the digits of every
-4-digit group; a colouring whose rows already ascend is written without a
+4-digit group. A colouring whose rows already ascend is written without a
 sort, and any other in the order of one int64 key per row.
 
-The DIMACS and colouring readers take in the whole text at once and keep
-the line number of every row (`_Rows`). A canonical body, one as the
-writers make it, is parsed by numpy in one call from its first line to the
-end of the file: `e u v` or `u v c` lines, single spaces, '\\n' ends, a
-final newline, and every id below 10^18. Any other body, one with a tab, a
-comment, an empty slot, a sign, a longer id or no final newline, is cut by
-a regular expression into runs of plain lines, each parsed in one call, and
-the lines between the runs are read one by one. Both give the same rows,
-line numbers and errors. A path is read in text mode, which turns '\\r\\n'
-and a lone '\\r' into '\\n', so a CRLF file read from a path is canonical;
-the run pattern takes the '\\r\\n' ends of an open file.
+The DIMACS and colouring readers take in the whole text at once and parse
+its body into preallocated int32 arrays (`_Rows`), the ids 0-based, widened
+only for a value past int32; the line of a row is kept as the first line of
+its run. A canonical body, one as the writers make it (`e u v` or `u v c`
+lines, single spaces, '\\n' ends, a final newline, every id below 10^18), is
+parsed by numpy in chunks of about 1 MB (`_CHUNK`), each cut after a '\\n',
+with no copy of the rest of the text. From the first chunk that is not
+canonical, one with a tab, a comment, an empty slot, a sign, a longer id or
+no final newline, the text is cut by a regular expression into runs of plain
+lines, each parsed in one call, and the lines between the runs are read one
+by one. Both give the same rows, line numbers and errors. A path is read in
+text mode, which turns '\\r\\n' and a lone '\\r' into '\\n', so a CRLF file read
+from a path is canonical; the run pattern takes the '\\r\\n' ends of an open
+file.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 import sys
@@ -33,8 +38,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (CertificateError, EdgeColoring, Graph, _ascending, _first_repeat, _narrow,
-                   _row_order)
+from .core import CertificateError, EdgeColoring, Graph, _ascending, _first_repeat, _row_order
 
 
 def _open_read(path_or_file, certificate: bool = False) -> tuple[IO[str], bool]:
@@ -103,45 +107,55 @@ _COLORING_RUN = rf"(?:[ \t]*{_ID}{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 # np.fromstring saturates at INT64_MAX, so a run may hold only ids below this
 _RUN_LIMIT = 10 ** 18
+# characters of a canonical body parsed at once: about 1 MB, cut after a '\n'
+_CHUNK = 1 << 20
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class _Rows:
-    """The integer rows of a body, in file order, with the line of each.
+    """The integer rows of a body, in file order, in preallocated arrays:
+    the (R, 2) ids, shifted to 0-based, and for a colouring the (R,) colours.
 
-    The body is canonical when it ends with '\\n' and every line from its
-    first to the end of the file starts with `lead` ("e " for `e u v`, ""
-    for `u v c`) and is `lead`, width - 1 spaces and '\\n' once its digits
-    are taken out. Such a line has width places for ids, so the body is
-    one run exactly when it gives width ids a line, all below 10^18; numpy
-    then parses it in one call. Any other body is cut into runs of plain
-    lines by the run pattern, each parsed in one call, and the reader
-    parses every other line and adds its row.
+    Each array is int32, and widens to int64 when a run holds a value past
+    int32, or to object when a single line holds one past int64. The line of
+    a row is kept per run, as the first row and line of each run of
+    consecutive lines (`line`).
+
+    The body starts at the first line that is `lead` ("e " for `e u v`, ""
+    for `u v c`), width - 1 spaces and '\\n' once its digits are taken out.
+    From there the text is taken in chunks of about `_CHUNK` characters, each
+    cut after a '\\n', and no copy of the rest of the text is made. A chunk
+    whose lines are all such lines has width places for ids a line, so numpy
+    parses it in one call when it gives width ids a line, all below 10^18.
+    From the first chunk that is not one, the text is cut into runs of plain
+    lines by the run pattern, each parsed in one call, and the reader parses
+    every other line and adds its row.
     """
 
     def __init__(self, width: int, run: str, lead: str):
         self.width, self.run, self.lead = width, run, lead
         self.blank = lead + " " * (width - 1) + "\n"
-        self.chunks: list[np.ndarray] = []
-        self.lines: list[np.ndarray] = []
-        self.loose: list[list[int]] = []  # rows of single lines, not yet in a chunk
+        self.columns = [np.empty((0, 2), np.int32)]  # the ids, then any colours
+        if width == 3:
+            self.columns.append(np.empty(0, np.int32))
+        self.size = 0  # rows stored
+        self.runs: list[tuple[int, int]] = []  # (first row, its line) of each run
+        self.loose: list[list[int]] = []  # rows of single lines, not yet stored
         self.loose_lines: list[int] = []
 
     def other_lines(self, text: str) -> Iterator[tuple[int, str]]:
-        """Take in the body as one run if it is canonical, else every run of
-        plain lines of text, and yield each other line with its number, in
-        file order."""
+        """Take in the canonical chunks of the body and every run of plain
+        lines of text, and yield each other line with its number, in file
+        order."""
         match = re.compile(self.run).match
         pos, lineno, body = 0, 1, False
         while pos < len(text):
             stop = text.find("\n", pos)
             stop = len(text) if stop < 0 else stop
             if not body and text[pos:stop + 1].translate(_NO_DIGITS) == self.blank:
-                body = True  # the first body line: is the rest canonical?
-                rest = text[pos:]
-                count = self._canonical_lines(rest)
-                if count and self._add_run(lineno, rest, count):
-                    return
-                del rest  # a copy to the end of the file, not kept through the scan
+                body = True  # the first body line
+                pos, lineno = self._canonical_chunks(text, pos, lineno)
+                continue
             end = match(text, pos).end()
             if end > pos:
                 run = text[pos:end]
@@ -154,6 +168,21 @@ class _Rows:
             yield lineno, text[pos:stop]
             lineno += 1
             pos = stop + 1
+
+    def _canonical_chunks(self, text: str, pos: int, lineno: int) -> tuple[int, int]:
+        """Make room for one row per line from pos to the end of text, take
+        in the chunks from pos on while they are canonical, and return the
+        place and number of the first line not taken in."""
+        self._reserve(text.count("\n", pos) + (not text.endswith("\n")))
+        while pos < len(text):
+            end = (text.rfind("\n", pos, pos + _CHUNK) + 1
+                   or text.find("\n", pos + _CHUNK) + 1 or len(text))
+            chunk = text[pos:end]
+            count = self._canonical_lines(chunk)
+            if not (count and self._add_run(lineno, chunk, count)):
+                break
+            pos, lineno = end, lineno + count
+        return pos, lineno
 
     def _canonical_lines(self, body: str) -> int:
         """The number of lines of body when it ends with '\\n' and each of
@@ -170,15 +199,18 @@ class _Rows:
         return count
 
     def _add_run(self, lineno: int, run: str, count: int) -> bool:
-        """Parse the count plain lines of run, from line lineno on, as one
-        chunk. False, and nothing added, unless they give width ids a line,
-        each below 10^18."""
+        """Parse the count plain lines of run, from line lineno on, and store
+        their rows as one run. False, and nothing stored, unless they give
+        width ids a line, each below 10^18."""
         values = np.fromstring(run.replace("e", " "), dtype=np.int64, sep=" ")
-        if values.size != self.width * count or (values.size and values.max() >= _RUN_LIMIT):
+        if not count or values.size != self.width * count:
+            return False
+        top = values.max()
+        if top >= _RUN_LIMIT:
             return False
         self._flush()
-        self.chunks.append(values.reshape(count, self.width))
-        self.lines.append(np.arange(lineno, lineno + count))
+        self.runs.append((self.size, lineno))
+        self._store(values.reshape(count, self.width), top)
         return True
 
     def add_row(self, lineno: int, row: list[int]) -> None:
@@ -188,20 +220,50 @@ class _Rows:
     def _flush(self) -> None:
         if self.loose:
             try:
-                self.chunks.append(np.array(self.loose, np.int64))
+                block = np.array(self.loose, np.int64)
             except OverflowError:  # an id past int64
-                self.chunks.append(np.array(self.loose, dtype=object))
-            self.lines.append(np.array(self.loose_lines))
+                block = np.array(self.loose, dtype=object)
+            self.runs.extend(zip(range(self.size, self.size + len(block)), self.loose_lines))
+            self._store(block, block.max())
             self.loose, self.loose_lines = [], []
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows as one (R, width) array, and the line number of each row."""
+    def _reserve(self, rows: int) -> None:
+        """Reallocate the arrays to hold rows more rows than are stored."""
+        for k, column in enumerate(self.columns):
+            room = np.empty((self.size + rows,) + column.shape[1:], column.dtype)
+            room[:self.size] = column[:self.size]
+            self.columns[k] = room
+
+    def _store(self, block: np.ndarray, top) -> None:
+        """Store the rows of block, whose largest value is top, with the ids
+        of its first two columns shifted to 0-based; an array whose dtype
+        cannot hold its part of the rows is widened first."""
+        count = len(block)
+        if self.size + count > len(self.columns[0]):
+            self._reserve(max(count, len(self.columns[0])))
+        rows = slice(self.size, self.size + count)
+        for k, part in enumerate([block[:, :2]] + ([block[:, 2]] if self.width == 3 else [])):
+            column, shift = self.columns[k], 1 - k
+            if column.dtype != object and top > np.iinfo(column.dtype).max:
+                high = part.max() - shift
+                if high > np.iinfo(column.dtype).max:
+                    column = column.astype(np.int64 if high <= _INT64_MAX else object)
+                    self.columns[k] = column
+            np.subtract(part, shift, out=column[rows], casting="unsafe")
+        self.size += count
+
+    def line(self, row: int) -> int:
+        """The line of a stored row."""
+        first_row, first_line = self.runs[bisect.bisect_right(self.runs, row,
+                                                              key=lambda run: run[0]) - 1]
+        return first_line + int(row) - first_row
+
+    def arrays(self) -> list[np.ndarray]:
+        """The ids, and for a colouring the colours, each as one array of the
+        stored rows."""
         self._flush()
-        if not self.chunks:
-            return np.zeros((0, self.width), np.int64), np.zeros(0, np.int64)
-        if len(self.chunks) == 1:  # a canonical body: no copy
-            return self.chunks[0], self.lines[0]
-        return np.concatenate(self.chunks), np.concatenate(self.lines)
+        return [column if len(column) == self.size else column[:self.size].copy()
+                for column in self.columns]
 
 
 def _ordered(pairs: np.ndarray) -> np.ndarray:
@@ -211,13 +273,6 @@ def _ordered(pairs: np.ndarray) -> np.ndarray:
         return pairs
     return np.column_stack((np.minimum(pairs[:, 0], pairs[:, 1]),
                             np.maximum(pairs[:, 0], pairs[:, 1])))
-
-
-def _zero_based(pairs: np.ndarray) -> np.ndarray:
-    """A reader's own rows of 1-based ids, shifted to 0-based in place, then
-    narrowed to int32 when they fit, in one C-ordered array."""
-    pairs -= 1
-    return np.ascontiguousarray(_narrow(pairs))
 
 
 # rows formatted at once when every value is below 10^4, about 7 MB of
@@ -292,22 +347,27 @@ def _ascii_rows(rows: np.ndarray, lead: bytes = b"") -> Iterator[bytes]:
 
 
 def write_dimacs(g: Graph, path_or_file, comments: Iterable[str] = ()) -> None:
+    """Write the comments, a `p edge` line and one `e u v` line per edge, in
+    (u, v) order: the ids of one `_ROW_BATCH` of edges at a time are made
+    1-based and formatted by `_ascii_rows`."""
     with _ascii_sink(path_or_file) as write:
         write(_header(comments, f"p edge {g.vertex_count} {g.edge_count}"))
-        for chunk in _ascii_rows(g.pairs + 1, b"e "):
-            write(chunk)
+        for start in range(0, g.edge_count, _ROW_BATCH):
+            for chunk in _ascii_rows(g.pairs[start:start + _ROW_BATCH] + 1, b"e "):
+                write(chunk)
 
 
 def read_dimacs(path_or_file) -> Graph:
     """Read a DIMACS edge list in one pass over the whole text.
 
-    A canonical body is parsed as one run, any other body's plain `e u v`
-    lines as runs, and every other line on its own. Errors name the first
-    bad line: a malformed record, a token that is not an unsigned decimal
-    integer, a second `p edge` line, then an id outside 1..n. A self loop,
-    and an edge count other than the declared one, are reported after.
-    The text is dropped once parsed, and the parsed rows become the graph's
-    int32 edge store (`_ordered`, `_zero_based`).
+    The canonical chunks of the body, then any other body's plain `e u v`
+    lines as runs, and every other line on its own, are parsed into `_Rows`,
+    which keeps one first line per run. Errors name the first bad line: a
+    malformed record, a token that is not an unsigned decimal integer, a
+    second `p edge` line, then an id outside 1..n. A self loop, and an edge
+    count other than the declared one, are reported after. The text is
+    dropped once parsed, and the rows' 0-based int32 ids become the graph's
+    edge store (`_ordered`).
     """
     text = _read_text(path_or_file)
     n = declared = None
@@ -331,16 +391,16 @@ def read_dimacs(path_or_file) -> Graph:
     del text
     if n is None:
         raise ValueError("missing 'p edge' line")
-    pairs, lines = rows.arrays()
-    outside = (pairs < 1) | (pairs > n)
+    pairs, = rows.arrays()
+    outside = (pairs < 0) | (pairs >= n)
     bad = outside.any(axis=1) | (pairs[:, 0] == pairs[:, 1])
     if bad.any():
         i = int(bad.argmax())
         if outside[i].any():
-            x = pairs[i, int(outside[i].argmax())]
-            raise ValueError(f"line {lines[i]}: vertex id {x} outside 1..{n}")
-        raise ValueError(f"self loop at vertex {pairs[i, 0] - 1}")
-    pairs = _zero_based(_ordered(pairs))
+            x = int(pairs[i, int(outside[i].argmax())]) + 1
+            raise ValueError(f"line {rows.line(i)}: vertex id {x} outside 1..{n}")
+        raise ValueError(f"self loop at vertex {pairs[i, 0]}")
+    pairs = _ordered(pairs)
     pairs.setflags(write=False)  # handed over, so the graph keeps it without a copy
     g = Graph.from_array(n, pairs)
     if g.edge_count != declared:
@@ -351,34 +411,36 @@ def read_dimacs(path_or_file) -> Graph:
 def write_coloring(coloring: EdgeColoring, path_or_file,
                    comments: Iterable[str] = ()) -> None:
     """Write the comments, a `c k=` line and one `u v color` line per edge, in
-    (u, v) order. Rows that already ascend, as `keller.class1_coloring` and
-    the queen constructions joined by `queen._union` give them, are written
-    without a sort; the digits come from `_ascii_rows`, byte for byte what
-    `%d` gives."""
+    (u, v) order, one `_ROW_BATCH` of rows at a time: each batch's ids are
+    made 1-based and put beside its colours, and `_ascii_rows` gives the
+    digits, byte for byte what `%d` gives. Rows that already ascend, as
+    `keller.class1_coloring` and the queen constructions joined by
+    `queen._union` give them, are taken as they stand; any others through
+    their sorted order, one batch of it at a time."""
     ends, colors = coloring.ends, coloring.colors
-    if not _ascending(ends):
-        order = _row_order(ends)
-        ends, colors = ends[order], colors[order]
-    rows = np.column_stack((ends, colors))
-    rows[:, :2] += 1
+    order = None if _ascending(ends) else _row_order(ends)
     with _ascii_sink(path_or_file) as write:
         write(_header(comments, f"c k={coloring.declared_color_count}"))
-        for chunk in _ascii_rows(rows):
-            write(chunk)
+        for start in range(0, len(ends), _ROW_BATCH):
+            batch = (slice(start, start + _ROW_BATCH) if order is None
+                     else order[start:start + _ROW_BATCH])
+            for chunk in _ascii_rows(np.column_stack((ends[batch] + 1, colors[batch]))):
+                write(chunk)
 
 
 def read_coloring(path_or_file) -> EdgeColoring:
     """Read an edge-colouring certificate in one pass over the whole text.
 
-    A canonical body is parsed as one run, any other body's plain
-    `u v color` lines as runs, and every other line on its own. Errors name
-    the first bad line: a non-ASCII byte, a malformed line, a token that is
-    not an unsigned decimal integer, a second `c k=` line, a self loop, or
-    an edge listed twice. A missing `c k=` line and a colour outside 1..k
-    are reported after. The rows are checked here once, so the colouring is
+    The canonical chunks of the body, then any other body's plain
+    `u v color` lines as runs, and every other line on its own, are parsed
+    into `_Rows`, which keeps one first line per run. Errors name the first
+    bad line: a non-ASCII byte, a malformed line, a token that is not an
+    unsigned decimal integer, a second `c k=` line, a self loop, or an edge
+    listed twice. A missing `c k=` line and a colour outside 1..k are
+    reported after. The rows are checked here once, so the colouring is
     built without a second repeat check. The text is dropped once parsed,
-    and the parsed rows become the colouring's int32 arrays (`_ordered`,
-    `_zero_based`).
+    and the rows' int32 arrays, the ids 0-based, become the colouring's
+    (`_ordered`).
     """
     text = _read_text(path_or_file, certificate=True)
     bad_byte = None
@@ -412,31 +474,30 @@ def read_coloring(path_or_file) -> EdgeColoring:
     if declared is None:
         end = text.count("\n") + (1 if text and not text.endswith("\n") else 0) + 1
     del text
-    body, lines = rows.arrays()
-    pairs = _ordered(body[:, :2])
+    ends, colors = rows.arrays()
+    pairs = _ordered(ends)
     twice = _first_repeat(pairs)
     loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
     if loops.size and (twice < 0 or loops[0] < twice):
-        raise CertificateError(f"line {lines[loops[0]]}: self loop at vertex {body[loops[0], 0]}")
+        raise CertificateError(
+            f"line {rows.line(loops[0])}: self loop at vertex {int(ends[loops[0], 0]) + 1}")
     if twice >= 0:
-        u, v = body[twice, :2].tolist()
-        raise CertificateError(f"line {lines[twice]}: edge {u} {v} listed twice")
+        u, v = (int(x) + 1 for x in ends[twice])
+        raise CertificateError(f"line {rows.line(twice)}: edge {u} {v} listed twice")
     if failure is not None:
         raise failure
     if declared is None:
         raise CertificateError(f"line {end}: end of file without a 'c k=<count>' line")
-    colors = body[:, 2]
     off_palette = (colors < 1) | (colors > declared)
     if off_palette.any():
         i = int(off_palette.argmax())
-        lo, hi = pairs[i].tolist()
+        lo, hi = (int(x) + 1 for x in pairs[i])
         raise CertificateError(f"edge {lo} {hi}: color {colors[i]} outside 1..{declared}")
-    ends, colors = _zero_based(pairs), _narrow(colors)
-    del body, pairs
+    del ends
     # handed over, so the colouring keeps them without a copy
-    ends.setflags(write=False)
+    pairs.setflags(write=False)
     colors.setflags(write=False)
-    return EdgeColoring._of_rows(ends, colors, declared)
+    return EdgeColoring._of_rows(pairs, colors, declared)
 
 
 def write_sequence(seq: Sequence[int], path_or_file) -> None:

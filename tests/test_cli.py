@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,13 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--json"])
     return code, json.loads(out), err
+
+
+def assert_usage_record(out, err):
+    """A usage error's JSON line: ok false, its stderr message as error, and the seed."""
+    record = json.loads(out)
+    assert err.startswith("error: ") and record["error"] == err[len("error: "):-1]
+    assert record["ok"] is False and record["seed"] == 0
 
 
 # --- pipelines ------------------------------------------------------------------------
@@ -207,8 +217,8 @@ def test_zero_budget_is_a_usage_error(capsys, argv):
     # 0 used to be read as "not given" and replaced by the default budget
     code, out, err = run(capsys, argv + ["--json"])
     assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "positive" in err
+    assert_usage_record(out, err)
+    assert "positive" in err
 
 
 @pytest.mark.parametrize("name", ["x10", "x99", "x"])
@@ -352,6 +362,31 @@ def test_failed_warm_start_exits_1(tmp_path, capsys, body, error):
     assert err == f"verification failed: {payload['error']}\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("certificate,err", [
+    (None, b""),
+    ("c k=1\n1 2\n", b"verification failed: line 2: expected 'u v color', got '1 2'\n"),
+], ids=["verified", "malformed"])
+def test_closed_stdout_is_not_a_usage_error(tmp_path, unbuffered, certificate, err):
+    # stdout's reader is gone before the run starts, so every write to it fails
+    gio.write_dimacs(keller.build(2), tmp_path / "g.col")
+    gio.write_coloring(keller.class1_coloring(2), tmp_path / "g.coloring")
+    if certificate is not None:
+        (tmp_path / "g.coloring").write_text(certificate)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "graphcert.cli", "verify", "coloring",
+                               "--graph", "g.col", "--certificate", "g.coloring", "--json"],
+                              cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, err)
+
+
 def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
     graph = tmp_path / "bad.col"
     graph.write_text("p edge 4 1\ne 1 x\n")
@@ -359,7 +394,8 @@ def test_malformed_graph_file_still_exits_2(tmp_path, capsys):
     cert.write_text("1 2 4 3\n")
     code, out, err = run(capsys, ["verify", "hamcycle", "--graph", str(graph),
                                   "--certificate", str(cert), "--json"])
-    assert code == 2 and out == "" and err.startswith("error:")
+    assert code == 2
+    assert_usage_record(out, err)
 
 
 def test_non_ascii_graph_file_still_exits_2(tmp_path, capsys):
@@ -369,7 +405,8 @@ def test_non_ascii_graph_file_still_exits_2(tmp_path, capsys):
     cert.write_text("1 2 4 3\n")
     code, out, err = run(capsys, ["verify", "hamcycle", "--graph", str(graph),
                                   "--certificate", str(cert), "--json"])
-    assert code == 2 and out == "" and err.startswith("error:")
+    assert code == 2
+    assert_usage_record(out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -610,7 +647,7 @@ PINNED = [
 # sha256 prefixes of "<exit code>\n<stdout>" and of each file the command wrote
 PINNED_DIGESTS = {
     "gen-queen-text": "a8ac0d7233a035cd",  # exit 0
-    "gen-queen-json": "53c234e5e8472b6a",  # exit 2
+    "gen-queen-json": "a9daa13df45e0089",  # exit 2, with the JSON record
     "gen-queen-out-text": "f4272efc8effa04f q.col=f42f0fcc0830d52c",  # exit 0
     "gen-queen-out-json": "073ee44a9959ceb5 q.col=f42f0fcc0830d52c",  # exit 0
     "gen-rook-out-text": "8167f82fef8de8f2 r.col=3c9f2fdeef576bbe",  # exit 0
@@ -663,7 +700,7 @@ PINNED_DIGESTS = {
     "verify-cover-text": "84d1628259a587ea",  # exit 0
     "verify-cover-json": "091749219a9885a5",  # exit 0
     "verify-missing-graph-text": "53c234e5e8472b6a",  # exit 2
-    "verify-missing-graph-json": "53c234e5e8472b6a",  # exit 2
+    "verify-missing-graph-json": "e7bb63b2ddcf276c",  # exit 2, with the JSON record
     "multicycle-derive-text": "cc998a11e8ba20be",  # exit 0
     "multicycle-derive-json": "a8ee7ebc79b7e438",  # exit 0
     "multicycle-chi-text": "f8a0f6a7582d3009",  # exit 0
@@ -677,12 +714,12 @@ PINNED_DIGESTS = {
     "mycielski-witness-text": "39a6582e017ff54c",  # exit 0
     "mycielski-witness-json": "25915b756b392377",  # exit 0
     "mycielski-witness-odd-text": "53c234e5e8472b6a",  # exit 2
-    "mycielski-witness-odd-json": "53c234e5e8472b6a",  # exit 2
+    "mycielski-witness-odd-json": "5427506e7d62c872",  # exit 2, with the JSON record
     "keller-build-text": "5323cfdfb10ab524",  # exit 0
     "keller-build-out-text": "1c14d51ba51a7883 g.col=61559173ea31c942",  # exit 0
     "keller-build-out-json": "20435cbb9c5eabe5 g.col=61559173ea31c942",  # exit 0
     "keller-build-long-text": "53c234e5e8472b6a",  # exit 2
-    "keller-build-long-json": "53c234e5e8472b6a",  # exit 2
+    "keller-build-long-json": "d03a8783617c3641",  # exit 2, with the JSON record
     "keller-hamcycle-text": "a1b1d494d605d6a1 c.seq=050839c05a18cdb3",  # exit 0
     "keller-hamcycle-json": "dfbb776e3a65912d c.seq=050839c05a18cdb3",  # exit 0
     "keller-edgecolor-text": "f18362fd2ec3bef7 e.coloring=7dc77a0812a6bc98",  # exit 0

@@ -3,7 +3,9 @@
 import functools
 import hashlib
 import io
+import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -420,9 +422,9 @@ def test_malformed_coloring_fails_as_in_the_line_reader(tmp_path, content):
 def test_tabs_and_crlf_lines_are_read_as_one_run(width, run, lead, text, other):
     rows = gio._Rows(width, run, lead)
     assert [line for _, line in rows.other_lines(text)] == other
-    got, lines = rows.arrays()
-    assert len(rows.chunks) == 1 and lines.tolist() == [2, 3, 4]
-    assert got[:, :2].tolist() == [[1, 2], [2, 3], [3, 4]]
+    ends = rows.arrays()[0]
+    assert rows.runs == [(0, 2)] and [rows.line(i) for i in range(3)] == [2, 3, 4]
+    assert ends.tolist() == [[0, 1], [1, 2], [2, 3]]  # 0-based
 
 
 # --- a canonical body is one run, read as the line reader reads it ----------------------
@@ -532,6 +534,115 @@ def test_a_writer_file_is_read_as_one_chunk(monkeypatch, kind):
     reader, reference, same = _READERS[kind]
     assert same(reader(io.StringIO(text)), reference(io.StringIO(text)))
     assert runs == [(3, text.count("\n") - 2)]
+
+
+# --- a body read in chunks of a few lines reads as it does in one chunk ------------------
+
+# chunk sizes in characters: a cut after every line, and after every few lines
+_SMALL_CHUNKS = st.sampled_from([1, 7, 16, 40])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dimacs_text(), _SMALL_CHUNKS)
+def test_read_dimacs_in_small_chunks_matches_the_line_reader(text, chunk):
+    with mock.patch.object(gio, "_CHUNK", chunk):
+        test_read_dimacs_matches_the_line_reader.hypothesis.inner_test(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coloring_text(), _SMALL_CHUNKS)
+def test_read_coloring_in_small_chunks_matches_the_line_reader(text, chunk):
+    with mock.patch.object(gio, "_CHUNK", chunk):
+        test_read_coloring_matches_the_line_reader.hypothesis.inner_test(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_READERS)), st.integers(2, 3),
+       st.sampled_from([None, "no final newline", "id after the final newline"]
+                       + sorted(_DEFECTS)),
+       st.integers(0, 10 ** 6), st.integers(0, 2), _SMALL_CHUNKS)
+def test_canonical_body_in_small_chunks_reads_as_the_line_reader(kind, d, defect, where, at,
+                                                                 chunk):
+    with mock.patch.object(gio, "_CHUNK", chunk):
+        test_canonical_body_reads_as_the_line_reader.hypothesis.inner_test(
+            kind, d, defect, where, at)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+def test_malformed_files_in_small_chunks_fail_as_in_the_line_reader(monkeypatch, chunk):
+    monkeypatch.setattr(gio, "_CHUNK", chunk)
+    for text, _ in MALFORMED_DIMACS:
+        test_malformed_dimacs_fails_as_in_the_line_reader(text)
+    for text, _ in MALFORMED_COLORING:
+        assert _outcome(gio.read_coloring, io.StringIO(text)) == \
+            _outcome(reference_read_coloring, io.StringIO(text))
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_a_writer_file_is_read_in_chunks_cut_after_line_ends(monkeypatch, kind):
+    text = _written(kind, 3)
+    runs = []
+    add_run = gio._Rows._add_run
+
+    def spy(rows, lineno, run, count):
+        runs.append((lineno, run))
+        return add_run(rows, lineno, run, count)
+
+    monkeypatch.setattr(gio._Rows, "_add_run", spy)
+    monkeypatch.setattr(gio, "_CHUNK", 30)
+    # run patterns that match no line: only canonical chunks make runs
+    monkeypatch.setattr(gio, "_DIMACS_RUN", "")
+    monkeypatch.setattr(gio, "_COLORING_RUN", "")
+    reader, reference, same = _READERS[kind]
+    assert same(reader(io.StringIO(text)), reference(io.StringIO(text)))
+    body = text.split("\n", 2)[2]
+    assert "".join(run for _, run in runs) == body and len(runs) > len(body) // 30
+    assert all(len(run) <= 30 and run.endswith("\n") for _, run in runs)
+    assert [lineno for lineno, _ in runs] == list(itertools.accumulate(
+        [3] + [run.count("\n") for _, run in runs[:-1]]))
+
+
+def _in_small_chunks(monkeypatch, kind: str, change) -> tuple[str, object]:
+    """The G_3 file of kind with change applied to its body lines, and what
+    its reader makes of it in chunks of about three lines, which must be
+    what the line reader makes of it."""
+    monkeypatch.setattr(gio, "_CHUNK", 30)
+    lines = _written(kind, 3).splitlines(keepends=True)
+    lines[2:] = change(lines[2:])
+    text = "".join(lines)
+    reader, reference, same = _READERS[kind]
+    got = _outcome(reader, io.StringIO(text))
+    assert same(got, _outcome(reference, io.StringIO(text)))
+    return text, got
+
+
+def _past_int32(body: list[str]) -> list[str]:
+    """body with the second id of a row two thirds of the way down set past int32."""
+    i = 2 * len(body) // 3
+    return body[:i] + [_retoken(body[i], 1, lambda t: str(2 ** 32 + 1))] + body[i + 1:]
+
+
+def test_an_id_past_int32_in_a_later_chunk_widens_the_ids_only(monkeypatch):
+    _, got = _in_small_chunks(monkeypatch, "coloring", _past_int32)
+    assert (got.ends.dtype, got.colors.dtype) == (np.int64, np.int32)
+    assert 2 ** 32 in got.ends
+    text, got = _in_small_chunks(monkeypatch, "dimacs", _past_int32)
+    line = 3 + 2 * (text.count("\n") - 2) // 3
+    assert got == (ValueError, f"line {line}: vertex id {2 ** 32 + 1} outside 1..64")
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_a_bad_token_in_the_last_chunk_names_the_last_line(monkeypatch, kind):
+    text, got = _in_small_chunks(monkeypatch, kind, lambda body: body[:-1] + [
+        _retoken(body[-1], -1, lambda t: "x")])
+    last = text.count("\n")
+    assert got[1].startswith(f"line {last}: non-integer token in ")
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_a_crlf_line_in_the_last_chunk_reads_as_the_line_reader(monkeypatch, kind):
+    _, got = _in_small_chunks(monkeypatch, kind, lambda body: body[:-1] + [body[-1][:-1] + "\r\n"])
+    assert not isinstance(got, tuple)
 
 
 def test_array_path_builds_no_tuple_views(tmp_path):
