@@ -7,10 +7,12 @@ coloring additionally realizes an arbitrary prescription of which high color
 is missing at every vertex outside the leftmost column, given as a map from
 vertex ids to colors; that freedom is what the queen constructions consume.
 
-Every coloring here is computed on index arrays. The complete-graph and rook
-colors are closed forms in the vertex indices. The bishop colors need each
-edge's group, a closed form in its length and slope, and its parity along its
-path, which `_path_ranks` finds for all paths at once by pointer doubling.
+Every coloring here is computed on int32 index arrays, and its ends and
+colors are int32. The complete-graph and rook colors are closed forms in the
+vertex indices. The bishop colors need each edge's group, a closed form in
+its length and slope, and its parity along its path, which `_path_ranks`
+finds for all paths at once by pointer doubling, with int32 counts; its
+one int64 array is the key that pairs the incidences at each vertex.
 Each coloring is returned through `EdgeColoring._of_rows`, without a repeat
 check: its edges come from the board's edge lists, which hold each edge
 once. The queen constructions join these parts in `queen._union`, whose
@@ -24,7 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chess import _check_board, _column_edges, _row_edges, bishop_delta, bishop_edge_pairs
+from .chess import (_check_board, _column_edges, _pairs32, _row_edges, bishop_delta,
+                    bishop_edge_pairs)
 from .core import CertificateError, EdgeColoring
 
 
@@ -132,30 +135,42 @@ def _path_ranks(ends, group, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ends[i, 1] and 2i + 1 back; the arc after an arc leaves its head along
     the other edge of the group there. Doubling these links about log2(E)
     times gives every arc the number of arcs after it and the last one. An
-    edge's rank is that count for its arc whose walk ends further left.
+    edge's rank is that count for its arc whose walk ends further left. The
+    ids, counts and incidence links are int32, as the board's ids are, but
+    for the doubled links, which are intp because every gather of the
+    doubling indexes with them. The one int64 array is the sort key that
+    pairs the incidences at a vertex, group·span + id.
 
     Raises CertificateError when a vertex has degree > 2 in a group, or a
     group has a cycle, whose arcs never reach a last one: preconditions of
     the walk, not checks of a coloring.
     """
-    flat = np.asarray(ends, np.int64).reshape(-1)  # incidence 2i + side is vertex flat[2i + side]
+    flat = np.asarray(ends).reshape(-1)  # incidence 2i + side is vertex flat[2i + side]
     if not flat.size:
         return flat, flat, flat
     span = int(flat.max()) + 1
-    at = np.repeat(np.asarray(group, np.int64), 2) * span + flat
+    at = np.repeat(np.asarray(group, np.int64), 2)
+    at *= span
+    at += flat
     order = np.argsort(at, kind="stable")
-    shared = np.diff(at[order]) == 0
+    at = at[order]
+    shared = at[1:] == at[:-1]
+    del at
     if (shared[1:] & shared[:-1]).any():
         raise CertificateError("path group has a vertex of degree > 2")
-    arc = np.arange(flat.size)
+    arc = np.arange(flat.size, dtype=np.int32)
     partner = arc.copy()  # the other incidence at the same vertex of the group, or itself
     partner[order[1:][shared]] = order[:-1][shared]
     partner[order[:-1][shared]] = order[1:][shared]
+    del order, shared
     # arc a runs from flat[a] to flat[a ^ 1] and goes on along partner[a ^ 1]
-    nxt = partner[arc ^ 1]
-    last = nxt == arc ^ 1
+    # intp from here: the doubling gathers with nxt, and would cast int32 at each
+    back = arc ^ 1
+    nxt = partner[back].astype(np.intp)
+    del partner
+    last = nxt == back
     nxt[last] = arc[last]
-    count = (~last).astype(np.int64)
+    count = (~last).astype(np.int32)
     for _ in range(flat.size.bit_length()):
         if last[nxt].all():
             break
@@ -163,9 +178,12 @@ def _path_ranks(ends, group, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         nxt = nxt[nxt]
     if not last[nxt].all():
         raise CertificateError("path group contains a cycle")
-    end = flat[nxt ^ 1]
-    key = (end % n) * span + end
-    toward = arc[0::2] + (key[1::2] < key[0::2])
+    nxt ^= 1
+    end = flat[nxt]
+    col = end % n
+    # the arc of each edge whose walk ends further left: smaller column, then id
+    toward = arc[0::2] + ((col[1::2] < col[0::2])
+                          | ((col[1::2] == col[0::2]) & (end[1::2] < end[0::2])))
     return end[toward], flat[toward], count[toward]
 
 
@@ -177,7 +195,7 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
     """
     ends, group = _bishop_groups(m, n)
     start, far, rank = _path_ranks(ends, group, n)
-    order = np.lexsort((rank, (start % n) * (m * n) + start, group))
+    order = np.lexsort((rank, start, start % n, group))
     paths: dict[int, list[list[int]]] = {}
     for g, first, vertex, r in zip(*(a[order].tolist() for a in (group, start, far, rank))):
         if r == 0:
@@ -199,7 +217,8 @@ def canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
     ends, group = _bishop_groups(m, n)
     rank = _path_ranks(ends, group, n)[2]
     declared = bishop_delta(m, n) if len(ends) else 0
-    return EdgeColoring._of_rows(np.sort(ends, axis=1), 2 * group + 1 + rank % 2, declared)
+    ends.sort(axis=1)
+    return EdgeColoring._of_rows(ends, 2 * group + 1 + rank % 2, declared)
 
 
 def rarest_bishop_color(m: int) -> int:
@@ -214,7 +233,7 @@ def _last_group_edges(m: int, n: int) -> np.ndarray:
     column distance k and negative slopes of distance k + 1, as an (E, 2)
     array of (u, v) with u the lower-column endpoint."""
     k = m // 2
-    ids = np.arange(m * n).reshape(m, n)
+    ids = np.arange(m * n, dtype=np.int32).reshape(m, n)
     up, down = ids[:m - k, :n - k].ravel(), ids[k + 1:, :n - k - 1].ravel()
     return np.concatenate((np.column_stack((up, up + k * (n + 1))),
                            np.column_stack((down, down - (k + 1) * (n - 1)))))
@@ -248,8 +267,8 @@ def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
     """
     if m % 2 == 1 and n % 2 == 1:
         raise ValueError("R_{m,n} with both sides odd is class 2")
-    x, y = np.triu_indices(n, 1)  # columns of the row edges
-    u, v = np.triu_indices(m, 1)  # rows of the column edges
+    x, y = _pairs32(n)  # columns of the row edges
+    u, v = _pairs32(m)  # rows of the column edges
     if m % 2 == 0 and n % 2 == 0:
         row_colors = _k_even_class(x, y, n) + 1
         col_colors = _k_even_class(u, v, m) + n
@@ -258,12 +277,12 @@ def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
         # column i reuses color i alongside the m-2 high colors.
         row_colors = _k_odd_color(x, y, n) + 1
         cls = _k_even_class(u, v, m)
-        col_colors = np.where(cls == 0, np.arange(1, n + 1)[:, None], n + cls)
+        col_colors = np.where(cls == 0, np.arange(1, n + 1, dtype=np.int32)[:, None], n + cls)
     else:
         # Mirror image: columns odd on colors 1..m, row r missing color r.
         col_colors = _k_odd_color(u, v, m) + 1
         cls = _k_even_class(x, y, n)
-        row_colors = np.where(cls == 0, np.arange(1, m + 1)[:, None], m + cls)
+        row_colors = np.where(cls == 0, np.arange(1, m + 1, dtype=np.int32)[:, None], m + cls)
     colors = (np.broadcast_to(row_colors, (m, x.size)), np.broadcast_to(col_colors, (n, u.size)))
     return EdgeColoring._of_rows(np.concatenate((_row_edges(m, n), _column_edges(m, n))),
                                  np.concatenate([c.ravel() for c in colors]), m + n - 2)
@@ -285,7 +304,7 @@ def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> E
         raise ValueError("ladder coloring needs m and n odd")
     if m < 1 or n < 3:
         raise ValueError("board too small for a ladder coloring")
-    desired = np.zeros((m, n), np.int64)  # the color each vertex misses; 0 until set
+    desired = np.zeros((m, n), np.int32)  # the color each vertex misses; 0 until set
     desired[:, 0] = np.arange(1, m + 1)
     used = np.zeros((m, m + n), bool)  # used[r, c]: A color c is fixed in row r
     for v, color in (fixed or {}).items():
@@ -300,7 +319,7 @@ def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> E
         desired[row, col] = color
     # each row has as many unset vertices as unused A colors, both met in ascending order
     desired[desired == 0] = np.nonzero(~used[:, m + 1:])[1] + m + 1
-    u, v = np.triu_indices(m, 1)
+    u, v = _pairs32(m)
     col_colors = np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size))
     row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
     return EdgeColoring._of_rows(np.concatenate((_column_edges(m, n), _row_edges(m, n))),

@@ -7,10 +7,12 @@ The lower-left square (1,1) is white, and a square is white iff col+row is
 even. Rook, bishop and queen generators share this numbering, so the queen
 edge set is exactly the union of the rook and bishop edge sets.
 
-The generators build (E, 2) id arrays and hand them to `Graph.from_array`:
-the rook edges are one `np.triu_indices` pair list broadcast over the rows
-and one over the columns, and the bishop edges come from one slice of the
-board per diagonal length and slope. No Python loop runs per edge.
+The generators build (E, 2) int32 id arrays and hand them to
+`Graph.from_array`: the rook edges are one `np.triu_indices` pair list
+broadcast over the rows and one over the columns, and the bishop edges are
+taken row by row of the board from one table of the lengths and slopes that
+fit each column, already in their order, so no sort runs. No Python loop
+runs per edge, and no id array is widened to int64.
 """
 
 from __future__ import annotations
@@ -28,19 +30,26 @@ def _check_board(m: int, n: int) -> None:
         raise ValueError(f"need 1 <= m <= n, got m={m} n={n}")
 
 
+def _pairs32(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(k, 1)` as int32 arrays: the pairs (x, y), x < y, of 0..k-1."""
+    x, y = np.triu_indices(k, 1)
+    return x.astype(np.int32), y.astype(np.int32)
+
+
 def _row_edges(m: int, n: int) -> np.ndarray:
-    """The edges inside each row as an (E, 2) id array: row by row, each row's
-    column pairs (x, y), x < y, in `np.triu_indices(n, 1)` order."""
-    x, y = np.triu_indices(n, 1)
-    first = np.arange(m)[:, None] * n
+    """The edges inside each row as an (E, 2) int32 id array: row by row, each
+    row's column pairs (x, y), x < y, in `np.triu_indices(n, 1)` order."""
+    x, y = _pairs32(n)
+    first = np.arange(0, m * n, n, dtype=np.int32)[:, None]
     return np.stack((first + x, first + y), axis=-1).reshape(-1, 2)
 
 
 def _column_edges(m: int, n: int) -> np.ndarray:
-    """The edges inside each column as an (E, 2) id array: column by column,
-    each column's row pairs (u, v), u < v, in `np.triu_indices(m, 1)` order."""
-    u, v = np.triu_indices(m, 1)
-    col = np.arange(n)[:, None]
+    """The edges inside each column as an (E, 2) int32 id array: column by
+    column, each column's row pairs (u, v), u < v, in `np.triu_indices(m, 1)`
+    order."""
+    u, v = _pairs32(m)
+    col = np.arange(n, dtype=np.int32)[:, None]
     return np.stack((u * n + col, v * n + col), axis=-1).reshape(-1, 2)
 
 
@@ -57,27 +66,29 @@ class SquareColor(Enum):
 
 
 def bishop_edge_pairs(m: int, n: int) -> np.ndarray:
-    """All bishop edges as an (E, 2) array of vertex ids (u, v), u the
+    """All bishop edges as an (E, 2) int32 array of vertex ids (u, v), u the
     lower-column endpoint.
 
     An edge of column distance L is v = u + L(n+1) on a positive slope
     (up-right) and v = u - L(n-1) on a negative one (down-right), so v > u
-    exactly when the slope is positive. The ends u of one length and slope
-    are a rectangle of the board, taken as one slice. Edges come row by row,
-    then column by column, then by increasing L, the positive slope before
-    the negative one.
+    exactly when the slope is positive. Edges come row by row, then column by
+    column, then by increasing L, the positive slope before the negative one.
+    That is the row-major order of one (n, 2(m-1)) table per board row, whose
+    column k is the length and slope k: an entry is an edge when its length
+    fits both the column and, on that slope, the row.
     """
     _check_board(m, n)
-    ids = np.arange(m * n).reshape(m, n)
-    pairs, kinds = [np.empty((0, 2), np.int64)], [np.empty(0, np.int64)]
-    for length in range(1, m):
-        for kind, corner, step in ((2 * length, ids[:m - length, :n - length], length * (n + 1)),
-                                   (2 * length + 1, ids[length:, :n - length], -length * (n - 1))):
-            u = corner.ravel()
-            pairs.append(np.column_stack((u, u + step)))
-            kinds.append(np.full(u.size, kind))
-    pairs = np.concatenate(pairs)
-    return pairs[np.lexsort((np.concatenate(kinds), pairs[:, 0]))]
+    length = np.repeat(np.arange(1, m, dtype=np.int32), 2)
+    up = np.arange(length.size) % 2 == 0
+    step = np.where(up, length * (n + 1), -length * (n - 1))
+    col = np.arange(n, dtype=np.int32)[:, None]
+    in_columns = col + length < n
+    pairs = []
+    for row in range(m):
+        fits = in_columns & np.where(up, length < m - row, length <= row)
+        u = np.broadcast_to(row * n + col, fits.shape)[fits]
+        pairs.append(np.column_stack((u, u + np.broadcast_to(step, fits.shape)[fits])))
+    return np.concatenate(pairs)
 
 
 def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) -> Graph:
@@ -89,14 +100,16 @@ def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) ->
         # both ends of a bishop edge share a square colour; white iff col+row is even
         u = pairs[:, 0]
         pairs = pairs[((u % n + u // n) % 2 == 0) == (color_filter is SquareColor.WHITE)]
-    return Graph.from_array(m * n, np.sort(pairs, axis=1))
+    pairs.sort(axis=1)
+    return Graph.from_array(m * n, pairs)
 
 
 def build_queen(m: int, n: int) -> Graph:
     """Queen graph: union of rook and bishop edges on the same vertices."""
     _check_board(m, n)
-    pairs = (_row_edges(m, n), _column_edges(m, n), np.sort(bishop_edge_pairs(m, n), axis=1))
-    return Graph.from_array(m * n, np.concatenate(pairs))
+    bishop = bishop_edge_pairs(m, n)
+    bishop.sort(axis=1)
+    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n), bishop)))
 
 
 def queen_delta(m: int, n: int) -> int:

@@ -138,7 +138,10 @@ class Graph:
         """Check the edges (flat[2i], flat[2i+1]) and keep them sorted and unique.
 
         An array that is not of an integer dtype is refused. The first edge,
-        in the given order, that is not 0 <= u < v < n is named.
+        in the given order, that is not 0 <= u < v < n is named. Rows that do
+        not already ascend are sorted as one int64 key each, u·n + v, in
+        place; repeats are dropped only when there is one, and the keys are
+        decoded straight into the int32 store.
         """
         if vertex_count < 0:
             raise ValueError("negative vertex count")
@@ -152,9 +155,16 @@ class Graph:
             raise ValueError(f"edge ({u[i]},{v[i]}) out of range or unnormalized")
         pairs = flat.reshape(-1, 2)
         if not _ascending(pairs):
-            codes = np.sort(u.astype(np.int64) * vertex_count + v)
-            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-            pairs = np.column_stack(np.divmod(codes, vertex_count))
+            codes = np.multiply(u, vertex_count, dtype=np.int64)
+            codes += v
+            codes.sort()
+            repeat = codes[1:] == codes[:-1]
+            if repeat.any():
+                codes = codes[np.concatenate(([True], ~repeat))]
+            del repeat
+            pairs = np.empty((codes.size, 2), np.int32)
+            np.floor_divide(codes, vertex_count, out=pairs[:, 0], casting="unsafe")
+            np.remainder(codes, vertex_count, out=pairs[:, 1], casting="unsafe")
         self.vertex_count = vertex_count
         self.pairs = _frozen(pairs.astype(np.int32, copy=False), flat)
 
@@ -278,10 +288,16 @@ class EdgeColoring:
         self.declared_color_count = declared
 
     def shifted(self, offset: int) -> "EdgeColoring":
-        # int64 (or Python ints), so the shift cannot wrap an int32 colour
-        colors = self.colors if self.colors.dtype == object else self.colors.astype(np.int64)
-        return EdgeColoring._of_rows(self.ends, colors + offset,
-                                     self.declared_color_count + offset)
+        # every colour lies in 1..declared, so the sums fit int32 when 1 + offset
+        # and declared + offset do, and are made at int64 width (or as Python
+        # ints) otherwise, so the shift cannot wrap
+        top = self.declared_color_count + offset
+        if self.colors.dtype == object:
+            colors = self.colors + offset
+        else:
+            fits = _INT32.min <= 1 + offset and top <= _INT32.max
+            colors = np.add(self.colors, offset, dtype=np.int32 if fits else np.int64)
+        return EdgeColoring._of_rows(self.ends, colors, top)
 
 
 @dataclass(frozen=True, eq=False)

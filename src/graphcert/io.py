@@ -11,20 +11,21 @@ writes what `"%d %d ...\\n" % row` would, from a table of the digits of every
 4-digit group. A colouring whose rows already ascend is written without a
 sort, and any other in the order of one int64 key per row.
 
-The DIMACS and colouring readers take in the whole text at once and parse
-its body into preallocated int32 arrays (`_Rows`), the ids 0-based, widened
-only for a value past int32; the line of a row is kept as the first line of
-its run. A canonical body, one as the writers make it (`e u v` or `u v c`
-lines, single spaces, '\\n' ends, a final newline, every id below 10^18), is
-parsed by numpy in chunks of about 1 MB (`_CHUNK`), each cut after a '\\n',
-with no copy of the rest of the text. From the first chunk that is not
-canonical, one with a tab, a comment, an empty slot, a sign, a longer id or
-no final newline, the text is cut by a regular expression into runs of plain
-lines, each parsed in one call, and the lines between the runs are read one
-by one. Both give the same rows, line numbers and errors. A path is read in
-text mode, which turns '\\r\\n' and a lone '\\r' into '\\n', so a CRLF file read
-from a path is canonical; the run pattern takes the '\\r\\n' ends of an open
-file.
+The DIMACS and colouring readers take in the whole file at once, as bytes
+with no decoded copy, and parse its body into preallocated int32 arrays
+(`_Rows`), the ids 0-based, widened only for a value past int32; the line
+of a row is kept as the first line of its run. A canonical body, one as the
+writers make it (`e u v` or `u v c` lines, single spaces, '\\n' ends, a
+final newline, every id below 10^18), is parsed by numpy in chunks of about
+1 MB (`_CHUNK`), each cut after a '\\n', with no copy of the rest of the
+text. From the first chunk that is not canonical, one with a tab, a
+comment, an empty slot, a sign, a longer id or no final newline, the text is
+cut by a regular expression into runs of plain lines, each parsed in one
+call, and the lines between the runs are read one by one. Both give the same rows, line numbers and errors. A path's bytes
+get the line ends that text mode gives: '\\r\\n' and a lone '\\r' become '\\n',
+a pass made only when there is a '\\r', so a CRLF file read from a path is
+canonical; the run pattern takes the '\\r\\n' ends of an open text file,
+whose text is encoded as it stands (`_read_bytes`).
 """
 
 from __future__ import annotations
@@ -54,13 +55,38 @@ def _open_read(path_or_file, certificate: bool = False) -> tuple[IO[str], bool]:
                 errors="surrogateescape" if certificate else "strict"), True
 
 
-def _read_text(path_or_file, certificate: bool = False) -> str:
-    fh, close = _open_read(path_or_file, certificate)
-    try:
-        return fh.read()
-    finally:
-        if close:
-            fh.close()
+def _as_bytes(text: str | bytes) -> bytes:
+    """text as bytes: bytes as they are, and a str encoded so that decoding
+    a line of it as `_Rows.other_lines` does gives that line back."""
+    return text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+
+
+def _ascii(data: bytes, start: int, stop: int) -> str:
+    """data[start:stop], ASCII bytes, as text, with no copy of the slice."""
+    return str(memoryview(data)[start:stop], "ascii")
+
+
+def _read_bytes(path_or_file, certificate: bool = False) -> bytes:
+    """The bytes of a file, read once, with the line ends text mode would give.
+
+    A path, or an open binary file, is read as bytes: '\\r\\n' and a lone
+    '\\r' are made '\\n' when there is a '\\r', and outside a certificate a
+    non-ASCII byte raises the UnicodeDecodeError of an ASCII text read (bad
+    input). A certificate keeps such a byte, so that its reader can name the
+    line (a failed certificate). An open text file's text is taken as it is.
+    """
+    if hasattr(path_or_file, "read"):
+        data = path_or_file.read()
+        if isinstance(data, str):
+            return _as_bytes(data)
+    else:
+        with open(path_or_file, "rb") as fh:
+            data = fh.read()
+    if not (certificate or data.isascii()):
+        data.decode("ascii")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 @contextmanager
@@ -104,7 +130,7 @@ _ID, _GAP, _END = r"[0-9]{1,18}", r"[ \t]+", r"[ \t]*\r?\n"
 _DIMACS_RUN = rf"(?:[ \t]*e{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 _COLORING_RUN = rf"(?:[ \t]*{_ID}{_GAP}{_ID}{_GAP}{_ID}{_END})*" + _POSSESSIVE
 
-_NO_DIGITS = str.maketrans("", "", "0123456789")
+_DIGITS = b"0123456789"
 # np.fromstring saturates at INT64_MAX, so a run may hold only ids below this
 _RUN_LIMIT = 10 ** 18
 # characters of a canonical body parsed at once: about 1 MB, cut after a '\n'
@@ -121,8 +147,9 @@ class _Rows:
     a row is kept per run, as the first row and line of each run of
     consecutive lines (`line`).
 
-    The body starts at the first line that is `lead` ("e " for `e u v`, ""
-    for `u v c`), width - 1 spaces and '\\n' once its digits are taken out.
+    The text is bytes (`_as_bytes`). The body starts at the first line that
+    is `lead` ("e " for `e u v`, "" for `u v c`), width - 1 spaces and '\\n'
+    once its digits are taken out.
     From there the text is taken in chunks of about `_CHUNK` characters, each
     cut after a '\\n', and no copy of the rest of the text is made. A chunk
     whose lines are all such lines has width places for ids a line, so numpy
@@ -133,8 +160,8 @@ class _Rows:
     """
 
     def __init__(self, width: int, run: str, lead: str):
-        self.width, self.run, self.lead = width, run, lead
-        self.blank = lead + " " * (width - 1) + "\n"
+        self.width, self.run, self.lead = width, run.encode("ascii"), lead.encode("ascii")
+        self.blank = self.lead + b" " * (width - 1) + b"\n"
         self.columns = [np.empty((0, 2), np.int32)]  # the ids, then any colours
         if width == 3:
             self.columns.append(np.empty(0, np.int32))
@@ -143,65 +170,65 @@ class _Rows:
         self.loose: list[list[int]] = []  # rows of single lines, not yet stored
         self.loose_lines: list[int] = []
 
-    def other_lines(self, text: str) -> Iterator[tuple[int, str]]:
+    def other_lines(self, text: str | bytes) -> Iterator[tuple[int, str]]:
         """Take in the canonical chunks of the body and every run of plain
-        lines of text, and yield each other line with its number, in file
-        order."""
+        lines of text, and yield each other line, as text, with its number,
+        in file order."""
+        text = _as_bytes(text)
         match = re.compile(self.run).match
         pos, lineno, body = 0, 1, False
         while pos < len(text):
-            stop = text.find("\n", pos)
+            stop = text.find(b"\n", pos)
             stop = len(text) if stop < 0 else stop
-            if not body and text[pos:stop + 1].translate(_NO_DIGITS) == self.blank:
+            if not body and text[pos:stop + 1].translate(None, _DIGITS) == self.blank:
                 body = True  # the first body line
                 pos, lineno = self._canonical_chunks(text, pos, lineno)
                 continue
             end = match(text, pos).end()
             if end > pos:
-                run = text[pos:end]
-                count = run.count("\n")
-                if not self._add_run(lineno, run, count):
+                count = text.count(b"\n", pos, end)
+                if not self._add_run(lineno, _ascii(text, pos, end), count):
                     raise ValueError(f"line {lineno}: a run of {count} lines did not parse")
                 lineno += count
                 pos = end
                 continue
-            yield lineno, text[pos:stop]
+            yield lineno, text[pos:stop].decode("utf-8", "surrogatepass")
             lineno += 1
             pos = stop + 1
 
-    def _canonical_chunks(self, text: str, pos: int, lineno: int) -> tuple[int, int]:
+    def _canonical_chunks(self, text: bytes, pos: int, lineno: int) -> tuple[int, int]:
         """Make room for one row per line from pos to the end of text, take
         in the chunks from pos on while they are canonical, and return the
         place and number of the first line not taken in."""
-        self._reserve(text.count("\n", pos) + (not text.endswith("\n")))
+        self._reserve(text.count(b"\n", pos) + (not text.endswith(b"\n")))
         while pos < len(text):
-            end = (text.rfind("\n", pos, pos + _CHUNK) + 1
-                   or text.find("\n", pos + _CHUNK) + 1 or len(text))
-            chunk = text[pos:end]
-            count = self._canonical_lines(chunk)
-            if not (count and self._add_run(lineno, chunk, count)):
+            end = (text.rfind(b"\n", pos, pos + _CHUNK) + 1
+                   or text.find(b"\n", pos + _CHUNK) + 1 or len(text))
+            # the bytes are checked, then parsed as text decoded straight from them
+            count = self._canonical_lines(text[pos:end])
+            if not (count and self._add_run(lineno, _ascii(text, pos, end), count)):
                 break
             pos, lineno = end, lineno + count
         return pos, lineno
 
-    def _canonical_lines(self, body: str) -> int:
+    def _canonical_lines(self, body: bytes) -> int:
         """The number of lines of body when it ends with '\\n' and each of
         its lines starts with lead and is blank once its digits are taken
         out; else 0."""
-        stripped = body.translate(_NO_DIGITS)
+        stripped = body.translate(None, _DIGITS)
         count, extra = divmod(len(stripped), len(self.blank))
         # count disjoint blanks in the length of count blanks: stripped is blank * count
-        if extra or stripped.count(self.blank) != count or not body.endswith("\n"):
+        if extra or stripped.count(self.blank) != count or not body.endswith(b"\n"):
             return 0
         if self.lead and not (body.startswith(self.lead)
-                              and body.count("\n" + self.lead) == count - 1):
+                              and body.count(b"\n" + self.lead) == count - 1):
             return 0
         return count
 
     def _add_run(self, lineno: int, run: str, count: int) -> bool:
-        """Parse the count plain lines of run, from line lineno on, and store
-        their rows as one run. False, and nothing stored, unless they give
-        width ids a line, each below 10^18."""
+        """Parse the count plain lines of run, ASCII text from line lineno
+        on, and store their rows as one run. False, and nothing stored,
+        unless they give width ids a line, each below 10^18."""
         values = np.fromstring(run.replace("e", " "), dtype=np.int64, sep=" ")
         if not count or values.size != self.width * count:
             return False
@@ -275,9 +302,9 @@ def _ordered(pairs: np.ndarray) -> np.ndarray:
                             np.maximum(pairs[:, 0], pairs[:, 1])))
 
 
-# rows formatted at once when every value is below 10^4, about 7 MB of
+# rows formatted at once when every value is below 10^4, about 2 MB of
 # arrays for three columns; values of more 4-digit groups take fewer rows
-_ROW_BATCH = 1 << 16
+_ROW_BATCH = 1 << 14
 
 
 @functools.cache
@@ -369,7 +396,7 @@ def read_dimacs(path_or_file) -> Graph:
     dropped once parsed, and the rows' 0-based int32 ids become the graph's
     edge store (`_ordered`).
     """
-    text = _read_text(path_or_file)
+    text = _read_bytes(path_or_file)
     n = declared = None
     rows = _Rows(2, _DIMACS_RUN, "e ")
     for lineno, line in rows.other_lines(text):
@@ -442,12 +469,12 @@ def read_coloring(path_or_file) -> EdgeColoring:
     and the rows' int32 arrays, the ids 0-based, become the colouring's
     (`_ordered`).
     """
-    text = _read_text(path_or_file, certificate=True)
+    text = _read_bytes(path_or_file, certificate=True)
     bad_byte = None
     if not text.isascii():
-        at = re.search(r"[^\x00-\x7f]", text).start()
-        bad_byte = text.count("\n", 0, at) + 1
-        text = text[:text.rfind("\n", 0, at) + 1]
+        at = re.search(rb"[^\x00-\x7f]", text).start()
+        bad_byte = text.count(b"\n", 0, at) + 1
+        text = text[:text.rfind(b"\n", 0, at) + 1]
     declared = None
     rows = _Rows(3, _COLORING_RUN, "")
     failure = None
@@ -472,7 +499,7 @@ def read_coloring(path_or_file) -> EdgeColoring:
     except CertificateError as exc:
         failure = exc  # an edge listed twice above this line is reported first
     if declared is None:
-        end = text.count("\n") + (1 if text and not text.endswith("\n") else 0) + 1
+        end = text.count(b"\n") + (1 if text and not text.endswith(b"\n") else 0) + 1
     del text
     ends, colors = rows.arrays()
     pairs = _ordered(ends)

@@ -8,9 +8,10 @@ derived multicycle is colorable inside the rook's high colors; and the
 Delta+1 union for overfull boards. A hill-climbing search (`kempe`) covers
 the remaining gap heuristically.
 
-Each construction concatenates the edge and color arrays of its bishop and
-rook colorings into one `EdgeColoring`; the few edges it recolors are found
-in the joined edge list by binary search. The ladder prescription is passed
+Each construction joins the int32 edge and color arrays of its bishop and
+rook colorings into one `EdgeColoring` in edge order (`_union`), with no
+int64 copy of either; the few edges it recolors are found in the joined
+edge list by binary search. The ladder prescription is passed
 to `ladder_coloring` as a map from vertex ids to the color each must miss.
 No construction verifies its own coloring: the command line verifies each
 one, and the overfullness behind a class-2 claim, on the board it builds.
@@ -53,16 +54,22 @@ def _union(m: int, n: int, parts: list[EdgeColoring], declared: int,
            recolor: Sequence[tuple[tuple[int, int], int]] = ()) -> EdgeColoring:
     """The edge-disjoint colorings parts of Q_{m,n} as one coloring in edge
     order, with each (edge, color) of recolor giving that edge a new color.
-    An edge that no part colors recolors the row where it would sort instead,
-    clamped to the last row, and the caller's verifier judges the result."""
-    ends = np.concatenate([p.ends for p in parts]).astype(np.int64)
-    colors = np.concatenate([p.colors for p in parts]).astype(np.int64)
-    codes = ends[:, 0] * (m * n) + ends[:, 1]
+
+    The parts' int32 ends and colours are joined as they are, and put in
+    edge order by one argsort of one int64 key per edge, u·mn + v, in which
+    each recolored edge is found by a binary search. An edge that no part
+    colors recolors the row where it would sort instead, clamped to the last
+    row, and the caller's verifier judges the result."""
+    ends = np.concatenate([p.ends for p in parts])
+    codes = np.multiply(ends[:, 0], m * n, dtype=np.int64)
+    codes += ends[:, 1]
     order = np.argsort(codes)
-    codes, ends, colors = codes[order], ends[order], colors[order]
     edges = np.array([e for e, _ in recolor], np.int64).reshape(-1, 2)
     keys = edges.min(axis=1) * (m * n) + edges.max(axis=1)
-    rows = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    rows = np.minimum(np.searchsorted(codes, keys, sorter=order), len(codes) - 1)
+    del codes
+    ends = ends[order]
+    colors = np.concatenate([p.colors for p in parts])[order]
     colors[rows] = [c for _, c in recolor]
     return EdgeColoring.from_arrays(ends, colors, declared)
 

@@ -634,3 +634,20 @@ def test_vizing_on_small_corpus():
               build_rook(3, 3), build_bishop(4, 5)):
         rep = verify_edge_coloring(g, vizing_delta_plus_one(g).coloring(g.pairs))
         assert rep.ok and rep.colors_used <= max_degree(g) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda p: p[0] < p[1]),
+                max_size=40),
+       st.sampled_from([np.int32, np.int64]), st.randoms(use_true_random=False),
+       st.sampled_from([31, 2 ** 31]))
+def test_from_array_sorts_and_drops_repeats_at_either_width(rows, dtype, rnd, vertex_count):
+    # shuffled rows with repeats, int32 or int64, become sorted(set(rows)) as
+    # int32 pairs; near 2^31 - 1 the int64 key u·n + v must decode right too
+    shift = vertex_count - 31
+    given = [(u + shift, v + shift) for u, v in rows]
+    given += rnd.sample(given, len(given) // 2)
+    rnd.shuffle(given)
+    g = Graph.from_array(vertex_count, np.array(given, dtype).reshape(-1, 2))
+    assert g.pairs.dtype == np.int32
+    assert list(map(tuple, g.pairs.tolist())) == sorted(set(given))

@@ -181,8 +181,9 @@ def test_class1_coloring_is_the_orbit_coloring(d):
 def test_g5_certificate_path_stays_within_its_bytes_per_edge(tmp_path):
     # tracemalloc sees numpy's buffers, so each peak is the same on every run;
     # the bounds sit a few bytes an edge above the peaks, which are far below
-    # those of the code each path replaced: the batch-wise writers 18 and 14
-    # (whole arrays: 32 and 24), the int32 colouring and verifier 19 and 13
+    # those of the code each path replaced: the batch-wise writers 4.7 and 3.6
+    # (batches four times larger: 18 and 14; whole arrays: 32 and 24), the
+    # int32 colouring and verifier 19 and 13
     # (int64 copies: 77 and 95), the chunked readers 32 and 28 (whole
     # bodies: 55 and 46)
     def peak_per_edge(call, *args):
@@ -195,8 +196,8 @@ def test_g5_certificate_path_stays_within_its_bytes_per_edge(tmp_path):
 
     g, coloring = build(5), class1_coloring(5)
     edges = g.edge_count
-    assert peak_per_edge(gio.write_coloring, coloring, tmp_path / "g5.coloring") < 21
-    assert peak_per_edge(gio.write_dimacs, g, tmp_path / "g5.col") < 17
+    assert peak_per_edge(gio.write_coloring, coloring, tmp_path / "g5.coloring") < 7
+    assert peak_per_edge(gio.write_dimacs, g, tmp_path / "g5.col") < 6
     assert peak_per_edge(class1_coloring, 5) < 24
     assert peak_per_edge(verify_edge_coloring, build(5), coloring) < 16
     assert peak_per_edge(gio.read_coloring, tmp_path / "g5.coloring") < 36

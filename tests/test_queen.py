@@ -3,12 +3,14 @@
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import assignment_of, color_counts
 
 from graphcert import cli, core, queen
+from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert import io as gio
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
 from graphcert.core import EdgeColoring, verify_edge_coloring
@@ -247,3 +249,35 @@ def test_queen_constructions_keep_their_bytes():
         digest.update(text.getvalue().encode("ascii"))
     assert len(certs) == 291
     assert digest.hexdigest() == QUEEN_CERTIFICATES_SHA256
+
+
+def test_queen_path_stays_within_its_bytes_per_edge(tmp_path):
+    # tracemalloc sees numpy's buffers, so each peak is the same on every run;
+    # the bounds sit a few bytes an edge above the peaks at Q(50,50), which are
+    # far below those of the int64 path each replaced: the board 28.5 (73.0),
+    # the bishop colouring 34.5 (74.8), the whole construction 48.0 (84.0),
+    # and the batch-wise writers 9.5 and 7.5 (36.4 and 29.4)
+    def peak_per_edge(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1] / edges
+        finally:
+            tracemalloc.stop()
+
+    g, cert = build_queen(50, 50), classify_and_color(50, 50)
+    edges = g.edge_count
+    assert peak_per_edge(build_queen, 50, 50) < 32
+    assert peak_per_edge(canonical_bishop_coloring, 50, 50) < 38
+    assert peak_per_edge(classify_and_color, 50, 50) < 52
+    assert peak_per_edge(gio.write_coloring, cert.coloring, tmp_path / "q.coloring") < 12
+    assert peak_per_edge(gio.write_dimacs, g, tmp_path / "q.col") < 10
+
+
+@pytest.mark.parametrize("m,n", [(50, 50), (49, 49), (25, 49), (3, 51), (1, 5)])
+def test_the_queen_path_is_int32(m, n):
+    # board, bishop and rook colourings and every construction's join
+    assert build_queen(m, n).pairs.dtype == np.int32
+    assert canonical_bishop_coloring(m, n).colors.dtype == np.int32
+    cert = classify_and_color(m, n)
+    assert cert.coloring.ends.dtype == cert.coloring.colors.dtype == np.int32
