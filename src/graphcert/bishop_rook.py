@@ -9,14 +9,13 @@ vertex ids to colors; that freedom is what the queen constructions consume.
 
 Every coloring here is computed on int32 index arrays, and its ends and
 colors are int32. The complete-graph and rook colors are closed forms in the
-vertex indices. The bishop colors need each edge's group, a closed form in
-its length and slope, and its parity along its path, which `_path_ranks`
-finds for all paths at once by pointer doubling, with int32 counts; its
-one int64 array is the key that pairs the incidences at each vertex.
-Each coloring is returned through `EdgeColoring._of_rows`, without a repeat
-check: its edges come from the board's edge lists, which hold each edge
-once. The queen constructions join these parts in `queen._union`, whose
-`EdgeColoring.from_arrays` checks the joined rows for a repeated edge.
+vertex indices, kept as tables; a bishop color is one in the edge's ends:
+its group in its length and slope, and its rank along its path, whose parity
+picks one of the group's two colors, with no walk of the paths. Each
+coloring is returned through `EdgeColoring._of_rows`, without a repeat
+check: its edges are a board's rows, which hold each edge once. The queen
+constructions color the queen board's rows with the same forms
+(`_board_colors`).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chess import (_check_board, _column_edges, _pairs32, _row_edges, bishop_delta,
-                    bishop_edge_pairs)
+from .chess import _check_board, _pairs32, bishop_delta, bishop_edge_pairs, build_rook
 from .core import CertificateError, EdgeColoring
 
 
@@ -107,118 +105,106 @@ class PathDecomposition:
         return lines
 
 
-def _bishop_groups(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bishop edges (u, v), u the lower-column endpoint, and the group of each.
+def _bishop_ranks(ru, cu, rv, cv, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The group and the rank of each bishop edge of an m-row board, given by
+    the rows and columns of its ends, (ru, cu) and (rv, cv), in either order.
 
     Group g is (i, +) for g = 2i - 2 and (i, -) for g = 2i - 1. With L the
-    column distance of the edge: when 2L = m it goes to (L, +); when
-    L < m - L it goes to (L, -) on a positive slope and (L, +) on a negative
-    one; otherwise it goes to (m - L, +) on a positive slope and (m - L, -)
-    on a negative one.
+    column distance: when 2L = m the edge goes to (L, +); when L < m - L it
+    goes to (L, -) climbing (the row grows with the column) and (L, +)
+    falling; otherwise to (m - L, +) climbing and (m - L, -) falling.
+
+    A path of group (i, -) steps its row r -> (r + i) mod m, and its column
+    by i, or by m - i when the row wraps; (i, +) is its mirror image under
+    r -> m - 1 - r. An edge's rank, the number of edges between it and the
+    leftmost end of its path, is the number of back-steps from its
+    lower-column end (r, c) that stay on the board: the largest k with
+    D(k·i - r) <= c - r. D(x) = x + (m - 2i)·ceil(x/m) rises by 1 in each
+    block of m values of x and skips m - 2i values between blocks, so that x
+    is w·m + max(0, rem - m + 2i), (w, rem) = divmod(c - r, 2m - 2i).
     """
-    pairs = bishop_edge_pairs(m, n)
-    u, v = pairs[:, 0], pairs[:, 1]
-    length = v % n - u % n
+    left = cu < cv
+    length = np.abs(cv - cu)
     short = 2 * length < m
-    minus = np.where(short, v > u, v < u) & (2 * length != m)
-    return pairs, 2 * (np.where(short, length, m - length) - 1) + minus
+    minus = (short == (left == (ru < rv))) & (2 * length != m)
+    i = np.where(short, length, m - length)
+    row = np.where(left, ru, rv)
+    row = np.where(minus, row, m - 1 - row)
+    w, rem = np.divmod(np.minimum(cu, cv) - row, 2 * (m - i))
+    w *= m
+    w += np.maximum(rem - (m - 2 * i), 0)
+    w += row
+    w //= i
+    return 2 * (i - 1) + minus, w
 
 
-def _path_ranks(ends, group, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the paths of every group at once. For each edge: the leftmost end
-    of its path (smallest column, then row, on a board of n columns), its end
-    further from that one along the path, and its rank, the number of edges
-    between it and the leftmost end.
+# rows of a board coloured at once: the block's transients stay a few bytes an edge
+_BLOCK = 1 << 14
 
-    ends is an (E, 2) array of edges in either orientation and group[i] the
-    group of edge i. Edge i has two arcs, 2i running from ends[i, 0] to
-    ends[i, 1] and 2i + 1 back; the arc after an arc leaves its head along
-    the other edge of the group there. Doubling these links about log2(E)
-    times gives every arc the number of arcs after it and the last one. An
-    edge's rank is that count for its arc whose walk ends further left. The
-    ids, counts and incidence links are int32, as the board's ids are, but
-    for the doubled links, which are intp because every gather of the
-    doubling indexes with them. The one int64 array is the sort key that
-    pairs the incidences at a vertex, group·span + id.
 
-    Raises CertificateError when a vertex has degree > 2 in a group, or a
-    group has a cycle, whose arcs never reach a last one: preconditions of
-    the walk, not checks of a coloring.
-    """
-    flat = np.asarray(ends).reshape(-1)  # incidence 2i + side is vertex flat[2i + side]
-    if not flat.size:
-        return flat, flat, flat
-    span = int(flat.max()) + 1
-    at = np.repeat(np.asarray(group, np.int64), 2)
-    at *= span
-    at += flat
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    shared = at[1:] == at[:-1]
-    del at
-    if (shared[1:] & shared[:-1]).any():
-        raise CertificateError("path group has a vertex of degree > 2")
-    arc = np.arange(flat.size, dtype=np.int32)
-    partner = arc.copy()  # the other incidence at the same vertex of the group, or itself
-    partner[order[1:][shared]] = order[:-1][shared]
-    partner[order[:-1][shared]] = order[1:][shared]
-    del order, shared
-    # arc a runs from flat[a] to flat[a ^ 1] and goes on along partner[a ^ 1]
-    # intp from here: the doubling gathers with nxt, and would cast int32 at each
-    back = arc ^ 1
-    nxt = partner[back].astype(np.intp)
-    del partner
-    last = nxt == back
-    nxt[last] = arc[last]
-    count = (~last).astype(np.int32)
-    for _ in range(flat.size.bit_length()):
-        if last[nxt].all():
-            break
-        count += count[nxt]
-        nxt = nxt[nxt]
-    if not last[nxt].all():
-        raise CertificateError("path group contains a cycle")
-    nxt ^= 1
-    end = flat[nxt]
-    col = end % n
-    # the arc of each edge whose walk ends further left: smaller column, then id
-    toward = arc[0::2] + ((col[1::2] < col[0::2])
-                          | ((col[1::2] == col[0::2]) & (end[1::2] < end[0::2])))
-    return end[toward], flat[toward], count[toward]
+def _board_colors(pairs: np.ndarray, m: int, n: int,
+                  rook: tuple[np.ndarray, np.ndarray] | None = None,
+                  rook_offset: int = 0, bishop_offset: int = 0) -> np.ndarray:
+    """The int32 colour of each edge (u, v), u < v, of pairs, edges of an
+    m x n board, from its geometry, one block of rows at a time. A row or
+    column edge takes its entry in the rook colour tables (as
+    `_rook_class1_tables` makes them; None for a board without rook edges)
+    plus rook_offset. A diagonal takes its canonical bishop colour plus
+    bishop_offset: group (i, +) has {4i-3, 4i-2} and (i, -) has {4i-1, 4i},
+    the first on the edges of even rank."""
+    colors = np.empty(len(pairs), np.int32)
+    for lo in range(0, len(colors), _BLOCK):
+        u, v = pairs[lo:lo + _BLOCK].T.copy()  # contiguous, as a fast division by n needs
+        ru, rv = u // n, v // n
+        cu, cv = u - ru * n, v - rv * n
+        out = colors[lo:lo + _BLOCK]
+        if rook is not None:
+            at = np.flatnonzero(ru == rv)
+            out[at] = rook[0][ru[at], _pair_index(cu[at], cv[at], n)] + rook_offset
+            at = np.flatnonzero(cu == cv)
+            out[at] = rook[1][cu[at], _pair_index(ru[at], rv[at], m)] + rook_offset
+        at = np.flatnonzero((ru != rv) & (cu != cv))
+        group, rank = _bishop_ranks(ru[at], cu[at], rv[at], cv[at], m)
+        rank %= 2
+        rank += 2 * group + 1 + bishop_offset
+        out[at] = rank
+    return colors
 
 
 def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
     """Partition bishop edges into the path groups of the canonical coloring.
 
     Each path is listed from its leftmost end, and the paths of a group in
-    the order of those ends, as `_path_ranks` finds them.
+    the order of those ends (column, then id): each edge's lower-column end
+    walked back its rank (`_bishop_ranks`), i·rank rows and D columns.
     """
-    ends, group = _bishop_groups(m, n)
-    start, far, rank = _path_ranks(ends, group, n)
-    order = np.lexsort((rank, start, start % n, group))
+    pairs = bishop_edge_pairs(m, n)
+    (r, c), far = np.divmod(pairs[:, 0], n), pairs[:, 1]
+    group, rank = _bishop_ranks(r, c, far // n, far % n, m)
+    i, minus = group // 2 + 1, group % 2 == 1
+    row = np.where(minus, r, m - 1 - r) - i * rank
+    column = c - i * rank + (m - 2 * i) * (row // m)
+    row %= m
+    start = np.where(minus, row, m - 1 - row) * n + column
+    order = np.lexsort((rank, start, column, group))
     paths: dict[int, list[list[int]]] = {}
-    for g, first, vertex, r in zip(*(a[order].tolist() for a in (group, start, far, rank))):
-        if r == 0:
+    for g, first, vertex, k in zip(*(a[order].tolist() for a in (group, start, far, rank))):
+        if k == 0:
             paths.setdefault(g, []).append([first])
         paths[g][-1].append(vertex)
-    groups = []
-    for i in range(1, m // 2 + 1):
-        for sign in (1, -1):
-            if m % 2 == 0 and 2 * i == m and sign == -1:
-                continue  # coincides with the + group
-            group_paths = paths.get(2 * i - 2 + (sign < 0), ())
-            groups.append(PathGroup(i, sign, tuple(map(tuple, group_paths))))
-    return PathDecomposition(m, n, tuple(groups))
+    # an even m has no group (m/2, -), g = m - 1, so g runs over range(m - 1) either way
+    return PathDecomposition(m, n, tuple(
+        PathGroup(g // 2 + 1, 1 - 2 * (g % 2), tuple(map(tuple, paths.get(g, ()))))
+        for g in range(m - 1)))
 
 
 def canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
     """Class-1 bishop coloring: group (i,+) uses {4i-3, 4i-2}, (i,-) uses
     {4i-1, 4i}, first color on the leftmost edge of each path."""
-    ends, group = _bishop_groups(m, n)
-    rank = _path_ranks(ends, group, n)[2]
-    declared = bishop_delta(m, n) if len(ends) else 0
-    ends.sort(axis=1)
-    return EdgeColoring._of_rows(ends, 2 * group + 1 + rank % 2, declared)
+    pairs = bishop_edge_pairs(m, n)
+    pairs.sort(axis=1)
+    return EdgeColoring._of_rows(pairs, _board_colors(pairs, m, n),
+                                 bishop_delta(m, n) if len(pairs) else 0)
 
 
 def rarest_bishop_color(m: int) -> int:
@@ -252,19 +238,21 @@ def rarest_color_edges(m: int, n: int) -> list[tuple[int, int]]:
     if m < 3:
         return []
     ends = _last_group_edges(m, n)
-    rank = _path_ranks(ends, np.zeros(len(ends), np.int64), n)[2]
+    rank = _bishop_ranks(*np.divmod(ends[:, 0], n), *np.divmod(ends[:, 1], n), m)[1]
     return sorted(map(tuple, np.sort(ends[rank % 2 == 1], axis=1).tolist()))
 
 
 # --- rook colorings -------------------------------------------------------------
 
-def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
-    """Class-1 coloring of R_{m,n} with m+n-2 colors; fails for m, n both odd.
+def _pair_index(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The index of each pair (a, b), a < b, in `np.triu_indices(k, 1)` order."""
+    return a * (2 * k - 1 - a) // 2 + (b - a - 1)
 
-    The row edges come row by row and the column edges column by column, as
-    `_row_edges` and `_column_edges` list them; each color is a closed form
-    in the row or column index and the pair's indices inside it.
-    """
+
+def _rook_class1_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class-1 rook colors, closed forms in the indices, as two tables:
+    rows[r, t] colors the t-th column pair of row r and columns[c, t] the
+    t-th row pair of column c, each in `np.triu_indices` order."""
     if m % 2 == 1 and n % 2 == 1:
         raise ValueError("R_{m,n} with both sides odd is class 2")
     x, y = _pairs32(n)  # columns of the row edges
@@ -283,23 +271,20 @@ def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
         col_colors = _k_odd_color(u, v, m) + 1
         cls = _k_even_class(x, y, n)
         row_colors = np.where(cls == 0, np.arange(1, m + 1, dtype=np.int32)[:, None], m + cls)
-    colors = (np.broadcast_to(row_colors, (m, x.size)), np.broadcast_to(col_colors, (n, u.size)))
-    return EdgeColoring._of_rows(np.concatenate((_row_edges(m, n), _column_edges(m, n))),
-                                 np.concatenate([c.ravel() for c in colors]), m + n - 2)
+    return np.broadcast_to(row_colors, (m, x.size)), np.broadcast_to(col_colors, (n, u.size))
 
 
-def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> EdgeColoring:
-    """Class-2 rook coloring of R_{m,n} (m, n odd) with m+n-1 colors.
+def rook_class1_coloring(m: int, n: int) -> EdgeColoring:
+    """Class-1 coloring of R_{m,n} with m+n-2 colors; fails for m, n both odd."""
+    pairs = build_rook(m, n).pairs
+    return EdgeColoring._of_rows(pairs, _board_colors(pairs, m, n, _rook_class1_tables(m, n)),
+                                 m + n - 2)
 
-    Columns use colors 1..m with color r missing at row r. In row r the
-    matching on columns (2,3),(4,5),...,(n-1,n) takes color r, and the rest of
-    the row uses the A colors {m+1..m+n-1}, so that every vertex off column 1
-    misses one A color and vertex (1, r) misses color r. fixed maps vertex ids
-    off column 1 to the A color they must miss; every other vertex off column
-    1 takes its row's unused A colors in ascending column order. ValueError
-    names a vertex in column 1 or off the board, a color outside A, or an A
-    color fixed twice in one row.
-    """
+
+def _ladder_tables(m: int, n: int, fixed: Mapping[int, int] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The colours of `ladder_coloring` as the two tables of
+    `_rook_class1_tables`, with its checks."""
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError("ladder coloring needs m and n odd")
     if m < 1 or n < 3:
@@ -320,8 +305,22 @@ def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> E
     # each row has as many unset vertices as unused A colors, both met in ascending order
     desired[desired == 0] = np.nonzero(~used[:, m + 1:])[1] + m + 1
     u, v = _pairs32(m)
-    col_colors = np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size))
-    row_colors = k_odd_prescribed_missing(n, desired, matching_class=True)
-    return EdgeColoring._of_rows(np.concatenate((_column_edges(m, n), _row_edges(m, n))),
-                                 np.concatenate((col_colors.ravel(), row_colors.ravel())),
+    return (k_odd_prescribed_missing(n, desired, matching_class=True),
+            np.broadcast_to(_k_odd_color(u, v, m) + 1, (n, u.size)))
+
+
+def ladder_coloring(m: int, n: int, fixed: Mapping[int, int] | None = None) -> EdgeColoring:
+    """Class-2 rook coloring of R_{m,n} (m, n odd) with m+n-1 colors.
+
+    Columns use colors 1..m with color r missing at row r. In row r the
+    matching on columns (2,3),(4,5),...,(n-1,n) takes color r, and the rest of
+    the row uses the A colors {m+1..m+n-1}, so that every vertex off column 1
+    misses one A color and vertex (1, r) misses color r. fixed maps vertex ids
+    off column 1 to the A color they must miss; every other vertex off column
+    1 takes its row's unused A colors in ascending column order. ValueError
+    names a vertex in column 1 or off the board, a color outside A, or an A
+    color fixed twice in one row.
+    """
+    pairs = build_rook(m, n).pairs
+    return EdgeColoring._of_rows(pairs, _board_colors(pairs, m, n, _ladder_tables(m, n, fixed)),
                                  m + n - 1)

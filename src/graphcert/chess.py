@@ -8,11 +8,11 @@ even. Rook, bishop and queen generators share this numbering, so the queen
 edge set is exactly the union of the rook and bishop edge sets.
 
 The generators build (E, 2) int32 id arrays and hand them to
-`Graph.from_array`: the rook edges are one `np.triu_indices` pair list
-broadcast over the rows and one over the columns, and the bishop edges are
-taken row by row of the board from one table of the lengths and slopes that
-fit each column, already in their order, so no sort runs. No Python loop
-runs per edge, and no id array is widened to int64.
+`Graph.from_array`: the rook and queen edges ascending, which the graph keeps
+without a sort or a copy (`_lines_graph`), and the bishop edges, u the
+lower-column end, row by row of the board from one table of the lengths and
+slopes that fit each column. No Python loop runs per edge, and no id array
+is widened to int64.
 """
 
 from __future__ import annotations
@@ -36,27 +36,36 @@ def _pairs32(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(np.int32), y.astype(np.int32)
 
 
-def _row_edges(m: int, n: int) -> np.ndarray:
-    """The edges inside each row as an (E, 2) int32 id array: row by row, each
-    row's column pairs (x, y), x < y, in `np.triu_indices(n, 1)` order."""
-    x, y = _pairs32(n)
-    first = np.arange(0, m * n, n, dtype=np.int32)[:, None]
-    return np.stack((first + x, first + y), axis=-1).reshape(-1, 2)
-
-
-def _column_edges(m: int, n: int) -> np.ndarray:
-    """The edges inside each column as an (E, 2) int32 id array: column by
-    column, each column's row pairs (u, v), u < v, in `np.triu_indices(m, 1)`
-    order."""
-    u, v = _pairs32(m)
+def _lines_graph(m: int, n: int, sides: tuple[int, ...]) -> Graph:
+    """The graph joining each square (r, c) to the rest of its row and, in
+    each later row r + d, to the squares c + s·d on the board, s in sides.
+    These higher neighbours ascend in the row-major order of the first
+    n - 1 + len(sides)·(m - 1 - r) columns of one table of column shifts,
+    so each board row r writes its edges in order into one int32 array."""
+    d = np.repeat(np.arange(1, m, dtype=np.int32), len(sides))
+    side = np.tile(np.array(sides, np.int32), m - 1) * d
+    shift = np.concatenate((np.arange(1, n, dtype=np.int32), side))  # column of v - column of u
+    step = np.concatenate((shift[:n - 1], d * n + side))  # v - u
     col = np.arange(n, dtype=np.int32)[:, None]
-    return np.stack((u * n + col, v * n + col), axis=-1).reshape(-1, 2)
+    fits = (0 <= col + shift) & (col + shift < n)
+    width = n - 1 + len(sides) * (m - 1 - np.arange(m))
+    first = np.concatenate(([0], fits.sum(axis=0).cumsum()))  # edges in the first k columns
+    pairs = np.empty((first[width].sum(), 2), np.int32)
+    at = 0
+    for row in range(m):
+        cut = fits[:, :width[row]]
+        u = np.broadcast_to(row * n + col, cut.shape)[cut]
+        pairs[at:at + len(u), 0] = u
+        pairs[at:at + len(u), 1] = u + np.broadcast_to(step[:width[row]], cut.shape)[cut]
+        at += len(u)
+    pairs.setflags(write=False)  # handed over, so the graph keeps it without a copy
+    return Graph.from_array(m * n, pairs)
 
 
 def build_rook(m: int, n: int) -> Graph:
     """Rook graph: same row or same column."""
     _check_board(m, n)
-    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n))))
+    return _lines_graph(m, n, (0,))
 
 
 class SquareColor(Enum):
@@ -107,9 +116,7 @@ def build_bishop(m: int, n: int, color_filter: SquareColor = SquareColor.ALL) ->
 def build_queen(m: int, n: int) -> Graph:
     """Queen graph: union of rook and bishop edges on the same vertices."""
     _check_board(m, n)
-    bishop = bishop_edge_pairs(m, n)
-    bishop.sort(axis=1)
-    return Graph.from_array(m * n, np.concatenate((_row_edges(m, n), _column_edges(m, n), bishop)))
+    return _lines_graph(m, n, (-1, 0, 1))
 
 
 def queen_delta(m: int, n: int) -> int:

@@ -205,7 +205,7 @@ def _color_auto(args, g: Graph) -> QueenColoringCertificate:
 def _color_square_odd(args, g: Graph) -> QueenColoringCertificate:
     if args.m != args.n:
         raise ValueError("square-odd needs m = n")
-    return class1_square_odd(args.n)
+    return class1_square_odd(args.n, graph=g)
 
 
 def _color_kempe(args, g: Graph) -> QueenColoringCertificate:
@@ -221,10 +221,10 @@ def _color_kempe(args, g: Graph) -> QueenColoringCertificate:
 # --construction name -> the certificate it builds, given the board it is verified on
 _CONSTRUCTIONS = {
     "auto": _color_auto,
-    "even-union": lambda args, g: class1_even(args.m, args.n),
+    "even-union": lambda args, g: class1_even(args.m, args.n, graph=g),
     "square-odd": _color_square_odd,
-    "ladder-multicycle": lambda args, g: class1_ladder_multicycle(args.m, args.n),
-    "overfull": lambda args, g: class2_overfull_coloring(args.m, args.n),
+    "ladder-multicycle": lambda args, g: class1_ladder_multicycle(args.m, args.n, graph=g),
+    "overfull": lambda args, g: class2_overfull_coloring(args.m, args.n, graph=g),
     "kempe": _color_kempe,
 }
 

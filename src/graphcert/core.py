@@ -248,11 +248,10 @@ class EdgeColoring:
         which then makes the repeat check;
         `io.read_coloring`, which makes its own check first to name the
         line; `shifted`, on the rows of a colouring that holds none
-        already; `ColorState.coloring`, on the rows of a graph;
-        and the bishop and rook colourings of
-        `bishop_rook`, built on board edge lists that hold each edge once.
-        The queen constructions join those in `queen._union`, whose
-        from_arrays checks every joined row.
+        already; `ColorState.coloring` and the queen constructions
+        (`queen._board_coloring`), on the rows of a graph; and the bishop
+        and rook colourings of `bishop_rook`, built on board edge lists that
+        hold each edge once.
         """
         coloring = cls.__new__(cls)
         coloring._store(np.asarray(ends).reshape(-1), np.asarray(colors).reshape(-1),

@@ -441,9 +441,9 @@ def write_coloring(coloring: EdgeColoring, path_or_file,
     (u, v) order, one `_ROW_BATCH` of rows at a time: each batch's ids are
     made 1-based and put beside its colours, and `_ascii_rows` gives the
     digits, byte for byte what `%d` gives. Rows that already ascend, as
-    `keller.class1_coloring` and the queen constructions joined by
-    `queen._union` give them, are taken as they stand; any others through
-    their sorted order, one batch of it at a time."""
+    `keller.class1_coloring` and the queen constructions, on the board's
+    own rows, give them, are taken as they stand; any others through their
+    sorted order, one batch of it at a time."""
     ends, colors = coloring.ends, coloring.colors
     order = None if _ascending(ends) else _row_order(ends)
     with _ascii_sink(path_or_file) as write:

@@ -8,13 +8,12 @@ derived multicycle is colorable inside the rook's high colors; and the
 Delta+1 union for overfull boards. A hill-climbing search (`kempe`) covers
 the remaining gap heuristically.
 
-Each construction joins the int32 edge and color arrays of its bishop and
-rook colorings into one `EdgeColoring` in edge order (`_union`), with no
-int64 copy of either; the few edges it recolors are found in the joined
-edge list by binary search. The ladder prescription is passed
-to `ladder_coloring` as a map from vertex ids to the color each must miss.
+Each construction colors the rows of the board it is given, `g.pairs`, with
+no second edge list: each row takes its color from its geometry, and the
+few edges it recolors are found with `g.edge_index` (`_board_coloring`).
 No construction verifies its own coloring: the command line verifies each
-one, and the overfullness behind a class-2 claim, on the board it builds.
+one, and the overfullness behind a class-2 claim, on the board it builds
+and hands to the construction.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bishop_rook import (canonical_bishop_coloring, ladder_coloring, rarest_bishop_color,
-                          rook_class1_coloring)
-from .chess import _check_board, build_queen, overfull_threshold, queen_delta
-from .core import EdgeColoring, Graph
+from .bishop_rook import _board_colors, _ladder_tables, _rook_class1_tables, rarest_color_edges
+from .chess import _check_board, bishop_delta, build_queen, overfull_threshold, queen_delta
+from .core import CertificateError, EdgeColoring, Graph
 from .multicycle import chromatic_index, derive
 
 
@@ -50,42 +48,37 @@ class QueenColoringCertificate:
                            "colors": self.coloring.declared_color_count})
 
 
-def _union(m: int, n: int, parts: list[EdgeColoring], declared: int,
-           recolor: Sequence[tuple[tuple[int, int], int]] = ()) -> EdgeColoring:
-    """The edge-disjoint colorings parts of Q_{m,n} as one coloring in edge
-    order, with each (edge, color) of recolor giving that edge a new color.
-
-    The parts' int32 ends and colours are joined as they are, and put in
-    edge order by one argsort of one int64 key per edge, u·mn + v, in which
-    each recolored edge is found by a binary search. An edge that no part
-    colors recolors the row where it would sort instead, clamped to the last
-    row, and the caller's verifier judges the result."""
-    ends = np.concatenate([p.ends for p in parts])
-    codes = np.multiply(ends[:, 0], m * n, dtype=np.int64)
-    codes += ends[:, 1]
-    order = np.argsort(codes)
-    edges = np.array([e for e, _ in recolor], np.int64).reshape(-1, 2)
-    keys = edges.min(axis=1) * (m * n) + edges.max(axis=1)
-    rows = np.minimum(np.searchsorted(codes, keys, sorter=order), len(codes) - 1)
-    del codes
-    ends = ends[order]
-    colors = np.concatenate([p.colors for p in parts])[order]
-    colors[rows] = [c for _, c in recolor]
-    return EdgeColoring.from_arrays(ends, colors, declared)
+def _board_coloring(g: Graph | None, m: int, n: int, rook: tuple[np.ndarray, np.ndarray],
+                    rook_offset: int, bishop_offset: int, declared: int,
+                    recolor: Sequence[tuple[tuple[int, int], int]] = ()) -> EdgeColoring:
+    """The coloring of the rows of g.pairs, g the board Q_{m,n} (built here
+    when None), in which each row takes its colour from its geometry
+    (`bishop_rook._board_colors`) and then each (edge, color) of recolor
+    gives that edge a new colour; an edge not on the board raises
+    CertificateError. The colouring's ends are g.pairs itself."""
+    g = g if g is not None else build_queen(m, n)
+    colors = _board_colors(g.pairs, m, n, rook, rook_offset, bishop_offset)
+    if recolor:
+        edges = np.array([e for e, _ in recolor], np.int64).reshape(-1, 2)
+        at = g.edge_index(edges[:, 0], edges[:, 1])
+        if (at < 0).any():
+            raise CertificateError(f"rerouted edge {tuple(edges[np.argmax(at < 0)].tolist())} "
+                                   f"is not on Q_{m},{n}")
+        colors[at] = [c for _, c in recolor]
+    return EdgeColoring._of_rows(g.pairs, colors, declared)
 
 
-def class1_even(m: int, n: int) -> QueenColoringCertificate:
+def class1_even(m: int, n: int, *, graph: Graph | None = None) -> QueenColoringCertificate:
     """Bishop colors 1..Delta_B, rook colors on top; Delta(Q) colors total."""
     _check_board(m, n)
     if m % 2 == 1 and n % 2 == 1:
         raise ValueError("one dimension must be even")
-    bishop = canonical_bishop_coloring(m, n)
-    rook = rook_class1_coloring(m, n).shifted(bishop.declared_color_count)
-    coloring = _union(m, n, [bishop, rook], queen_delta(m, n))
+    coloring = _board_coloring(graph, m, n, _rook_class1_tables(m, n), bishop_delta(m, n), 0,
+                               queen_delta(m, n))
     return QueenColoringCertificate(m, n, coloring, 1, "EvenUnion")
 
 
-def class1_square_odd(n: int) -> QueenColoringCertificate:
+def class1_square_odd(n: int, *, graph: Graph | None = None) -> QueenColoringCertificate:
     """Color Q_{n,n} (n odd) with Delta = 4n-4 colors.
 
     The rarest bishop color, the last one, 2n-2, appears on a single edge;
@@ -95,15 +88,16 @@ def class1_square_odd(n: int) -> QueenColoringCertificate:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("odd n >= 3 required")
-    bishop = canonical_bishop_coloring(n, n)
-    edge = tuple(bishop.ends[np.argmax(bishop.colors == rarest_bishop_color(n))].tolist())
+    edge = rarest_color_edges(n, n)[0]
     top = 2 * n - 1  # before the shift; lands on 4n-4
-    rook = ladder_coloring(n, n, dict.fromkeys(edge, top)).shifted(2 * n - 3)
-    coloring = _union(n, n, [bishop, rook], 4 * n - 4, recolor=[(edge, top + 2 * n - 3)])
+    rook = _ladder_tables(n, n, dict.fromkeys(edge, top))
+    coloring = _board_coloring(graph, n, n, rook, 2 * n - 3, 0, 4 * n - 4,
+                               recolor=[(edge, top + 2 * n - 3)])
     return QueenColoringCertificate(n, n, coloring, 1, "SquareOdd")
 
 
-def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
+def class1_ladder_multicycle(m: int, n: int, *,
+                             graph: Graph | None = None) -> QueenColoringCertificate:
     """Color Q_{m,n} (m, n odd) with Delta = 3m+n-4 colors.
 
     The rarest bishop color's edges project to the derived multicycle; a
@@ -125,22 +119,22 @@ def class1_ladder_multicycle(m: int, n: int) -> QueenColoringCertificate:
     xi = result.coloring
     recolor = {edge: m + xi.slots[p][idx]
                for p, edges in enumerate(dm.slot_edges) for idx, edge in enumerate(edges)}
-    rook = ladder_coloring(m, n, {v: high for edge, high in recolor.items() for v in edge})
-    bishop = canonical_bishop_coloring(m, n).shifted(m + n - 1)
-    coloring = _union(m, n, [rook, bishop], 3 * m + n - 4, recolor=list(recolor.items()))
+    rook = _ladder_tables(m, n, {v: high for edge, high in recolor.items() for v in edge})
+    coloring = _board_coloring(graph, m, n, rook, 0, m + n - 1, 3 * m + n - 4,
+                               recolor=list(recolor.items()))
     return QueenColoringCertificate(m, n, coloring, 1, "LadderMulticycle")
 
 
-def class2_overfull_coloring(m: int, n: int) -> QueenColoringCertificate:
+def class2_overfull_coloring(m: int, n: int, *,
+                             graph: Graph | None = None) -> QueenColoringCertificate:
     """Delta+1 coloring of an overfull odd board: bishop plus ladder rook."""
     _check_board(m, n)
     if m % 2 == 0 or n % 2 == 0:
         raise ValueError("odd m and n required")
     if n < overfull_threshold(m):
         raise ValueError(f"Q_{{{m},{n}}} is not overfull; needs n >= {overfull_threshold(m)}")
-    bishop = canonical_bishop_coloring(m, n)
-    rook = ladder_coloring(m, n).shifted(bishop.declared_color_count)
-    coloring = _union(m, n, [bishop, rook], queen_delta(m, n) + 1)
+    coloring = _board_coloring(graph, m, n, _ladder_tables(m, n), bishop_delta(m, n), 0,
+                               queen_delta(m, n) + 1)
     return QueenColoringCertificate(m, n, coloring, 2, "OverfullDeltaPlusOne")
 
 
@@ -148,21 +142,22 @@ def classify_and_color(m: int, n: int, budget=None, *,
                        graph: Graph | None = None) -> QueenColoringCertificate:
     """Dispatch to the applicable construction; Kempe search covers the gap.
 
-    The search runs with budget, SearchBudget.default() when none is given,
-    on graph, the caller's build_queen(m, n) when it holds one to verify the
-    result on, and otherwise on a board it builds.
+    Each construction colours graph, and the search runs on it with budget
+    (SearchBudget.default() when none is given): the caller's
+    build_queen(m, n) when it holds one to verify the result on, or else a
+    board built here.
     """
     _check_board(m, n)
     if m == 1 and n == 1:
         return QueenColoringCertificate(1, 1, EdgeColoring.from_arrays([], [], 0), 1, "EvenUnion")
     if m % 2 == 0 or n % 2 == 0:
-        return class1_even(m, n)
+        return class1_even(m, n, graph=graph)
     if m == n:
-        return class1_square_odd(n)
+        return class1_square_odd(n, graph=graph)
     if n >= overfull_threshold(m):
-        return class2_overfull_coloring(m, n)
+        return class2_overfull_coloring(m, n, graph=graph)
     try:
-        return class1_ladder_multicycle(m, n)
+        return class1_ladder_multicycle(m, n, graph=graph)
     except MethodInapplicableError:
         pass
     from .kempe import BudgetExhaustedError, SearchBudget, find_class1

@@ -259,28 +259,19 @@ def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
     assert calls == [(9, 13)]
 
 
-BAD_GROUPS = pytest.mark.parametrize("bucket", [
-    [(0, 4), (4, 8), (2, 4)],  # vertex 4 has degree 3
-    [(0, 1), (1, 2), (0, 2)],  # a triangle, so no path ends
-], ids=["degree", "cycle"])
-
-
-@BAD_GROUPS
-def test_failed_path_check_raises_certificate_error(monkeypatch, bucket):
-    # These checks must hold under python -O too, so they cannot be asserts.
-    monkeypatch.setattr(bishop_rook, "_bishop_groups",
-                        lambda m, n: (np.array(bucket), np.zeros(len(bucket), np.int64)))
-    for build in (bishop_path_decomposition, canonical_bishop_coloring):
-        with pytest.raises(CertificateError):
-            build(3, 3)
-
-
-@BAD_GROUPS
-def test_rarest_color_path_check_raises_certificate_error(monkeypatch, bucket):
-    # the one-group walk shares its checks with the whole decomposition
-    monkeypatch.setattr(bishop_rook, "_last_group_edges", lambda m, n: np.array(bucket))
-    with pytest.raises(CertificateError):
-        rarest_color_edges(3, 3)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, m + 30))))
+def test_closed_form_ranks_match_the_reference_walk(board):
+    # each edge's group and rank are closed forms, with no walk to check them:
+    # every group's paths, the canonical colours and the rarest colour's edges
+    # must be those of the vertex-by-vertex walk
+    m, n = board
+    assert bishop_path_decomposition(m, n) == reference_bishop_path_decomposition(m, n)
+    want = assignment_of(reference_canonical_bishop_coloring(m, n))
+    assert assignment_of(canonical_bishop_coloring(m, n)) == want
+    if m % 2 == 1:
+        rare = rarest_bishop_color(m)
+        assert rarest_color_edges(m, n) == sorted(e for e, c in want.items() if c == rare)
 
 
 def test_last_group_edges_are_the_last_bucket():

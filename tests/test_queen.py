@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from conftest import assignment_of, color_counts
 
-from graphcert import cli, core, queen
+from graphcert import bishop_rook, cli, core, queen
 from graphcert.bishop_rook import canonical_bishop_coloring
 from graphcert import io as gio
 from graphcert.chess import build_queen, overfull_threshold, queen_delta, queen_edge_count
-from graphcert.core import EdgeColoring, verify_edge_coloring
+from graphcert.core import verify_edge_coloring
 from graphcert.queen import (
     MethodInapplicableError,
     class1_even,
@@ -92,6 +92,29 @@ def test_class2_claim_on_a_board_that_is_not_overfull_fails(monkeypatch, tmp_pat
     assert all(line.startswith("Q_3,11: ") for line in detail)
 
 
+# the construction each colouring function builds with, and its --construction name
+CONSTRUCTION_NAMES = {class1_even: "even-union", class1_square_odd: "square-odd",
+                      class1_ladder_multicycle: "ladder-multicycle",
+                      class2_overfull_coloring: "overfull"}
+# each part of a construction, by the colouring it stands for, and the
+# function that gives the board's rows that part's colours
+PART_SOURCES = {"canonical_bishop_coloring": (bishop_rook, "_bishop_ranks"),
+                "rook_class1_coloring": (queen, "_rook_class1_tables"),
+                "ladder_coloring": (queen, "_ladder_tables")}
+
+
+def color_command_detail(capsys, build, board) -> list[str]:
+    """Run `graphcert color` with build's construction on board, which must
+    exit 1 without writing, and return the verifier's detail lines."""
+    m, n = board * (3 - len(board))
+    argv = ["color", "--m", str(m), "--n", str(n), "--construction", CONSTRUCTION_NAMES[build],
+            "--json"]
+    assert cli.main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    return payload["detail"]
+
+
 @pytest.mark.parametrize("build, board, part", [
     (class1_even, (4, 6), "canonical_bishop_coloring"),
     (class1_even, (4, 6), "rook_class1_coloring"),
@@ -100,24 +123,57 @@ def test_class2_claim_on_a_board_that_is_not_overfull_fails(monkeypatch, tmp_pat
     (class2_overfull_coloring, (3, 13), "canonical_bishop_coloring"),
 ])
 @pytest.mark.parametrize("repeat", ["own-row", "other-part"])
-def test_union_refuses_an_edge_colored_twice(monkeypatch, build, board, part, repeat):
-    # The parts are built without a repeat check, so the joined rows must be
-    # checked: a part repeats one of its own rows, or holds an edge of the other part.
+def test_union_refuses_an_edge_colored_twice(monkeypatch, capsys, build, board, part, repeat):
+    # The parts colour the board's rows without a check of their own, so the
+    # command line's verifier must refuse a part that puts a colour twice at
+    # a vertex. The part's first edge takes the colour of another edge at its
+    # lower end: one of the same part, or one of the other part.
     m, n = board * (3 - len(board))
-    real = getattr(queen, part)
+    g = build_queen(m, n)
+    good = build(*board).coloring.colors
+    u, v = g.pairs[:, 0], g.pairs[:, 1]
+    rook = (u // n == v // n) | (u % n == v % n)
+    mine = ~rook if part == "canonical_bishop_coloring" else rook
+    edge = int(np.argmax(mine))
+    others = (u == u[edge]) | (v == u[edge])
+    others[edge] = False
+    other = int(np.argmax(others & (mine if repeat == "own-row" else ~mine)))
+    real = getattr(*PART_SOURCES[part])
 
-    def with_a_repeat(*args, **kwargs):
+    def miscoloured(*args, **kwargs):
         got = real(*args, **kwargs)
-        own = set(map(tuple, got.ends.tolist()))
-        edge = (got.ends[0].tolist() if repeat == "own-row" else
-                next(e for e in build_queen(m, n).pairs.tolist() if tuple(e) not in own))
-        return EdgeColoring._of_rows(np.concatenate((got.ends, [edge])),
-                                     np.append(got.colors, got.colors[0]),
-                                     got.declared_color_count)
+        if part == "canonical_bishop_coloring":
+            # the board fits one block, whose first diagonal is edge; its colour
+            # is 2·group + 1 + rank % 2, the bishop colours coming first
+            group, rank = got
+            group[0], rank[0] = divmod(int(good[other]) - 1, 2)
+            return group, rank
+        rows = np.array(got[0])  # edge is (0, 1), the first pair of the first row
+        rows[0, 0] += good[other] - good[edge]
+        return rows, got[1]
 
-    monkeypatch.setattr(queen, part, with_a_repeat)
-    with pytest.raises(ValueError, match="colored twice"):
-        build(*board)
+    monkeypatch.setattr(*PART_SOURCES[part], miscoloured)
+    detail = color_command_detail(capsys, build, board)
+    assert any(f"color {good[other]} repeated at vertex {u[edge]}" in line for line in detail)
+
+
+def test_a_misclassified_bishop_group_fails_the_color_command(monkeypatch, capsys):
+    # Each bishop edge's group is a closed form in its length and slope, with
+    # no walk of the paths to check it, so a misclassified group must be
+    # caught where every construction is: by the verifier, under python -O
+    # too. Here the edges of group (1, -) are taken for group (1, +), whose
+    # colours they then share at every vertex where the two groups meet.
+    real = bishop_rook._bishop_ranks
+
+    def misclassified(*args):
+        group, rank = real(*args)
+        return np.where(group == 1, 0, group), rank
+
+    monkeypatch.setattr(bishop_rook, "_bishop_ranks", misclassified)
+    for build, board in ((class1_even, (4, 6)), (class1_square_odd, (7,)),
+                         (class1_ladder_multicycle, (7, 9)), (class2_overfull_coloring, (3, 13))):
+        detail = color_command_detail(capsys, build, board)
+        assert detail and all("repeated at vertex" in line for line in detail), (build, detail)
 
 @pytest.mark.parametrize("m,n,colors", [(7, 9, 26), (9, 27, 50), (5, 11, 22)])
 def test_ladder_multicycle(m, n, colors):
@@ -200,6 +256,21 @@ def test_classify_and_color_grid():
             check_certificate(cert)
 
 
+@pytest.mark.parametrize("construction, board", [
+    ("auto", (4, 6)), ("even-union", (4, 6)), ("square-odd", (7, 7)),
+    ("ladder-multicycle", (7, 9)), ("overfull", (3, 13))])
+def test_color_command_hands_its_board_to_the_construction(monkeypatch, construction, board):
+    # the board the command line verifies on is the one the construction colours
+    checked = []
+    real = cli._queen_detail
+    monkeypatch.setattr(cli, "_queen_detail", lambda g, cert: checked.append((g, cert))
+                        or real(g, cert))
+    m, n = board
+    assert cli.main(["color", "--m", str(m), "--n", str(n), "--construction", construction]) == 0
+    (g, cert), = checked
+    assert np.shares_memory(cert.coloring.ends, g.pairs)
+
+
 @pytest.mark.parametrize("m,n", [(50, 50), (49, 49), (25, 49), (3, 51)])
 def test_color_command_builds_no_tuple_views(monkeypatch, tmp_path, capsys, m, n):
     # one board per construction: each is built, verified and written on the
@@ -219,11 +290,12 @@ def test_color_command_builds_no_tuple_views(monkeypatch, tmp_path, capsys, m, n
         assert "assignment" not in vars(coloring)
 
 
-def test_recoloring_an_edge_outside_the_union_raises_certificate_error():
-    # a rerouted edge takes its new colour; one that no part colours is left
-    # to the verifier at the command line, which checks every construction
-    part = EdgeColoring.from_arrays([[0, 1]], [1], 1)
-    assert assignment_of(queen._union(2, 2, [part], 2, recolor=[((0, 1), 2)])) == {(0, 1): 2}
+def test_recoloring_an_edge_outside_the_union_raises_certificate_error(monkeypatch):
+    # a rerouted edge is found among the board's rows, and edge_index gives
+    # -1 for one that is not there; it must raise, not recolour the last row
+    monkeypatch.setattr(queen, "rarest_color_edges", lambda m, n: [(1, 10)])  # a knight's move
+    with pytest.raises(core.CertificateError, match=r"rerouted edge \(1, 10\) is not on Q_7,7"):
+        class1_square_odd(7)
 
 
 # sha256 over the write_coloring bytes of every certificate below, in order,
@@ -254,24 +326,39 @@ def test_queen_constructions_keep_their_bytes():
 def test_queen_path_stays_within_its_bytes_per_edge(tmp_path):
     # tracemalloc sees numpy's buffers, so each peak is the same on every run;
     # the bounds sit a few bytes an edge above the peaks at Q(50,50), which are
-    # far below those of the int64 path each replaced: the board 28.5 (73.0),
-    # the bishop colouring 34.5 (74.8), the whole construction 48.0 (84.0),
-    # and the batch-wise writers 9.5 and 7.5 (36.4 and 29.4)
-    def peak_per_edge(call, *args):
+    # far below those of the paths each replaced: the board written in order
+    # 13.1 (28.5, joined from the rook and bishop lists and sorted), the bishop
+    # colouring 12.0 (34.5, ranked by pointer doubling), the whole construction
+    # 18.1 (48.0, its parts joined and sorted) and on the caller's board 10.1
+    # (48.0, which built its own rows), and the batch-wise writers 9.5 and 7.5
+    def peak_per_edge(call, *args, **kwargs):
         tracemalloc.start()
         try:
-            call(*args)
+            call(*args, **kwargs)
             return tracemalloc.get_traced_memory()[1] / edges
         finally:
             tracemalloc.stop()
 
     g, cert = build_queen(50, 50), classify_and_color(50, 50)
     edges = g.edge_count
-    assert peak_per_edge(build_queen, 50, 50) < 32
-    assert peak_per_edge(canonical_bishop_coloring, 50, 50) < 38
-    assert peak_per_edge(classify_and_color, 50, 50) < 52
+    assert peak_per_edge(build_queen, 50, 50) < 16
+    assert peak_per_edge(canonical_bishop_coloring, 50, 50) < 15
+    assert peak_per_edge(classify_and_color, 50, 50) < 21
+    assert peak_per_edge(classify_and_color, 50, 50, graph=g) < 13
     assert peak_per_edge(gio.write_coloring, cert.coloring, tmp_path / "q.coloring") < 12
     assert peak_per_edge(gio.write_dimacs, g, tmp_path / "q.col") < 10
+
+
+@pytest.mark.parametrize("build, board", [
+    (class1_even, (50, 50)), (class1_square_odd, (49,)), (class1_ladder_multicycle, (25, 49)),
+    (class2_overfull_coloring, (3, 51)), (class1_even, (1, 4))])
+def test_constructions_colour_the_rows_of_the_board_they_are_given(build, board):
+    # no construction builds a second edge list: its ends are the board's own rows
+    m, n = board * (3 - len(board))
+    g = build_queen(m, n)
+    for cert in (build(*board, graph=g), classify_and_color(m, n, graph=g)):
+        assert np.shares_memory(cert.coloring.ends, g.pairs)
+        assert verify_edge_coloring(g, cert.coloring).ok
 
 
 @pytest.mark.parametrize("m,n", [(50, 50), (49, 49), (25, 49), (3, 51), (1, 5)])
