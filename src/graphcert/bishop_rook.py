@@ -188,10 +188,17 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
     start = np.where(minus, row, m - 1 - row) * n + column
     order = np.lexsort((rank, start, column, group))
     paths: dict[int, list[list[int]]] = {}
-    for g, first, vertex, k in zip(*(a[order].tolist() for a in (group, start, far, rank))):
+    for g, near, vertex, k in zip(*(a[order].tolist() for a in (group, pairs[:, 0], far, rank))):
+        group_paths = paths.setdefault(g, [])
         if k == 0:
-            paths.setdefault(g, []).append([first])
-        paths[g][-1].append(vertex)
+            group_paths.append([near])
+        # the ranks are closed forms with no walk behind them, so each edge
+        # must go on from the end of its path (a raise, not an assert: it
+        # holds under python -O too)
+        if not group_paths or group_paths[-1][-1] != near or len(group_paths[-1]) != k + 1:
+            raise CertificateError(f"bishop edge ({near + 1}, {vertex + 1}) of rank {k} "
+                                   f"does not go on from a path of group {g}")
+        group_paths[-1].append(vertex)
     # an even m has no group (m/2, -), g = m - 1, so g runs over range(m - 1) either way
     return PathDecomposition(m, n, tuple(
         PathGroup(g // 2 + 1, 1 - 2 * (g % 2), tuple(map(tuple, paths.get(g, ()))))
@@ -200,11 +207,32 @@ def bishop_path_decomposition(m: int, n: int) -> PathDecomposition:
 
 def canonical_bishop_coloring(m: int, n: int) -> EdgeColoring:
     """Class-1 bishop coloring: group (i,+) uses {4i-3, 4i-2}, (i,-) uses
-    {4i-1, 4i}, first color on the leftmost edge of each path."""
+    {4i-1, 4i}, first color on the leftmost edge of each path. The ranks
+    have no walk of the paths behind them, so the coloring is checked for a
+    color repeated at a vertex before it is returned."""
     pairs = bishop_edge_pairs(m, n)
     pairs.sort(axis=1)
-    return EdgeColoring._of_rows(pairs, _board_colors(pairs, m, n),
-                                 bishop_delta(m, n) if len(pairs) else 0)
+    colors = _board_colors(pairs, m, n)
+    at = _repeat_at(pairs, colors)
+    if at is not None:
+        raise CertificateError(f"bishop color {at[1]} repeated at vertex {at[0] + 1}")
+    return EdgeColoring._of_rows(pairs, colors, bishop_delta(m, n) if len(pairs) else 0)
+
+
+def _repeat_at(pairs: np.ndarray, colors: np.ndarray) -> tuple[int, int] | None:
+    """A (vertex, color) that two edges of pairs share, or None: each group
+    has two colors, so a repeat is a vertex of degree 3 or an odd cycle in a
+    group, or a path whose ranks do not alternate."""
+    width, count = int(colors.max(initial=0)) + 1, len(colors)
+    # one key vertex·width + color an end, int32 where the keys fit
+    fits = (int(pairs.max(initial=0)) + 1) * width <= np.iinfo(np.int32).max
+    keys = np.concatenate((pairs[:, 0], pairs[:, 1]), dtype=np.int32 if fits else np.int64)
+    keys *= width
+    keys[:count] += colors
+    keys[count:] += colors
+    keys.sort()
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    return divmod(int(keys[same[0]]), width) if len(same) else None
 
 
 def rarest_bishop_color(m: int) -> int:
@@ -238,7 +266,14 @@ def rarest_color_edges(m: int, n: int) -> list[tuple[int, int]]:
     if m < 3:
         return []
     ends = _last_group_edges(m, n)
-    rank = _bishop_ranks(*np.divmod(ends[:, 0], n), *np.divmod(ends[:, 1], n), m)[1]
+    group, rank = _bishop_ranks(*np.divmod(ends[:, 0], n), *np.divmod(ends[:, 1], n), m)
+    # the group is listed by slope and length and classified by
+    # `_bishop_ranks`: two closed forms, which must agree
+    wrong = np.flatnonzero(group != m - 2)
+    if len(wrong):
+        u, v = ends[wrong[0]].tolist()
+        raise CertificateError(f"bishop edge ({u + 1}, {v + 1}) listed in group "
+                               f"({m // 2}, -) is classified in group {group[wrong[0]]}")
     return sorted(map(tuple, np.sort(ends[rank % 2 == 1], axis=1).tolist()))
 
 

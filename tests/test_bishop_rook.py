@@ -259,6 +259,39 @@ def test_canonical_coloring_enumerates_bishop_edges_once(monkeypatch):
     assert calls == [(9, 13)]
 
 
+BAD_GROUPS = pytest.mark.parametrize("bucket", [
+    [(0, 4), (4, 8), (2, 4)],  # vertex 4 has degree 3
+    [(0, 4), (4, 8), (0, 8)],  # a triangle on one diagonal, so no path ends
+], ids=["degree", "cycle"])
+
+
+@BAD_GROUPS
+def test_failed_path_check_raises_certificate_error(monkeypatch, bucket):
+    # These checks must hold under python -O too, so they cannot be asserts.
+    # The bucket's diagonals are all taken for group (1, +), which then cannot
+    # be paths 2-coloured with its two colours.
+    real = bishop_rook._bishop_ranks
+
+    def one_group(*args):
+        group, rank = real(*args)
+        return np.zeros_like(group), rank
+
+    monkeypatch.setattr(bishop_rook, "bishop_edge_pairs", lambda m, n: np.array(bucket))
+    monkeypatch.setattr(bishop_rook, "_bishop_ranks", one_group)
+    for build in (bishop_path_decomposition, canonical_bishop_coloring):
+        with pytest.raises(CertificateError):
+            build(3, 3)
+
+
+@BAD_GROUPS
+def test_rarest_color_path_check_raises_certificate_error(monkeypatch, bucket):
+    # the one group is listed by slope and length, and each of its edges must
+    # be classified in it: here (2, 4) and (0, 8) fall in group (1, +)
+    monkeypatch.setattr(bishop_rook, "_last_group_edges", lambda m, n: np.array(bucket))
+    with pytest.raises(CertificateError):
+        rarest_color_edges(3, 3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, m + 30))))
 def test_closed_form_ranks_match_the_reference_walk(board):
